@@ -63,6 +63,11 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./...
+# The repository benchmark is a nested module, so the blanket ./...
+# passes above never reach it: vet it and run its toy-scale workload
+# checks explicitly.
+go -C sdbperf vet ./...
+go -C sdbperf test ./...
 go test -race -short -run 'Chaos' -v ./internal/emulator/
 go test -race -run 'FleetChaos' -v ./internal/fleet/
 go test -short -run '^$' -bench . -benchtime=1x ./...

@@ -197,6 +197,23 @@ var crc16Table = func() (t [256]uint16) {
 	return t
 }()
 
+// crc16Slice extends crc16Table for slicing-by-8: entry [k][b] is the
+// register after shifting byte b and then k zero bytes through a zero
+// register. The CRC is linear over GF(2), so the register after eight
+// input bytes is the XOR of each byte's contribution, looked up in the
+// table for its distance from the end of the group; the incoming
+// register folds into the group's first two bytes.
+var crc16Slice = func() (t [8][256]uint16) {
+	t[0] = crc16Table
+	for k := 1; k < 8; k++ {
+		for b := range t[k] {
+			prev := t[k-1][b]
+			t[k][b] = prev<<8 ^ crc16Table[prev>>8]
+		}
+	}
+	return t
+}()
+
 // CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
 func CRC16(data []byte) uint16 {
 	return CRC16Update(0xFFFF, data)
@@ -206,10 +223,17 @@ func CRC16(data []byte) uint16 {
 // Start from 0xFFFF (or use CRC16 for one-shot input); chaining
 // Update calls over chunks equals one CRC16 over their concatenation,
 // which is what lets streaming readers checksum a file they never
-// hold in memory.
+// hold in memory. Eight bytes go through per iteration (slicing-by-8);
+// the tail takes the byte-at-a-time table.
 func CRC16Update(crc uint16, data []byte) uint16 {
+	t := &crc16Slice
+	for ; len(data) >= 8; data = data[8:] {
+		crc = t[7][byte(crc>>8)^data[0]] ^ t[6][byte(crc)^data[1]] ^
+			t[5][data[2]] ^ t[4][data[3]] ^ t[3][data[4]] ^
+			t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]]
+	}
 	for _, b := range data {
-		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^b]
 	}
 	return crc
 }

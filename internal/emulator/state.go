@@ -47,9 +47,13 @@ type MachineState struct {
 	FaultsRemovedJ float64
 }
 
-// ExportState snapshots the machine. Slices are deep-copied: the
-// machine may keep stepping after the export without disturbing the
-// snapshot. Must not be called concurrently with Step/StepBatch.
+// ExportState snapshots the machine. The machine may keep stepping
+// after the export without disturbing the snapshot. The recorded
+// series are not copied: the snapshot holds capped prefix views of the
+// machine's append-only series arrays, which stepping only extends past
+// the view's length (or reallocates when full), so a held snapshot
+// never changes. The snapshot must be treated as read-only. Must not be
+// called concurrently with Step/StepBatch.
 func (m *Machine) ExportState() MachineState {
 	res := m.res
 	st := MachineState{
@@ -66,7 +70,7 @@ func (m *Machine) ExportState() MachineState {
 		DrainedAtS:     res.DrainedAtS,
 		ElapsedS:       res.ElapsedS,
 		CellDrainedAtS: append([]float64(nil), res.CellDrainedAtS...),
-		Series:         copySeries(res.Series),
+		Series:         seriesView(res.Series),
 		Controller:     m.cfg.Controller.ExportState(),
 	}
 	if m.cfg.Runtime != nil {
@@ -83,9 +87,14 @@ func (m *Machine) ExportState() MachineState {
 
 // ImportState positions a freshly built Machine at a snapshot taken
 // from an identically configured one (same trace, pack, profile table,
-// runtime presence, fault schedule). The machine must not have stepped.
+// runtime presence, fault schedule). The machine must not have stepped:
+// importing refills the series arrays in place, and snapshots exported
+// earlier from this machine share those arrays.
 func (m *Machine) ImportState(st MachineState) error {
 	switch {
+	case m.k != 0 || len(m.res.Series.T) != 0:
+		return fmt.Errorf("emulator: import: target already stepped (cursor %d, %d samples); import needs a fresh machine",
+			m.k, len(m.res.Series.T))
 	case st.K < 0 || st.K > m.steps:
 		return fmt.Errorf("emulator: import: step cursor %d outside trace of %d steps", st.K, m.steps)
 	case len(st.CellDrainedAtS) != m.n:
@@ -142,20 +151,31 @@ func (m *Machine) ImportState(st MachineState) error {
 	return nil
 }
 
-func copySeries(s *Series) *Series {
+// seriesView returns a Series of capped prefix views of s's arrays:
+// an append to a view reallocates instead of writing into s.
+func seriesView(s *Series) *Series {
 	if s == nil {
 		return nil
 	}
 	out := &Series{
-		T:            append([]float64(nil), s.T...),
-		LoadW:        append([]float64(nil), s.LoadW...),
-		DeliveredW:   append([]float64(nil), s.DeliveredW...),
-		CircuitLossW: append([]float64(nil), s.CircuitLossW...),
-		BatteryLossW: append([]float64(nil), s.BatteryLossW...),
+		T:            prefix(s.T),
+		LoadW:        prefix(s.LoadW),
+		DeliveredW:   prefix(s.DeliveredW),
+		CircuitLossW: prefix(s.CircuitLossW),
+		BatteryLossW: prefix(s.BatteryLossW),
 		SoC:          make([][]float64, len(s.SoC)),
 	}
 	for i := range s.SoC {
-		out.SoC[i] = append([]float64(nil), s.SoC[i]...)
+		out.SoC[i] = prefix(s.SoC[i])
 	}
 	return out
+}
+
+// prefix caps vs at its length; empty is nil, the convention decoded
+// snapshots use.
+func prefix(vs []float64) []float64 {
+	if len(vs) == 0 {
+		return nil
+	}
+	return vs[:len(vs):len(vs)]
 }

@@ -61,8 +61,9 @@ func TestExportImportByteIdentical(t *testing.T) {
 			}
 			snap := orig.ExportState()
 
-			// The export is a deep copy: keep stepping the original and
-			// re-export — the first snapshot must be unchanged.
+			// The export shares the series arrays but never changes:
+			// keep stepping the original and re-export — the first
+			// snapshot must be unchanged.
 			if _, err := orig.StepBatch(50); err != nil {
 				t.Fatal(err)
 			}
@@ -145,6 +146,13 @@ func TestImportStateRejectsMismatches(t *testing.T) {
 		{"runtime presence", func(st *MachineState) { st.Runtime = nil }, fresh, "runtime presence"},
 		{"faults presence", func(st *MachineState) { st.HasFaults = false }, fresh, "fault schedule presence"},
 		{"faults fired out of range", func(st *MachineState) { st.FaultsFired = 99 }, fresh, "fired events"},
+		{"target already stepped", func(st *MachineState) {}, func() *Machine {
+			m := fresh()
+			if _, err := m.StepBatch(10); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, "target already stepped"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,10 +166,10 @@ func TestImportStateRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestCopySeriesNil: a machine built without series recording exports
+// TestSeriesViewNil: a machine built without series recording exports
 // a nil Series pointer cleanly.
-func TestCopySeriesNil(t *testing.T) {
-	if copySeries(nil) != nil {
-		t.Fatal("copySeries(nil) != nil")
+func TestSeriesViewNil(t *testing.T) {
+	if seriesView(nil) != nil {
+		t.Fatal("seriesView(nil) != nil")
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -201,6 +202,42 @@ func TestRestoreAllChemistries(t *testing.T) {
 			t.Fatalf("chemistry %s diverged after checkpoint/restore", p.Name)
 		}
 		g.Close()
+	}
+}
+
+// TestHeldSnapshotIsStable: a snapshot shares its devices' series
+// arrays rather than copying them, so one held while the fleet keeps
+// ticking must still encode to the bytes it had when taken.
+func TestHeldSnapshotIsStable(t *testing.T) {
+	f := New(Config{Shards: 3, Batch: 16, Obs: obs.NewRegistry()})
+	defer f.Close()
+	for i := 1; i <= 12; i++ {
+		if err := f.Add(uint16(i), deviceConfig(t, uint16(i), 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Tick(40)
+	snap := f.Snapshot()
+	var before bytes.Buffer
+	if err := snapshot.Encode(&before, snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f.Tick(40)
+	}
+	var after bytes.Buffer
+	if err := snapshot.Encode(&after, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("held snapshot changed while the fleet ticked")
+	}
+	var now bytes.Buffer
+	if err := f.Checkpoint(&now); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(now.Bytes(), before.Bytes()) {
+		t.Fatal("fleet ticked 3 more times but checkpoints compare equal")
 	}
 }
 

@@ -216,6 +216,31 @@ type fleetMetrics struct {
 	ckptErrs    *obs.Counter
 	tracer      *obs.Tracer
 	audit       *obs.AuditLog
+	// phases time the tick barrier, one histogram per phase.
+	phases [nPhases]*obs.Histogram
+}
+
+// Tick barrier phases, each timed as sdb_fleet_barrier_<phase>_seconds.
+// step is the wait for every shard to finish stepping; the others run
+// on the driver goroutine afterwards, and are observed only on ticks
+// where they do work.
+const (
+	phaseStep = iota
+	phaseAlerts
+	phaseRecord
+	phasePublish
+	phaseCheckpoint
+	nPhases
+)
+
+var phaseNames = [nPhases]string{"step", "alerts", "record", "publish", "checkpoint"}
+
+// phase observes the barrier phase that began at since and returns
+// its end, the next phase's start.
+func (f *Fleet) phase(p int, since time.Time) time.Time {
+	now := time.Now()
+	f.om.phases[p].Observe(now.Sub(since).Seconds())
+	return now
 }
 
 // New builds a fleet and starts its shard pool. Close stops it.
@@ -247,6 +272,10 @@ func New(cfg Config) *Fleet {
 			tracer:      reg.Tracer(),
 			audit:       reg.Audit(),
 		},
+	}
+	for p, name := range phaseNames {
+		f.om.phases[p] = reg.Histogram("sdb_fleet_barrier_"+name+"_seconds",
+			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 3})
 	}
 	f.subs.init(reg, cfg.SubQueue)
 	if len(cfg.Rules) > 0 {
@@ -576,6 +605,7 @@ func (f *Fleet) Tick(steps int) int {
 		s.wake <- req
 	}
 	wg.Wait()
+	mark := f.phase(phaseStep, start)
 	// Barrier work, in a fixed order: alert evaluation (deterministic —
 	// sorted device ids over the shard-collected samples), recording,
 	// then the push fan-out (encode-and-enqueue only; a slow subscriber
@@ -583,6 +613,7 @@ func (f *Fleet) Tick(steps int) int {
 	var trans []AlertTransition
 	if f.alerts != nil && req.sig {
 		trans = f.alerts.evalBarrier(f)
+		mark = f.phase(phaseAlerts, mark)
 	}
 	if f.cfg.Record != nil && f.recErr == nil {
 		f.sinceRec++
@@ -602,11 +633,13 @@ func (f *Fleet) Tick(steps int) int {
 				}
 				f.alerts.recordRollups(f, maxT)
 			}
+			mark = f.phase(phaseRecord, mark)
 		}
 	}
 	f.publishLocked(trans, int(active.Load()))
+	mark = f.phase(phasePublish, mark)
 	f.regMu.RUnlock()
-	f.tickWallS += time.Since(start).Seconds()
+	f.tickWallS += mark.Sub(start).Seconds()
 	if f.tickWallS > 0 {
 		f.om.rate.Set(float64(f.steps.Load()) / f.tickWallS)
 	}
@@ -622,6 +655,7 @@ func (f *Fleet) Tick(steps int) int {
 					Scope: "fleet", Kind: "checkpoint-error", Cell: -1, Detail: err.Error(),
 				})
 			}
+			f.phase(phaseCheckpoint, mark)
 		}
 	}
 	// Crash-safety testing: an armed fleet.tick kill point crashes the

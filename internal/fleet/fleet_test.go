@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/obs"
+	"sdb/internal/obs/ts"
+	"sdb/internal/obs/ts/store"
 	"sdb/internal/workload"
 )
 
@@ -230,5 +233,46 @@ func TestFleetObsNames(t *testing.T) {
 		if !have[name] {
 			t.Errorf("metric %s not registered", name)
 		}
+	}
+}
+
+// TestBarrierPhaseHistograms: with every barrier phase doing work each
+// tick — alert rules, recording, and an auto-checkpoint every tick —
+// Tick observes each sdb_fleet_barrier_<phase>_seconds histogram
+// exactly once.
+func TestBarrierPhaseHistograms(t *testing.T) {
+	rules, err := ts.ParseRules("alert busy steps >= 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Create(filepath.Join(dir, "phases.sdbstor"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := obs.NewRegistry()
+	f := New(Config{
+		Shards: 1, Obs: reg, Rules: rules, Record: st,
+		Checkpoint: filepath.Join(dir, "phases.ckpt"), CheckpointEvery: 1,
+	})
+	defer f.Close()
+	if err := f.Add(1, deviceConfig(t, 1, 300)); err != nil {
+		t.Fatal(err)
+	}
+	for tick := int64(1); tick <= 4; tick++ {
+		f.Tick(10)
+		for _, name := range phaseNames {
+			h := reg.Histogram("sdb_fleet_barrier_"+name+"_seconds", nil)
+			if got := h.Count(); got != tick {
+				t.Fatalf("after tick %d: %s observed %d times", tick, name, got)
+			}
+		}
+	}
+	if err := f.RecordErr(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("sdb_fleet_checkpoint_errors_total").Value(); n != 0 {
+		t.Fatalf("%d checkpoint errors", n)
 	}
 }

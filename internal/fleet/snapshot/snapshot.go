@@ -32,7 +32,7 @@
 package snapshot
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,6 +40,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 
 	"sdb/internal/battery"
 	"sdb/internal/bus"
@@ -87,22 +89,108 @@ type Snapshot struct {
 }
 
 // Encode serializes the snapshot. Deterministic: equal input produces
-// equal bytes.
+// equal bytes, whatever the worker count. Device blocks are encoded on
+// runtime.GOMAXPROCS(0) workers and streamed to w in id order through a
+// bounded window of reusable block buffers, with the CRC folded in as
+// each block goes out, so no buffer the size of the file is ever held.
+// On error w may already have received a prefix of the stream.
 func Encode(w io.Writer, s *Snapshot) error {
+	bw := bufio.NewWriterSize(w, flushSize)
+	cw := crcWriter{w: bw, crc: 0xFFFF}
 	var e encoder
-	e.buf.WriteString(Magic)
-	e.buf.WriteByte(Version)
+	e.buf = append(e.buf, Magic...)
+	e.u8(Version)
 	e.uvarint(s.FleetSteps)
 	e.uvarint(uint64(len(s.Devices)))
-	for i := range s.Devices {
-		if err := e.device(&s.Devices[i]); err != nil {
-			return err
+	if err := cw.write(e.buf); err != nil {
+		return err
+	}
+	if err := cw.devices(s.Devices, encodeWorkers()); err != nil {
+		return err
+	}
+	if _, err := bw.Write(binary.LittleEndian.AppendUint16(e.buf[:0], cw.crc)); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// flushSize batches small device blocks into fewer writes; a block
+// larger than it goes to the underlying writer directly.
+const flushSize = 64 << 10
+
+// encodeWorkers sizes Encode's worker pool. Tests override it to show
+// the output does not depend on the worker count.
+var encodeWorkers = func() int { return runtime.GOMAXPROCS(0) }
+
+// crcWriter writes the stream and keeps its running CRC.
+type crcWriter struct {
+	w   io.Writer
+	crc uint16
+}
+
+func (c *crcWriter) write(p []byte) error {
+	c.crc = bus.CRC16Update(c.crc, p)
+	_, err := c.w.Write(p)
+	return err
+}
+
+// devices encodes devs on up to workers goroutines and writes the
+// blocks in order. Device i encodes into window slot i%window; the job
+// for device i+window is only handed out once block i has been
+// written, so each slot has at most one job in flight and its buffer is
+// reused for the whole call.
+func (c *crcWriter) devices(devs []Device, workers int) error {
+	workers = min(workers, len(devs))
+	if workers < 1 {
+		return nil
+	}
+	type block struct {
+		buf   []byte
+		err   error
+		ready chan struct{}
+	}
+	window := 2 * workers
+	blocks := make([]block, window)
+	for i := range blocks {
+		blocks[i].ready = make(chan struct{}, 1)
+	}
+	// At most window jobs are ever outstanding, so sends never block.
+	jobs := make(chan int, window)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				b := &blocks[i%window]
+				e := encoder{buf: b.buf[:0]}
+				b.err = e.device(&devs[i])
+				b.buf = e.buf
+				b.ready <- struct{}{}
+			}
+		}()
+	}
+	next := 0
+	for ; next < window && next < len(devs); next++ {
+		jobs <- next
+	}
+	var err error
+	for i := range devs {
+		b := &blocks[i%window]
+		<-b.ready
+		if err = b.err; err == nil {
+			err = c.write(b.buf)
+		}
+		if err != nil {
+			break
+		}
+		if next < len(devs) {
+			jobs <- next
+			next++
 		}
 	}
-	var tail [2]byte
-	binary.LittleEndian.PutUint16(tail[:], bus.CRC16(e.buf.Bytes()))
-	e.buf.Write(tail[:])
-	_, err := w.Write(e.buf.Bytes())
+	close(jobs)
+	wg.Wait()
 	return err
 }
 
@@ -213,33 +301,27 @@ const (
 	flagState
 )
 
+// encoder appends the format's primitives to buf.
 type encoder struct {
-	buf     bytes.Buffer
-	scratch [8]byte
+	buf []byte
 }
 
-func (e *encoder) u8(v byte) { e.buf.WriteByte(v) }
+func (e *encoder) u8(v byte) { e.buf = append(e.buf, v) }
 
 func (e *encoder) boolean(v bool) {
 	if v {
-		e.buf.WriteByte(1)
+		e.u8(1)
 	} else {
-		e.buf.WriteByte(0)
+		e.u8(0)
 	}
 }
 
-func (e *encoder) u16(v uint16) {
-	binary.LittleEndian.PutUint16(e.scratch[:2], v)
-	e.buf.Write(e.scratch[:2])
-}
+func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 
-func (e *encoder) uvarint(v uint64) {
-	e.buf.Write(binary.AppendUvarint(e.scratch[:0], v))
-}
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 func (e *encoder) f64(v float64) {
-	binary.LittleEndian.PutUint64(e.scratch[:], math.Float64bits(v))
-	e.buf.Write(e.scratch[:8])
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
 func (e *encoder) str(s string) error {
@@ -247,7 +329,7 @@ func (e *encoder) str(s string) error {
 		return fmt.Errorf("snapshot: string %q... exceeds %d bytes", s[:32], MaxStrLen)
 	}
 	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
+	e.buf = append(e.buf, s...)
 	return nil
 }
 
