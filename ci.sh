@@ -79,14 +79,17 @@ go test -race -run 'Batch|FastPath' -v ./internal/battery/batch/ ./internal/emul
 go test -run 'TestBatchStepNoAllocs' -v ./internal/battery/batch/
 
 # Crash-chaos lane: SIGKILL-equivalent process death at a tick barrier
-# (an armed SDB_KILLPOINT re-execs the test binary and asserts exit
-# 137), restore from the surviving auto-checkpoint, and byte-identity
-# with the uninterrupted run; then the supervision suite — seeded
-# device panics quarantining exactly the poison device while shard
-# neighbors keep stepping, shard-restart escalation, and drain
-# semantics — under the race detector.
-go test -run 'TestCrashRestoreByteIdentical' -v ./internal/fleet/
+# and halfway through appending a checkpoint delta record (an armed
+# SDB_KILLPOINT re-execs the test binary and asserts exit 137), restore
+# from the surviving auto-checkpoint journal, and byte-identity with
+# the uninterrupted run; then the supervision suite — seeded device
+# panics quarantining exactly the poison device while shard neighbors
+# keep stepping, shard-restart escalation, and drain semantics — under
+# the race detector; then a short live fuzz burst on the checkpoint
+# decoder (base records, journals, torn tails) on top of its seeds.
+go test -run 'TestCrashRestoreByteIdentical|TestCrashTornDeltaRestore' -v ./internal/fleet/
 go test -race -run 'TestQuarantine|TestShardRestart|TestDrain|TestCloseIdempotent' -v ./internal/fleet/
+go test -fuzz 'FuzzSnapshot' -fuzztime 5s -run '^$' ./internal/fleet/snapshot/
 
 # Store lane: differential chaos day, corruption battery, and the
 # SDB_KILLPOINT torn-append crash test under -race; then a short live

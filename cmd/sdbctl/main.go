@@ -37,14 +37,15 @@
 //	sdbctl fleet restore fleet.ckpt
 //
 // With -checkpoint the fleet server writes a durable snapshot of every
-// device's state to the path every -every ticks (atomically: temp file
-// + rename), restores from it at startup when it exists, and drains
-// gracefully on SIGINT/SIGTERM — refusing new commands with the
-// retryable draining status, finishing the in-flight tick, and writing
-// a final checkpoint before exiting. `fleet snapshot` asks a live
-// server to write its checkpoint now; `fleet restore` is a local
-// command that validates a checkpoint file and summarizes what a
-// restart would load.
+// device's state to the path every -every ticks, restores from it at
+// startup when it exists, and drains gracefully on SIGINT/SIGTERM —
+// refusing new commands with the retryable draining status, finishing
+// the in-flight tick, and writing a final checkpoint before exiting. The file is a journal: its first
+// write is a full snapshot (temp file + rename), and each later one
+// appends a delta record of the history added since. `fleet snapshot`
+// asks a live server to rewrite it as one full snapshot now; `fleet
+// restore` is a local command that validates a checkpoint file and
+// summarizes what a restart would load.
 //
 // The -timeout, -retries, and -backoff flags configure the resilient
 // bus client: each call retries retryable failures (lost or corrupted
@@ -636,7 +637,7 @@ func serve(argv []string) {
 	shards := fs.Int("shards", 4, "fleet: worker shards driving the devices")
 	batch := fs.Int("batch", 64, "fleet: steps per device per scheduling slice")
 	durS := fs.Float64("dur", 86400, "fleet: per-device trace length in simulated seconds")
-	ckpt := fs.String("checkpoint", "", "fleet: durable checkpoint path (written every -every ticks, restored at startup when present)")
+	ckpt := fs.String("checkpoint", "", "fleet: durable checkpoint journal path (a full snapshot first, then a delta appended every -every ticks; restored at startup when present)")
 	every := fs.Int("every", 10, "fleet: ticks between automatic checkpoints")
 	storePath := fs.String("store", "", "fleet: record per-device telemetry into this paged store (.sdbstor), created or appended")
 	recEvery := fs.Int("record-every", 1, "fleet: ticks between telemetry recordings (with -store)")

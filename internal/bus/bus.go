@@ -238,6 +238,49 @@ func CRC16Update(crc uint16, data []byte) uint16 {
 	return crc
 }
 
+// CRC16Combine returns the CRC-16/CCITT-FALSE register after data A
+// then data B, given crcA (the register after A, from any start) and
+// crcB (the register after B started from 0, i.e. CRC16Update(0, B)).
+// Feeding lenB zero bytes multiplies a register by x^(8·lenB) modulo
+// the polynomial, and the CRC is linear, so the result is that product
+// XOR crcB. Parallel encoders checksum their blocks independently and a
+// writer chains them in order without rereading a byte.
+func CRC16Combine(crcA, crcB uint16, lenB int) uint16 {
+	for i := 0; lenB > 0; i, lenB = i+1, lenB>>1 {
+		if lenB&1 != 0 {
+			crcA = gfMul16(crcA, crc16Pow[i])
+		}
+	}
+	return crcA ^ crcB
+}
+
+// crc16Pow[i] is x^(8·2^i) modulo the CRC polynomial: the factor by
+// which 2^i zero bytes advance a register.
+var crc16Pow = func() (t [64]uint16) {
+	t[0] = 1 << 8
+	for i := 1; i < len(t); i++ {
+		t[i] = gfMul16(t[i-1], t[i-1])
+	}
+	return t
+}()
+
+// gfMul16 multiplies two registers as polynomials over GF(2) modulo
+// x^16 + x^12 + x^5 + 1 (poly 0x1021), most significant bit first.
+func gfMul16(a, b uint16) uint16 {
+	var p uint16
+	for i := 15; i >= 0; i-- {
+		if p&0x8000 != 0 {
+			p = p<<1 ^ 0x1021
+		} else {
+			p <<= 1
+		}
+		if b>>i&1 != 0 {
+			p ^= a
+		}
+	}
+	return p
+}
+
 // Payload codec helpers: big-endian primitives with a running error,
 // so command marshaling code stays linear.
 

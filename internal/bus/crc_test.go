@@ -85,6 +85,42 @@ func TestCRC16ChainedSplits(t *testing.T) {
 	}
 }
 
+// TestCRC16Combine: combining the register after A with B's CRC from a
+// zero register equals one pass over A then B — from random registers,
+// at random split points, for lengths from 0 to 64 KiB, including the
+// empty halves and the zero-padding use (crcB 0).
+func TestCRC16Combine(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	buf := make([]byte, 64<<10)
+	rng.Read(buf)
+	check := func(crc uint16, a, b []byte) {
+		t.Helper()
+		want := crc16Bytewise(crc, append(append([]byte(nil), a...), b...))
+		if got := CRC16Combine(CRC16Update(crc, a), CRC16Update(0, b), len(b)); got != want {
+			t.Fatalf("init %#04x split %d+%d: combined %#04x, one pass %#04x", crc, len(a), len(b), got, want)
+		}
+	}
+	lengths := []int{0, 1, 2, 7, 8, 9, 255, 256, 4095, 4096, 4097, 65535, 65536}
+	for i := 0; i < 300; i++ {
+		lengths = append(lengths, rng.Intn(len(buf)+1))
+	}
+	for _, n := range lengths {
+		data := buf[:n]
+		crc := uint16(rng.Intn(1 << 16))
+		split := rng.Intn(n + 1)
+		check(crc, data[:split], data[split:])
+		check(crc, nil, data)
+		check(crc, data, nil)
+	}
+	zeros := make([]byte, 4096)
+	for _, n := range []int{0, 1, 100, 4094, 4096} {
+		crc := uint16(rng.Intn(1 << 16))
+		if got, want := CRC16Combine(crc, 0, n), crc16Bytewise(crc, zeros[:n]); got != want {
+			t.Fatalf("init %#04x through %d zero bytes: combined %#04x, one pass %#04x", crc, n, got, want)
+		}
+	}
+}
+
 // FuzzCRC16 compares the slicing-by-8 update with the bytewise
 // reference from a fuzzed initial register, whole and split in two.
 func FuzzCRC16(f *testing.F) {
@@ -107,6 +143,9 @@ func FuzzCRC16(f *testing.F) {
 		split = int(uint(split) % uint(len(data)+1))
 		if got := CRC16Update(CRC16Update(crc, data[:split]), data[split:]); got != want {
 			t.Fatalf("init %#04x split %d/%d: got %#04x, want %#04x", crc, split, len(data), got, want)
+		}
+		if got := CRC16Combine(CRC16Update(crc, data[:split]), CRC16Update(0, data[split:]), len(data)-split); got != want {
+			t.Fatalf("init %#04x split %d/%d: combined %#04x, want %#04x", crc, split, len(data), got, want)
 		}
 	})
 }

@@ -19,7 +19,11 @@ import (
 // byte-identically to the uninterrupted run on either stepping
 // backend. Quarantined devices are carried as tombstones — id and
 // reason, no state — because their stepping goroutine died mid-step
-// and their firmware mutex may be held forever.
+// and their firmware mutex may be held forever. The file at
+// Config.Checkpoint is a journal (see package snapshot): periodic and
+// final checkpoints append a delta record to the full record this
+// fleet last wrote there, so a checkpoint costs the history added since
+// the last one, not the whole history.
 
 // Snapshot captures the fleet's state between ticks. It takes the tick
 // lock (so no shard is stepping) and freezes membership for the copy.
@@ -27,12 +31,14 @@ import (
 func (f *Fleet) Snapshot() *snapshot.Snapshot {
 	f.tickMu.Lock()
 	defer f.tickMu.Unlock()
-	return f.snapshotLocked()
+	snap, _ := f.snapshotLocked()
+	return snap
 }
 
-// snapshotLocked builds the snapshot; callers hold tickMu (no tick in
-// flight) but not regMu.
-func (f *Fleet) snapshotLocked() *snapshot.Snapshot {
+// snapshotLocked builds the snapshot and returns with it the device
+// behind each of its entries; callers hold tickMu (no tick in flight)
+// but not regMu.
+func (f *Fleet) snapshotLocked() (*snapshot.Snapshot, []*device) {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
 	snap := &snapshot.Snapshot{FleetSteps: f.steps.Load()}
@@ -42,6 +48,7 @@ func (f *Fleet) snapshotLocked() *snapshot.Snapshot {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	snap.Devices = make([]snapshot.Device, 0, len(ids))
+	devs := make([]*device, 0, len(ids))
 	for _, id := range ids {
 		d := f.devices[id]
 		dev := snapshot.Device{ID: id}
@@ -56,8 +63,9 @@ func (f *Fleet) snapshotLocked() *snapshot.Snapshot {
 			dev.State = &st
 		}
 		snap.Devices = append(snap.Devices, dev)
+		devs = append(devs, d)
 	}
-	return snap
+	return snap, devs
 }
 
 // Checkpoint writes the fleet's state to w in the snapshot format.
@@ -65,18 +73,99 @@ func (f *Fleet) Checkpoint(w io.Writer) error {
 	return snapshot.Encode(w, f.Snapshot())
 }
 
-// WriteCheckpoint writes the fleet's state to path atomically (temp
-// file in the same directory + rename), returning the encoded size. A
-// crash mid-write leaves the previous checkpoint intact.
+// WriteCheckpoint writes the fleet's state to path as one full record,
+// atomically (temp file in the same directory + rename), returning the
+// encoded size. A crash mid-write leaves the previous checkpoint
+// intact. Written to Config.Checkpoint, the file becomes the journal
+// later auto-checkpoints append to.
 func (f *Fleet) WriteCheckpoint(path string) (int64, error) {
 	f.tickMu.Lock()
 	defer f.tickMu.Unlock()
-	return f.writeCheckpointLocked(path)
+	snap, devs := f.snapshotLocked()
+	return f.writeBaseLocked(path, snap, devs)
 }
 
-// writeCheckpointLocked snapshots and writes; callers hold tickMu.
-func (f *Fleet) writeCheckpointLocked(path string) (int64, error) {
-	return snapshot.WriteFileAtomic(path, f.snapshotLocked())
+// writeBaseLocked writes snap to path as a full record. At the
+// configured checkpoint path it also restarts the journal there, or
+// forgets it when the write fails. Callers hold tickMu.
+func (f *Fleet) writeBaseLocked(path string, snap *snapshot.Snapshot, devs []*device) (int64, error) {
+	size, err := snapshot.WriteFileAtomic(path, snap)
+	if path != f.cfg.Checkpoint {
+		return size, err
+	}
+	f.journal = nil
+	if err != nil {
+		return 0, err
+	}
+	// Unable to stat the file just written, the next checkpoint
+	// rewrites it in full.
+	if fi, err := os.Stat(path); err == nil {
+		f.adoptLocked(fi, snap, devs)
+	}
+	return size, nil
+}
+
+// checkpointLocked writes the periodic or final checkpoint to
+// Config.Checkpoint: a delta record appended to the journal this fleet
+// last wrote there, holding only the series samples added since, or a
+// full record when the file is not that journal (none yet, replaced or
+// truncated since, or left unknown by a failed write). Callers hold
+// tickMu.
+func (f *Fleet) checkpointLocked() error {
+	path := f.cfg.Checkpoint
+	snap, devs := f.snapshotLocked()
+	if f.journal != nil {
+		from := make([]int, len(devs))
+		for i, d := range devs {
+			from[i] = d.ckptLen
+		}
+		fi, ok, err := appendDelta(path, f.journal, snap, from)
+		if ok {
+			f.journal = nil
+			if err != nil {
+				return err
+			}
+			f.adoptLocked(fi, snap, devs)
+			return nil
+		}
+	}
+	_, err := f.writeBaseLocked(path, snap, devs)
+	return err
+}
+
+// adoptLocked records that the journal at Config.Checkpoint is now fi
+// and ends with snap: each device's series length there is where its
+// next delta starts. Callers hold tickMu.
+func (f *Fleet) adoptLocked(fi os.FileInfo, snap *snapshot.Snapshot, devs []*device) {
+	f.journal = fi
+	for i, d := range devs {
+		if st := snap.Devices[i].State; st != nil {
+			d.ckptLen = len(st.Series.T)
+		}
+	}
+}
+
+// appendDelta appends snap as a delta record to the journal at path,
+// provided the file is still last: the same file, at the same size.
+// ok false means it is not, and nothing was written; otherwise fi is the
+// file after the append.
+func appendDelta(path string, last os.FileInfo, snap *snapshot.Snapshot, from []int) (fi os.FileInfo, ok bool, err error) {
+	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, false, nil
+	}
+	if cur, err := fh.Stat(); err != nil || !os.SameFile(cur, last) || cur.Size() != last.Size() {
+		fh.Close()
+		return nil, false, nil
+	}
+	err = snapshot.WriteDelta(fh, snap, from)
+	if err == nil {
+		fi, err = fh.Stat()
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return fi, true, err
 }
 
 // Restore rebuilds a fleet from a checkpoint stream. cfg.Provision

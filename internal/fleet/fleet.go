@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,9 +61,13 @@ type Config struct {
 	// contract, so the choice is purely a performance/ A-B knob.
 	Backend string
 	// Checkpoint, when non-empty, is the path checkpoints are written
-	// to (atomically: temp file + rename): the periodic auto-checkpoint
-	// (CheckpointEvery), Drain's final checkpoint, and the remote
-	// FleetSnapshot command all target it.
+	// to: the periodic auto-checkpoint (CheckpointEvery), Drain's final
+	// checkpoint, and the remote FleetSnapshot command all target it.
+	// The file is a journal. A full record is written atomically (temp
+	// file + rename) by FleetSnapshot, by the first checkpoint of this
+	// process, and whenever the file is not what this fleet last wrote
+	// there; every other checkpoint appends a delta record holding the
+	// series samples added since the last one.
 	Checkpoint string
 	// CheckpointEvery auto-checkpoints after every N ticks, from the
 	// tick barrier (devices idle, membership frozen). Zero disables
@@ -120,6 +125,10 @@ type Fleet struct {
 	sinceCkpt int     // ticks since the last auto-checkpoint; driver-goroutine only
 	sinceRec  int     // ticks since the last telemetry recording; driver-goroutine only
 	recErr    error   // first recording failure; guarded by tickMu
+	// journal is the checkpoint file as this fleet last wrote it; nil
+	// until a write there succeeds and after any failed one, when the
+	// next checkpoint is a full record. Guarded by tickMu.
+	journal os.FileInfo
 
 	// draining refuses new device commands (StatusDraining) and new
 	// ticks while Drain runs down the fleet.
@@ -166,6 +175,10 @@ type device struct {
 	rec0SoC          float64
 	rec0Steps        float64
 	recPending       bool
+
+	// ckptLen is the device's series length in the checkpoint journal's
+	// last record, where its next delta record starts. Guarded by tickMu.
+	ckptLen int
 
 	// sig is the device's barrier-time telemetry sample, written by the
 	// owning shard during a tick (after stepping) and read only at the
@@ -594,13 +607,21 @@ func (f *Fleet) Tick(steps int) int {
 	if f.closed || f.draining.Load() {
 		return 0
 	}
+	record := false
+	if f.cfg.Record != nil && f.recErr == nil {
+		f.sinceRec++
+		if f.sinceRec >= max(f.cfg.RecordEvery, 1) {
+			f.sinceRec = 0
+			record = true
+		}
+	}
 	f.regMu.RLock()
 	start := time.Now()
 	var active atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(len(f.shards))
 	req := tickReq{steps: steps, active: &active, wg: &wg,
-		sig: f.alerts != nil || f.subs.wantMetrics()}
+		sig: f.alerts != nil || f.subs.wantMetrics() || record}
 	for _, s := range f.shards {
 		s.wake <- req
 	}
@@ -615,26 +636,18 @@ func (f *Fleet) Tick(steps int) int {
 		trans = f.alerts.evalBarrier(f)
 		mark = f.phase(phaseAlerts, mark)
 	}
-	if f.cfg.Record != nil && f.recErr == nil {
-		f.sinceRec++
-		every := f.cfg.RecordEvery
-		if every <= 0 {
-			every = 1
-		}
-		if f.sinceRec >= every {
-			f.sinceRec = 0
-			f.recordLocked()
-			if f.alerts != nil && f.recErr == nil {
-				var maxT float64
-				for _, d := range f.devices {
-					if d.sig.ok && d.sig.t > maxT {
-						maxT = d.sig.t
-					}
+	if record {
+		f.recordLocked()
+		if f.alerts != nil && f.recErr == nil {
+			var maxT float64
+			for _, d := range f.devices {
+				if d.sig.ok && d.sig.t > maxT {
+					maxT = d.sig.t
 				}
-				f.alerts.recordRollups(f, maxT)
 			}
-			mark = f.phase(phaseRecord, mark)
+			f.alerts.recordRollups(f, maxT)
 		}
+		mark = f.phase(phaseRecord, mark)
 	}
 	f.publishLocked(trans, int(active.Load()))
 	mark = f.phase(phasePublish, mark)
@@ -647,7 +660,7 @@ func (f *Fleet) Tick(steps int) int {
 		f.sinceCkpt++
 		if f.sinceCkpt >= f.cfg.CheckpointEvery {
 			f.sinceCkpt = 0
-			if _, err := f.writeCheckpointLocked(f.cfg.Checkpoint); err != nil {
+			if err := f.checkpointLocked(); err != nil {
 				// Checkpointing is best-effort from the tick path: surface
 				// the failure on the measurement plane, keep stepping.
 				f.om.ckptErrs.Inc()
@@ -667,11 +680,14 @@ func (f *Fleet) Tick(steps int) int {
 
 // recordLocked streams one telemetry sample per live device into the
 // configured store. Called from the tick barrier with regMu held
-// shared and every shard idle, so device state is stable and the
-// controller mutex is uncontended. A device's recording grid is the
-// sim-time gap between its first two barrier samples; its first sample
-// is parked until the second fixes the grid, and a device whose clock
-// stopped advancing (trace drained, stepping error) is skipped.
+// shared and every shard idle, so device state is stable. The sample is
+// the one the device's shard collected after stepping this tick (the
+// tick asked for it), so no firmware is queried here; a device without
+// one at its current time is a recording error. A device's recording
+// grid is the sim-time gap between its first two barrier samples; its
+// first sample is parked until the second fixes the grid, and a device
+// whose clock stopped advancing (trace drained, stepping error) is
+// skipped.
 func (f *Fleet) recordLocked() {
 	for _, d := range f.devices {
 		if d.quarantined.Load() || d.err != nil {
@@ -681,12 +697,11 @@ func (f *Fleet) recordLocked() {
 		if t <= d.lastRecT || t <= 0 {
 			continue
 		}
-		soc, err := meanSoC(d.ctrl)
-		if err != nil {
-			f.recordFail(d.id, err)
+		if !d.sig.ok || d.sig.t != t {
+			f.recordFail(d.id, errors.New("no battery status sample at the barrier"))
 			return
 		}
-		steps := float64(d.m.StepsRun())
+		soc, steps := d.sig.v[sigSoC], d.sig.v[sigSteps]
 		if d.recStep == 0 {
 			if !d.recPending {
 				d.recPending = true
@@ -740,23 +755,6 @@ func (f *Fleet) RecordErr() error {
 	f.tickMu.Lock()
 	defer f.tickMu.Unlock()
 	return f.recErr
-}
-
-// meanSoC averages state of charge across a device's pack through the
-// firmware's own status query.
-func meanSoC(ctrl *pmic.Controller) (float64, error) {
-	sts, err := ctrl.QueryBatteryStatus()
-	if err != nil {
-		return 0, err
-	}
-	if len(sts) == 0 {
-		return 0, errors.New("empty battery status")
-	}
-	var sum float64
-	for _, s := range sts {
-		sum += s.SoC
-	}
-	return sum / float64(len(sts)), nil
 }
 
 // RunToCompletion ticks until every device has consumed its trace (or
@@ -893,7 +891,7 @@ func (f *Fleet) Drain(ctx context.Context) error {
 	defer f.tickMu.Unlock()
 	var err error
 	if f.cfg.Checkpoint != "" && !f.closed {
-		_, err = f.writeCheckpointLocked(f.cfg.Checkpoint)
+		err = f.checkpointLocked()
 	}
 	f.closeLocked()
 	return err

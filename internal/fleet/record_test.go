@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"sdb/internal/emulator"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts/store"
+	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
 
@@ -32,6 +34,23 @@ func recDevice(t *testing.T, id uint16) emulator.Config {
 		Trace:        workload.Constant("rec", load, 600, 1),
 		PolicyEveryS: 60,
 	}
+}
+
+// packSoC averages state of charge across a device's pack through the
+// firmware's own status query: the oracle for the recorded soc series.
+func packSoC(ctrl *pmic.Controller) (float64, error) {
+	sts, err := ctrl.QueryBatteryStatus()
+	if err != nil {
+		return 0, err
+	}
+	if len(sts) == 0 {
+		return 0, errors.New("empty battery status")
+	}
+	var sum float64
+	for _, s := range sts {
+		sum += s.SoC
+	}
+	return sum / float64(len(sts)), nil
 }
 
 // TestFleetRecording: a ticking fleet with a store attached persists
@@ -77,7 +96,7 @@ func TestFleetRecording(t *testing.T) {
 		if _, err := m.StepBatch(60); err != nil {
 			t.Fatal(err)
 		}
-		soc, err := meanSoC(oracleCfg.Controller)
+		soc, err := packSoC(oracleCfg.Controller)
 		if err != nil {
 			t.Fatal(err)
 		}

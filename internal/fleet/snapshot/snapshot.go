@@ -29,6 +29,28 @@
 // Strings use uvarint length + bytes, bounded by MaxStrLen. The CRC
 // trailer reuses the bus frame polynomial, so one checksum
 // implementation guards wire, series files, and checkpoints alike.
+//
+// A checkpoint file is a journal: one full record as above (the base),
+// then zero or more delta records, each appended by a later checkpoint
+// of the same fleet:
+//
+//	magic      "SDBSNAP"           7 bytes
+//	version    u8                  2 (DeltaVersion)
+//	bodyLen    u64
+//	hdrCRC     u16                 CRC-16 over the 16 header bytes above
+//	body       bodyLen bytes       a full record's body, except that each
+//	                               machine block carries a uvarint from
+//	                               before its series, and every series
+//	                               holds only samples [from, len)
+//	bodyCRC    u16                 CRC-16 over the body
+//
+// A delta lists every device, with all of its state but the series
+// samples the journal already holds, so decoding folds the records into
+// the snapshot a full encode at the last one would decode to. A crash
+// mid-append leaves a prefix of a delta record — a tail shorter than
+// the header that starts like one, or a valid header whose record runs
+// past the end of the file — and decoding ignores such a torn tail.
+// Anything else that fails to parse is ErrCorrupt.
 package snapshot
 
 import (
@@ -38,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -47,6 +70,7 @@ import (
 	"sdb/internal/bus"
 	"sdb/internal/core"
 	"sdb/internal/emulator"
+	"sdb/internal/faults"
 	"sdb/internal/fuelgauge"
 	"sdb/internal/pmic"
 )
@@ -54,8 +78,18 @@ import (
 // Magic starts every checkpoint file.
 const Magic = "SDBSNAP"
 
-// Version is the format this package writes.
+// Version is the format of a full (base) record.
 const Version = 1
+
+// DeltaVersion is the version byte of a delta record.
+const DeltaVersion = 2
+
+// deltaTag starts every delta record: magic and version.
+const deltaTag = Magic + string(rune(DeltaVersion))
+
+// deltaHeaderSize is a delta record's fixed header: magic, version,
+// u64 body length, header CRC.
+const deltaHeaderSize = len(deltaTag) + 8 + 2
 
 // MaxStrLen bounds every embedded string (quarantine reasons, error
 // messages, profile names) on read, against corrupt length prefixes.
@@ -91,27 +125,119 @@ type Snapshot struct {
 // Encode serializes the snapshot. Deterministic: equal input produces
 // equal bytes, whatever the worker count. Device blocks are encoded on
 // runtime.GOMAXPROCS(0) workers and streamed to w in id order through a
-// bounded window of reusable block buffers, with the CRC folded in as
-// each block goes out, so no buffer the size of the file is ever held.
+// bounded window of reusable block buffers, each block's CRC chained in
+// as it goes out, so no buffer the size of the file is ever held.
 // On error w may already have received a prefix of the stream.
 func Encode(w io.Writer, s *Snapshot) error {
 	bw := bufio.NewWriterSize(w, flushSize)
-	cw := crcWriter{w: bw, crc: 0xFFFF}
 	var e encoder
 	e.buf = append(e.buf, Magic...)
 	e.u8(Version)
 	e.uvarint(s.FleetSteps)
 	e.uvarint(uint64(len(s.Devices)))
-	if err := cw.write(e.buf); err != nil {
+	crc := bus.CRC16(e.buf)
+	if _, err := bw.Write(e.buf); err != nil {
 		return err
 	}
-	if err := cw.devices(s.Devices, encodeWorkers()); err != nil {
+	crc, err := encodeDevices(func(b []byte) error {
+		_, err := bw.Write(b)
+		return err
+	}, crc, s.Devices, nil, encodeWorkers())
+	if err != nil {
 		return err
 	}
-	if _, err := bw.Write(binary.LittleEndian.AppendUint16(e.buf[:0], cw.crc)); err != nil {
+	if _, err := bw.Write(binary.LittleEndian.AppendUint16(e.buf[:0], crc)); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteDelta writes a delta record of s to w. from[i] is how many
+// samples of each of device i's series the journal already holds (0 for
+// a device added since the last record; ignored for a tombstone), so
+// the record carries only the samples after them. Every series of a
+// device with state must have the same length, at least from[i], and
+// the device ids must ascend, as they do in a Fleet's snapshots. A
+// sizing pass over the new samples fixes the body length the header
+// declares; the body then streams like Encode's, so no buffer the size
+// of the record is held. Halfway through the body the fleet.checkpoint
+// kill point is passed with the first half flushed to w, so crash tests
+// can tear a record deterministically. On error w may already have
+// received a prefix of the record.
+func WriteDelta(w io.Writer, s *Snapshot, from []int) error {
+	if len(from) != len(s.Devices) {
+		return fmt.Errorf("snapshot: %d series offsets for %d devices", len(from), len(s.Devices))
+	}
+	for i := 1; i < len(s.Devices); i++ {
+		if s.Devices[i].ID <= s.Devices[i-1].ID {
+			return fmt.Errorf("snapshot: device id %d follows %d", s.Devices[i].ID, s.Devices[i-1].ID)
+		}
+	}
+	var e encoder
+	e.uvarint(s.FleetSteps)
+	e.uvarint(uint64(len(s.Devices)))
+	size, err := deltaSize(s.Devices, from, encodeWorkers())
+	if err != nil {
+		return err
+	}
+	size += len(e.buf)
+	hdr := binary.LittleEndian.AppendUint64([]byte(deltaTag), uint64(size))
+	hdr = binary.LittleEndian.AppendUint16(hdr, bus.CRC16(hdr))
+	bw := bufio.NewWriterSize(w, flushSize)
+	if _, err := bw.Write(append(hdr, e.buf...)); err != nil {
+		return err
+	}
+	n := len(e.buf)
+	crc, err := encodeDevices(func(b []byte) error {
+		if n < size/2 && n+len(b) >= size/2 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			faults.MaybeKill("fleet.checkpoint")
+		}
+		n += len(b)
+		_, err := bw.Write(b)
+		return err
+	}, bus.CRC16(e.buf), s.Devices, from, encodeWorkers())
+	if err != nil {
+		return err
+	}
+	if n != size {
+		return fmt.Errorf("snapshot: delta body is %d bytes, sized at %d", n, size)
+	}
+	if _, err := bw.Write(binary.LittleEndian.AppendUint16(e.buf[:0], crc)); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// deltaSize returns the total size of devs' delta blocks, measured on
+// up to workers goroutines without encoding a series sample.
+func deltaSize(devs []Device, from []int, workers int) (int, error) {
+	workers = max(1, min(workers, len(devs)))
+	sizes := make([]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			var e encoder
+			for i := w; i < len(devs); i += workers {
+				e = encoder{buf: e.buf[:0], delta: true, from: from[i], sizeOnly: true}
+				if errs[w] = e.device(&devs[i]); errs[w] != nil {
+					return
+				}
+				sizes[w] += len(e.buf) + e.skipped
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	return total, errors.Join(errs...)
 }
 
 // flushSize batches small device blocks into fewer writes; a block
@@ -122,30 +248,24 @@ const flushSize = 64 << 10
 // the output does not depend on the worker count.
 var encodeWorkers = func() int { return runtime.GOMAXPROCS(0) }
 
-// crcWriter writes the stream and keeps its running CRC.
-type crcWriter struct {
-	w   io.Writer
-	crc uint16
-}
-
-func (c *crcWriter) write(p []byte) error {
-	c.crc = bus.CRC16Update(c.crc, p)
-	_, err := c.w.Write(p)
-	return err
-}
-
-// devices encodes devs on up to workers goroutines and writes the
-// blocks in order. Device i encodes into window slot i%window; the job
-// for device i+window is only handed out once block i has been
-// written, so each slot has at most one job in flight and its buffer is
-// reused for the whole call.
-func (c *crcWriter) devices(devs []Device, workers int) error {
+// encodeDevices encodes devs on up to workers goroutines and hands the
+// blocks to emit in order, returning crc advanced over them. Each worker
+// checksums its own block from a zero register, and the emitting
+// goroutine chains the block CRCs with CRC16Combine, so it never reads
+// a block byte. Device i encodes into window slot i%window; the job for
+// device i+window is only handed out once block i has been emitted, so
+// each slot has at most one job in flight and reuses its buffer for the
+// whole call: emit must not keep a block. A nil from encodes full
+// blocks; otherwise device i's block is a delta block from sample
+// from[i].
+func encodeDevices(emit func([]byte) error, crc uint16, devs []Device, from []int, workers int) (uint16, error) {
 	workers = min(workers, len(devs))
 	if workers < 1 {
-		return nil
+		return crc, nil
 	}
 	type block struct {
 		buf   []byte
+		crc   uint16
 		err   error
 		ready chan struct{}
 	}
@@ -163,9 +283,13 @@ func (c *crcWriter) devices(devs []Device, workers int) error {
 			defer wg.Done()
 			for i := range jobs {
 				b := &blocks[i%window]
-				e := encoder{buf: b.buf[:0]}
+				e := encoder{buf: b.buf[:0], delta: from != nil}
+				if from != nil {
+					e.from = from[i]
+				}
 				b.err = e.device(&devs[i])
 				b.buf = e.buf
+				b.crc = bus.CRC16Update(0, e.buf)
 				b.ready <- struct{}{}
 			}
 		}()
@@ -179,7 +303,8 @@ func (c *crcWriter) devices(devs []Device, workers int) error {
 		b := &blocks[i%window]
 		<-b.ready
 		if err = b.err; err == nil {
-			err = c.write(b.buf)
+			crc = bus.CRC16Combine(crc, b.crc, len(b.buf))
+			err = emit(b.buf)
 		}
 		if err != nil {
 			break
@@ -191,7 +316,7 @@ func (c *crcWriter) devices(devs []Device, workers int) error {
 	}
 	close(jobs)
 	wg.Wait()
-	return err
+	return crc, err
 }
 
 // WriteFileAtomic writes the snapshot to path via a temp file in the
@@ -251,9 +376,10 @@ func ReadFile(path string) (*Snapshot, error) {
 	return Decode(data)
 }
 
-// Decode decodes an in-memory checkpoint. Every length field is
-// validated against the bytes actually remaining before any buffer is
-// sized from it.
+// Decode decodes an in-memory checkpoint: the base record folded with
+// every complete delta record after it. Every length field is validated
+// against the bytes actually remaining before any buffer is sized from
+// it.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic)+1+2 {
 		return nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrCorrupt, len(data))
@@ -261,15 +387,91 @@ func Decode(data []byte) (*Snapshot, error) {
 	if string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := data[len(Magic)]; v != Version {
+	switch v := data[len(Magic)]; v {
+	case Version:
+	case DeltaVersion:
+		return nil, fmt.Errorf("%w: journal starts with a delta record", ErrCorrupt)
+	default:
 		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
-	body, tail := data[:len(data)-2], data[len(data)-2:]
-	if got, want := binary.LittleEndian.Uint16(tail), bus.CRC16(body); got != want {
+	// The base record has no length field: its body ends where parsing
+	// it ends, and its CRC follows.
+	d := decoder{buf: data[len(Magic)+1:]}
+	s, err := d.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	end := len(data) - len(d.buf)
+	if len(d.buf) < 2 {
+		return nil, fmt.Errorf("%w: truncated crc", ErrCorrupt)
+	}
+	if got, want := binary.LittleEndian.Uint16(d.buf), bus.CRC16(data[:end]); got != want {
 		return nil, fmt.Errorf("%w: crc mismatch (got %#04x want %#04x)", ErrCorrupt, got, want)
 	}
+	for rest := d.buf[2:]; len(rest) > 0; {
+		body, ok, err := deltaBody(rest)
+		if err == nil && ok {
+			s, err = fold(s, body)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("delta at offset %d: %w", len(data)-len(rest), err)
+		}
+		if !ok {
+			break // a torn tail: the append that wrote it never finished
+		}
+		rest = rest[deltaHeaderSize+len(body)+2:]
+	}
+	return s, nil
+}
 
-	d := decoder{buf: body[len(Magic)+1:]}
+// deltaBody checks the delta record at the start of rest and returns
+// its body, with ok false when rest is a torn prefix of a record: a
+// header cut short, or a valid header whose record runs past the end.
+func deltaBody(rest []byte) (body []byte, ok bool, err error) {
+	if len(rest) < deltaHeaderSize {
+		if n := min(len(rest), len(deltaTag)); string(rest[:n]) != deltaTag[:n] {
+			return nil, false, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+		}
+		return nil, false, nil
+	}
+	h := rest[:deltaHeaderSize]
+	if string(h[:len(deltaTag)]) != deltaTag ||
+		binary.LittleEndian.Uint16(h[deltaHeaderSize-2:]) != bus.CRC16(h[:deltaHeaderSize-2]) {
+		return nil, false, fmt.Errorf("%w: bad header", ErrCorrupt)
+	}
+	n := binary.LittleEndian.Uint64(h[len(deltaTag):])
+	if avail := uint64(len(rest) - deltaHeaderSize); avail < 2 || n > avail-2 {
+		return nil, false, nil
+	}
+	end := deltaHeaderSize + int(n)
+	body = rest[deltaHeaderSize:end]
+	if got, want := binary.LittleEndian.Uint16(rest[end:]), bus.CRC16(body); got != want {
+		return nil, false, fmt.Errorf("%w: crc mismatch (got %#04x want %#04x)", ErrCorrupt, got, want)
+	}
+	return body, true, nil
+}
+
+// fold decodes a delta body over s, the state at the record before it.
+func fold(s *Snapshot, body []byte) (*Snapshot, error) {
+	d := decoder{buf: body, delta: true, prev: make(map[uint16]*emulator.MachineState, len(s.Devices))}
+	for i := range s.Devices {
+		if st := s.Devices[i].State; st != nil {
+			d.prev[s.Devices[i].ID] = st
+		}
+	}
+	next, err := d.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	if len(d.buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+	}
+	return next, nil
+}
+
+// snapshot decodes a record body: fleet steps, then the devices. In a
+// delta body the device ids must ascend, so each names one device.
+func (d *decoder) snapshot() (*Snapshot, error) {
 	s := &Snapshot{FleetSteps: d.uvarint("fleet steps")}
 	ndev := d.uvarint("device count")
 	// A device entry costs ≥3 bytes (id + flags): cheap cap before
@@ -286,10 +488,10 @@ func Decode(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("device %d: %w", i, err)
 		}
+		if d.delta && i > 0 && dev.ID <= s.Devices[i-1].ID {
+			return nil, fmt.Errorf("%w: device %d: id %d out of order", ErrCorrupt, i, dev.ID)
+		}
 		s.Devices = append(s.Devices, dev)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
 	return s, nil
 }
@@ -301,9 +503,16 @@ const (
 	flagState
 )
 
-// encoder appends the format's primitives to buf.
+// encoder appends the format's primitives to buf. With delta set it
+// writes delta-record device blocks, whose series start at sample from.
+// With sizeOnly set it appends everything but series samples, and
+// counts their bytes in skipped instead.
 type encoder struct {
-	buf []byte
+	buf      []byte
+	delta    bool
+	from     int
+	sizeOnly bool
+	skipped  int
 }
 
 func (e *encoder) u8(v byte) { e.buf = append(e.buf, v) }
@@ -335,18 +544,66 @@ func (e *encoder) str(s string) error {
 
 // f64s writes a float64 array as count, the first value's raw bits,
 // then XOR-of-bits uvarint deltas (the seriesfile value encoding).
-func (e *encoder) f64s(vs []float64) {
-	e.uvarint(uint64(len(vs)))
+func (e *encoder) f64s(vs []float64) { e.series(vs, 0) }
+
+// series writes samples [from, len) of vs like f64s, except that from
+// > 0 XOR-chains the first of them to sample from-1 instead of writing
+// its raw bits.
+func (e *encoder) series(vs []float64, from int) {
+	e.uvarint(uint64(len(vs) - from))
+	if e.sizeOnly {
+		e.skipped += samplesSize(vs, from)
+		return
+	}
 	var prev uint64
-	for i, v := range vs {
-		bits := math.Float64bits(v)
-		if i == 0 {
+	if from > 0 {
+		prev = math.Float64bits(vs[from-1])
+	}
+	for i, v := range vs[from:] {
+		b := math.Float64bits(v)
+		if i == 0 && from == 0 {
 			e.f64(v)
 		} else {
-			e.uvarint(prev ^ bits)
+			e.uvarint(prev ^ b)
 		}
-		prev = bits
+		prev = b
 	}
+}
+
+// samplesSize is how many bytes series writes for samples [from, len)
+// of vs after their count.
+func samplesSize(vs []float64, from int) int {
+	if from == len(vs) {
+		return 0
+	}
+	n := 0
+	if from == 0 {
+		n, from = 8, 1
+	}
+	prev := math.Float64bits(vs[from-1])
+	for _, v := range vs[from:] {
+		b := math.Float64bits(v)
+		n += (bits.Len64(prev^b|1) + 6) / 7
+		prev = b
+	}
+	return n
+}
+
+// seriesLen returns the length every array of s shares, or -1 when
+// their lengths differ.
+func seriesLen(s *emulator.Series) int {
+	n := len(s.T)
+	for _, vs := range [...][]float64{s.LoadW, s.DeliveredW, s.CircuitLossW, s.BatteryLossW} {
+		if len(vs) != n {
+			return -1
+		}
+	}
+	for _, vs := range s.SoC {
+		if len(vs) != n {
+			return -1
+		}
+	}
+	return n
 }
 
 func (e *encoder) device(dev *Device) error {
@@ -404,14 +661,25 @@ func (e *encoder) machine(m *emulator.MachineState) error {
 	for _, v := range m.CellDrainedAtS {
 		e.f64(v)
 	}
-	s := m.Series
-	e.f64s(s.T)
-	e.f64s(s.LoadW)
-	e.f64s(s.DeliveredW)
-	e.f64s(s.CircuitLossW)
-	e.f64s(s.BatteryLossW)
+	s, from := m.Series, 0
+	if e.delta {
+		from = e.from
+		l := seriesLen(s)
+		if l < 0 {
+			return fmt.Errorf("snapshot: series arrays differ in length")
+		}
+		if from < 0 || from > l {
+			return fmt.Errorf("snapshot: series offset %d outside %d samples", from, l)
+		}
+		e.uvarint(uint64(from))
+	}
+	e.series(s.T, from)
+	e.series(s.LoadW, from)
+	e.series(s.DeliveredW, from)
+	e.series(s.CircuitLossW, from)
+	e.series(s.BatteryLossW, from)
 	for _, soc := range s.SoC {
-		e.f64s(soc)
+		e.series(soc, from)
 	}
 	if err := e.controller(&m.Controller, n); err != nil {
 		return err
@@ -544,6 +812,11 @@ func (e *encoder) runtime(r *core.State) error {
 type decoder struct {
 	buf []byte
 	err error
+	// delta is set while decoding a delta body; prev then holds, by
+	// device id, the state of every device with state in the record
+	// before it.
+	delta bool
+	prev  map[uint16]*emulator.MachineState
 }
 
 func (d *decoder) uvarint(what string) uint64 {
@@ -642,16 +915,29 @@ func (d *decoder) str(what string) string {
 	return s
 }
 
-func (d *decoder) f64s(what string) []float64 {
+func (d *decoder) f64s(what string) []float64 { return d.series(what, nil) }
+
+// series decodes what series wrote after the samples in base: the new
+// samples are appended to base, the first XOR-chained to base's last
+// sample when base is not empty.
+func (d *decoder) series(what string, base []float64) []float64 {
 	count := d.count(what+" count", 1)
 	if d.err != nil || count == 0 {
-		return nil
+		return base
 	}
-	vs := make([]float64, count)
-	prev := math.Float64bits(d.f64(what + " first value"))
-	vs[0] = math.Float64frombits(prev)
-	for i := 1; i < count; i++ {
-		prev ^= d.uvarint(what + " delta")
+	from := len(base)
+	vs := append(base, make([]float64, count)...)
+	var prev uint64
+	if from == 0 {
+		prev = math.Float64bits(d.f64(what + " first value"))
+		vs[0] = math.Float64frombits(prev)
+		from = 1
+	} else {
+		prev = math.Float64bits(vs[from-1])
+	}
+	what += " delta"
+	for i := from; i < len(vs); i++ {
+		prev ^= d.uvarint(what)
 		vs[i] = math.Float64frombits(prev)
 	}
 	if d.err != nil {
@@ -683,7 +969,7 @@ func (d *decoder) device() (Device, error) {
 		}
 	}
 	if flags&flagState != 0 {
-		m, err := d.machine()
+		m, err := d.machine(d.prev[dev.ID])
 		if err != nil {
 			return Device{}, err
 		}
@@ -692,7 +978,10 @@ func (d *decoder) device() (Device, error) {
 	return dev, d.err
 }
 
-func (d *decoder) machine() (*emulator.MachineState, error) {
+// machine decodes a machine block. In a delta body, prev is the
+// device's state in the record before (nil if it had none), whose
+// series the block's series extend unless its offset is 0.
+func (d *decoder) machine(prev *emulator.MachineState) (*emulator.MachineState, error) {
 	m := &emulator.MachineState{
 		K:             int(d.uvarint("step cursor")),
 		Done:          d.boolean("done"),
@@ -721,16 +1010,40 @@ func (d *decoder) machine() (*emulator.MachineState, error) {
 	for i := range m.CellDrainedAtS {
 		m.CellDrainedAtS[i] = d.f64("cell drain time")
 	}
+	// base is what the series extend: nothing in a full record or at
+	// offset 0, else the previous record's series, which must end
+	// exactly at the offset.
+	var base emulator.Series
+	if d.delta {
+		from := d.uvarint("series offset")
+		if d.err != nil {
+			return nil, d.err
+		}
+		if from != 0 {
+			l := -1
+			if prev != nil && len(prev.Series.SoC) == n {
+				l = seriesLen(prev.Series)
+			}
+			if l < 0 || uint64(l) != from {
+				return nil, fmt.Errorf("%w: series offset %d does not continue the previous record", ErrCorrupt, from)
+			}
+			base = *prev.Series
+		}
+	}
 	m.Series = &emulator.Series{
-		T:            d.f64s("series T"),
-		LoadW:        d.f64s("series LoadW"),
-		DeliveredW:   d.f64s("series DeliveredW"),
-		CircuitLossW: d.f64s("series CircuitLossW"),
-		BatteryLossW: d.f64s("series BatteryLossW"),
+		T:            d.series("series T", base.T),
+		LoadW:        d.series("series LoadW", base.LoadW),
+		DeliveredW:   d.series("series DeliveredW", base.DeliveredW),
+		CircuitLossW: d.series("series CircuitLossW", base.CircuitLossW),
+		BatteryLossW: d.series("series BatteryLossW", base.BatteryLossW),
 		SoC:          make([][]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		m.Series.SoC[i] = d.f64s("series SoC")
+		var soc []float64
+		if base.SoC != nil {
+			soc = base.SoC[i]
+		}
+		m.Series.SoC[i] = d.series("series SoC", soc)
 	}
 	if err := d.controller(&m.Controller, n); err != nil {
 		return nil, err

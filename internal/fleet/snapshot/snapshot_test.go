@@ -315,6 +315,12 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte("SDBSNAP\x01\x00\xff\xff"))
 	trunc := bytes.Clone(buf.Bytes()[:buf.Len()/2])
 	f.Add(trunc)
+	// Journals: base plus deltas, one torn inside its last record, and
+	// a delta record on its own.
+	journal, ends := buildJournal(f, journalStates(f, 20))
+	f.Add(journal)
+	f.Add(journal[:ends[2]+(ends[3]-ends[2])/2])
+	f.Add(journal[ends[0]:ends[1]])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
