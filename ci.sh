@@ -17,17 +17,16 @@
 # baseline (BENCH_PR10.json) and fails on a >3x wall-clock regression —
 # generous enough to absorb shared-runner noise, tight enough to catch
 # an accidental hot-loop allocation or O(n^2) slip. The recorder smoke
-# lane runs the record -> series file -> export pipeline end to end
-# through the real CLIs, then migrates the legacy file into the paged
-# store and asserts the two export paths agree byte for byte.
+# lane runs the record -> paged store -> export/query pipeline end to
+# end through the real CLIs.
 #
 # Store lane: the paged on-disk telemetry store (internal/obs/ts/store)
-# is gated by its differential chaos day (ring vs store vs migrated
-# store, bit-exact), the corruption battery, and the torn-append crash
-# test (an armed SDB_KILLPOINT re-execs the test binary and kills it
-# mid page-commit; recovery must drop exactly the torn tail) — all
-# under the race detector — plus a short live fuzz burst on top of the
-# committed seed corpus.
+# is gated by its differential chaos day (ring vs store, bit-exact,
+# before and after a reopen), the corruption battery, and the
+# torn-append crash test (an armed SDB_KILLPOINT re-execs the test
+# binary and kills it mid page-commit; recovery must drop exactly the
+# torn tail) — all under the race detector — plus a short live fuzz
+# burst on top of the committed seed corpus.
 #
 # Fleet lanes: the 1000-device byte-identity soak and the fleet serve/
 # protocol tests run in both plain and -race passes via the blanket
@@ -161,24 +160,13 @@ rm -f cover.lane.txt
 go run ./cmd/sdbbench -benchjson bench.lane.json -baseline BENCH_PR10.json -gate 3 -benchreps 2 -q
 rm -f bench.lane.json
 
-# Recorder smoke lane: record a short run, export the series file both
-# ways, and confirm the recorded step counter reached the file.
-go run ./cmd/sdbsim -load 2 -hours 1 -record smoke.lane.sdbts > /dev/null
-go run ./cmd/sdbtrace export -in smoke.lane.sdbts -series sdb_pmic_steps_total | grep -q 'sdb_pmic_steps_total,counter,'
-go run ./cmd/sdbtrace export -in smoke.lane.sdbts -format json | grep -q '"sdb_pmic_steps_total"'
-
-# Store smoke: migrate the legacy series file into a paged store; the
-# export CLI reads both formats and must produce identical bytes. Then
-# a windowed downsample query through the real CLI.
-go run ./cmd/sdbtrace migrate -in smoke.lane.sdbts -out smoke.lane.sdbstor > /dev/null
-go run ./cmd/sdbtrace export -in smoke.lane.sdbts > smoke.a.csv
-go run ./cmd/sdbtrace export -in smoke.lane.sdbstor > smoke.b.csv
-cmp smoke.a.csv smoke.b.csv
+# Recorder smoke lane: record a short run into a paged store, export
+# it both ways and through a time window, and confirm the recorded
+# step counter reached the store; then a downsampled query through the
+# real CLI.
+go run ./cmd/sdbsim -load 2 -hours 1 -store smoke.lane.sdbstor > /dev/null
+go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -series sdb_pmic_steps_total | grep -q 'sdb_pmic_steps_total,counter,'
+go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -format json | grep -q '"sdb_pmic_steps_total"'
+go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -since 600 -until 1800 | grep -q 'sdb_pmic_steps_total,counter,600,'
 go run ./cmd/sdbtrace query -in smoke.lane.sdbstor -series sdb_pmic_cell0_soc -down 600 | grep -q '^sdb_pmic_cell0_soc,'
-# Windowed export: the store's index-pruned WalkRange and the legacy
-# file's generic clip must agree byte for byte on the same window.
-go run ./cmd/sdbtrace export -in smoke.lane.sdbts -since 600 -until 1800 > smoke.wa.csv
-go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -since 600 -until 1800 > smoke.wb.csv
-cmp smoke.wa.csv smoke.wb.csv
-grep -q 'sdb_pmic_steps_total,counter,' smoke.wa.csv
-rm -f smoke.lane.sdbts smoke.lane.sdbstor smoke.a.csv smoke.b.csv smoke.wa.csv smoke.wb.csv
+rm -f smoke.lane.sdbstor

@@ -7,8 +7,7 @@
 //	sdbsim -cells QuickCharge-2000,EnergyMax-4000 -load 3 -hours 2
 //	sdbsim -cells Watch-200,BendStrap-200 -policy reserve -reserve 0 -trace day.csv
 //	sdbsim -load 3 -hours 2 -metrics - -tracelog -
-//	sdbsim -load 3 -hours 24 -record day.sdbts -rules alerts.txt
-//	sdbsim -load 3 -hours 24 -store day.sdbstor
+//	sdbsim -load 3 -hours 24 -store day.sdbstor -rules alerts.txt
 //	sdbsim -list-cells
 //
 // Policies: blended (default), rbl, ccb, reserve, proportional.
@@ -19,15 +18,14 @@
 // Without them the run is uninstrumented and byte-identical to prior
 // releases.
 //
-// -record samples the registry into time series on every policy tick
-// and writes the versioned binary series file at exit (readable with
-// `sdbtrace export`). -rules loads alert rules (one per line, see
+// -store samples the registry into time series on every policy tick
+// and streams every sample into a paged telemetry store as the run
+// progresses (export with `sdbtrace export`, time-windowed reads with
+// `sdbtrace query`); it appends to an existing store and survives a
+// crash mid-run. -rules loads alert rules (one per line, see
 // internal/obs/ts) evaluated after every sample; transitions land in
-// the trace/audit logs and a per-rule summary prints at exit. -store
-// streams every sample into a paged telemetry store as the run
-// progresses (time-windowed reads with `sdbtrace query`); unlike
-// -record it appends to an existing file and survives a crash
-// mid-run. Any of these flags implies the observability plane.
+// the trace/audit logs and a per-rule summary prints at exit. Either
+// flag implies the observability plane.
 package main
 
 import (
@@ -41,7 +39,6 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
-	"sdb/internal/obs/ts/seriesfile"
 	"sdb/internal/obs/ts/store"
 	"sdb/internal/workload"
 )
@@ -60,7 +57,6 @@ func main() {
 		listCells  = flag.Bool("list-cells", false, "list library cells and exit")
 		metricsOut = flag.String("metrics", "", `write run metrics (text exposition) to this file at exit ("-" = stdout)`)
 		traceOut   = flag.String("tracelog", "", `write trace events and policy-audit records to this file at exit ("-" = stdout)`)
-		recordOut  = flag.String("record", "", "record registry time series and write this binary series file at exit")
 		storeOut   = flag.String("store", "", "record registry time series into this paged store (.sdbstor), created or appended")
 		rulesPath  = flag.String("rules", "", "alert-rule file evaluated on every recorder sample")
 		recordStep = flag.Float64("record-step", ts.DefaultStepS, "recording cadence in simulated seconds")
@@ -70,7 +66,7 @@ func main() {
 	// Observability is opt-in: installing the process registry is what
 	// turns instrumentation on for every layer built below. Recording
 	// and alerting need the registry too.
-	if *metricsOut != "" || *traceOut != "" || *recordOut != "" || *rulesPath != "" || *storeOut != "" {
+	if *metricsOut != "" || *traceOut != "" || *rulesPath != "" || *storeOut != "" {
 		obs.SetDefault(obs.NewRegistry())
 	}
 
@@ -117,7 +113,7 @@ func main() {
 
 	var rec *ts.Recorder
 	var tstore *store.Store
-	if *recordOut != "" || *rulesPath != "" || *storeOut != "" {
+	if *rulesPath != "" || *storeOut != "" {
 		var rules []ts.Rule
 		if *rulesPath != "" {
 			src, err := os.ReadFile(*rulesPath)
@@ -194,23 +190,16 @@ func main() {
 		vb.State, vb.Percentage, vb.VoltageV, acpi.HoursMinutes(vb.TimeToEmptyS))
 
 	if rec != nil {
-		if *recordOut != "" {
-			windows := rec.Windows()
-			if err := seriesfile.WriteFile(*recordOut, windows); err != nil {
-				fatalf("record: %v", err)
-			}
-			fmt.Printf("\nrecorded %d series (%.0f s cadence) to %s\n",
-				len(windows), rec.StepS(), *recordOut)
-		}
 		if tstore != nil {
 			if err := rec.SinkErr(); err != nil {
 				fatalf("store: %v", err)
 			}
+			n := len(tstore.Series())
 			if err := tstore.Close(); err != nil {
 				fatalf("store: %v", err)
 			}
 			fmt.Printf("stored %d series to %s (query with `sdbtrace query -in %s`)\n",
-				len(rec.Windows()), *storeOut, *storeOut)
+				n, *storeOut, *storeOut)
 		}
 		for _, st := range rec.AlertStates() {
 			fmt.Printf("alert %-20s %-8s fired %d time(s), last value %g\n",

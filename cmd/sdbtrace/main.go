@@ -9,22 +9,19 @@
 //	sdbtrace gen -kind diurnal -device phone -out phone.csv
 //	sdbtrace gen -kind charge -supply 30 -watts 2 -hours 1.5 -out plug.csv
 //	sdbtrace info day.csv
-//	sdbtrace export -in day.sdbts                       # CSV to stdout
+//	sdbtrace export -in day.sdbstor                     # CSV to stdout
 //	sdbtrace export -in day.sdbstor -format json -out day.json
-//	sdbtrace export -in day.sdbts -series sdb_pmic_steps_total
+//	sdbtrace export -in day.sdbstor -series sdb_pmic_steps_total
 //	sdbtrace export -in day.sdbstor -since 3600 -until 7200    # one window
 //	sdbtrace query -in day.sdbstor                      # list stored series
 //	sdbtrace query -in day.sdbstor -series sdb_pack_soc -from 3600 -to 7200
 //	sdbtrace query -in day.sdbstor -series sdb_pack_soc -down 600
-//	sdbtrace migrate -in day.sdbts -out day.sdbstor
 //
-// export converts recorded telemetry — a legacy series file (`sdbsim
-// -record`) or a paged store (`-store`) — into CSV (long format:
-// series,kind,time_s,value) or JSON for external tooling. It streams
-// record-at-a-time, so exporting a file never needs memory
-// proportional to its size. query answers time-windowed (optionally
-// downsampled) reads against a store without scanning it. migrate
-// imports a legacy series file into a paged store.
+// export converts a telemetry store recorded by `sdbsim -store` into
+// CSV (long format: series,kind,time_s,value) or JSON for external
+// tooling. It streams record-at-a-time, so exporting a store never
+// needs memory proportional to its size. query answers time-windowed
+// (optionally downsampled) reads against a store without scanning it.
 package main
 
 import (
@@ -37,14 +34,13 @@ import (
 
 	"sdb/internal/obs/ts"
 	"sdb/internal/obs/ts/export"
-	"sdb/internal/obs/ts/seriesfile"
 	"sdb/internal/obs/ts/store"
 	"sdb/internal/workload"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("missing subcommand: gen|info|export|query|migrate")
+		fatalf("missing subcommand: gen|info|export|query")
 	}
 	switch os.Args[1] {
 	case "gen":
@@ -58,8 +54,6 @@ func main() {
 		exportCmd(os.Args[2:])
 	case "query":
 		query(os.Args[2:])
-	case "migrate":
-		migrate(os.Args[2:])
 	default:
 		fatalf("unknown subcommand %q", os.Args[1])
 	}
@@ -159,33 +153,12 @@ func info(path string) {
 	}
 }
 
-// openSource sniffs the input's magic and returns a streaming walker
-// for it: a paged store or a legacy series file. The returned closer
-// is non-nil for stores.
-func openSource(path string) (export.Walker, io.Closer) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var magic [len(store.Magic)]byte
-	n, _ := io.ReadFull(f, magic[:])
-	f.Close()
-	if n >= len(store.Magic) && string(magic[:]) == store.Magic {
-		st, err := store.Open(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return st, st
-	}
-	return seriesfile.Walker(path), nil
-}
-
-// exportCmd converts a recorded series file or store to CSV or JSON,
-// streaming record-at-a-time.
+// exportCmd converts a telemetry store to CSV or JSON, streaming
+// record-at-a-time.
 func exportCmd(argv []string) {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	var (
-		in     = fs.String("in", "", "input telemetry (.sdbts series file or .sdbstor store)")
+		in     = fs.String("in", "", "input store (.sdbstor)")
 		format = fs.String("format", "csv", "output format: csv|json")
 		series = fs.String("series", "", "export only this series (default: all)")
 		since  = fs.Float64("since", math.Inf(-1), "export only samples at or after this sim time (seconds)")
@@ -196,19 +169,21 @@ func exportCmd(argv []string) {
 		os.Exit(2)
 	}
 	if *in == "" {
-		fatalf("export needs -in <file.sdbts|file.sdbstor>")
+		fatalf("export needs -in <file.sdbstor>")
 	}
 	if *since > *until {
 		fatalf("-since %g is after -until %g", *since, *until)
 	}
-	src, closer := openSource(*in)
-	if closer != nil {
-		defer closer.Close()
+	st, err := store.Open(*in)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	// Clip wraps the raw source so a store serves the window natively,
-	// reading only the pages that overlap it.
+	defer st.Close()
+	var src export.Walker = st
+	// A clipped store serves the window natively, reading only the
+	// pages that overlap it.
 	if !math.IsInf(*since, -1) || !math.IsInf(*until, 1) {
-		src = export.Clip(src, *since, *until)
+		src = export.Clip(st, *since, *until)
 	}
 	if *series != "" {
 		src = export.Filter(src, *series)
@@ -223,24 +198,23 @@ func exportCmd(argv []string) {
 		defer f.Close()
 		w = f
 	}
-	var st export.Stats
-	var err error
+	var stats export.Stats
 	switch *format {
 	case "csv":
-		st, err = export.CSV(w, src)
+		stats, err = export.CSV(w, src)
 	case "json":
-		st, err = export.JSON(w, src)
+		stats, err = export.JSON(w, src)
 	default:
 		fatalf("unknown format %q (want csv or json)", *format)
 	}
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *series != "" && st.Series == 0 {
+	if *series != "" && stats.Series == 0 {
 		fatalf("no series named %q in %s", *series, *in)
 	}
 	if *out != "" {
-		fmt.Printf("wrote %s: %d series, %d samples\n", *out, st.Series, st.Rows)
+		fmt.Printf("wrote %s: %d series, %d samples\n", *out, stats.Series, stats.Rows)
 	}
 }
 
@@ -316,38 +290,6 @@ func query(argv []string) {
 }
 
 func gfloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// migrate imports a legacy series file into a paged store.
-func migrate(argv []string) {
-	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
-	var (
-		in  = fs.String("in", "", "input series file (.sdbts)")
-		out = fs.String("out", "", "output store (.sdbstor, created or appended)")
-	)
-	if err := fs.Parse(argv); err != nil {
-		os.Exit(2)
-	}
-	if *in == "" || *out == "" {
-		fatalf("migrate needs -in <file.sdbts> -out <file.sdbstor>")
-	}
-	st, err := store.OpenOrCreate(*out, store.Options{})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := st.MigrateSeriesFile(*in); err != nil {
-		st.Close()
-		fatalf("%v", err)
-	}
-	infos := st.Series()
-	var samples uint64
-	for _, si := range infos {
-		samples += si.Samples
-	}
-	if err := st.Close(); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("migrated %s into %s: %d series, %d raw samples\n", *in, *out, len(infos), samples)
-}
 
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "sdbtrace: "+format+"\n", args...)

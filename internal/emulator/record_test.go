@@ -2,10 +2,9 @@ package emulator
 
 // Time-series recorder acceptance tests: attaching a recorder must not
 // perturb the physics (the recorder is a pure read-side like the rest
-// of the obs plane), a recorded day must round-trip through the series
-// file format with derived signals intact bit for bit, and an alert
-// rule on brownout rate must fire during a faulty day and stay silent
-// on a clean one.
+// of the obs plane), a recorded day must round-trip through the
+// telemetry store bit for bit, and an alert rule on brownout rate must
+// fire during a faulty day and stay silent on a clean one.
 
 import (
 	"math"
@@ -17,7 +16,7 @@ import (
 	"sdb/internal/faults"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
-	"sdb/internal/obs/ts/seriesfile"
+	"sdb/internal/obs/ts/store"
 	"sdb/internal/workload"
 )
 
@@ -83,10 +82,9 @@ func TestRecorderOnByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecordDayRoundTripFile is the ISSUE acceptance round-trip: record
-// a day, write the series file, read it back, load it into a fresh
-// recorder, and every derived rate/delta/quantile must match the
-// in-memory values bit for bit.
+// TestRecordDayRoundTripFile: a day recorded into the paged telemetry
+// store reads back from the reopened file bit for bit — every ring
+// window, with its kind, step and first sample time.
 func TestRecordDayRoundTripFile(t *testing.T) {
 	dayS := 24 * 3600.0
 	if testing.Short() {
@@ -95,66 +93,57 @@ func TestRecordDayRoundTripFile(t *testing.T) {
 	trace := workload.Square("roundtrip-day", 0.15, 0.9, 3600, 0.35, dayS, 1.0)
 	reg := obs.NewRegistry()
 	cfg, _ := obsStack(t, trace, reg)
-	rec := ts.NewRecorder(reg, ts.Config{StepS: 60, Retain: 4096})
+	path := filepath.Join(t.TempDir(), "day.sdbstor")
+	st, err := store.Create(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := ts.NewRecorder(reg, ts.Config{StepS: 60, Retain: 4096, Sink: st})
 	cfg.Recorder = rec
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	if err := rec.SinkErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	path := filepath.Join(t.TempDir(), "day.sdbts")
 	windows := rec.Windows()
 	if len(windows) == 0 {
 		t.Fatal("nothing recorded over a full day")
 	}
-	if err := seriesfile.WriteFile(path, windows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := seriesfile.ReadFile(path)
+	got, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(windows, got) {
-		t.Fatal("windows diverge across the file round trip")
+	defer got.Close()
+	if n := len(got.Series()); n != len(windows) {
+		t.Fatalf("store holds %d series, recorder %d", n, len(windows))
 	}
-
-	loaded := ts.NewRecorder(nil, ts.Config{StepS: rec.StepS(), Retain: 4096})
-	loaded.Load(got)
-
-	sameBits := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b)
-	}
-	for _, name := range rec.Names() {
-		for _, winS := range []float64{60, 600, 3600} {
-			lv, lok := loaded.Rate(name, winS)
-			rv, rok := rec.Rate(name, winS)
-			if lok != rok || !sameBits(lv, rv) {
-				t.Errorf("Rate(%s, %g): loaded %g/%v, in-memory %g/%v", name, winS, lv, lok, rv, rok)
-			}
-			lv, lok = loaded.Delta(name, winS)
-			rv, rok = rec.Delta(name, winS)
-			if lok != rok || !sameBits(lv, rv) {
-				t.Errorf("Delta(%s, %g): loaded %g/%v, in-memory %g/%v", name, winS, lv, lok, rv, rok)
-			}
-			lv, lok = loaded.MeanOver(name, winS)
-			rv, rok = rec.MeanOver(name, winS)
-			if lok != rok || !sameBits(lv, rv) {
-				t.Errorf("MeanOver(%s, %g): loaded %g/%v, in-memory %g/%v", name, winS, lv, lok, rv, rok)
-			}
+	for _, w := range windows {
+		if w.Total != uint64(len(w.Values)) {
+			t.Fatalf("ring %s evicted samples; grow Retain", w.Name)
 		}
-		lv, lok := loaded.Latest(name)
-		rv, rok := rec.Latest(name)
-		if lok != rok || !sameBits(lv, rv) {
-			t.Errorf("Latest(%s): loaded %g/%v, in-memory %g/%v", name, lv, lok, rv, rok)
+		q, err := got.Query(w.Name, math.Inf(-1), math.Inf(1))
+		if err != nil {
+			t.Fatalf("Query(%s): %v", w.Name, err)
+		}
+		if q.Kind != w.Kind || q.StepS != w.StepS || q.FirstT != w.FirstT || len(q.Values) != len(w.Values) {
+			t.Fatalf("%s: stored %v/%g/%g/%d, recorded %v/%g/%g/%d", w.Name,
+				q.Kind, q.StepS, q.FirstT, len(q.Values), w.Kind, w.StepS, w.FirstT, len(w.Values))
+		}
+		for i, v := range w.Values {
+			if math.Float64bits(q.Values[i]) != math.Float64bits(v) {
+				t.Fatalf("%s sample %d: stored %g, recorded %g", w.Name, i, q.Values[i], v)
+			}
 		}
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		lv, lok := loaded.QuantileOver("sdb_emulator_step_seconds", q, 3600)
-		rv, rok := rec.QuantileOver("sdb_emulator_step_seconds", q, 3600)
-		if lok != rok || !sameBits(lv, rv) {
-			t.Errorf("QuantileOver(step_seconds, %g): loaded %g/%v, in-memory %g/%v", q, lv, lok, rv, rok)
-		}
-		if !lok || math.IsNaN(lv) || lv <= 0 {
-			t.Errorf("p%g of step timing is %g (ok=%v), want a positive duration", 100*q, lv, lok)
+		v, ok := rec.QuantileOver("sdb_emulator_step_seconds", q, 3600)
+		if !ok || math.IsNaN(v) || v <= 0 {
+			t.Errorf("p%g of step timing is %g (ok=%v), want a positive duration", 100*q, v, ok)
 		}
 	}
 }

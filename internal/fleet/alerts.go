@@ -8,7 +8,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -116,16 +115,10 @@ func (r *sigRing) lookback(now, windowS float64) (t, v float64, ok bool) {
 	return t, v, true
 }
 
-// ruleState is one rule's lifecycle position on one device.
-type ruleState struct {
-	state  ts.AlertState
-	sinceS float64
-}
-
 // devAlerts is one device's alert state: per-rule lifecycle plus, for
 // rules that need history (rate/delta), a sample ring per rule.
 type devAlerts struct {
-	st    []ruleState
+	st    []ts.Lifecycle
 	hist  []*sigRing // index parallel to rules; nil when not needed
 	lastT float64
 }
@@ -151,13 +144,10 @@ type alertEngine struct {
 	transC  *obs.Counter
 	tracer  *obs.Tracer
 
-	// Store rollup grid (the recorder's parked-first-sample trick).
-	recStep    float64
-	lastRecT   float64
-	rec0T      float64
-	rec0       []float64
-	recPending bool
-	recNames   []string
+	// rec records the per-rule firing counts plus the cumulative
+	// transition count; vals is its reused sample row.
+	rec  recGrid
+	vals []float64
 }
 
 func newAlertEngine(rules []ts.Rule, reg *obs.Registry) *alertEngine {
@@ -172,14 +162,17 @@ func newAlertEngine(rules []ts.Rule, reg *obs.Registry) *alertEngine {
 		skipG:    reg.Gauge("sdb_fleet_alerts_skipped_devices"),
 		transC:   reg.Counter("sdb_fleet_alert_transitions_total"),
 		tracer:   reg.Tracer(),
-		recNames: make([]string, len(rules)),
+		vals:     make([]float64, len(rules)+1),
 	}
 	for i, ru := range rules {
 		e.sigIdx[i] = sigIndexOf(ru.Series)
 		e.needHist[i] = ru.Sig == ts.SigRate || ru.Sig == ts.SigDelta
 		e.firingG[i] = reg.Gauge("sdb_fleet_alert_" + metricName(ru.Name) + "_firing")
-		e.recNames[i] = "sdb_fleet_alert_" + ru.Name + "_firing"
+		e.rec.names = append(e.rec.names, "sdb_fleet_alert_"+ru.Name+"_firing")
+		e.rec.kinds = append(e.rec.kinds, ts.KindGauge)
 	}
+	e.rec.names = append(e.rec.names, "sdb_fleet_alert_transitions")
+	e.rec.kinds = append(e.rec.kinds, ts.KindFCounter)
 	return e
 }
 
@@ -226,7 +219,7 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 		da := e.devs[id]
 		if da == nil {
 			da = &devAlerts{
-				st:    make([]ruleState, len(e.rules)),
+				st:    make([]ts.Lifecycle, len(e.rules)),
 				hist:  make([]*sigRing, len(e.rules)),
 				lastT: -1,
 			}
@@ -237,7 +230,7 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 			// Clock stopped (device done): no new sample, lifecycle
 			// frozen — but firing states still count toward rollups.
 			for ri := range e.rules {
-				if da.st[ri].state == ts.StateFiring {
+				if da.st[ri].State == ts.StateFiring {
 					e.firing[ri]++
 				}
 			}
@@ -270,8 +263,8 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 	return e.log[start:]
 }
 
-// evalRule advances one rule's lifecycle on one device — the
-// recorder evaluator's transition table, verbatim.
+// evalRule advances one rule's lifecycle on one device, reading the
+// signal from the device's barrier sample and its history ring.
 func (e *alertEngine) evalRule(da *devAlerts, ri int, dev uint16, t float64, sig []float64) {
 	ru := &e.rules[ri]
 	st := &da.st[ri]
@@ -280,7 +273,6 @@ func (e *alertEngine) evalRule(da *devAlerts, ri int, dev uint16, t float64, sig
 		return
 	}
 	raw := sig[idx]
-	v := raw
 	ok := true
 	if e.needHist[ri] {
 		ring := da.hist[ri]
@@ -289,51 +281,22 @@ func (e *alertEngine) evalRule(da *devAlerts, ri int, dev uint16, t float64, sig
 			da.hist[ri] = ring
 		}
 		ring.push(t, raw)
-		window := ru.WindowS
-		if window <= 0 {
-			window = 0 // one barrier step: previous sample qualifies
-		}
-		t0, v0, have := ring.lookback(t, window)
+		// A zero window is one barrier step: the previous sample
+		// qualifies.
+		t0, v0, have := ring.lookback(t, ru.WindowS)
 		if !have || t <= t0 {
 			ok = false
 		} else if ru.Sig == ts.SigRate {
-			v = (raw - v0) / (t - t0)
+			raw = (raw - v0) / (t - t0)
 		} else {
-			v = raw - v0
+			raw -= v0
 		}
 	}
-	if ok && ru.Abs {
-		v = math.Abs(v)
+	v, from, edge := st.Step(ru, t, raw, ok)
+	if edge {
+		e.transition(ri, dev, t, from, st.State, v)
 	}
-	if !ok {
-		// Not enough history yet: stay/return to inactive silently (a
-		// firing alert holds until observably false).
-		if st.state == ts.StatePending {
-			st.state = ts.StateInactive
-			st.sinceS = t
-		}
-		return
-	}
-	cond := ru.Op.Holds(v, ru.Threshold)
-	switch {
-	case cond && st.state == ts.StateInactive:
-		if ru.ForS <= 0 {
-			e.transition(st, ri, dev, t, ts.StateFiring, v)
-		} else {
-			st.state = ts.StatePending
-			st.sinceS = t
-		}
-	case cond && st.state == ts.StatePending:
-		if t-st.sinceS >= ru.ForS-1e-9 {
-			e.transition(st, ri, dev, t, ts.StateFiring, v)
-		}
-	case !cond && st.state == ts.StatePending:
-		st.state = ts.StateInactive
-		st.sinceS = t
-	case !cond && st.state == ts.StateFiring:
-		e.transition(st, ri, dev, t, ts.StateInactive, v)
-	}
-	if st.state == ts.StateFiring {
+	if st.State == ts.StateFiring {
 		e.firing[ri]++
 	}
 }
@@ -342,15 +305,12 @@ func (e *alertEngine) evalRule(da *devAlerts, ri int, dev uint16, t float64, sig
 // log (returned to Tick for pushes), counted, and emitted as a trace
 // event (scope "fleet", Cell = device id) so trace subscribers see
 // edges even without an alert subscription.
-func (e *alertEngine) transition(st *ruleState, ri int, dev uint16, t float64, to ts.AlertState, v float64) {
+func (e *alertEngine) transition(ri int, dev uint16, t float64, from, to ts.AlertState, v float64) {
 	ru := &e.rules[ri]
-	tr := AlertTransition{
+	e.log = append(e.log, AlertTransition{
 		TimeS: t, Device: dev, Rule: ru.Name,
-		From: st.state, To: to, Value: v, Threshold: ru.Threshold,
-	}
-	st.state = to
-	st.sinceS = t
-	e.log = append(e.log, tr)
+		From: from, To: to, Value: v, Threshold: ru.Threshold,
+	})
 	e.transC.Inc()
 	kind := "alert.fire"
 	if to != ts.StateFiring {
@@ -364,51 +324,19 @@ func (e *alertEngine) transition(st *ruleState, ri int, dev uint16, t float64, t
 
 // recordRollups appends the per-rule firing counts (plus the
 // cumulative transition count) to the fleet's telemetry store on the
-// recording cadence, using the same parked-first-sample grid trick as
-// device recording. maxT is the barrier's newest device sim time.
+// recording cadence. maxT is the barrier's newest device sim time.
 // Called from Tick only when recording is configured and healthy.
 func (e *alertEngine) recordRollups(f *Fleet, maxT float64) {
-	if maxT <= e.lastRecT || maxT <= 0 {
+	if !e.rec.due(maxT) {
 		return
 	}
-	vals := make([]float64, len(e.rules)+1)
 	for i, n := range e.firing {
-		vals[i] = float64(n)
+		e.vals[i] = float64(n)
 	}
-	vals[len(e.rules)] = float64(len(e.log))
-	if e.recStep == 0 {
-		if !e.recPending {
-			e.recPending = true
-			e.rec0T = maxT
-			e.rec0 = append([]float64(nil), vals...)
-			e.lastRecT = maxT
-			return
-		}
-		e.recStep = maxT - e.rec0T
-		e.recPending = false
-		if err := e.recordAppend(f, e.rec0T, e.rec0); err != nil {
-			return
-		}
-	}
-	if err := e.recordAppend(f, maxT, vals); err != nil {
-		return
-	}
-	e.lastRecT = maxT
-}
-
-func (e *alertEngine) recordAppend(f *Fleet, t float64, vals []float64) error {
-	st := f.cfg.Record
-	for i, name := range e.recNames {
-		if err := st.Append(name, ts.KindGauge, e.recStep, t, vals[i]); err != nil {
-			f.recordFail(pmic.PushFleetDevice, err)
-			return err
-		}
-	}
-	if err := st.Append("sdb_fleet_alert_transitions", ts.KindFCounter, e.recStep, t, vals[len(e.rules)]); err != nil {
+	e.vals[len(e.rules)] = float64(len(e.log))
+	if err := e.rec.record(f.cfg.Record, maxT, e.vals); err != nil {
 		f.recordFail(pmic.PushFleetDevice, err)
-		return err
 	}
-	return nil
 }
 
 // AlertTransitions copies out the fleet's alert transition log in

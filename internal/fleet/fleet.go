@@ -164,17 +164,9 @@ type device struct {
 	quarantined atomic.Bool
 	qreason     string
 
-	// Telemetry recording state, touched only from the tick barrier.
-	// The per-device cadence (recStep) is fixed by the gap between the
-	// first two recordings, so the first sample is parked in rec0*
-	// until the second arrives and both land on a known grid.
-	recSoC, recSteps string // store series names, built lazily
-	recStep          float64
-	lastRecT         float64
-	rec0T            float64
-	rec0SoC          float64
-	rec0Steps        float64
-	recPending       bool
+	// rec is the device's (soc, steps) recording grid, touched only
+	// from the tick barrier; its series names are built on first use.
+	rec recGrid
 
 	// ckptLen is the device's series length in the checkpoint journal's
 	// last record, where its next delta record starts. Guarded by tickMu.
@@ -683,59 +675,79 @@ func (f *Fleet) Tick(steps int) int {
 // shared and every shard idle, so device state is stable. The sample is
 // the one the device's shard collected after stepping this tick (the
 // tick asked for it), so no firmware is queried here; a device without
-// one at its current time is a recording error. A device's recording
-// grid is the sim-time gap between its first two barrier samples; its
-// first sample is parked until the second fixes the grid, and a device
-// whose clock stopped advancing (trace drained, stepping error) is
-// skipped.
+// one at its current time is a recording error. A device whose clock
+// stopped advancing (trace drained, stepping error) is skipped.
 func (f *Fleet) recordLocked() {
 	for _, d := range f.devices {
 		if d.quarantined.Load() || d.err != nil {
 			continue
 		}
 		t := d.m.ElapsedS()
-		if t <= d.lastRecT || t <= 0 {
+		if !d.rec.due(t) {
 			continue
 		}
 		if !d.sig.ok || d.sig.t != t {
 			f.recordFail(d.id, errors.New("no battery status sample at the barrier"))
 			return
 		}
-		soc, steps := d.sig.v[sigSoC], d.sig.v[sigSteps]
-		if d.recStep == 0 {
-			if !d.recPending {
-				d.recPending = true
-				d.rec0T, d.rec0SoC, d.rec0Steps = t, soc, steps
-				d.lastRecT = t
-				continue
-			}
-			d.recStep = t - d.rec0T
-			d.recSoC = fmt.Sprintf("sdb_fleet_dev%d_soc", d.id)
-			d.recSteps = fmt.Sprintf("sdb_fleet_dev%d_steps", d.id)
-			d.recPending = false
-			if err := f.recordAppend(d, d.rec0T, d.rec0SoC, d.rec0Steps); err != nil {
-				return
-			}
+		if d.rec.names == nil {
+			d.rec.names = []string{fmt.Sprintf("sdb_fleet_dev%d_soc", d.id), fmt.Sprintf("sdb_fleet_dev%d_steps", d.id)}
+			d.rec.kinds = deviceRecKinds
 		}
-		if err := f.recordAppend(d, t, soc, steps); err != nil {
+		vals := [2]float64{d.sig.v[sigSoC], d.sig.v[sigSteps]}
+		if err := d.rec.record(f.cfg.Record, t, vals[:]); err != nil {
+			f.recordFail(d.id, err)
 			return
 		}
-		d.lastRecT = t
 	}
 }
 
-// recordAppend writes one (soc, steps) pair for a device, routing
-// failures through recordFail. Returns the error so the caller stops
-// the sweep.
-func (f *Fleet) recordAppend(d *device, t, soc, steps float64) error {
-	st := f.cfg.Record
-	if err := st.Append(d.recSoC, ts.KindGauge, d.recStep, t, soc); err != nil {
-		f.recordFail(d.id, err)
+var deviceRecKinds = []ts.Kind{ts.KindGauge, ts.KindFCounter}
+
+// recGrid is one recording stream: a fixed set of store series sampled
+// together on a uniform sim-time grid. The grid's step is the gap
+// between the first two samples, so the first sample is parked until
+// the second arrives and both land on a known grid.
+type recGrid struct {
+	names []string
+	kinds []ts.Kind
+
+	step   float64
+	lastT  float64
+	t0     float64   // parked sample's time
+	parked []float64 // parked sample's values; nil until the first
+}
+
+// due reports whether a sample at sim time t advances the grid.
+func (g *recGrid) due(t float64) bool { return t > g.lastT && t > 0 }
+
+// record appends vals (parallel to names) at sim time t, first
+// flushing a parked sample once the step is known. It stops at the
+// first store error.
+func (g *recGrid) record(st *store.Store, t float64, vals []float64) error {
+	if g.step == 0 {
+		if g.parked == nil {
+			g.t0, g.lastT = t, t
+			g.parked = append([]float64(nil), vals...)
+			return nil
+		}
+		g.step = t - g.t0
+		if err := g.append(st, g.t0, g.parked); err != nil {
+			return err
+		}
+	}
+	if err := g.append(st, t, vals); err != nil {
 		return err
 	}
-	if err := st.Append(d.recSteps, ts.KindFCounter, d.recStep, t, steps); err != nil {
-		f.recordFail(d.id, err)
-		return err
+	g.lastT = t
+	return nil
+}
+
+func (g *recGrid) append(st *store.Store, t float64, vals []float64) error {
+	for i, name := range g.names {
+		if err := st.Append(name, g.kinds[i], g.step, t, vals[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

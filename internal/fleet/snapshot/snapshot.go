@@ -19,16 +19,17 @@
 //
 // The machine block nests the full emulator.MachineState: step cursor,
 // result accumulators, recorded series (f64 arrays XOR-delta encoded
-// like seriesfile — consecutive samples share high bits so the varints
-// stay short and decode bit-exactly), firmware registers and cell
-// states, fuel-gauge estimators, optional runtime health-ladder state,
-// and the fault-schedule position. A quarantined device carries no
-// machine block: its stepping goroutine died mid-step, its firmware
-// mutex may be held forever, and its state is by definition suspect.
+// like the telemetry store's data pages — consecutive samples share
+// high bits so the varints stay short and decode bit-exactly),
+// firmware registers and cell states, fuel-gauge estimators, optional
+// runtime health-ladder state, and the fault-schedule position. A
+// quarantined device carries no machine block: its stepping goroutine
+// died mid-step, its firmware mutex may be held forever, and its state
+// is by definition suspect.
 //
 // Strings use uvarint length + bytes, bounded by MaxStrLen. The CRC
 // trailer reuses the bus frame polynomial, so one checksum
-// implementation guards wire, series files, and checkpoints alike.
+// implementation guards wire, telemetry stores, and checkpoints alike.
 //
 // A checkpoint file is a journal: one full record as above (the base),
 // then zero or more delta records, each appended by a later checkpoint
@@ -543,7 +544,8 @@ func (e *encoder) str(s string) error {
 }
 
 // f64s writes a float64 array as count, the first value's raw bits,
-// then XOR-of-bits uvarint deltas (the seriesfile value encoding).
+// then XOR-of-bits uvarint deltas (the telemetry store's data-page
+// value encoding).
 func (e *encoder) f64s(vs []float64) { e.series(vs, 0) }
 
 // series writes samples [from, len) of vs like f64s, except that from

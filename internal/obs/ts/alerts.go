@@ -92,11 +92,6 @@ func (o CmpOp) String() string {
 	return "?"
 }
 
-// Holds reports whether value v satisfies the comparison against
-// threshold. Exported so the fleet alert engine evaluates rules with
-// exactly the recorder's semantics.
-func (o CmpOp) Holds(v, threshold float64) bool { return o.holds(v, threshold) }
-
 func (o CmpOp) holds(v, threshold float64) bool {
 	switch o {
 	case OpGT:
@@ -287,13 +282,62 @@ func (s AlertState) String() string {
 	return "unknown"
 }
 
-// AlertStatus is one rule's live state, as reported by AlertStates.
-type AlertStatus struct {
-	Rule  Rule
+// Lifecycle is one rule's position in the inactive→pending→firing
+// lifecycle. Step is the only place the lifecycle moves: the recorder
+// evaluator and the fleet alert engine each feed it their own signal
+// and emit its edges their own way.
+type Lifecycle struct {
 	State AlertState
 	// SinceS is when the current state began (sim seconds); 0 for
 	// never-evaluated inactive rules.
 	SinceS float64
+}
+
+// Step advances the lifecycle to sim time t. raw is the rule's signal
+// before Abs; ok is false when there is not enough history to compute
+// it. Without data a pending rule returns to inactive silently and a
+// firing rule holds: it resolves only when the condition is observably
+// false. v is the compared value (raw, or |raw| under Abs). edge
+// reports a fire or resolve; the lifecycle then moved from `from` to
+// State.
+func (l *Lifecycle) Step(ru *Rule, t, raw float64, ok bool) (v float64, from AlertState, edge bool) {
+	from = l.State
+	if !ok {
+		if l.State == StatePending {
+			l.State, l.SinceS = StateInactive, t
+		}
+		return raw, from, false
+	}
+	v = raw
+	if ru.Abs {
+		v = math.Abs(v)
+	}
+	cond := ru.Op.holds(v, ru.Threshold)
+	switch {
+	case cond && l.State == StateInactive:
+		if ru.ForS <= 0 {
+			l.State, l.SinceS = StateFiring, t
+			return v, from, true
+		}
+		l.State, l.SinceS = StatePending, t
+	case cond && l.State == StatePending:
+		if t-l.SinceS >= ru.ForS-1e-9 {
+			l.State, l.SinceS = StateFiring, t
+			return v, from, true
+		}
+	case !cond && l.State == StatePending:
+		l.State, l.SinceS = StateInactive, t
+	case !cond && l.State == StateFiring:
+		l.State, l.SinceS = StateInactive, t
+		return v, from, true
+	}
+	return v, from, false
+}
+
+// AlertStatus is one rule's live state, as reported by AlertStates.
+type AlertStatus struct {
+	Rule Rule
+	Lifecycle
 	// Value is the signal's most recent evaluation (NaN before data).
 	Value float64
 	// Fired counts fire transitions over the evaluator's lifetime.
@@ -330,55 +374,33 @@ func (e *Evaluator) evalLocked(r *Recorder, t float64) {
 	}
 	for i := range e.states {
 		st := &e.states[i]
-		v, ok := e.signalLocked(r, &st.Rule)
-		if !ok {
-			// Not enough history yet: stay/return to inactive silently
-			// (a firing alert holds until the condition is observably
-			// false, not when data momentarily thins).
-			if st.State == StatePending {
-				st.State = StateInactive
-				st.SinceS = t
-			}
+		raw, ok := e.signalLocked(r, &st.Rule)
+		v, _, edge := st.Step(&st.Rule, t, raw, ok)
+		if ok {
+			st.Value = v
+		}
+		if !edge {
 			continue
 		}
-		st.Value = v
-		cond := st.Rule.Op.holds(v, st.Rule.Threshold)
-		switch {
-		case cond && st.State == StateInactive:
-			if st.Rule.ForS <= 0 {
-				e.fire(st, t)
-			} else {
-				st.State = StatePending
-				st.SinceS = t
-			}
-		case cond && st.State == StatePending:
-			if t-st.SinceS >= st.Rule.ForS-1e-9 {
-				e.fire(st, t)
-			}
-		case !cond && st.State == StatePending:
-			st.State = StateInactive
-			st.SinceS = t
-		case !cond && st.State == StateFiring:
-			e.resolve(st, t)
+		if st.State == StateFiring {
+			st.Fired++
+			e.emit(st, t, "alert.fire", "fired")
+		} else {
+			e.emit(st, t, "alert.resolve", "resolved")
 		}
 	}
 }
 
+// signalLocked reads a rule's raw signal (before Abs); ok is false
+// without enough history.
 func (e *Evaluator) signalLocked(r *Recorder, ru *Rule) (float64, bool) {
-	var v float64
-	var ok bool
 	switch ru.Sig {
 	case SigRate:
-		v, ok = r.rateLocked(ru.Series, ru.windowS(r))
+		return r.rateLocked(ru.Series, ru.windowS(r))
 	case SigDelta:
-		v, ok = r.deltaLocked(ru.Series, ru.windowS(r))
-	default:
-		v, ok = r.latestLocked(ru.Series)
+		return r.deltaLocked(ru.Series, ru.windowS(r))
 	}
-	if ok && ru.Abs {
-		v = math.Abs(v)
-	}
-	return v, ok
+	return r.latestLocked(ru.Series)
 }
 
 // windowS resolves the rule's lookback: explicit `over`, else one
@@ -388,19 +410,6 @@ func (ru *Rule) windowS(r *Recorder) float64 {
 		return ru.WindowS
 	}
 	return r.stepS
-}
-
-func (e *Evaluator) fire(st *AlertStatus, t float64) {
-	st.State = StateFiring
-	st.SinceS = t
-	st.Fired++
-	e.emit(st, t, "alert.fire", "fired")
-}
-
-func (e *Evaluator) resolve(st *AlertStatus, t float64) {
-	st.State = StateInactive
-	st.SinceS = t
-	e.emit(st, t, "alert.resolve", "resolved")
 }
 
 // emit publishes one transition as a trace event plus an audit record.

@@ -222,3 +222,56 @@ func TestAlertStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestLifecycleStep drives Lifecycle.Step through every (state, cond,
+// ok, for) cell of the transition table, including both sides of the
+// ForS-1e-9 hold boundary.
+func TestLifecycleStep(t *testing.T) {
+	const forS = 60.0
+	// raw 2 satisfies `> 1`, raw 0 does not.
+	cases := []struct {
+		name      string
+		state     AlertState
+		sinceS    float64
+		forS      float64
+		raw       float64
+		ok        bool
+		t         float64
+		want      AlertState
+		wantSince float64
+		edge      bool
+	}{
+		{"inactive true for=0 fires", StateInactive, 0, 0, 2, true, 10, StateFiring, 10, true},
+		{"inactive true for>0 pends", StateInactive, 0, forS, 2, true, 10, StatePending, 10, false},
+		{"inactive false stays", StateInactive, 5, forS, 0, true, 10, StateInactive, 5, false},
+		{"inactive no data stays", StateInactive, 5, forS, 2, false, 10, StateInactive, 5, false},
+		{"pending true for=0 fires", StatePending, 0, 0, 2, true, 10, StateFiring, 10, true},
+		{"pending true short of the hold", StatePending, 0, forS, 2, true, forS - 2e-9, StatePending, 0, false},
+		{"pending true at for-1e-9 fires", StatePending, 0, forS, 2, true, forS - 1e-9, StateFiring, forS - 1e-9, true},
+		{"pending true past the hold fires", StatePending, 0, forS, 2, true, 2 * forS, StateFiring, 2 * forS, true},
+		{"pending false resets", StatePending, 0, forS, 0, true, 30, StateInactive, 30, false},
+		{"pending no data resets", StatePending, 0, forS, 2, false, 30, StateInactive, 30, false},
+		{"firing true holds", StateFiring, 10, forS, 2, true, 30, StateFiring, 10, false},
+		{"firing true for=0 holds", StateFiring, 10, 0, 2, true, 30, StateFiring, 10, false},
+		{"firing false resolves", StateFiring, 10, forS, 0, true, 30, StateInactive, 30, true},
+		{"firing no data holds", StateFiring, 10, forS, 0, false, 30, StateFiring, 10, false},
+	}
+	for _, tc := range cases {
+		for _, abs := range []bool{false, true} {
+			ru := &Rule{Name: "r", Series: "x", Op: OpGT, Threshold: 1, ForS: tc.forS, Abs: abs}
+			raw := tc.raw
+			if abs {
+				raw = -raw // |raw| must compare the same
+			}
+			l := Lifecycle{State: tc.state, SinceS: tc.sinceS}
+			v, from, edge := l.Step(ru, tc.t, raw, tc.ok)
+			if l.State != tc.want || l.SinceS != tc.wantSince || edge != tc.edge || from != tc.state {
+				t.Errorf("%s (abs=%v): got %v since %g edge=%v from %v, want %v since %g edge=%v from %v",
+					tc.name, abs, l.State, l.SinceS, edge, from, tc.want, tc.wantSince, tc.edge, tc.state)
+			}
+			if tc.ok && v != tc.raw {
+				t.Errorf("%s (abs=%v): compared value %g, want %g", tc.name, abs, v, tc.raw)
+			}
+		}
+	}
+}

@@ -3,10 +3,13 @@ package export
 import (
 	"bytes"
 	"math"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"sdb/internal/obs/ts"
+	"sdb/internal/obs/ts/store"
 )
 
 // clipCollect folds a Walk into windows for assertions.
@@ -26,11 +29,32 @@ func clipCollect(t *testing.T, src Walker) []ts.Window {
 	return out
 }
 
-// TestClipWindows: the generic path recomputes FirstT/Total from the
-// grid before any value streams (JSON writes them into the header) and
-// drops series with nothing in range.
+// clipStore appends windows into a fresh paged store.
+func clipStore(t *testing.T, ws []ts.Window) *store.Store {
+	t.Helper()
+	st, err := store.Create(filepath.Join(t.TempDir(), "clip.sdbstor"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for _, w := range ws {
+		if err := st.Declare(w.Name, w.Kind, w.StepS); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range w.Values {
+			if err := st.Append(w.Name, w.Kind, w.StepS, w.FirstT+float64(i)*w.StepS, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st
+}
+
+// TestClipWindows: a clipped store walk carries the in-window FirstT
+// and Total before any value streams (JSON writes them into the
+// header) and drops series with nothing in range.
 func TestClipWindows(t *testing.T) {
-	src := Windows([]ts.Window{
+	src := clipStore(t, []ts.Window{
 		{Name: "a", Kind: ts.KindGauge, StepS: 60, FirstT: 0, Total: 10,
 			Values: []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 		{Name: "early", Kind: ts.KindGauge, StepS: 1, FirstT: -50, Total: 3,
@@ -51,7 +75,7 @@ func TestClipWindows(t *testing.T) {
 		}
 	}
 
-	// Unbounded clip is the identity (minus the empty series).
+	// Unbounded clip is the identity.
 	all := clipCollect(t, Clip(src, math.Inf(-1), math.Inf(1)))
 	if len(all) != 2 || all[0].Total != 10 || all[1].Total != 3 {
 		t.Fatalf("unbounded clip altered the source: %+v", all)
@@ -68,10 +92,6 @@ func TestClipWindows(t *testing.T) {
 type fakeRange struct {
 	ranged bool
 	t0, t1 float64
-}
-
-func (f *fakeRange) Walk(func(ts.Window) error, func(t, v float64) error) error {
-	return nil
 }
 
 func (f *fakeRange) WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error {
@@ -96,12 +116,12 @@ func TestClipDelegatesToRangeWalker(t *testing.T) {
 	}
 }
 
-// TestClipCSV: end-to-end through the CSV writer — the clipped stream
-// is exactly the oracle CSV of the clipped windows.
+// TestClipCSV: end-to-end through the CSV writer — the clipped store
+// stream is exactly the oracle CSV of the windows clipped by hand.
 func TestClipCSV(t *testing.T) {
 	ws := sampleWindows()
 	var buf bytes.Buffer
-	st, err := CSV(&buf, Clip(Windows(ws), 0, 200))
+	st, err := CSV(&buf, Clip(clipStore(t, ws), 0, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +146,8 @@ func TestClipCSV(t *testing.T) {
 			want = append(want, c)
 		}
 	}
+	// The store walks series in name order.
+	sort.Slice(want, func(i, j int) bool { return want[i].Name < want[j].Name })
 	if got := buf.String(); got != oracleCSV(t, want) {
 		t.Fatalf("clipped CSV diverges:\n%s\nwant:\n%s", got, oracleCSV(t, want))
 	}

@@ -1,9 +1,7 @@
-// Package export streams recorded time series out of any source —
-// in-memory recorder windows, legacy seriesfile blobs, the paged
-// store — into the CSV/JSON exchange formats, one row at a time. The
-// old exporter materialized every window in memory first; this one
-// holds one row, so exporting a million-sample store costs the same
-// RAM as exporting ten.
+// Package export streams recorded time series out of the paged store
+// or in-memory recorder windows into the CSV/JSON exchange formats,
+// one row at a time, so exporting a million-sample store costs the
+// same RAM as exporting ten.
 package export
 
 import (
@@ -20,7 +18,7 @@ import (
 // series (in name order, with a metadata-only ts.Window: Values nil,
 // Total = rows known to the source), then value once per sample of
 // that series in time order. The paged store implements it directly;
-// Windows and seriesfile.Walker adapt the other sources.
+// Windows adapts in-memory windows.
 type Walker interface {
 	Walk(series func(ts.Window) error, value func(t, v float64) error) error
 }
@@ -32,7 +30,7 @@ type Stats struct {
 }
 
 // Windows adapts in-memory windows (a live recorder's Windows(), a
-// fully-read seriesfile) to the Walker shape.
+// store Query result) to the Walker shape.
 func Windows(ws []ts.Window) Walker { return windowWalker(ws) }
 
 type windowWalker []ts.Window
@@ -82,74 +80,23 @@ func (f filterWalker) Walk(series func(ts.Window) error, value func(t, v float64
 
 // RangeWalker is implemented by sources that can serve a time window
 // natively, reading only the storage that overlaps it (the paged
-// store's WalkRange). Clip delegates to it when available.
+// store's WalkRange).
 type RangeWalker interface {
 	WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error
 }
 
-// Clip narrows a Walker to the closed time window [t0, t1]. Sources
-// implementing RangeWalker serve the window natively (touching only
-// overlapping pages); for everything else the values are filtered in
-// flight, with the series metadata (FirstT, Total) recomputed from the
-// uniform grid so headers written before the values stay correct.
-// Series with nothing in the window are dropped.
-func Clip(src Walker, t0, t1 float64) Walker { return clipWalker{src, t0, t1} }
+// Clip narrows a RangeWalker to the closed time window [t0, t1], served
+// natively by the source so only overlapping storage is read. Series
+// with nothing in the window are dropped.
+func Clip(src RangeWalker, t0, t1 float64) Walker { return clipWalker{src, t0, t1} }
 
 type clipWalker struct {
-	src    Walker
+	src    RangeWalker
 	t0, t1 float64
 }
 
 func (c clipWalker) Walk(series func(ts.Window) error, value func(t, v float64) error) error {
-	if c.t0 > c.t1 {
-		return fmt.Errorf("export: clip window [%g, %g] inverted", c.t0, c.t1)
-	}
-	if rw, ok := c.src.(RangeWalker); ok {
-		return rw.WalkRange(c.t0, c.t1, series, value)
-	}
-	keep := false
-	var lo, hi float64
-	return c.src.Walk(
-		func(w ts.Window) error {
-			eps := 1e-6 * w.StepS
-			lo, hi = c.t0-eps, c.t1+eps
-			keep = false
-			if w.Total == 0 {
-				return nil
-			}
-			iLo, iHi := int64(0), int64(w.Total)-1
-			if w.StepS > 0 {
-				if lo > w.FirstT {
-					iLo = int64(math.Ceil((lo - w.FirstT) / w.StepS))
-				}
-				if hi < w.FirstT+float64(iHi)*w.StepS {
-					iHi = int64(math.Floor((hi - w.FirstT) / w.StepS))
-				}
-			} else if w.FirstT < lo || w.FirstT > hi {
-				return nil
-			}
-			if iLo < 0 {
-				iLo = 0
-			}
-			if max := int64(w.Total) - 1; iHi > max {
-				iHi = max
-			}
-			if iLo > iHi {
-				return nil
-			}
-			keep = true
-			w.FirstT += float64(iLo) * w.StepS
-			w.Total = uint64(iHi - iLo + 1)
-			w.Values = nil
-			return series(w)
-		},
-		func(t, v float64) error {
-			if !keep || t < lo || t > hi {
-				return nil
-			}
-			return value(t, v)
-		},
-	)
+	return c.src.WalkRange(c.t0, c.t1, series, value)
 }
 
 // CSVHeader is the first line of the long CSV format.

@@ -129,8 +129,7 @@ func NewRecorder(reg *obs.Registry, cfg Config) *Recorder {
 }
 
 // SetSink attaches (or, with nil, detaches) a durable sink. Samples
-// recorded before the attach are not replayed — pair SetSink with an
-// ImportWindows of Windows() when history matters. Nil-safe.
+// recorded before the attach are not replayed. Nil-safe.
 func (r *Recorder) SetSink(s Sink) {
 	if r == nil {
 		return
@@ -412,8 +411,8 @@ func (r *Recorder) Get(name string) (Window, bool) {
 	return s.Window(), true
 }
 
-// Windows copies out every series, sorted by name — the unit handed to
-// the series-file writer and the wire handler.
+// Windows copies out every series, sorted by name: the ring contents a
+// durable sink must reproduce sample for sample.
 func (r *Recorder) Windows() []Window {
 	if r == nil {
 		return nil
@@ -426,100 +425,4 @@ func (r *Recorder) Windows() []Window {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Load seeds the recorder with transported windows (file reader, wire
-// client) so the query engine runs over recorded data. Series already
-// present are replaced.
-func (r *Recorder) Load(ws []Window) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, w := range ws {
-		s := seriesFromWindow(w, r.retain)
-		if old, ok := r.byName[w.Name]; ok {
-			for i := range r.series {
-				if r.series[i] == old {
-					r.series[i] = s
-				}
-			}
-		} else {
-			r.series = append(r.series, s)
-		}
-		r.byName[w.Name] = s
-		r.started = true
-		if t := s.TimeAt(s.n - 1); s.n > 0 && t > r.lastT {
-			r.lastT = t
-			r.nextT = t + r.stepS
-		}
-	}
-	r.rebuildHistsLocked()
-}
-
-// rebuildHistsLocked regroups loaded bucket series into histGroups so
-// QuantileOver works over recorded data.
-func (r *Recorder) rebuildHistsLocked() {
-	for _, s := range r.series {
-		if s.kind != KindHistBucket {
-			continue
-		}
-		if base, _, ok := splitBucketName(s.name); ok && r.hists[base] == nil {
-			r.hists[base] = &histGroup{}
-		}
-	}
-	// Rebuild each group's bounds and bucket order from scratch so
-	// repeated Loads stay idempotent.
-	for base, hg := range r.hists {
-		var bounds []float64
-		var finite []*Series
-		var inf *Series
-		for _, s := range r.series {
-			b, label, ok := splitBucketName(s.name)
-			if !ok || b != base {
-				continue
-			}
-			if label == "+Inf" {
-				inf = s
-				continue
-			}
-			v, err := strconv.ParseFloat(label, 64)
-			if err != nil {
-				continue
-			}
-			bounds = append(bounds, v)
-			finite = append(finite, s)
-		}
-		if inf == nil {
-			continue
-		}
-		sort.Sort(&boundSort{bounds, finite})
-		hg.bounds = bounds
-		hg.buckets = append(finite, inf)
-		hg.scratch = make([]float64, len(hg.buckets))
-		hg.sum = r.byName[base+"_sum"]
-		hg.count = r.byName[base+"_count"]
-	}
-}
-
-type boundSort struct {
-	bounds []float64
-	series []*Series
-}
-
-func (b *boundSort) Len() int           { return len(b.bounds) }
-func (b *boundSort) Less(i, j int) bool { return b.bounds[i] < b.bounds[j] }
-func (b *boundSort) Swap(i, j int) {
-	b.bounds[i], b.bounds[j] = b.bounds[j], b.bounds[i]
-	b.series[i], b.series[j] = b.series[j], b.series[i]
-}
-
-// splitBucketName parses `base_bucket{le="x"}` into (base, x).
-func splitBucketName(name string) (base, label string, ok bool) {
-	i := strings.Index(name, `_bucket{le="`)
-	if i < 0 || !strings.HasSuffix(name, `"}`) {
-		return "", "", false
-	}
-	return name[:i], name[i+len(`_bucket{le="`) : len(name)-2], true
 }

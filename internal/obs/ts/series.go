@@ -19,7 +19,7 @@ package ts
 import "math"
 
 // Kind classifies what a series' samples mean. The values are stable:
-// they are written into series files and onto the wire.
+// they are written into the telemetry store and onto the wire.
 type Kind uint8
 
 const (
@@ -216,21 +216,4 @@ func (s *Series) Window() Window {
 		w.Values[i] = s.At(i)
 	}
 	return w
-}
-
-// seriesFromWindow rebuilds an in-memory series from a transported
-// window (file reader, wire client) so the same query engine runs over
-// recorded data.
-func seriesFromWindow(w Window, retain int) *Series {
-	if retain < len(w.Values) {
-		retain = len(w.Values)
-	}
-	if retain < 1 {
-		retain = 1
-	}
-	s := newSeries(w.Name, w.Kind, w.StepS, retain, w.FirstT)
-	copy(s.ring, w.Values)
-	s.n = len(w.Values)
-	s.total = w.Total
-	return s
 }

@@ -5,9 +5,7 @@ package store
 // recovering — is recorded simultaneously into the in-memory ring
 // recorder and this on-disk store. The rings are the oracle: every
 // store Query over any window must reproduce the ring samples bit for
-// bit, a legacy seriesfile written from the same run must migrate into
-// a store that queries identically, and everything must survive a
-// reopen from disk.
+// bit, and must keep doing so after a reopen from disk.
 
 import (
 	"math"
@@ -21,7 +19,6 @@ import (
 	"sdb/internal/faults"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
-	"sdb/internal/obs/ts/seriesfile"
 	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
@@ -119,36 +116,16 @@ func TestDifferentialChaosDay(t *testing.T) {
 		}
 	}
 
-	// Migration: the same run, written as a legacy seriesfile, imports
-	// into a fresh store that answers every query identically.
-	sfPath := filepath.Join(dir, "day.sdbts")
-	if err := seriesfile.WriteFile(sfPath, windows); err != nil {
-		t.Fatal(err)
-	}
-	mig, err := Create(filepath.Join(dir, "migrated.sdbstor"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mig.MigrateSeriesFile(sfPath); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	compareStoreToRings(t, mig, windows, "migrated store")
-	if err := mig.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen both from disk: still identical.
+	// Reopen from disk: still identical.
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"day.sdbstor", "migrated.sdbstor"} {
-		r, err := Open(filepath.Join(dir, path))
-		if err != nil {
-			t.Fatalf("reopen %s: %v", path, err)
-		}
-		compareStoreToRings(t, r, windows, "reopened "+path)
-		r.Close()
+	r, err := Open(filepath.Join(dir, "day.sdbstor"))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
+	defer r.Close()
+	compareStoreToRings(t, r, windows, "reopened store")
 }
 
 // compareStoreToRings requires every ring window to read back from the

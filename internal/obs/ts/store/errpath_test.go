@@ -1,11 +1,8 @@
 package store
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
-
-	"sdb/internal/obs/ts"
 )
 
 // TestCreateErrors: page-size bounds and refusal to clobber.
@@ -27,32 +24,5 @@ func TestCreateErrors(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("Open invented a missing file")
-	}
-}
-
-// TestImportErrors: a migration that hits a schema conflict or a
-// non-monotone append reports the offending series by name.
-func TestImportErrors(t *testing.T) {
-	s, _ := tempStore(t, Options{})
-	mustAppend(t, s, "g", ts.KindGauge, 1, 1, 10)
-
-	// Same name, different kind: Declare must refuse inside the import.
-	err := s.ImportWindows([]ts.Window{{Name: "g", Kind: ts.KindFCounter, StepS: 1, Total: 1, Values: []float64{1}}})
-	if err == nil {
-		t.Fatal("import accepted a kind conflict")
-	}
-	// Overlapping times: appends are monotone.
-	err = s.ImportWindows([]ts.Window{{Name: "g", Kind: ts.KindGauge, StepS: 1, FirstT: 1, Total: 1, Values: []float64{2}}})
-	if err == nil {
-		t.Fatal("import accepted a non-monotone sample")
-	}
-	// Store state is untouched by the failed imports.
-	w, err := s.Query("g", math.Inf(-1), math.Inf(1))
-	if err != nil || len(w.Values) != 1 || w.Values[0] != 10 {
-		t.Fatalf("failed import disturbed the store: %v %+v", err, w)
-	}
-
-	if err := s.MigrateSeriesFile(filepath.Join(t.TempDir(), "none.sdbts")); err == nil {
-		t.Fatal("migrate of a missing file succeeded")
 	}
 }

@@ -1,8 +1,8 @@
 // Package store is the paged, indexed on-disk telemetry store
-// (.sdbstor): the random-access successor to the write-once seriesfile
-// blob. A fleet recording millions of device-days cannot be read whole;
-// this format answers a time-windowed query by reading only an index
-// plus the pages that overlap the window.
+// (.sdbstor), the one format recorded telemetry is kept in. A fleet
+// recording millions of device-days cannot be read whole; this format
+// answers a time-windowed query by reading only an index plus the
+// pages that overlap the window.
 //
 // # File layout
 //
@@ -18,16 +18,16 @@
 //
 // Page p (1-based) lives at offset 16 + (p-1)*pageSize. Every page is
 // zero-padded to pageSize with a CRC-16 over its first pageSize-2
-// bytes in its last two — the same polynomial the bus frames,
-// seriesfile, and fleet snapshots use, so one checksum implementation
-// guards every transport. A page's first payload byte is its type:
+// bytes in its last two — the same polynomial the bus frames and fleet
+// snapshots use, so one checksum implementation guards every
+// transport. A page's first payload byte is its type:
 //
 //	1 series  declarations: count, then (id, kind, stepS, name) each
 //	2 data    one series' raw samples: id, firstT, count, first value's
 //	          raw f64 bits, then count-1 XOR-of-bits uvarint deltas
-//	          (the seriesfile value encoding: uniform-step series
-//	          change slowly, consecutive bits share high bytes, and
-//	          decoding reproduces every sample bit-exactly)
+//	          (uniform-step series change slowly, consecutive bits
+//	          share high bytes, and decoding reproduces every sample
+//	          bit-exactly)
 //	3 down    one series' downsampled buckets: id, bucketS, baseIdx,
 //	          count, then (idxDelta, n, min, max, sum) each
 //	4 index   a segment of the commit's index: prev segment page, then
@@ -300,8 +300,8 @@ func (s *Store) ResetStats() {
 	s.mu.Unlock()
 }
 
-// Declare registers a series without appending a sample, so empty
-// series survive migration. Idempotent for matching metadata.
+// Declare registers a series without appending a sample, so an empty
+// series is listed and walked. Idempotent for matching metadata.
 func (s *Store) Declare(name string, kind ts.Kind, stepS float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -399,25 +399,3 @@ func TestOpenOrCreate(t *testing.T) {
 		t.Fatal("undersized page accepted")
 	}
 }
-
-// TestImportWindows: the universal ingestion door, including an empty
-// (declaration-only) series.
-func TestImportWindows(t *testing.T) {
-	s, _ := tempStore(t, Options{PageSize: 256})
-	ws := []ts.Window{
-		{Name: "a", Kind: ts.KindGauge, StepS: 60, FirstT: 120, Total: 3, Values: []float64{1, 2, 3}},
-		{Name: "empty", Kind: ts.KindCounter, StepS: 30},
-	}
-	if err := s.ImportWindows(ws); err != nil {
-		t.Fatalf("ImportWindows: %v", err)
-	}
-	w, err := s.Query("a", 0, 1e9)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	wantValues(t, w, 120, 1, 2, 3)
-	infos := s.Series()
-	if len(infos) != 2 || infos[1].Name != "empty" || infos[1].Samples != 0 {
-		t.Fatalf("Series(): %+v", infos)
-	}
-}

@@ -203,59 +203,6 @@ func TestObserveParityWithSample(t *testing.T) {
 	}
 }
 
-// TestLoadRoundTrip: Windows() → Load() into a fresh recorder preserves
-// every sample and keeps the query engine (including histogram
-// quantiles) bit-identical.
-func TestLoadRoundTrip(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("c_total")
-	h := reg.Histogram("lat", []float64{0.5, 1, 2})
-	r := NewRecorder(reg, Config{StepS: 5, Retain: 8})
-	for i := 0; i < 12; i++ { // overflow the ring to test eviction metadata
-		c.Add(1)
-		h.Observe(float64(i%4) * 0.6)
-		r.Sample(float64(i) * 5)
-	}
-
-	loaded := NewRecorder(nil, Config{StepS: 5, Retain: 8})
-	loaded.Load(r.Windows())
-
-	for _, name := range r.Names() {
-		a, _ := r.Get(name)
-		b, ok := loaded.Get(name)
-		if !ok {
-			t.Fatalf("loaded recorder missing %s", name)
-		}
-		if a.Total != b.Total || a.FirstT != b.FirstT || a.Kind != b.Kind || len(a.Values) != len(b.Values) {
-			t.Fatalf("%s: meta mismatch %+v vs %+v", name, a, b)
-		}
-		for i := range a.Values {
-			if a.Values[i] != b.Values[i] {
-				t.Fatalf("%s sample %d differs", name, i)
-			}
-		}
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		av, aok := r.QuantileOver("lat", q, 30)
-		bv, bok := loaded.QuantileOver("lat", q, 30)
-		if aok != bok || av != bv {
-			t.Errorf("q%g: %g/%v vs %g/%v", q, av, aok, bv, bok)
-		}
-	}
-	ar, _ := r.Rate("c_total", 30)
-	br, _ := loaded.Rate("c_total", 30)
-	if ar != br {
-		t.Errorf("rate differs after load: %g vs %g", ar, br)
-	}
-	// Loading twice (e.g. re-reading a file) stays idempotent.
-	loaded.Load(r.Windows())
-	if v, ok := loaded.QuantileOver("lat", 0.5, 30); !ok {
-		t.Error("quantile broken after second Load")
-	} else if av, _ := r.QuantileOver("lat", 0.5, 30); v != av {
-		t.Error("second Load changed values")
-	}
-}
-
 // TestSampleNoAllocs: steady-state sampling — with an attached
 // never-firing alert rule — performs zero heap allocations.
 func TestSampleNoAllocs(t *testing.T) {
@@ -293,7 +240,6 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Sample(1)
 	r.Observe(1, nil)
-	r.Load(nil)
 	if r.Names() != nil || r.AlertStates() != nil || r.Windows() != nil {
 		t.Error("nil recorder should return nil slices")
 	}
@@ -332,11 +278,12 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestSeriesFromWindowEmpty: degenerate windows load without panics.
-func TestSeriesFromWindowEmpty(t *testing.T) {
-	s := seriesFromWindow(Window{Name: "e", StepS: 1}, 0)
+// TestEmptySeries: a series with no samples reports zero length and a
+// NaN newest value.
+func TestEmptySeries(t *testing.T) {
+	s := newSeries("e", KindGauge, 1, 1, 0)
 	if s.Len() != 0 || s.Total() != 0 {
-		t.Errorf("empty window load: %+v", s)
+		t.Errorf("empty series: %+v", s)
 	}
 	if !math.IsNaN(s.last()) {
 		t.Error("empty series last() should be NaN")

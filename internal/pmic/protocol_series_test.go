@@ -59,14 +59,6 @@ func TestClientSeriesRoundTrip(t *testing.T) {
 			t.Errorf("value %d differs: %g vs %g", i, win.Values[i], local.Values[i])
 		}
 	}
-	// The wire window feeds the same query engine.
-	loaded := ts.NewRecorder(nil, ts.Config{StepS: 60})
-	loaded.Load([]ts.Window{win})
-	lr, _ := loaded.Rate("sdb_pmic_steps_total", 600)
-	rr, _ := rec.Rate("sdb_pmic_steps_total", 600)
-	if lr != rr {
-		t.Errorf("rate over wire window %g, local %g", lr, rr)
-	}
 }
 
 // TestClientSeriesKeepsNewestWindow: a series too long for one frame
