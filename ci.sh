@@ -1,74 +1,51 @@
 #!/bin/sh
-# CI gate: build, tier-1 tests, the race lane, a chaos lane, then a
-# bench smoke lane. The race pass runs the same suite under the race
-# detector; the concurrent experiment engine (internal/sim.Runner and
-# the in-driver sweeps) must stay race-clean. Fuzz seed corpora run as
-# ordinary tests in both lanes. The chaos lane soaks the full stack —
-# runtime over the wire protocol over a seeded faulty link, cell faults
-# striking mid-run — under the race detector; it is deterministic per
-# seed, and a failure replays with SDB_CHAOS_SEED=<seed from the log>.
-# The bench smoke lane executes every benchmark once (-short skips the
-# slow registry experiments) so the perf harness — including the
-# zero-allocation Step contract exercised by its tests — cannot
-# silently rot. The coverage lane ratchets per-package statement
-# coverage against the floors committed in COVERAGE.ratchet: a change
-# that drops an enforced package below its floor fails CI. The bench
-# regression lane re-times every experiment against the committed
-# baseline (BENCH_PR10.json) and fails on a >3x wall-clock regression —
-# generous enough to absorb shared-runner noise, tight enough to catch
-# an accidental hot-loop allocation or O(n^2) slip. The recorder smoke
-# lane runs the record -> paged store -> export/query pipeline end to
-# end through the real CLIs.
+# CI gate. Lanes, in order (each lane's comment below says what it
+# holds):
 #
-# Store lane: the paged on-disk telemetry store (internal/obs/ts/store)
-# is gated by its differential chaos day (ring vs store, bit-exact,
-# before and after a reopen), the corruption battery, and the
-# torn-append crash test (an armed SDB_KILLPOINT re-execs the test
-# binary and kills it mid page-commit; recovery must drop exactly the
-# torn tail) — all under the race detector — plus a short live fuzz
-# burst on top of the committed seed corpus.
-#
-# Fleet lanes: the 1000-device byte-identity soak and the fleet serve/
-# protocol tests run in both plain and -race passes via the blanket
-# ./... invocations (the race pass keeps the full 1000 devices — see
-# internal/fleet/soak_size_race_test.go). The explicit fleet chaos lane
-# below surfaces the chaos seed with -v so a failure is replayable, and
-# the fleet bench smoke drives a small fleet through the real sdbbench
-# path — both backends — to keep the BENCH_PR10 fleet figures
-# reproducible. The crash-chaos lane covers the crash-safety tentpole:
-# kill-point process death, checkpoint restore byte-identity, panic
-# quarantine, and graceful drain.
-#
-# Live-telemetry lane: the push subscription plane and the fleet alert
-# engine under -race — the 200-device slow-subscriber soak (several
-# live subscribers plus one that reads nothing; the tick barrier must
-# never stall and every drop ledger must balance exactly), delta/reset
-# decode, subscription lifecycle churn, legacy-client downgrade, and
-# the seeded-chaos alert determinism suite — plus a live fuzz burst on
-# the alert rule grammar, and an end-to-end CLI smoke: a real
-# `sdbctl serve -fleet -rules` server with a real `sdbtop -once`
-# dashboard client over TCP.
-#
-# Batch-equivalence lanes: the struct-of-arrays engine
-# (internal/battery/batch) is only acceptable while it is bit-identical
-# to the scalar reference and allocation-free per step. The explicit
-# lanes below run the differential/fuzz-seed equivalence suite and the
-# emulator byte-identity tests under -race, then assert the
-# zero-allocation contract (testing.AllocsPerRun) in a plain pass where
-# allocation counts are exact.
+#   - build, vet, tier-1 tests, and the same suite under -race; fuzz
+#     seed corpora run as ordinary tests in both passes, and the
+#     1000-device fleet byte-identity soak runs in both (see
+#     internal/fleet/soak_size_race_test.go).
+#   - sdbperf: vet and toy-scale tests of the nested benchmark module.
+#   - chaos: emulator and fleet chaos soaks under -race, seeds logged.
+#   - bench smoke: every Go benchmark once, so benchmark code cannot rot.
+#   - batch equivalence: struct-of-arrays vs scalar bit-identity, and
+#     the zero-allocation batch step.
+#   - crash chaos: kill points, restore byte-identity, quarantine,
+#     shard restart, drain, and a checkpoint-decoder fuzz burst.
+#   - store: the paged store's differential day, corruption battery,
+#     torn-append crash test, and a fuzz burst.
+#   - live telemetry: the push plane and fleet alerts under -race, an
+#     alert-grammar fuzz burst, and a real `sdbctl serve` + `sdbtop
+#     -once` smoke over TCP.
+#   - coverage ratchet: per-package floors in COVERAGE.ratchet.
+#   - exact counts: the figures and fleet-full benchmark workloads must
+#     check correct and reproduce PERF_COUNTS.json exactly.
+#   - recorder smoke: sdbsim -store -> sdbtrace export/query.
 set -eux
 
 go build ./...
 go vet ./...
 go test ./...
+# The concurrent experiment engine (internal/sim.Runner and the
+# in-driver sweeps) and the fleet must stay race-clean.
 go test -race ./...
 # The repository benchmark is a nested module, so the blanket ./...
 # passes above never reach it: vet it and run its toy-scale workload
 # checks explicitly.
 go -C sdbperf vet ./...
 go -C sdbperf test ./...
+
+# Chaos lane: the full stack (runtime over the wire protocol over a
+# seeded faulty link, cell faults striking mid-run) and the fleet chaos
+# suite under -race. Deterministic per seed; -v logs the seed so a
+# failure replays with SDB_CHAOS_SEED=<seed from the log>.
 go test -race -short -run 'Chaos' -v ./internal/emulator/
 go test -race -run 'FleetChaos' -v ./internal/fleet/
+
+# Bench smoke lane: every benchmark once (-short skips the slow registry
+# experiments), so the benchmarks, including the zero-allocation Step
+# contract their tests exercise, cannot silently rot.
 go test -short -run '^$' -bench . -benchtime=1x ./...
 
 # Batch-equivalence lane: scalar vs struct-of-arrays bit-identity
@@ -113,20 +90,20 @@ go build -o sdbctl.lane ./cmd/sdbctl
 go build -o sdbtop.lane ./cmd/sdbtop
 ./sdbctl.lane serve -addr 127.0.0.1:7391 -fleet 32 -shards 4 -rules rules.lane.txt > /dev/null 2>&1 &
 SDBCTL_PID=$!
+# The trap stops the server if sdbtop fails: set -e would exit before
+# the kill below, and the orphaned server would keep the port.
+trap 'kill "$SDBCTL_PID" 2>/dev/null || true' EXIT
 sleep 2
 ./sdbtop.lane -addr 127.0.0.1:7391 -once -every 2s > sdbtop.lane.txt
 kill "$SDBCTL_PID" || true
+trap - EXIT
 cat sdbtop.lane.txt
 grep -q 'fleet: 32 devices' sdbtop.lane.txt
 grep -q 'top 15 by soc' sdbtop.lane.txt
 rm -f rules.lane.txt sdbtop.lane.txt sdbctl.lane sdbtop.lane
 
-# Fleet bench smoke: a scaled-down run of the 10k-device figure, once
-# per stepping backend, plus one stalled-subscriber fan-out point with
-# its exact frame-ledger check.
-go run ./cmd/sdbbench -fleet 200 -fleetshards 4 -fleetsubs 2
-go run ./cmd/sdbbench -fleet 200 -fleetshards 4 -backend scalar
-
+# Coverage ratchet lane: a package below its COVERAGE.ratchet floor,
+# or an enforced package missing from the output, fails.
 go test -cover ./internal/... > cover.lane.txt
 cat cover.lane.txt
 awk '
@@ -154,11 +131,24 @@ awk '
   }' COVERAGE.ratchet cover.lane.txt
 rm -f cover.lane.txt
 
-# Bench regression lane: every experiment, serially, vs the committed
-# baseline. 3x tolerance; newly added experiments (absent from the
-# baseline) pass until the baseline is regenerated.
-go run ./cmd/sdbbench -benchjson bench.lane.json -baseline BENCH_PR10.json -gate 3 -benchreps 2 -q
-rm -f bench.lane.json
+# Exact-count lane. Both runs are traced (--trace 1), so they measure
+# the per-layer ledger too; each must report correct:true (run.sh also
+# exits 1 on a failed check). Timings are noisy on a shared runner, but
+# these counts repeat exactly for a seed: the figures' firmware steps,
+# the fleet's alert transitions, push frames, store pages and checkpoint
+# bytes, and every heap-allocation count, floored because
+# testing.Benchmark reports a fractional per-op average. Any difference
+# from PERF_COUNTS.json fails. A change that moves a count on purpose
+# updates PERF_COUNTS.json.
+PERF_COUNTS='.metrics | with_entries(select(.key | test("_allocs$|^sim[.](steps|allocs_per_step)$|^fleet[.](alert_transitions|push_frames)$|^store[.]pages_written$|^snapshot[.]bytes$")) | .value |= (.value | floor))'
+rm -f counts.lane.json
+for w in figures fleet-full; do
+  bash sdbperf/run.sh --workload "$w" --seed 1 --seconds 1 --trace 1 > perf.lane.txt
+  tail -n 1 perf.lane.txt | jq -e .correct > /dev/null
+  tail -n 1 perf.lane.txt | jq --arg w "$w" "{(\$w): ($PERF_COUNTS)}" >> counts.lane.json
+done
+jq -S -s add counts.lane.json | diff PERF_COUNTS.json -
+rm -f perf.lane.txt counts.lane.json
 
 # Recorder smoke lane: record a short run into a paged store, export
 # it both ways and through a time window, and confirm the recorded

@@ -9,25 +9,19 @@
 //	sdbbench -run id,...  # run specific experiments
 //	sdbbench -j 4         # worker pool size (default GOMAXPROCS)
 //	sdbbench -timeout 2m  # cancel experiments not started by then
-//	sdbbench -compare     # time the fast subset at -j 1 vs -j N
 //	sdbbench -plot        # additionally render ASCII charts
 //	sdbbench -q           # suppress per-job progress lines
 //
-// Profiling and the perf trajectory:
+// Profiling and observability:
 //
 //	sdbbench -cpuprofile cpu.pb.gz          # CPU profile of the run
 //	sdbbench -memprofile mem.pb.gz          # heap profile at exit
-//	sdbbench -benchjson BENCH.json          # per-experiment wall/steps/allocs, serial
-//	sdbbench -benchjson BENCH.json -baseline OLD.json  # adds speedup-vs-baseline fields
-//	sdbbench -benchjson BENCH.json -baseline OLD.json -gate 3  # exit 1 on >3x regression
 //	sdbbench -fast -metrics METRICS.txt     # dump aggregated run metrics at exit
 //	sdbbench -fast -trace -                 # dump trace events to stdout at exit
 //
-// Fleet scale:
-//
-//	sdbbench -fleet 10000                   # steps/sec + cmd p50/p99 for a 10k-device fleet
-//	sdbbench -fleet 10000 -backend scalar   # same, on the reference scalar stepping path
-//	sdbbench -benchjson B.json -fleet 10000 # same figures as a "fleet" section in the report
+// Timing and allocation figures, for the tables and for the fleet, come
+// from the repository benchmark in sdbperf/ (sdbperf/run.sh), not from
+// this command.
 //
 // -metrics and -trace enable the observability plane (every stack the
 // experiments build reports into one process-wide registry) and dump
@@ -41,7 +35,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -62,34 +55,23 @@ func main() {
 // process exits (os.Exit in main would skip them).
 func run() int {
 	var (
-		list         = flag.Bool("list", false, "list experiment ids and exit")
-		fast         = flag.Bool("fast", false, "skip slow experiments")
-		runIDs       = flag.String("run", "", "comma-separated experiment ids to run")
-		plot         = flag.Bool("plot", false, "render numeric experiments as ASCII charts too")
-		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "number of experiments to run in parallel")
-		timeout      = flag.Duration("timeout", 0, "overall deadline (0 = none); pending jobs are canceled")
-		compare      = flag.Bool("compare", false, "run the fast subset serially then with -j workers and report the speedup")
-		quiet        = flag.Bool("q", false, "suppress progress lines")
-		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		benchjson    = flag.String("benchjson", "", "benchmark every experiment serially and write per-experiment JSON (wall ms, steps, ns/step, allocs/step) to this file")
-		baseline     = flag.String("baseline", "", "prior -benchjson file to compare against (adds baseline_wall_ms and speedup fields)")
-		gate         = flag.Float64("gate", 0, "with -baseline: exit nonzero if any experiment's wall time exceeds gate x its baseline (0 disables)")
-		benchreps    = flag.Int("benchreps", 3, "repetitions per experiment in -benchjson mode (best rep is reported)")
-		metricsOut   = flag.String("metrics", "", `write aggregated run metrics (text exposition) to this file at exit ("-" = stdout)`)
-		traceOut     = flag.String("trace", "", `write collected trace events to this file at exit ("-" = stdout)`)
-		fleetN       = flag.Int("fleet", 0, "also benchmark a fleet of this many devices behind one endpoint (adds a fleet section to -benchjson; alone, prints the fleet figures)")
-		fleetShards  = flag.Int("fleetshards", runtime.GOMAXPROCS(0), "fleet bench: worker shards")
-		fleetBatch   = flag.Int("fleetbatch", 64, "fleet bench: steps per device per scheduling slice")
-		fleetBackend = flag.String("backend", "soa", "fleet bench: stepping engine, soa (struct-of-arrays batch kernel) or scalar (reference path)")
-		fleetSubs    = flag.String("fleetsubs", "", `with -fleet: also drain the fleet once per subscriber count in this comma list (e.g. "0,1,8,64"), reporting steps/s, push frames/s, and drops per point (fleet_subs section in -benchjson)`)
+		list       = flag.Bool("list", false, "list experiment ids and exit")
+		fast       = flag.Bool("fast", false, "skip slow experiments")
+		runIDs     = flag.String("run", "", "comma-separated experiment ids to run")
+		plot       = flag.Bool("plot", false, "render numeric experiments as ASCII charts too")
+		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "number of experiments to run in parallel")
+		timeout    = flag.Duration("timeout", 0, "overall deadline (0 = none); pending jobs are canceled")
+		quiet      = flag.Bool("q", false, "suppress progress lines")
+		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		metricsOut = flag.String("metrics", "", `write aggregated run metrics (text exposition) to this file at exit ("-" = stdout)`)
+		traceOut   = flag.String("trace", "", `write collected trace events to this file at exit ("-" = stdout)`)
 	)
 	flag.Parse()
 
 	// Observability is opt-in: installing the process registry is what
 	// turns instrumentation on in every stack the experiments build.
-	// The dump runs deferred so every mode (-benchjson, -compare, the
-	// default batch) reports on its way out.
+	// The dump runs deferred so it reports on every way out.
 	if *metricsOut != "" || *traceOut != "" {
 		obs.SetDefault(obs.NewRegistry())
 		defer dumpObs(*metricsOut, *traceOut)
@@ -137,39 +119,6 @@ func run() int {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	subsCounts, err := parseSubsCounts(*fleetSubs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdbbench: -fleetsubs: %v\n", err)
-		return 2
-	}
-	if len(subsCounts) > 0 && *fleetN <= 0 {
-		fmt.Fprintln(os.Stderr, "sdbbench: -fleetsubs needs -fleet N")
-		return 2
-	}
-
-	if *benchjson != "" {
-		return runBenchJSON(ctx, *benchjson, *baseline, *gate, *benchreps, *quiet,
-			*runIDs, *fleetN, *fleetShards, *fleetBatch, *fleetBackend, subsCounts)
-	}
-	if *compare {
-		return runCompare(ctx, *jobs)
-	}
-	if *fleetN > 0 {
-		// Standalone fleet bench: just the fleet figures, no experiment
-		// tables.
-		if _, err := runFleetBench(*fleetN, *fleetShards, *fleetBatch, *fleetBackend, false); err != nil {
-			fmt.Fprintf(os.Stderr, "sdbbench: fleet: %v\n", err)
-			return 1
-		}
-		if len(subsCounts) > 0 {
-			if _, err := runFleetSubsBench(*fleetN, *fleetShards, *fleetBatch, *fleetBackend, subsCounts, *benchreps, false); err != nil {
-				fmt.Fprintf(os.Stderr, "sdbbench: fleet subs: %v\n", err)
-				return 1
-			}
-		}
-		return 0
 	}
 
 	var selected []sim.Experiment
@@ -258,231 +207,4 @@ func dumpObs(metricsPath, tracePath string) {
 		}
 		write(tracePath, sb.String())
 	}
-}
-
-// runCompare times the fast experiment subset serially and with the
-// requested pool, verifies the outputs are byte-identical, and prints
-// the wall-clock comparison. Returns the process exit code.
-func runCompare(ctx context.Context, jobs int) int {
-	subset := sim.Fast()
-	render := func(b *sim.BatchResult) (string, error) {
-		var sb strings.Builder
-		err := b.Fprint(&sb)
-		return sb.String(), err
-	}
-
-	serialRunner := &sim.Runner{Workers: 1}
-	serial := serialRunner.Run(ctx, subset)
-	if err := serial.FirstErr(); err != nil {
-		fmt.Fprintf(os.Stderr, "sdbbench: serial pass: %v\n", err)
-		return 1
-	}
-	parallelRunner := &sim.Runner{Workers: jobs}
-	parallel := parallelRunner.Run(ctx, subset)
-	if err := parallel.FirstErr(); err != nil {
-		fmt.Fprintf(os.Stderr, "sdbbench: parallel pass: %v\n", err)
-		return 1
-	}
-
-	serialOut, err := render(serial)
-	if err == nil {
-		var parallelOut string
-		parallelOut, err = render(parallel)
-		if err == nil && serialOut != parallelOut {
-			fmt.Fprintln(os.Stderr, "sdbbench: parallel output DIFFERS from serial output")
-			return 1
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdbbench: render: %v\n", err)
-		return 1
-	}
-
-	fmt.Printf("fast subset: %d experiments\n", len(subset))
-	fmt.Printf("  -j 1  %v\n", serial.Wall.Round(time.Millisecond))
-	fmt.Printf("  -j %-2d %v\n", parallel.Workers, parallel.Wall.Round(time.Millisecond))
-	fmt.Printf("  speedup %.2fx, outputs byte-identical\n",
-		serial.Wall.Seconds()/parallel.Wall.Seconds())
-	return 0
-}
-
-// benchExperiment is one experiment's row in the -benchjson report.
-type benchExperiment struct {
-	ID     string  `json:"id"`
-	Cost   string  `json:"cost"`
-	WallMS float64 `json:"wall_ms"`
-	// Steps counts every cell integration step the experiment drove,
-	// whether through the PMIC firmware path or bare on the virtual rig
-	// (0 only for purely analytic drivers).
-	Steps         int64   `json:"steps"`
-	NsPerStep     float64 `json:"ns_per_step,omitempty"`
-	AllocsPerStep float64 `json:"allocs_per_step,omitempty"`
-	// BaselineWallMS and Speedup are present when -baseline was given
-	// and the baseline file carried this experiment.
-	BaselineWallMS float64 `json:"baseline_wall_ms,omitempty"`
-	Speedup        float64 `json:"speedup,omitempty"`
-}
-
-// benchReport is the top-level -benchjson document.
-type benchReport struct {
-	Tool        string            `json:"tool"`
-	GoVersion   string            `json:"go_version"`
-	Reps        int               `json:"reps"`
-	TotalWallMS float64           `json:"total_wall_ms"`
-	Experiments []benchExperiment `json:"experiments"`
-	// Fleet carries the multi-tenant endpoint figures when the report
-	// was generated with -fleet N.
-	Fleet *fleetBenchResult `json:"fleet,omitempty"`
-	// FleetSubs is the subscriber fan-out sweep (-fleetsubs): the same
-	// fleet drained at each subscriber count, so the report shows how
-	// push telemetry scales against stepping throughput.
-	FleetSubs []fleetSubsPoint `json:"fleet_subs,omitempty"`
-}
-
-// runBenchJSON benchmarks every registry experiment serially (reps
-// repetitions each, best rep reported), derives ns/step and allocs/step
-// for the emulation-driven ones, and writes the JSON report. Allocation
-// counts come from runtime.MemStats deltas around the run, which is why
-// this mode forces a single worker. With gate > 0 it is a CI
-// regression lane: any experiment whose best wall time exceeds gate
-// times its baseline fails the run. A non-empty runIDs restricts the
-// bench to those experiments — the cheap way to re-time one figure
-// when deciding whether a wall-time delta is noise or a regression
-// (see the perf protocol in DESIGN.md).
-func runBenchJSON(ctx context.Context, path, baselinePath string, gate float64, reps int, quiet bool, runIDs string, fleetN, fleetShards, fleetBatch int, fleetBackend string, fleetSubs []int) int {
-	if reps < 1 {
-		reps = 1
-	}
-	baselineWall := map[string]float64{}
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdbbench: baseline: %v\n", err)
-			return 1
-		}
-		var prior benchReport
-		if err := json.Unmarshal(raw, &prior); err != nil {
-			fmt.Fprintf(os.Stderr, "sdbbench: baseline %s: %v\n", baselinePath, err)
-			return 1
-		}
-		for _, e := range prior.Experiments {
-			baselineWall[e.ID] = e.WallMS
-		}
-	}
-
-	report := benchReport{
-		Tool:      "sdbbench -benchjson",
-		GoVersion: runtime.Version(),
-		Reps:      reps,
-	}
-	exps := sim.All()
-	if runIDs != "" {
-		exps = exps[:0]
-		for _, id := range strings.Split(runIDs, ",") {
-			e, ok := sim.ByID(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "sdbbench: unknown experiment %q (use -list)\n", id)
-				return 2
-			}
-			exps = append(exps, e)
-		}
-	}
-	for i, e := range exps {
-		best := benchExperiment{ID: e.ID, Cost: e.Cost.String()}
-		for rep := 0; rep < reps; rep++ {
-			runner := &sim.Runner{Workers: 1}
-			var m0, m1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			batch := runner.Run(ctx, []sim.Experiment{e})
-			runtime.ReadMemStats(&m1)
-			if err := batch.FirstErr(); err != nil {
-				fmt.Fprintf(os.Stderr, "sdbbench: %s: %v\n", e.ID, err)
-				return 1
-			}
-			wallMS := float64(batch.Wall.Nanoseconds()) / 1e6
-			if rep == 0 || wallMS < best.WallMS {
-				best.WallMS = wallMS
-				best.Steps = batch.Steps
-				if batch.Steps > 0 {
-					best.NsPerStep = float64(batch.Wall.Nanoseconds()) / float64(batch.Steps)
-					best.AllocsPerStep = float64(m1.Mallocs-m0.Mallocs) / float64(batch.Steps)
-				}
-			}
-		}
-		if base, ok := baselineWall[e.ID]; ok && best.WallMS > 0 {
-			best.BaselineWallMS = base
-			best.Speedup = base / best.WallMS
-		}
-		report.TotalWallMS += best.WallMS
-		report.Experiments = append(report.Experiments, best)
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "sdbbench: bench [%d/%d] %s %.1fms (%d steps)\n",
-				i+1, len(exps), e.ID, best.WallMS, best.Steps)
-		}
-	}
-
-	if fleetN > 0 {
-		// Best of reps, like the experiments above: the fleet figure is a
-		// throughput measurement, and the best rep is the least disturbed
-		// by scheduler noise.
-		for rep := 0; rep < reps; rep++ {
-			fb, err := runFleetBench(fleetN, fleetShards, fleetBatch, fleetBackend, quiet)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sdbbench: fleet: %v\n", err)
-				return 1
-			}
-			if report.Fleet == nil || fb.StepsPerSec > report.Fleet.StepsPerSec {
-				report.Fleet = fb
-			}
-		}
-		if len(fleetSubs) > 0 {
-			pts, err := runFleetSubsBench(fleetN, fleetShards, fleetBatch, fleetBackend, fleetSubs, reps, quiet)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sdbbench: fleet subs: %v\n", err)
-				return 1
-			}
-			report.FleetSubs = pts
-		}
-	}
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdbbench: benchjson: %v\n", err)
-		return 1
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sdbbench: benchjson: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "sdbbench: wrote %s (%d experiments, total %.1fms)\n",
-		path, len(report.Experiments), report.TotalWallMS)
-
-	if gate > 0 {
-		if baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "sdbbench: -gate needs -baseline")
-			return 2
-		}
-		regressed := 0
-		for _, e := range report.Experiments {
-			// Experiments absent from the baseline (newly added) pass;
-			// they gate once the baseline is regenerated.
-			if e.BaselineWallMS <= 0 {
-				continue
-			}
-			if e.WallMS > gate*e.BaselineWallMS {
-				fmt.Fprintf(os.Stderr, "sdbbench: GATE %s regressed: %.1fms vs baseline %.1fms (limit %.1fx)\n",
-					e.ID, e.WallMS, e.BaselineWallMS, gate)
-				regressed++
-			}
-		}
-		if regressed > 0 {
-			fmt.Fprintf(os.Stderr, "sdbbench: %d experiment(s) over the %.1fx regression gate\n", regressed, gate)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "sdbbench: all %d experiments within the %.1fx regression gate\n",
-			len(report.Experiments), gate)
-	}
-	return 0
 }

@@ -30,8 +30,8 @@ func provision(t testing.TB, durS float64) func(uint16) (emulator.Config, error)
 // TestCheckpointRestoreByteIdentical is the durability half of the
 // fleet contract: stop a fleet mid-run, checkpoint it, rebuild from
 // the file — the restored fleet must finish byte-identical to each
-// device's uninterrupted solo run, on both stepping backends, even
-// when the restored fleet uses different shard and batch sizing.
+// device's uninterrupted solo run, even when the restored fleet uses
+// different shard and batch sizing.
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	const durS = 600
 	const n = 40
@@ -43,52 +43,48 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		}
 		want[i] = res
 	}
-	for _, backend := range []string{"soa", "scalar"} {
-		t.Run(backend, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "fleet.ckpt")
-			f := New(Config{Shards: 4, Batch: 37, Backend: backend, Obs: obs.NewRegistry()})
-			for i := 1; i <= n; i++ {
-				if err := f.Add(uint16(i), deviceConfig(t, uint16(i), durS)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Interrupt mid-run at an uneven boundary: 5 ticks of 64
-			// leaves every device mid-trace with partial batches behind it.
-			for i := 0; i < 5; i++ {
-				f.Tick(64)
-			}
-			if _, err := f.WriteCheckpoint(path); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	f := New(Config{Shards: 4, Batch: 37, Obs: obs.NewRegistry()})
+	for i := 1; i <= n; i++ {
+		if err := f.Add(uint16(i), deviceConfig(t, uint16(i), durS)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interrupt mid-run at an uneven boundary: 5 ticks of 64
+	// leaves every device mid-trace with partial batches behind it.
+	for i := 0; i < 5; i++ {
+		f.Tick(64)
+	}
+	if _, err := f.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
-			// Restore with different pool sizing: the snapshot carries
-			// device state, not scheduling.
-			g, err := RestoreFile(path, Config{
-				Shards: 3, Batch: 51, Backend: backend,
-				Obs: obs.NewRegistry(), Provision: provision(t, durS),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer g.Close()
-			if g.Len() != n {
-				t.Fatalf("restored %d devices, want %d", g.Len(), n)
-			}
-			g.RunToCompletion(64)
-			for i := 1; i <= n; i++ {
-				got, err := g.Result(uint16(i))
-				if err != nil {
-					t.Fatalf("device %d after restore: %v", i, err)
-				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("backend %s: device %d diverged after checkpoint/restore", backend, i)
-				}
-			}
-			if st := g.Stat(); st.Steps != uint64(n)*durS {
-				t.Fatalf("restored fleet stepped %d total, want %d", st.Steps, uint64(n)*durS)
-			}
-		})
+	// Restore with different pool sizing: the snapshot carries
+	// device state, not scheduling.
+	g, err := RestoreFile(path, Config{
+		Shards: 3, Batch: 51,
+		Obs: obs.NewRegistry(), Provision: provision(t, durS),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.Len() != n {
+		t.Fatalf("restored %d devices, want %d", g.Len(), n)
+	}
+	g.RunToCompletion(64)
+	for i := 1; i <= n; i++ {
+		got, err := g.Result(uint16(i))
+		if err != nil {
+			t.Fatalf("device %d after restore: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("device %d diverged after checkpoint/restore", i)
+		}
+	}
+	if st := g.Stat(); st.Steps != uint64(n)*durS {
+		t.Fatalf("restored fleet stepped %d total, want %d", st.Steps, uint64(n)*durS)
 	}
 }
 

@@ -52,14 +52,6 @@ type Config struct {
 	// Obs receives the fleet's aggregate metrics. Nil falls back to the
 	// process default registry.
 	Obs *obs.Registry
-	// Backend selects the stepping engine: "soa" (the default) checks
-	// each device's cells out into its shard's struct-of-arrays batch
-	// engine so shard ticks run the batched kernel; "scalar" steps every
-	// device through the reference scalar path. Devices ineligible for
-	// the batched path (instrumented, non-dense curves) silently fall
-	// back to scalar either way — the two backends are bit-identical by
-	// contract, so the choice is purely a performance/ A-B knob.
-	Backend string
 	// Checkpoint, when non-empty, is the path checkpoints are written
 	// to: the periodic auto-checkpoint (CheckpointEvery), Drain's final
 	// checkpoint, and the remote FleetSnapshot command all target it.
@@ -189,11 +181,11 @@ type shard struct {
 	// by the shard goroutine. At shardRestartAfter the supervisor
 	// recycles the goroutine (see superviseShard).
 	panics int
-	// eng is the shard's struct-of-arrays engine (nil on the scalar
-	// backend): every batched device on the shard has its cell lanes in
-	// this one engine, so a tick sweeps contiguous arrays. Lanes are
-	// append-only — removing a device strands its lanes until the fleet
-	// is rebuilt, a deliberate trade for stable lane offsets.
+	// eng is the shard's struct-of-arrays engine: every batched device
+	// on the shard has its cell lanes in this one engine, so a tick
+	// sweeps contiguous arrays. Lanes are append-only — removing a
+	// device strands its lanes until the fleet is rebuilt, a deliberate
+	// trade for stable lane offsets.
 	eng *batch.Engine
 }
 
@@ -256,9 +248,6 @@ func New(cfg Config) *Fleet {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 64
 	}
-	if cfg.Backend != "scalar" {
-		cfg.Backend = "soa"
-	}
 	reg := cfg.Obs.Or(obs.Default())
 	f := &Fleet{
 		cfg:     cfg,
@@ -292,9 +281,7 @@ func New(cfg Config) *Fleet {
 			wake: make(chan tickReq),
 			hist: reg.Histogram(fmt.Sprintf("sdb_fleet_shard%d_batch_seconds", i),
 				[]float64{1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1}),
-		}
-		if cfg.Backend == "soa" {
-			s.eng = batch.New()
+			eng: batch.New(),
 		}
 		f.shards = append(f.shards, s)
 		go f.superviseShard(s)
@@ -345,14 +332,12 @@ func (f *Fleet) Add(id uint16, cfg emulator.Config) error {
 	f.devices[id] = d
 	s := f.shards[d.shard]
 	s.devices = append(s.devices, d)
-	if s.eng != nil {
-		// Check the device out into the shard's batch engine. Safe here:
-		// shard goroutines only touch the engine while ticking, and ticks
-		// hold regMu shared, excluded by the write lock above. A refusal
-		// (instrumented run, non-dense curves) just leaves the device on
-		// the reference scalar path.
-		m.EnableBatch(s.eng)
-	}
+	// Check the device out into the shard's batch engine. Safe here:
+	// shard goroutines only touch the engine while ticking, and ticks
+	// hold regMu shared, excluded by the write lock above. A refusal
+	// (instrumented run, non-dense curves) just leaves the device on
+	// the reference scalar path, which is bit-identical by contract.
+	m.EnableBatch(s.eng)
 	f.churn.Add(1)
 	f.om.churn.Inc()
 	f.om.devices.Set(float64(len(f.devices)))
@@ -384,10 +369,6 @@ func (f *Fleet) Remove(id uint16) bool {
 	f.om.devices.Set(float64(len(f.devices)))
 	return true
 }
-
-// Backend reports the stepping engine the fleet was built with
-// ("soa" or "scalar"), after defaulting.
-func (f *Fleet) Backend() string { return f.cfg.Backend }
 
 // Len returns the number of registered devices.
 func (f *Fleet) Len() int {

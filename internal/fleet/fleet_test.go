@@ -82,50 +82,50 @@ func TestFleetSoakByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetBackends pins the backend knob: the default is the
-// struct-of-arrays engine with every eligible device checked out into
-// its shard's lanes, "scalar" runs engine-free, and the two produce
-// deeply equal results for the same device population.
+// TestFleetBackends pins the two stepping paths inside one fleet:
+// every shard has a struct-of-arrays engine with every eligible device
+// checked out into its lanes, an ineligible device (an instrumented
+// one) steps through the scalar fallback on the same shard, and every
+// device finishes deeply equal to its solo run.
 func TestFleetBackends(t *testing.T) {
 	const n, durS = 40, 300
-	results := map[string][]*emulator.Result{}
-	for _, backend := range []string{"scalar", "soa"} {
-		f := New(Config{Shards: 3, Batch: 37, Backend: backend, Obs: obs.NewRegistry()})
-		if got := f.Backend(); got != backend {
-			t.Fatalf("Backend() = %q, want %q", got, backend)
+	cfgFor := func(id uint16) emulator.Config {
+		cfg := deviceConfig(t, id, durS)
+		if id == n+1 {
+			cfg.Obs = obs.NewRegistry()
 		}
-		for i := 1; i <= n; i++ {
-			if err := f.Add(uint16(i), deviceConfig(t, uint16(i), durS)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var lanes int
-		for _, s := range f.shards {
-			if backend == "scalar" {
-				if s.eng != nil {
-					t.Fatal("scalar backend built a batch engine")
-				}
-				continue
-			}
-			lanes += s.eng.Len()
-		}
-		if backend == "soa" && lanes != 2*n {
-			// Two cells per device: every device must actually be checked
-			// out, or the soaks would silently validate the scalar path.
-			t.Fatalf("soa backend checked out %d lanes, want %d", lanes, 2*n)
-		}
-		f.RunToCompletion(64)
-		for i := 1; i <= n; i++ {
-			res, err := f.Result(uint16(i))
-			if err != nil {
-				t.Fatalf("%s device %d: %v", backend, i, err)
-			}
-			results[backend] = append(results[backend], res)
-		}
-		f.Close()
+		return cfg
 	}
-	if !reflect.DeepEqual(results["scalar"], results["soa"]) {
-		t.Fatal("scalar and soa backends diverged")
+	f := New(Config{Shards: 3, Batch: 37, Obs: obs.NewRegistry()})
+	defer f.Close()
+	for i := 1; i <= n+1; i++ {
+		if err := f.Add(uint16(i), cfgFor(uint16(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lanes int
+	for _, s := range f.shards {
+		lanes += s.eng.Len()
+	}
+	if lanes != 2*n {
+		// Two cells per device: every eligible device must actually be
+		// checked out, or the soaks would silently validate the scalar
+		// path; the instrumented one must not be.
+		t.Fatalf("batch engines hold %d lanes, want %d", lanes, 2*n)
+	}
+	f.RunToCompletion(64)
+	for i := 1; i <= n+1; i++ {
+		want, err := emulator.Run(cfgFor(uint16(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Result(uint16(i))
+		if err != nil {
+			t.Fatalf("device %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("device %d diverged from its solo run", i)
+		}
 	}
 }
 
