@@ -43,49 +43,52 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		}
 		want[i] = res
 	}
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	f := New(Config{Shards: 4, Batch: 37, Obs: obs.NewRegistry()})
-	for i := 1; i <= n; i++ {
-		if err := f.Add(uint16(i), deviceConfig(t, uint16(i), durS)); err != nil {
+	// Every shard steps on the SoA batch engine; the subtest names it.
+	t.Run("soa", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "fleet.ckpt")
+		f := New(Config{Shards: 4, Batch: 37, Obs: obs.NewRegistry()})
+		for i := 1; i <= n; i++ {
+			if err := f.Add(uint16(i), deviceConfig(t, uint16(i), durS)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Interrupt mid-run at an uneven boundary: 5 ticks of 64
+		// leaves every device mid-trace with partial batches behind it.
+		for i := 0; i < 5; i++ {
+			f.Tick(64)
+		}
+		if _, err := f.WriteCheckpoint(path); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Interrupt mid-run at an uneven boundary: 5 ticks of 64
-	// leaves every device mid-trace with partial batches behind it.
-	for i := 0; i < 5; i++ {
-		f.Tick(64)
-	}
-	if _, err := f.WriteCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		f.Close()
 
-	// Restore with different pool sizing: the snapshot carries
-	// device state, not scheduling.
-	g, err := RestoreFile(path, Config{
-		Shards: 3, Batch: 51,
-		Obs: obs.NewRegistry(), Provision: provision(t, durS),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.Len() != n {
-		t.Fatalf("restored %d devices, want %d", g.Len(), n)
-	}
-	g.RunToCompletion(64)
-	for i := 1; i <= n; i++ {
-		got, err := g.Result(uint16(i))
+		// Restore with different pool sizing: the snapshot carries
+		// device state, not scheduling.
+		g, err := RestoreFile(path, Config{
+			Shards: 3, Batch: 51,
+			Obs: obs.NewRegistry(), Provision: provision(t, durS),
+		})
 		if err != nil {
-			t.Fatalf("device %d after restore: %v", i, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("device %d diverged after checkpoint/restore", i)
+		defer g.Close()
+		if g.Len() != n {
+			t.Fatalf("restored %d devices, want %d", g.Len(), n)
 		}
-	}
-	if st := g.Stat(); st.Steps != uint64(n)*durS {
-		t.Fatalf("restored fleet stepped %d total, want %d", st.Steps, uint64(n)*durS)
-	}
+		g.RunToCompletion(64)
+		for i := 1; i <= n; i++ {
+			got, err := g.Result(uint16(i))
+			if err != nil {
+				t.Fatalf("device %d after restore: %v", i, err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("device %d diverged after checkpoint/restore", i)
+			}
+		}
+		if st := g.Stat(); st.Steps != uint64(n)*durS {
+			t.Fatalf("restored fleet stepped %d total, want %d", st.Steps, uint64(n)*durS)
+		}
+	})
 }
 
 // TestCheckpointSoakByteIdentical is the at-scale acceptance bar:

@@ -30,76 +30,79 @@ func panicDeviceConfig(t testing.TB, id uint16, durS, atS float64) emulator.Conf
 // neighbors — finishes byte-identical to its solo run.
 func TestQuarantineIsolatesPoisonDevice(t *testing.T) {
 	const durS = 600
-	reg := obs.NewRegistry()
-	f := New(Config{Shards: 2, Batch: 37, Obs: reg})
-	defer f.Close()
-	// Add order fixes shard placement (round-robin): ids 1,3,5
-	// land on shard 0, ids 2,4,6 on shard 1. Device 3 is the
-	// poison pill; 1 and 5 share its shard.
-	for i := 1; i <= 6; i++ {
-		cfg := deviceConfig(t, uint16(i), durS)
-		if i == 3 {
-			cfg = panicDeviceConfig(t, 3, durS, 100)
+	// Every shard steps on the SoA batch engine; the subtest names it.
+	t.Run("soa", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		f := New(Config{Shards: 2, Batch: 37, Obs: reg})
+		defer f.Close()
+		// Add order fixes shard placement (round-robin): ids 1,3,5
+		// land on shard 0, ids 2,4,6 on shard 1. Device 3 is the
+		// poison pill; 1 and 5 share its shard.
+		for i := 1; i <= 6; i++ {
+			cfg := deviceConfig(t, uint16(i), durS)
+			if i == 3 {
+				cfg = panicDeviceConfig(t, 3, durS, 100)
+			}
+			if err := f.Add(uint16(i), cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := f.Add(uint16(i), cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.RunToCompletion(64)
+		f.RunToCompletion(64)
 
-	if got := f.Quarantined(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Quarantined() = %v, want [3]", got)
-	}
-	st := f.Stat()
-	if st.Quarantined != 1 {
-		t.Fatalf("Stat().Quarantined = %d, want 1", st.Quarantined)
-	}
-	if err := f.Err(3); err == nil || !strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("Err(3) = %v, want quarantine error", err)
-	}
-	if _, err := f.Result(3); err == nil || !strings.Contains(err.Error(), "injected device panic") {
-		t.Fatalf("Result(3) = %v, want the panic cause in the error", err)
-	}
-	for i := 1; i <= 6; i++ {
-		if i == 3 {
-			continue
+		if got := f.Quarantined(); len(got) != 1 || got[0] != 3 {
+			t.Fatalf("Quarantined() = %v, want [3]", got)
 		}
-		want, err := emulator.Run(deviceConfig(t, uint16(i), durS))
-		if err != nil {
-			t.Fatal(err)
+		st := f.Stat()
+		if st.Quarantined != 1 {
+			t.Fatalf("Stat().Quarantined = %d, want 1", st.Quarantined)
 		}
-		got, err := f.Result(uint16(i))
-		if err != nil {
-			t.Fatalf("healthy device %d: %v", i, err)
+		if err := f.Err(3); err == nil || !strings.Contains(err.Error(), "quarantined") {
+			t.Fatalf("Err(3) = %v, want quarantine error", err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("device %d diverged after neighbor quarantine", i)
+		if _, err := f.Result(3); err == nil || !strings.Contains(err.Error(), "injected device panic") {
+			t.Fatalf("Result(3) = %v, want the panic cause in the error", err)
 		}
-	}
-	if v := reg.Counter("sdb_fleet_device_panics_total").Value(); v != 1 {
-		t.Fatalf("panic counter = %d, want 1", v)
-	}
-	if v := reg.Gauge("sdb_fleet_quarantined_devices").Value(); v != 1 {
-		t.Fatalf("quarantine gauge = %g, want 1", v)
-	}
-	var traced bool
-	for _, ev := range reg.Tracer().Events() {
-		if ev.Scope == "fleet" && ev.Kind == "device-quarantine" && ev.V1 == 3 {
-			traced = true
+		for i := 1; i <= 6; i++ {
+			if i == 3 {
+				continue
+			}
+			want, err := emulator.Run(deviceConfig(t, uint16(i), durS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.Result(uint16(i))
+			if err != nil {
+				t.Fatalf("healthy device %d: %v", i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("device %d diverged after neighbor quarantine", i)
+			}
 		}
-	}
-	if !traced {
-		t.Fatal("no device-quarantine trace event for device 3")
-	}
-	var audited bool
-	for _, rec := range reg.Audit().Records() {
-		if rec.Health == "quarantined" && strings.Contains(rec.Note, "device 3") {
-			audited = true
+		if v := reg.Counter("sdb_fleet_device_panics_total").Value(); v != 1 {
+			t.Fatalf("panic counter = %d, want 1", v)
 		}
-	}
-	if !audited {
-		t.Fatal("no audit record for the quarantine")
-	}
+		if v := reg.Gauge("sdb_fleet_quarantined_devices").Value(); v != 1 {
+			t.Fatalf("quarantine gauge = %g, want 1", v)
+		}
+		var traced bool
+		for _, ev := range reg.Tracer().Events() {
+			if ev.Scope == "fleet" && ev.Kind == "device-quarantine" && ev.V1 == 3 {
+				traced = true
+			}
+		}
+		if !traced {
+			t.Fatal("no device-quarantine trace event for device 3")
+		}
+		var audited bool
+		for _, rec := range reg.Audit().Records() {
+			if rec.Health == "quarantined" && strings.Contains(rec.Note, "device 3") {
+				audited = true
+			}
+		}
+		if !audited {
+			t.Fatal("no audit record for the quarantine")
+		}
+	})
 }
 
 // TestShardRestartEscalation: repeated panics on one shard escalate to
