@@ -21,6 +21,8 @@
 #   - coverage ratchet: per-package floors in COVERAGE.ratchet.
 #   - exact counts: the figures and fleet-full benchmark workloads must
 #     check correct and reproduce PERF_COUNTS.json exactly.
+#   - fleet heap: the fleet-drain benchmark workload (10,000 devices,
+#     seed 1) must check correct with heap_mb <= 75.
 #   - recorder smoke: sdbsim -store -> sdbtrace export/query.
 set -eux
 
@@ -149,6 +151,15 @@ for w in figures fleet-full; do
 done
 jq -S -s add counts.lane.json | diff PERF_COUNTS.json -
 rm -f perf.lane.txt counts.lane.json
+
+# Fleet heap lane. The live heap after GC of 10,000 provisioned devices
+# is deterministic for a seed (72.1 MB at seed 1), unlike a timing: a
+# device that again rebuilds shared model tables or oversizes its
+# series (89.5 MB before they were shared and sized exactly) fails the
+# 75 MB bound.
+bash sdbperf/run.sh --workload fleet-drain --seed 1 --seconds 1 --trace 0 > perf.lane.txt
+tail -n 1 perf.lane.txt | jq -e '.correct and .metrics.heap_mb.value <= 75' > /dev/null
+rm -f perf.lane.txt
 
 # Recorder smoke lane: record a short run into a paged store, export
 # it both ways and through a time window, and confirm the recorded

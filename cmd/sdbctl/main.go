@@ -735,8 +735,11 @@ func serve(argv []string) {
 // initial charge and load vary by id so the fleet is heterogeneous.
 // Device 0 doubles as the management device: it carries the recorder,
 // so `sdbctl series`/`watch` against the endpoint read fleet-level
-// observables. A wall-clock ticker advances every device -speed
-// simulated seconds per second until its trace drains.
+// observables. The devices themselves are uninstrumented (see
+// fleetServer), so per-device `metrics` scrapes answer empty and every
+// device steps on its shard's batch engine. A wall-clock ticker
+// advances every device -speed simulated seconds per second until its
+// trace drains.
 //
 // With ckpt set the server checkpoints every `every` ticks, restores
 // from an existing checkpoint at startup (the device builder doubles
@@ -752,7 +755,6 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 	if n > 0xFFFF {
 		fatalf("-fleet %d exceeds the 16-bit device id space", n)
 	}
-	obs.SetDefault(obs.NewRegistry())
 	var tstore *store.Store
 	if storePath != "" {
 		st, err := store.OpenOrCreate(storePath, store.Options{})
@@ -761,32 +763,10 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 		}
 		tstore = st
 	}
-	rec := sdb.NewRecorder(obs.Default(), sdb.RecorderConfig{StepS: speed})
-	provision := func(id uint16) (emulator.Config, error) {
-		soc := 0.4 + 0.6*float64(id%50)/50
-		load := loadW * (0.8 + 0.4*float64(id%7)/7)
-		st, err := emulator.NewStack(soc, core.Options{},
-			battery.MustByName("QuickCharge-2000"),
-			battery.MustByName("Standard-2000"))
-		if err != nil {
-			return emulator.Config{}, err
-		}
-		cfg := emulator.Config{
-			Controller:   st.Controller,
-			Trace:        workload.Constant(fmt.Sprintf("dev-%d", id), load, durS, 1),
-			PolicyEveryS: 60,
-		}
-		if id%3 == 0 {
-			cfg.Runtime = st.Runtime
-		}
-		if id == 0 {
-			st.Controller.SetRecorder(rec)
-		}
-		return cfg, nil
-	}
+	srv := newFleetServer(loadW, speed, durS)
 	fcfg := fleet.Config{
-		Shards: shards, Batch: batch, Obs: obs.Default(),
-		Checkpoint: ckpt, CheckpointEvery: every, Provision: provision,
+		Shards: shards, Batch: batch, Obs: srv.reg,
+		Checkpoint: ckpt, CheckpointEvery: every, Provision: srv.provision,
 		Record: tstore, RecordEvery: recEvery, Rules: rules,
 	}
 	var f *fleet.Fleet
@@ -806,7 +786,7 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 		f = fleet.New(fcfg)
 		for i := 0; i < n; i++ {
 			id := uint16(i)
-			cfg, err := provision(id)
+			cfg, err := srv.provision(id)
 			if err != nil {
 				fatalf("device %d: %v", id, err)
 			}
@@ -860,7 +840,7 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 		var simT float64
 		ticks := 0
 		for range tick.C {
-			rec.Sample(simT)
+			srv.rec.Sample(simT)
 			if f.Tick(int(speed)) == 0 {
 				fmt.Fprintln(os.Stderr, "sdbctl: fleet traces drained; serving final state")
 				if tstore != nil {
@@ -893,6 +873,58 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 			}
 		}()
 	}
+}
+
+// fleetLoadLevels is how many distinct loads a served fleet draws:
+// device id's load is level id%fleetLoadLevels.
+const fleetLoadLevels = 7
+
+// fleetServer is what a fleet server provisions its devices from.
+type fleetServer struct {
+	// reg is the fleet's own registry (fleet.Config.Obs), sampled by
+	// rec. It is not the process default, so no device binds to it: the
+	// devices stay uninstrumented, which is what lets every shard step
+	// them on its struct-of-arrays batch engine.
+	reg *obs.Registry
+	// rec is device 0's recorder over reg.
+	rec *ts.Recorder
+	// traces are the constant loads, one per level, built once and
+	// shared read-only by every device.
+	traces [fleetLoadLevels]*workload.Trace
+}
+
+func newFleetServer(loadW, speed, durS float64) *fleetServer {
+	reg := obs.NewRegistry()
+	s := &fleetServer{reg: reg, rec: sdb.NewRecorder(reg, sdb.RecorderConfig{StepS: speed})}
+	for l := range s.traces {
+		w := loadW * (0.8 + 0.4*float64(l)/fleetLoadLevels)
+		s.traces[l] = workload.Constant(fmt.Sprintf("load-%d", l), w, durS, 1)
+	}
+	return s
+}
+
+// provision builds device id; it doubles as the fleet's Provision hook,
+// so a restored device is rebuilt exactly as it was first built.
+func (s *fleetServer) provision(id uint16) (emulator.Config, error) {
+	soc := 0.4 + 0.6*float64(id%50)/50
+	st, err := emulator.NewStack(soc, core.Options{},
+		battery.MustByName("QuickCharge-2000"),
+		battery.MustByName("Standard-2000"))
+	if err != nil {
+		return emulator.Config{}, err
+	}
+	cfg := emulator.Config{
+		Controller:   st.Controller,
+		Trace:        s.traces[id%fleetLoadLevels],
+		PolicyEveryS: 60,
+	}
+	if id%3 == 0 {
+		cfg.Runtime = st.Runtime
+	}
+	if id == 0 {
+		st.Controller.SetRecorder(s.rec)
+	}
+	return cfg, nil
 }
 
 func parseRatios(s string) ([]float64, error) {

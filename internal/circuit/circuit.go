@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"sdb/internal/battery"
 )
@@ -171,20 +172,26 @@ type ChargerConfig struct {
 	ToleranceFrac float64
 }
 
+// relEfficiency is the Figure 6(c) curve in dense form: the charger
+// efficiency is evaluated per cell per charging step; knots are
+// multiples of 0.2 over [0, 2.2], so a multiple-of-11 grid lands on
+// every knot within rounding. It is built once: a Curve is immutable,
+// so every charger of every controller shares the one table.
+var relEfficiency = sync.OnceValue(func() battery.Curve {
+	return battery.MustCurve(
+		[]float64{0.0, 0.4, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2},
+		[]float64{1.0, 1.0, 0.998, 0.995, 0.990, 0.983, 0.973, 0.962, 0.951, 0.940},
+	).MustDense(110)
+})
+
 // DefaultChargerConfig returns the configuration calibrated to
 // Figure 6(c)/(d): ~100% of typical efficiency at light load declining
 // to 94% at 2.2 A, current error at or below 0.5%.
 func DefaultChargerConfig() ChargerConfig {
 	return ChargerConfig{
-		MaxCurrentA: 2.5,
-		DACSteps:    2048,
-		// Dense form: the charger efficiency is evaluated per cell per
-		// charging step; knots are multiples of 0.2 over [0, 2.2], so a
-		// multiple-of-11 grid lands on every knot within rounding.
-		RelEfficiency: battery.MustCurve(
-			[]float64{0.0, 0.4, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2},
-			[]float64{1.0, 1.0, 0.998, 0.995, 0.990, 0.983, 0.973, 0.962, 0.951, 0.940},
-		).MustDense(110),
+		MaxCurrentA:       2.5,
+		DACSteps:          2048,
+		RelEfficiency:     relEfficiency(),
 		TypicalEfficiency: 0.92,
 		ToleranceFrac:     0.003,
 	}

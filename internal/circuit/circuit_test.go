@@ -166,6 +166,20 @@ func TestChargerConfigValidation(t *testing.T) {
 	}
 }
 
+// Every controller builds its chargers from DefaultChargerConfig, so
+// the dense efficiency table must be built once and shared, not
+// resampled per call.
+func TestDefaultChargerConfigSharesDenseTable(t *testing.T) {
+	a, _, _, _ := DefaultChargerConfig().RelEfficiency.DenseTable()
+	b, _, _, _ := DefaultChargerConfig().RelEfficiency.DenseTable()
+	if len(a) == 0 || len(b) == 0 {
+		t.Fatal("default charger efficiency curve has no dense table")
+	}
+	if &a[0] != &b[0] {
+		t.Error("two DefaultChargerConfig calls built two dense efficiency tables")
+	}
+}
+
 func TestChargerEfficiencyMatchesFigure6c(t *testing.T) {
 	c := newCharger(t)
 	// Paper: very high relative efficiency at light loads, ~94% of

@@ -183,7 +183,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if m.reg != nil {
 		m.startE = packStoredJ(m.cells)
 	}
-	samples := m.steps/m.recordEvery + 1
+	// Step k records when k%recordEvery == 0, so a full run writes
+	// exactly ceil(steps/recordEvery) samples per column.
+	samples := (m.steps + m.recordEvery - 1) / m.recordEvery
 	m.res = &Result{
 		DrainedAtS:     -1,
 		CellDrainedAtS: make([]float64, m.n),

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -91,17 +92,35 @@ func TestRunRecordsSeries(t *testing.T) {
 }
 
 func TestRunRecordThrottling(t *testing.T) {
-	st := twoCellStack(t, 1, core.Options{})
-	tr := workload.Constant("2w", 2, 100, 1)
-	res, err := Run(Config{
-		Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
-		RecordEveryS: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Series.T) != 10 {
-		t.Errorf("throttled series has %d samples, want 10", len(res.Series.T))
+	// A 100-step trace records at steps 0, every, 2*every, ...: the
+	// series must hold exactly that many samples, and the columns must
+	// have been preallocated to exactly that size (len == cap).
+	for _, tc := range []struct {
+		everyS float64
+		want   int
+	}{{1, 100}, {10, 10}, {60, 2}, {7, 15}} {
+		st := twoCellStack(t, 1, core.Options{})
+		tr := workload.Constant("2w", 2, 100, 1)
+		res, err := Run(Config{
+			Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
+			RecordEveryS: tc.everyS,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Series
+		cols := map[string][]float64{
+			"T": s.T, "LoadW": s.LoadW, "DeliveredW": s.DeliveredW,
+			"CircuitLossW": s.CircuitLossW, "BatteryLossW": s.BatteryLossW,
+		}
+		for i, soc := range s.SoC {
+			cols[fmt.Sprintf("SoC[%d]", i)] = soc
+		}
+		for name, col := range cols {
+			if len(col) != tc.want || cap(col) != tc.want {
+				t.Errorf("every %gs: %s has len %d cap %d, want %d", tc.everyS, name, len(col), cap(col), tc.want)
+			}
+		}
 	}
 }
 

@@ -92,6 +92,31 @@ func TestRunAllocationsDoNotScaleWithSteps(t *testing.T) {
 	}
 }
 
+// stackBytesBudget bounds the heap bytes one NewStack of the fleet's
+// QuickCharge-2000 + Standard-2000 pack may allocate. The stack
+// allocates 3,330 B (3,344 B under -race). A per-controller
+// charge-profile map adds 480 B and a per-controller dense charger
+// efficiency table 1,280 B (5,090 B with both), so either coming back
+// fails the budget. Byte counts are deterministic, not timings.
+const stackBytesBudget = 3584
+
+// TestNewStackBytes pins the per-device cost of a stack to
+// stackBytesBudget.
+func TestNewStackBytes(t *testing.T) {
+	qc, std := battery.MustByName("QuickCharge-2000"), battery.MustByName("Standard-2000")
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewStack(0.5, core.Options{}, qc, std); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got > stackBytesBudget {
+		t.Errorf("NewStack allocates %d B per stack, budget %d B", got, stackBytesBudget)
+	}
+}
+
 // BenchmarkEmulatorStep measures the full per-step cost of the
 // emulation loop (trace sampling, firmware step, series recording) on a
 // two-cell pack, firmware-only.

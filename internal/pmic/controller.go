@@ -185,13 +185,16 @@ type Controller struct {
 	gauges   []*fuelgauge.Gauge
 	dpath    *circuit.DischargePath
 	chargers []*circuit.Charger
-	profiles map[string]circuit.ChargeProfile
+	// profiles is the validated profile table, fixed at construction
+	// and resolved by name with findProfile: a table holds a handful of
+	// entries, so a scan is as fast as a map and costs no allocation.
+	profiles []circuit.ChargeProfile
 
 	dischargeRatios []float64
 	chargeRatios    []float64
 	profileSel      []string
 	// profileByIdx mirrors profileSel with the resolved profiles so the
-	// per-step charging path avoids a map lookup per cell.
+	// per-step charging path avoids a name lookup per cell.
 	profileByIdx []circuit.ChargeProfile
 	xfer         *transfer
 	reportGauge  bool
@@ -309,14 +312,16 @@ func NewController(cfg Config) (*Controller, error) {
 	if len(cfg.Profiles) == 0 {
 		return nil, errors.New("pmic: config needs at least one charge profile")
 	}
-	profiles := make(map[string]circuit.ChargeProfile, len(cfg.Profiles))
 	for _, p := range cfg.Profiles {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		profiles[p.Name] = p
 	}
-	if _, ok := profiles[cfg.DefaultProfile]; !ok {
+	// A copy, so a caller that edits its Config afterwards cannot
+	// change the firmware's table.
+	profiles := append([]circuit.ChargeProfile(nil), cfg.Profiles...)
+	def, ok := findProfile(profiles, cfg.DefaultProfile)
+	if !ok {
 		return nil, fmt.Errorf("pmic: default profile %q not in profile table", cfg.DefaultProfile)
 	}
 
@@ -350,9 +355,20 @@ func NewController(cfg Config) (*Controller, error) {
 		}
 		c.gauges = append(c.gauges, g)
 		c.profileSel[i] = cfg.DefaultProfile
-		c.profileByIdx[i] = profiles[cfg.DefaultProfile]
+		c.profileByIdx[i] = def
 	}
 	return c, nil
+}
+
+// findProfile resolves a profile name. It scans from the end, so when a
+// table repeats a name the last entry wins.
+func findProfile(profiles []circuit.ChargeProfile, name string) (circuit.ChargeProfile, bool) {
+	for i := len(profiles) - 1; i >= 0; i-- {
+		if profiles[i].Name == name {
+			return profiles[i], true
+		}
+	}
+	return circuit.ChargeProfile{}, false
 }
 
 func uniform(n int) []float64 {
@@ -518,7 +534,7 @@ func (c *Controller) SetChargeProfile(batt int, profile string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.profiles[profile]
+	p, ok := findProfile(c.profiles, profile)
 	if !ok {
 		return fmt.Errorf("pmic: unknown charge profile %q", profile)
 	}

@@ -485,3 +485,22 @@ func TestSetChargeProfileRejectsWrongVoltageScale(t *testing.T) {
 		t.Errorf("pack-scale profile rejected: %v", err)
 	}
 }
+
+func TestProfileTableLastNameWinsAndIsCopied(t *testing.T) {
+	// Two entries share a name: the last one, whose CV ceiling sits
+	// below any cell's 20%-charge potential, must be the one resolved.
+	cfg := DefaultConfig(battery.MustNewPack(battery.MustNew(battery.MustByName("Standard-2000"))))
+	cfg.Profiles = append(cfg.Profiles,
+		circuit.ChargeProfile{Name: "dup", CRate: 0.5, TrickleCRate: 0.1, ThresholdSoC: 0.8, CVVoltage: 4.2},
+		circuit.ChargeProfile{Name: "dup", CRate: 0.5, TrickleCRate: 0.1, ThresholdSoC: 0.8, CVVoltage: 1.0})
+	c, err := NewController(cfg)
+	mustNoErr(t, err)
+	if err := c.SetChargeProfile(0, "dup"); err == nil {
+		t.Error("first of two same-named profiles won")
+	}
+	// Editing the caller's table afterwards must not reach the firmware.
+	cfg.Profiles[len(cfg.Profiles)-1].CVVoltage = 4.2
+	if err := c.SetChargeProfile(0, "dup"); err == nil {
+		t.Error("controller shares the caller's profile table")
+	}
+}

@@ -93,7 +93,7 @@ func (c *Controller) ImportState(st ControllerState) error {
 		}
 	}
 	for _, name := range st.ProfileSel {
-		if _, ok := c.profiles[name]; !ok {
+		if _, ok := findProfile(c.profiles, name); !ok {
 			return fmt.Errorf("pmic: import: profile %q not in profile table", name)
 		}
 	}
@@ -112,7 +112,7 @@ func (c *Controller) ImportState(st ControllerState) error {
 	copy(c.chargeRatios, st.ChargeRatios)
 	copy(c.profileSel, st.ProfileSel)
 	for i, name := range st.ProfileSel {
-		c.profileByIdx[i] = c.profiles[name]
+		c.profileByIdx[i], _ = findProfile(c.profiles, name)
 	}
 	copy(c.open, st.Open)
 	c.xfer = nil

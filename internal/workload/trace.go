@@ -36,13 +36,15 @@ func (tr *Trace) Validate() error {
 		return fmt.Errorf("workload: trace %s: %d load vs %d external samples",
 			tr.Name, len(tr.Load), len(tr.External))
 	}
+	// One comparison pair per sample rejects negatives, NaN (every
+	// comparison with NaN is false) and ±Inf; -0 passes, as before.
 	for i, w := range tr.Load {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		if !(w >= 0 && w <= math.MaxFloat64) {
 			return fmt.Errorf("workload: trace %s: bad load sample %d: %g", tr.Name, i, w)
 		}
 	}
 	for i, w := range tr.External {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		if !(w >= 0 && w <= math.MaxFloat64) {
 			return fmt.Errorf("workload: trace %s: bad external sample %d: %g", tr.Name, i, w)
 		}
 	}

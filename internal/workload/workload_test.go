@@ -13,19 +13,35 @@ func TestTraceValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
+	for i, w := range []float64{math.Copysign(0, -1), math.MaxFloat64} {
+		tr := &Trace{Name: "x", DT: 1, Load: []float64{w}, External: []float64{w}}
+		if err := tr.Validate(); err != nil {
+			t.Errorf("good sample %d (%g) rejected: %v", i, w, err)
+		}
+	}
 	bad := []*Trace{
 		{Name: "", DT: 1, Load: []float64{1}},
 		{Name: "x", DT: 0, Load: []float64{1}},
 		{Name: "x", DT: 1, Load: nil},
 		{Name: "x", DT: 1, Load: []float64{-1}},
 		{Name: "x", DT: 1, Load: []float64{math.NaN()}},
+		{Name: "x", DT: 1, Load: []float64{math.Inf(1)}},
+		{Name: "x", DT: 1, Load: []float64{math.Inf(-1)}},
 		{Name: "x", DT: 1, Load: []float64{1, 2}, External: []float64{1}},
 		{Name: "x", DT: 1, Load: []float64{1}, External: []float64{-2}},
+		{Name: "x", DT: 1, Load: []float64{1}, External: []float64{math.Inf(1)}},
+		{Name: "x", DT: 1, Load: []float64{1}, External: []float64{math.Inf(-1)}},
+		{Name: "x", DT: 1, Load: []float64{1}, External: []float64{math.NaN()}},
 	}
 	for i, tr := range bad {
 		if err := tr.Validate(); err == nil {
 			t.Errorf("bad trace %d accepted", i)
 		}
+	}
+	// The error names the offending sample and its value.
+	tr := &Trace{Name: "x", DT: 1, Load: []float64{1, math.Inf(-1)}}
+	if err := tr.Validate(); err == nil || err.Error() != "workload: trace x: bad load sample 1: -Inf" {
+		t.Errorf("error = %v", err)
 	}
 }
 
