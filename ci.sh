@@ -23,7 +23,8 @@
 #     check correct and reproduce PERF_COUNTS.json exactly.
 #   - fleet heap: the fleet-drain benchmark workload (10,000 devices,
 #     seed 1) must check correct with heap_mb <= 75.
-#   - recorder smoke: sdbsim -store -> sdbtrace export/query.
+#   - recorder smoke: sdbsim -store -> sdbtrace export/query, with the
+#     query series listing's header and a row pinned.
 set -eux
 
 go build ./...
@@ -163,11 +164,16 @@ rm -f perf.lane.txt
 
 # Recorder smoke lane: record a short run into a paged store, export
 # it both ways and through a time window, and confirm the recorded
-# step counter reached the store; then a downsampled query through the
-# real CLI.
+# step counter reached the store; then the series listing (its header
+# columns and the step counter's row are pinned) and a downsampled
+# query through the real CLI.
 go run ./cmd/sdbsim -load 2 -hours 1 -store smoke.lane.sdbstor > /dev/null
 go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -series sdb_pmic_steps_total | grep -q 'sdb_pmic_steps_total,counter,'
 go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -format json | grep -q '"sdb_pmic_steps_total"'
 go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -since 600 -until 1800 | grep -q 'sdb_pmic_steps_total,counter,600,'
+go run ./cmd/sdbtrace query -in smoke.lane.sdbstor > query.lane.txt
+grep -q '^series  *kind  *step_s  *samples  *first_t  *last_t$' query.lane.txt
+grep -q '^sdb_pmic_steps_total  *counter  ' query.lane.txt
+rm -f query.lane.txt
 go run ./cmd/sdbtrace query -in smoke.lane.sdbstor -series sdb_pmic_cell0_soc -down 600 | grep -q '^sdb_pmic_cell0_soc,'
 rm -f smoke.lane.sdbstor

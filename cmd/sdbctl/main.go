@@ -524,6 +524,13 @@ func watch(cl pmic.DeviceClient, args []string) {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
+	// A zero or negative interval would spin the scrape loop and stamp
+	// every round at the same (or a receding) time.
+	if *every <= 0 {
+		fmt.Fprintf(os.Stderr, "sdbctl: watch: -every %v: the scrape interval must be positive\n", *every)
+		fs.Usage()
+		os.Exit(2)
+	}
 	var rules []ts.Rule
 	if *rulesPath != "" {
 		src, err := os.ReadFile(*rulesPath)
@@ -534,7 +541,7 @@ func watch(cl pmic.DeviceClient, args []string) {
 		}
 	}
 	stepS := every.Seconds()
-	rec := sdb.NewRecorder(nil, sdb.RecorderConfig{StepS: stepS, Rules: rules})
+	rec := ts.NewRecorder(nil, ts.Config{StepS: stepS, Rules: rules})
 
 	for round := 0; *count == 0 || round < *count; round++ {
 		if round > 0 {
@@ -686,7 +693,7 @@ func serve(argv []string) {
 	// over CmdSeries.
 	stepHist := obs.Default().Histogram("sdb_pmic_step_seconds",
 		[]float64{1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2})
-	rec := sdb.NewRecorder(obs.Default(), sdb.RecorderConfig{StepS: *speed})
+	rec := ts.NewRecorder(obs.Default(), ts.Config{StepS: *speed})
 	sys.Controller.SetRecorder(rec)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -895,7 +902,7 @@ type fleetServer struct {
 
 func newFleetServer(loadW, speed, durS float64) *fleetServer {
 	reg := obs.NewRegistry()
-	s := &fleetServer{reg: reg, rec: sdb.NewRecorder(reg, sdb.RecorderConfig{StepS: speed})}
+	s := &fleetServer{reg: reg, rec: ts.NewRecorder(reg, ts.Config{StepS: speed})}
 	for l := range s.traces {
 		w := loadW * (0.8 + 0.4*float64(l)/fleetLoadLevels)
 		s.traces[l] = workload.Constant(fmt.Sprintf("load-%d", l), w, durS, 1)

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"context"
+	"errors"
+	"net"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
+	"sdb"
 	"sdb/internal/battery/batch"
 	"sdb/internal/emulator"
 	"sdb/internal/fleet"
@@ -69,5 +76,61 @@ func TestServeFleetRecorderSeesFleetMetrics(t *testing.T) {
 	}
 	if !fleetSeen {
 		t.Errorf("recorder holds no sdb_fleet_* series: %v", names)
+	}
+}
+
+// TestWatchRejectsNonPositiveInterval: `watch -every 0` (or a negative
+// interval) would spin the scrape loop against the controller and stamp
+// every round at the same or a receding time, so it is a usage error:
+// exit status 2 before the first scrape. The command runs as a child
+// process (this test binary re-executed into main) against a live,
+// instrumented single-device controller.
+func TestWatchRejectsNonPositiveInterval(t *testing.T) {
+	if args := os.Getenv("SDBCTL_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"sdbctl"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	// An instrumented controller, as `sdbctl serve` builds it, so a
+	// watch that is not refused gets real scrapes to spin on.
+	prev := obs.Default()
+	obs.SetDefault(obs.NewRegistry())
+	sys, err := sdb.NewSystem(sdb.SystemConfig{Cells: []string{"QuickCharge-2000", "EnergyMax-4000"}})
+	obs.SetDefault(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				sys.Controller.Serve(conn)
+			}()
+		}
+	}()
+	for _, every := range []string{"0", "-1s"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run", "^TestWatchRejectsNonPositiveInterval$")
+		cmd.Env = append(os.Environ(),
+			"SDBCTL_TEST_ARGS=-addr "+ln.Addr().String()+" watch -every "+every+" -count 3")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("watch -every %s: got %v, want exit status 2\n%s", every, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "must be positive") || strings.Contains(string(out), "-- t=") {
+			t.Errorf("watch -every %s: want a usage error before any scrape, got\n%s", every, out)
+		}
 	}
 }

@@ -256,11 +256,11 @@ func query(argv []string) {
 
 	if *series == "" {
 		infos := st.Series()
-		fmt.Fprintf(w, "%-40s %-8s %8s %10s %10s %12s %12s\n",
-			"series", "kind", "step_s", "samples", "buckets", "first_t", "last_t")
+		fmt.Fprintf(w, "%-40s %-8s %8s %10s %12s %12s\n",
+			"series", "kind", "step_s", "samples", "first_t", "last_t")
 		for _, si := range infos {
-			fmt.Fprintf(w, "%-40s %-8s %8g %10d %10d %12g %12g\n",
-				si.Name, si.Kind, si.StepS, si.Samples, si.Buckets, si.FirstT, si.LastT)
+			fmt.Fprintf(w, "%-40s %-8s %8g %10d %12g %12g\n",
+				si.Name, si.Kind, si.StepS, si.Samples, si.FirstT, si.LastT)
 		}
 		s := st.Stats()
 		fmt.Fprintf(w, "%d series, %d pages, generation %d\n", len(infos), s.Pages, s.Generation)

@@ -140,11 +140,8 @@ func TestRecordDayRoundTripFile(t *testing.T) {
 			}
 		}
 	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		v, ok := rec.QuantileOver("sdb_emulator_step_seconds", q, 3600)
-		if !ok || math.IsNaN(v) || v <= 0 {
-			t.Errorf("p%g of step timing is %g (ok=%v), want a positive duration", 100*q, v, ok)
-		}
+	if v, ok := rec.Latest("sdb_emulator_step_seconds_count"); !ok || !(v > 0) {
+		t.Errorf("step timing count is %g (ok=%v), want > 0", v, ok)
 	}
 }
 

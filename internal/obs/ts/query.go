@@ -1,7 +1,5 @@
 package ts
 
-import "sdb/internal/obs"
-
 // The derived-signal engine: every query runs over the trailing
 // window of a recorded series. Windows are expressed in sim seconds
 // and snap down to whole sample steps; a query needs at least two
@@ -69,92 +67,4 @@ func (r *Recorder) latestLocked(name string) (float64, bool) {
 		return 0, false
 	}
 	return s.last(), true
-}
-
-// MeanOver returns the arithmetic mean of the samples in the trailing
-// windowS seconds (inclusive of both endpoints). Intended for gauges.
-func (r *Recorder) MeanOver(name string, windowS float64) (float64, bool) {
-	return r.aggOver(name, windowS, aggMean)
-}
-
-// MinOver returns the smallest sample in the trailing window.
-func (r *Recorder) MinOver(name string, windowS float64) (float64, bool) {
-	return r.aggOver(name, windowS, aggMin)
-}
-
-// MaxOver returns the largest sample in the trailing window.
-func (r *Recorder) MaxOver(name string, windowS float64) (float64, bool) {
-	return r.aggOver(name, windowS, aggMax)
-}
-
-type aggKind int
-
-const (
-	aggMean aggKind = iota
-	aggMin
-	aggMax
-)
-
-func (r *Recorder) aggOver(name string, windowS float64, kind aggKind) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.byName[name]
-	if !ok || s.n == 0 {
-		return 0, false
-	}
-	k := s.window(windowS)
-	lo := s.n - 1 - k
-	acc := s.At(lo)
-	for i := lo + 1; i < s.n; i++ {
-		v := s.At(i)
-		switch kind {
-		case aggMean:
-			acc += v
-		case aggMin:
-			if v < acc {
-				acc = v
-			}
-		case aggMax:
-			if v > acc {
-				acc = v
-			}
-		}
-	}
-	if kind == aggMean {
-		acc /= float64(k + 1)
-	}
-	return acc, true
-}
-
-// QuantileOver estimates the q-quantile of the observations a
-// histogram recorded during the trailing windowS seconds, by taking
-// the windowed delta of each cumulative bucket series and
-// interpolating with the same estimator sdbctl and obs use. name is
-// the histogram's base name (without _bucket/_sum/_count). Alloc-free:
-// the per-group scratch buffer is reused across calls.
-func (r *Recorder) QuantileOver(name string, q, windowS float64) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hg, ok := r.hists[name]
-	if !ok || len(hg.buckets) == 0 {
-		return 0, false
-	}
-	for i, bs := range hg.buckets {
-		d, _, ok := bs.delta(windowS)
-		if !ok {
-			return 0, false
-		}
-		hg.scratch[i] = d
-	}
-	v := obs.QuantileFromBuckets(hg.bounds, hg.scratch, q)
-	if v != v { // NaN: empty window or malformed
-		return 0, false
-	}
-	return v, true
 }

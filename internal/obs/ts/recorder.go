@@ -48,7 +48,7 @@ type Sink interface {
 
 // column maps one registry metric to its series. Exactly one of the
 // metric handles is non-nil; histograms fan out into bucket/sum/count
-// series plus a shared histGroup for quantile queries.
+// series held by a shared histGroup.
 type column struct {
 	counter  *obs.Counter
 	fcounter *obs.FCounter
@@ -59,14 +59,12 @@ type column struct {
 	hg *histGroup
 }
 
-// histGroup ties a histogram's fan-out series together for windowed
-// quantile queries.
+// histGroup ties a histogram's fan-out series together, so a scrape
+// or an Observe of the family appends to each of them.
 type histGroup struct {
-	bounds  []float64
-	buckets []*Series // len(bounds)+1, cumulative counts, +Inf last
+	buckets []*Series // one per bound plus +Inf last, cumulative counts
 	sum     *Series
 	count   *Series
-	scratch []float64 // windowed cum counts, reused per query
 }
 
 // Recorder scrapes an obs registry into bounded uniform-step series
@@ -243,11 +241,7 @@ func (r *Recorder) histGroupLocked(name string, bounds []float64, t float64) *hi
 		return hg
 	}
 	nb := len(bounds) + 1
-	hg := &histGroup{
-		bounds:  bounds,
-		buckets: make([]*Series, nb),
-		scratch: make([]float64, nb),
-	}
+	hg := &histGroup{buckets: make([]*Series, nb)}
 	for i := 0; i < nb; i++ {
 		hg.buckets[i] = r.seriesLocked(name+"_bucket{"+bucketLabel(bounds, i)+"}", KindHistBucket, t)
 	}

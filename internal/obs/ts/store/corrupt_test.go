@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -48,8 +49,8 @@ func buildCorruptionFixture(t *testing.T) []byte {
 func dumpStore(s *Store) (string, error) {
 	var b strings.Builder
 	for _, info := range s.Series() {
-		fmt.Fprintf(&b, "series %s kind=%s step=%g samples=%d buckets=%d\n",
-			info.Name, info.Kind, info.StepS, info.Samples, info.Buckets)
+		fmt.Fprintf(&b, "series %s kind=%s step=%g samples=%d\n",
+			info.Name, info.Kind, info.StepS, info.Samples)
 		w, err := s.Query(info.Name, math.Inf(-1), math.Inf(1))
 		if err != nil {
 			return "", err
@@ -199,6 +200,96 @@ func TestRejectsOversizedClaims(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("fixture has no data page to forge")
+	}
+}
+
+// TestRejectsMalformedStructures feeds the page decoders payloads that
+// are well-formed varint by varint but break a structural rule, as a
+// buggy or foreign writer (or damage behind a recomputed CRC) would
+// produce. Each must fail with ErrCorrupt from the check named in its
+// case.
+func TestRejectsMalformedStructures(t *testing.T) {
+	uv := func(b []byte, vs ...uint64) []byte {
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	decl := func(b []byte, id uint64, kind ts.Kind, stepS float64, name string) []byte {
+		b = append(uv(b, id), byte(kind))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(stepS))
+		return append(uv(b, uint64(len(name))), name...)
+	}
+	decls := func(ds ...[]byte) []byte {
+		b := uv([]byte{ptSeries}, uint64(len(ds)))
+		for _, d := range ds {
+			b = append(b, d...)
+		}
+		return b
+	}
+	indexEntry := func(level byte) []byte {
+		b := append(uv([]byte{ptIndex}, 0, 1, 0, 3), level) // prev, n, id, page
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(60))
+		return uv(b, 2)
+	}
+	cases := []struct {
+		name, want string
+		run        func() error
+	}{
+		// A root at page 10 of a 10-page commit, index pointer 0.
+		{"root page count", "claims", func() error {
+			_, err := parseRoot(uv([]byte{ptRoot}, 1, 9, 0, 0), 10)
+			return err
+		}},
+		{"root index pointer", "index pointer", func() error {
+			_, err := parseRoot(uv([]byte{ptRoot}, 1, 10, 10, 0), 10)
+			return err
+		}},
+		{"root declaration page", "outside commit", func() error {
+			_, err := parseRoot(uv([]byte{ptRoot}, 1, 10, 0, 1, 10), 10)
+			return err
+		}},
+		{"declaration kind", "kind=99", func() error {
+			return newStore(nil, 128).adoptDecls(decls(decl(nil, 0, ts.Kind(99), 60, "a")))
+		}},
+		{"declaration step", "step=0", func() error {
+			return newStore(nil, 128).adoptDecls(decls(decl(nil, 0, ts.KindGauge, 0, "a")))
+		}},
+		{"declaration name", `declaration ""`, func() error {
+			return newStore(nil, 128).adoptDecls(decls(decl(nil, 0, ts.KindGauge, 60, "")))
+		}},
+		{"redeclared id", "redeclared", func() error {
+			return newStore(nil, 128).adoptDecls(decls(
+				decl(nil, 0, ts.KindGauge, 60, "a"), decl(nil, 0, ts.KindGauge, 60, "b")))
+		}},
+		{"duplicate name", "declared twice", func() error {
+			return newStore(nil, 128).adoptDecls(decls(
+				decl(nil, 0, ts.KindGauge, 60, "a"), decl(nil, 1, ts.KindGauge, 60, "a")))
+		}},
+		{"index entry level", "level 1", func() error {
+			if _, _, err := newStore(nil, 128).parseIndex(indexEntry(0)); err != nil {
+				return fmt.Errorf("level-0 control entry rejected: %v", err)
+			}
+			_, _, err := newStore(nil, 128).parseIndex(indexEntry(1))
+			return err
+		}},
+		// Type 3 once held downsampled buckets. A CRC-valid page of it
+		// after the root is no torn write, so recovery refuses the file
+		// rather than truncate the page away.
+		{"type-3 page after the root", "unknown type 3", func() error {
+			page := make([]byte, 128)
+			page[0] = 3
+			recrcPage(page)
+			_, err := openAndDump(t, append(buildCorruptionFixture(t), page...))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		err := c.run()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want ErrCorrupt mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -18,15 +18,13 @@ import (
 // sized from it, so a forged length cannot allocate beyond the (size-
 // capped) input itself.
 func FuzzStore(f *testing.F) {
-	// Golden seeds: a clean two-commit store, a compacted store, an
-	// empty store, and truncated/flipped variants to aim the mutator.
-	two := fuzzFixture(f, false)
-	compacted := fuzzFixture(f, true)
+	// Golden seeds: a clean two-commit store, an empty store, and
+	// truncated/flipped variants to aim the mutator.
+	two := fuzzFixture(f)
 	f.Add(two)
-	f.Add(compacted)
 	f.Add(two[:headerSize+128])
 	f.Add(two[:len(two)-37])
-	flip := append([]byte(nil), compacted...)
+	flip := append([]byte(nil), two...)
 	flip[len(flip)-70] ^= 0xff
 	f.Add(flip)
 	empty, err := os.ReadFile(emptyFixture(f))
@@ -52,8 +50,7 @@ func FuzzStore(f *testing.F) {
 			return
 		}
 		dump1, derr := dumpStore(s)
-		if derr != nil && !errors.Is(derr, ErrCorrupt) &&
-			!errors.Is(derr, ErrGap) && !errors.Is(derr, ErrCompacted) && !errors.Is(derr, ErrBucketMismatch) {
+		if derr != nil && !errors.Is(derr, ErrCorrupt) && !errors.Is(derr, ErrGap) {
 			t.Fatalf("dump error class: %v", derr)
 		}
 		if err := s.Close(); err != nil {
@@ -86,7 +83,7 @@ func isVersionErr(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "unsupported version")
 }
 
-func fuzzFixture(f *testing.F, compact bool) []byte {
+func fuzzFixture(f *testing.F) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.sdbstor")
 	s, err := Create(path, Options{PageSize: 128})
@@ -106,11 +103,6 @@ func fuzzFixture(f *testing.F, compact bool) []byte {
 	}
 	for i := 40; i < 60; i++ {
 		if err := s.Append("a", ts.KindGauge, 2, float64(i)*2, float64(i%7)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if compact {
-		if err := s.Compact(60, 20); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"sdb/internal/obs/ts"
@@ -118,80 +117,5 @@ func TestDownsampleProperties(t *testing.T) {
 			}
 		}
 		s.Close()
-	}
-}
-
-// TestCompactionProperties: compaction at a random width preserves the
-// QueryDown answer exactly at that width (bit-identical sums — the
-// aggregation order is pinned), keeps count/min/max exact at any
-// coarser multiple, and re-compacting is a committed no-op.
-func TestCompactionProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for round := 0; round < 25; round++ {
-		path := filepath.Join(t.TempDir(), "prop.sdbstor")
-		s, err := Create(path, Options{PageSize: 128 + 128*rng.Intn(4)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		times, vals := genSeries(t, s, "x", rng)
-		stepS := s.Series()[0].StepS
-		bucketS := stepS * float64(1+rng.Intn(20))
-		coarseS := bucketS * float64(1+rng.Intn(5))
-
-		before, err := s.QueryDown("x", math.Inf(-1), math.Inf(1), bucketS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		beforeCoarse, err := s.QueryDown("x", math.Inf(-1), math.Inf(1), coarseS)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Compact a random time prefix — sometimes none, sometimes all.
-		cut := times[rng.Intn(len(times))] + stepS*float64(rng.Intn(5))
-		if err := s.Compact(cut, bucketS); err != nil {
-			t.Fatalf("Compact: %v", err)
-		}
-
-		after, err := s.QueryDown("x", math.Inf(-1), math.Inf(1), bucketS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBuckets(t, "compaction width", after, before, true)
-		afterCoarse, err := s.QueryDown("x", math.Inf(-1), math.Inf(1), coarseS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBuckets(t, "coarser multiple", afterCoarse, beforeCoarse, false)
-
-		// Idempotency: same compaction again commits nothing.
-		gen := s.Stats().Generation
-		if err := s.Compact(cut, bucketS); err != nil {
-			t.Fatalf("re-Compact: %v", err)
-		}
-		if g := s.Stats().Generation; g != gen {
-			t.Fatalf("re-compaction advanced generation %d -> %d", gen, g)
-		}
-		again, err := s.QueryDown("x", math.Inf(-1), math.Inf(1), bucketS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBuckets(t, "after re-compaction", again, before, true)
-
-		// The answer survives a reopen from disk.
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reopened, err := r.QueryDown("x", math.Inf(-1), math.Inf(1), bucketS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBuckets(t, "reopened", reopened, before, true)
-		r.Close()
-		_ = vals
 	}
 }

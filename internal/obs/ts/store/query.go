@@ -14,10 +14,9 @@ type SeriesInfo struct {
 	Name    string
 	Kind    ts.Kind
 	StepS   float64
-	Samples uint64  // raw samples still stored at level 0 (pending included)
-	Buckets uint64  // downsampled bucket records at level ≥ 1
-	FirstT  float64 // earliest covered time (bucket start for compacted)
-	LastT   float64 // newest raw sample time
+	Samples uint64  // stored samples (pending included)
+	FirstT  float64 // earliest sample time
+	LastT   float64 // newest sample time
 	Pages   int     // flushed pages this series owns
 }
 
@@ -30,11 +29,7 @@ func (s *Store) Series() []SeriesInfo {
 		info := SeriesInfo{Name: ss.name, Kind: ss.kind, StepS: ss.stepS, LastT: ss.maxT, Pages: len(ss.entries)}
 		first := math.Inf(1)
 		for _, e := range ss.entries {
-			if e.level == 0 {
-				info.Samples += e.count
-			} else {
-				info.Buckets += e.count
-			}
+			info.Samples += e.count
 			if e.firstT < first {
 				first = e.firstT
 			}
@@ -57,10 +52,8 @@ func (s *Store) Series() []SeriesInfo {
 // Query reads one series' raw samples in the closed window [t0, t1] as
 // a ts.Window (Total = sample count). The read touches only index
 // entries plus the data pages overlapping the window. It fails with
-// ErrCompacted when the window overlaps downsampled pages (the raw
-// samples are gone — use QueryDown) and with ErrGap when the matched
-// samples do not sit on one uniform grid (the window crosses a
-// recording gap; narrow it to one side).
+// ErrGap when the matched samples do not sit on one uniform grid (the
+// window crosses a recording gap; narrow it to one side).
 func (s *Store) Query(name string, t0, t1 float64) (ts.Window, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,9 +85,6 @@ func (s *Store) Query(name string, t0, t1 float64) (ts.Window, error) {
 	for _, e := range ss.entries {
 		if e.lastT < t0-eps || e.firstT > t1+eps {
 			continue
-		}
-		if e.level > 0 {
-			return ts.Window{}, fmt.Errorf("%w: %s overlaps buckets at [%g, %g]", ErrCompacted, name, e.firstT, e.lastT)
 		}
 		if err := s.decodeDataPage(ss, e, add); err != nil {
 			return ts.Window{}, err
@@ -211,7 +201,7 @@ func gridOverlap(firstT, stepS float64, count int64, lo, hi float64) (iLo, iHi i
 // entries overlap the window — the point of the paged layout — so
 // exporting one hour out of a month of telemetry reads one hour of
 // pages (check Stats().PagesRead). Series with nothing in the window
-// are skipped entirely; compacted ranges are skipped as in Walk.
+// are skipped entirely.
 func (s *Store) WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error {
 	if t0 > t1 {
 		return fmt.Errorf("store: walk window [%g, %g] inverted", t0, t1)
@@ -233,7 +223,7 @@ func (s *Store) WalkRange(t0, t1 float64, series func(ts.Window) error, value fu
 		var total uint64
 		firstT := math.Inf(1)
 		for _, e := range ss.entries {
-			if e.level != 0 || e.lastT < lo || e.firstT > hi {
+			if e.lastT < lo || e.firstT > hi {
 				continue
 			}
 			if iLo, iHi, ok := gridOverlap(e.firstT, ss.stepS, int64(e.count), lo, hi); ok {
@@ -264,7 +254,7 @@ func (s *Store) WalkRange(t0, t1 float64, series func(ts.Window) error, value fu
 			return value(t, v)
 		}
 		for _, e := range ss.entries {
-			if e.level != 0 || e.lastT < lo || e.firstT > hi {
+			if e.lastT < lo || e.firstT > hi {
 				continue
 			}
 			if err := s.decodeDataPage(ss, e, keep); err != nil {
@@ -296,13 +286,11 @@ func (b Bucket) Mean() float64 {
 	return b.Sum / float64(b.Count)
 }
 
-// QueryDown aggregates one series into buckets of width bucketS
-// anchored at t=0, returning every non-empty bucket that overlaps
-// [t0, t1] in time order. It reads raw and compacted pages alike;
-// compacted pages merge exactly when their stored width divides
-// bucketS (ErrBucketMismatch otherwise). Aggregation runs in time
-// order, so at the compaction width the sums are bit-identical to a
-// pre-compaction query.
+// QueryDown aggregates one series' raw samples into buckets of width
+// bucketS anchored at t=0, returning every non-empty bucket that
+// overlaps [t0, t1] in time order. Each bucket's sum is a left fold
+// over its samples in time order. Unlike Query it spans recording
+// gaps.
 func (s *Store) QueryDown(name string, t0, t1, bucketS float64) ([]Bucket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -331,29 +319,26 @@ func (s *Store) QueryDown(name string, t0, t1, bucketS float64) ([]Bucket, error
 
 	var out []Bucket
 	byIdx := map[int64]int{}
-	merge := func(idx int64, count uint64, min, max, sum float64) {
-		j, ok := byIdx[idx]
-		if !ok {
-			byIdx[idx] = len(out)
-			out = append(out, Bucket{T0: float64(idx) * bucketS, Count: count, Min: min, Max: max, Sum: sum})
-			return
-		}
-		b := &out[j]
-		b.Count += count
-		if min < b.Min {
-			b.Min = min
-		}
-		if max > b.Max {
-			b.Max = max
-		}
-		b.Sum += sum
-	}
-	addRaw := func(t, v float64) error {
+	add := func(t, v float64) error {
 		idx := bucketIdx(t, bucketS)
 		if idx < i0 || idx > i1 {
 			return nil
 		}
-		merge(idx, 1, v, v, v)
+		j, ok := byIdx[idx]
+		if !ok {
+			byIdx[idx] = len(out)
+			out = append(out, Bucket{T0: float64(idx) * bucketS, Count: 1, Min: v, Max: v, Sum: v})
+			return nil
+		}
+		b := &out[j]
+		b.Count++
+		if v < b.Min {
+			b.Min = v
+		}
+		if v > b.Max {
+			b.Max = v
+		}
+		b.Sum += v
 		return nil
 	}
 
@@ -361,31 +346,11 @@ func (s *Store) QueryDown(name string, t0, t1, bucketS float64) ([]Bucket, error
 		if e.lastT < loT || e.firstT >= hiT {
 			continue
 		}
-		if e.level == 0 {
-			if err := s.decodeDataPage(ss, e, addRaw); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		m := math.Round(bucketS / e.bucketS)
-		if !(m >= 1) || math.Abs(m*e.bucketS-bucketS) > 1e-9*bucketS {
-			return nil, fmt.Errorf("%w: %s compacted at %gs, queried at %gs", ErrBucketMismatch, name, e.bucketS, bucketS)
-		}
-		err := s.decodeDownPage(ss, e, func(b Bucket) error {
-			// Map by the stored bucket's midpoint: strictly inside it, so
-			// boundary rounding cannot flip the coarse index.
-			idx := bucketIdx(b.T0+e.bucketS/2, bucketS)
-			if idx < i0 || idx > i1 {
-				return nil
-			}
-			merge(idx, b.Count, b.Min, b.Max, b.Sum)
-			return nil
-		})
-		if err != nil {
+		if err := s.decodeDataPage(ss, e, add); err != nil {
 			return nil, err
 		}
 	}
-	if err := ss.pendingEach(math.Inf(-1), math.Inf(1), addRaw); err != nil {
+	if err := ss.pendingEach(math.Inf(-1), math.Inf(1), add); err != nil {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].T0 < out[j].T0 })
@@ -405,205 +370,9 @@ func bucketIdx(t, bucketS float64) int64 {
 	return int64(f)
 }
 
-// decodeDownPage reads entry e's downsampled page and calls fn for
-// each stored bucket in time order.
-func (s *Store) decodeDownPage(ss *seriesState, e entry, fn func(Bucket) error) error {
-	payload, err := s.readPage(e.page)
-	if err != nil {
-		return err
-	}
-	if len(payload) == 0 || payload[0] != ptDown {
-		return fmt.Errorf("%w: page %d is not a downsampled page", ErrCorrupt, e.page)
-	}
-	d := pageParser{buf: payload[1:]}
-	id := d.uvarint("series id")
-	bucketS := d.f64("bucket width")
-	baseIdx := d.varint("base bucket")
-	nrec := d.uvarint("bucket count")
-	if d.err != nil {
-		return d.err
-	}
-	if id != ss.id || bucketS != e.bucketS {
-		return fmt.Errorf("%w: page %d does not match index (series %d width %g, want %d/%g)",
-			ErrCorrupt, e.page, id, bucketS, ss.id, e.bucketS)
-	}
-	// A bucket record is ≥ 26 bytes (1+1+24): bound count before use.
-	if nrec > uint64(len(d.buf))/26+1 {
-		return fmt.Errorf("%w: %d bucket records exceed page payload", ErrCorrupt, nrec)
-	}
-	idx := baseIdx
-	for i := uint64(0); i < nrec; i++ {
-		delta := d.uvarint("bucket index delta")
-		count := d.uvarint("bucket sample count")
-		min := d.f64("bucket min")
-		max := d.f64("bucket max")
-		sum := d.f64("bucket sum")
-		if d.err != nil {
-			return d.err
-		}
-		if i > 0 && delta == 0 {
-			return fmt.Errorf("%w: page %d bucket %d repeats its index", ErrCorrupt, e.page, i)
-		}
-		if count == 0 {
-			return fmt.Errorf("%w: page %d bucket %d empty", ErrCorrupt, e.page, i)
-		}
-		idx += int64(delta)
-		if err := fn(Bucket{T0: float64(idx) * bucketS, Count: count, Min: min, Max: max, Sum: sum}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// downPageOverhead is a downsampled page's fixed header worst case:
-// type + id + bucketS + baseIdx + nrec.
-const downPageOverhead = 1 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64 + binary.MaxVarintLen64
-
-// downRecMax is one bucket record's worst-case size.
-const downRecMax = binary.MaxVarintLen64 + binary.MaxVarintLen64 + 24
-
-// Compact folds every raw page whose samples all predate beforeT into
-// downsampled pages of width bucketS (anchored at t=0), then commits.
-// Raw pages straddling beforeT stay raw. Re-running with the same
-// arguments is a no-op: compacted pages are never re-compacted at the
-// same width, so the call is idempotent. The freed raw pages remain in
-// the file as dead space until a future rewrite — the index simply
-// stops referencing them.
-func (s *Store) Compact(beforeT, bucketS float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if !(bucketS > 0) || math.IsInf(bucketS, 0) {
-		return fmt.Errorf("store: bucket width %g not a positive finite duration", bucketS)
-	}
-	// Flush pendings first so page boundaries are settled; a pending
-	// run that predates beforeT is eligible like any flushed page.
-	if s.dirty {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
-
-	changed := false
-	for id := uint64(0); id < s.nextID; id++ {
-		ss := s.byID[id]
-		var old, keep []entry
-		for _, e := range ss.entries {
-			if e.level == 0 && e.lastT < beforeT {
-				old = append(old, e)
-			} else {
-				keep = append(keep, e)
-			}
-		}
-		if len(old) == 0 {
-			continue
-		}
-
-		// Aggregate in time order (entries are sorted by firstT), so the
-		// bucket sums are the same left-fold a raw QueryDown computes.
-		var buckets []Bucket
-		byIdx := map[int64]int{}
-		for _, e := range old {
-			err := s.decodeDataPage(ss, e, func(t, v float64) error {
-				idx := bucketIdx(t, bucketS)
-				if j, ok := byIdx[idx]; ok {
-					b := &buckets[j]
-					b.Count++
-					if v < b.Min {
-						b.Min = v
-					}
-					if v > b.Max {
-						b.Max = v
-					}
-					b.Sum += v
-					return nil
-				}
-				byIdx[idx] = len(buckets)
-				buckets = append(buckets, Bucket{T0: float64(idx) * bucketS, Count: 1, Min: v, Max: v, Sum: v})
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		}
-		sort.Slice(buckets, func(i, j int) bool { return buckets[i].T0 < buckets[j].T0 })
-
-		down, err := s.writeDownPages(ss, buckets, bucketS)
-		if err != nil {
-			return err
-		}
-		merged := append(keep, down...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].firstT < merged[j].firstT })
-		ss.entries = merged
-		changed = true
-	}
-	if !changed {
-		return nil
-	}
-	s.dirty = true
-	return s.syncLocked()
-}
-
-// writeDownPages encodes time-ordered buckets into as many downsampled
-// pages as needed, returning their index entries.
-func (s *Store) writeDownPages(ss *seriesState, buckets []Bucket, bucketS float64) ([]entry, error) {
-	var out []entry
-	for len(buckets) > 0 {
-		perPage := (s.payloadCap() - downPageOverhead) / downRecMax
-		if perPage < 1 {
-			perPage = 1
-		}
-		n := len(buckets)
-		if n > perPage {
-			n = perPage
-		}
-		batch := buckets[:n]
-		buckets = buckets[n:]
-
-		base := bucketIdx(batch[0].T0+bucketS/2, bucketS)
-		payload := []byte{ptDown}
-		payload = binary.AppendUvarint(payload, ss.id)
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(bucketS))
-		payload = binary.AppendVarint(payload, base)
-		payload = binary.AppendUvarint(payload, uint64(n))
-		prevIdx := base
-		var count uint64
-		for i, b := range batch {
-			idx := bucketIdx(b.T0+bucketS/2, bucketS)
-			if i == 0 {
-				payload = binary.AppendUvarint(payload, 0)
-			} else {
-				payload = binary.AppendUvarint(payload, uint64(idx-prevIdx))
-			}
-			prevIdx = idx
-			payload = binary.AppendUvarint(payload, b.Count)
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(b.Min))
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(b.Max))
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(b.Sum))
-			count += b.Count
-		}
-		page, err := s.writePage(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, entry{
-			page:    page,
-			level:   1,
-			firstT:  batch[0].T0,
-			lastT:   batch[n-1].T0 + bucketS,
-			count:   count,
-			bucketS: bucketS,
-		})
-	}
-	return out, nil
-}
-
 // Walk visits every series in name order: one series callback with an
 // empty meta window (Values nil, Total = raw sample count), then one
-// value callback per raw sample in time order. Compacted ranges are
-// skipped — Walk is the raw-export surface. It satisfies the export
+// value callback per sample in time order. It satisfies the export
 // package's Walker shape.
 func (s *Store) Walk(series func(ts.Window) error, value func(t, v float64) error) error {
 	s.mu.Lock()
@@ -619,9 +388,6 @@ func (s *Store) Walk(series func(ts.Window) error, value func(t, v float64) erro
 		var firstT float64
 		first := true
 		for _, e := range ss.entries {
-			if e.level != 0 {
-				continue
-			}
 			total += e.count
 			if first {
 				firstT = e.firstT
@@ -639,9 +405,6 @@ func (s *Store) Walk(series func(ts.Window) error, value func(t, v float64) erro
 			return err
 		}
 		for _, e := range ss.entries {
-			if e.level != 0 {
-				continue
-			}
 			if err := s.decodeDataPage(ss, e, value); err != nil {
 				return err
 			}

@@ -28,10 +28,9 @@
 //	          (uniform-step series change slowly, consecutive bits
 //	          share high bytes, and decoding reproduces every sample
 //	          bit-exactly)
-//	3 down    one series' downsampled buckets: id, bucketS, baseIdx,
-//	          count, then (idxDelta, n, min, max, sum) each
 //	4 index   a segment of the commit's index: prev segment page, then
-//	          (id, page, level, firstT, lastT, count[, bucketS]) each
+//	          (id, page, level, firstT, lastT, count) each; level is
+//	          always 0 (a raw data page)
 //	5 root    the commit point: generation, page count, newest index
 //	          segment, declaration-page list
 //
@@ -46,9 +45,13 @@
 // and declaration pages written after the root (a crash between page
 // flush and Sync) are re-adopted, while a torn final page — or
 // anything after it — is detected by its CRC and dropped, never
-// propagated. Aborted index/root/downsample pages from an unfinished
-// commit are skipped: compaction is only visible through the root that
-// committed it, so a crash mid-compaction cannot double-count.
+// propagated. Aborted index/root pages from an unfinished commit are
+// skipped.
+//
+// Type 3 is retired: it held downsampled buckets, which no writer of
+// this format produces. A reader meets a type-3 page, or an index entry
+// with a nonzero level, only in a damaged or foreign file, and fails
+// with ErrCorrupt.
 package store
 
 import (
@@ -92,15 +95,9 @@ const headerSize = 16
 const (
 	ptSeries = 1
 	ptData   = 2
-	ptDown   = 3
 	ptIndex  = 4
 	ptRoot   = 5
 )
-
-// maxLevel bounds the downsampling level field on decode. Only levels
-// 0 (raw) and 1 (compacted) are written today; the headroom lets a
-// future reader of deeper compaction chains stay compatible.
-const maxLevel = 4
 
 // ErrCorrupt wraps every structural decode failure.
 var ErrCorrupt = errors.New("store: corrupt")
@@ -110,15 +107,6 @@ var ErrCorrupt = errors.New("store: corrupt")
 // returned as a single ts.Window. Narrow the window or use QueryDown.
 var ErrGap = errors.New("store: window crosses a recording gap")
 
-// ErrCompacted reports a raw Query window that overlaps pages
-// compaction has downsampled; the raw samples are gone. Use QueryDown.
-var ErrCompacted = errors.New("store: window overlaps compacted pages; use QueryDown")
-
-// ErrBucketMismatch reports a QueryDown width that is not a whole
-// multiple of the stored compaction width, so stored buckets cannot be
-// merged exactly.
-var ErrBucketMismatch = errors.New("store: bucket width incompatible with compacted pages")
-
 // Options configures Create.
 type Options struct {
 	// PageSize is the fixed page size in bytes (DefaultPageSize when
@@ -127,15 +115,13 @@ type Options struct {
 	PageSize int
 }
 
-// entry is one index entry: a committed (or flushed) page of one
+// entry is one index entry: a committed (or flushed) data page of one
 // series, with the time range it covers.
 type entry struct {
-	page    int64
-	level   uint8 // 0 raw, ≥1 downsampled
-	firstT  float64
-	lastT   float64 // last sample time (raw) or last bucket end (down)
-	count   uint64
-	bucketS float64 // bucket width, level ≥ 1 only
+	page   int64
+	firstT float64
+	lastT  float64 // last sample time
+	count  uint64
 }
 
 // seriesState is the in-memory state of one series: identity, its
@@ -524,13 +510,10 @@ func (s *Store) syncLocked() error {
 			var enc []byte
 			enc = binary.AppendUvarint(enc, ss.id)
 			enc = binary.AppendUvarint(enc, uint64(e.page))
-			enc = append(enc, e.level)
+			enc = append(enc, 0) // level: every entry is a raw data page
 			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(e.firstT))
 			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(e.lastT))
 			enc = binary.AppendUvarint(enc, e.count)
-			if e.level > 0 {
-				enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(e.bucketS))
-			}
 			if len(payload)+len(enc)+binary.MaxVarintLen64 > s.payloadCap() {
 				if err := flushSegment(); err != nil {
 					return err
@@ -742,14 +725,15 @@ func open(f *os.File) (*Store, error) {
 			s.npages = p - 1
 			break
 		}
-		ok := s.rollForward(payload, p)
+		ok, err := s.rollForward(payload, p)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			s.npages = p - 1
 			break
 		}
-		if ok {
-			recovered = true
-		}
+		recovered = true
 	}
 	if s.npages < rootPage {
 		s.npages = rootPage
@@ -768,40 +752,44 @@ func open(f *os.File) (*Store, error) {
 
 // rollForward adopts one post-root page during recovery. It returns
 // false when the page cannot belong to a consistent continuation, at
-// which point recovery stops and drops the rest.
-func (s *Store) rollForward(payload []byte, page int64) bool {
+// which point recovery stops and drops the rest. A CRC-valid page of a
+// type this writer never produces (such as the retired type 3) fails
+// with ErrCorrupt instead: no crash of this writer leaves one, so the
+// file is damaged or foreign, and Open refuses it rather than truncate
+// the page away.
+func (s *Store) rollForward(payload []byte, page int64) (bool, error) {
 	if len(payload) == 0 {
-		return false
+		return false, nil
 	}
 	switch payload[0] {
 	case ptSeries:
 		if err := s.adoptDecls(payload); err != nil {
-			return false
+			return false, nil
 		}
 		s.declPages = append(s.declPages, page)
-		return true
+		return true, nil
 	case ptData:
 		id, firstT, count, err := parseDataHeader(payload)
 		if err != nil {
-			return false
+			return false, nil
 		}
 		ss := s.byID[id]
 		if ss == nil || count == 0 {
-			return false
+			return false, nil
 		}
 		lastT := firstT + float64(count-1)*ss.stepS
 		if ss.hasData && firstT <= ss.maxT {
-			return false
+			return false, nil
 		}
 		ss.adopt(entry{page: page, firstT: firstT, lastT: lastT, count: count})
-		return true
-	case ptIndex, ptRoot, ptDown:
-		// Aborted-commit artifacts: index segments and downsampled pages
-		// are only meaningful through the root that commits them. Skip —
-		// later data pages are still good.
-		return true
+		return true, nil
+	case ptIndex, ptRoot:
+		// Aborted-commit artifacts: index segments are only meaningful
+		// through the root that commits them. Skip — later data pages
+		// are still good.
+		return true, nil
 	default:
-		return false
+		return false, fmt.Errorf("%w: page %d has unknown type %d", ErrCorrupt, page, payload[0])
 	}
 }
 
@@ -811,14 +799,11 @@ func (ss *seriesState) adopt(e entry) {
 	for i := len(ss.entries) - 1; i > 0 && ss.entries[i].firstT < ss.entries[i-1].firstT; i-- {
 		ss.entries[i], ss.entries[i-1] = ss.entries[i-1], ss.entries[i]
 	}
-	if last := lastSampleT(e, ss.stepS); !ss.hasData || last > ss.maxT {
-		ss.maxT = last
+	if !ss.hasData || e.lastT > ss.maxT {
+		ss.maxT = e.lastT
 		ss.hasData = true
 	}
 }
-
-// lastSampleT is the newest raw-sample time an entry accounts for.
-func lastSampleT(e entry, stepS float64) float64 { return e.lastT }
 
 type rootInfo struct {
 	gen       uint64
@@ -930,19 +915,18 @@ func (s *Store) parseIndex(payload []byte) (prev int64, recs []entryRec, err err
 		var r entryRec
 		r.id = d.uvarint("entry series id")
 		r.e.page = int64(d.uvarint("entry page"))
-		r.e.level = d.u8("entry level")
+		level := d.u8("entry level")
 		r.e.firstT = d.f64("entry firstT")
 		r.e.lastT = d.f64("entry lastT")
 		r.e.count = d.uvarint("entry count")
-		if r.e.level > 0 {
-			r.e.bucketS = d.f64("entry bucket width")
-		}
 		if d.err != nil {
 			return 0, nil, d.err
 		}
-		if r.e.level > maxLevel || r.e.count == 0 || r.e.page < 1 ||
-			math.IsNaN(r.e.firstT) || math.IsNaN(r.e.lastT) || r.e.firstT > r.e.lastT ||
-			(r.e.level > 0 && !(r.e.bucketS > 0)) {
+		if level != 0 {
+			return 0, nil, fmt.Errorf("%w: index entry %d has level %d (only raw pages exist)", ErrCorrupt, i, level)
+		}
+		if r.e.count == 0 || r.e.page < 1 ||
+			math.IsNaN(r.e.firstT) || math.IsNaN(r.e.lastT) || r.e.firstT > r.e.lastT {
 			return 0, nil, fmt.Errorf("%w: index entry %d malformed", ErrCorrupt, i)
 		}
 		recs = append(recs, r)
@@ -986,19 +970,6 @@ func (d *pageParser) uvarint(what string) uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *pageParser) varint(what string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
 	if n <= 0 {
 		d.err = fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
 		return 0

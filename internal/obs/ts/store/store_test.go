@@ -257,92 +257,12 @@ func TestGap(t *testing.T) {
 	if len(bs) != 2 || bs[0].Count != 3 || bs[1].Count != 3 {
 		t.Fatalf("QueryDown buckets: %+v", bs)
 	}
-}
-
-// TestCompactBasics: compaction preserves aggregates, makes raw reads
-// of the old range fail loudly, and repeated compaction is a no-op.
-func TestCompactBasics(t *testing.T) {
-	s, path := tempStore(t, Options{PageSize: 256})
-	vals := make([]float64, 300)
-	for i := range vals {
-		vals[i] = float64((i*37)%100) / 10
+	if bs[0].Mean() != 2 || bs[1].Mean() != 8 {
+		t.Fatalf("bucket means %g, %g, want 2, 8", bs[0].Mean(), bs[1].Mean())
 	}
-	mustAppend(t, s, "g", ts.KindGauge, 1, 0, vals...)
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	before, err := s.QueryDown("g", 0, 300, 50)
-	if err != nil {
-		t.Fatalf("QueryDown before: %v", err)
-	}
-
-	if err := s.Compact(200, 50); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	gen := s.Stats().Generation
-	if err := s.Compact(200, 50); err != nil {
-		t.Fatalf("re-Compact: %v", err)
-	}
-	if g := s.Stats().Generation; g != gen {
-		t.Fatalf("idempotent re-compaction advanced generation %d -> %d", gen, g)
-	}
-
-	after, err := s.QueryDown("g", 0, 300, 50)
-	if err != nil {
-		t.Fatalf("QueryDown after: %v", err)
-	}
-	if len(before) != len(after) {
-		t.Fatalf("bucket count changed: %d -> %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("bucket %d changed: %+v -> %+v", i, before[i], after[i])
-		}
-	}
-
-	if _, err := s.Query("g", 0, 100); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("raw query over compacted range: got %v, want ErrCompacted", err)
-	}
-	// The uncompacted tail still reads raw. Entries wholly after
-	// beforeT stay; the page straddling 200 also stays raw.
-	w, err := s.Query("g", 290, 299)
-	if err != nil {
-		t.Fatalf("raw tail query: %v", err)
-	}
-	wantValues(t, w, 290, vals[290:]...)
-
-	if _, err := s.QueryDown("g", 0, 300, 75); !errors.Is(err, ErrBucketMismatch) {
-		t.Fatalf("non-multiple width: got %v, want ErrBucketMismatch", err)
-	}
-	coarse, err := s.QueryDown("g", 0, 300, 100)
-	if err != nil {
-		t.Fatalf("coarser multiple: %v", err)
-	}
-	var n uint64
-	for _, b := range coarse {
-		n += b.Count
-	}
-	if n != uint64(len(vals)) {
-		t.Fatalf("coarse counts sum to %d, want %d", n, len(vals))
-	}
-
-	// Survives reopen.
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer r.Close()
-	again, err := r.QueryDown("g", 0, 300, 50)
-	if err != nil {
-		t.Fatalf("QueryDown reopened: %v", err)
-	}
-	for i := range after {
-		if after[i] != again[i] {
-			t.Fatalf("bucket %d changed across reopen: %+v -> %+v", i, after[i], again[i])
-		}
+	var empty Bucket
+	if !math.IsNaN(empty.Mean()) {
+		t.Fatalf("empty bucket mean = %g, want NaN", empty.Mean())
 	}
 }
 

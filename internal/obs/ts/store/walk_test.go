@@ -94,47 +94,3 @@ func TestWalk(t *testing.T) {
 		t.Fatalf("value-callback error lost: %v", err)
 	}
 }
-
-// TestWalkSkipsCompacted: after compaction, Walk exports only the
-// surviving raw range, and Bucket.Mean behaves on the compacted side.
-func TestWalkSkipsCompacted(t *testing.T) {
-	s, _ := tempStore(t, Options{PageSize: 256})
-	for i := 0; i < 200; i++ {
-		mustAppend(t, s, "g", ts.KindGauge, 1, float64(i), float64(i))
-	}
-	if err := s.Compact(100, 10); err != nil {
-		t.Fatal(err)
-	}
-	ws := walkAll(t, s)
-	if len(ws) != 1 {
-		t.Fatalf("walked %d series", len(ws))
-	}
-	w := ws[0]
-	// Compaction is page-granular: pages wholly before the cut are
-	// folded into buckets, a page straddling it stays raw. The walked
-	// range must start after 0 (a prefix was compacted) and at or
-	// before the cut (the straddling page survives whole).
-	if w.FirstT == 0 || w.FirstT > 100 {
-		t.Fatalf("walk raw range starts at %g, want inside (0, 100]", w.FirstT)
-	}
-	if len(w.Values) == 0 || w.Values[0] != w.FirstT {
-		t.Fatalf("walk raw tail wrong: FirstT %g, first value %v", w.FirstT, w.Values)
-	}
-	bs, err := s.QueryDown("g", 0, 99, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs) != 10 {
-		t.Fatalf("%d buckets", len(bs))
-	}
-	for _, b := range bs {
-		want := (b.Min + b.Max) / 2 // arithmetic series: mean is the midpoint
-		if math.Abs(b.Mean()-want) > 1e-9 {
-			t.Fatalf("bucket %g mean %g, want %g", b.T0, b.Mean(), want)
-		}
-	}
-	var empty Bucket
-	if !math.IsNaN(empty.Mean()) {
-		t.Fatalf("empty bucket mean = %g, want NaN", empty.Mean())
-	}
-}

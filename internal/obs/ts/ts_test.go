@@ -96,15 +96,6 @@ func TestDerivedSignals(t *testing.T) {
 	if v, ok := r.Latest("temp"); !ok || v != 10 {
 		t.Errorf("Latest = %v, want 10", v)
 	}
-	if v, ok := r.MeanOver("temp", 40); !ok || v != (10+5+0+5+10)/5.0 {
-		t.Errorf("MeanOver 40s = %v, want 6", v)
-	}
-	if v, ok := r.MinOver("temp", 20); !ok || v != 0 {
-		t.Errorf("MinOver 20s = %v, want 0", v)
-	}
-	if v, ok := r.MaxOver("temp", 60); !ok || v != 10 {
-		t.Errorf("MaxOver = %v, want 10", v)
-	}
 	// Oversized windows clamp to retained history.
 	if v, ok := r.Rate("ev_total", 1e9); !ok || v != 0.2 {
 		t.Errorf("Rate clamped = %v, want 0.2", v)
@@ -112,42 +103,6 @@ func TestDerivedSignals(t *testing.T) {
 	// Unknown series and single-sample series refuse.
 	if _, ok := r.Rate("nope", 10); ok {
 		t.Error("rate over unknown series should fail")
-	}
-}
-
-// TestQuantileOverWindow: windowed histogram quantiles see only the
-// window's observations and match the shared obs estimator.
-func TestQuantileOverWindow(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("lat", []float64{1, 2, 4})
-	r := NewRecorder(reg, Config{StepS: 10, Retain: 100})
-	r.Sample(0) // all-zero baseline
-	// First window: 10 slow observations in (2,4].
-	for i := 0; i < 10; i++ {
-		h.Observe(3)
-	}
-	r.Sample(10)
-	// Second window: 10 fast observations in (0,1].
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-	}
-	r.Sample(20)
-
-	// Over the last step only the fast batch is visible.
-	v, ok := r.QuantileOver("lat", 0.5, 10)
-	if !ok {
-		t.Fatal("QuantileOver failed")
-	}
-	if want := obs.QuantileFromBuckets([]float64{1, 2, 4}, []float64{10, 10, 10, 10}, 0.5); v != want {
-		t.Errorf("q50 last step = %g, want %g", v, want)
-	}
-	// Over both steps the mix is 10 fast + 10 slow.
-	v, _ = r.QuantileOver("lat", 0.5, 20)
-	if want := obs.QuantileFromBuckets([]float64{1, 2, 4}, []float64{10, 10, 20, 20}, 0.5); v != want {
-		t.Errorf("q50 both steps = %g, want %g", v, want)
-	}
-	if _, ok := r.QuantileOver("missing", 0.5, 10); ok {
-		t.Error("unknown histogram should fail")
 	}
 }
 
@@ -194,12 +149,6 @@ func TestObserveParityWithSample(t *testing.T) {
 				t.Errorf("%s sample %d: live %g wire %g", name, i, lw.Values[i], ww.Values[i])
 			}
 		}
-	}
-	// Both engines answer the same quantile query.
-	lv, lok := live.QuantileOver("lat", 0.5, 40)
-	wv, wok := wire.QuantileOver("lat", 0.5, 40)
-	if !lok || !wok || lv != wv {
-		t.Errorf("QuantileOver parity: live %g/%v wire %g/%v", lv, lok, wv, wok)
 	}
 }
 
@@ -248,9 +197,6 @@ func TestNilRecorder(t *testing.T) {
 	}
 	if _, ok := r.Rate("x", 1); ok {
 		t.Error("nil recorder Rate should fail")
-	}
-	if _, ok := r.QuantileOver("x", 0.5, 1); ok {
-		t.Error("nil recorder QuantileOver should fail")
 	}
 	if _, ok := r.LastT(); ok {
 		t.Error("nil recorder LastT should fail")

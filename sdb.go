@@ -31,7 +31,6 @@ import (
 	"sdb/internal/battery"
 	"sdb/internal/core"
 	"sdb/internal/emulator"
-	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
 	"sdb/internal/pmic"
 	"sdb/internal/sim"
@@ -71,25 +70,7 @@ type (
 	EmulatorConfig = emulator.Config
 	// EmulatorResult summarizes an emulation run.
 	EmulatorResult = emulator.Result
-	// ObsRegistry is the metrics registry the stack reports into.
-	ObsRegistry = obs.Registry
-	// Recorder samples the obs registry into bounded time series and
-	// evaluates alert rules (see internal/obs/ts).
-	Recorder = ts.Recorder
-	// RecorderConfig sizes a Recorder: cadence, retention, alert rules.
-	RecorderConfig = ts.Config
-	// AlertRule is one parsed alert-rule line.
-	AlertRule = ts.Rule
 )
-
-// NewRecorder builds a time-series recorder over a metrics registry.
-func NewRecorder(reg *ObsRegistry, cfg RecorderConfig) *Recorder {
-	return ts.NewRecorder(reg, cfg)
-}
-
-// ParseAlertRules parses an alert-rule file (one rule per line; see
-// internal/obs/ts for the grammar).
-func ParseAlertRules(src string) ([]AlertRule, error) { return ts.ParseRules(src) }
 
 // Built-in policies (Section 3.3 of the paper plus baselines).
 type (
@@ -176,7 +157,7 @@ type System struct {
 	// series during Run (sampled on policy-tick boundaries) and is
 	// served remotely over CmdSeries. Nil (the default) records nothing
 	// and leaves Run byte-identical to an unrecorded stack.
-	Recorder *Recorder
+	Recorder *ts.Recorder
 }
 
 // NewSystem builds the stack of Figure 3: heterogeneous cells under a
