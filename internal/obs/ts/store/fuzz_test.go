@@ -18,10 +18,15 @@ import (
 // sized from it, so a forged length cannot allocate beyond the (size-
 // capped) input itself.
 func FuzzStore(f *testing.F) {
-	// Golden seeds: a clean two-commit store, an empty store, and
-	// truncated/flipped variants to aim the mutator.
+	// Golden seeds: a clean two-commit store, the same store followed by
+	// a CRC-valid page of the retired type 3 (downsampled buckets), an
+	// empty store, and truncated/flipped variants to aim the mutator.
 	two := fuzzFixture(f)
 	f.Add(two)
+	retired := make([]byte, 128)
+	retired[0] = 3
+	recrcPage(retired)
+	f.Add(append(append([]byte(nil), two...), retired...))
 	f.Add(two[:headerSize+128])
 	f.Add(two[:len(two)-37])
 	flip := append([]byte(nil), two...)
