@@ -13,8 +13,9 @@
 #     the zero-allocation batch step.
 #   - crash chaos: kill points, restore byte-identity, quarantine,
 #     shard restart, drain, and a checkpoint-decoder fuzz burst.
-#   - store: the paged store's differential day, corruption battery,
-#     torn-append crash test, and a fuzz burst.
+#   - store: the paged store's differential day, corruption battery
+#     (every read path, the export walk included), torn-append crash
+#     test, the unbounded and windowed walks, and a fuzz burst.
 #   - live telemetry: the push plane and fleet alerts under -race, an
 #     alert-grammar fuzz burst, and a real `sdbctl serve` + `sdbtop
 #     -once` smoke over TCP.
@@ -24,7 +25,9 @@
 #   - fleet heap: the fleet-drain benchmark workload (10,000 devices,
 #     seed 1) must check correct with heap_mb <= 75.
 #   - recorder smoke: sdbsim -store -> sdbtrace export/query, with the
-#     query series listing's header and a row pinned.
+#     query series listing's header and a row pinned, raw query and
+#     export of one series over one window byte-identical, and a NaN
+#     -since refused with exit status 2.
 set -eux
 
 go build ./...
@@ -70,10 +73,11 @@ go test -run 'TestCrashRestoreByteIdentical|TestCrashTornDeltaRestore' -v ./inte
 go test -race -run 'TestQuarantine|TestShardRestart|TestDrain|TestCloseIdempotent' -v ./internal/fleet/
 go test -fuzz 'FuzzSnapshot' -fuzztime 5s -run '^$' ./internal/fleet/snapshot/
 
-# Store lane: differential chaos day, corruption battery, and the
-# SDB_KILLPOINT torn-append crash test under -race; then a short live
+# Store lane: differential chaos day, corruption battery, the
+# SDB_KILLPOINT torn-append crash test, and the whole-store and
+# windowed walks export reads through, under -race; then a short live
 # fuzz burst (the seed corpus already ran in the blanket test passes).
-go test -race -run 'TestDifferentialChaosDay|TestCrashRecovery|TestRejects|TestFleetRecording' -v ./internal/obs/ts/store/ ./internal/fleet/
+go test -race -run 'TestDifferentialChaosDay|TestCrashRecovery|TestRejects|TestFleetRecording|TestWalk|TestWalkRange' -v ./internal/obs/ts/store/ ./internal/fleet/
 go test -fuzz 'FuzzStore' -fuzztime 5s -run '^$' ./internal/obs/ts/store/
 
 # Live-telemetry lane. First the -race soak: the 200-device fleet with
@@ -166,14 +170,24 @@ rm -f perf.lane.txt
 # it both ways and through a time window, and confirm the recorded
 # step counter reached the store; then the series listing (its header
 # columns and the step counter's row are pinned) and a downsampled
-# query through the real CLI.
+# query through the real CLI. Raw `query -series` and `export -series`
+# are one read path, so their CSV over one window must be
+# byte-identical, and a NaN window bound is a usage error (exit 2).
 go run ./cmd/sdbsim -load 2 -hours 1 -store smoke.lane.sdbstor > /dev/null
-go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -series sdb_pmic_steps_total | grep -q 'sdb_pmic_steps_total,counter,'
-go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -format json | grep -q '"sdb_pmic_steps_total"'
-go run ./cmd/sdbtrace export -in smoke.lane.sdbstor -since 600 -until 1800 | grep -q 'sdb_pmic_steps_total,counter,600,'
-go run ./cmd/sdbtrace query -in smoke.lane.sdbstor > query.lane.txt
+go build -o sdbtrace.lane ./cmd/sdbtrace
+./sdbtrace.lane export -in smoke.lane.sdbstor -series sdb_pmic_steps_total | grep -q 'sdb_pmic_steps_total,counter,'
+./sdbtrace.lane export -in smoke.lane.sdbstor -format json | grep -q '"sdb_pmic_steps_total"'
+./sdbtrace.lane export -in smoke.lane.sdbstor -since 600 -until 1800 | grep -q 'sdb_pmic_steps_total,counter,600,'
+./sdbtrace.lane query -in smoke.lane.sdbstor > query.lane.txt
 grep -q '^series  *kind  *step_s  *samples  *first_t  *last_t$' query.lane.txt
 grep -q '^sdb_pmic_steps_total  *counter  ' query.lane.txt
-rm -f query.lane.txt
-go run ./cmd/sdbtrace query -in smoke.lane.sdbstor -series sdb_pmic_cell0_soc -down 600 | grep -q '^sdb_pmic_cell0_soc,'
-rm -f smoke.lane.sdbstor
+./sdbtrace.lane query -in smoke.lane.sdbstor -series sdb_pmic_cell0_soc -from 600 -to 1800 > query.lane.txt
+./sdbtrace.lane export -in smoke.lane.sdbstor -series sdb_pmic_cell0_soc -since 600 -until 1800 > export.lane.txt
+grep -q '^sdb_pmic_cell0_soc,gauge,600,' query.lane.txt
+cmp query.lane.txt export.lane.txt
+status=0
+./sdbtrace.lane export -in smoke.lane.sdbstor -since NaN > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
+rm -f query.lane.txt export.lane.txt
+./sdbtrace.lane query -in smoke.lane.sdbstor -series sdb_pmic_cell0_soc -down 600 | grep -q '^sdb_pmic_cell0_soc,'
+rm -f smoke.lane.sdbstor sdbtrace.lane

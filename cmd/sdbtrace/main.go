@@ -21,7 +21,9 @@
 // CSV (long format: series,kind,time_s,value) or JSON for external
 // tooling. It streams record-at-a-time, so exporting a store never
 // needs memory proportional to its size. query answers time-windowed
-// (optionally downsampled) reads against a store without scanning it.
+// (optionally downsampled) reads against a store without scanning it;
+// its raw samples are the same walk and CSV as export -series. A NaN
+// or inverted window is a usage error (exit status 2).
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 	"os"
 	"strconv"
 
-	"sdb/internal/obs/ts"
 	"sdb/internal/obs/ts/export"
 	"sdb/internal/obs/ts/store"
 	"sdb/internal/workload"
@@ -171,48 +172,23 @@ func exportCmd(argv []string) {
 	if *in == "" {
 		fatalf("export needs -in <file.sdbstor>")
 	}
-	if *since > *until {
-		fatalf("-since %g is after -until %g", *since, *until)
-	}
-	st, err := store.Open(*in)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer st.Close()
-	var src export.Walker = st
-	// A clipped store serves the window natively, reading only the
-	// pages that overlap it.
-	if !math.IsInf(*since, -1) || !math.IsInf(*until, 1) {
-		src = export.Clip(st, *since, *until)
-	}
-	if *series != "" {
-		src = export.Filter(src, *series)
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	var stats export.Stats
+	checkWindow("-since", *since, "-until", *until)
+	write := export.CSV
 	switch *format {
 	case "csv":
-		stats, err = export.CSV(w, src)
 	case "json":
-		stats, err = export.JSON(w, src)
+		write = export.JSON
 	default:
 		fatalf("unknown format %q (want csv or json)", *format)
 	}
+	st := openStore(*in)
+	defer st.Close()
+	w, done := output(*out)
+	stats, err := write(w, source(st, *in, *series), *since, *until)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *series != "" && stats.Series == 0 {
-		fatalf("no series named %q in %s", *series, *in)
-	}
+	done()
 	if *out != "" {
 		fmt.Printf("wrote %s: %d series, %d samples\n", *out, stats.Series, stats.Rows)
 	}
@@ -220,8 +196,8 @@ func exportCmd(argv []string) {
 
 // query answers time-windowed reads against a paged store: with no
 // -series it lists what is stored; with -series it prints the raw
-// samples in [from, to] (CSV long format), or per-bucket aggregates
-// when -down is given.
+// samples in [from, to] (CSV long format, the same walk as export), or
+// per-bucket aggregates when -down is given.
 func query(argv []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	var (
@@ -238,21 +214,14 @@ func query(argv []string) {
 	if *in == "" {
 		fatalf("query needs -in <file.sdbstor>")
 	}
-	st, err := store.Open(*in)
-	if err != nil {
-		fatalf("%v", err)
+	checkWindow("-from", *from, "-to", *to)
+	if !(*down >= 0) || math.IsInf(*down, 1) {
+		usagef("-down %g is not a finite bucket width (0 for raw samples)", *down)
 	}
+	st := openStore(*in)
 	defer st.Close()
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
+	w, done := output(*out)
+	defer done()
 
 	if *series == "" {
 		infos := st.Series()
@@ -280,12 +249,54 @@ func query(argv []string) {
 		return
 	}
 
-	win, err := st.Query(*series, *from, *to)
+	if _, err := export.CSV(w, source(st, *in, *series), *from, *to); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// checkWindow refuses a NaN or inverted read window as a usage error.
+func checkWindow(loFlag string, lo float64, hiFlag string, hi float64) {
+	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
+		usagef("%s %g and %s %g are not a time window", loFlag, lo, hiFlag, hi)
+	}
+}
+
+func openStore(path string) *store.Store {
+	st, err := store.Open(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if _, err := export.CSV(w, export.Windows([]ts.Window{win})); err != nil {
+	return st
+}
+
+// source is the store, narrowed to one series when name is set; a name
+// the store does not hold is fatal.
+func source(st *store.Store, path, name string) export.Walker {
+	if name == "" {
+		return st
+	}
+	for _, si := range st.Series() {
+		if si.Name == name {
+			return export.Filter(st, name)
+		}
+	}
+	fatalf("no series named %q in %s", name, path)
+	return nil
+}
+
+// output opens the -out file (stdout when empty); done closes it.
+func output(path string) (io.Writer, func()) {
+	if path == "" {
+		return os.Stdout, func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
 		fatalf("%v", err)
+	}
+	return f, func() {
+		if err := f.Close(); err != nil {
+			fatalf("%v", err)
+		}
 	}
 }
 
@@ -294,4 +305,9 @@ func gfloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "sdbtrace: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+func usagef(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "sdbtrace: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -31,10 +31,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // counts: bounds holds the finite upper edges (strictly increasing) and
 // cum the cumulative count at each edge plus a final entry for the
 // implicit +Inf bucket (len(cum) == len(bounds)+1). This is the shared
-// interpolation behind Histogram.Quantile, the derived-signal engine's
-// windowed quantiles, and sdbctl's p50/p99 lines over parsed
-// expositions. Returns NaN on empty data, malformed inputs, or q
-// outside [0,1].
+// interpolation behind Histogram.Quantile and FamilyQuantile (sdbctl's
+// p50/p99 lines over parsed expositions). Returns NaN on empty data,
+// malformed inputs, or q outside [0,1].
 func QuantileFromBuckets(bounds []float64, cum []float64, q float64) float64 {
 	if q < 0 || q > 1 || math.IsNaN(q) || len(cum) != len(bounds)+1 {
 		return math.NaN()

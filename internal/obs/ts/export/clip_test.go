@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"sort"
@@ -12,11 +13,11 @@ import (
 	"sdb/internal/obs/ts/store"
 )
 
-// clipCollect folds a Walk into windows for assertions.
-func clipCollect(t *testing.T, src Walker) []ts.Window {
+// clipCollect folds a windowed walk into windows for assertions.
+func clipCollect(t *testing.T, src Walker, t0, t1 float64) []ts.Window {
 	t.Helper()
 	var out []ts.Window
-	err := src.Walk(
+	err := src.WalkRange(t0, t1,
 		func(w ts.Window) error { out = append(out, w); return nil },
 		func(tt, v float64) error {
 			w := &out[len(out)-1]
@@ -38,9 +39,6 @@ func clipStore(t *testing.T, ws []ts.Window) *store.Store {
 	}
 	t.Cleanup(func() { st.Close() })
 	for _, w := range ws {
-		if err := st.Declare(w.Name, w.Kind, w.StepS); err != nil {
-			t.Fatal(err)
-		}
 		for i, v := range w.Values {
 			if err := st.Append(w.Name, w.Kind, w.StepS, w.FirstT+float64(i)*w.StepS, v); err != nil {
 				t.Fatal(err)
@@ -50,9 +48,10 @@ func clipStore(t *testing.T, ws []ts.Window) *store.Store {
 	return st
 }
 
-// TestClipWindows: a clipped store walk carries the in-window FirstT
+// TestClipWindows: a windowed store walk carries the in-window FirstT
 // and Total before any value streams (JSON writes them into the
-// header) and drops series with nothing in range.
+// header) and drops series with nothing in range; the exporters pass a
+// NaN or inverted window on to the store, which refuses it.
 func TestClipWindows(t *testing.T) {
 	src := clipStore(t, []ts.Window{
 		{Name: "a", Kind: ts.KindGauge, StepS: 60, FirstT: 0, Total: 10,
@@ -60,7 +59,7 @@ func TestClipWindows(t *testing.T) {
 		{Name: "early", Kind: ts.KindGauge, StepS: 1, FirstT: -50, Total: 3,
 			Values: []float64{7, 8, 9}},
 	})
-	got := clipCollect(t, Clip(src, 120, 330))
+	got := clipCollect(t, src, 120, 330)
 	if len(got) != 1 || got[0].Name != "a" {
 		t.Fatalf("clip kept %+v, want only series a", got)
 	}
@@ -75,16 +74,19 @@ func TestClipWindows(t *testing.T) {
 		}
 	}
 
-	// Unbounded clip is the identity.
-	all := clipCollect(t, Clip(src, math.Inf(-1), math.Inf(1)))
+	// The unbounded window is the whole store.
+	all := clipCollect(t, src, math.Inf(-1), math.Inf(1))
 	if len(all) != 2 || all[0].Total != 10 || all[1].Total != 3 {
 		t.Fatalf("unbounded clip altered the source: %+v", all)
 	}
 
-	err := Clip(src, 5, 1).Walk(
-		func(ts.Window) error { return nil }, func(float64, float64) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "inverted") {
-		t.Fatalf("inverted clip window: %v", err)
+	for _, win := range [][2]float64{{5, 1}, {math.NaN(), 1}, {0, math.NaN()}} {
+		if _, err := CSV(io.Discard, src, win[0], win[1]); err == nil || !strings.Contains(err.Error(), "inverted") {
+			t.Fatalf("CSV window %v: %v", win, err)
+		}
+		if _, err := JSON(io.Discard, Filter(src, "a"), win[0], win[1]); err == nil || !strings.Contains(err.Error(), "inverted") {
+			t.Fatalf("JSON window %v: %v", win, err)
+		}
 	}
 }
 
@@ -102,17 +104,58 @@ func (f *fakeRange) WalkRange(t0, t1 float64, series func(ts.Window) error, valu
 	return value(t0, 42)
 }
 
-// TestClipDelegatesToRangeWalker: a source that can serve the window
-// natively (the paged store) is asked to, so only overlapping pages
-// are read — Clip must not fall back to filtering a full walk.
+// TestClipDelegatesToRangeWalker: the exporters hand their window to
+// the source (the paged store serves it from the index, reading only
+// overlapping pages), through Filter too, and never filter a full walk
+// themselves.
 func TestClipDelegatesToRangeWalker(t *testing.T) {
-	f := &fakeRange{}
-	got := clipCollect(t, Clip(f, 10, 20))
-	if !f.ranged || f.t0 != 10 || f.t1 != 20 {
-		t.Fatalf("native WalkRange not used: %+v", f)
+	for _, filter := range []bool{false, true} {
+		f := &fakeRange{}
+		var src Walker = f
+		if filter {
+			src = Filter(f, "n")
+		}
+		var buf bytes.Buffer
+		st, err := CSV(&buf, src, 10, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.ranged || f.t0 != 10 || f.t1 != 20 {
+			t.Fatalf("filter=%v: window not handed to the source: %+v", filter, f)
+		}
+		if want := CSVHeader + "\nn,gauge,10,42\n"; buf.String() != want || st.Rows != 1 {
+			t.Fatalf("filter=%v: delegated results lost: %q", filter, buf.String())
+		}
 	}
-	if len(got) != 1 || got[0].Values[0] != 42 {
-		t.Fatalf("delegated results lost: %+v", got)
+}
+
+// TestFilterReadsOnlyItsSeries: a one-series export of a many-series
+// store reads that series' pages and no other's — the read a remote
+// operator makes for one device of a fleet recording.
+func TestFilterReadsOnlyItsSeries(t *testing.T) {
+	vals := make([]float64, 400)
+	for i := range vals {
+		vals[i] = float64(i) / 7
+	}
+	var ws []ts.Window
+	for _, name := range []string{"dev0_soc", "dev1_soc", "dev2_soc"} {
+		ws = append(ws, ts.Window{Name: name, Kind: ts.KindGauge, StepS: 60, Values: vals})
+	}
+	src := clipStore(t, ws)
+	if err := src.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	pages := src.Series()[1].Pages
+	src.ResetStats()
+	st, err := CSV(io.Discard, Filter(src, "dev1_soc"), math.Inf(-1), math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Series != 1 || st.Rows != int64(len(vals)) {
+		t.Fatalf("filtered export %+v", st)
+	}
+	if got := src.Stats().PagesRead; got != uint64(pages) {
+		t.Fatalf("filtered export read %d pages, want dev1_soc's %d", got, pages)
 	}
 }
 
@@ -121,7 +164,7 @@ func TestClipDelegatesToRangeWalker(t *testing.T) {
 func TestClipCSV(t *testing.T) {
 	ws := sampleWindows()
 	var buf bytes.Buffer
-	st, err := CSV(&buf, Clip(clipStore(t, ws), 0, 200))
+	st, err := CSV(&buf, clipStore(t, ws), 0, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

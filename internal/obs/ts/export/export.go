@@ -1,7 +1,6 @@
 // Package export streams recorded time series out of the paged store
-// or in-memory recorder windows into the CSV/JSON exchange formats,
-// one row at a time, so exporting a million-sample store costs the
-// same RAM as exporting ten.
+// into the CSV/JSON exchange formats, one row at a time, so exporting a
+// million-sample store costs the same RAM as exporting ten.
 package export
 
 import (
@@ -14,13 +13,15 @@ import (
 	"sdb/internal/obs/ts"
 )
 
-// Walker is a streamed series source. Walk calls series once per
-// series (in name order, with a metadata-only ts.Window: Values nil,
-// Total = rows known to the source), then value once per sample of
-// that series in time order. The paged store implements it directly;
-// Windows adapts in-memory windows.
+// Walker is a streamed series source that serves a closed time window
+// [t0, t1] itself, reading only the storage that overlaps it. WalkRange
+// calls series once per series with samples in the window (in name
+// order, with a metadata-only ts.Window: Values nil, FirstT and Total
+// those of the in-window samples), then value once per in-window sample
+// of that series in time order. A series callback that returns
+// ts.SkipSeries passes over that series. The paged store implements it.
 type Walker interface {
-	Walk(series func(ts.Window) error, value func(t, v float64) error) error
+	WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error
 }
 
 // Stats counts what an export produced.
@@ -29,29 +30,8 @@ type Stats struct {
 	Rows   int64
 }
 
-// Windows adapts in-memory windows (a live recorder's Windows(), a
-// store Query result) to the Walker shape.
-func Windows(ws []ts.Window) Walker { return windowWalker(ws) }
-
-type windowWalker []ts.Window
-
-func (ws windowWalker) Walk(series func(ts.Window) error, value func(t, v float64) error) error {
-	for _, w := range ws {
-		meta := w
-		meta.Values = nil
-		if err := series(meta); err != nil {
-			return err
-		}
-		for i, v := range w.Values {
-			if err := value(w.FirstT+float64(i)*w.StepS, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Filter narrows a Walker to one series name.
+// Filter narrows a Walker to one series name; the source skips every
+// other series without reading it.
 func Filter(src Walker, name string) Walker { return filterWalker{src, name} }
 
 type filterWalker struct {
@@ -59,55 +39,24 @@ type filterWalker struct {
 	name string
 }
 
-func (f filterWalker) Walk(series func(ts.Window) error, value func(t, v float64) error) error {
-	keep := false
-	return f.src.Walk(
-		func(w ts.Window) error {
-			keep = w.Name == f.name
-			if !keep {
-				return nil
-			}
-			return series(w)
-		},
-		func(t, v float64) error {
-			if !keep {
-				return nil
-			}
-			return value(t, v)
-		},
-	)
-}
-
-// RangeWalker is implemented by sources that can serve a time window
-// natively, reading only the storage that overlaps it (the paged
-// store's WalkRange).
-type RangeWalker interface {
-	WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error
-}
-
-// Clip narrows a RangeWalker to the closed time window [t0, t1], served
-// natively by the source so only overlapping storage is read. Series
-// with nothing in the window are dropped.
-func Clip(src RangeWalker, t0, t1 float64) Walker { return clipWalker{src, t0, t1} }
-
-type clipWalker struct {
-	src    RangeWalker
-	t0, t1 float64
-}
-
-func (c clipWalker) Walk(series func(ts.Window) error, value func(t, v float64) error) error {
-	return c.src.WalkRange(c.t0, c.t1, series, value)
+func (f filterWalker) WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error {
+	return f.src.WalkRange(t0, t1, func(w ts.Window) error {
+		if w.Name != f.name {
+			return ts.SkipSeries
+		}
+		return series(w)
+	}, value)
 }
 
 // CSVHeader is the first line of the long CSV format.
 const CSVHeader = "series,kind,time_s,value"
 
-// CSV streams the long format — CSVHeader, then one row per sample —
-// byte-identical to what encoding/csv would emit, without its
-// per-record allocations: the row buffer is reused and floats are
-// appended in place, so only a series change allocates (growing the
-// quoted-name buffer).
-func CSV(w io.Writer, src Walker) (Stats, error) {
+// CSV streams the long format — CSVHeader, then one row per sample of
+// src in [t0, t1] — byte-identical to what encoding/csv would emit,
+// without its per-record allocations: the row buffer is reused and
+// floats are appended in place, so only a series change allocates
+// (growing the quoted-name buffer).
+func CSV(w io.Writer, src Walker, t0, t1 float64) (Stats, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(CSVHeader + "\n"); err != nil {
 		return Stats{}, err
@@ -115,7 +64,7 @@ func CSV(w io.Writer, src Walker) (Stats, error) {
 	var st Stats
 	var row []byte    // reused per row
 	var prefix []byte // "name,kind," with CSV quoting, rebuilt per series
-	err := src.Walk(
+	err := src.WalkRange(t0, t1,
 		func(win ts.Window) error {
 			st.Series++
 			prefix = appendCSVField(prefix[:0], win.Name)
@@ -178,11 +127,12 @@ func csvNeedsQuotes(s string) bool {
 	return false
 }
 
-// JSON streams the same array-of-series document the old exporter
-// built with encoding/json (two-space indent, HTML-safe escaping,
-// json's float formatting), holding one value in memory at a time.
-// Like encoding/json it refuses non-finite values.
-func JSON(w io.Writer, src Walker) (Stats, error) {
+// JSON streams src's series in [t0, t1] as the array-of-series
+// document the old exporter built with encoding/json (two-space
+// indent, HTML-safe escaping, json's float formatting), holding one
+// value in memory at a time. Like encoding/json it refuses non-finite
+// values.
+func JSON(w io.Writer, src Walker, t0, t1 float64) (Stats, error) {
 	bw := bufio.NewWriter(w)
 	var st Stats
 	var row []byte // reused per value
@@ -190,7 +140,7 @@ func JSON(w io.Writer, src Walker) (Stats, error) {
 	inSeries := false
 	seriesRows := 0
 	var curName string
-	err := src.Walk(
+	err := src.WalkRange(t0, t1,
 		func(win ts.Window) error {
 			if err := finishJSONSeries(bw, &inSeries, seriesRows); err != nil {
 				return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -12,6 +13,37 @@ import (
 
 	"sdb/internal/obs/ts"
 )
+
+var inf = math.Inf(1)
+
+// windows adapts in-memory windows to the Walker shape, so the encoder
+// tests can feed the corners a store never produces (an empty series,
+// hand-picked first times). It serves only the unbounded window: the
+// store's own tests hold windowing.
+func windows(ws []ts.Window) Walker { return windowWalker(ws) }
+
+type windowWalker []ts.Window
+
+func (ws windowWalker) WalkRange(t0, t1 float64, series func(ts.Window) error, value func(t, v float64) error) error {
+	if t0 != -inf || t1 != inf {
+		return fmt.Errorf("windows: window [%g, %g] not supported", t0, t1)
+	}
+	for _, w := range ws {
+		meta := w
+		meta.Values = nil
+		if err := series(meta); err == ts.SkipSeries {
+			continue
+		} else if err != nil {
+			return err
+		}
+		for i, v := range w.Values {
+			if err := value(w.FirstT+float64(i)*w.StepS, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // sampleWindows exercises the quoting and formatting corners: names
 // with embedded quotes and commas (histogram buckets), values across
@@ -95,7 +127,7 @@ func oracleJSON(t *testing.T, ws []ts.Window) string {
 func TestCSVMatchesEncodingCSV(t *testing.T) {
 	ws := sampleWindows()
 	var buf bytes.Buffer
-	st, err := CSV(&buf, Windows(ws))
+	st, err := CSV(&buf, windows(ws), -inf, inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +143,7 @@ func TestCSVMatchesEncodingCSV(t *testing.T) {
 func TestJSONMatchesEncodingJSON(t *testing.T) {
 	ws := sampleWindows()
 	var buf bytes.Buffer
-	st, err := JSON(&buf, Windows(ws))
+	st, err := JSON(&buf, windows(ws), -inf, inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +158,7 @@ func TestJSONMatchesEncodingJSON(t *testing.T) {
 
 func TestJSONEmptySource(t *testing.T) {
 	var buf bytes.Buffer
-	st, err := JSON(&buf, Windows(nil))
+	st, err := JSON(&buf, windows(nil), -inf, inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +172,15 @@ func TestJSONEmptySource(t *testing.T) {
 func TestJSONRejectsNonFinite(t *testing.T) {
 	ws := []ts.Window{{Name: "x", Kind: ts.KindGauge, StepS: 1, Total: 2,
 		Values: []float64{1, math.Inf(1)}}}
-	if _, err := JSON(io.Discard, Windows(ws)); err == nil {
+	if _, err := JSON(io.Discard, windows(ws), -inf, inf); err == nil {
 		t.Fatal("JSON accepted +Inf")
 	}
 	ws[0].Values[1] = math.NaN()
-	if _, err := JSON(io.Discard, Windows(ws)); err == nil {
+	if _, err := JSON(io.Discard, windows(ws), -inf, inf); err == nil {
 		t.Fatal("JSON accepted NaN")
 	}
 	// CSV has no such restriction.
-	if _, err := CSV(io.Discard, Windows(ws)); err != nil {
+	if _, err := CSV(io.Discard, windows(ws), -inf, inf); err != nil {
 		t.Fatalf("CSV rejected NaN: %v", err)
 	}
 }
@@ -156,7 +188,7 @@ func TestJSONRejectsNonFinite(t *testing.T) {
 func TestFilter(t *testing.T) {
 	ws := sampleWindows()
 	var buf bytes.Buffer
-	st, err := CSV(&buf, Filter(Windows(ws), "odd,name"))
+	st, err := CSV(&buf, Filter(windows(ws), "odd,name"), -inf, inf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +199,7 @@ func TestFilter(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("filtered CSV:\ngot:\n%s\nwant:\n%s", buf.String(), want)
 	}
-	if st, _ := CSV(io.Discard, Filter(Windows(ws), "no-such-series")); st.Series != 0 || st.Rows != 0 {
+	if st, _ := CSV(io.Discard, Filter(windows(ws), "no-such-series"), -inf, inf); st.Series != 0 || st.Rows != 0 {
 		t.Fatalf("filter miss exported %+v", st)
 	}
 }
@@ -184,10 +216,10 @@ func TestExportAllocsFlat(t *testing.T) {
 	}
 	ws := []ts.Window{{Name: `w{le="0.1"}`, Kind: ts.KindGauge, StepS: 0.5, FirstT: 10,
 		Total: rows, Values: vals}}
-	src := Windows(ws)
+	src := windows(ws)
 
 	csvAllocs := testing.AllocsPerRun(3, func() {
-		if _, err := CSV(io.Discard, src); err != nil {
+		if _, err := CSV(io.Discard, src, -inf, inf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -195,7 +227,7 @@ func TestExportAllocsFlat(t *testing.T) {
 		t.Fatalf("CSV of %d rows cost %.0f allocs — per-row allocation crept back in", rows, csvAllocs)
 	}
 	jsonAllocs := testing.AllocsPerRun(3, func() {
-		if _, err := JSON(io.Discard, src); err != nil {
+		if _, err := JSON(io.Discard, src, -inf, inf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -214,7 +246,7 @@ func TestCSVQuotingCorners(t *testing.T) {
 	for _, name := range names {
 		ws := []ts.Window{{Name: name, Kind: ts.KindGauge, StepS: 1, Total: 1, Values: []float64{7}}}
 		var buf bytes.Buffer
-		if _, err := CSV(&buf, Windows(ws)); err != nil {
+		if _, err := CSV(&buf, windows(ws), -inf, inf); err != nil {
 			t.Fatal(err)
 		}
 		want := oracleCSV(t, ws)

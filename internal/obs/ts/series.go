@@ -1,9 +1,9 @@
 // Package ts turns the point-in-time obs registry into recorded
 // history: a scraper samples every registered metric on a fixed
 // sim-time cadence into bounded uniform-step series, a derived-signal
-// engine answers rate/delta/windowed-aggregate/quantile queries over
-// them, and a declarative alert evaluator watches the stream and emits
-// trace events and audit records when rules fire and resolve.
+// engine answers rate, delta and latest-value queries over them, and a
+// declarative alert evaluator watches the stream and emits trace
+// events and audit records when rules fire and resolve.
 //
 // The package keeps the two obs invariants: a nil *Recorder is a
 // complete no-op (the stack behaves byte-identically to one without
@@ -16,7 +16,10 @@
 // deterministic and replayable regardless of host speed.
 package ts
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Kind classifies what a series' samples mean. The values are stable:
 // they are written into the telemetry store and onto the wire.
@@ -201,6 +204,11 @@ type Window struct {
 	Total  uint64
 	Values []float64
 }
+
+// SkipSeries is returned by a series walk's per-series callback to pass
+// over that series: the source delivers none of its values (the paged
+// store reads none of its pages) and goes on with the next series.
+var SkipSeries = errors.New("ts: skip this series")
 
 // Window copies the retained samples out of the series.
 func (s *Series) Window() Window {

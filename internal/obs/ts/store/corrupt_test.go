@@ -45,8 +45,23 @@ func buildCorruptionFixture(t *testing.T) []byte {
 }
 
 // dumpStore renders everything readable from a store into one string,
-// value bits spelled out, so two dumps compare exactly.
+// value bits spelled out, so two dumps compare exactly. It reads
+// through Series, Query and QueryDown, and drains the unbounded
+// WalkRange export streams: wherever Query succeeds, the walk must
+// carry the same samples, bit for bit, at the same times (within the
+// grid slack Query allows between pages).
 func dumpStore(s *Store) (string, error) {
+	walked := map[string][][2]float64{}
+	var cur string
+	err := s.WalkRange(math.Inf(-1), math.Inf(1),
+		func(w ts.Window) error { cur = w.Name; return nil },
+		func(t, v float64) error {
+			walked[cur] = append(walked[cur], [2]float64{t, v})
+			return nil
+		})
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	for _, info := range s.Series() {
 		fmt.Fprintf(&b, "series %s kind=%s step=%g samples=%d\n",
@@ -55,8 +70,17 @@ func dumpStore(s *Store) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		got := walked[info.Name]
+		if len(got) != len(w.Values) {
+			return "", fmt.Errorf("%s: walk streamed %d samples, Query %d", info.Name, len(got), len(w.Values))
+		}
 		for i, v := range w.Values {
-			fmt.Fprintf(&b, "  v %s %g %#x\n", info.Name, w.FirstT+float64(i)*w.StepS, math.Float64bits(v))
+			t := w.FirstT + float64(i)*w.StepS
+			if math.Abs(got[i][0]-t) > gridEps(w.StepS) || math.Float64bits(got[i][1]) != math.Float64bits(v) {
+				return "", fmt.Errorf("%s[%d]: walk (%g, %#x), Query (%g, %#x)", info.Name, i,
+					got[i][0], math.Float64bits(got[i][1]), t, math.Float64bits(v))
+			}
+			fmt.Fprintf(&b, "  v %s %g %#x\n", info.Name, t, math.Float64bits(v))
 		}
 		bs, err := s.QueryDown(info.Name, math.Inf(-1), math.Inf(1), 120)
 		if err != nil {
@@ -272,6 +296,30 @@ func TestRejectsMalformedStructures(t *testing.T) {
 				return fmt.Errorf("level-0 control entry rejected: %v", err)
 			}
 			_, _, err := newStore(nil, 128).parseIndex(indexEntry(1))
+			return err
+		}},
+		// Every read scans a series' entries in index order as its time
+		// order, so Open refuses an index that lists them otherwise.
+		{"index entries out of time order", "out of time order", func() error {
+			data := buildCorruptionFixture(t)
+			off := -1
+			for o := headerSize; o+128 <= len(data); o += 128 {
+				if data[o] == ptIndex {
+					off = o // the committed index is the last one written
+				}
+			}
+			// Type, prev and count take a byte each here, and each entry
+			// is 20 bytes: one-byte id, page and count, level, two f64s.
+			e := data[off+3 : off+128]
+			if e[0] != e[20] {
+				return fmt.Errorf("fixture's first two index entries are not one series'")
+			}
+			var first [20]byte
+			copy(first[:], e[:20])
+			copy(e[:20], e[20:40])
+			copy(e[20:40], first[:])
+			recrcPage(data[off : off+128])
+			_, err := openAndDump(t, data)
 			return err
 		}},
 		// Type 3 once held downsampled buckets. A CRC-valid page of it

@@ -286,18 +286,6 @@ func (s *Store) ResetStats() {
 	s.mu.Unlock()
 }
 
-// Declare registers a series without appending a sample, so an empty
-// series is listed and walked. Idempotent for matching metadata.
-func (s *Store) Declare(name string, kind ts.Kind, stepS float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("store: closed")
-	}
-	_, err := s.ensureSeries(name, kind, stepS)
-	return err
-}
-
 // Append records one sample of a series at sim time t. Samples must
 // arrive in strictly increasing time order per series; a sample that
 // does not land one stepS after its predecessor starts a new page (a
@@ -309,12 +297,14 @@ func (s *Store) Append(name string, kind ts.Kind, stepS, t, v float64) error {
 	if s.closed {
 		return errors.New("store: closed")
 	}
+	// Every check runs before ensureSeries registers a new name, so a
+	// rejected sample leaves no empty series behind.
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("store: %s: non-finite sample time", name)
+	}
 	ss, err := s.ensureSeries(name, kind, stepS)
 	if err != nil {
 		return err
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("store: %s: non-finite sample time", name)
 	}
 	if ss.hasData && t <= ss.maxT {
 		return fmt.Errorf("store: %s: non-monotone append (t=%g after %g)", name, t, ss.maxT)
@@ -710,6 +700,9 @@ func open(f *os.File) (*Store, error) {
 			if r.e.page >= rootPage {
 				return nil, fmt.Errorf("%w: index references page %d beyond commit", ErrCorrupt, r.e.page)
 			}
+			if ss.hasData && r.e.firstT <= ss.maxT {
+				return nil, fmt.Errorf("%w: index entries of %s overlap or are out of time order", ErrCorrupt, ss.name)
+			}
 			ss.adopt(r.e)
 		}
 	}
@@ -769,7 +762,7 @@ func (s *Store) rollForward(payload []byte, page int64) (bool, error) {
 		s.declPages = append(s.declPages, page)
 		return true, nil
 	case ptData:
-		id, firstT, count, err := parseDataHeader(payload)
+		id, firstT, count, _, err := parseDataHeader(payload)
 		if err != nil {
 			return false, nil
 		}
@@ -793,16 +786,13 @@ func (s *Store) rollForward(payload []byte, page int64) (bool, error) {
 	}
 }
 
-// adopt inserts an index entry and refreshes the series' time bounds.
+// adopt appends an index entry that starts after every sample the
+// series holds (callers check), keeping entries in time order — the
+// order every read scans them in.
 func (ss *seriesState) adopt(e entry) {
 	ss.entries = append(ss.entries, e)
-	for i := len(ss.entries) - 1; i > 0 && ss.entries[i].firstT < ss.entries[i-1].firstT; i-- {
-		ss.entries[i], ss.entries[i-1] = ss.entries[i-1], ss.entries[i]
-	}
-	if !ss.hasData || e.lastT > ss.maxT {
-		ss.maxT = e.lastT
-		ss.hasData = true
-	}
+	ss.maxT = e.lastT
+	ss.hasData = true
 }
 
 type rootInfo struct {
@@ -934,27 +924,28 @@ func (s *Store) parseIndex(payload []byte) (prev int64, recs []entryRec, err err
 	return prev, recs, nil
 }
 
-// parseDataHeader decodes a data page's header without its values.
-func parseDataHeader(payload []byte) (id uint64, firstT float64, count uint64, err error) {
+// parseDataHeader decodes a data page's header and returns the sample
+// run after it (see decodeRun) undecoded.
+func parseDataHeader(payload []byte) (id uint64, firstT float64, count uint64, body []byte, err error) {
 	if len(payload) == 0 || payload[0] != ptData {
-		return 0, 0, 0, fmt.Errorf("%w: not a data page", ErrCorrupt)
+		return 0, 0, 0, nil, fmt.Errorf("%w: not a data page", ErrCorrupt)
 	}
 	d := pageParser{buf: payload[1:]}
 	id = d.uvarint("series id")
 	firstT = d.f64("firstT")
 	count = d.uvarint("sample count")
 	if d.err != nil {
-		return 0, 0, 0, d.err
+		return 0, 0, 0, nil, d.err
 	}
 	if count == 0 || math.IsNaN(firstT) || math.IsInf(firstT, 0) {
-		return 0, 0, 0, fmt.Errorf("%w: data header count=%d firstT=%g", ErrCorrupt, count, firstT)
+		return 0, 0, 0, nil, fmt.Errorf("%w: data header count=%d firstT=%g", ErrCorrupt, count, firstT)
 	}
 	// A sample costs ≥1 byte beyond the first's fixed 8: bound before
 	// anyone sizes a buffer from count.
 	if count-1 > uint64(len(d.buf)) {
-		return 0, 0, 0, fmt.Errorf("%w: %d samples exceed page payload", ErrCorrupt, count)
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d samples exceed page payload", ErrCorrupt, count)
 	}
-	return id, firstT, count, nil
+	return id, firstT, count, d.buf, nil
 }
 
 // pageParser is the bounded in-page decoder: every read validates

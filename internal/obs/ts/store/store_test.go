@@ -211,11 +211,42 @@ func TestAppendValidation(t *testing.T) {
 	if err := s.Append(string(long), ts.KindGauge, 60, 0, 1); err == nil {
 		t.Fatal("oversized name accepted")
 	}
-	if err := s.Declare("ok", ts.KindGauge, 60); err != nil {
-		t.Fatalf("Declare: %v", err)
+	if err := s.Append("g", ts.KindCounter, 60, 60, 2); err == nil {
+		t.Fatal("kind conflict accepted")
 	}
-	if err := s.Declare("ok", ts.KindCounter, 60); err == nil {
-		t.Fatal("Declare kind conflict accepted")
+	if err := s.Append("g", ts.KindGauge, 30, 60, 2); err == nil {
+		t.Fatal("step conflict accepted")
+	}
+}
+
+// TestRejectedAppendLeavesNoSeries: an Append refused for its time
+// must not register its name — a rejected first sample used to leave an
+// empty series that Series listed, Sync persisted and a reopen kept.
+func TestRejectedAppendLeavesNoSeries(t *testing.T) {
+	s, path := tempStore(t, Options{PageSize: 256})
+	mustAppend(t, s, "real", ts.KindGauge, 60, 0, 1)
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		name := fmt.Sprintf("ghost%d", i)
+		if err := s.Append(name, ts.KindGauge, 60, bad, 1); err == nil {
+			t.Fatalf("Append at t=%g accepted", bad)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if infos := r.Series(); len(infos) != 1 || infos[0].Name != "real" {
+		t.Fatalf("reopened store lists %+v, want only series real", infos)
+	}
+	if n := r.Stats().Series; n != 1 {
+		t.Fatalf("reopened store holds %d series, want 1", n)
 	}
 }
 

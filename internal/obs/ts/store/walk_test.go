@@ -8,13 +8,12 @@ import (
 	"sdb/internal/obs/ts"
 )
 
-// walkAll drains Walk into windows, asserting the emitted times sit on
-// each series' announced grid (gaps move FirstT forward, so times are
-// checked for monotonicity only across a gap).
+// walkAll drains an unbounded WalkRange (the whole store, as export
+// reads it) into windows.
 func walkAll(t *testing.T, s *Store) []ts.Window {
 	t.Helper()
 	var out []ts.Window
-	err := s.Walk(
+	err := s.WalkRange(math.Inf(-1), math.Inf(1),
 		func(w ts.Window) error {
 			if w.Values != nil {
 				t.Fatalf("%s: meta window carries values", w.Name)
@@ -34,9 +33,9 @@ func walkAll(t *testing.T, s *Store) []ts.Window {
 	return out
 }
 
-// TestWalk: the streamed export surface agrees with Query on every
-// series — flushed pages, the pending tail, declared-but-empty series
-// — and survives a reopen.
+// TestWalk: the unbounded walk that export streams agrees with Query
+// on every series — flushed pages and the pending tail — and survives
+// a reopen.
 func TestWalk(t *testing.T) {
 	s, path := tempStore(t, Options{PageSize: 256})
 	for i := 0; i < 300; i++ {
@@ -45,23 +44,17 @@ func TestWalk(t *testing.T) {
 	for i := 0; i < 7; i++ { // stays pending, never flushed
 		mustAppend(t, s, "b_total", ts.KindFCounter, 60, float64(i)*60, float64(i*i))
 	}
-	if err := s.Declare("empty", ts.KindGauge, 5); err != nil {
-		t.Fatal(err)
-	}
 
 	check := func(s *Store, what string) {
 		t.Helper()
 		ws := walkAll(t, s)
-		if len(ws) != 3 {
-			t.Fatalf("%s: walked %d series, want 3", what, len(ws))
+		if len(ws) != 2 {
+			t.Fatalf("%s: walked %d series, want 2", what, len(ws))
 		}
-		if ws[0].Name != "a" || ws[1].Name != "b_total" || ws[2].Name != "empty" {
-			t.Fatalf("%s: series out of name order: %s %s %s", what, ws[0].Name, ws[1].Name, ws[2].Name)
+		if ws[0].Name != "a" || ws[1].Name != "b_total" {
+			t.Fatalf("%s: series out of name order: %s %s", what, ws[0].Name, ws[1].Name)
 		}
-		if ws[2].Total != 0 || len(ws[2].Values) != 0 {
-			t.Fatalf("%s: empty series walked %d values", what, len(ws[2].Values))
-		}
-		for _, w := range ws[:2] {
+		for _, w := range ws {
 			q, err := s.Query(w.Name, math.Inf(-1), math.Inf(1))
 			if err != nil {
 				t.Fatal(err)
@@ -87,10 +80,11 @@ func TestWalk(t *testing.T) {
 
 	// Callback errors propagate from both hooks.
 	sentinel := errors.New("stop")
-	if err := r.Walk(func(ts.Window) error { return sentinel }, func(_, _ float64) error { return nil }); !errors.Is(err, sentinel) {
+	all := math.Inf(1)
+	if err := r.WalkRange(-all, all, func(ts.Window) error { return sentinel }, func(_, _ float64) error { return nil }); !errors.Is(err, sentinel) {
 		t.Fatalf("series-callback error lost: %v", err)
 	}
-	if err := r.Walk(func(ts.Window) error { return nil }, func(_, _ float64) error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := r.WalkRange(-all, all, func(ts.Window) error { return nil }, func(_, _ float64) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("value-callback error lost: %v", err)
 	}
 }

@@ -106,7 +106,7 @@ func TestWalkRangeReadsOnlyOverlappingPages(t *testing.T) {
 	mustAppend(t, s, "long", ts.KindGauge, 1, 0, vals...)
 
 	s.ResetStats()
-	if err := s.Walk(func(ts.Window) error { return nil }, func(float64, float64) error { return nil }); err != nil {
+	if err := s.WalkRange(math.Inf(-1), math.Inf(1), func(ts.Window) error { return nil }, func(float64, float64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	full := s.Stats().PagesRead
@@ -122,5 +122,69 @@ func TestWalkRangeReadsOnlyOverlappingPages(t *testing.T) {
 	}
 	if narrow == 0 || narrow*4 > full {
 		t.Fatalf("narrow WalkRange read %d pages vs %d for full Walk; index prefilter not working", narrow, full)
+	}
+}
+
+// TestWalkRangeSkipSeries: a series callback that returns ts.SkipSeries
+// passes over that series without reading a page of it, and the walk
+// goes on with the next series.
+func TestWalkRangeSkipSeries(t *testing.T) {
+	s, _ := tempStore(t, Options{PageSize: 128})
+	vals := make([]float64, 300)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	mustAppend(t, s, "a", ts.KindGauge, 1, 0, vals...)
+	mustAppend(t, s, "b", ts.KindGauge, 1, 0, vals...)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	pages := s.Series()[1].Pages
+	if pages < 5 {
+		t.Fatalf("test needs several pages per series, b has %d", pages)
+	}
+
+	s.ResetStats()
+	var names []string
+	var rows int
+	err := s.WalkRange(math.Inf(-1), math.Inf(1),
+		func(w ts.Window) error {
+			names = append(names, w.Name)
+			if w.Name == "a" {
+				return ts.SkipSeries
+			}
+			return nil
+		},
+		func(float64, float64) error { rows++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 2 || rows != len(vals) {
+		t.Fatalf("visited %v with %d rows, want [a b] with %d", names, rows, len(vals))
+	}
+	if got := s.Stats().PagesRead; got != uint64(pages) {
+		t.Fatalf("walk read %d pages, want only b's %d", got, pages)
+	}
+}
+
+// TestReadWindowRejectsNaN: a NaN bound compares false with every
+// time, so an unchecked one reads as "no bound" and returns the whole
+// series. Every read refuses it, and an inverted window, alike.
+func TestReadWindowRejectsNaN(t *testing.T) {
+	s, _ := tempStore(t, Options{PageSize: 128})
+	mustAppend(t, s, "g", ts.KindGauge, 1, 0, 1, 2, 3, 4, 5, 6)
+	nan := math.NaN()
+	for _, win := range [][2]float64{{nan, 5}, {0, nan}, {nan, nan}, {5, 1}} {
+		t0, t1 := win[0], win[1]
+		if w, err := s.Query("g", t0, t1); err == nil {
+			t.Errorf("Query [%g, %g] accepted, returned %d values", t0, t1, len(w.Values))
+		}
+		if bs, err := s.QueryDown("g", t0, t1, 2); err == nil {
+			t.Errorf("QueryDown [%g, %g] accepted, returned %d buckets", t0, t1, len(bs))
+		}
+		err := s.WalkRange(t0, t1, func(ts.Window) error { return nil }, func(float64, float64) error { return nil })
+		if err == nil {
+			t.Errorf("WalkRange [%g, %g] accepted", t0, t1)
+		}
 	}
 }
