@@ -16,9 +16,10 @@
 #   - store: the paged store's differential day, corruption battery
 #     (every read path, the export walk included), torn-append crash
 #     test, the unbounded and windowed walks, and a fuzz burst.
-#   - live telemetry: the push plane and fleet alerts under -race, an
-#     alert-grammar fuzz burst, and a real `sdbctl serve` + `sdbtop
-#     -once` smoke over TCP.
+#   - live telemetry: the push plane and fleet alerts (the fleet window
+#     tests included) under -race, the shared alert engine's tests
+#     under -race, an alert-grammar fuzz burst, and a real `sdbctl
+#     serve` + `sdbtop -once` smoke over TCP.
 #   - coverage ratchet: per-package floors in COVERAGE.ratchet.
 #   - exact counts: the figures and fleet-full benchmark workloads must
 #     check correct and reproduce PERF_COUNTS.json exactly.
@@ -85,9 +86,14 @@ go test -fuzz 'FuzzStore' -fuzztime 5s -run '^$' ./internal/obs/ts/store/
 # not stall and every subscriber's drop ledger must balance exactly —
 # together with the rest of the subscription plane (delta/reset decode,
 # lifecycle churn, legacy-client downgrade) and the seeded-chaos alert
-# determinism suite. Then a live fuzz burst on the alert rule grammar
-# on top of its committed seed corpus.
+# determinism suite (TestFleetAlert* also holds the fleet window tests:
+# recorder/fleet edge parity, a window longer than any fixed history,
+# folded rule names). Then the one alert engine the recorder, the fleet
+# and `sdbctl watch` share — its window rule, bounded history and
+# zero-allocation evaluation — and a live fuzz burst on the alert rule
+# grammar on top of its committed seed corpus.
 go test -race -run 'TestSlowSubscriberNeverStallsBarrier|TestSubscribe|TestSubscription|TestPushResetAfterDrop|TestLegacyClientIgnoresPushes|TestTracePushDelivery|TestUnsubscribeForeignConn|TestFleetAlert' -v ./internal/fleet/
+go test -race -run 'TestEngine|TestDerivedSignals' -v ./internal/obs/ts/
 go test -fuzz 'FuzzParseRules' -fuzztime 5s -run '^$' ./internal/obs/ts/
 # End-to-end CLI smoke: a real fleet server with alert rules, a real
 # sdbtop one-shot dashboard over TCP. The grep asserts the dashboard

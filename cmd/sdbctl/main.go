@@ -511,9 +511,10 @@ func series(cl pmic.DeviceClient, args []string) {
 	}
 }
 
-// watch periodically scrapes the controller's registry, feeds the
-// samples into a local recorder, and prints derived counter rates,
-// gauge values, and alert states — a minimal top(1) for the firmware.
+// watch periodically scrapes the controller's registry, evaluates the
+// alert rules over the scraped series through the ts alert engine, and
+// prints counter rates, gauge values, histogram quantiles and alert
+// states — a minimal top(1) for the firmware.
 func watch(cl pmic.DeviceClient, args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	var (
@@ -541,7 +542,11 @@ func watch(cl pmic.DeviceClient, args []string) {
 		}
 	}
 	stepS := every.Seconds()
-	rec := ts.NewRecorder(nil, ts.Config{StepS: stepS, Rules: rules})
+	eng := ts.NewEngine(rules)
+	sub := eng.NewSubject()
+	in := make([]ts.Reading, len(rules))
+	fired := make([]int, len(rules))
+	var prev map[string]float64
 
 	for round := 0; *count == 0 || round < *count; round++ {
 		if round > 0 {
@@ -557,7 +562,16 @@ func watch(cl pmic.DeviceClient, args []string) {
 			fatalf("watch: malformed exposition: %v", err)
 		}
 		t := float64(round) * stepS
-		rec.Observe(t, fams)
+		vals := scrapedSeries(fams)
+		for i, ru := range rules {
+			v, ok := vals[ru.Series]
+			in[i] = ts.Reading{V: v, NoData: !ok}
+		}
+		for _, ed := range eng.Eval(sub, t, in) {
+			if ed.To == ts.StateFiring {
+				fired[ed.Rule]++
+			}
+		}
 
 		fmt.Printf("-- t=%gs --\n", t)
 		for _, f := range fams {
@@ -568,8 +582,8 @@ func watch(cl pmic.DeviceClient, args []string) {
 				}
 				// Rate over the last scrape interval; the first round
 				// has one sample and no defined rate yet.
-				if rate, ok := rec.Rate(f.Name, stepS); ok {
-					fmt.Printf("%-55s %14g %10.3g/s\n", f.Name, f.Samples[0].Value, rate)
+				if was, ok := prev[f.Name]; ok {
+					fmt.Printf("%-55s %14g %10.3g/s\n", f.Name, f.Samples[0].Value, (f.Samples[0].Value-was)/stepS)
 				} else {
 					fmt.Printf("%-55s %14g %10s\n", f.Name, f.Samples[0].Value, "-")
 				}
@@ -586,11 +600,40 @@ func watch(cl pmic.DeviceClient, args []string) {
 				}
 			}
 		}
-		for _, st := range rec.AlertStates() {
+		for i, st := range sub.Alerts {
 			fmt.Printf("alert %-20s %-8s fired %d time(s), value %g\n",
-				st.Rule.Name, st.State, st.Fired, st.Value)
+				rules[i].Name, st.State, fired[i], st.Value)
+		}
+		prev = vals
+	}
+}
+
+// scrapedSeries names a scrape's values as the recorder names its
+// series: a single-sample counter or gauge under its family name, a
+// histogram as name_bucket{le="…"}, name_sum and name_count.
+func scrapedSeries(fams []obs.Family) map[string]float64 {
+	vals := make(map[string]float64)
+	for _, f := range fams {
+		switch f.Kind {
+		case obs.KindCounter, obs.KindGauge:
+			if len(f.Samples) == 1 {
+				vals[f.Name] = f.Samples[0].Value
+			}
+		case obs.KindHistogram:
+			for _, s := range f.Samples {
+				switch s.Label {
+				case "sum", "count":
+					vals[f.Name+"_"+s.Label] = s.Value
+				default:
+					// ParseText accepted the bound; render it as the
+					// recorder does.
+					le, _ := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(s.Label, `le="`), `"`), 64)
+					vals[f.Name+"_bucket{"+obs.FormatLe(le)+"}"] = s.Value
+				}
+			}
 		}
 	}
+	return vals
 }
 
 // fleetRestore validates a local checkpoint file and summarizes what a

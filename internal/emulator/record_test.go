@@ -73,12 +73,17 @@ func TestRecorderOnByteIdentical(t *testing.T) {
 	if !ok || lastT != recorded.ElapsedS {
 		t.Errorf("last sample at %g (ok=%v), want %g", lastT, ok, recorded.ElapsedS)
 	}
-	if v, ok := rec.Latest("sdb_pmic_steps_total"); !ok || v != float64(recorded.Steps) {
-		t.Errorf("recorded step total %g (ok=%v), emulator reports %d", v, ok, recorded.Steps)
+	w, ok := rec.Get("sdb_pmic_steps_total")
+	if !ok || len(w.Values) < 11 {
+		t.Fatalf("step counter series: ok=%v, %d samples", ok, len(w.Values))
 	}
-	if rate, ok := rec.Rate("sdb_pmic_steps_total", 600); !ok || rate != 1.0 {
-		// One firmware step per simulated second, so the steady rate is 1.
-		t.Errorf("step rate %g (ok=%v), want exactly 1/s", rate, ok)
+	if v := w.Values[len(w.Values)-1]; v != float64(recorded.Steps) {
+		t.Errorf("recorded step total %g, emulator reports %d", v, recorded.Steps)
+	}
+	// One firmware step per simulated second, so the steady rate over
+	// the last 600 s (ten 60-s samples) is 1.
+	if rate := (w.Values[len(w.Values)-1] - w.Values[len(w.Values)-11]) / 600; rate != 1.0 {
+		t.Errorf("step rate %g, want exactly 1/s", rate)
 	}
 }
 
@@ -140,8 +145,8 @@ func TestRecordDayRoundTripFile(t *testing.T) {
 			}
 		}
 	}
-	if v, ok := rec.Latest("sdb_emulator_step_seconds_count"); !ok || !(v > 0) {
-		t.Errorf("step timing count is %g (ok=%v), want > 0", v, ok)
+	if w, ok := rec.Get("sdb_emulator_step_seconds_count"); !ok || len(w.Values) == 0 || !(w.Values[len(w.Values)-1] > 0) {
+		t.Errorf("step timing count series %+v (ok=%v), want a newest value > 0", w, ok)
 	}
 }
 

@@ -45,14 +45,22 @@ func FormatAlertTransitions(trs []AlertTransition) string {
 }
 
 // ValidateRules rejects rules whose series is not a fleet device
-// signal (soc, health, steps, temp_c, energy_j). The recorder's DSL
-// accepts any series name; the fleet's namespace is fixed.
+// signal (soc, health, steps, temp_c, energy_j), and rules whose names
+// fold to one metric name (see metricName): they would share a firing
+// gauge and a recorded series. The recorder's DSL accepts any series
+// name; the fleet's namespace is fixed.
 func ValidateRules(rules []ts.Rule) error {
+	folded := make(map[string]string, len(rules))
 	for _, ru := range rules {
 		if sigIndexOf(ru.Series) < 0 {
 			return fmt.Errorf("fleet: rule %q: unknown device signal %q (have %s)",
 				ru.Name, ru.Series, strings.Join(deviceSignals, ", "))
 		}
+		mn := metricName(ru.Name)
+		if prev, ok := folded[mn]; ok {
+			return fmt.Errorf("fleet: rules %q and %q both name the metric %s", prev, ru.Name, firingName(mn))
+		}
+		folded[mn] = ru.Name
 	}
 	return nil
 }
@@ -66,72 +74,17 @@ func sigIndexOf(series string) int {
 	return -1
 }
 
-// ringCap bounds the per-(device, rule) history ring backing rate()
-// and delta() signals: enough barriers to cover any reasonable `over`
-// window at recording cadence without per-device allocation churn.
-const ringCap = 64
-
-// sigRing is a fixed-capacity ring of (t, v) barrier samples.
-type sigRing struct {
-	t, v []float64
-	n    int // live samples
-	head int // next write slot
-}
-
-func (r *sigRing) push(t, v float64) {
-	if r.t == nil {
-		r.t = make([]float64, ringCap)
-		r.v = make([]float64, ringCap)
-	}
-	r.t[r.head] = t
-	r.v[r.head] = v
-	r.head = (r.head + 1) % ringCap
-	if r.n < ringCap {
-		r.n++
-	}
-}
-
-// at returns the i-th newest sample (0 = newest).
-func (r *sigRing) at(i int) (float64, float64) {
-	idx := (r.head - 1 - i + 2*ringCap) % ringCap
-	return r.t[idx], r.v[idx]
-}
-
-// lookback finds the newest sample at least windowS older than now —
-// the recorder's window clamp: with less history than the window, the
-// oldest sample stands in. ok is false with fewer than two samples.
-func (r *sigRing) lookback(now, windowS float64) (t, v float64, ok bool) {
-	if r.n < 2 {
-		return 0, 0, false
-	}
-	const eps = 1e-9
-	for i := 1; i < r.n; i++ {
-		t, v = r.at(i)
-		if now-t >= windowS-eps {
-			return t, v, true
-		}
-	}
-	t, v = r.at(r.n - 1)
-	return t, v, true
-}
-
-// devAlerts is one device's alert state: per-rule lifecycle plus, for
-// rules that need history (rate/delta), a sample ring per rule.
-type devAlerts struct {
-	st    []ts.Lifecycle
-	hist  []*sigRing // index parallel to rules; nil when not needed
-	lastT float64
-}
-
-// alertEngine evaluates the fleet's rule set at every tick barrier.
-// All state is touched only from the barrier (regMu read-held,
-// tickMu held), so it needs no lock of its own.
+// alertEngine evaluates the fleet's rule set at every tick barrier
+// through a ts.Engine, one subject per device. All state is touched
+// only from the barrier (regMu read-held, tickMu held), so it needs no
+// lock of its own.
 type alertEngine struct {
-	rules    []ts.Rule
-	sigIdx   []int  // rule -> deviceSignals index (-1: never matches)
-	needHist []bool // rule needs a sample ring (rate/delta)
-	devs     map[uint16]*devAlerts
-	log      []AlertTransition
+	eng    *ts.Engine
+	rules  []ts.Rule
+	sigIdx []int // rule -> deviceSignals index (-1: never matches)
+	devs   map[uint16]*ts.Subject
+	in     []ts.Reading // one device's readings, reused
+	log    []AlertTransition
 
 	// Barrier rollups, recomputed every evaluation.
 	firing      []int
@@ -152,29 +105,34 @@ type alertEngine struct {
 
 func newAlertEngine(rules []ts.Rule, reg *obs.Registry) *alertEngine {
 	e := &alertEngine{
-		rules:    rules,
-		sigIdx:   make([]int, len(rules)),
-		needHist: make([]bool, len(rules)),
-		devs:     make(map[uint16]*devAlerts),
-		firing:   make([]int, len(rules)),
-		firingG:  make([]*obs.Gauge, len(rules)),
-		totalG:   reg.Gauge("sdb_fleet_alerts_firing"),
-		skipG:    reg.Gauge("sdb_fleet_alerts_skipped_devices"),
-		transC:   reg.Counter("sdb_fleet_alert_transitions_total"),
-		tracer:   reg.Tracer(),
-		vals:     make([]float64, len(rules)+1),
+		eng:     ts.NewEngine(rules),
+		rules:   rules,
+		sigIdx:  make([]int, len(rules)),
+		devs:    make(map[uint16]*ts.Subject),
+		in:      make([]ts.Reading, len(rules)),
+		firing:  make([]int, len(rules)),
+		firingG: make([]*obs.Gauge, len(rules)),
+		totalG:  reg.Gauge("sdb_fleet_alerts_firing"),
+		skipG:   reg.Gauge("sdb_fleet_alerts_skipped_devices"),
+		transC:  reg.Counter("sdb_fleet_alert_transitions_total"),
+		tracer:  reg.Tracer(),
+		vals:    make([]float64, len(rules)+1),
 	}
 	for i, ru := range rules {
 		e.sigIdx[i] = sigIndexOf(ru.Series)
-		e.needHist[i] = ru.Sig == ts.SigRate || ru.Sig == ts.SigDelta
-		e.firingG[i] = reg.Gauge("sdb_fleet_alert_" + metricName(ru.Name) + "_firing")
-		e.rec.names = append(e.rec.names, "sdb_fleet_alert_"+ru.Name+"_firing")
+		name := firingName(metricName(ru.Name))
+		e.firingG[i] = reg.Gauge(name)
+		e.rec.names = append(e.rec.names, name)
 		e.rec.kinds = append(e.rec.kinds, ts.KindGauge)
 	}
 	e.rec.names = append(e.rec.names, "sdb_fleet_alert_transitions")
 	e.rec.kinds = append(e.rec.kinds, ts.KindFCounter)
 	return e
 }
+
+// firingName is the registry gauge and recorded series counting the
+// devices a rule fires on.
+func firingName(metric string) string { return "sdb_fleet_alert_" + metric + "_firing" }
 
 // metricName folds an arbitrary rule name into the registry's
 // identifier alphabet.
@@ -216,29 +174,27 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 			e.skipped++
 			continue
 		}
-		da := e.devs[id]
-		if da == nil {
-			da = &devAlerts{
-				st:    make([]ts.Lifecycle, len(e.rules)),
-				hist:  make([]*sigRing, len(e.rules)),
-				lastT: -1,
-			}
-			e.devs[id] = da
+		sub := e.devs[id]
+		if sub == nil {
+			sub = e.eng.NewSubject()
+			e.devs[id] = sub
 		}
-		t := d.sig.t
-		if t <= da.lastT {
-			// Clock stopped (device done): no new sample, lifecycle
-			// frozen — but firing states still count toward rollups.
-			for ri := range e.rules {
-				if da.st[ri].State == ts.StateFiring {
-					e.firing[ri]++
-				}
+		for ri, idx := range e.sigIdx {
+			if idx < 0 {
+				e.in[ri] = ts.Reading{NoData: true}
+			} else {
+				e.in[ri] = ts.Reading{V: d.sig.v[idx]}
 			}
-			continue
 		}
-		da.lastT = t
-		for ri := range e.rules {
-			e.evalRule(da, ri, id, t, d.sig.v[:])
+		// A device whose clock stopped (done) has no new sample: Eval
+		// leaves its lifecycles frozen, and firing ones still count.
+		for _, ed := range e.eng.Eval(sub, d.sig.t, e.in) {
+			e.transition(id, d.sig.t, ed)
+		}
+		for ri := range e.firing {
+			if sub.Alerts[ri].State == ts.StateFiring {
+				e.firing[ri]++
+			}
 		}
 	}
 
@@ -263,62 +219,24 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 	return e.log[start:]
 }
 
-// evalRule advances one rule's lifecycle on one device, reading the
-// signal from the device's barrier sample and its history ring.
-func (e *alertEngine) evalRule(da *devAlerts, ri int, dev uint16, t float64, sig []float64) {
-	ru := &e.rules[ri]
-	st := &da.st[ri]
-	idx := e.sigIdx[ri]
-	if idx < 0 {
-		return
-	}
-	raw := sig[idx]
-	ok := true
-	if e.needHist[ri] {
-		ring := da.hist[ri]
-		if ring == nil {
-			ring = &sigRing{}
-			da.hist[ri] = ring
-		}
-		ring.push(t, raw)
-		// A zero window is one barrier step: the previous sample
-		// qualifies.
-		t0, v0, have := ring.lookback(t, ru.WindowS)
-		if !have || t <= t0 {
-			ok = false
-		} else if ru.Sig == ts.SigRate {
-			raw = (raw - v0) / (t - t0)
-		} else {
-			raw -= v0
-		}
-	}
-	v, from, edge := st.Step(ru, t, raw, ok)
-	if edge {
-		e.transition(ri, dev, t, from, st.State, v)
-	}
-	if st.State == ts.StateFiring {
-		e.firing[ri]++
-	}
-}
-
 // transition records one fire/resolve edge: appended to the durable
 // log (returned to Tick for pushes), counted, and emitted as a trace
 // event (scope "fleet", Cell = device id) so trace subscribers see
 // edges even without an alert subscription.
-func (e *alertEngine) transition(ri int, dev uint16, t float64, from, to ts.AlertState, v float64) {
-	ru := &e.rules[ri]
+func (e *alertEngine) transition(dev uint16, t float64, ed ts.Edge) {
+	ru := &e.rules[ed.Rule]
 	e.log = append(e.log, AlertTransition{
 		TimeS: t, Device: dev, Rule: ru.Name,
-		From: from, To: to, Value: v, Threshold: ru.Threshold,
+		From: ed.From, To: ed.To, Value: ed.Value, Threshold: ru.Threshold,
 	})
 	e.transC.Inc()
 	kind := "alert.fire"
-	if to != ts.StateFiring {
+	if ed.To != ts.StateFiring {
 		kind = "alert.resolve"
 	}
 	e.tracer.Emit(obs.Event{
 		TimeS: t, Scope: "fleet", Kind: kind, Cell: int(dev),
-		V1: v, V2: ru.Threshold, Detail: ru.Name,
+		V1: ed.Value, V2: ru.Threshold, Detail: ru.Name,
 	})
 }
 

@@ -23,8 +23,11 @@ import (
 // Values are formatted with strconv 'g' so the round trip through
 // ParseText is exact.
 
-// formatLe renders a histogram bucket label.
-func formatLe(bound float64) string {
+// FormatLe renders a histogram bucket label, le="<bound>" (le="+Inf"
+// for the overflow bucket). The exposition writes it and the recorder
+// and `sdbctl watch` name bucket series with it, so a series has one
+// name whichever path recorded it.
+func FormatLe(bound float64) string {
 	return `le="` + strconv.FormatFloat(bound, 'g', -1, 64) + `"`
 }
 

@@ -450,10 +450,10 @@ func (h *Histogram) samples() []Sample {
 	var cum int64
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		out = append(out, Sample{Label: formatLe(b), Value: float64(cum)})
+		out = append(out, Sample{Label: FormatLe(b), Value: float64(cum)})
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	out = append(out, Sample{Label: `le="+Inf"`, Value: float64(cum)})
+	out = append(out, Sample{Label: FormatLe(math.Inf(1)), Value: float64(cum)})
 	out = append(out, Sample{Label: "sum", Value: h.sum.Value()})
 	out = append(out, Sample{Label: "count", Value: float64(h.count.Load())})
 	return out

@@ -22,7 +22,8 @@ import (
 //
 // `for` holds the condition pending until it has been continuously
 // true that long (0 = fire on first true sample). `over` sets the
-// rate/delta lookback window (default: one sample step). Blank lines
+// rate/delta window: the base sample is the newest one at least that
+// old (default: the previous sample; see Engine). Blank lines
 // and #-comments are ignored. Examples:
 //
 //	alert brownout    rate(sdb_pmic_brownout_steps_total) > 0
@@ -44,8 +45,8 @@ type Rule struct {
 	// ForS holds the condition pending this many sim seconds before
 	// firing; 0 fires immediately.
 	ForS float64
-	// WindowS is the rate/delta lookback in sim seconds; 0 means one
-	// sample step.
+	// WindowS is the rate/delta window in sim seconds: the base sample
+	// is the newest one at least this old; 0 means the previous sample.
 	WindowS float64
 }
 
@@ -283,9 +284,8 @@ func (s AlertState) String() string {
 }
 
 // Lifecycle is one rule's position in the inactive→pending→firing
-// lifecycle. Step is the only place the lifecycle moves: the recorder
-// evaluator and the fleet alert engine each feed it their own signal
-// and emit its edges their own way.
+// lifecycle. Step is the only place the lifecycle moves; Engine.Eval
+// drives it for the recorder, the fleet and `sdbctl watch` alike.
 type Lifecycle struct {
 	State AlertState
 	// SinceS is when the current state began (sim seconds); 0 for
@@ -337,99 +337,81 @@ func (l *Lifecycle) Step(ru *Rule, t, raw float64, ok bool) (v float64, from Ale
 // AlertStatus is one rule's live state, as reported by AlertStates.
 type AlertStatus struct {
 	Rule Rule
-	Lifecycle
-	// Value is the signal's most recent evaluation (NaN before data).
-	Value float64
+	Status
 	// Fired counts fire transitions over the evaluator's lifetime.
 	Fired int
 }
 
-// Evaluator runs alert rules after every recorder sample. It emits a
+// Evaluator runs alert rules after every recorder sample, through an
+// Engine with the recorder's registry as its one subject. It emits a
 // trace event (scope "ts", kinds "alert.fire"/"alert.resolve") and an
 // audit record on each transition; steady-state evaluation with no
 // transitions is alloc-free.
 type Evaluator struct {
-	states []AlertStatus
+	eng    *Engine
+	sub    *Subject
+	in     []Reading
+	fired  []int
 	tracer *obs.Tracer
 	audit  *obs.AuditLog
 }
 
 func newEvaluator(rules []Rule, reg *obs.Registry) *Evaluator {
-	e := &Evaluator{
-		states: make([]AlertStatus, len(rules)),
+	eng := NewEngine(rules)
+	return &Evaluator{
+		eng:    eng,
+		sub:    eng.NewSubject(),
+		in:     make([]Reading, len(rules)),
+		fired:  make([]int, len(rules)),
 		tracer: reg.Tracer(),
 		audit:  reg.Audit(),
 	}
-	for i, ru := range rules {
-		e.states[i] = AlertStatus{Rule: ru, Value: math.NaN()}
-	}
-	return e
 }
 
-// evalLocked evaluates every rule against the recorder at sim time t.
-// Called with r.mu held, right after each sample lands. Nil-safe.
+// evalLocked evaluates every rule against the recorder's newest samples
+// at sim time t. Called with r.mu held, right after each sample lands.
+// Nil-safe.
 func (e *Evaluator) evalLocked(r *Recorder, t float64) {
 	if e == nil {
 		return
 	}
-	for i := range e.states {
-		st := &e.states[i]
-		raw, ok := e.signalLocked(r, &st.Rule)
-		v, _, edge := st.Step(&st.Rule, t, raw, ok)
-		if ok {
-			st.Value = v
-		}
-		if !edge {
-			continue
-		}
-		if st.State == StateFiring {
-			st.Fired++
-			e.emit(st, t, "alert.fire", "fired")
+	for i := range e.eng.rules {
+		s, ok := r.byName[e.eng.rules[i].Series]
+		if ok && s.n > 0 {
+			e.in[i] = Reading{V: s.last()}
 		} else {
-			e.emit(st, t, "alert.resolve", "resolved")
+			e.in[i] = Reading{NoData: true}
 		}
 	}
-}
-
-// signalLocked reads a rule's raw signal (before Abs); ok is false
-// without enough history.
-func (e *Evaluator) signalLocked(r *Recorder, ru *Rule) (float64, bool) {
-	switch ru.Sig {
-	case SigRate:
-		return r.rateLocked(ru.Series, ru.windowS(r))
-	case SigDelta:
-		return r.deltaLocked(ru.Series, ru.windowS(r))
+	for _, ed := range e.eng.Eval(e.sub, t, e.in) {
+		if ed.To == StateFiring {
+			e.fired[ed.Rule]++
+			e.emit(ed, t, "alert.fire", "fired")
+		} else {
+			e.emit(ed, t, "alert.resolve", "resolved")
+		}
 	}
-	return r.latestLocked(ru.Series)
-}
-
-// windowS resolves the rule's lookback: explicit `over`, else one
-// sample step.
-func (ru *Rule) windowS(r *Recorder) float64 {
-	if ru.WindowS > 0 {
-		return ru.WindowS
-	}
-	return r.stepS
 }
 
 // emit publishes one transition as a trace event plus an audit record.
 // Transitions are rare edges, so the fmt allocation here is acceptable
 // (same policy as trace-event emission elsewhere in the stack).
-func (e *Evaluator) emit(st *AlertStatus, t float64, kind, verb string) {
+func (e *Evaluator) emit(ed Edge, t float64, kind, verb string) {
+	ru := &e.eng.rules[ed.Rule]
 	e.tracer.Emit(obs.Event{
 		TimeS:  t,
 		Scope:  "ts",
 		Kind:   kind,
-		V1:     st.Value,
-		V2:     st.Rule.Threshold,
-		Detail: st.Rule.Name,
+		V1:     ed.Value,
+		V2:     ru.Threshold,
+		Detail: ru.Name,
 	})
 	e.audit.Add(obs.AuditRecord{
 		TimeS:     t,
 		DisPolicy: "-",
 		ChgPolicy: "-",
 		Health:    "-",
-		Note:      fmt.Sprintf("alert %q %s: %s (value %g)", st.Rule.Name, verb, st.Rule.String(), st.Value),
+		Note:      fmt.Sprintf("alert %q %s: %s (value %g)", ru.Name, verb, ru.String(), ed.Value),
 	})
 }
 
@@ -441,7 +423,10 @@ func (r *Recorder) AlertStates() []AlertStatus {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]AlertStatus, len(r.eval.states))
-	copy(out, r.eval.states)
+	e := r.eval
+	out := make([]AlertStatus, len(e.eng.rules))
+	for i, st := range e.sub.Alerts {
+		out[i] = AlertStatus{Rule: e.eng.rules[i], Status: st, Fired: e.fired[i]}
+	}
 	return out
 }

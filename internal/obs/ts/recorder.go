@@ -1,9 +1,8 @@
 package ts
 
 import (
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"sdb/internal/obs"
@@ -34,7 +33,7 @@ type Config struct {
 	Rules []Rule
 	// Sink, when non-nil, receives a copy of every appended sample —
 	// typically an on-disk store, turning the bounded ring into
-	// unbounded durable history. See SetSink.
+	// unbounded durable history.
 	Sink Sink
 }
 
@@ -60,7 +59,7 @@ type column struct {
 }
 
 // histGroup ties a histogram's fan-out series together, so a scrape
-// or an Observe of the family appends to each of them.
+// of the family appends to each of them.
 type histGroup struct {
 	buckets []*Series // one per bound plus +Inf last, cumulative counts
 	sum     *Series
@@ -70,12 +69,8 @@ type histGroup struct {
 // Recorder scrapes an obs registry into bounded uniform-step series
 // and (optionally) evaluates alert rules after every sample. The zero
 // of usefulness is preserved: a nil *Recorder ignores every call, so
-// layers thread it unconditionally.
-//
-// Two ingestion paths share the engine: Sample reads a live registry
-// in-process (alloc-free steady state), Observe ingests parsed
-// expositions scraped over the wire (sdbctl watch). A recorder should
-// use one path, not both.
+// layers thread it unconditionally. Sample reads the live registry
+// in-process, allocation-free in steady state.
 type Recorder struct {
 	mu     sync.Mutex
 	reg    *obs.Registry
@@ -102,9 +97,9 @@ type Recorder struct {
 	eval *Evaluator
 }
 
-// NewRecorder builds a recorder over reg (nil reg is allowed for
-// Observe-only use). The returned recorder allocates its rings lazily,
-// per metric, at first sight.
+// NewRecorder builds a recorder over reg (a nil reg records nothing).
+// The returned recorder allocates its rings lazily, per metric, at
+// first sight.
 func NewRecorder(reg *obs.Registry, cfg Config) *Recorder {
 	if cfg.StepS <= 0 {
 		cfg.StepS = DefaultStepS
@@ -124,17 +119,6 @@ func NewRecorder(reg *obs.Registry, cfg Config) *Recorder {
 	}
 	r.sink = cfg.Sink
 	return r
-}
-
-// SetSink attaches (or, with nil, detaches) a durable sink. Samples
-// recorded before the attach are not replayed. Nil-safe.
-func (r *Recorder) SetSink(s Sink) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sink = s
-	r.mu.Unlock()
 }
 
 // SinkErr returns the first error the sink reported, if any. Recording
@@ -243,21 +227,16 @@ func (r *Recorder) histGroupLocked(name string, bounds []float64, t float64) *hi
 	nb := len(bounds) + 1
 	hg := &histGroup{buckets: make([]*Series, nb)}
 	for i := 0; i < nb; i++ {
-		hg.buckets[i] = r.seriesLocked(name+"_bucket{"+bucketLabel(bounds, i)+"}", KindHistBucket, t)
+		le := math.Inf(1)
+		if i < len(bounds) {
+			le = bounds[i]
+		}
+		hg.buckets[i] = r.seriesLocked(name+"_bucket{"+obs.FormatLe(le)+"}", KindHistBucket, t)
 	}
 	hg.sum = r.seriesLocked(name+"_sum", KindHistSum, t)
 	hg.count = r.seriesLocked(name+"_count", KindHistCount, t)
 	r.hists[name] = hg
 	return hg
-}
-
-// bucketLabel renders le="..." exactly like the text exposition, so
-// live-scraped and wire-parsed series share names.
-func bucketLabel(bounds []float64, i int) string {
-	if i >= len(bounds) {
-		return `le="+Inf"`
-	}
-	return `le="` + strconv.FormatFloat(bounds[i], 'g', -1, 64) + `"`
 }
 
 // scrapeLocked appends one sample (at grid time t) to every series.
@@ -280,90 +259,6 @@ func (r *Recorder) scrapeLocked(t float64) {
 			r.push(c.hg.count, t, float64(c.hist.Count()))
 		}
 	}
-}
-
-// Observe ingests one parsed exposition (ParseText output) at sim time
-// t, appending one grid sample per series — the wire-side twin of
-// Sample for callers that only hold a scraped text dump. Follows the
-// same uniform grid: multiple elapsed grid points repeat the scraped
-// values. Nil-safe.
-func (r *Recorder) Observe(t float64, fams []obs.Family) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if !r.started {
-		r.started = true
-		r.nextT = t
-	}
-	for t >= r.nextT-1e-9 {
-		r.observeOnceLocked(r.nextT, fams)
-		r.lastT = r.nextT
-		r.nextT += r.stepS
-		r.eval.evalLocked(r, r.lastT)
-	}
-	r.mu.Unlock()
-}
-
-func (r *Recorder) observeOnceLocked(t float64, fams []obs.Family) {
-	for _, f := range fams {
-		switch f.Kind {
-		case obs.KindCounter:
-			if len(f.Samples) == 1 {
-				// Int and float counters are indistinguishable in the text
-				// format; record both as float counters.
-				r.push(r.seriesLocked(f.Name, KindFCounter, t), t, f.Samples[0].Value)
-			}
-		case obs.KindGauge:
-			if len(f.Samples) == 1 {
-				r.push(r.seriesLocked(f.Name, KindGauge, t), t, f.Samples[0].Value)
-			}
-		case obs.KindHistogram:
-			r.observeHistLocked(t, f)
-		}
-	}
-}
-
-func (r *Recorder) observeHistLocked(t float64, f obs.Family) {
-	hg := r.hists[f.Name]
-	if hg == nil {
-		// First sight: reconstruct the bucket layout from the labels.
-		var bounds []float64
-		for _, s := range f.Samples {
-			le, ok := cutLe(s.Label)
-			if !ok || le == "+Inf" {
-				continue
-			}
-			b, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return // malformed family; skip whole
-			}
-			bounds = append(bounds, b)
-		}
-		hg = r.histGroupLocked(f.Name, bounds, t)
-	}
-	bi := 0
-	for _, s := range f.Samples {
-		switch {
-		case strings.HasPrefix(s.Label, `le="`):
-			if bi < len(hg.buckets) {
-				r.push(hg.buckets[bi], t, s.Value)
-				bi++
-			}
-		case s.Label == "sum":
-			r.push(hg.sum, t, s.Value)
-		case s.Label == "count":
-			r.push(hg.count, t, s.Value)
-		}
-	}
-}
-
-func cutLe(label string) (string, bool) {
-	v, ok := strings.CutPrefix(label, `le="`)
-	if !ok || !strings.HasSuffix(v, `"`) {
-		return "", false
-	}
-	return strings.TrimSuffix(v, `"`), true
 }
 
 // LastT returns the sim time of the newest sample (false before any).

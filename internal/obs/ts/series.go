@@ -1,9 +1,10 @@
 // Package ts turns the point-in-time obs registry into recorded
 // history: a scraper samples every registered metric on a fixed
-// sim-time cadence into bounded uniform-step series, a derived-signal
-// engine answers rate, delta and latest-value queries over them, and a
-// declarative alert evaluator watches the stream and emits trace
-// events and audit records when rules fire and resolve.
+// sim-time cadence into bounded uniform-step series, and a declarative
+// alert engine derives level, rate and delta signals from the newest
+// samples and raises edges when rules fire and resolve — the recorder
+// emits them as trace events and audit records, the fleet and
+// `sdbctl watch` evaluate through the same engine.
 //
 // The package keeps the two obs invariants: a nil *Recorder is a
 // complete no-op (the stack behaves byte-identically to one without
@@ -69,7 +70,7 @@ func (k Kind) String() string {
 // Series is one bounded uniform-step time series: a preallocated
 // float64 ring plus enough bookkeeping to place every retained sample
 // on the sim clock without storing per-sample timestamps. Sample i
-// (0 = oldest retained) happened at WinT0() + i*StepS(). Not
+// (0 = oldest retained) happened at winT0 + i*stepS. Not
 // self-synchronizing — the owning Recorder serializes access.
 type Series struct {
 	name  string
@@ -116,26 +117,12 @@ func (s *Series) append(v float64) {
 	s.total++
 }
 
-// Name returns the series name (exposition naming: histogram series
-// look like name_bucket{le="0.01"}, name_sum, name_count).
-func (s *Series) Name() string { return s.name }
-
-// Kind returns the sample kind.
-func (s *Series) Kind() Kind { return s.kind }
-
-// StepS returns the uniform sample spacing in sim seconds.
-func (s *Series) StepS() float64 { return s.stepS }
-
 // Len returns how many samples the ring currently retains.
 func (s *Series) Len() int { return s.n }
 
 // Total returns how many samples were ever appended (retained plus
 // evicted).
 func (s *Series) Total() uint64 { return s.total }
-
-// WinT0 returns the sim time of the oldest retained sample (0 when
-// empty).
-func (s *Series) WinT0() float64 { return s.winT0 }
 
 // At returns retained sample i, 0 = oldest. Panics out of range like a
 // slice would.
@@ -150,45 +137,12 @@ func (s *Series) At(i int) float64 {
 	return s.ring[j]
 }
 
-// TimeAt returns the sim time of retained sample i.
-func (s *Series) TimeAt(i int) float64 {
-	return s.winT0 + float64(i)*s.stepS
-}
-
 // last returns the newest sample, NaN when empty.
 func (s *Series) last() float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
 	return s.At(s.n - 1)
-}
-
-// window converts a lookback in sim seconds to a sample count k such
-// that the window [n-1-k, n-1] spans at most windowS seconds, clamped
-// to the retained range. Returns 0 when fewer than two samples exist.
-func (s *Series) window(windowS float64) int {
-	if s.n < 2 || windowS <= 0 || s.stepS <= 0 {
-		return 0
-	}
-	k := int(windowS / s.stepS)
-	if k < 1 {
-		k = 1
-	}
-	if k > s.n-1 {
-		k = s.n - 1
-	}
-	return k
-}
-
-// delta returns the change over the trailing window (≤ windowS sim
-// seconds) and the window's exact span in seconds. ok is false with
-// fewer than two samples.
-func (s *Series) delta(windowS float64) (d, spanS float64, ok bool) {
-	k := s.window(windowS)
-	if k == 0 {
-		return 0, 0, false
-	}
-	return s.At(s.n-1) - s.At(s.n-1-k), float64(k) * s.stepS, true
 }
 
 // Window is an immutable copy of a series' retained samples, the unit

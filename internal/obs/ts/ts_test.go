@@ -2,6 +2,7 @@ package ts
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sdb/internal/obs"
@@ -68,87 +69,51 @@ func TestSeriesEviction(t *testing.T) {
 	}
 }
 
-// TestDerivedSignals exercises the query engine against hand-computed
-// values.
+// TestDerivedSignals exercises the alert engine's signals against
+// hand-computed values: rate and delta over whole, one-step, partial and
+// oversized windows, and the newest value of a level rule.
 func TestDerivedSignals(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("ev_total")
-	g := reg.Gauge("temp")
-	r := NewRecorder(reg, Config{StepS: 10, Retain: 100})
-	// Counter: +2 events per 10s step. Gauge: sawtooth 0,5,10,5,0 …
+	rules, err := ParseRules(`alert full rate(ev_total) > 1e18 over 60s
+alert step rate(ev_total) > 1e18 over 10s
+alert d30 delta(ev_total) > 1e18 over 30s
+alert latest temp > 1e18
+alert clamp rate(ev_total) > 1e18 over 1000000000s
+alert nope rate(nope) > 1e18`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(rules)
+	sub := eng.NewSubject()
+	// Counter: +2 events per 10s step, so samples are 0,2,4,...,12 at
+	// t=0..60. Gauge: sawtooth 0,5,10,5,0 …
 	gv := []float64{0, 5, 10, 5, 0, 5, 10}
 	for i, v := range gv {
-		g.Set(v)
-		r.Sample(float64(i) * 10)
-		c.Add(2)
+		ev := Reading{V: float64(2 * i)}
+		in := []Reading{ev, ev, ev, {V: v}, ev, {NoData: true}}
+		if edges := eng.Eval(sub, float64(i)*10, in); len(edges) != 0 {
+			t.Fatalf("t=%d: unexpected edges %+v", i*10, edges)
+		}
 	}
-	// Note Add(2) lands after the sample, so samples are 0,2,4,...,12 at
-	// t=0..60.
-	if v, ok := r.Rate("ev_total", 60); !ok || v != 0.2 {
+	val := func(i int) float64 { return sub.Alerts[i].Value }
+	if v := val(0); v != 0.2 {
 		t.Errorf("Rate full window = %v, want 0.2", v)
 	}
-	if v, ok := r.Rate("ev_total", 10); !ok || v != 0.2 {
+	if v := val(1); v != 0.2 {
 		t.Errorf("Rate one step = %v, want 0.2", v)
 	}
-	if v, ok := r.Delta("ev_total", 30); !ok || v != 6 {
+	if v := val(2); v != 6 {
 		t.Errorf("Delta 30s = %v, want 6", v)
 	}
-	if v, ok := r.Latest("temp"); !ok || v != 10 {
+	if v := val(3); v != 10 {
 		t.Errorf("Latest = %v, want 10", v)
 	}
-	// Oversized windows clamp to retained history.
-	if v, ok := r.Rate("ev_total", 1e9); !ok || v != 0.2 {
+	// Oversized windows clamp to the held history.
+	if v := val(4); v != 0.2 {
 		t.Errorf("Rate clamped = %v, want 0.2", v)
 	}
-	// Unknown series and single-sample series refuse.
-	if _, ok := r.Rate("nope", 10); ok {
-		t.Error("rate over unknown series should fail")
-	}
-}
-
-// TestObserveParityWithSample: ingesting the text exposition of a
-// registry produces the same series values the live scraper records.
-func TestObserveParityWithSample(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("c_total")
-	g := reg.Gauge("g")
-	h := reg.Histogram("lat", []float64{1, 2})
-
-	live := NewRecorder(reg, Config{StepS: 10, Retain: 16})
-	wire := NewRecorder(nil, Config{StepS: 10, Retain: 16})
-
-	for i := 0; i < 5; i++ {
-		c.Add(int64(i))
-		g.Set(float64(i) * 1.5)
-		h.Observe(float64(i))
-		tS := float64(i) * 10
-		live.Sample(tS)
-		fams, err := obs.ParseText(reg.Text())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire.Observe(tS, fams)
-	}
-
-	names := live.Names()
-	wireNames := wire.Names()
-	if len(names) != len(wireNames) {
-		t.Fatalf("live has %v, wire has %v", names, wireNames)
-	}
-	for _, name := range names {
-		lw, _ := live.Get(name)
-		ww, ok := wire.Get(name)
-		if !ok {
-			t.Fatalf("wire recorder missing %s", name)
-		}
-		if len(lw.Values) != len(ww.Values) || lw.FirstT != ww.FirstT {
-			t.Fatalf("%s: live %+v wire %+v", name, lw, ww)
-		}
-		for i := range lw.Values {
-			if lw.Values[i] != ww.Values[i] {
-				t.Errorf("%s sample %d: live %g wire %g", name, i, lw.Values[i], ww.Values[i])
-			}
-		}
+	// A series with no data never yields a signal.
+	if v := val(5); !math.IsNaN(v) {
+		t.Errorf("rate over unknown series = %v, want NaN (no data)", v)
 	}
 }
 
@@ -188,15 +153,11 @@ func TestSampleNoAllocs(t *testing.T) {
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Sample(1)
-	r.Observe(1, nil)
 	if r.Names() != nil || r.AlertStates() != nil || r.Windows() != nil {
 		t.Error("nil recorder should return nil slices")
 	}
 	if _, ok := r.Get("x"); ok {
 		t.Error("nil recorder Get should fail")
-	}
-	if _, ok := r.Rate("x", 1); ok {
-		t.Error("nil recorder Rate should fail")
 	}
 	if _, ok := r.LastT(); ok {
 		t.Error("nil recorder LastT should fail")
@@ -233,5 +194,27 @@ func TestEmptySeries(t *testing.T) {
 	}
 	if !math.IsNaN(s.last()) {
 		t.Error("empty series last() should be NaN")
+	}
+}
+
+// TestRecorderSeriesNames: scalars record under their metric name and a
+// histogram fans out into one series per bucket, labelled as the text
+// exposition labels it (obs.FormatLe), plus _sum and _count.
+func TestRecorderSeriesNames(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("c_total").Inc()
+	reg.Gauge("g").Set(1)
+	reg.Histogram("lat", []float64{1e-7, 0.5}).Observe(0.25)
+	r := NewRecorder(reg, Config{StepS: 1})
+	r.Sample(0)
+	got := strings.Join(r.Names(), " ")
+	want := `c_total g lat_bucket{le="+Inf"} lat_bucket{le="0.5"} lat_bucket{le="1e-07"} lat_count lat_sum`
+	if got != want {
+		t.Fatalf("Names() = %s\nwant      %s", got, want)
+	}
+	for _, name := range r.Names() {
+		if !strings.Contains(reg.Text(), name+" ") {
+			t.Errorf("series %s is not a sample name of the exposition", name)
+		}
 	}
 }
