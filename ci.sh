@@ -9,8 +9,10 @@
 #   - sdbperf: vet and toy-scale tests of the nested benchmark module.
 #   - chaos: emulator and fleet chaos soaks under -race, seeds logged.
 #   - bench smoke: every Go benchmark once, so benchmark code cannot rot.
-#   - batch equivalence: struct-of-arrays vs scalar bit-identity, and
-#     the zero-allocation batch step.
+#   - batch equivalence: struct-of-arrays vs scalar bit-identity (the
+#     sim drivers' batched runs against emulator.Run included), the
+#     exact fast OCV inversion against its 60-round bisection, the
+#     zero-allocation batch step, and an inversion fuzz burst.
 #   - crash chaos: kill points, restore byte-identity, quarantine,
 #     shard restart, drain, and a checkpoint-decoder fuzz burst.
 #   - store: the paged store's differential day, corruption battery
@@ -56,10 +58,15 @@ go test -race -run 'FleetChaos' -v ./internal/fleet/
 go test -short -run '^$' -bench . -benchtime=1x ./...
 
 # Batch-equivalence lane: scalar vs struct-of-arrays bit-identity
-# (differential + fuzz seeds + emulator byte-identity) under -race,
-# then the zero-alloc assertion without -race so AllocsPerRun is exact.
-go test -race -run 'Batch|FastPath' -v ./internal/battery/batch/ ./internal/emulator/
-go test -run 'TestBatchStepNoAllocs' -v ./internal/battery/batch/
+# (differential + fuzz seeds + emulator byte-identity, and every
+# internal/sim driver shape stepped through the batch kernel against
+# emulator.Run) and the fast OCV inversion's bit-exactness against the
+# 60-round bisection it replaces, under -race; then the zero-alloc
+# assertions without -race so AllocsPerRun is exact; then a short live
+# fuzz burst of the inversion on arbitrary tables, on top of its seeds.
+go test -race -run 'Batch|FastPath|TestDriversMatchScalarRun|TestInvertOCVExact|TestBisectBracketExact' -v ./internal/battery/batch/ ./internal/emulator/ ./internal/sim/ ./internal/fuelgauge/ ./internal/battery/
+go test -run 'TestBatchStepNoAllocs|TestInvertOCVNoAllocs' -v ./internal/battery/batch/ ./internal/fuelgauge/
+go test -fuzz 'FuzzInvertOCV' -fuzztime 5s -run '^$' ./internal/fuelgauge/
 
 # Crash-chaos lane: SIGKILL-equivalent process death at a tick barrier
 # and halfway through appending a checkpoint delta record (an armed

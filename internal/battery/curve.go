@@ -46,6 +46,10 @@ type denseTable struct {
 	lo, hi  float64
 	invStep float64 // cells / (hi - lo)
 	maxErr  float64 // max |dense - reference| over the domain
+	// monotone reports that at is non-decreasing in floating point,
+	// not just in exact arithmetic (see isMonotone): the precondition
+	// of the O(log) bisection bracket.
+	monotone bool
 }
 
 func (d *denseTable) at(x float64) float64 {
@@ -62,6 +66,89 @@ func (d *denseTable) at(x float64) float64 {
 	}
 	y0 := d.ys[i]
 	return y0 + (f-float64(i))*(d.ys[i+1]-y0)
+}
+
+// isMonotone reports whether at is non-decreasing in x as evaluated in
+// floating point. It holds when ys is non-decreasing and positive with
+// every neighbouring pair within a factor of 2, and the top of the
+// domain maps to at most the last cell:
+//
+//   - f = (x-lo)*invStep and i = int(f) are non-decreasing in x, and
+//     f <= (hi-lo)*invStep <= cells, so f-i lies in [0, 1];
+//   - f-i is exact by Sterbenz's lemma (i <= f <= 2i for i >= 1), and
+//     so is y1-y0 (y0 <= y1 <= 2*y0), so within a cell at is a rounded
+//     product and sum of non-decreasing terms;
+//   - at a cell's top, t <= 1 gives t*(y1-y0) <= y1-y0, and
+//     y0+(y1-y0) is exactly y1, the next cell's bottom, so at never
+//     drops across a boundary; the clamps return the end values.
+func (d *denseTable) isMonotone() bool {
+	cells := float64(len(d.ys) - 1)
+	if !((d.hi-d.lo)*d.invStep <= cells) || !(d.ys[0] > 0) {
+		return false
+	}
+	for i := 1; i < len(d.ys); i++ {
+		if y0, y1 := d.ys[i-1], d.ys[i]; !(y0 <= y1 && y1 <= 2*y0) {
+			return false
+		}
+	}
+	return true
+}
+
+// BracketRounds is how many rounds of bisection on [0, 1]
+// Curve.BisectBracket stands in for: the rounds whose midpoints are
+// exact dyadics, leaving a bracket [k, k+1]*bracketScale.
+const (
+	BracketRounds = 52
+	bracketScale  = 0x1p-52
+	bracketCells  = 1 << BracketRounds
+)
+
+// bracket returns the largest k in [0, 2^52) with at(k*2^-52) < v,
+// given at(0) < v and at(1) >= v and a monotone table. Those are
+// exactly the bracket [k, k+1]*2^-52 that 52 rounds of bisection of
+// at(x) < v on [0, 1] reach: each of those midpoints is a dyadic with
+// a numerator below 2^53, so it is computed exactly, and the
+// monotone predicate has one crossing on the grid. The search guesses
+// k by inverting the linear segment of the grid cell v crosses, then
+// corrects the guess by an exponential and a binary search on the
+// predicate itself, evaluated with at, so the answer does not depend
+// on how accurate the guess was.
+func (d *denseTable) bracket(v float64) int64 {
+	below := func(k int64) bool { return d.at(float64(k)*bracketScale) < v }
+	// ys[0] <= at(0) < v <= at(1) <= ys[last], so v lies in
+	// (ys[j-1], ys[j]] for the first j with ys[j] >= v.
+	j := sort.SearchFloat64s(d.ys, v)
+	y0, y1 := d.ys[j-1], d.ys[j]
+	x := d.lo + (float64(j-1)+(v-y0)/(y1-y0))/d.invStep
+	var guess int64
+	switch {
+	case x >= 1:
+		guess = bracketCells - 1
+	case x > 0:
+		guess = int64(x / bracketScale)
+	}
+
+	var lo, hi int64 // below(lo) holds, below(hi) does not
+	if below(guess) {
+		lo, hi = guess, guess+1
+		for step := int64(1); hi < bracketCells && below(hi); step *= 2 {
+			lo, hi = hi, min(hi+2*step, bracketCells)
+		}
+	} else {
+		lo, hi = guess-1, guess
+		for step := int64(1); lo > 0 && !below(lo); step *= 2 {
+			lo, hi = max(lo-2*step, 0), lo
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if below(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func (d *denseTable) slope(x float64) float64 {
@@ -223,6 +310,7 @@ func (c Curve) Dense(cells int) (Curve, error) {
 		}
 		d.ys[i] = c.refAt(x)
 	}
+	d.monotone = d.isMonotone()
 	// The difference dense-reference is piecewise linear with
 	// breakpoints only at original knots and grid points, and the dense
 	// form is exact at grid points by construction, so the maximum
@@ -272,6 +360,21 @@ func (c Curve) DenseTable() (ys []float64, lo, hi, invStep float64) {
 	return c.dense.ys, c.dense.lo, c.dense.hi, c.dense.invStep
 }
 
+// BisectBracket returns the bracket [lo, hi] that BracketRounds rounds
+// of bisection of At(x) < v on [0, 1] reach (lo = mid while
+// At(mid) < v, else hi = mid, from lo = 0 and hi = 1), bit for bit, in
+// O(log n) dense evaluations instead of 52. ok is false, and the
+// caller must bisect itself, unless the curve is dense with a monotone
+// table (see isMonotone) and At(0) < v <= At(1).
+func (c Curve) BisectBracket(v float64) (lo, hi float64, ok bool) {
+	d := c.dense
+	if d == nil || !d.monotone || !(d.at(0) < v && v <= d.at(1)) {
+		return 0, 0, false
+	}
+	k := d.bracket(v)
+	return float64(k) * bracketScale, float64(k+1) * bracketScale, true
+}
+
 // DenseError returns the maximum absolute deviation of the dense form
 // from the piecewise-linear reference over the domain, measured at
 // construction. It is 0 for reference curves.
@@ -311,6 +414,7 @@ func (c Curve) Scale(k float64) Curve {
 		for i, y := range c.dense.ys {
 			d.ys[i] = y * k
 		}
+		d.monotone = d.isMonotone()
 		out.dense = d
 	}
 	return out

@@ -176,6 +176,107 @@ func FuzzDenseResample(f *testing.F) {
 	})
 }
 
+// bisect52 is what BisectBracket stands in for: BracketRounds rounds
+// of bisection of At(x) < v from [0, 1].
+func bisect52(c Curve, v float64) (lo, hi float64) {
+	lo, hi = 0, 1
+	for k := 0; k < BracketRounds; k++ {
+		mid := (lo + hi) / 2
+		if c.At(mid) < v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, hi
+}
+
+// ulpProbes returns every value within n ulps of each of vs.
+func ulpProbes(vs []float64, n int) []float64 {
+	var out []float64
+	for _, v := range vs {
+		up, down := v, v
+		out = append(out, v)
+		for k := 0; k < n; k++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			out = append(out, up, down)
+		}
+	}
+	return out
+}
+
+// TestBisectBracketExact pins the O(log n) bracket to the bisection it
+// replaces, bit for bit, on both library OCV tables: random voltages
+// across the whole range, and ±20 ulps around every grid value and
+// knot, where a one-ulp slip in the crossing would show. Voltages the
+// bracket does not cover (at or below At(0), above At(1)) must be
+// refused.
+func TestBisectBracketExact(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Curve
+	}{{"CoO2", OCVCoO2()}, {"LiFePO4", OCVLiFePO4()}} {
+		c := tc.c
+		if !c.dense.monotone {
+			t.Fatalf("%s: library OCV table not flagged monotone", tc.name)
+		}
+		_, knots := c.Points()
+		probes := ulpProbes(append(append([]float64(nil), c.dense.ys...), knots...), 20)
+		v0, v1 := c.At(0), c.At(1)
+		r := rand.New(rand.NewSource(3))
+		for k := 0; k < 50000; k++ {
+			probes = append(probes, v0-0.01+(v1-v0+0.02)*r.Float64())
+		}
+		for _, v := range probes {
+			lo, hi, ok := c.BisectBracket(v)
+			if want := v0 < v && v <= v1; ok != want {
+				t.Fatalf("%s: BisectBracket(%.17g) ok = %v, want %v", tc.name, v, ok, want)
+			}
+			if !ok {
+				continue
+			}
+			if wlo, whi := bisect52(c, v); lo != wlo || hi != whi {
+				t.Fatalf("%s: BisectBracket(%.17g) = [%.17g, %.17g], bisection [%.17g, %.17g]",
+					tc.name, v, lo, hi, wlo, whi)
+			}
+		}
+	}
+}
+
+// TestDenseMonotoneFlag pins which tables take the bracket: the
+// floating-point monotonicity argument needs non-decreasing, positive
+// samples with neighbours within a factor of 2, and Scale re-derives
+// the flag for the scaled samples.
+func TestDenseMonotoneFlag(t *testing.T) {
+	xs := []float64{0, 0.5, 1}
+	for _, tc := range []struct {
+		name string
+		c    Curve
+		want bool
+	}{
+		{"library CoO2", OCVCoO2(), true},
+		{"library LiFePO4", OCVLiFePO4(), true},
+		{"library DCIR (decreasing)", DCIRCurve(0.05), false},
+		{"flat", MustCurve(xs, []float64{3, 3, 3}).MustDense(4), true},
+		{"dip", MustCurve(xs, []float64{3, 2.9, 4}).MustDense(4), false},
+		{"zero start", MustCurve(xs, []float64{0, 1, 2}).MustDense(4), false},
+		{"negative", MustCurve(xs, []float64{-2, -1, -0.5}).MustDense(4), false},
+		{"doubling step", MustCurve([]float64{0, 1}, []float64{1, 2}).MustDense(1), true},
+		{"jump past 2x", MustCurve([]float64{0, 1}, []float64{1, 2.5}).MustDense(1), false},
+		{"scaled up", OCVCoO2().Scale(2), true},
+		{"scaled negative", OCVCoO2().Scale(-1), false},
+		{"reference", MustCurve(xs, []float64{3, 3.5, 4}), false},
+	} {
+		got := tc.c.dense != nil && tc.c.dense.monotone
+		if got != tc.want {
+			t.Errorf("%s: monotone = %v, want %v", tc.name, got, tc.want)
+		}
+		if _, _, ok := tc.c.BisectBracket((tc.c.At(0) + tc.c.At(1)) / 2); ok && !got {
+			t.Errorf("%s: BisectBracket answered for a table not flagged monotone", tc.name)
+		}
+	}
+}
+
 // BenchmarkCurveAt compares the dense O(1) lookup against the
 // binary-search reference on the library OCV shape — the innermost call
 // of the emulator's step loop.

@@ -206,21 +206,38 @@ func (g *Gauge) ImportState(s State) {
 }
 
 // InvertOCV finds the state of charge at which the curve crosses the
-// given voltage, using bisection over the monotone OCV table. ok is
-// false when v lies outside the curve's range.
+// given voltage, by 60 rounds of bisection over the monotone OCV table.
+// ok is false when v lies outside the curve's range or is NaN.
+//
+// On a dense curve whose table is monotone in floating point, the
+// first 52 rounds collapse into one O(log n) search
+// (battery.Curve.BisectBracket) that lands on the same bracket bit for
+// bit, and only the last 8 rounds run here; the result is identical to
+// the full loop, which every other curve still runs.
 func InvertOCV(ocv battery.Curve, v float64) (soc float64, ok bool) {
-	if ocv.IsZero() {
+	if ocv.IsZero() || math.IsNaN(v) {
 		return 0, false
 	}
-	lo, hi := 0.0, 1.0
-	vlo, vhi := ocv.At(lo), ocv.At(hi)
+	vlo, vhi := ocv.At(0), ocv.At(1)
 	if v <= vlo {
 		return 0, v >= vlo-1e-9
 	}
 	if v >= vhi {
 		return 1, v <= vhi+1e-9
 	}
-	for k := 0; k < 60; k++ {
+	if lo, hi, ok := ocv.BisectBracket(v); ok {
+		return bisect(ocv, v, lo, hi, invertRounds-battery.BracketRounds), true
+	}
+	return bisect(ocv, v, 0, 1, invertRounds), true
+}
+
+// invertRounds is InvertOCV's bisection depth.
+const invertRounds = 60
+
+// bisect narrows [lo, hi] around the crossing of ocv.At(x) < v for the
+// given number of rounds and returns the final midpoint.
+func bisect(ocv battery.Curve, v, lo, hi float64, rounds int) float64 {
+	for k := 0; k < rounds; k++ {
 		mid := (lo + hi) / 2
 		if ocv.At(mid) < v {
 			lo = mid
@@ -228,7 +245,7 @@ func InvertOCV(ocv battery.Curve, v float64) (soc float64, ok bool) {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2, true
+	return (lo + hi) / 2
 }
 
 func clamp01(x float64) float64 {

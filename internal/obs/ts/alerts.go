@@ -128,11 +128,13 @@ func (ru Rule) String() string {
 		sig = "abs(" + sig + ")"
 	}
 	fmt.Fprintf(&sb, "%s %s %g", sig, ru.Op, ru.Threshold)
+	// Round, not truncate: a parsed 1570ms is 1.57 s, and 1.57e9 ns
+	// lands just below 1570000000 in floating point.
 	if ru.ForS > 0 {
-		fmt.Fprintf(&sb, " for %s", time.Duration(ru.ForS*float64(time.Second)))
+		fmt.Fprintf(&sb, " for %s", time.Duration(math.Round(ru.ForS*float64(time.Second))))
 	}
 	if ru.WindowS > 0 {
-		fmt.Fprintf(&sb, " over %s", time.Duration(ru.WindowS*float64(time.Second)))
+		fmt.Fprintf(&sb, " over %s", time.Duration(math.Round(ru.WindowS*float64(time.Second))))
 	}
 	return sb.String()
 }

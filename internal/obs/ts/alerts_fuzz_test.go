@@ -70,6 +70,7 @@ func FuzzParseRules(f *testing.F) {
 		"alert é série > 1",
 		"alert x y > 1 within 10s",
 		strings.Repeat("alert a x > 1\n", 40),
+		"alert x y > 0 over 1570ms", // String once truncated this to 1.569999999s
 	}
 	for _, s := range seeds {
 		f.Add(s)

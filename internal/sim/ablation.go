@@ -39,7 +39,7 @@ func AblationSplit() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := emulator.Run(emulator.Config{
+		res, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
 		})
 		if err != nil {
@@ -81,14 +81,14 @@ func AblationDirective() (*Table, error) {
 		preAge(st.Pack.Cell(0), 40)
 		var totalLoss float64
 		for cycle := 0; cycle < 25; cycle++ {
-			res, err := emulator.Run(emulator.Config{
+			res, err := emulate(emulator.Config{
 				Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
 			})
 			if err != nil {
 				return nil, err
 			}
 			totalLoss += res.CircuitLossJ + res.BatteryLossJ
-			if _, err := emulator.Run(emulator.Config{
+			if _, err := emulate(emulator.Config{
 				Controller: st.Controller, Runtime: st.Runtime, Trace: charge,
 			}); err != nil {
 				return nil, err

@@ -96,7 +96,7 @@ func runLearnedDay(prof *predictor.Profile) (*Fig13Result, error) {
 		rt.SetDirectives(adv.ChargingDirective, adv.DischargingDirective)
 	}
 
-	res, err := emulator.Run(emulator.Config{
+	res, err := emulate(emulator.Config{
 		Controller:      st.Controller,
 		Runtime:         st.Runtime,
 		Trace:           tr,

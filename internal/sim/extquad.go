@@ -37,7 +37,7 @@ func ExtQuad() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := emulator.Run(emulator.Config{
+		res, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
 		})
 		if err != nil {

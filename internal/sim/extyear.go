@@ -80,7 +80,7 @@ func runYear(profileFn func(packFrac float64) string) (retention, ccb, chargeMin
 		if d%7 >= 5 {
 			day = heavyDay
 		}
-		if _, err := emulator.Run(emulator.Config{
+		if _, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: day,
 			PolicyEveryS: 600,
 		}); err != nil {
@@ -96,7 +96,7 @@ func runYear(profileFn func(packFrac float64) string) (retention, ccb, chargeMin
 				return 0, 0, 0, err
 			}
 		}
-		res, err := emulator.Run(emulator.Config{
+		res, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: night,
 			PolicyEveryS: 600,
 		})

@@ -75,7 +75,7 @@ func RunFig13(policyName string, policy core.DischargePolicy, includeRun bool) (
 		return nil, err
 	}
 	tr := fig13Trace(includeRun)
-	res, err := emulator.Run(emulator.Config{
+	res, err := emulate(emulator.Config{
 		Controller:      st.Controller,
 		Runtime:         st.Runtime,
 		Trace:           tr,
