@@ -10,9 +10,12 @@
 #   - chaos: emulator and fleet chaos soaks under -race, seeds logged.
 #   - bench smoke: every Go benchmark once, so benchmark code cannot rot.
 #   - batch equivalence: struct-of-arrays vs scalar bit-identity (the
-#     sim drivers' batched runs against emulator.Run included), the
-#     exact fast OCV inversion against its 60-round bisection, the
-#     zero-allocation batch step, and an inversion fuzz burst.
+#     sim drivers' batched runs against emulator.Run and the firmware's
+#     surplus-charging fast steps against Step included), the exact
+#     fast OCV inversion against its 60-round bisection, the
+#     zero-allocation batch step, status query and policy tick, an
+#     inversion fuzz burst, and a fuzz burst of the in-place policies
+#     against their allocating reference.
 #   - crash chaos: kill points, restore byte-identity, quarantine,
 #     shard restart, drain, and a checkpoint-decoder fuzz burst.
 #   - store: the paged store's differential day, corruption battery
@@ -58,15 +61,20 @@ go test -race -run 'FleetChaos' -v ./internal/fleet/
 go test -short -run '^$' -bench . -benchtime=1x ./...
 
 # Batch-equivalence lane: scalar vs struct-of-arrays bit-identity
-# (differential + fuzz seeds + emulator byte-identity, and every
-# internal/sim driver shape stepped through the batch kernel against
-# emulator.Run) and the fast OCV inversion's bit-exactness against the
-# 60-round bisection it replaces, under -race; then the zero-alloc
-# assertions without -race so AllocsPerRun is exact; then a short live
-# fuzz burst of the inversion on arbitrary tables, on top of its seeds.
-go test -race -run 'Batch|FastPath|TestDriversMatchScalarRun|TestInvertOCVExact|TestBisectBracketExact' -v ./internal/battery/batch/ ./internal/emulator/ ./internal/sim/ ./internal/fuelgauge/ ./internal/battery/
-go test -run 'TestBatchStepNoAllocs|TestInvertOCVNoAllocs' -v ./internal/battery/batch/ ./internal/fuelgauge/
+# (differential + fuzz seeds + emulator byte-identity, the firmware's
+# surplus-charging fast steps against Step and the emulator's admission
+# of them, and every internal/sim driver shape stepped through the
+# batch kernel against emulator.Run) and the fast OCV inversion's
+# bit-exactness against the 60-round bisection it replaces, under
+# -race; then the zero-alloc assertions (batch step, OCV inversion,
+# status query into a reused slice, policy tick) without -race so
+# AllocsPerRun is exact; then short live fuzz bursts of the inversion
+# on arbitrary tables and of the in-place policies against their
+# allocating reference, on top of their seeds.
+go test -race -run 'Batch|FastPath|FastRunLen|TestFastStepSuppliedMatchesStep|TestDriversMatchScalarRun|TestInvertOCVExact|TestBisectBracketExact' -v ./internal/battery/batch/ ./internal/emulator/ ./internal/pmic/ ./internal/sim/ ./internal/fuelgauge/ ./internal/battery/
+go test -run 'TestBatchStepNoAllocs|TestInvertOCVNoAllocs|TestQueryBatteryStatusIntoNoAllocs|TestUpdateNoAllocs' -v ./internal/battery/batch/ ./internal/fuelgauge/ ./internal/pmic/ ./internal/core/
 go test -fuzz 'FuzzInvertOCV' -fuzztime 5s -run '^$' ./internal/fuelgauge/
+go test -fuzz 'FuzzPolicies' -fuzztime 5s -run '^$' ./internal/core/
 
 # Crash-chaos lane: SIGKILL-equivalent process death at a tick barrier
 # and halfway through appending a checkpoint delta record (an armed

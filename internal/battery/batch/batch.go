@@ -255,6 +255,12 @@ func (e *Engine) SoC(p Pack, i int) float64 { return e.soc[p.off+i] }
 // Empty mirrors Cell.Empty for lane i.
 func (e *Engine) Empty(p Pack, i int) bool { return e.soc[p.off+i] <= 1e-9 }
 
+// Full mirrors Cell.Full for lane i.
+func (e *Engine) Full(p Pack, i int) bool { return e.soc[p.off+i] >= 1-1e-9 }
+
+// Capacity returns lane i's current effective capacity in coulombs.
+func (e *Engine) Capacity(p Pack, i int) float64 { return e.capacity[p.off+i] }
+
 // TotalLoss returns lane i's lifetime internal dissipation in joules.
 func (e *Engine) TotalLoss(p Pack, i int) float64 { return e.totalLoss[p.off+i] }
 

@@ -342,14 +342,20 @@ func (c *Cell) MaxChargeCurrent() float64 {
 // deliver right now, limited both by the rated current and by the
 // physics peak (OCV-Vrc)^2 / (4*R0).
 func (c *Cell) MaxDischargePower() float64 {
+	return c.maxDischargePowerAt(c.OCV(), c.DCIR())
+}
+
+// maxDischargePowerAt is MaxDischargePower given the OCV and DCIR at
+// the current state (curve lookups are pure, so a caller that already
+// holds them passes them in instead of looking them up again).
+func (c *Cell) maxDischargePowerAt(ocv, r float64) float64 {
 	if c.Empty() {
 		return 0
 	}
-	v := c.OCV() - c.vrc
+	v := ocv - c.vrc
 	if v <= 0 {
 		return 0
 	}
-	r := c.DCIR()
 	peak := v * v / (4 * r)
 	iMax := c.MaxDischargeCurrent()
 	rated := (v - iMax*r) * iMax
@@ -362,11 +368,17 @@ func (c *Cell) MaxDischargePower() float64 {
 // MaxChargePower returns the largest terminal power the cell may accept
 // right now under its rated charge current.
 func (c *Cell) MaxChargePower() float64 {
+	return c.maxChargePowerAt(c.OCV(), c.DCIR())
+}
+
+// maxChargePowerAt is MaxChargePower given the OCV and DCIR at the
+// current state.
+func (c *Cell) maxChargePowerAt(ocv, r float64) float64 {
 	if c.Full() {
 		return 0
 	}
 	j := c.MaxChargeCurrent()
-	v := c.OCV() - c.vrc + j*c.DCIR()
+	v := ocv - c.vrc + j*r
 	return v * j
 }
 
@@ -378,10 +390,17 @@ func (c *Cell) EnergyRemainingJ() float64 {
 	if c.soc <= 0 {
 		return 0
 	}
+	// Curve.At's dense-or-reference branch, taken once for all 50
+	// points instead of once per point.
 	var sum float64
-	for i := 0; i < steps; i++ {
-		soc := c.soc * (float64(i) + 0.5) / steps
-		sum += c.p.OCV.At(soc)
+	if d := c.p.OCV.dense; d != nil {
+		for i := 0; i < steps; i++ {
+			sum += d.at(c.soc * (float64(i) + 0.5) / steps)
+		}
+	} else {
+		for i := 0; i < steps; i++ {
+			sum += c.p.OCV.refAt(c.soc * (float64(i) + 0.5) / steps)
+		}
 	}
 	return sum / steps * c.soc * c.capacity
 }
@@ -617,22 +636,27 @@ type Status struct {
 	Bendable         bool
 }
 
-// Snapshot returns the current externally visible state.
+// Snapshot returns the current externally visible state. It looks OCV
+// and DCIR up once and derives the terminal voltage and both power
+// capabilities from them with the expressions of TerminalVoltage(0),
+// MaxDischargePower and MaxChargePower: the lookups are pure functions
+// of unchanged state, so the values are the same bits.
 func (c *Cell) Snapshot() Status {
+	ocv, r := c.OCV(), c.DCIR()
 	return Status{
 		Name:             c.p.Name,
 		Chem:             c.p.Chem,
 		SoC:              c.soc,
-		TerminalV:        c.TerminalVoltage(0),
-		OCV:              c.OCV(),
-		DCIR:             c.DCIR(),
+		TerminalV:        ocv - c.vrc - 0*r,
+		OCV:              ocv,
+		DCIR:             r,
 		CapacityCoulombs: c.capacity,
 		CapacityFraction: c.CapacityFraction(),
 		CycleCount:       c.cycles,
 		WearRatio:        c.WearRatio(),
 		RatedCycles:      c.p.RatedCycles,
-		MaxDischargeW:    c.MaxDischargePower(),
-		MaxChargeW:       c.MaxChargePower(),
+		MaxDischargeW:    c.maxDischargePowerAt(ocv, r),
+		MaxChargeW:       c.maxChargePowerAt(ocv, r),
 		EnergyRemainingJ: c.EnergyRemainingJ(),
 		TemperatureC:     c.tempC,
 		Bendable:         c.p.Chem.Bendable(),

@@ -499,3 +499,56 @@ func BenchmarkCellStepPower(b *testing.B) {
 		c.StepPower(3.0, 0.001)
 	}
 }
+
+// TestSnapshotMatchesAccessors: Snapshot looks OCV and DCIR up once and
+// EnergyRemainingJ takes the dense-or-reference branch once, so every
+// derived field must equal, bit for bit, what the accessors (and the
+// per-point Curve.At integral) compute — on dense and reference curves,
+// empty, full, mid-charge, polarized, hot and aged.
+func TestSnapshotMatchesAccessors(t *testing.T) {
+	dense := testParams()
+	ref := dense
+	ref.OCV = Curve{xs: dense.OCV.xs, ys: dense.OCV.ys}
+	ref.DCIR = Curve{xs: dense.DCIR.xs, ys: dense.DCIR.ys}
+	if !dense.OCV.IsDense() || ref.OCV.IsDense() || ref.DCIR.IsDense() {
+		t.Fatal("test needs one dense and one reference cell")
+	}
+	perPoint := func(c *Cell) float64 {
+		const steps = 50
+		if c.soc <= 0 {
+			return 0
+		}
+		var sum float64
+		for i := 0; i < steps; i++ {
+			sum += c.p.OCV.At(c.soc * (float64(i) + 0.5) / steps)
+		}
+		return sum / steps * c.soc * c.capacity
+	}
+	bits := math.Float64bits
+	for _, p := range []Params{dense, ref} {
+		for _, soc := range []float64{0, 1e-10, 0.37, 0.5, 1 - 5e-10, 1} {
+			c := MustNew(p)
+			c.SetSoC(soc)
+			c.StepCurrent(2, 30) // polarize and warm the cell
+			c.SetSoC(soc)
+			c.vrc = 0.02
+			c.r0Mult = 1.3
+			s := c.Snapshot()
+			for _, f := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"TerminalV", s.TerminalV, c.TerminalVoltage(0)},
+				{"OCV", s.OCV, c.OCV()},
+				{"DCIR", s.DCIR, c.DCIR()},
+				{"MaxDischargeW", s.MaxDischargeW, c.MaxDischargePower()},
+				{"MaxChargeW", s.MaxChargeW, c.MaxChargePower()},
+				{"EnergyRemainingJ", s.EnergyRemainingJ, perPoint(c)},
+			} {
+				if bits(f.got) != bits(f.want) {
+					t.Errorf("dense=%v soc=%v %s = %v, want %v", p.OCV.IsDense(), soc, f.name, f.got, f.want)
+				}
+			}
+		}
+	}
+}

@@ -120,7 +120,7 @@ func PlanDeadlineCharge(sts []pmic.BatteryStatus, specs []ChargeSpec, targetFrac
 		// Already at target: trickle nothing.
 		plan.Feasible = true
 		plan.AchievableFraction = haveC / capTotal
-		plan.Ratios = uniformRatios(n)
+		plan.Ratios = appendUniform(nil, n)
 		return plan, nil
 	}
 
@@ -218,7 +218,7 @@ func (p *DeadlinePlan) finish(sts []pmic.BatteryStatus, specs []ChargeSpec, dead
 	p.SupplyW = powerSum
 	p.DamageFraction = damage
 	if powerSum <= 0 {
-		copy(p.Ratios, uniformRatios(len(sts)))
+		p.Ratios = appendUniform(p.Ratios[:0], len(sts))
 		return
 	}
 	for i := range weights {

@@ -35,10 +35,13 @@ var errScripted = errors.New("scripted failure")
 func (s *scriptAPI) Ping() error                { return nil }
 func (s *scriptAPI) BatteryCount() (int, error) { return len(s.sts), nil }
 func (s *scriptAPI) QueryBatteryStatus() ([]pmic.BatteryStatus, error) {
+	return s.QueryBatteryStatusInto(nil)
+}
+func (s *scriptAPI) QueryBatteryStatusInto(dst []pmic.BatteryStatus) ([]pmic.BatteryStatus, error) {
 	if s.fail {
 		return nil, errScripted
 	}
-	return append([]pmic.BatteryStatus(nil), s.sts...), nil
+	return append(dst[:0], s.sts...), nil
 }
 func (s *scriptAPI) Discharge(r []float64) error {
 	s.pushDis = append(s.pushDis, append([]float64(nil), r...))

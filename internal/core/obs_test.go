@@ -151,10 +151,10 @@ type failingPolicy struct{}
 var errBadPolicy = errors.New("scripted policy failure")
 
 func (failingPolicy) Name() string { return "failing" }
-func (failingPolicy) DischargeRatios([]pmic.BatteryStatus, float64) ([]float64, error) {
+func (failingPolicy) DischargeRatios([]float64, []pmic.BatteryStatus, float64) ([]float64, error) {
 	return nil, errBadPolicy
 }
-func (failingPolicy) ChargeRatios([]pmic.BatteryStatus, float64) ([]float64, error) {
+func (failingPolicy) ChargeRatios([]float64, []pmic.BatteryStatus, float64) ([]float64, error) {
 	return nil, errBadPolicy
 }
 

@@ -28,25 +28,37 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sdb/internal/pmic"
 )
 
 // DischargePolicy computes the discharge power-ratio vector for the
 // current battery state and load.
+//
+// Both policy interfaces follow one append contract, so the runtime's
+// tick can reuse a single buffer and allocate nothing:
+//
+//   - A policy appends exactly len(sts) ratios to dst and returns the
+//     extended slice. dst[:len(dst)] is left as it was.
+//   - It may overwrite dst's capacity past the appended ratios as
+//     scratch (growing it if short), so nothing there survives the call
+//     and nothing there may be read before it is written.
+//   - It never retains dst, and on error it returns a nil slice.
 type DischargePolicy interface {
 	// Name identifies the policy in traces and experiment tables.
 	Name() string
-	// DischargeRatios returns a vector of len(sts) non-negative ratios
-	// summing to 1.
-	DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error)
+	// DischargeRatios appends a vector of len(sts) non-negative ratios
+	// summing to 1 to dst.
+	DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error)
 }
 
 // ChargePolicy computes the charge power-ratio vector for the current
-// battery state and available charging power.
+// battery state and available charging power. It follows
+// DischargePolicy's append contract.
 type ChargePolicy interface {
 	Name() string
-	ChargeRatios(sts []pmic.BatteryStatus, chargeW float64) ([]float64, error)
+	ChargeRatios(dst []float64, sts []pmic.BatteryStatus, chargeW float64) ([]float64, error)
 }
 
 // RBLDischarge is the paper's RBL-Discharge algorithm: allocate the
@@ -71,19 +83,22 @@ func (p RBLDischarge) Name() string {
 }
 
 // DischargeRatios implements DischargePolicy.
-func (p RBLDischarge) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
+func (p RBLDischarge) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
 	if len(sts) == 0 {
 		return nil, errors.New("core: no battery status")
 	}
 	n := len(sts)
-	res := make([]float64, n) // effective resistance per cell
-	for i, s := range sts {
-		res[i] = s.DCIR
+	// The weights are the result; the effective resistance per cell
+	// and the caps are scratch past them.
+	out, buf := extend(dst, 3*n)
+	weights, res, caps := buf[:n], buf[n:2*n], buf[2*n:]
+	for i := range sts {
+		res[i] = sts[i].DCIR
 	}
-	weights := make([]float64, n)
 	const iters = 6
 	for round := 0; ; round++ {
-		for i, s := range sts {
+		for i := range sts {
+			s := &sts[i]
 			if s.SoC <= 1e-6 || res[i] <= 0 {
 				weights[i] = 0
 				continue
@@ -97,12 +112,15 @@ func (p RBLDischarge) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) (
 		// refine the effective resistance with the DCIR slope. The
 		// slope is d(DCIR)/d(SoC), negative when resistance falls as
 		// charge rises; drawing current lowers SoC, raising future
-		// resistance, so cells on steep segments are de-weighted.
-		shares, err := normalize(weights)
-		if err != nil {
+		// resistance, so cells on steep segments are de-weighted. The
+		// weights are normalized into shares in place: the next round
+		// recomputes every one of them.
+		if err := normalize(weights); err != nil {
 			break
 		}
-		for i, s := range sts {
+		shares := weights
+		for i := range sts {
+			s := &sts[i]
 			if shares[i] <= 0 || s.TerminalV <= 0 {
 				continue
 			}
@@ -119,13 +137,8 @@ func (p RBLDischarge) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) (
 			}
 		}
 	}
-	shares, err := normalize(weights)
-	if err != nil {
-		// Every cell empty: the discharge vector is moot (nothing can
-		// be drawn), so hand the firmware a neutral split.
-		return uniformRatios(n), nil
-	}
-	return capAndRedistribute(shares, dischargeCaps(sts), loadW)
+	dischargeCaps(caps, sts)
+	return weighted(dst, out, weights, caps, loadW)
 }
 
 // RBLCharge is the paper's RBL-Charge algorithm: push charge where it
@@ -137,22 +150,23 @@ type RBLCharge struct{}
 func (RBLCharge) Name() string { return "rbl-charge" }
 
 // ChargeRatios implements ChargePolicy.
-func (RBLCharge) ChargeRatios(sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
+func (RBLCharge) ChargeRatios(dst []float64, sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
 	if len(sts) == 0 {
 		return nil, errors.New("core: no battery status")
 	}
-	weights := make([]float64, len(sts))
-	for i, s := range sts {
+	n := len(sts)
+	out, buf := extend(dst, 2*n)
+	weights, caps := buf[:n], buf[n:]
+	for i := range sts {
+		s := &sts[i]
+		weights[i] = 0
 		if s.SoC >= 1-1e-6 || s.DCIR <= 0 {
 			continue
 		}
 		weights[i] = s.TerminalV * s.TerminalV / s.DCIR
 	}
-	shares, err := normalize(weights)
-	if err != nil {
-		return uniformRatios(len(sts)), nil // pack full: ratios are moot
-	}
-	return capAndRedistribute(shares, chargeCaps(sts), chargeW)
+	chargeCaps(caps, sts)
+	return weighted(dst, out, weights, caps, chargeW)
 }
 
 // CCBDischarge steers discharge toward the batteries with the most
@@ -163,15 +177,16 @@ type CCBDischarge struct{}
 func (CCBDischarge) Name() string { return "ccb-discharge" }
 
 // DischargeRatios implements DischargePolicy.
-func (CCBDischarge) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
+func (CCBDischarge) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
 	if len(sts) == 0 {
 		return nil, errors.New("core: no battery status")
 	}
-	shares, err := normalize(cycleHeadroom(sts, false))
-	if err != nil {
-		return uniformRatios(len(sts)), nil
-	}
-	return capAndRedistribute(shares, dischargeCaps(sts), loadW)
+	n := len(sts)
+	out, buf := extend(dst, 2*n)
+	weights, caps := buf[:n], buf[n:]
+	cycleHeadroom(weights, sts, false)
+	dischargeCaps(caps, sts)
+	return weighted(dst, out, weights, caps, loadW)
 }
 
 // CCBCharge steers charge toward the batteries with the most remaining
@@ -182,22 +197,24 @@ type CCBCharge struct{}
 func (CCBCharge) Name() string { return "ccb-charge" }
 
 // ChargeRatios implements ChargePolicy.
-func (CCBCharge) ChargeRatios(sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
+func (CCBCharge) ChargeRatios(dst []float64, sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
 	if len(sts) == 0 {
 		return nil, errors.New("core: no battery status")
 	}
-	shares, err := normalize(cycleHeadroom(sts, true))
-	if err != nil {
-		return uniformRatios(len(sts)), nil
-	}
-	return capAndRedistribute(shares, chargeCaps(sts), chargeW)
+	n := len(sts)
+	out, buf := extend(dst, 2*n)
+	weights, caps := buf[:n], buf[n:]
+	cycleHeadroom(weights, sts, true)
+	chargeCaps(caps, sts)
+	return weighted(dst, out, weights, caps, chargeW)
 }
 
-// cycleHeadroom returns per-battery remaining tolerable cycles; empty
-// (or, for charging, full) batteries weigh zero.
-func cycleHeadroom(sts []pmic.BatteryStatus, charging bool) []float64 {
-	w := make([]float64, len(sts))
-	for i, s := range sts {
+// cycleHeadroom writes per-battery remaining tolerable cycles into w;
+// empty (or, for charging, full) batteries weigh zero.
+func cycleHeadroom(w []float64, sts []pmic.BatteryStatus, charging bool) {
+	for i := range sts {
+		s := &sts[i]
+		w[i] = 0
 		if charging && s.SoC >= 1-1e-6 {
 			continue
 		}
@@ -209,7 +226,6 @@ func cycleHeadroom(sts []pmic.BatteryStatus, charging bool) []float64 {
 			w[i] = head
 		}
 	}
-	return w
 }
 
 // Blended mixes a CCB-family and an RBL-family policy with the
@@ -239,32 +255,33 @@ func NewBlended(directiveFn func() (chg, dis float64)) *Blended {
 // Name implements both policy interfaces.
 func (b *Blended) Name() string { return "blended" }
 
-// DischargeRatios implements DischargePolicy.
-func (b *Blended) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
+// DischargeRatios implements DischargePolicy: RBL's vector is appended
+// after CCB's and the two are mixed in place.
+func (b *Blended) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
 	_, d := b.directive()
-	ccb, err := b.CCBDis.DischargeRatios(sts, loadW)
+	ccb, err := b.CCBDis.DischargeRatios(dst, sts, loadW)
 	if err != nil {
 		return nil, err
 	}
-	rbl, err := b.RBLDis.DischargeRatios(sts, loadW)
+	both, err := b.RBLDis.DischargeRatios(ccb, sts, loadW)
 	if err != nil {
 		return nil, err
 	}
-	return mix(ccb, rbl, d)
+	return mix(both, len(dst), len(ccb), d)
 }
 
-// ChargeRatios implements ChargePolicy.
-func (b *Blended) ChargeRatios(sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
+// ChargeRatios implements ChargePolicy, blending like DischargeRatios.
+func (b *Blended) ChargeRatios(dst []float64, sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
 	c, _ := b.directive()
-	ccb, err := b.CCBChg.ChargeRatios(sts, chargeW)
+	ccb, err := b.CCBChg.ChargeRatios(dst, sts, chargeW)
 	if err != nil {
 		return nil, err
 	}
-	rbl, err := b.RBLChg.ChargeRatios(sts, chargeW)
+	both, err := b.RBLChg.ChargeRatios(ccb, sts, chargeW)
 	if err != nil {
 		return nil, err
 	}
-	return mix(ccb, rbl, c)
+	return mix(both, len(dst), len(ccb), c)
 }
 
 // Reserve is the schedule-aware discharge policy of Section 5.2: spend
@@ -290,7 +307,7 @@ type Reserve struct {
 func (Reserve) Name() string { return "reserve" }
 
 // DischargeRatios implements DischargePolicy.
-func (p Reserve) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
+func (p Reserve) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
 	n := len(sts)
 	if n == 0 {
 		return nil, errors.New("core: no battery status")
@@ -299,40 +316,35 @@ func (p Reserve) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]flo
 		return nil, fmt.Errorf("core: reserve index %d out of range", p.ReserveIdx)
 	}
 	if loadW <= 0 {
-		return uniformRatios(n), nil
+		return appendUniform(dst, n), nil
 	}
+	out, buf := extend(dst, 2*n)
+	ratios, caps := buf[:n], buf[n:]
+	clear(ratios)
+	dischargeCaps(caps, sts)
 	if p.HighPowerW > 0 && loadW >= p.HighPowerW && sts[p.ReserveIdx].SoC > 1e-6 {
 		// The anticipated high-power workload arrived: run it on the
 		// battery that was reserved for it, spilling only what exceeds
 		// the reserve's capability.
-		ratios := make([]float64, n)
 		fromRes := math.Min(loadW, sts[p.ReserveIdx].MaxDischargeW)
 		ratios[p.ReserveIdx] = fromRes / loadW
 		if rest := loadW - fromRes; rest > 0 {
-			var expCap float64
-			for i, s := range sts {
-				if i != p.ReserveIdx && s.SoC > 1e-6 {
-					expCap += s.MaxDischargeW
-				}
-			}
-			for i, s := range sts {
-				if i != p.ReserveIdx && s.SoC > 1e-6 && expCap > 0 {
-					ratios[i] = rest / loadW * (s.MaxDischargeW / expCap)
+			expCap := p.expendableCap(sts)
+			for i := range sts {
+				if i != p.ReserveIdx && sts[i].SoC > 1e-6 && expCap > 0 {
+					ratios[i] = rest / loadW * (sts[i].MaxDischargeW / expCap)
 				}
 			}
 		}
 		if err := renormalize(ratios); err != nil {
 			return nil, err
 		}
-		return capAndRedistribute(ratios, dischargeCaps(sts), loadW)
-	}
-	// Capability of the expendable set.
-	var expCap float64
-	for i, s := range sts {
-		if i != p.ReserveIdx && s.SoC > 1e-6 {
-			expCap += s.MaxDischargeW
+		if err := capAndRedistribute(ratios, caps, loadW); err != nil {
+			return nil, err
 		}
+		return out[:len(dst)+n], nil
 	}
+	expCap := p.expendableCap(sts)
 	spill := expCap
 	if p.SpillW > 0 {
 		spill = math.Min(spill, p.SpillW)
@@ -343,12 +355,11 @@ func (p Reserve) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]flo
 		fromExp, fromRes = loadW, 0
 	}
 
-	ratios := make([]float64, n)
 	if fromExp > 0 && expCap > 0 {
 		// Split the expendable part across expendables by capability.
-		for i, s := range sts {
-			if i != p.ReserveIdx && s.SoC > 1e-6 {
-				ratios[i] = fromExp / loadW * (s.MaxDischargeW / expCap)
+		for i := range sts {
+			if i != p.ReserveIdx && sts[i].SoC > 1e-6 {
+				ratios[i] = fromExp / loadW * (sts[i].MaxDischargeW / expCap)
 			}
 		}
 	} else if fromExp > 0 {
@@ -358,9 +369,24 @@ func (p Reserve) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]flo
 	ratios[p.ReserveIdx] = fromRes / loadW
 	if err := renormalize(ratios); err != nil {
 		// Everything is empty: the vector is moot.
-		return uniformRatios(n), nil
+		return appendUniform(out[:len(dst)], n), nil
 	}
-	return capAndRedistribute(ratios, dischargeCaps(sts), loadW)
+	if err := capAndRedistribute(ratios, caps, loadW); err != nil {
+		return nil, err
+	}
+	return out[:len(dst)+n], nil
+}
+
+// expendableCap is the capability of the expendable set: every
+// non-reserve battery with charge.
+func (p Reserve) expendableCap(sts []pmic.BatteryStatus) float64 {
+	var expCap float64
+	for i := range sts {
+		if i != p.ReserveIdx && sts[i].SoC > 1e-6 {
+			expCap += sts[i].MaxDischargeW
+		}
+	}
+	return expCap
 }
 
 // Proportional is the non-SDB baseline: a traditional multi-cell pack
@@ -373,40 +399,40 @@ type Proportional struct{}
 func (Proportional) Name() string { return "proportional-baseline" }
 
 // DischargeRatios implements DischargePolicy.
-func (Proportional) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
+func (Proportional) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
 	if len(sts) == 0 {
 		return nil, errors.New("core: no battery status")
 	}
-	w := make([]float64, len(sts))
-	for i, s := range sts {
-		if s.SoC > 1e-6 && s.DCIR > 0 {
+	n := len(sts)
+	out, buf := extend(dst, 2*n)
+	w, caps := buf[:n], buf[n:]
+	for i := range sts {
+		w[i] = 0
+		if s := &sts[i]; s.SoC > 1e-6 && s.DCIR > 0 {
 			w[i] = 1 / s.DCIR
 		}
 	}
-	shares, err := normalize(w)
-	if err != nil {
-		return uniformRatios(len(sts)), nil
-	}
-	return capAndRedistribute(shares, dischargeCaps(sts), loadW)
+	dischargeCaps(caps, sts)
+	return weighted(dst, out, w, caps, loadW)
 }
 
 // ChargeRatios implements ChargePolicy: parallel cells absorb charge
 // in inverse proportion to resistance too.
-func (p Proportional) ChargeRatios(sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
+func (p Proportional) ChargeRatios(dst []float64, sts []pmic.BatteryStatus, chargeW float64) ([]float64, error) {
 	if len(sts) == 0 {
 		return nil, errors.New("core: no battery status")
 	}
-	w := make([]float64, len(sts))
-	for i, s := range sts {
-		if s.SoC < 1-1e-6 && s.DCIR > 0 {
+	n := len(sts)
+	out, buf := extend(dst, 2*n)
+	w, caps := buf[:n], buf[n:]
+	for i := range sts {
+		w[i] = 0
+		if s := &sts[i]; s.SoC < 1-1e-6 && s.DCIR > 0 {
 			w[i] = 1 / s.DCIR
 		}
 	}
-	shares, err := normalize(w)
-	if err != nil {
-		return uniformRatios(len(sts)), nil
-	}
-	return capAndRedistribute(shares, chargeCaps(sts), chargeW)
+	chargeCaps(caps, sts)
+	return weighted(dst, out, w, caps, chargeW)
 }
 
 // FixedRatios always returns the same vector — the "hardcoded in
@@ -425,64 +451,88 @@ func (f FixedRatios) Name() string {
 }
 
 // DischargeRatios implements DischargePolicy.
-func (f FixedRatios) DischargeRatios(sts []pmic.BatteryStatus, _ float64) ([]float64, error) {
-	return f.vector(len(sts))
+func (f FixedRatios) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, _ float64) ([]float64, error) {
+	return f.vector(dst, len(sts))
 }
 
 // ChargeRatios implements ChargePolicy.
-func (f FixedRatios) ChargeRatios(sts []pmic.BatteryStatus, _ float64) ([]float64, error) {
-	return f.vector(len(sts))
+func (f FixedRatios) ChargeRatios(dst []float64, sts []pmic.BatteryStatus, _ float64) ([]float64, error) {
+	return f.vector(dst, len(sts))
 }
 
-func (f FixedRatios) vector(n int) ([]float64, error) {
+func (f FixedRatios) vector(dst []float64, n int) ([]float64, error) {
 	if len(f.Ratios) != n {
 		return nil, fmt.Errorf("core: fixed policy has %d ratios for %d batteries", len(f.Ratios), n)
 	}
-	out := append([]float64(nil), f.Ratios...)
-	if err := renormalize(out); err != nil {
+	out := append(dst, f.Ratios...)
+	if err := renormalize(out[len(dst):]); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ---- allocation helpers ----
+// ---- in-place helpers ----
 
-func dischargeCaps(sts []pmic.BatteryStatus) []float64 {
-	caps := make([]float64, len(sts))
-	for i, s := range sts {
-		caps[i] = s.MaxDischargeW
-	}
-	return caps
+// extend grows dst by n elements, reallocating only when its capacity
+// is short, and returns the extended slice and the n-element window it
+// added. The window holds whatever an earlier user left there: callers
+// write every element before reading it.
+func extend(dst []float64, n int) (out, win []float64) {
+	l := len(dst)
+	out = slices.Grow(dst, n)[:l+n]
+	return out, out[l:]
 }
 
-func chargeCaps(sts []pmic.BatteryStatus) []float64 {
-	caps := make([]float64, len(sts))
-	for i, s := range sts {
-		caps[i] = s.MaxChargeW
+// weighted finishes a weight-based policy whose weights are the window
+// of out just past dst: they are normalized into shares and capped at
+// capsW for totalW, and out is cut back to the shares. All-zero weights
+// (every battery empty, or full when charging) make the vector moot,
+// so a neutral uniform split is appended to dst instead.
+func weighted(dst, out, w, capsW []float64, totalW float64) ([]float64, error) {
+	if err := normalize(w); err != nil {
+		return appendUniform(out[:len(dst)], len(w)), nil
 	}
-	return caps
+	if err := capAndRedistribute(w, capsW, totalW); err != nil {
+		return nil, err
+	}
+	return out[:len(dst)+len(w)], nil
 }
 
-// normalize scales non-negative weights to sum to 1.
-func normalize(w []float64) ([]float64, error) {
+// dischargeCaps writes each battery's discharge capability into caps.
+func dischargeCaps(caps []float64, sts []pmic.BatteryStatus) {
+	for i := range caps {
+		caps[i] = sts[i].MaxDischargeW
+	}
+}
+
+// chargeCaps writes each battery's charge capability into caps.
+func chargeCaps(caps []float64, sts []pmic.BatteryStatus) {
+	for i := range caps {
+		caps[i] = sts[i].MaxChargeW
+	}
+}
+
+// normalize scales non-negative weights in place to sum to 1. On error
+// w is untouched.
+func normalize(w []float64) error {
 	var sum float64
 	for _, x := range w {
 		if x < 0 || math.IsNaN(x) {
-			return nil, fmt.Errorf("core: negative or NaN weight %g", x)
+			return fmt.Errorf("core: negative or NaN weight %g", x)
 		}
 		sum += x
 	}
 	if sum <= 0 {
-		return nil, errors.New("core: all weights zero")
+		return errors.New("core: all weights zero")
 	}
-	out := make([]float64, len(w))
 	for i, x := range w {
-		out[i] = x / sum
+		w[i] = x / sum
 	}
-	return out, nil
+	return nil
 }
 
-// renormalize scales a vector in place to sum to 1.
+// renormalize scales a vector in place to sum to 1. On error r is
+// untouched.
 func renormalize(r []float64) error {
 	var sum float64
 	for _, x := range r {
@@ -500,40 +550,40 @@ func renormalize(r []float64) error {
 	return nil
 }
 
-// mix blends two ratio vectors: (1-d)*a + d*b, renormalized.
-func mix(a, b []float64, d float64) ([]float64, error) {
+// mix blends the two ratio vectors a = out[l:m] and b = out[m:] into
+// a, in place, as (1-d)*a + d*b renormalized, and returns out[:m].
+func mix(out []float64, l, m int, d float64) ([]float64, error) {
+	a, b := out[l:m], out[m:]
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("core: blend length mismatch %d vs %d", len(a), len(b))
 	}
-	d = math.Max(0, math.Min(1, d))
-	out := make([]float64, len(a))
-	for i := range out {
-		out[i] = (1-d)*a[i] + d*b[i]
+	d = clamp01(d)
+	for i := range a {
+		a[i] = (1-d)*a[i] + d*b[i]
 	}
-	if err := renormalize(out); err != nil {
+	if err := renormalize(a); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out[:m], nil
 }
 
-// uniformRatios returns 1/n everywhere.
-func uniformRatios(n int) []float64 {
-	r := make([]float64, n)
+// appendUniform appends n ratios of 1/n to dst.
+func appendUniform(dst []float64, n int) []float64 {
+	out, r := extend(dst, n)
 	for i := range r {
 		r[i] = 1 / float64(n)
 	}
-	return r
+	return out
 }
 
 // capAndRedistribute limits each battery's power share to its
-// capability at the given total power, shifting excess onto batteries
-// with headroom. If the total exceeds the pack's aggregate capability
-// the original proportions are kept for the overflow (the firmware
-// will brown out and flag it).
-func capAndRedistribute(shares, capsW []float64, totalW float64) ([]float64, error) {
-	out := append([]float64(nil), shares...)
+// capability at the given total power, in place, shifting excess onto
+// batteries with headroom. If the total exceeds the pack's aggregate
+// capability the original proportions are kept for the overflow (the
+// firmware will brown out and flag it).
+func capAndRedistribute(out, capsW []float64, totalW float64) error {
 	if totalW <= 0 {
-		return out, nil
+		return nil
 	}
 	for round := 0; round < 4; round++ {
 		var excess, headroom float64
@@ -557,8 +607,5 @@ func capAndRedistribute(shares, capsW []float64, totalW float64) ([]float64, err
 			}
 		}
 	}
-	if err := renormalize(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return renormalize(out)
 }

@@ -43,7 +43,7 @@ func TestRBLDischargeFavorsLowResistance(t *testing.T) {
 		mkStatus(0.8, 3.8, 0.1, 0, 20, 5), // low resistance
 		mkStatus(0.8, 3.8, 0.4, 0, 20, 5), // 4x resistance
 	}
-	ratios, err := RBLDischarge{}.DischargeRatios(sts, 2.0)
+	ratios, err := RBLDischarge{}.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRBLDischargeSkipsEmptyCell(t *testing.T) {
 		mkStatus(0, 3.0, 0.1, 0, 0, 5),
 		mkStatus(0.8, 3.8, 0.4, 0, 20, 5),
 	}
-	ratios, err := RBLDischarge{}.DischargeRatios(sts, 2.0)
+	ratios, err := RBLDischarge{}.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRBLDischargeMinimizesModelLoss(t *testing.T) {
 		}
 		return sum
 	}
-	opt, err := RBLDischarge{}.DischargeRatios(sts, loadW)
+	opt, err := RBLDischarge{}.DischargeRatios(nil, sts, loadW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestRBLDischargeDerivativeAwareDeweightsSteepCells(t *testing.T) {
 	flat := mkStatus(0.5, 3.8, 0.2, 0, 25, 5)
 	steep := mkStatus(0.5, 3.8, 0.2, 0, 25, 5)
 	steep.DCIRSlope = -8.0 // resistance rises sharply as SoC falls
-	plain, err := RBLDischarge{}.DischargeRatios([]pmic.BatteryStatus{flat, steep}, 4.0)
+	plain, err := RBLDischarge{}.DischargeRatios(nil, []pmic.BatteryStatus{flat, steep}, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := RBLDischarge{DerivativeAware: true}.DischargeRatios([]pmic.BatteryStatus{flat, steep}, 4.0)
+	aware, err := RBLDischarge{DerivativeAware: true}.DischargeRatios(nil, []pmic.BatteryStatus{flat, steep}, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRBLChargeFavorsLowResistance(t *testing.T) {
 		mkStatus(0.3, 3.6, 0.1, 0, 20, 8),
 		mkStatus(0.3, 3.6, 0.3, 0, 20, 8),
 	}
-	ratios, err := RBLCharge{}.ChargeRatios(sts, 5.0)
+	ratios, err := RBLCharge{}.ChargeRatios(nil, sts, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRBLChargeSkipsFullCell(t *testing.T) {
 		mkStatus(1.0, 4.2, 0.1, 0, 20, 0),
 		mkStatus(0.3, 3.6, 0.3, 0, 20, 8),
 	}
-	ratios, err := RBLCharge{}.ChargeRatios(sts, 5.0)
+	ratios, err := RBLCharge{}.ChargeRatios(nil, sts, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRBLChargeAllFullFallsBackToUniform(t *testing.T) {
 		mkStatus(1, 4.2, 0.1, 0, 20, 0),
 		mkStatus(1, 4.2, 0.2, 0, 20, 0),
 	}
-	ratios, err := RBLCharge{}.ChargeRatios(sts, 5.0)
+	ratios, err := RBLCharge{}.ChargeRatios(nil, sts, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCCBDischargeFavorsLeastWorn(t *testing.T) {
 		mkStatus(0.8, 3.8, 0.2, 0.8, 20, 5), // heavily worn
 		mkStatus(0.8, 3.8, 0.2, 0.1, 20, 5), // barely worn
 	}
-	ratios, err := CCBDischarge{}.DischargeRatios(sts, 2.0)
+	ratios, err := CCBDischarge{}.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestCCBChargeFavorsLeastWorn(t *testing.T) {
 		mkStatus(0.3, 3.6, 0.2, 0.5, 20, 8),
 		mkStatus(0.3, 3.6, 0.2, 0.0, 20, 8),
 	}
-	ratios, err := CCBCharge{}.ChargeRatios(sts, 5.0)
+	ratios, err := CCBCharge{}.ChargeRatios(nil, sts, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +209,17 @@ func TestBlendedDirectiveInterpolates(t *testing.T) {
 	b := NewBlended(func() (float64, float64) { return dir, dir })
 
 	dir = 0 // pure CCB: favor the fresh cell
-	ccb, err := b.DischargeRatios(sts, 2.0)
+	ccb, err := b.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir = 1 // pure RBL: favor the efficient cell
-	rbl, err := b.DischargeRatios(sts, 2.0)
+	rbl, err := b.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir = 0.5
-	mid, err := b.DischargeRatios(sts, 2.0)
+	mid, err := b.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestReservePolicyPreservesReserve(t *testing.T) {
 	}
 	// Low-power load fits in the expendable cell's capability.
 	p := Reserve{ReserveIdx: 0}
-	ratios, err := p.DischargeRatios(sts, 0.5)
+	ratios, err := p.DischargeRatios(nil, sts, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestReservePolicySpillsHighLoad(t *testing.T) {
 	p := Reserve{ReserveIdx: 0}
 	// 3 W load exceeds the expendable 1.5 W capability: the reserve
 	// carries the excess.
-	ratios, err := p.DischargeRatios(sts, 3.0)
+	ratios, err := p.DischargeRatios(nil, sts, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestReservePolicyTakesOverWhenExpendableDrained(t *testing.T) {
 		mkStatus(0.8, 3.8, 0.1, 0, 5, 2),
 		mkStatus(0.0, 3.0, 1.0, 0, 0, 1), // drained
 	}
-	ratios, err := Reserve{ReserveIdx: 0}.DischargeRatios(sts, 0.5)
+	ratios, err := Reserve{ReserveIdx: 0}.DischargeRatios(nil, sts, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestReservePolicySpillCap(t *testing.T) {
 		mkStatus(0.8, 3.7, 1.0, 0, 1.5, 1),
 	}
 	p := Reserve{ReserveIdx: 0, SpillW: 0.2}
-	ratios, err := p.DischargeRatios(sts, 1.0)
+	ratios, err := p.DischargeRatios(nil, sts, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +312,10 @@ func TestReservePolicySpillCap(t *testing.T) {
 
 func TestReservePolicyValidation(t *testing.T) {
 	sts := []pmic.BatteryStatus{mkStatus(0.8, 3.8, 0.1, 0, 5, 2)}
-	if _, err := (Reserve{ReserveIdx: 3}).DischargeRatios(sts, 1); err == nil {
+	if _, err := (Reserve{ReserveIdx: 3}).DischargeRatios(nil, sts, 1); err == nil {
 		t.Error("out-of-range reserve index accepted")
 	}
-	if _, err := (Reserve{}).DischargeRatios(nil, 1); err == nil {
+	if _, err := (Reserve{}).DischargeRatios(nil, nil, 1); err == nil {
 		t.Error("empty status accepted")
 	}
 }
@@ -325,7 +325,7 @@ func TestProportionalBaseline(t *testing.T) {
 		mkStatus(0.8, 3.8, 0.1, 0, 20, 8),
 		mkStatus(0.8, 3.8, 0.3, 0, 20, 8),
 	}
-	dis, err := Proportional{}.DischargeRatios(sts, 2.0)
+	dis, err := Proportional{}.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestProportionalBaseline(t *testing.T) {
 	if got := dis[0] / dis[1]; math.Abs(got-3) > 0.01 {
 		t.Errorf("proportional split = %g, want 3", got)
 	}
-	chg, err := Proportional{}.ChargeRatios(sts, 2.0)
+	chg, err := Proportional{}.ChargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestFixedRatiosPolicy(t *testing.T) {
 		mkStatus(0.8, 3.8, 0.3, 0, 20, 8),
 	}
 	f := FixedRatios{Label: "all-first", Ratios: []float64{1, 0}}
-	dis, err := f.DischargeRatios(sts, 2.0)
+	dis, err := f.DischargeRatios(nil, sts, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,15 +357,15 @@ func TestFixedRatiosPolicy(t *testing.T) {
 	if f.Name() != "all-first" {
 		t.Errorf("name = %q", f.Name())
 	}
-	if _, err := (FixedRatios{Ratios: []float64{1}}).DischargeRatios(sts, 1); err == nil {
+	if _, err := (FixedRatios{Ratios: []float64{1}}).DischargeRatios(nil, sts, 1); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
 
 func TestCapAndRedistribute(t *testing.T) {
 	// 10 W load, shares 80/20, but cell 0 caps at 4 W.
-	out, err := capAndRedistribute([]float64{0.8, 0.2}, []float64{4, 20}, 10)
-	if err != nil {
+	out := []float64{0.8, 0.2}
+	if err := capAndRedistribute(out, []float64{4, 20}, 10); err != nil {
 		t.Fatal(err)
 	}
 	checkRatios(t, out)
@@ -380,29 +380,31 @@ func TestCapAndRedistribute(t *testing.T) {
 func TestCapAndRedistributeInfeasibleLoad(t *testing.T) {
 	// Pack can only do 5 W total; ask for 10. Shares must still be a
 	// valid distribution (firmware handles the brownout).
-	out, err := capAndRedistribute([]float64{0.5, 0.5}, []float64{2, 3}, 10)
-	if err != nil {
+	out := []float64{0.5, 0.5}
+	if err := capAndRedistribute(out, []float64{2, 3}, 10); err != nil {
 		t.Fatal(err)
 	}
 	checkRatios(t, out)
 }
 
 func TestMixAndNormalizeHelpers(t *testing.T) {
-	m, err := mix([]float64{1, 0}, []float64{0, 1}, 0.25)
+	// A prefix before the two vectors survives; b is dropped.
+	m, err := mix([]float64{7, 1, 0, 0, 1}, 1, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m[0]-0.75) > 1e-12 || math.Abs(m[1]-0.25) > 1e-12 {
+	if len(m) != 3 || m[0] != 7 || math.Abs(m[1]-0.75) > 1e-12 || math.Abs(m[2]-0.25) > 1e-12 {
 		t.Errorf("mix = %v", m)
 	}
-	if _, err := mix([]float64{1}, []float64{0, 1}, 0.5); err == nil {
+	if _, err := mix([]float64{1, 0, 1}, 0, 1, 0.5); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := normalize([]float64{0, 0}); err == nil {
+	if err := normalize([]float64{0, 0}); err == nil {
 		t.Error("all-zero weights accepted")
 	}
-	if _, err := normalize([]float64{-1, 2}); err == nil {
-		t.Error("negative weight accepted")
+	w := []float64{-1, 2}
+	if err := normalize(w); err == nil || w[0] != -1 || w[1] != 2 {
+		t.Errorf("negative weight accepted or weights touched: %v, %v", err, w)
 	}
 }
 
@@ -451,7 +453,7 @@ func TestPoliciesAlwaysReturnDistributionsProperty(t *testing.T) {
 			mkStatus(soc2, 3.5+soc2, 0.1+wear2, wear2, 10*soc2+0.1, 5),
 		}
 		for _, p := range policies {
-			ratios, err := p.DischargeRatios(sts, loadW)
+			ratios, err := p.DischargeRatios(nil, sts, loadW)
 			if err != nil {
 				return false
 			}
@@ -481,7 +483,7 @@ func BenchmarkRBLAllocation(b *testing.B) {
 	p := RBLDischarge{DerivativeAware: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.DischargeRatios(sts, 10); err != nil {
+		if _, err := p.DischargeRatios(nil, sts, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -495,7 +497,7 @@ func BenchmarkBlendedAllocation(b *testing.B) {
 	blend := NewBlended(func() (float64, float64) { return 0.5, 0.5 })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := blend.DischargeRatios(sts, 5); err != nil {
+		if _, err := blend.DischargeRatios(nil, sts, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -512,8 +514,8 @@ func TestCapAndRedistributeProperty(t *testing.T) {
 			0.5 + math.Mod(math.Abs(c2raw), 10),
 		}
 		total := math.Mod(math.Abs(totRaw), 25)
-		out, err := capAndRedistribute(shares, caps, total)
-		if err != nil {
+		out := shares
+		if err := capAndRedistribute(out, caps, total); err != nil {
 			return false
 		}
 		var sum float64

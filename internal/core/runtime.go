@@ -58,14 +58,14 @@ func ComputeMetrics(sts []pmic.BatteryStatus) Metrics {
 }
 
 // Options configures a Runtime. Zero-value fields get defaults: the
-// blended CCB/RBL policies with directives 0.5.
+// blended CCB/RBL policies with directives 0 (CCB first).
 type Options struct {
 	// DischargePolicy overrides the default blended discharge policy.
 	DischargePolicy DischargePolicy
 	// ChargePolicy overrides the default blended charge policy.
 	ChargePolicy ChargePolicy
 	// ChargingDirective and DischargingDirective seed the directive
-	// parameters (each clamped to [0,1]).
+	// parameters (each clamped to [0,1]; NaN counts as 0).
 	ChargingDirective    float64
 	DischargingDirective float64
 
@@ -216,9 +216,9 @@ func (r *Runtime) Directives() (chg, dis float64) {
 	return r.chgDir, r.disDir
 }
 
-// SetDirectives updates the directive parameters (clamped to [0,1]).
-// High values prioritize RBL (immediate useful charge), low values
-// prioritize CCB (longevity).
+// SetDirectives updates the directive parameters (clamped to [0,1];
+// NaN counts as 0, the zero-value directive). High values prioritize
+// RBL (immediate useful charge), low values prioritize CCB (longevity).
 func (r *Runtime) SetDirectives(chg, dis float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -273,12 +273,29 @@ func (r *Runtime) Metrics() (Metrics, error) {
 	return ComputeMetrics(sts), nil
 }
 
-// UpdateResult reports what an Update pushed to the firmware.
+// UpdateResult reports what an Update pushed to the firmware. After a
+// successful tick the slices are the runtime's own latched vectors,
+// valid until the next Update refills them in place; LastRatios
+// returns copies that stay valid.
 type UpdateResult struct {
 	Discharge []float64
 	Charge    []float64
-	Status    []pmic.BatteryStatus
 }
+
+// tickScratch is one policy tick's working memory: the status records,
+// and the ratio buffer that holds the discharge vector, then the
+// charge vector, then whatever scratch the policies use past them (see
+// DischargePolicy's append contract).
+type tickScratch struct {
+	sts    []pmic.BatteryStatus
+	ratios []float64
+}
+
+// tickPool lends tick scratch to every Runtime in the process. Scratch
+// kept per Runtime would stay allocated for each of a fleet's
+// thousands of runtimes between ticks; pooled, there are only about as
+// many buffers as goroutines ticking at once.
+var tickPool = sync.Pool{New: func() any { return new(tickScratch) }}
 
 // Update is the runtime's periodic tick (the paper computes ratios "at
 // coarse granular time steps"): it queries battery status, runs the
@@ -302,7 +319,7 @@ func (r *Runtime) Update(loadW, chargeW float64) (UpdateResult, error) {
 	case Failed:
 		return UpdateResult{}, fmt.Errorf("core: update failed %d consecutive times: %w", fails, err)
 	case SafeMode:
-		uni := uniformRatios(r.n)
+		uni := appendUniform(nil, r.n)
 		r.pushBestEffort(uni, uni)
 		return UpdateResult{Discharge: uni, Charge: uni}, nil
 	case Degraded:
@@ -316,34 +333,47 @@ func (r *Runtime) Update(loadW, chargeW float64) (UpdateResult, error) {
 	return UpdateResult{}, nil
 }
 
-// tryUpdate is one full status -> policy -> mask -> push cycle.
+// tryUpdate is one full status -> policy -> mask -> push cycle. Its
+// statuses and ratio vectors live in pooled scratch, so a healthy tick
+// allocates nothing.
 func (r *Runtime) tryUpdate(loadW, chargeW float64) (UpdateResult, error) {
-	sts, err := r.api.QueryBatteryStatus()
+	sc := tickPool.Get().(*tickScratch)
+	defer tickPool.Put(sc)
+	sts, err := r.api.QueryBatteryStatusInto(sc.sts)
 	if err != nil {
 		return UpdateResult{}, fmt.Errorf("core: update status query: %w", err)
 	}
+	sc.sts = sts
 	r.mu.Lock()
 	disPolicy, chgPolicy := r.disPolicy, r.chgPolicy
 	r.mu.Unlock()
 
-	dis, err := disPolicy.DischargeRatios(sts, loadW)
+	n := len(sts)
+	buf, err := disPolicy.DischargeRatios(sc.ratios[:0], sts, loadW)
+	if err == nil && len(buf) != n {
+		err = fmt.Errorf("returned %d ratios for %d batteries", len(buf), n)
+	}
 	if err != nil {
 		r.om.policyErrs.Inc()
 		return UpdateResult{}, fmt.Errorf("core: %s: %w", disPolicy.Name(), err)
 	}
-	chg, err := chgPolicy.ChargeRatios(sts, chargeW)
+	buf, err = chgPolicy.ChargeRatios(buf, sts, chargeW)
+	if err == nil && len(buf) != 2*n {
+		err = fmt.Errorf("returned %d ratios for %d batteries", len(buf)-n, n)
+	}
 	if err != nil {
 		r.om.policyErrs.Inc()
 		return UpdateResult{}, fmt.Errorf("core: %s: %w", chgPolicy.Name(), err)
 	}
+	sc.ratios = buf
 	masked := 0
-	for _, s := range sts {
-		if s.Faulted {
+	for i := range sts {
+		if sts[i].Faulted {
 			masked++
 		}
 	}
-	dis = MaskFaulted(dis, sts)
-	chg = MaskFaulted(chg, sts)
+	dis := MaskFaulted(buf[:n], sts)
+	chg := MaskFaulted(buf[n:], sts)
 	if err := r.api.Discharge(dis); err != nil {
 		return UpdateResult{}, fmt.Errorf("core: push discharge ratios: %w", err)
 	}
@@ -351,8 +381,9 @@ func (r *Runtime) tryUpdate(loadW, chargeW float64) (UpdateResult, error) {
 		return UpdateResult{}, fmt.Errorf("core: push charge ratios: %w", err)
 	}
 	r.mu.Lock()
-	r.lastDis = dis
-	r.lastChg = chg
+	r.lastDis = append(r.lastDis[:0], dis...)
+	r.lastChg = append(r.lastChg[:0], chg...)
+	res := UpdateResult{Discharge: r.lastDis, Charge: r.lastChg}
 	r.mu.Unlock()
 	r.om.decisions.Inc()
 	r.om.maskedCells.Add(int64(masked))
@@ -379,7 +410,7 @@ func (r *Runtime) tryUpdate(loadW, chargeW float64) (UpdateResult, error) {
 		r.mu.Unlock()
 		r.om.audit.Add(rec)
 	}
-	return UpdateResult{Discharge: dis, Charge: chg, Status: sts}, nil
+	return res, nil
 }
 
 // NoteTime tells the runtime the current simulation time so audit
@@ -401,9 +432,11 @@ func (r *Runtime) pushBestEffort(dis, chg []float64) {
 	if err := r.api.Charge(chg); err != nil {
 		return
 	}
+	// Store copies: the latched vectors are refilled in place by the
+	// next healthy tick, and SafeMode passes one slice as both.
 	r.mu.Lock()
-	r.lastDis = dis
-	r.lastChg = chg
+	r.lastDis = append(r.lastDis[:0], dis...)
+	r.lastChg = append(r.lastChg[:0], chg...)
 	r.mu.Unlock()
 }
 
@@ -425,8 +458,13 @@ func (r *Runtime) SetChargeProfile(batt int, profile string) error {
 	return r.api.SetChargeProfile(batt, profile)
 }
 
+// clamp01 clamps x to [0,1], mapping NaN to 0: a NaN directive
+// would otherwise poison every blended vector and fail each tick.
 func clamp01(x float64) float64 {
-	return math.Max(0, math.Min(1, x))
+	if !(x > 0) {
+		return 0
+	}
+	return math.Min(1, x)
 }
 
 // defaultInt substitutes def for non-positive v.

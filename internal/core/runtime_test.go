@@ -71,8 +71,8 @@ func TestUpdatePushesRatiosToFirmware(t *testing.T) {
 	if dis[0] != 0.9 || chg[1] != 0.7 {
 		t.Errorf("firmware ratios = %v / %v", dis, chg)
 	}
-	if len(res.Status) != 2 {
-		t.Errorf("update status has %d records", len(res.Status))
+	if len(res.Discharge) != 2 || res.Discharge[0] != 0.9 || len(res.Charge) != 2 || res.Charge[1] != 0.7 {
+		t.Errorf("update result = %v / %v", res.Discharge, res.Charge)
 	}
 	lastDis, lastChg := rt.LastRatios()
 	if lastDis[0] != 0.9 || lastChg[1] != 0.7 {
@@ -200,13 +200,16 @@ type failingAPI struct {
 func (f *failingAPI) Ping() error                { return nil }
 func (f *failingAPI) BatteryCount() (int, error) { return 2, nil }
 func (f *failingAPI) QueryBatteryStatus() ([]pmic.BatteryStatus, error) {
+	return f.QueryBatteryStatusInto(nil)
+}
+func (f *failingAPI) QueryBatteryStatusInto(dst []pmic.BatteryStatus) ([]pmic.BatteryStatus, error) {
 	if f.failStatus {
 		return nil, errors.New("link down")
 	}
-	return []pmic.BatteryStatus{
+	return append(dst[:0],
 		mkStatus(0.5, 3.7, 0.1, 0, 10, 5),
 		mkStatus(0.5, 3.7, 0.2, 0, 10, 5),
-	}, nil
+	), nil
 }
 func (f *failingAPI) Discharge(r []float64) error {
 	if f.failSet {

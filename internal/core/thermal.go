@@ -31,19 +31,23 @@ func (g ThermalGuard) Name() string {
 	return "thermal-guard(" + g.Inner.Name() + ")"
 }
 
-// DischargeRatios implements DischargePolicy.
-func (g ThermalGuard) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
+// DischargeRatios implements DischargePolicy. The inner ratios, the
+// scaled copy and the caps sit one after another past dst; the scaled
+// copy replaces the inner ratios only when it is used.
+func (g ThermalGuard) DischargeRatios(dst []float64, sts []pmic.BatteryStatus, loadW float64) ([]float64, error) {
 	if g.Inner == nil {
 		return nil, errors.New("core: thermal guard needs an inner policy")
 	}
 	if g.SoftLimitC <= 0 || g.HardLimitC <= g.SoftLimitC {
 		return nil, fmt.Errorf("core: thermal guard needs 0 < soft (%g) < hard (%g)", g.SoftLimitC, g.HardLimitC)
 	}
-	ratios, err := g.Inner.DischargeRatios(sts, loadW)
+	inner, err := g.Inner.DischargeRatios(dst, sts, loadW)
 	if err != nil {
 		return nil, err
 	}
-	scaled := make([]float64, len(ratios))
+	n := len(inner) - len(dst)
+	out, buf := extend(inner, 2*n)
+	ratios, scaled, caps := out[len(dst):len(inner)], buf[:n], buf[n:]
 	changed := false
 	for i, r := range ratios {
 		f := g.factor(sts[i].TemperatureC)
@@ -53,14 +57,19 @@ func (g ThermalGuard) DischargeRatios(sts []pmic.BatteryStatus, loadW float64) (
 		}
 	}
 	if !changed {
-		return ratios, nil
+		return out[:len(inner)], nil
 	}
 	if err := renormalize(scaled); err != nil {
 		// Every cell is above the hard limit: fall back to the inner
 		// allocation and let the firmware protection handle it.
-		return ratios, nil
+		return out[:len(inner)], nil
 	}
-	return capAndRedistribute(scaled, dischargeCaps(sts), loadW)
+	dischargeCaps(caps, sts)
+	if err := capAndRedistribute(scaled, caps, loadW); err != nil {
+		return nil, err
+	}
+	copy(ratios, scaled)
+	return out[:len(inner)], nil
 }
 
 // factor maps a cell temperature to a weight multiplier: 1 below the

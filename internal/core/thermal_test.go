@@ -15,11 +15,11 @@ func mkThermalStatus(tempC float64) pmic.BatteryStatus {
 
 func TestThermalGuardValidation(t *testing.T) {
 	sts := []pmic.BatteryStatus{mkThermalStatus(25), mkThermalStatus(25)}
-	if _, err := (ThermalGuard{}).DischargeRatios(sts, 1); err == nil {
+	if _, err := (ThermalGuard{}).DischargeRatios(nil, sts, 1); err == nil {
 		t.Error("nil inner policy accepted")
 	}
 	g := ThermalGuard{Inner: RBLDischarge{}, SoftLimitC: 50, HardLimitC: 40}
-	if _, err := g.DischargeRatios(sts, 1); err == nil {
+	if _, err := g.DischargeRatios(nil, sts, 1); err == nil {
 		t.Error("hard <= soft accepted")
 	}
 }
@@ -27,11 +27,11 @@ func TestThermalGuardValidation(t *testing.T) {
 func TestThermalGuardPassthroughWhenCool(t *testing.T) {
 	sts := []pmic.BatteryStatus{mkThermalStatus(25), mkThermalStatus(30)}
 	g := ThermalGuard{Inner: RBLDischarge{}, SoftLimitC: 45, HardLimitC: 58}
-	guarded, err := g.DischargeRatios(sts, 2)
+	guarded, err := g.DischargeRatios(nil, sts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RBLDischarge{}.DischargeRatios(sts, 2)
+	plain, err := RBLDischarge{}.DischargeRatios(nil, sts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestThermalGuardPassthroughWhenCool(t *testing.T) {
 func TestThermalGuardDeweightsHotCell(t *testing.T) {
 	sts := []pmic.BatteryStatus{mkThermalStatus(52), mkThermalStatus(25)}
 	g := ThermalGuard{Inner: RBLDischarge{}, SoftLimitC: 45, HardLimitC: 58}
-	ratios, err := g.DischargeRatios(sts, 2)
+	ratios, err := g.DischargeRatios(nil, sts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestThermalGuardDeweightsHotCell(t *testing.T) {
 func TestThermalGuardZeroesCellAtHardLimit(t *testing.T) {
 	sts := []pmic.BatteryStatus{mkThermalStatus(60), mkThermalStatus(25)}
 	g := ThermalGuard{Inner: RBLDischarge{}, SoftLimitC: 45, HardLimitC: 58}
-	ratios, err := g.DischargeRatios(sts, 2)
+	ratios, err := g.DischargeRatios(nil, sts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestThermalGuardZeroesCellAtHardLimit(t *testing.T) {
 func TestThermalGuardAllHotFallsBack(t *testing.T) {
 	sts := []pmic.BatteryStatus{mkThermalStatus(60), mkThermalStatus(61)}
 	g := ThermalGuard{Inner: RBLDischarge{}, SoftLimitC: 45, HardLimitC: 58}
-	ratios, err := g.DischargeRatios(sts, 2)
+	ratios, err := g.DischargeRatios(nil, sts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@ import "sdb/internal/battery/batch"
 // full per-step generality (fault scan, policy boundary, instrumented
 // controller step) for every device step. When a run is eligible, the
 // fast path instead carves the batch into segments of steps that are
-// provably free of policy work, faults, and external power, and drives
-// those through the firmware's struct-of-arrays fast segment
-// (pmic.BeginFast/FastStep/EndFast). Any step that fails an
+// provably free of policy work and faults, and on battery power or on
+// an external supply that covers the load, and drives those through
+// the firmware's struct-of-arrays fast segment
+// (pmic.BeginFast/FastStepSupplied/EndFast). Any step that fails an
 // eligibility check runs through the ordinary Step — the scalar path
 // remains the reference, and the fast path must be bit-identical to
 // it (the fleet identity soak enforces this).
@@ -32,10 +33,11 @@ func (m *Machine) EnableBatch(eng *batch.Engine) bool {
 }
 
 // fastRunLen reports how many steps starting at m.k are eligible for a
-// fast segment, capped at limit: each must be on battery power with a
-// non-negative load, must not be a working policy boundary, and must
-// precede the next scheduled fault. 0 means the current step needs the
-// scalar path.
+// fast segment, capped at limit: each must have a non-negative load on
+// battery power or on a supply that covers it (a deficit step, where
+// the cells make up a short supply, stays scalar), must not be a
+// working policy boundary, and must precede the next scheduled fault.
+// 0 means the current step needs the scalar path.
 func (m *Machine) fastRunLen(limit int) int {
 	if rem := m.steps - m.k; limit > rem {
 		limit = rem
@@ -57,7 +59,7 @@ func (m *Machine) fastRunLen(limit int) int {
 			break
 		}
 		loadW, extW := m.cfg.Trace.Sample(k)
-		if extW != 0 || loadW < 0 {
+		if loadW < 0 || (extW != 0 && !(extW >= loadW)) {
 			break
 		}
 		n++
@@ -77,15 +79,16 @@ func (m *Machine) runFastSegment(n int) int {
 	for ran < n {
 		k := m.k
 		t := float64(k) * m.dt
-		loadW, _ := cfg.Trace.Sample(k)
+		loadW, extW := cfg.Trace.Sample(k)
 
-		out := ctrl.FastStep(loadW, m.dt)
+		out := ctrl.FastStepSupplied(loadW, extW, m.dt)
 		ran++
 		res.Steps++
 
 		res.DeliveredJ += out.DeliveredW * m.dt
 		res.CircuitLossJ += out.CircuitLossW * m.dt
 		res.BatteryLossJ += out.BatteryLossW * m.dt
+		res.ChargedJ += out.ChargedW * m.dt
 		res.ElapsedS = t + m.dt
 
 		for i := 0; i < m.n; i++ {
@@ -142,7 +145,7 @@ func (m *Machine) stepBatchFast(max int) (int, error) {
 		}
 		n := m.fastRunLen(max - ran)
 		if n == 0 || !m.cfg.Controller.BeginFast() {
-			// Ineligible step (policy tick, fault due, external power) or
+			// Ineligible step (policy tick, fault due, supply deficit) or
 			// transient firmware state (transfer in flight, open cell):
 			// run exactly one step through the reference path.
 			more, err := m.Step()

@@ -77,8 +77,8 @@ func fastCases() []fastCase {
 			}
 		}},
 		{"charge-interludes", func(t *testing.T) Config {
-			// External power alternates with battery power; charging steps
-			// must fall back to the scalar path, discharging ones batch.
+			// External power alternates with battery power; both kinds of
+			// step batch, across the switches between them.
 			st := stack(t, 0.5, 0)
 			tr, err := workload.Constant("a", 4, 300, 1).
 				Concat(workload.ChargeSession("b", 12, 2, 300, 1))
@@ -90,6 +90,28 @@ func fastCases() []fastCase {
 				t.Fatal(err)
 			}
 			return Config{Controller: st.Controller, Trace: tr}
+		}},
+		{"plugged-surplus", func(t *testing.T) Config {
+			// The supply covers every load sample: every step charges,
+			// through the CC phase into the CV taper, with the runtime's
+			// blended charge ratios latched at each policy tick.
+			st := stack(t, 0.3, 0)
+			return Config{
+				Controller:   st.Controller,
+				Runtime:      st.Runtime,
+				Trace:        plugged(workload.Square("sq", 1, 6, 120, 0.5, 2400, 1), 30),
+				PolicyEveryS: 60,
+			}
+		}},
+		{"plugged-deficit", func(t *testing.T) Config {
+			// A 4 W supply under a 2/8 W square load: the surplus half
+			// batches, the deficit half (cells make up the shortfall)
+			// stays scalar.
+			st := stack(t, 0.6, 0)
+			return Config{
+				Controller: st.Controller,
+				Trace:      plugged(workload.Square("sq", 2, 8, 90, 0.5, 1800, 1), 4),
+			}
 		}},
 		{"drain-to-stop", func(t *testing.T) Config {
 			st := stack(t, 0.05, 0)
@@ -107,6 +129,45 @@ func fastCases() []fastCase {
 				RecordEveryS: 30,
 			}
 		}},
+	}
+}
+
+// plugged returns tr with a constant external supply of supplyW.
+func plugged(tr *workload.Trace, supplyW float64) *workload.Trace {
+	tr.External = make([]float64, len(tr.Load))
+	for i := range tr.External {
+		tr.External[i] = supplyW
+	}
+	return tr
+}
+
+// TestFastRunLenAdmitsSurplusOnly: a fast segment runs on battery
+// power or on a supply that covers the load, and stops at the first
+// step whose supply falls short of it.
+func TestFastRunLenAdmitsSurplusOnly(t *testing.T) {
+	st, err := NewStack(0.5, core.Options{}, battery.MustByName("Standard-2000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(Config{
+		Controller: st.Controller,
+		Trace: &workload.Trace{Name: "mixed", DT: 1,
+			Load:     []float64{2, 2, 8, 2, 0, 3},
+			External: []float64{5, 2, 4, 9, 0, 0},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ k, want int }{
+		{0, 2}, // surplus, then supply == load, then a deficit
+		{2, 0}, // the deficit step itself
+		{3, 3}, // surplus, idle, battery power to the end
+	} {
+		m.k = c.k
+		if got := m.fastRunLen(10); got != c.want {
+			t.Errorf("fastRunLen at step %d = %d, want %d", c.k, got, c.want)
+		}
 	}
 }
 

@@ -139,13 +139,20 @@ func (f *FlakyAPI) BatteryCount() (int, error) {
 // may replay the previous snapshot — stale data, not an error, which is
 // the harder fault for the layer above to notice.
 func (f *FlakyAPI) QueryBatteryStatus() ([]pmic.BatteryStatus, error) {
+	return f.QueryBatteryStatusInto(nil)
+}
+
+// QueryBatteryStatusInto implements pmic.API, faulting like
+// QueryBatteryStatus. A stale replay is copied into dst, never
+// aliased: the caller may overwrite dst before the next replay.
+func (f *FlakyAPI) QueryBatteryStatusInto(dst []pmic.BatteryStatus) ([]pmic.BatteryStatus, error) {
 	f.mu.Lock()
 	bad := f.inject()
 	stale := !bad && f.last != nil &&
 		f.cfg.StaleRate > 0 && f.rng.Float64() < f.cfg.StaleRate
 	if stale {
 		f.stats.StaleSnapshots++
-		out := append([]pmic.BatteryStatus(nil), f.last...)
+		out := append(dst[:0], f.last...)
 		f.mu.Unlock()
 		return out, nil
 	}
@@ -154,7 +161,7 @@ func (f *FlakyAPI) QueryBatteryStatus() ([]pmic.BatteryStatus, error) {
 		return nil, ErrInjected
 	}
 
-	sts, err := f.api.QueryBatteryStatus()
+	sts, err := f.api.QueryBatteryStatusInto(dst)
 	if err != nil {
 		return nil, err
 	}

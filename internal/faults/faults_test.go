@@ -385,3 +385,36 @@ func TestScheduleBadEventSurfacesOnce(t *testing.T) {
 		t.Error("event after the failed one never fired")
 	}
 }
+
+// TestFlakyAPIStaleReplayCopiesIntoDst: a stale replay through
+// QueryBatteryStatusInto lands in the caller's slice as a copy. A
+// caller that reuses (and so overwrites) its slice must not corrupt
+// the snapshot later replays return.
+func TestFlakyAPIStaleReplayCopiesIntoDst(t *testing.T) {
+	ctrl := newTestController(t, 0.8)
+	api := NewFlakyAPI(ctrl, APIConfig{Seed: 9, StaleRate: 1})
+	first, err := api.QueryBatteryStatusInto(nil) // nothing to replay yet: fresh
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]pmic.BatteryStatus(nil), first...)
+	buf := make([]pmic.BatteryStatus, 0, 8)
+	for i := 0; i < 3; i++ {
+		got, err := api.QueryBatteryStatusInto(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || &got[0] != &buf[:1][0] {
+			t.Fatalf("replay %d: %d records, written into dst = %v", i, len(got), &got[0] == &buf[:1][0])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replay %d = %+v, want the first snapshot %+v", i, got, want)
+		}
+		for j := range got {
+			got[j].SoC = -1 // the caller reuses its slice
+		}
+	}
+	if n := api.Stats().StaleSnapshots; n != 3 {
+		t.Fatalf("%d stale snapshots, want 3", n)
+	}
+}

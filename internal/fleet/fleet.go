@@ -187,6 +187,10 @@ type shard struct {
 	// device strands its lanes until the fleet is rebuilt, a deliberate
 	// trade for stable lane offsets.
 	eng *batch.Engine
+	// sts is the shard's status buffer for signal collection, reused
+	// for every device on every signal tick; owned by the shard
+	// goroutine.
+	sts []pmic.BatteryStatus
 }
 
 type tickReq struct {
@@ -475,7 +479,7 @@ func (f *Fleet) shardTick(s *shard, req tickReq) {
 			}
 		}
 		if req.sig && !d.quarantined.Load() && d.err == nil {
-			collectSig(d)
+			collectSig(s, d)
 		}
 	}
 }
@@ -483,22 +487,24 @@ func (f *Fleet) shardTick(s *shard, req tickReq) {
 // collectSig refreshes one device's barrier telemetry sample. Runs on
 // the owning shard goroutine during a tick (device idle between
 // batches), so the firmware query contends with nothing. A device
-// whose clock has not advanced keeps its previous sample.
-func collectSig(d *device) {
+// whose clock has not advanced keeps its previous sample. The query
+// writes into the shard's status buffer.
+func collectSig(s *shard, d *device) {
 	t := d.m.ElapsedS()
 	if d.sig.ok && t <= d.sig.t {
 		return
 	}
-	sts, err := d.ctrl.QueryBatteryStatus()
+	sts, err := d.ctrl.QueryBatteryStatusInto(s.sts)
 	if err != nil || len(sts) == 0 {
 		d.sig.ok = false
 		return
 	}
+	s.sts = sts
 	var soc, temp, energy float64
-	for _, s := range sts {
-		soc += s.SoC
-		temp += s.TemperatureC
-		energy += s.EnergyRemainingJ
+	for i := range sts {
+		soc += sts[i].SoC
+		temp += sts[i].TemperatureC
+		energy += sts[i].EnergyRemainingJ
 	}
 	n := float64(len(sts))
 	var health float64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -348,12 +349,17 @@ func (d DeviceClient) ChargeOneFromAnother(x, y int, w, t float64) error {
 
 // QueryBatteryStatus implements API.
 func (d DeviceClient) QueryBatteryStatus() ([]BatteryStatus, error) {
+	return d.QueryBatteryStatusInto(nil)
+}
+
+// QueryBatteryStatusInto implements API.
+func (d DeviceClient) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error) {
 	r, err := d.c.call(d.dev, CmdQueryStatus, nil)
 	if err != nil {
 		return nil, err
 	}
 	n := int(r.U8())
-	out := make([]BatteryStatus, 0, n)
+	out := slices.Grow(dst[:0], n)
 	for i := 0; i < n; i++ {
 		out = append(out, decodeStatus(r))
 	}
@@ -527,7 +533,12 @@ func (c *Client) ChargeOneFromAnother(x, y int, w, t float64) error {
 
 // QueryBatteryStatus implements API.
 func (c *Client) QueryBatteryStatus() ([]BatteryStatus, error) {
-	return c.Device(0).QueryBatteryStatus()
+	return c.QueryBatteryStatusInto(nil)
+}
+
+// QueryBatteryStatusInto implements API.
+func (c *Client) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error) {
+	return c.Device(0).QueryBatteryStatusInto(dst)
 }
 
 // SetChargeProfile implements API.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +81,11 @@ type API interface {
 	ChargeOneFromAnother(x, y int, w, t float64) error
 	// QueryBatteryStatus reports per-battery state.
 	QueryBatteryStatus() ([]BatteryStatus, error)
+	// QueryBatteryStatusInto is QueryBatteryStatus writing into dst's
+	// storage: it returns dst[:0] extended by one record per battery,
+	// growing it only when its capacity is short. A tick loop that
+	// hands back the previous result queries without allocating.
+	QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error)
 	// SetChargeProfile selects a stored charging profile for one
 	// battery.
 	SetChargeProfile(batt int, profile string) error
@@ -553,12 +559,16 @@ func (c *Controller) SetChargeProfile(batt int, profile string) error {
 
 // QueryBatteryStatus implements API.
 func (c *Controller) QueryBatteryStatus() ([]BatteryStatus, error) {
+	return c.QueryBatteryStatusInto(nil)
+}
+
+// QueryBatteryStatusInto implements API.
+func (c *Controller) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.om.statusQueries.Inc()
-	out := make([]BatteryStatus, c.pack.N())
-	for i := 0; i < c.pack.N(); i++ {
-		cell := c.pack.Cell(i)
+	out := slices.Grow(dst[:0], len(c.cells))[:len(c.cells)]
+	for i, cell := range c.cells {
 		s := cell.Snapshot()
 		if c.reportGauge {
 			// Report what the fuel gauge believes, as real firmware

@@ -7,16 +7,18 @@ import (
 	"sdb/internal/battery/batch"
 )
 
-// Fast-segment stepping: the batched counterpart of Step for the
-// discharge-only hot path. A caller (the emulator's batch stepper)
+// Fast-segment stepping: the batched counterpart of Step for the hot
+// path — steps on battery power and steps whose external supply covers
+// the load (surplus charging). A caller (the emulator's batch stepper)
 // brackets a run of steps with BeginFast/EndFast; in between, FastStep
-// advances the firmware one enforcement interval through the
-// struct-of-arrays engine instead of the scalar cells.
+// and FastStepSupplied advance the firmware one enforcement interval
+// through the struct-of-arrays engine instead of the scalar cells.
 //
 // Bit-identity contract: a fast segment must leave the controller and
-// its cells in exactly the state the same sequence of Step(loadW, 0, dt)
-// calls would have produced. FastStep is therefore a transcription of
-// Step's discharge path, with three verified-safe deviations:
+// its cells in exactly the state the same sequence of
+// Step(loadW, externalW, dt) calls would have produced. fastStep is
+// therefore a transcription of Step's discharge path and of
+// stepCharging's surplus path, with three verified-safe deviations:
 //
 //   - OCV/DCIR/derate are looked up once per cell per step and shared
 //     between the capability query, the integration, and the gauge
@@ -34,8 +36,11 @@ import (
 //     per step. StepCount/TotalSteps lag by at most one segment.
 //
 // Everything else — watchdog arithmetic, redistribution rounds,
-// brownout detection, gauge feeding — runs the same code or a per-step
-// transcription of it.
+// brownout detection, the CC rate and CV taper, the charger's realized
+// current and efficiency, gauge feeding — runs the same code or a
+// per-step transcription of it. Deficit steps (0 < externalW < loadW),
+// transfers and open cells stay on the scalar Step (see BeginFast and
+// the emulator's fastRunLen).
 //
 // The fast path requires an uninstrumented controller (nil obs
 // registry): with a registry attached, Step's metric and trace calls
@@ -49,7 +54,10 @@ type FastStepOut struct {
 	DeliveredW   float64
 	CircuitLossW float64
 	BatteryLossW float64
-	Brownout     bool
+	// ChargedW is the net terminal power the cells absorbed (StepReport's
+	// ChargedW); zero on battery power.
+	ChargedW float64
+	Brownout bool
 }
 
 // AttachFast checks the controller's cells out into a struct-of-arrays
@@ -124,6 +132,20 @@ func (c *Controller) BeginFast() bool {
 // externalW == 0 branch of Step). Preconditions, guaranteed by the
 // emulator: a BeginFast segment is open, dt > 0, loadW >= 0.
 func (c *Controller) FastStep(loadW, dt float64) FastStepOut {
+	return c.fastStep(loadW, 0, dt)
+}
+
+// FastStepSupplied advances one enforcement interval with externalW of
+// external supply: Step(loadW, externalW, dt) for a supply of zero or
+// one that covers the load. Preconditions, guaranteed by the emulator:
+// a BeginFast segment is open, dt > 0, loadW >= 0, and externalW == 0
+// or externalW >= loadW.
+func (c *Controller) FastStepSupplied(loadW, externalW, dt float64) FastStepOut {
+	return c.fastStep(loadW, externalW, dt)
+}
+
+// fastStep is the one body behind FastStep and FastStepSupplied.
+func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 	eng, pk := c.fastEng, c.fastPk
 	n := len(c.cells)
 	c.simTimeS += dt
@@ -150,6 +172,8 @@ func (c *Controller) FastStep(loadW, dt float64) FastStepOut {
 
 	currents := c.stepA
 	switch {
+	case externalW > 0:
+		c.fastSurplus(&out, loadW, externalW, dt)
 	case loadW == 0:
 		// Idle: every cell relaxes at zero current.
 		for i := 0; i < n; i++ {
@@ -247,6 +271,61 @@ func (c *Controller) FastStep(loadW, dt float64) FastStepOut {
 
 	c.lastBrownout = out.Brownout
 	return out
+}
+
+// fastSurplus transcribes stepCharging's surplus path (externalW >=
+// loadW) onto the step-entry cache: the supply serves the load and the
+// rest charges the cells per the charge ratios, profiles, and charger
+// efficiency. Every cell is stepped, so the caller's post-step refresh
+// of the entry cache and heat sum applies as on battery power.
+func (c *Controller) fastSurplus(out *FastStepOut, loadW, externalW, dt float64) {
+	eng, pk := c.fastEng, c.fastPk
+	ocvs, dcirs, derates := c.fastOCV, c.fastDCIR, c.fastDerate
+	currents := c.stepA
+	avail := externalW - loadW
+	out.DeliveredW = loadW
+	// Step accumulates each current into a cleared per-cell slot, so
+	// the currents below are written as 0 + current: that keeps its
+	// folding of a -0 current (a vanishing charge request) to +0.
+	for i := range c.cells {
+		budget := c.chargeRatios[i] * avail
+		if budget <= 0 || eng.Full(pk, i) {
+			res := eng.StepCurrentAt(pk, i, ocvs[i], dcirs[i], derates[i], 0, dt)
+			currents[i] = 0 + res.Current
+			continue
+		}
+		prof := c.profileByIdx[i]
+		rate := prof.RateAt(eng.SoC(pk, i))       // C
+		maxA := rate * eng.Capacity(pk, i) / 3600 // amperes
+		if prof.CVVoltage > 0 {
+			if r := dcirs[i]; r > 0 {
+				cvA := (prof.CVVoltage - eng.TerminalVoltageAt(pk, i, ocvs[i], r, 0)) / r
+				if cvA < 0 {
+					cvA = 0
+				}
+				if cvA < maxA {
+					maxA = cvA
+				}
+			}
+		}
+		setA := math.Min(maxA, c.chargers[i].MaxCurrent())
+		actualA, err := c.chargers[i].RealizedCurrent(setA)
+		if err != nil || actualA <= 0 {
+			res := eng.StepCurrentAt(pk, i, ocvs[i], dcirs[i], derates[i], 0, dt)
+			currents[i] = 0 + res.Current
+			continue
+		}
+		vterm := eng.TerminalVoltageAt(pk, i, ocvs[i], dcirs[i], -actualA)
+		wantW := vterm * actualA
+		eff := c.chargers[i].Efficiency(actualA)
+		if wantW/eff > budget {
+			wantW = budget * eff
+		}
+		res := eng.StepPowerAt(pk, i, ocvs[i], dcirs[i], derates[i], -wantW, dt)
+		currents[i] = 0 + res.Current
+		out.ChargedW += -res.PowerW
+		out.CircuitLossW += -res.PowerW * (1/eff - 1)
+	}
 }
 
 // EndFast closes a fast segment of k steps: lane state flows back into
