@@ -7,7 +7,10 @@
 #     1000-device fleet byte-identity soak runs in both (see
 #     internal/fleet/soak_size_race_test.go).
 #   - sdbperf: vet and toy-scale tests of the nested benchmark module.
-#   - chaos: emulator and fleet chaos soaks under -race, seeds logged.
+#   - sim determinism: the experiment fan-out and the fanned-out
+#     drivers' committed table digests at one core and at two.
+#   - chaos: emulator and fleet chaos soaks under -race, seeds logged,
+#     and a fuzz burst of the firmware's command dispatch.
 #   - bench smoke: every Go benchmark once, so benchmark code cannot rot.
 #   - batch equivalence: struct-of-arrays vs scalar bit-identity (the
 #     sim drivers' batched runs against emulator.Run and the firmware's
@@ -48,12 +51,23 @@ go test -race ./...
 go -C sdbperf vet ./...
 go -C sdbperf test ./...
 
+# Sim determinism lane: forEach starts every sweep point at once, so
+# the Go scheduler, not a worker pool, decides how points share the
+# cores. At GOMAXPROCS 1 and 2 every point must still start, the
+# lowest-index error must still win, and the drivers fanned out through
+# forEach must render the table digests sdbperf/figures.sha256 pins.
+go test -cpu 1,2 -run 'TestForEach|TestFannedOutDriversMatchDigests|TestRunnerDeterministicAcrossPoolSizes' -v ./internal/sim/
+
 # Chaos lane: the full stack (runtime over the wire protocol over a
 # seeded faulty link, cell faults striking mid-run) and the fleet chaos
 # suite under -race. Deterministic per seed; -v logs the seed so a
-# failure replays with SDB_CHAOS_SEED=<seed from the log>.
+# failure replays with SDB_CHAOS_SEED=<seed from the log>. Then a
+# short live fuzz burst of the firmware's command dispatch: any
+# command byte and payload against a stepped controller must get a
+# well-formed reply and leave the controller steppable.
 go test -race -short -run 'Chaos' -v ./internal/emulator/
 go test -race -run 'FleetChaos' -v ./internal/fleet/
+go test -fuzz 'FuzzDispatch' -fuzztime 5s -run '^$' ./internal/pmic/
 
 # Bench smoke lane: every benchmark once (-short skips the slow registry
 # experiments), so the benchmarks, including the zero-allocation Step

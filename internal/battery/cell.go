@@ -450,6 +450,15 @@ func (c *Cell) StepCurrent(i, dt float64) StepResult {
 		return StepResult{TerminalV: c.TerminalVoltage(0)}
 	}
 	var res StepResult
+	c.stepAt(i, dt, c.OCV(), c.DCIR(), &res)
+	return res
+}
+
+// stepAt is StepCurrent given the OCV and DCIR at the current state,
+// writing the outcome into res. The clamp chain and integrate all read
+// the state the step starts from, so one lookup serves the whole step:
+// the values are the same bits as looking them up at each use.
+func (c *Cell) stepAt(i, dt, ocv, r float64, res *StepResult) {
 	switch {
 	case i > 0: // discharge
 		if max := c.MaxDischargeCurrent(); i > max {
@@ -460,8 +469,8 @@ func (c *Cell) StepCurrent(i, dt float64) StepResult {
 			i, res.Clamped = avail/dt, true
 		}
 		// Physics: terminal voltage must stay positive.
-		if v := c.OCV() - c.vrc; i*c.DCIR() >= v {
-			i, res.Clamped = math.Max(0, v/(2*c.DCIR())), true
+		if v := ocv - c.vrc; i*r >= v {
+			i, res.Clamped = math.Max(0, v/(2*r)), true
 		}
 	case i < 0: // charge
 		j := -i
@@ -473,7 +482,7 @@ func (c *Cell) StepCurrent(i, dt float64) StepResult {
 		}
 		i = -j
 	}
-	return c.integrate(i, dt, &res)
+	c.integrate(i, dt, ocv, r, res)
 }
 
 // StepPower integrates the cell for dt seconds at the requested
@@ -484,8 +493,8 @@ func (c *Cell) StepPower(p, dt float64) StepResult {
 	if dt <= 0 || p == 0 {
 		return c.StepCurrent(0, dt)
 	}
-	v := c.OCV() - c.vrc
-	r := c.DCIR()
+	ocv, r := c.OCV(), c.DCIR()
+	v := ocv - c.vrc
 	var i float64
 	if p > 0 {
 		// (v - i r) i = p  =>  r i^2 - v i + p = 0, take the small root.
@@ -502,13 +511,16 @@ func (c *Cell) StepPower(p, dt float64) StepResult {
 		j := (-v + math.Sqrt(v*v+4*r*q)) / (2 * r)
 		i = -j
 	}
-	return c.StepCurrent(i, dt)
+	var res StepResult
+	c.stepAt(i, dt, ocv, r, &res)
+	return res
 }
 
-// integrate advances state at realized current i for dt seconds.
-func (c *Cell) integrate(i, dt float64, res *StepResult) StepResult {
-	r0 := c.DCIR()
-	vterm := c.OCV() - c.vrc - i*r0
+// integrate advances state at realized current i for dt seconds, given
+// the OCV and DCIR r0 at the state the step starts from, and records
+// the step in res.
+func (c *Cell) integrate(i, dt, ocv, r0 float64, res *StepResult) {
+	vterm := ocv - c.vrc - i*r0
 
 	// RC pair: dVrc/dt = (i - Vrc/Rc) / Cp. Backward Euler keeps the
 	// update stable for any dt; with Cp == 0 the pair settles
@@ -571,7 +583,6 @@ func (c *Cell) integrate(i, dt float64, res *StepResult) StepResult {
 	res.PowerW = vterm * i
 	res.HeatW = heat
 	res.ChargeMoved = moved
-	return *res
 }
 
 // completeCycle applies one cycle's worth of aging using the

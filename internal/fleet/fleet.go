@@ -215,6 +215,7 @@ type fleetMetrics struct {
 	quarantined *obs.Gauge
 	restarts    *obs.Counter
 	ckptErrs    *obs.Counter
+	recErrs     *obs.Counter
 	tracer      *obs.Tracer
 	audit       *obs.AuditLog
 	// phases time the tick barrier, one histogram per phase.
@@ -267,6 +268,7 @@ func New(cfg Config) *Fleet {
 			quarantined: reg.Gauge("sdb_fleet_quarantined_devices"),
 			restarts:    reg.Counter("sdb_fleet_shard_restarts_total"),
 			ckptErrs:    reg.Counter("sdb_fleet_checkpoint_errors_total"),
+			recErrs:     reg.Counter("sdb_fleet_record_errors_total"),
 			tracer:      reg.Tracer(),
 			audit:       reg.Audit(),
 		},
@@ -740,9 +742,11 @@ func (g *recGrid) append(st *store.Store, t float64, vals []float64) error {
 }
 
 // recordFail latches the first recording error and surfaces it on the
-// trace plane; recording stays off for the rest of the fleet's life.
+// metrics plane (sdb_fleet_record_errors_total) and the trace plane;
+// recording stays off for the rest of the fleet's life.
 func (f *Fleet) recordFail(id uint16, err error) {
 	f.recErr = fmt.Errorf("fleet: recording device %d: %w", id, err)
+	f.om.recErrs.Inc()
 	f.om.tracer.Emit(obs.Event{
 		Scope: "fleet", Kind: "record-error", Cell: int(id), Detail: err.Error(),
 	})

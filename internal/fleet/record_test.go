@@ -11,6 +11,7 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/obs"
+	"sdb/internal/obs/ts"
 	"sdb/internal/obs/ts/store"
 	"sdb/internal/pmic"
 	"sdb/internal/workload"
@@ -207,6 +208,39 @@ func TestFleetRecordFail(t *testing.T) {
 	}
 	if !strings.Contains(rerr.Error(), "device 0") {
 		t.Fatalf("RecordErr does not name the device: %v", rerr)
+	}
+}
+
+// TestFleetRecordErrorsCounted: a latched recording failure shows on
+// the metrics plane as sdb_fleet_record_errors_total, once. The store
+// already holds a later sample for device 0's soc series, so the
+// fleet's first append there is non-monotone and fails.
+func TestFleetRecordErrorsCounted(t *testing.T) {
+	st, err := store.Create(filepath.Join(t.TempDir(), "later.sdbstor"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append("sdb_fleet_dev0_soc", ts.KindGauge, 60, 1e6, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	f := New(Config{Shards: 1, Batch: 32, Obs: reg, Record: st})
+	defer f.Close()
+	if err := f.Add(0, recDevice(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	errs := reg.Counter("sdb_fleet_record_errors_total")
+	if n := errs.Value(); n != 0 {
+		t.Fatalf("record errors = %v before any tick", n)
+	}
+	f.RunToCompletion(60)
+	rerr := f.RecordErr()
+	if rerr == nil || !strings.Contains(rerr.Error(), "non-monotone") {
+		t.Fatalf("RecordErr = %v, want a non-monotone append", rerr)
+	}
+	if n := errs.Value(); n != 1 {
+		t.Fatalf("record errors = %v, want 1", n)
 	}
 }
 

@@ -442,10 +442,12 @@ func (c *Controller) ChargeOneFromAnother(x, y int, w, t float64) error {
 		return fmt.Errorf("%w (x=%d y=%d n=%d)", ErrBadIndex, x, y, n)
 	case x == y:
 		return errors.New("pmic: cannot charge a battery from itself")
-	case w <= 0:
-		return fmt.Errorf("pmic: transfer power %g must be positive", w)
-	case t <= 0:
-		return fmt.Errorf("pmic: transfer duration %g must be positive", t)
+	case !(w > 0) || math.IsInf(w, 0):
+		// A NaN power would pass a plain w <= 0 check and index the
+		// charger's efficiency curve at NaN on the next step.
+		return fmt.Errorf("pmic: transfer power %g must be positive and finite", w)
+	case !(t > 0) || math.IsInf(t, 0):
+		return fmt.Errorf("pmic: transfer duration %g must be positive and finite", t)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -15,7 +16,10 @@ import (
 // pack over a fixed mixed workload (DESIGN.md Section 5): the naive
 // 50/50 split, the traditional parallel-pack inverse-resistance split,
 // and the two RBL variants.
-func AblationSplit() (*Table, error) {
+func AblationSplit() (*Table, error) { return ablationSplit(context.Background()) }
+
+// ablationSplit runs the four policies' emulations in parallel.
+func ablationSplit(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-split",
 		Title:   "Current-split strategy vs. total losses (design ablation)",
@@ -32,19 +36,27 @@ func AblationSplit() (*Table, error) {
 	// in open-circuit voltage, which separates the parallel-pack 1/R
 	// split from the loss-optimal V^2/R split.
 	tr := workload.Square("mixed", 0.5, 6.0, 600, 0.3, 2*3600, 1)
-	for _, p := range policies {
-		st, err := emulator.NewStack(1.0, core.Options{DischargePolicy: p},
+	results := make([]*emulator.Result, len(policies))
+	if err := forEach(ctx, len(policies), func(i int) error {
+		st, err := emulator.NewStack(1.0, core.Options{DischargePolicy: policies[i]},
 			battery.MustByName("PowerTool-1500"),
 			battery.MustByName("Standard-2000"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("sim: ablation %s: %w", p.Name(), err)
+			return fmt.Errorf("sim: ablation %s: %w", policies[i].Name(), err)
 		}
+		results[i] = res
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i, p := range policies {
+		res := results[i]
 		loss := res.CircuitLossJ + res.BatteryLossJ
 		t.AddRowf(p.Name(), res.DeliveredJ, loss, loss/(res.DeliveredJ+loss)*100)
 	}
@@ -55,7 +67,10 @@ func AblationSplit() (*Table, error) {
 // (pure CCB) to 1 (pure RBL) on a pack with asymmetric wear and
 // reports where each extreme pays: losses during the run versus wear
 // balance after it.
-func AblationDirective() (*Table, error) {
+func AblationDirective() (*Table, error) { return ablationDirective(context.Background()) }
+
+// ablationDirective runs the five directives' packs in parallel.
+func ablationDirective(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-directive",
 		Title:   "Directive parameter sweep: losses vs. cycle balance (design ablation)",
@@ -64,15 +79,18 @@ func AblationDirective() (*Table, error) {
 	}
 	tr := workload.Square("daily", 0.5, 5.0, 600, 0.4, 3*3600, 5)
 	charge := workload.ChargeSession("refill", 30, 0.2, 2*3600, 5)
-	for _, d := range []float64{0, 0.25, 0.5, 0.75, 1} {
+	directives := []float64{0, 0.25, 0.5, 0.75, 1}
+	type directiveResult struct{ loss, ccb float64 }
+	results := make([]directiveResult, len(directives))
+	if err := forEach(ctx, len(directives), func(i int) error {
 		st, err := emulator.NewStack(1.0, core.Options{
-			ChargingDirective:    d,
-			DischargingDirective: d,
+			ChargingDirective:    directives[i],
+			DischargingDirective: directives[i],
 		},
 			battery.MustByName("PowerPlus-2500"),
 			battery.MustByName("Standard-3000"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Pre-age cell 0 so CCB has an imbalance to correct: the CCB
 		// extreme should route throughput to the fresher cell 1 and
@@ -85,20 +103,26 @@ func AblationDirective() (*Table, error) {
 				Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			totalLoss += res.CircuitLossJ + res.BatteryLossJ
 			if _, err := emulate(emulator.Config{
 				Controller: st.Controller, Runtime: st.Runtime, Trace: charge,
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		m, err := st.Runtime.Metrics()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.AddRowf(d, totalLoss, m.CCB)
+		results[i] = directiveResult{totalLoss, m.CCB}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i, d := range directives {
+		t.AddRowf(d, results[i].loss, results[i].ccb)
 	}
 	return t, nil
 }
@@ -120,21 +144,33 @@ func preAge(c *battery.Cell, n int) {
 // SpiceRipple reruns the Section 3.2.1 LTSPICE-style validation: the
 // weighted round-robin switch feeding a smoothing capacitor, across
 // duty settings and capacitor sizes, reporting output ripple.
-func SpiceRipple() (*Table, error) {
+func SpiceRipple() (*Table, error) { return spiceRipple(context.Background()) }
+
+// spiceRipple runs the six (duty, capacitor) transients in parallel.
+func spiceRipple(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "spice-ripple",
 		Title:   "Regulator ripple under weighted round-robin switching (Section 3.2.1 validation)",
 		Columns: []string{"duty %", "smoothing uF", "ripple %", "share err %"},
 		Notes:   "with the design-size capacitor the load sees <2% ripple and shares track duty",
 	}
+	type rippleCase struct{ duty, uF, ripple, share float64 }
+	var cases []rippleCase
 	for _, duty := range []float64{0.3, 0.5, 0.7} {
 		for _, uF := range []float64{50, 200} {
-			ripple, share, err := runRippleCase(duty, uF*1e-6)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRowf(duty*100, uF, ripple*100, math.Abs(share-duty)*100)
+			cases = append(cases, rippleCase{duty: duty, uF: uF})
 		}
+	}
+	if err := forEach(ctx, len(cases), func(i int) error {
+		c := &cases[i]
+		var err error
+		c.ripple, c.share, err = runRippleCase(c.duty, c.uF*1e-6)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for _, c := range cases {
+		t.AddRowf(c.duty*100, c.uF, c.ripple*100, math.Abs(c.share-c.duty)*100)
 	}
 	return t, nil
 }

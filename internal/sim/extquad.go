@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"sdb/internal/battery"
@@ -14,7 +15,10 @@ import (
 // generalize past the two-cell scenarios: a fast-charge cell, a
 // high-density cell, a LiFePO4 power cell, and a standard cell share a
 // bursty tablet load under three split strategies.
-func ExtQuad() (*Table, error) {
+func ExtQuad() (*Table, error) { return extQuad(context.Background()) }
+
+// extQuad runs the three policies' emulations in parallel.
+func extQuad(ctx context.Context) (*Table, error) {
 	cells := []string{"QuickCharge-2000", "EnergyMax-4000", "PowerTool-1500", "Standard-2000"}
 	policies := []core.DischargePolicy{
 		core.FixedRatios{Label: "fixed-25x4", Ratios: []float64{0.25, 0.25, 0.25, 0.25}},
@@ -28,30 +32,42 @@ func ExtQuad() (*Table, error) {
 		Notes:   "the Figure 3 four-battery configuration: loss-aware splitting wins at N=4 too",
 	}
 	tr := workload.Square("tablet", 1.0, 9.0, 600, 0.35, 2*3600, 1)
-	for _, p := range policies {
+	type quadResult struct {
+		res   *emulator.Result
+		moved [4]float64
+	}
+	results := make([]quadResult, len(policies))
+	if err := forEach(ctx, len(policies), func(i int) error {
 		params := make([]battery.Params, 0, len(cells))
 		for _, n := range cells {
 			params = append(params, battery.MustByName(n))
 		}
-		st, err := emulator.NewStack(0.9, core.Options{DischargePolicy: p}, params...)
+		st, err := emulator.NewStack(0.9, core.Options{DischargePolicy: policies[i]}, params...)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: tr,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("sim: ext-quad %s: %w", p.Name(), err)
+			return fmt.Errorf("sim: ext-quad %s: %w", policies[i].Name(), err)
 		}
-		loss := res.CircuitLossJ + res.BatteryLossJ
+		results[i].res = res
 		// Report how the pack actually shared the work: fraction of
 		// charge each cell contributed.
-		var moved [4]float64
+		for c := range results[i].moved {
+			_, results[i].moved[c] = st.Pack.Cell(c).TotalThroughput()
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i, p := range policies {
+		res, moved := results[i].res, results[i].moved
+		loss := res.CircuitLossJ + res.BatteryLossJ
 		var total float64
-		for i := 0; i < 4; i++ {
-			_, out := st.Pack.Cell(i).TotalThroughput()
-			moved[i] = out
-			total += out
+		for _, m := range moved {
+			total += m
 		}
 		shares := fmt.Sprintf("%.2f/%.2f/%.2f/%.2f",
 			moved[0]/total, moved[1]/total, moved[2]/total, moved[3]/total)

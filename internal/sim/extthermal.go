@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"sdb/internal/battery"
 )
 
@@ -10,19 +12,27 @@ import (
 // faster (electrolyte decomposition above the aging knee), and very
 // hot cells hit thermal protection, which throttles the realized
 // charge rate (longer charge times).
-func ExtThermal() (*Table, error) {
+func ExtThermal() (*Table, error) { return extThermal(context.Background()) }
+
+// extThermal cycles the three ambients' cells in parallel.
+func extThermal(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ext-thermal",
 		Title:   "Ambient temperature vs. fast-charge aging and throttling (extension)",
 		Columns: []string{"ambient C", "peak cell C", "retention % @300", "charge min"},
 		Notes:   "moderate heat ages the cell faster; extreme heat trips thermal protection, which stretches charge time but shields longevity",
 	}
-	for _, ambient := range []float64{25, 40, 55} {
-		row, err := runThermalCase(ambient, 300)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowf(ambient, row.peakC, row.retention*100, row.chargeMin)
+	ambients := []float64{25, 40, 55}
+	rows := make([]thermalCase, len(ambients))
+	if err := forEach(ctx, len(ambients), func(i int) error {
+		var err error
+		rows[i], err = runThermalCase(ambients[i], 300)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, ambient := range ambients {
+		t.AddRowf(ambient, rows[i].peakC, rows[i].retention*100, rows[i].chargeMin)
 	}
 	return t, nil
 }

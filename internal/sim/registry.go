@@ -35,9 +35,9 @@ type Experiment struct {
 	Title string
 	// Cost classifies the driver's runtime.
 	Cost Cost
-	// Run regenerates the table. Drivers that fan out internal sweeps
-	// honor ctx cancellation between sweep points; the rest run to
-	// completion once started.
+	// Run regenerates the table. Drivers that fan their points out
+	// through forEach skip every point when ctx is canceled before the
+	// fan-out starts; once started, a driver runs to completion.
 	Run func(ctx context.Context) (*Table, error)
 }
 
@@ -73,15 +73,15 @@ func All() []Experiment {
 		{ID: "figure-13", Title: "Smartwatch day under two policies", Cost: CostSlow, Run: figure13},
 		{ID: "figure-14", Title: "2-in-1 simultaneous draw", Cost: CostSlow, Run: figure14},
 		{ID: "ext-predictor", Title: "Learned schedule-aware policy", Cost: CostSlow, Run: extPredictor},
-		{ID: "ext-thermal", Title: "Ambient temperature sweep", Cost: CostSlow, Run: serial(ExtThermal)},
+		{ID: "ext-thermal", Title: "Ambient temperature sweep", Cost: CostSlow, Run: extThermal},
 		{ID: "ext-deadline", Title: "Charge-by-deadline planning", Run: serial(ExtDeadline)},
 		{ID: "ext-ev", Title: "EV route-aware policies", Cost: CostSlow, Run: serial(ExtEV)},
 		{ID: "ext-year", Title: "One year of daily cycling", Cost: CostSlow, Run: extYear},
-		{ID: "ext-quad", Title: "Four-cell policy ablation", Run: serial(ExtQuad)},
-		{ID: "spice-buck", Title: "SPICE buck operating points", Run: serial(SpiceBuck)},
-		{ID: "ablation-split", Title: "Discharge split ablation", Run: serial(AblationSplit)},
-		{ID: "ablation-directive", Title: "Charging directive ablation", Cost: CostSlow, Run: serial(AblationDirective)},
-		{ID: "spice-ripple", Title: "SPICE regulator ripple", Run: serial(SpiceRipple)},
+		{ID: "ext-quad", Title: "Four-cell policy ablation", Run: extQuad},
+		{ID: "spice-buck", Title: "SPICE buck operating points", Run: spiceBuck},
+		{ID: "ablation-split", Title: "Discharge split ablation", Run: ablationSplit},
+		{ID: "ablation-directive", Title: "Charging directive ablation", Cost: CostSlow, Run: ablationDirective},
+		{ID: "spice-ripple", Title: "SPICE regulator ripple", Run: spiceRipple},
 	}
 }
 

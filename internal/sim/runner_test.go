@@ -3,8 +3,14 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,5 +220,126 @@ func TestForEachBoundsConcurrencyAndOrder(t *testing.T) {
 	})
 	if !errors.Is(err, errA) {
 		t.Fatalf("forEach err = %v, want lowest-index error %v", err, errA)
+	}
+}
+
+// TestForEachStartsEveryItem: every item is in flight at once. Each
+// item waits on a barrier that opens only once all n have started, so
+// a pool smaller than n would leave the barrier shut; the shared
+// deadline turns that into a failure instead of a hang.
+func TestForEachStartsEveryItem(t *testing.T) {
+	const n = 16
+	var started sync.WaitGroup
+	started.Add(n)
+	all := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(all)
+	}()
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := forEach(context.Background(), n, func(i int) error {
+		started.Done()
+		select {
+		case <-all:
+			return nil
+		case <-deadline.Done():
+			return fmt.Errorf("item %d: not all %d items started", i, n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForEachCanceledSkipsItems: with ctx already canceled no item
+// body runs and the error is ctx's.
+func TestForEachCanceledSkipsItems(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int64
+	err := forEach(ctx, 8, func(int) error {
+		ran.Add(1)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("forEach err = %v, want context.Canceled", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d items ran after cancellation", n)
+	}
+}
+
+// TestForEachRetainsNothing: item goroutines park between calls, and a
+// parked goroutine must not keep the last item it ran (and whatever
+// that item captured: a driver's emulator stacks, its result slots)
+// reachable.
+func TestForEachRetainsNothing(t *testing.T) {
+	const n = 4
+	var freed atomic.Int64
+	func() {
+		slots := make([]*[1 << 16]byte, n)
+		for i := range slots {
+			slots[i] = new([1 << 16]byte)
+			runtime.SetFinalizer(slots[i], func(*[1 << 16]byte) { freed.Add(1) })
+		}
+		if err := forEach(context.Background(), n, func(i int) error {
+			slots[i][0] = byte(i)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for freed.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d item-captured values still reachable after forEach", n-freed.Load(), n)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fannedOut lists the drivers whose independent runs go through
+// forEach instead of a serial loop.
+var fannedOut = []string{
+	"ext-thermal", "ext-quad", "spice-buck", "ablation-split",
+	"ablation-directive", "spice-ripple",
+}
+
+// TestFannedOutDriversMatchDigests: each fanned-out driver renders
+// the table digest the repository benchmark pins in
+// sdbperf/figures.sha256, whatever the core count. ci.sh runs it
+// under -cpu 1,2, so one core and two render the same bytes.
+func TestFannedOutDriversMatchDigests(t *testing.T) {
+	text, err := os.ReadFile("../../sdbperf/figures.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			want[f[1]] = f[0]
+		}
+	}
+	for _, id := range fannedOut {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		if e.Slow() && testing.Short() {
+			continue
+		}
+		tab, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		h := sha256.New()
+		if err := tab.Fprint(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[id] {
+			t.Errorf("%s: table digest %s, want %s", id, got, want[id])
+		}
 	}
 }

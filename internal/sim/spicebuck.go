@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,7 +17,10 @@ import (
 // point and reports the mean battery current: positive charges the
 // battery (buck mode), negative discharges it into the input (reverse
 // buck mode).
-func SpiceBuck() (*Table, error) {
+func SpiceBuck() (*Table, error) { return spiceBuck(context.Background()) }
+
+// spiceBuck runs the five duties' transients in parallel.
+func spiceBuck(ctx context.Context) (*Table, error) {
 	const (
 		vin   = 9.0
 		vbatt = 3.8
@@ -27,11 +31,17 @@ func SpiceBuck() (*Table, error) {
 		Columns: []string{"duty %", "battery A", "mode"},
 		Notes:   fmt.Sprintf("direction flips at duty = Vbatt/Vin = %.0f%%: below it the regulator runs in reverse buck mode", vbatt/vin*100),
 	}
-	for _, duty := range []float64{0.25, 0.35, 0.42, 0.50, 0.60} {
-		i, err := runBuck(vin, vbatt, duty)
-		if err != nil {
-			return nil, err
-		}
+	duties := []float64{0.25, 0.35, 0.42, 0.50, 0.60}
+	currents := make([]float64, len(duties))
+	if err := forEach(ctx, len(duties), func(i int) error {
+		var err error
+		currents[i], err = runBuck(vin, vbatt, duties[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for k, duty := range duties {
+		i := currents[k]
 		mode := "charge (buck)"
 		if i < 0 {
 			mode = "discharge (reverse buck)"
