@@ -20,14 +20,16 @@
 #     inversion fuzz burst, and a fuzz burst of the in-place policies
 #     against their allocating reference.
 #   - crash chaos: kill points, restore byte-identity, quarantine,
-#     shard restart, drain, and a checkpoint-decoder fuzz burst.
+#     shard restart, drain, the checkpoint byte goldens and the
+#     encoder's refusal of undecodable states, and a checkpoint-decoder
+#     fuzz burst.
 #   - store: the paged store's differential day, corruption battery
 #     (every read path, the export walk included), torn-append crash
 #     test, the unbounded and windowed walks, and a fuzz burst.
 #   - live telemetry: the push plane and fleet alerts (the fleet window
 #     tests included) under -race, the shared alert engine's tests
-#     under -race, an alert-grammar fuzz burst, and a real `sdbctl
-#     serve` + `sdbtop -once` smoke over TCP.
+#     under -race, an alert-grammar fuzz burst, a push-decoder fuzz
+#     burst, and a real `sdbctl serve` + `sdbtop -once` smoke over TCP.
 #   - coverage ratchet: per-package floors in COVERAGE.ratchet.
 #   - exact counts: the figures and fleet-full benchmark workloads must
 #     check correct and reproduce PERF_COUNTS.json exactly.
@@ -97,10 +99,14 @@ go test -fuzz 'FuzzPolicies' -fuzztime 5s -run '^$' ./internal/core/
 # the uninterrupted run; then the supervision suite — seeded device
 # panics quarantining exactly the poison device while shard neighbors
 # keep stepping, shard-restart escalation, and drain semantics — under
-# the race detector; then a short live fuzz burst on the checkpoint
-# decoder (base records, journals, torn tails) on top of its seeds.
+# the race detector; then the checkpoint bytes pinned (a parent-written
+# base record, and SHA-256 goldens of a journal and of a transfer in
+# flight), the encoder refusing every state the decoder would reject,
+# and a short live fuzz burst on the checkpoint decoder (base records,
+# journals, torn tails) on top of its seeds.
 go test -run 'TestCrashRestoreByteIdentical|TestCrashTornDeltaRestore' -v ./internal/fleet/
 go test -race -run 'TestQuarantine|TestShardRestart|TestDrain|TestCloseIdempotent' -v ./internal/fleet/
+go test -run 'TestJournalGolden|TestEncodeRefusesUndecodable|TestDecodeParentFile' -v ./internal/fleet/snapshot/
 go test -fuzz 'FuzzSnapshot' -fuzztime 5s -run '^$' ./internal/fleet/snapshot/
 
 # Store lane: differential chaos day, corruption battery, the
@@ -119,11 +125,13 @@ go test -fuzz 'FuzzStore' -fuzztime 5s -run '^$' ./internal/obs/ts/store/
 # recorder/fleet edge parity, a window longer than any fixed history,
 # folded rule names). Then the one alert engine the recorder, the fleet
 # and `sdbctl watch` share — its window rule, bounded history and
-# zero-allocation evaluation — and a live fuzz burst on the alert rule
-# grammar on top of its committed seed corpus.
+# zero-allocation evaluation — a live fuzz burst on the alert rule
+# grammar on top of its committed seed corpus, and one on the client's
+# push-frame decoder (no panic, dictionary growth bounded by the frame).
 go test -race -run 'TestSlowSubscriberNeverStallsBarrier|TestSubscribe|TestSubscription|TestPushResetAfterDrop|TestLegacyClientIgnoresPushes|TestTracePushDelivery|TestUnsubscribeForeignConn|TestFleetAlert' -v ./internal/fleet/
 go test -race -run 'TestEngine|TestDerivedSignals' -v ./internal/obs/ts/
 go test -fuzz 'FuzzParseRules' -fuzztime 5s -run '^$' ./internal/obs/ts/
+go test -fuzz 'FuzzPushDecode' -fuzztime 5s -run '^$' ./internal/pmic/
 # End-to-end CLI smoke: a real fleet server with alert rules, a real
 # sdbtop one-shot dashboard over TCP. The grep asserts the dashboard
 # assembled the fleet rollup and the device table from push frames.

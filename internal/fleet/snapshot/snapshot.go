@@ -67,12 +67,10 @@ import (
 	"runtime"
 	"sync"
 
-	"sdb/internal/battery"
 	"sdb/internal/bus"
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/faults"
-	"sdb/internal/fuelgauge"
 	"sdb/internal/pmic"
 )
 
@@ -223,14 +221,12 @@ func deltaSize(devs []Device, from []int, workers int) (int, error) {
 	for w := range workers {
 		go func() {
 			defer wg.Done()
-			var e encoder
-			for i := w; i < len(devs); i += workers {
-				e = encoder{buf: e.buf[:0], delta: true, from: from[i], sizeOnly: true}
-				if errs[w] = e.device(&devs[i]); errs[w] != nil {
-					return
-				}
-				sizes[w] += len(e.buf) + e.skipped
+			c := codec{dir: sizing, delta: true}
+			for i := w; i < len(devs) && errs[w] == nil; i += workers {
+				c.from = from[i]
+				errs[w] = c.device(&devs[i])
 			}
+			sizes[w] = c.n
 		}()
 	}
 	wg.Wait()
@@ -284,13 +280,13 @@ func encodeDevices(emit func([]byte) error, crc uint16, devs []Device, from []in
 			defer wg.Done()
 			for i := range jobs {
 				b := &blocks[i%window]
-				e := encoder{buf: b.buf[:0], delta: from != nil}
+				c := codec{buf: b.buf[:0], delta: from != nil}
 				if from != nil {
-					e.from = from[i]
+					c.from = from[i]
 				}
-				b.err = e.device(&devs[i])
-				b.buf = e.buf
-				b.crc = bus.CRC16Update(0, e.buf)
+				b.err = c.device(&devs[i])
+				b.buf = c.buf
+				b.crc = bus.CRC16Update(0, c.buf)
 				b.ready <- struct{}{}
 			}
 		}()
@@ -397,8 +393,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	// The base record has no length field: its body ends where parsing
 	// it ends, and its CRC follows.
-	d := decoder{buf: data[len(Magic)+1:]}
-	s, err := d.snapshot()
+	d := codec{dir: decoding, buf: data[len(Magic)+1:]}
+	s, err := d.record()
 	if err != nil {
 		return nil, err
 	}
@@ -454,13 +450,13 @@ func deltaBody(rest []byte) (body []byte, ok bool, err error) {
 
 // fold decodes a delta body over s, the state at the record before it.
 func fold(s *Snapshot, body []byte) (*Snapshot, error) {
-	d := decoder{buf: body, delta: true, prev: make(map[uint16]*emulator.MachineState, len(s.Devices))}
+	d := codec{dir: decoding, buf: body, delta: true, prev: make(map[uint16]*emulator.MachineState, len(s.Devices))}
 	for i := range s.Devices {
 		if st := s.Devices[i].State; st != nil {
 			d.prev[s.Devices[i].ID] = st
 		}
 	}
-	next, err := d.snapshot()
+	next, err := d.record()
 	if err != nil {
 		return nil, err
 	}
@@ -470,29 +466,24 @@ func fold(s *Snapshot, body []byte) (*Snapshot, error) {
 	return next, nil
 }
 
-// snapshot decodes a record body: fleet steps, then the devices. In a
+// record decodes a record body: fleet steps, then the devices. In a
 // delta body the device ids must ascend, so each names one device.
-func (d *decoder) snapshot() (*Snapshot, error) {
-	s := &Snapshot{FleetSteps: d.uvarint("fleet steps")}
-	ndev := d.uvarint("device count")
-	// A device entry costs ≥3 bytes (id + flags): cheap cap before
-	// sizing the slice.
-	if ndev > uint64(len(d.buf)) {
-		return nil, fmt.Errorf("%w: device count %d exceeds input", ErrCorrupt, ndev)
+func (c *codec) record() (*Snapshot, error) {
+	s := &Snapshot{}
+	c.uvarint(&s.FleetSteps, "fleet steps")
+	// A device entry costs at least 3 bytes (id and flags).
+	n := 0
+	if !c.count(&n, 3, "device count") {
+		return nil, c.err
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	s.Devices = make([]Device, 0, ndev)
-	for i := uint64(0); i < ndev; i++ {
-		dev, err := d.device()
-		if err != nil {
+	s.Devices = make([]Device, n)
+	for i := range s.Devices {
+		if err := c.device(&s.Devices[i]); err != nil {
 			return nil, fmt.Errorf("device %d: %w", i, err)
 		}
-		if d.delta && i > 0 && dev.ID <= s.Devices[i-1].ID {
-			return nil, fmt.Errorf("%w: device %d: id %d out of order", ErrCorrupt, i, dev.ID)
+		if c.delta && i > 0 && s.Devices[i].ID <= s.Devices[i-1].ID {
+			return nil, fmt.Errorf("%w: device %d: id %d out of order", ErrCorrupt, i, s.Devices[i].ID)
 		}
-		s.Devices = append(s.Devices, dev)
 	}
 	return s, nil
 }
@@ -504,71 +495,254 @@ const (
 	flagState
 )
 
-// encoder appends the format's primitives to buf. With delta set it
-// writes delta-record device blocks, whose series start at sample from.
-// With sizeOnly set it appends everything but series samples, and
-// counts their bytes in skipped instead.
-type encoder struct {
-	buf      []byte
-	delta    bool
-	from     int
-	sizeOnly bool
-	skipped  int
+// dir is the direction a codec walks in.
+type dir uint8
+
+const (
+	encoding dir = iota // append each field to buf
+	decoding            // read each field from buf
+	sizing              // count each field's encoded bytes in n
+)
+
+// codec walks the state types' fields in one direction. Each walk below
+// (device, machine, controller, runtime) lists its type's fields once,
+// in wire order, and each primitive moves one field between its Go
+// value and its bytes, so encode, decode and WriteDelta's size pass
+// share one field list and one set of validation rules: a state the
+// encoder accepts is one the decoder accepts. Primitives take the
+// field's address and a what that names it in decode errors; encoding
+// and sizing ignore it. After the first failure decoding reads nothing
+// more, and the other directions' output is discarded.
+type codec struct {
+	dir dir
+	buf []byte // encoding: the output; decoding: the unread input
+	n   int    // sizing: the bytes counted
+	err error
+	// delta is set for a delta record's device blocks. Encoding and
+	// sizing, from is the block's series offset; decoding, prev holds by
+	// device id the state of every device with state in the record
+	// before.
+	delta bool
+	from  int
+	prev  map[uint16]*emulator.MachineState
 }
+
+// encoder is an encoding codec that also writes a record's header
+// fields, which no walk covers.
+type encoder struct{ codec }
 
 func (e *encoder) u8(v byte) { e.buf = append(e.buf, v) }
 
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *encoder) str(s string) error {
-	if len(s) > MaxStrLen {
-		return fmt.Errorf("snapshot: string %q... exceeds %d bytes", s[:32], MaxStrLen)
-	}
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-	return nil
-}
-
-// f64s writes a float64 array as count, the first value's raw bits,
-// then XOR-of-bits uvarint deltas (the telemetry store's data-page
-// value encoding).
-func (e *encoder) f64s(vs []float64) { e.series(vs, 0) }
-
-// series writes samples [from, len) of vs like f64s, except that from
-// > 0 XOR-chains the first of them to sample from-1 instead of writing
-// its raw bits.
-func (e *encoder) series(vs []float64, from int) {
-	e.uvarint(uint64(len(vs) - from))
-	if e.sizeOnly {
-		e.skipped += samplesSize(vs, from)
+// fail records the walk's first error: ErrCorrupt when decoding.
+func (c *codec) fail(format string, args ...any) {
+	if c.err != nil {
 		return
 	}
-	var prev uint64
-	if from > 0 {
-		prev = math.Float64bits(vs[from-1])
+	if err := fmt.Errorf(format, args...); c.dir == decoding {
+		c.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	} else {
+		c.err = fmt.Errorf("snapshot: %w", err)
 	}
-	for i, v := range vs[from:] {
-		b := math.Float64bits(v)
-		if i == 0 && from == 0 {
-			e.f64(v)
-		} else {
-			e.uvarint(prev ^ b)
+}
+
+// fixed walks the low size bytes of *v, little-endian.
+func (c *codec) fixed(v *uint64, size int, what string) {
+	switch c.dir {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)[:len(c.buf)+size]
+	case sizing:
+		c.n += size
+	default:
+		if c.err == nil && len(c.buf) < size {
+			c.fail("truncated %s", what)
 		}
-		prev = b
+		if c.err == nil {
+			var b [8]byte
+			c.buf = c.buf[copy(b[:], c.buf[:size]):]
+			*v = binary.LittleEndian.Uint64(b[:])
+		}
+	}
+}
+
+func (c *codec) u8(v *byte, what string) {
+	x := uint64(*v)
+	if c.fixed(&x, 1, what); c.dir == decoding {
+		*v = byte(x)
+	}
+}
+
+func (c *codec) u16(v *uint16, what string) {
+	x := uint64(*v)
+	if c.fixed(&x, 2, what); c.dir == decoding {
+		*v = uint16(x)
+	}
+}
+
+func (c *codec) f64(v *float64, what string) {
+	x := math.Float64bits(*v)
+	if c.fixed(&x, 8, what); c.dir == decoding {
+		*v = math.Float64frombits(x)
+	}
+}
+
+func (c *codec) uvarint(v *uint64, what string) {
+	switch c.dir {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, *v)
+	case sizing:
+		c.n += uvarintLen(*v)
+	default:
+		if c.err != nil {
+			return
+		}
+		x, k := binary.Uvarint(c.buf)
+		if k <= 0 {
+			c.fail("bad %s varint", what)
+			return
+		}
+		c.buf = c.buf[k:]
+		*v = x
+	}
+}
+
+// uvarintLen is how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func (c *codec) boolean(v *bool, what string) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c.u8(&b, what)
+	if b > 1 {
+		c.fail("%s flag %d", what, b)
+	} else if c.dir == decoding {
+		*v = b == 1
+	}
+}
+
+// str walks a uvarint length, then the bytes, bounded by MaxStrLen.
+func (c *codec) str(s *string, what string) {
+	if len(*s) > MaxStrLen {
+		c.fail("string %q... exceeds %d bytes", (*s)[:32], MaxStrLen)
+		return
+	}
+	n := uint64(len(*s))
+	c.uvarint(&n, what)
+	switch {
+	case c.err != nil:
+	case c.dir == encoding:
+		c.buf = append(c.buf, *s...)
+	case c.dir == sizing:
+		c.n += len(*s)
+	case n > MaxStrLen || n > uint64(len(c.buf)):
+		c.fail("%s length %d", what, n)
+	default:
+		*s, c.buf = string(c.buf[:n]), c.buf[n:]
+	}
+}
+
+// nonneg walks a count or counter as a uvarint: it must not be
+// negative, and a decoded one must fit T.
+func nonneg[T int | int64](c *codec, v *T, what string) {
+	if *v < 0 {
+		c.fail("negative %s %d", what, *v)
+	}
+	u := uint64(*v)
+	c.uvarint(&u, what)
+	if c.dir == decoding && c.err == nil {
+		if T(u) < 0 {
+			c.fail("%s %d overflows", what, u)
+			return
+		}
+		*v = T(u)
+	}
+}
+
+// index walks a cell index, which must be below n.
+func (c *codec) index(v *int, n int, what string) {
+	nonneg(c, v, what)
+	if c.err == nil && *v >= n {
+		c.fail("%s %d outside %d cells", what, *v, n)
+	}
+}
+
+func (c *codec) health(h *core.Health, what string) {
+	b := byte(*h)
+	c.u8(&b, what)
+	if c.dir == decoding && c.err == nil {
+		*h = core.Health(b)
+	}
+	if *h < core.Healthy || *h > core.Failed {
+		c.fail("%s %d out of range", what, int(*h))
+	}
+}
+
+// count walks a length that sizes a decoding allocation or loop,
+// rejecting one no well-formed remainder could satisfy: each element
+// costs at least per bytes. It reports whether the walk still stands.
+func (c *codec) count(v *int, per int, what string) bool {
+	if nonneg(c, v, what); c.dir == decoding && c.err == nil && *v > len(c.buf)/per+1 {
+		c.fail("%s %d exceeds input", what, *v)
+	}
+	return c.err == nil
+}
+
+// series walks samples [from, len) of *vs: their count, then the first
+// sample's raw bits when from is 0, then each sample's bits XORed with
+// the one before as a uvarint (the telemetry store's data-page value
+// encoding: consecutive samples share high bits, so the varints stay
+// short and decode bit-exactly). Decoding, *vs holds the from samples
+// the journal already decoded, and the new ones are appended to them.
+func (c *codec) series(vs *[]float64, from int, what string) {
+	count := len(*vs) - from
+	if !c.count(&count, 1, what) {
+		return
+	}
+	switch c.dir {
+	case sizing:
+		c.n += samplesSize(*vs, from)
+	case encoding:
+		buf, s := c.buf, (*vs)[from:]
+		var prev uint64
+		if from > 0 {
+			prev = math.Float64bits((*vs)[from-1])
+		} else if len(s) > 0 {
+			prev = math.Float64bits(s[0])
+			buf, s = binary.LittleEndian.AppendUint64(buf, prev), s[1:]
+		}
+		for _, v := range s {
+			b := math.Float64bits(v)
+			buf = binary.AppendUvarint(buf, prev^b)
+			prev = b
+		}
+		c.buf = buf
+	default:
+		if count == 0 {
+			return
+		}
+		out := append(*vs, make([]float64, count)...)
+		i := from
+		if i == 0 {
+			c.f64(&out[0], what)
+			i = 1
+		}
+		prev := math.Float64bits(out[i-1])
+		for ; i < len(out) && c.err == nil; i++ {
+			x, k := binary.Uvarint(c.buf)
+			if k <= 0 {
+				c.fail("bad %s delta varint", what)
+				return
+			}
+			c.buf = c.buf[k:]
+			prev ^= x
+			out[i] = math.Float64frombits(prev)
+		}
+		if c.err == nil {
+			*vs = out
+		}
 	}
 }
 
@@ -585,611 +759,286 @@ func samplesSize(vs []float64, from int) int {
 	prev := math.Float64bits(vs[from-1])
 	for _, v := range vs[from:] {
 		b := math.Float64bits(v)
-		n += (bits.Len64(prev^b|1) + 6) / 7
+		n += uvarintLen(prev ^ b)
 		prev = b
 	}
 	return n
 }
 
-// seriesLen returns the length every array of s shares, or -1 when
-// their lengths differ.
-func seriesLen(s *emulator.Series) int {
-	n := len(s.T)
-	for _, vs := range [...][]float64{s.LoadW, s.DeliveredW, s.CircuitLossW, s.BatteryLossW} {
-		if len(vs) != n {
-			return -1
-		}
+// optSeries walks a presence flag, then the series from 0 if present.
+func (c *codec) optSeries(vs *[]float64, what string) {
+	has := *vs != nil
+	if c.boolean(&has, what); has {
+		c.series(vs, 0, what)
 	}
-	for _, vs := range s.SoC {
-		if len(vs) != n {
-			return -1
-		}
-	}
-	return n
 }
 
-func (e *encoder) device(dev *Device) error {
-	e.u16(dev.ID)
-	var flags byte
-	if dev.Quarantined {
-		flags |= flagQuarantined
+// alloc returns *p, first allocating it when decoding.
+func alloc[T any](c *codec, p **T) *T {
+	if c.dir == decoding {
+		*p = new(T)
 	}
-	if dev.ErrMsg != "" {
-		flags |= flagErrored
-	}
-	if dev.State != nil {
-		flags |= flagState
-	}
-	e.u8(flags)
-	if dev.Quarantined {
-		if err := e.str(dev.QuarantineReason); err != nil {
-			return err
-		}
-	}
-	if dev.ErrMsg != "" {
-		if err := e.str(dev.ErrMsg); err != nil {
-			return err
-		}
-	}
-	if dev.State != nil {
-		if err := e.machine(dev.State); err != nil {
-			return fmt.Errorf("device %d: %w", dev.ID, err)
-		}
-	}
-	return nil
+	return *p
 }
 
-func (e *encoder) machine(m *emulator.MachineState) error {
-	n := len(m.Controller.Cells)
-	switch {
-	case m.K < 0 || m.Steps < 0 || m.BrownoutSteps < 0:
-		return fmt.Errorf("snapshot: negative step counters (%d/%d/%d)", m.K, m.Steps, m.BrownoutSteps)
-	case len(m.CellDrainedAtS) != n, m.Series == nil, len(m.Series.SoC) != n:
-		return fmt.Errorf("snapshot: machine state inconsistent with %d cells", n)
-	}
-	e.uvarint(uint64(m.K))
-	e.boolean(m.Done)
-	e.f64(m.ExternalJ)
-	e.f64(m.StartE)
-	e.uvarint(uint64(m.Steps))
-	e.uvarint(uint64(m.BrownoutSteps))
-	e.f64(m.DeliveredJ)
-	e.f64(m.CircuitLossJ)
-	e.f64(m.BatteryLossJ)
-	e.f64(m.ChargedJ)
-	e.f64(m.DrainedAtS)
-	e.f64(m.ElapsedS)
-	e.uvarint(uint64(n))
-	for _, v := range m.CellDrainedAtS {
-		e.f64(v)
-	}
-	s, from := m.Series, 0
-	if e.delta {
-		from = e.from
-		l := seriesLen(s)
-		if l < 0 {
-			return fmt.Errorf("snapshot: series arrays differ in length")
-		}
-		if from < 0 || from > l {
-			return fmt.Errorf("snapshot: series offset %d outside %d samples", from, l)
-		}
-		e.uvarint(uint64(from))
-	}
-	e.series(s.T, from)
-	e.series(s.LoadW, from)
-	e.series(s.DeliveredW, from)
-	e.series(s.CircuitLossW, from)
-	e.series(s.BatteryLossW, from)
-	for _, soc := range s.SoC {
-		e.series(soc, from)
-	}
-	if err := e.controller(&m.Controller, n); err != nil {
-		return err
-	}
-	e.boolean(m.Runtime != nil)
-	if m.Runtime != nil {
-		if err := e.runtime(m.Runtime); err != nil {
-			return err
-		}
-	}
-	e.boolean(m.HasFaults)
-	if m.HasFaults {
-		if m.FaultsFired < 0 {
-			return fmt.Errorf("snapshot: negative fired-fault count %d", m.FaultsFired)
-		}
-		e.uvarint(uint64(m.FaultsFired))
-		e.f64(m.FaultsRemovedJ)
-	}
-	return nil
-}
-
-func (e *encoder) controller(c *pmic.ControllerState, n int) error {
-	if len(c.Gauges) != n || len(c.DischargeRatios) != n || len(c.ChargeRatios) != n ||
-		len(c.ProfileSel) != n || len(c.Open) != n {
-		return fmt.Errorf("snapshot: controller state inconsistent with %d cells", n)
-	}
-	for i := range c.Cells {
-		cs := &c.Cells[i]
-		for _, v := range [...]float64{
-			cs.SoC, cs.VRC, cs.Capacity, cs.R0Mult,
-			cs.TempC, cs.AmbientC, cs.TempSum, cs.TempTime,
-			cs.Cycles, cs.CumCharge,
-			cs.ChgRateSum, cs.ChgCharge, cs.DisRateSum, cs.DisCharge,
-			cs.TotalIn, cs.TotalOut, cs.TotalLoss,
-		} {
-			e.f64(v)
-		}
-	}
-	for i := range c.Gauges {
-		g := &c.Gauges[i]
-		e.f64(g.EstSoC)
-		e.f64(g.EstCapC)
-		e.f64(g.RestFor)
-		e.f64(g.CumCharge)
-		e.f64(g.LastI)
-		e.f64(g.LastV)
-		if g.Cycles < 0 {
-			return fmt.Errorf("snapshot: negative gauge cycle count %d", g.Cycles)
-		}
-		e.uvarint(uint64(g.Cycles))
-	}
-	for _, v := range c.DischargeRatios {
-		e.f64(v)
-	}
-	for _, v := range c.ChargeRatios {
-		e.f64(v)
-	}
-	for _, name := range c.ProfileSel {
-		if err := e.str(name); err != nil {
-			return err
-		}
-	}
-	for _, o := range c.Open {
-		e.boolean(o)
-	}
-	e.boolean(c.Transfer != nil)
-	if x := c.Transfer; x != nil {
-		if x.From < 0 || x.To < 0 {
-			return fmt.Errorf("snapshot: negative transfer index %d->%d", x.From, x.To)
-		}
-		e.uvarint(uint64(x.From))
-		e.uvarint(uint64(x.To))
-		e.f64(x.PowerW)
-		e.f64(x.RemainingS)
-	}
-	e.f64(c.SinceCmdS)
-	if c.WatchdogFires < 0 || c.Steps < 0 {
-		return fmt.Errorf("snapshot: negative firmware counters (%d fires, %d steps)", c.WatchdogFires, c.Steps)
-	}
-	e.uvarint(uint64(c.WatchdogFires))
-	e.f64(c.SimTimeS)
-	e.boolean(c.LastBrownout)
-	e.uvarint(uint64(c.Steps))
-	return nil
-}
-
-func (e *encoder) runtime(r *core.State) error {
-	if r.Health < core.Healthy || r.Health > core.Failed {
-		return fmt.Errorf("snapshot: health %d out of range", int(r.Health))
-	}
-	if r.ConsecFails < 0 || r.TotalFails < 0 || r.EventSeq < 0 {
-		return fmt.Errorf("snapshot: negative ladder counters")
-	}
-	e.u8(byte(r.Health))
-	e.uvarint(uint64(r.ConsecFails))
-	e.uvarint(uint64(r.TotalFails))
-	e.uvarint(uint64(r.EventSeq))
-	e.f64(r.ChgDir)
-	e.f64(r.DisDir)
-	e.f64(r.SimTimeS)
-	e.boolean(r.LastDis != nil)
-	if r.LastDis != nil {
-		e.f64s(r.LastDis)
-	}
-	e.boolean(r.LastChg != nil)
-	if r.LastChg != nil {
-		e.f64s(r.LastChg)
-	}
-	if err := e.str(r.LastErr); err != nil {
-		return err
-	}
-	e.uvarint(uint64(len(r.HealthLog)))
-	for _, ev := range r.HealthLog {
-		if ev.Seq < 0 || ev.Failures < 0 ||
-			ev.From < core.Healthy || ev.From > core.Failed ||
-			ev.To < core.Healthy || ev.To > core.Failed {
-			return fmt.Errorf("snapshot: health event out of range")
-		}
-		e.uvarint(uint64(ev.Seq))
-		e.u8(byte(ev.From))
-		e.u8(byte(ev.To))
-		e.uvarint(uint64(ev.Failures))
-		if err := e.str(ev.Reason); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type decoder struct {
-	buf []byte
-	err error
-	// delta is set while decoding a delta body; prev then holds, by
-	// device id, the state of every device with state in the record
-	// before it.
-	delta bool
-	prev  map[uint16]*emulator.MachineState
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// count decodes a uvarint that will size an allocation or loop,
-// rejecting values no well-formed remainder could satisfy (each
-// element costs at least perByte bytes).
-func (d *decoder) count(what string, perByte int) int {
-	v := d.uvarint(what)
-	if d.err != nil {
-		return 0
-	}
-	if perByte < 1 {
-		perByte = 1
-	}
-	if v > uint64(len(d.buf)/perByte)+1 {
-		d.err = fmt.Errorf("%w: %s %d exceeds input", ErrCorrupt, what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) u8(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.err = fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) boolean(what string) bool {
-	v := d.u8(what)
-	if d.err != nil {
-		return false
-	}
-	if v > 1 {
-		d.err = fmt.Errorf("%w: %s flag %d", ErrCorrupt, what, v)
-		return false
-	}
-	return v == 1
-}
-
-func (d *decoder) u16(what string) uint16 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 2 {
-		d.err = fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.buf)
-	d.buf = d.buf[2:]
-	return v
-}
-
-func (d *decoder) f64(what string) float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.err = fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) str(what string) string {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return ""
-	}
-	if n > MaxStrLen || n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("%w: %s length %d", ErrCorrupt, what, n)
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) f64s(what string) []float64 { return d.series(what, nil) }
-
-// series decodes what series wrote after the samples in base: the new
-// samples are appended to base, the first XOR-chained to base's last
-// sample when base is not empty.
-func (d *decoder) series(what string, base []float64) []float64 {
-	count := d.count(what+" count", 1)
-	if d.err != nil || count == 0 {
-		return base
-	}
-	from := len(base)
-	vs := append(base, make([]float64, count)...)
-	var prev uint64
-	if from == 0 {
-		prev = math.Float64bits(d.f64(what + " first value"))
-		vs[0] = math.Float64frombits(prev)
-		from = 1
-	} else {
-		prev = math.Float64bits(vs[from-1])
-	}
-	what += " delta"
-	for i := from; i < len(vs); i++ {
-		prev ^= d.uvarint(what)
-		vs[i] = math.Float64frombits(prev)
-	}
-	if d.err != nil {
+// present walks whether *p is set and returns it, allocated when
+// decoding one that is; nil when it is absent or the walk failed.
+func present[T any](c *codec, p **T, what string) *T {
+	has := *p != nil
+	if c.boolean(&has, what); !has || c.err != nil {
 		return nil
 	}
-	return vs
+	return alloc(c, p)
 }
 
-func (d *decoder) device() (Device, error) {
-	dev := Device{ID: d.u16("device id")}
-	flags := d.u8("device flags")
-	if d.err != nil {
-		return Device{}, d.err
+// cells walks nothing, but checks a per-cell array holds n elements:
+// decoding, *s becomes n elements long, keeping any it held. It returns
+// the array, nil once the walk has failed.
+func cells[T any](c *codec, s *[]T, n int, what string) []T {
+	switch {
+	case c.err != nil:
+		// n may be the unchecked count that failed the walk.
+		return nil
+	case c.dir == decoding:
+		fresh := make([]T, n)
+		copy(fresh, *s)
+		*s = fresh
+	case len(*s) != n:
+		c.fail("%d %s entries for %d cells", len(*s), what, n)
+		return nil
 	}
-	if flags&^(flagQuarantined|flagErrored|flagState) != 0 {
-		return Device{}, fmt.Errorf("%w: unknown device flags %#02x", ErrCorrupt, flags)
-	}
-	if flags&flagQuarantined != 0 && flags&flagState != 0 {
-		return Device{}, fmt.Errorf("%w: quarantined device carries state", ErrCorrupt)
-	}
-	dev.Quarantined = flags&flagQuarantined != 0
-	if dev.Quarantined {
-		dev.QuarantineReason = d.str("quarantine reason")
-	}
-	if flags&flagErrored != 0 {
-		dev.ErrMsg = d.str("error message")
-		if d.err == nil && dev.ErrMsg == "" {
-			return Device{}, fmt.Errorf("%w: errored device with empty message", ErrCorrupt)
-		}
-	}
-	if flags&flagState != 0 {
-		m, err := d.machine(d.prev[dev.ID])
-		if err != nil {
-			return Device{}, err
-		}
-		dev.State = m
-	}
-	return dev, d.err
+	return *s
 }
 
-// machine decodes a machine block. In a delta body, prev is the
-// device's state in the record before (nil if it had none), whose
-// series the block's series extend unless its offset is 0.
-func (d *decoder) machine(prev *emulator.MachineState) (*emulator.MachineState, error) {
-	m := &emulator.MachineState{
-		K:             int(d.uvarint("step cursor")),
-		Done:          d.boolean("done"),
-		ExternalJ:     d.f64("externalJ"),
-		StartE:        d.f64("startE"),
-		Steps:         int(d.uvarint("steps")),
-		BrownoutSteps: int(d.uvarint("brownout steps")),
-		DeliveredJ:    d.f64("deliveredJ"),
-		CircuitLossJ:  d.f64("circuitLossJ"),
-		BatteryLossJ:  d.f64("batteryLossJ"),
-		ChargedJ:      d.f64("chargedJ"),
-		DrainedAtS:    d.f64("drainedAtS"),
-		ElapsedS:      d.f64("elapsedS"),
+// f64s walks a per-cell float64 array.
+func (c *codec) f64s(s *[]float64, n int, what string) {
+	vs := cells(c, s, n, what)
+	for i := range vs {
+		c.f64(&vs[i], what)
 	}
-	if m.K < 0 || m.Steps < 0 || m.BrownoutSteps < 0 {
-		return nil, fmt.Errorf("%w: step counter overflows int", ErrCorrupt)
-	}
-	n := d.count("cell count", 8)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n > MaxCells {
-		return nil, fmt.Errorf("%w: cell count %d exceeds %d", ErrCorrupt, n, MaxCells)
-	}
-	m.CellDrainedAtS = make([]float64, n)
-	for i := range m.CellDrainedAtS {
-		m.CellDrainedAtS[i] = d.f64("cell drain time")
-	}
-	// base is what the series extend: nothing in a full record or at
-	// offset 0, else the previous record's series, which must end
-	// exactly at the offset.
-	var base emulator.Series
-	if d.delta {
-		from := d.uvarint("series offset")
-		if d.err != nil {
-			return nil, d.err
-		}
-		if from != 0 {
-			l := -1
-			if prev != nil && len(prev.Series.SoC) == n {
-				l = seriesLen(prev.Series)
-			}
-			if l < 0 || uint64(l) != from {
-				return nil, fmt.Errorf("%w: series offset %d does not continue the previous record", ErrCorrupt, from)
-			}
-			base = *prev.Series
-		}
-	}
-	m.Series = &emulator.Series{
-		T:            d.series("series T", base.T),
-		LoadW:        d.series("series LoadW", base.LoadW),
-		DeliveredW:   d.series("series DeliveredW", base.DeliveredW),
-		CircuitLossW: d.series("series CircuitLossW", base.CircuitLossW),
-		BatteryLossW: d.series("series BatteryLossW", base.BatteryLossW),
-		SoC:          make([][]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		var soc []float64
-		if base.SoC != nil {
-			soc = base.SoC[i]
-		}
-		m.Series.SoC[i] = d.series("series SoC", soc)
-	}
-	if err := d.controller(&m.Controller, n); err != nil {
-		return nil, err
-	}
-	if d.boolean("runtime presence") {
-		rt, err := d.runtime()
-		if err != nil {
-			return nil, err
-		}
-		m.Runtime = rt
-	}
-	if d.boolean("fault presence") {
-		m.HasFaults = true
-		m.FaultsFired = int(d.uvarint("fired faults"))
-		m.FaultsRemovedJ = d.f64("fault removedJ")
-		if m.FaultsFired < 0 {
-			return nil, fmt.Errorf("%w: fired-fault count overflows int", ErrCorrupt)
-		}
-	}
-	return m, d.err
 }
 
-func (d *decoder) controller(c *pmic.ControllerState, n int) error {
-	c.Cells = make([]battery.CellState, n)
-	for i := range c.Cells {
-		cs := &c.Cells[i]
-		cs.SoC = d.f64("cell SoC")
-		cs.VRC = d.f64("cell VRC")
-		cs.Capacity = d.f64("cell capacity")
-		cs.R0Mult = d.f64("cell R0Mult")
-		cs.TempC = d.f64("cell TempC")
-		cs.AmbientC = d.f64("cell AmbientC")
-		cs.TempSum = d.f64("cell TempSum")
-		cs.TempTime = d.f64("cell TempTime")
-		cs.Cycles = d.f64("cell cycles")
-		cs.CumCharge = d.f64("cell CumCharge")
-		cs.ChgRateSum = d.f64("cell ChgRateSum")
-		cs.ChgCharge = d.f64("cell ChgCharge")
-		cs.DisRateSum = d.f64("cell DisRateSum")
-		cs.DisCharge = d.f64("cell DisCharge")
-		cs.TotalIn = d.f64("cell TotalIn")
-		cs.TotalOut = d.f64("cell TotalOut")
-		cs.TotalLoss = d.f64("cell TotalLoss")
+// list walks a slice's length, each element costing at least per bytes,
+// and returns the slice: decoding, one that long, or nil when empty
+// (exports use the nil convention for empty slices, and DeepEqual round
+// trips depend on it).
+func list[T any](c *codec, s *[]T, per int, what string) []T {
+	n := len(*s)
+	if !c.count(&n, per, what) {
+		return nil
 	}
-	c.Gauges = make([]fuelgauge.State, n)
-	for i := range c.Gauges {
-		g := &c.Gauges[i]
-		g.EstSoC = d.f64("gauge EstSoC")
-		g.EstCapC = d.f64("gauge EstCapC")
-		g.RestFor = d.f64("gauge RestFor")
-		g.CumCharge = d.f64("gauge CumCharge")
-		g.LastI = d.f64("gauge LastI")
-		g.LastV = d.f64("gauge LastV")
-		g.Cycles = int(d.uvarint("gauge cycles"))
-		if g.Cycles < 0 {
-			return fmt.Errorf("%w: gauge cycle count overflows int", ErrCorrupt)
-		}
+	if c.dir == decoding && n > 0 {
+		*s = make([]T, n)
 	}
-	c.DischargeRatios = make([]float64, n)
-	for i := range c.DischargeRatios {
-		c.DischargeRatios[i] = d.f64("discharge ratio")
-	}
-	c.ChargeRatios = make([]float64, n)
-	for i := range c.ChargeRatios {
-		c.ChargeRatios[i] = d.f64("charge ratio")
-	}
-	c.ProfileSel = make([]string, n)
-	for i := range c.ProfileSel {
-		c.ProfileSel[i] = d.str("profile name")
-	}
-	c.Open = make([]bool, n)
-	for i := range c.Open {
-		c.Open[i] = d.boolean("open flag")
-	}
-	if d.boolean("transfer presence") {
-		x := &pmic.TransferState{
-			From:       int(d.uvarint("transfer from")),
-			To:         int(d.uvarint("transfer to")),
-			PowerW:     d.f64("transfer power"),
-			RemainingS: d.f64("transfer remaining"),
-		}
-		if d.err == nil && (x.From < 0 || x.From >= n || x.To < 0 || x.To >= n) {
-			return fmt.Errorf("%w: transfer %d->%d outside %d cells", ErrCorrupt, x.From, x.To, n)
-		}
-		c.Transfer = x
-	}
-	c.SinceCmdS = d.f64("sinceCmdS")
-	c.WatchdogFires = int64(d.uvarint("watchdog fires"))
-	c.SimTimeS = d.f64("firmware simTimeS")
-	c.LastBrownout = d.boolean("lastBrownout")
-	c.Steps = int64(d.uvarint("firmware steps"))
-	if d.err == nil && (c.WatchdogFires < 0 || c.Steps < 0) {
-		return fmt.Errorf("%w: firmware counter overflows int64", ErrCorrupt)
-	}
-	return d.err
+	return *s
 }
 
-func (d *decoder) runtime() (*core.State, error) {
-	r := &core.State{}
-	h := d.u8("health")
-	if d.err == nil && core.Health(h) > core.Failed {
-		return nil, fmt.Errorf("%w: health %d out of range", ErrCorrupt, h)
+// seriesLen returns the length every array of s shares, or -1 when
+// their lengths differ or s does not hold n SoC arrays.
+func seriesLen(s *emulator.Series, n int) int {
+	l, ok := len(s.T), len(s.SoC) == n
+	for _, vs := range [...][]float64{s.LoadW, s.DeliveredW, s.CircuitLossW, s.BatteryLossW} {
+		ok = ok && len(vs) == l
 	}
-	r.Health = core.Health(h)
-	r.ConsecFails = int(d.uvarint("consecutive failures"))
-	r.TotalFails = int64(d.uvarint("total failures"))
-	r.EventSeq = int64(d.uvarint("event seq"))
-	if r.ConsecFails < 0 || r.TotalFails < 0 || r.EventSeq < 0 {
-		return nil, fmt.Errorf("%w: ladder counter overflows", ErrCorrupt)
+	for _, vs := range s.SoC {
+		ok = ok && len(vs) == l
 	}
-	r.ChgDir = d.f64("charge directive")
-	r.DisDir = d.f64("discharge directive")
-	r.SimTimeS = d.f64("runtime simTimeS")
-	if d.boolean("lastDis presence") {
-		r.LastDis = d.f64s("lastDis")
+	if !ok {
+		return -1
 	}
-	if d.boolean("lastChg presence") {
-		r.LastChg = d.f64s("lastChg")
-	}
-	r.LastErr = d.str("last error")
-	nlog := d.count("health log length", 5)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nlog > 0 {
-		// Leave nil for an empty log: exports use the nil convention
-		// for empty slices and DeepEqual round-trips depend on it.
-		r.HealthLog = make([]core.HealthEvent, 0, nlog)
-	}
-	for i := 0; i < nlog; i++ {
-		ev := core.HealthEvent{
-			Seq:  int64(d.uvarint("event seq")),
-			From: core.Health(d.u8("event from")),
-			To:   core.Health(d.u8("event to")),
+	return l
+}
+
+// device walks one device entry: id, flags, the quarantine reason and
+// error message when flagged, and the machine block when it has state.
+// A quarantined device carries no state.
+func (c *codec) device(dev *Device) error {
+	c.u16(&dev.ID, "device id")
+	var flags byte
+	for bit, on := range [...]bool{dev.Quarantined, dev.ErrMsg != "", dev.State != nil} {
+		if on {
+			flags |= 1 << bit // in the flag constants' order
 		}
-		ev.Failures = int(d.uvarint("event failures"))
-		ev.Reason = d.str("event reason")
-		if d.err != nil {
-			return nil, d.err
-		}
-		if ev.Seq < 0 || ev.Failures < 0 || ev.From > core.Failed || ev.To > core.Failed {
-			return nil, fmt.Errorf("%w: health event out of range", ErrCorrupt)
-		}
-		r.HealthLog = append(r.HealthLog, ev)
 	}
-	return r, d.err
+	c.u8(&flags, "device flags")
+	switch {
+	case c.err != nil:
+	case flags&^(flagQuarantined|flagErrored|flagState) != 0:
+		c.fail("unknown device flags %#02x", flags)
+	case flags&flagQuarantined != 0 && flags&flagState != 0:
+		c.fail("quarantined device carries state")
+	case flags&flagQuarantined != 0:
+		if c.dir == decoding {
+			dev.Quarantined = true
+		}
+		c.str(&dev.QuarantineReason, "quarantine reason")
+	}
+	if c.err == nil && flags&flagErrored != 0 {
+		if c.str(&dev.ErrMsg, "error message"); dev.ErrMsg == "" {
+			c.fail("errored device with empty message")
+		}
+	}
+	if c.err == nil && flags&flagState != 0 {
+		c.machine(alloc(c, &dev.State), c.prev[dev.ID])
+	}
+	if c.err != nil && c.dir != decoding {
+		return fmt.Errorf("device %d: %w", dev.ID, c.err)
+	}
+	return c.err
+}
+
+// machine walks a machine block: step cursor, result accumulators, the
+// per-cell drain times, the recorded series, the firmware, the optional
+// runtime and the fault-schedule position. In a delta block a series
+// offset precedes the series; decoding, prev is the device's state in
+// the record before (nil if it had none).
+func (c *codec) machine(m, prev *emulator.MachineState) {
+	nonneg(c, &m.K, "step cursor")
+	c.boolean(&m.Done, "done")
+	c.f64(&m.ExternalJ, "externalJ")
+	c.f64(&m.StartE, "startE")
+	nonneg(c, &m.Steps, "steps")
+	nonneg(c, &m.BrownoutSteps, "brownout steps")
+	c.f64(&m.DeliveredJ, "deliveredJ")
+	c.f64(&m.CircuitLossJ, "circuitLossJ")
+	c.f64(&m.BatteryLossJ, "batteryLossJ")
+	c.f64(&m.ChargedJ, "chargedJ")
+	c.f64(&m.DrainedAtS, "drainedAtS")
+	c.f64(&m.ElapsedS, "elapsedS")
+	n := len(m.Controller.Cells)
+	if c.count(&n, 8, "cell count") && n > MaxCells {
+		c.fail("cell count %d exceeds %d", n, MaxCells)
+	}
+	c.f64s(&m.CellDrainedAtS, n, "cell drain time")
+	if c.err != nil {
+		return
+	}
+	s := alloc(c, &m.Series)
+	if s == nil {
+		c.fail("machine state has no series")
+		return
+	}
+	from := c.from
+	if c.delta {
+		c.offset(&from, s, prev, n)
+	}
+	soc := cells(c, &s.SoC, n, "series SoC")
+	c.series(&s.T, from, "series T")
+	c.series(&s.LoadW, from, "series LoadW")
+	c.series(&s.DeliveredW, from, "series DeliveredW")
+	c.series(&s.CircuitLossW, from, "series CircuitLossW")
+	c.series(&s.BatteryLossW, from, "series BatteryLossW")
+	for i := range soc {
+		c.series(&soc[i], from, "series SoC")
+	}
+	c.controller(&m.Controller, n)
+	if r := present(c, &m.Runtime, "runtime presence"); r != nil {
+		c.runtime(r)
+	}
+	if c.boolean(&m.HasFaults, "fault presence"); m.HasFaults {
+		nonneg(c, &m.FaultsFired, "fired faults")
+		c.f64(&m.FaultsRemovedJ, "fault removedJ")
+	}
+}
+
+// offset walks a delta block's series offset: how many samples of each
+// series the journal already holds, at most all of them. Decoding, a
+// nonzero offset must continue prev, whose series become s's base.
+func (c *codec) offset(from *int, s *emulator.Series, prev *emulator.MachineState, n int) {
+	if l := seriesLen(s, n); c.dir != decoding && l < 0 {
+		c.fail("series arrays differ in length")
+	} else if c.dir != decoding && (*from < 0 || *from > l) {
+		c.fail("series offset %d outside %d samples", *from, l)
+	}
+	u := uint64(*from)
+	if c.uvarint(&u, "series offset"); c.dir != decoding || c.err != nil || u == 0 {
+		return
+	}
+	if prev == nil || u > math.MaxInt || seriesLen(prev.Series, n) != int(u) {
+		c.fail("series offset %d does not continue the previous record", u)
+		return
+	}
+	*s, *from = *prev.Series, int(u)
+}
+
+// controller walks the firmware of an n-cell pack: per-cell registers
+// and fuel gauges, the split and profile selection, open switches, any
+// transfer in flight, and the watchdog and step counters.
+func (c *codec) controller(ctl *pmic.ControllerState, n int) {
+	cs := cells(c, &ctl.Cells, n, "cell")
+	for i := range cs {
+		x := &cs[i]
+		c.f64(&x.SoC, "cell SoC")
+		c.f64(&x.VRC, "cell VRC")
+		c.f64(&x.Capacity, "cell capacity")
+		c.f64(&x.R0Mult, "cell R0Mult")
+		c.f64(&x.TempC, "cell TempC")
+		c.f64(&x.AmbientC, "cell AmbientC")
+		c.f64(&x.TempSum, "cell TempSum")
+		c.f64(&x.TempTime, "cell TempTime")
+		c.f64(&x.Cycles, "cell cycles")
+		c.f64(&x.CumCharge, "cell CumCharge")
+		c.f64(&x.ChgRateSum, "cell ChgRateSum")
+		c.f64(&x.ChgCharge, "cell ChgCharge")
+		c.f64(&x.DisRateSum, "cell DisRateSum")
+		c.f64(&x.DisCharge, "cell DisCharge")
+		c.f64(&x.TotalIn, "cell TotalIn")
+		c.f64(&x.TotalOut, "cell TotalOut")
+		c.f64(&x.TotalLoss, "cell TotalLoss")
+	}
+	gs := cells(c, &ctl.Gauges, n, "gauge")
+	for i := range gs {
+		g := &gs[i]
+		c.f64(&g.EstSoC, "gauge EstSoC")
+		c.f64(&g.EstCapC, "gauge EstCapC")
+		c.f64(&g.RestFor, "gauge RestFor")
+		c.f64(&g.CumCharge, "gauge CumCharge")
+		c.f64(&g.LastI, "gauge LastI")
+		c.f64(&g.LastV, "gauge LastV")
+		nonneg(c, &g.Cycles, "gauge cycles")
+	}
+	c.f64s(&ctl.DischargeRatios, n, "discharge ratio")
+	c.f64s(&ctl.ChargeRatios, n, "charge ratio")
+	names := cells(c, &ctl.ProfileSel, n, "profile name")
+	for i := range names {
+		c.str(&names[i], "profile name")
+	}
+	open := cells(c, &ctl.Open, n, "open flag")
+	for i := range open {
+		c.boolean(&open[i], "open flag")
+	}
+	if x := present(c, &ctl.Transfer, "transfer presence"); x != nil {
+		c.index(&x.From, n, "transfer from")
+		c.index(&x.To, n, "transfer to")
+		c.f64(&x.PowerW, "transfer power")
+		c.f64(&x.RemainingS, "transfer remaining")
+	}
+	c.f64(&ctl.SinceCmdS, "sinceCmdS")
+	nonneg(c, &ctl.WatchdogFires, "watchdog fires")
+	c.f64(&ctl.SimTimeS, "firmware simTimeS")
+	c.boolean(&ctl.LastBrownout, "lastBrownout")
+	nonneg(c, &ctl.Steps, "firmware steps")
+}
+
+// runtime walks the OS runtime's health ladder.
+func (c *codec) runtime(r *core.State) {
+	c.health(&r.Health, "health")
+	nonneg(c, &r.ConsecFails, "consecutive failures")
+	nonneg(c, &r.TotalFails, "total failures")
+	nonneg(c, &r.EventSeq, "event seq")
+	c.f64(&r.ChgDir, "charge directive")
+	c.f64(&r.DisDir, "discharge directive")
+	c.f64(&r.SimTimeS, "runtime simTimeS")
+	c.optSeries(&r.LastDis, "lastDis")
+	c.optSeries(&r.LastChg, "lastChg")
+	c.str(&r.LastErr, "last error")
+	log := list(c, &r.HealthLog, 5, "health log length")
+	for i := range log {
+		ev := &log[i]
+		nonneg(c, &ev.Seq, "event seq")
+		c.health(&ev.From, "event from")
+		c.health(&ev.To, "event to")
+		nonneg(c, &ev.Failures, "event failures")
+		c.str(&ev.Reason, "event reason")
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/faults"
+	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
 
@@ -258,6 +259,33 @@ func TestEncodeRejectsInvalidRuntime(t *testing.T) {
 			snap := &Snapshot{Devices: []Device{{ID: 1, State: ms}}}
 			if err := Encode(&bytes.Buffer{}, snap); err == nil {
 				t.Fatal("invalid runtime state encoded")
+			}
+		})
+	}
+}
+
+// TestEncodeRefusesUndecodable: a state Decode would reject as corrupt
+// fails to encode, so a fleet never writes a checkpoint it cannot
+// restore. Each case was once written without error.
+func TestEncodeRefusesUndecodable(t *testing.T) {
+	quarantined := &Snapshot{Devices: []Device{{
+		ID: 1, Quarantined: true, QuarantineReason: "device-panic", State: sampleMachine(t, false, false),
+	}}}
+	ms := sampleMachine(t, false, false)
+	ms.Controller.Transfer = &pmic.TransferState{From: 0, To: 5, PowerW: 0.5, RemainingS: 30}
+	transfer := &Snapshot{Devices: []Device{{ID: 1, State: ms}}}
+	for _, tc := range []struct {
+		name string
+		s    *Snapshot
+	}{
+		{"quarantined device with state", quarantined},
+		{"transfer to a cell past the pack", transfer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Encode(&buf, tc.s); err == nil {
+				_, derr := Decode(buf.Bytes())
+				t.Fatalf("encoded without error; Decode then says %v", derr)
 			}
 		})
 	}

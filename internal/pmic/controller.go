@@ -632,11 +632,13 @@ func (c *Controller) Ratios() (discharge, charge []float64) {
 // (watts; 0 when unplugged). This is the enforcement loop a real
 // microcontroller runs continuously.
 func (c *Controller) Step(loadW, externalW, dt float64) (StepReport, error) {
-	if dt <= 0 {
-		return StepReport{}, fmt.Errorf("pmic: step dt %g must be positive", dt)
+	// One comparison pair each rejects NaN (every comparison with NaN is
+	// false) and ±Inf, as Trace.Validate does for its samples.
+	if !(dt > 0 && dt <= math.MaxFloat64) {
+		return StepReport{}, fmt.Errorf("pmic: step dt %g must be positive and finite", dt)
 	}
-	if loadW < 0 || externalW < 0 {
-		return StepReport{}, fmt.Errorf("pmic: negative load (%g) or supply (%g)", loadW, externalW)
+	if !(loadW >= 0 && loadW <= math.MaxFloat64) || !(externalW >= 0 && externalW <= math.MaxFloat64) {
+		return StepReport{}, fmt.Errorf("pmic: load (%g) and supply (%g) must be finite and non-negative", loadW, externalW)
 	}
 	c.steps.Add(1)
 	totalSteps.Add(1)

@@ -67,16 +67,36 @@ func TestDischargeRatioValidation(t *testing.T) {
 	}
 }
 
+// TestStepValidation: a step with a non-positive or non-finite dt, or a
+// negative or non-finite load or supply, is an error before any state
+// moves (a NaN once reached the curve tables and panicked there).
 func TestStepValidation(t *testing.T) {
 	c := newTestController(t, 1)
-	if _, err := c.Step(1, 0, 0); err == nil {
-		t.Error("dt=0 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name             string
+		load, supply, dt float64
+	}{
+		{"dt=0", 1, 0, 0},
+		{"negative dt", 1, 0, -1},
+		{"NaN dt", 1, 0, nan},
+		{"+Inf dt", 1, 0, inf},
+		{"negative load", -1, 0, 1},
+		{"NaN load", nan, 0, 1},
+		{"+Inf load", inf, 0, 1},
+		{"negative supply", 1, -1, 1},
+		{"NaN supply", 1, nan, 1},
+		{"+Inf supply", 1, inf, 1},
+	} {
+		if _, err := c.Step(tc.load, tc.supply, tc.dt); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := c.Step(-1, 0, 1); err == nil {
-		t.Error("negative load accepted")
+	if got := c.StepCount(); got != 0 {
+		t.Errorf("rejected steps counted: %d", got)
 	}
-	if _, err := c.Step(1, -1, 1); err == nil {
-		t.Error("negative supply accepted")
+	if _, err := c.Step(1, 0, 1); err != nil {
+		t.Errorf("valid step after rejections: %v", err)
 	}
 }
 

@@ -239,11 +239,21 @@ func (c *Client) decodePush(fr bus.Frame) (*Push, error) {
 				clear(st.bits[dev])
 			}
 		}
-		nNew := int(r.UVarint())
-		for i := 0; i < nNew && r.Err() == nil; i++ {
-			id := int(r.UVarint())
+		// The server numbers metric ids densely from 0, so a frame can
+		// only announce ids below the dictionary's size plus its own
+		// announcement count, which each cost at least two bytes.
+		nNew := r.UVarint()
+		if nNew > uint64(r.Remaining()/2) {
+			return nil, fmt.Errorf("pmic: push announces %d metrics in %d bytes", nNew, r.Remaining())
+		}
+		limit := uint64(len(st.names)) + nNew
+		for i := uint64(0); i < nNew && r.Err() == nil; i++ {
+			id := r.UVarint()
 			name := r.Str()
-			for len(st.names) <= id {
+			if id >= limit {
+				return nil, fmt.Errorf("pmic: push announces metric id %d past %d", id, limit)
+			}
+			for uint64(len(st.names)) <= id {
 				st.names = append(st.names, "")
 			}
 			st.names[id] = name
@@ -256,12 +266,12 @@ func (c *Client) decodePush(fr bus.Frame) (*Push, error) {
 			pd := PushDevice{Device: dev, TimeS: t}
 			base := st.bits[dev]
 			for j := 0; j < nVals && r.Err() == nil; j++ {
-				id := int(r.UVarint())
+				id := r.UVarint()
 				delta := r.UVarint()
-				if id >= len(st.names) || st.names[id] == "" {
+				if id >= uint64(len(st.names)) || st.names[id] == "" {
 					return nil, fmt.Errorf("pmic: push references unknown metric id %d", id)
 				}
-				for len(base) <= id {
+				for uint64(len(base)) <= id {
 					base = append(base, 0)
 				}
 				base[id] ^= delta

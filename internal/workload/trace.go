@@ -28,8 +28,8 @@ func (tr *Trace) Validate() error {
 	switch {
 	case tr.Name == "":
 		return errors.New("workload: trace needs a name")
-	case tr.DT <= 0:
-		return fmt.Errorf("workload: trace %s: DT %g must be positive", tr.Name, tr.DT)
+	case !(tr.DT > 0 && tr.DT <= math.MaxFloat64):
+		return fmt.Errorf("workload: trace %s: DT %g must be positive and finite", tr.Name, tr.DT)
 	case len(tr.Load) == 0:
 		return fmt.Errorf("workload: trace %s is empty", tr.Name)
 	case tr.External != nil && len(tr.External) != len(tr.Load):

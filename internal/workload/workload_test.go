@@ -22,6 +22,9 @@ func TestTraceValidate(t *testing.T) {
 	bad := []*Trace{
 		{Name: "", DT: 1, Load: []float64{1}},
 		{Name: "x", DT: 0, Load: []float64{1}},
+		{Name: "x", DT: math.NaN(), Load: []float64{1}},
+		{Name: "x", DT: math.Inf(1), Load: []float64{1}},
+		{Name: "x", DT: math.Inf(-1), Load: []float64{1}},
 		{Name: "x", DT: 1, Load: nil},
 		{Name: "x", DT: 1, Load: []float64{-1}},
 		{Name: "x", DT: 1, Load: []float64{math.NaN()}},
