@@ -27,8 +27,10 @@
 #     (every read path, the export walk included), torn-append crash
 #     test, the unbounded and windowed walks, and a fuzz burst.
 #   - live telemetry: the push plane and fleet alerts (the fleet window
-#     tests included) under -race, the shared alert engine's tests
-#     under -race, an alert-grammar fuzz burst, a push-decoder fuzz
+#     tests included) under -race, the id-ordered registry's two
+#     guarantees (byte-identical store files at any shard count, fresh
+#     alert state for a re-added device) under -race, the shared alert
+#     engine's tests under -race, an alert-grammar fuzz burst, a push-decoder fuzz
 #     burst, and a real `sdbctl serve` + `sdbtop -once` smoke over TCP.
 #   - coverage ratchet: per-package floors in COVERAGE.ratchet.
 #   - exact counts: the figures and fleet-full benchmark workloads must
@@ -129,6 +131,11 @@ go test -fuzz 'FuzzStore' -fuzztime 5s -run '^$' ./internal/obs/ts/store/
 # grammar on top of its committed seed corpus, and one on the client's
 # push-frame decoder (no panic, dictionary growth bounded by the frame).
 go test -race -run 'TestSlowSubscriberNeverStallsBarrier|TestSubscribe|TestSubscription|TestPushResetAfterDrop|TestLegacyClientIgnoresPushes|TestTracePushDelivery|TestUnsubscribeForeignConn|TestFleetAlert' -v ./internal/fleet/
+# The registry is one id-sorted slice and every barrier walk follows it:
+# the same seeded fleet must write a byte-identical store file at 1, 2
+# and 4 shards and on a rerun, and a device removed and re-added under
+# its id must start with fresh alert state.
+go test -race -run 'TestFleetRecordingBytesDeterministic|TestFleetReaddStartsFreshAlertState' -v ./internal/fleet/
 go test -race -run 'TestEngine|TestDerivedSignals' -v ./internal/obs/ts/
 go test -fuzz 'FuzzParseRules' -fuzztime 5s -run '^$' ./internal/obs/ts/
 go test -fuzz 'FuzzPushDecode' -fuzztime 5s -run '^$' ./internal/pmic/

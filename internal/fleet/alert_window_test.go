@@ -44,7 +44,7 @@ alert busy rate(steps) >= 1
 	rec := ts.NewRecorder(reg, ts.Config{StepS: 60, Rules: rules})
 	for f.Tick(60) > 0 {
 		f.regMu.RLock()
-		sig := f.devices[1].sig
+		sig := f.lookup(1).sig
 		f.regMu.RUnlock()
 		steps.Set(sig.v[sigSteps])
 		soc.Set(sig.v[sigSoC])

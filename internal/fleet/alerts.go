@@ -8,7 +8,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sdb/internal/obs"
@@ -75,14 +74,13 @@ func sigIndexOf(series string) int {
 }
 
 // alertEngine evaluates the fleet's rule set at every tick barrier
-// through a ts.Engine, one subject per device. All state is touched
-// only from the barrier (regMu read-held, tickMu held), so it needs no
-// lock of its own.
+// through a ts.Engine, one subject per device (held by the device, see
+// device.alert). All state is touched only from the barrier (regMu
+// read-held, tickMu held), so it needs no lock of its own.
 type alertEngine struct {
 	eng    *ts.Engine
 	rules  []ts.Rule
-	sigIdx []int // rule -> deviceSignals index (-1: never matches)
-	devs   map[uint16]*ts.Subject
+	sigIdx []int        // rule -> deviceSignals index (-1: never matches)
 	in     []ts.Reading // one device's readings, reused
 	log    []AlertTransition
 
@@ -108,7 +106,6 @@ func newAlertEngine(rules []ts.Rule, reg *obs.Registry) *alertEngine {
 		eng:     ts.NewEngine(rules),
 		rules:   rules,
 		sigIdx:  make([]int, len(rules)),
-		devs:    make(map[uint16]*ts.Subject),
 		in:      make([]ts.Reading, len(rules)),
 		firing:  make([]int, len(rules)),
 		firingG: make([]*obs.Gauge, len(rules)),
@@ -154,30 +151,21 @@ func metricName(s string) string {
 // and all shards idle. Devices are visited in ascending id order and
 // quarantined, errored, and signal-less devices are skipped (and
 // counted), which makes the transition log deterministic for a given
-// run regardless of sharding.
+// run regardless of sharding. A removed device's alert state goes with
+// it, so a firing alert on it resolves by omission (matching how its
+// series vanish from pushes).
 func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 	start := len(e.log)
-	for i := range e.firing {
-		e.firing[i] = 0
-	}
+	clear(e.firing)
 	e.skipped = 0
 
-	ids := make([]uint16, 0, len(f.devices))
-	for id := range f.devices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, id := range ids {
-		d := f.devices[id]
-		if d.quarantined.Load() || d.err != nil || !d.sig.ok {
+	for _, d := range f.byID {
+		if !d.live() {
 			e.skipped++
 			continue
 		}
-		sub := e.devs[id]
-		if sub == nil {
-			sub = e.eng.NewSubject()
-			e.devs[id] = sub
+		if d.alert == nil {
+			d.alert = e.eng.NewSubject()
 		}
 		for ri, idx := range e.sigIdx {
 			if idx < 0 {
@@ -188,23 +176,12 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 		}
 		// A device whose clock stopped (done) has no new sample: Eval
 		// leaves its lifecycles frozen, and firing ones still count.
-		for _, ed := range e.eng.Eval(sub, d.sig.t, e.in) {
-			e.transition(id, d.sig.t, ed)
+		for _, ed := range e.eng.Eval(d.alert, d.sig.t, e.in) {
+			e.transition(d.id, d.sig.t, ed)
 		}
 		for ri := range e.firing {
-			if sub.Alerts[ri].State == ts.StateFiring {
+			if d.alert.Alerts[ri].State == ts.StateFiring {
 				e.firing[ri]++
-			}
-		}
-	}
-
-	// Devices removed from the registry shed their alert state; a
-	// firing alert on a removed device resolves by omission (matching
-	// how its series vanish from pushes).
-	if len(e.devs) > len(f.devices) {
-		for id := range e.devs {
-			if _, ok := f.devices[id]; !ok {
-				delete(e.devs, id)
 			}
 		}
 	}

@@ -213,7 +213,7 @@ func TestFleetAlertRollupGauges(t *testing.T) {
 	// Quarantine one device: it leaves the rollups and is counted
 	// skipped instead.
 	f.regMu.RLock()
-	f.devices[2].quarantined.Store(true)
+	f.lookup(2).quarantined.Store(true)
 	f.regMu.RUnlock()
 	f.Tick(32)
 	if got := reg.Gauge("sdb_fleet_alert_stepped_firing").Value(); got != 3 {
@@ -221,6 +221,45 @@ func TestFleetAlertRollupGauges(t *testing.T) {
 	}
 	if got := reg.Gauge("sdb_fleet_alerts_skipped_devices").Value(); got != 1 {
 		t.Fatalf("skipped gauge = %g, want 1", got)
+	}
+}
+
+// TestFleetReaddStartsFreshAlertState: alert state belongs to a device
+// incarnation. A device removed and re-added under its id fires again
+// from inactive instead of inheriting the removed device's lifecycle.
+func TestFleetReaddStartsFreshAlertState(t *testing.T) {
+	rules, err := ts.ParseRules("alert always soc < 2 for 0s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Config{Shards: 2, Obs: obs.NewRegistry(), Rules: rules})
+	defer f.Close()
+	fires := func() int {
+		n := 0
+		for _, tr := range f.AlertTransitions() {
+			if tr.Device == 5 && tr.From == ts.StateInactive && tr.To == ts.StateFiring {
+				n++
+			}
+		}
+		return n
+	}
+	if err := f.Add(5, deviceConfig(t, 5, 600)); err != nil {
+		t.Fatal(err)
+	}
+	f.Tick(60)
+	if n := fires(); n != 1 {
+		t.Fatalf("first incarnation logged %d inactive->firing edges, want 1", n)
+	}
+	if !f.Remove(5) {
+		t.Fatal("Remove(5) found no device")
+	}
+	if err := f.Add(5, deviceConfig(t, 5, 600)); err != nil {
+		t.Fatal(err)
+	}
+	f.Tick(60)
+	if n := fires(); n != 2 {
+		t.Fatalf("after re-add the log holds %d inactive->firing edges for device 5, want 2:\n%s",
+			n, FormatAlertTransitions(f.AlertTransitions()))
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"sdb/internal/fleet/snapshot"
 )
@@ -41,17 +41,10 @@ func (f *Fleet) Snapshot() *snapshot.Snapshot {
 func (f *Fleet) snapshotLocked() (*snapshot.Snapshot, []*device) {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
-	snap := &snapshot.Snapshot{FleetSteps: f.steps.Load()}
-	ids := make([]uint16, 0, len(f.devices))
-	for id := range f.devices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	snap.Devices = make([]snapshot.Device, 0, len(ids))
-	devs := make([]*device, 0, len(ids))
-	for _, id := range ids {
-		d := f.devices[id]
-		dev := snapshot.Device{ID: id}
+	snap := &snapshot.Snapshot{FleetSteps: f.steps.Load(), Devices: make([]snapshot.Device, len(f.byID))}
+	for i, d := range f.byID {
+		dev := &snap.Devices[i]
+		dev.ID = d.id
 		if d.quarantined.Load() {
 			dev.Quarantined = true
 			dev.QuarantineReason = d.qreason
@@ -62,10 +55,9 @@ func (f *Fleet) snapshotLocked() (*snapshot.Snapshot, []*device) {
 			st := d.m.ExportState()
 			dev.State = &st
 		}
-		snap.Devices = append(snap.Devices, dev)
-		devs = append(devs, d)
 	}
-	return snap, devs
+	// A copy: Add and Remove may reshape the registry once regMu drops.
+	return snap, slices.Clone(f.byID)
 }
 
 // Checkpoint writes the fleet's state to w in the snapshot format.
@@ -217,7 +209,7 @@ func FromSnapshot(snap *snapshot.Snapshot, cfg Config) (*Fleet, error) {
 		}
 		// Safe without locks: no ticks have run, Serve has no
 		// connections yet, and Add just published the device.
-		d := f.devices[dev.ID]
+		d := f.lookup(dev.ID)
 		if dev.Quarantined {
 			d.qreason = dev.QuarantineReason
 			d.quarantined.Store(true)

@@ -24,7 +24,7 @@ import (
 	"math"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,10 +104,13 @@ type Fleet struct {
 	// regMu guards the device registry and shard membership. Ticks hold
 	// it shared — membership is frozen while shards step — so Serve
 	// lookups stay concurrent and Add/Remove wait for the tick.
-	regMu   sync.RWMutex
-	devices map[uint16]*device
-	shards  []*shard
-	nextRR  int // round-robin shard assignment cursor
+	regMu sync.RWMutex
+	// byID is the device registry, sorted by id: lookups binary-search
+	// it, and every walk (alerts, recording, pushes, checkpoints, id
+	// lists) visits devices in id order without sorting.
+	byID   []*device
+	shards []*shard
+	nextRR int // round-robin shard assignment cursor
 
 	tickMu    sync.Mutex // serializes Tick barriers and Close/Drain
 	closed    bool       // guarded by tickMu; set once, never cleared
@@ -170,6 +173,34 @@ type device struct {
 	// alert evaluation and metric pushes without serializing device
 	// queries through the barrier.
 	sig deviceSig
+
+	// alert is the device's alert state, created at its first evaluation
+	// and touched only from the barrier. It lives and dies with this
+	// incarnation: a device re-added under the same id starts fresh.
+	alert *ts.Subject
+}
+
+// live reports whether the device has a barrier sample to evaluate and
+// publish: not quarantined, not parked on an error, sampled.
+func (d *device) live() bool {
+	return !d.quarantined.Load() && d.err == nil && d.sig.ok
+}
+
+// find returns where id sits, or belongs, in the id-sorted registry.
+// Callers hold regMu.
+func (f *Fleet) find(id uint16) (int, bool) {
+	return slices.BinarySearchFunc(f.byID, id, func(d *device, id uint16) int {
+		return int(d.id) - int(id)
+	})
+}
+
+// lookup returns the device registered under id, or nil. Callers hold
+// regMu.
+func (f *Fleet) lookup(id uint16) *device {
+	if i, ok := f.find(id); ok {
+		return f.byID[i]
+	}
+	return nil
 }
 
 type shard struct {
@@ -255,8 +286,7 @@ func New(cfg Config) *Fleet {
 	}
 	reg := cfg.Obs.Or(obs.Default())
 	f := &Fleet{
-		cfg:     cfg,
-		devices: make(map[uint16]*device),
+		cfg: cfg,
 		om: fleetMetrics{
 			devices: reg.Gauge("sdb_fleet_devices"),
 			churn:   reg.Counter("sdb_fleet_device_churn_total"),
@@ -330,12 +360,13 @@ func (f *Fleet) Add(id uint16, cfg emulator.Config) error {
 	}
 	f.regMu.Lock()
 	defer f.regMu.Unlock()
-	if _, dup := f.devices[id]; dup {
+	i, dup := f.find(id)
+	if dup {
 		return fmt.Errorf("fleet: device %d already registered", id)
 	}
 	d := &device{id: id, shard: f.nextRR, m: m, ctrl: cfg.Controller}
 	f.nextRR = (f.nextRR + 1) % len(f.shards)
-	f.devices[id] = d
+	f.byID = slices.Insert(f.byID, i, d)
 	s := f.shards[d.shard]
 	s.devices = append(s.devices, d)
 	// Check the device out into the shard's batch engine. Safe here:
@@ -346,7 +377,7 @@ func (f *Fleet) Add(id uint16, cfg emulator.Config) error {
 	m.EnableBatch(s.eng)
 	f.churn.Add(1)
 	f.om.churn.Inc()
-	f.om.devices.Set(float64(len(f.devices)))
+	f.om.devices.Set(float64(len(f.byID)))
 	return nil
 }
 
@@ -355,24 +386,21 @@ func (f *Fleet) Add(id uint16, cfg emulator.Config) error {
 func (f *Fleet) Remove(id uint16) bool {
 	f.regMu.Lock()
 	defer f.regMu.Unlock()
-	d, ok := f.devices[id]
+	i, ok := f.find(id)
 	if !ok {
 		return false
 	}
-	delete(f.devices, id)
+	d := f.byID[i]
+	f.byID = slices.Delete(f.byID, i, i+1)
 	s := f.shards[d.shard]
-	for i, sd := range s.devices {
-		if sd == d {
-			s.devices = append(s.devices[:i], s.devices[i+1:]...)
-			break
-		}
-	}
+	j := slices.Index(s.devices, d)
+	s.devices = slices.Delete(s.devices, j, j+1)
 	if d.quarantined.Load() {
 		f.om.quarantined.Set(float64(f.quarCount.Add(-1)))
 	}
 	f.churn.Add(1)
 	f.om.churn.Inc()
-	f.om.devices.Set(float64(len(f.devices)))
+	f.om.devices.Set(float64(len(f.byID)))
 	return true
 }
 
@@ -380,18 +408,17 @@ func (f *Fleet) Remove(id uint16) bool {
 func (f *Fleet) Len() int {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
-	return len(f.devices)
+	return len(f.byID)
 }
 
 // IDs returns the registered device ids, lowest first.
 func (f *Fleet) IDs() []uint16 {
 	f.regMu.RLock()
-	ids := make([]uint16, 0, len(f.devices))
-	for id := range f.devices {
-		ids = append(ids, id)
+	defer f.regMu.RUnlock()
+	ids := make([]uint16, len(f.byID))
+	for i, d := range f.byID {
+		ids[i] = d.id
 	}
-	f.regMu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -400,7 +427,7 @@ func (f *Fleet) IDs() []uint16 {
 func (f *Fleet) Controller(id uint16) *pmic.Controller {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
-	if d := f.devices[id]; d != nil {
+	if d := f.lookup(id); d != nil {
 		return d.ctrl
 	}
 	return nil
@@ -608,10 +635,10 @@ func (f *Fleet) Tick(steps int) int {
 	}
 	wg.Wait()
 	mark := f.phase(phaseStep, start)
-	// Barrier work, in a fixed order: alert evaluation (deterministic —
-	// sorted device ids over the shard-collected samples), recording,
-	// then the push fan-out (encode-and-enqueue only; a slow subscriber
-	// costs drops, never barrier time).
+	// Barrier work, in a fixed order, each walk in id order: alert
+	// evaluation over the shard-collected samples, recording, then the
+	// push fan-out (encode-and-enqueue only; a slow subscriber costs
+	// drops, never barrier time).
 	var trans []AlertTransition
 	if f.alerts != nil && req.sig {
 		trans = f.alerts.evalBarrier(f)
@@ -621,7 +648,7 @@ func (f *Fleet) Tick(steps int) int {
 		f.recordLocked()
 		if f.alerts != nil && f.recErr == nil {
 			var maxT float64
-			for _, d := range f.devices {
+			for _, d := range f.byID {
 				if d.sig.ok && d.sig.t > maxT {
 					maxT = d.sig.t
 				}
@@ -660,14 +687,15 @@ func (f *Fleet) Tick(steps int) int {
 }
 
 // recordLocked streams one telemetry sample per live device into the
-// configured store. Called from the tick barrier with regMu held
-// shared and every shard idle, so device state is stable. The sample is
+// configured store, in id order, so the store's bytes depend only on
+// the run. Called from the tick barrier with regMu held shared and
+// every shard idle, so device state is stable. The sample is
 // the one the device's shard collected after stepping this tick (the
 // tick asked for it), so no firmware is queried here; a device without
 // one at its current time is a recording error. A device whose clock
 // stopped advancing (trace drained, stepping error) is skipped.
 func (f *Fleet) recordLocked() {
-	for _, d := range f.devices {
+	for _, d := range f.byID {
 		if d.quarantined.Load() || d.err != nil {
 			continue
 		}
@@ -778,7 +806,7 @@ func (f *Fleet) RunToCompletion(stepsPerTick int) {
 func (f *Fleet) Result(id uint16) (*emulator.Result, error) {
 	f.regMu.Lock()
 	defer f.regMu.Unlock()
-	d := f.devices[id]
+	d := f.lookup(id)
 	if d == nil {
 		return nil, fmt.Errorf("fleet: no device %d", id)
 	}
@@ -806,7 +834,7 @@ func (f *Fleet) Result(id uint16) (*emulator.Result, error) {
 func (f *Fleet) Err(id uint16) error {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
-	d := f.devices[id]
+	d := f.lookup(id)
 	if d == nil {
 		return fmt.Errorf("fleet: no device %d", id)
 	}
@@ -820,14 +848,13 @@ func (f *Fleet) Err(id uint16) error {
 // first.
 func (f *Fleet) Quarantined() []uint16 {
 	f.regMu.RLock()
+	defer f.regMu.RUnlock()
 	var ids []uint16
-	for id, d := range f.devices {
+	for _, d := range f.byID {
 		if d.quarantined.Load() {
-			ids = append(ids, id)
+			ids = append(ids, d.id)
 		}
 	}
-	f.regMu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -954,7 +981,7 @@ func (f *Fleet) dispatch(req bus.Frame) bus.Frame {
 		return statusFrame(req, pmic.StatusDraining)
 	}
 	f.regMu.RLock()
-	d := f.devices[req.Device]
+	d := f.lookup(req.Device)
 	f.regMu.RUnlock()
 	if d == nil {
 		return statusFrame(req, pmic.StatusNoDevice)
@@ -988,11 +1015,7 @@ func (f *Fleet) fleetInfo(req bus.Frame) bus.Frame {
 		w.UVarint(uint64(len(ids)))
 		// Bound the list to one frame: ids are 2 bytes each; leave
 		// headroom for status + the two varint counts.
-		max := (bus.MaxPayload - 24) / 2
-		n := len(ids)
-		if n > max {
-			n = max
-		}
+		n := min(len(ids), (bus.MaxPayload-24)/2)
 		w.UVarint(uint64(n))
 		for _, id := range ids[:n] {
 			w.U16(id)

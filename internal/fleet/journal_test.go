@@ -184,7 +184,7 @@ func TestJournalRewritesUnknownFile(t *testing.T) {
 	appended("after WriteCheckpoint")
 
 	// A quarantine reason the format cannot hold fails the append.
-	d := f.devices[4]
+	d := f.lookup(4)
 	if !d.quarantined.Load() {
 		t.Fatal("device 4 not quarantined")
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"errors"
 	"math"
 	"path/filepath"
@@ -282,5 +283,40 @@ func TestFleetRecordingSkipsDrained(t *testing.T) {
 	if len(wLong.Values) != 10 || len(wShort.Values) != 5 {
 		t.Fatalf("recorded %d long / %d short samples, want 10/5",
 			len(wLong.Values), len(wShort.Values))
+	}
+}
+
+// TestFleetRecordingBytesDeterministic: recording walks the registry in
+// id order, so a seeded fleet writes the same store file at every shard
+// count and on every rerun. The alert rules put their rollup series in
+// the file too.
+func TestFleetRecordingBytesDeterministic(t *testing.T) {
+	run := func(shards int) [sha256.Size]byte {
+		path := filepath.Join(t.TempDir(), "fleet.sdbstor")
+		st, err := store.Create(path, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := New(Config{Shards: shards, Batch: 32, Obs: obs.NewRegistry(), Rules: alertRules(t), Record: st})
+		for id := uint16(0); id < 40; id++ {
+			if err := f.Add(id, deviceConfig(t, id, 600)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.RunToCompletion(64)
+		f.Close()
+		if err := f.RecordErr(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(readFile(t, path))
+	}
+	want := run(1)
+	for _, shards := range []int{2, 4, 2} {
+		if got := run(shards); got != want {
+			t.Fatalf("store SHA-256 at %d shards = %x, want %x (1 shard)", shards, got, want)
+		}
 	}
 }

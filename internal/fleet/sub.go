@@ -308,47 +308,26 @@ func (f *Fleet) publishLocked(trans []AlertTransition, running int) {
 		return
 	}
 
-	// Shared per-barrier views, built lazily: the sorted live-device
-	// id list for metric blocks, and the trace ring snapshot.
-	var ids []uint16
+	// The fleet rollup block's time is the newest live-device sample.
 	var maxT float64
-	var evs []obs.Event
-	haveIDs, haveEvs := false, false
-	liveIDs := func() ([]uint16, float64) {
-		if !haveIDs {
-			haveIDs = true
-			ids = make([]uint16, 0, len(f.devices))
-			for id, d := range f.devices {
-				if d.quarantined.Load() || d.err != nil || !d.sig.ok {
-					continue
-				}
-				ids = append(ids, id)
-				if d.sig.t > maxT {
-					maxT = d.sig.t
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, d := range f.byID {
+		if d.live() && d.sig.t > maxT {
+			maxT = d.sig.t
 		}
-		return ids, maxT
 	}
-	traceEvs := func() []obs.Event {
-		if !haveEvs {
-			haveEvs = true
-			evs = f.om.tracer.Events()
-		}
-		return evs
-	}
-
+	var evs []obs.Event // the trace ring snapshot, taken on first use
 	for _, s := range h.subs {
 		if s.dead.Load() {
 			continue
 		}
 		if s.signals&pmic.SubSigMetrics != 0 {
-			ids, maxT := liveIDs()
-			f.pushMetricsLocked(s, ids, maxT, running)
+			f.pushMetricsLocked(s, maxT, running)
 		}
 		if s.signals&pmic.SubSigTrace != 0 {
-			f.pushTraceLocked(s, traceEvs())
+			if evs == nil {
+				evs = f.om.tracer.Events()
+			}
+			f.pushTraceLocked(s, evs)
 		}
 		if s.signals&pmic.SubSigAlerts != 0 && len(trans) > 0 {
 			f.pushAlertsLocked(s, trans)
@@ -361,12 +340,12 @@ func (f *Fleet) publishLocked(trans []AlertTransition, running int) {
 const metricFrameBudget = bus.MaxPayload - 512
 
 // pushMetricsLocked encodes and enqueues one subscription's metric
-// frames for this barrier: the fleet rollup block first, then one
-// block per covered device whose clock advanced past the cadence
-// gate. Blocks carry only changed values as XOR deltas — except after
-// a drop, when the first frame of the next barrier re-bases on zero
-// (PushFlagReset) and re-announces the dictionary.
-func (f *Fleet) pushMetricsLocked(s *subscription, ids []uint16, maxT float64, running int) {
+// frames for this barrier: the fleet rollup block first, then, in id
+// order, one block per covered live device whose clock advanced past
+// the cadence gate. Blocks carry only changed values as XOR deltas —
+// except after a drop, when the first frame of the next barrier
+// re-bases on zero (PushFlagReset) and re-announces the dictionary.
+func (f *Fleet) pushMetricsLocked(s *subscription, maxT float64, running int) {
 	// Backed-up subscriber fast path: with no room for even one frame,
 	// encoding the whole fleet would be wasted barrier time — count one
 	// synthetic pushed+dropped frame (the delivered = pushed - dropped
@@ -387,8 +366,8 @@ func (f *Fleet) pushMetricsLocked(s *subscription, ids []uint16, maxT float64, r
 		// incarnation (remove + re-add under a recycled id): its delta
 		// base no longer matches the client's. Only a stream reset
 		// re-syncs both sides.
-		for _, id := range ids {
-			if td := s.track[id]; td != nil && s.wants(id) && td.dev != f.devices[id] {
+		for _, d := range f.byID {
+			if td := s.track[d.id]; td != nil && td.dev != d && d.live() && s.wants(d.id) {
 				reset = true
 				break
 			}
@@ -397,7 +376,7 @@ func (f *Fleet) pushMetricsLocked(s *subscription, ids []uint16, maxT float64, r
 	if reset {
 		s.needReset = false
 		for id, td := range s.track {
-			if id != pmic.PushFleetDevice && f.devices[id] == nil {
+			if id != pmic.PushFleetDevice && f.lookup(id) == nil {
 				delete(s.track, id) // churned away; drop the dead state
 				continue
 			}
@@ -449,22 +428,21 @@ func (f *Fleet) pushMetricsLocked(s *subscription, ids []uint16, maxT float64, r
 		firing = float64(f.alerts.totalFiring)
 	}
 	fleetVals := [...]float64{
-		float64(len(f.devices)), float64(running), float64(f.steps.Load()),
+		float64(len(f.byID)), float64(running), float64(f.steps.Load()),
 		f.om.rate.Value(), float64(f.quarCount.Load()), firing,
 	}
 	f.encodeBlock(s, &blocks, &nBlocks, pmic.PushFleetDevice, nil, maxT, reset,
 		fleetSignals, s.fleetKeep, fleetVals[:])
-	for _, id := range ids {
-		if !s.wants(id) {
+	for _, d := range f.byID {
+		if !d.live() || !s.wants(d.id) {
 			continue
 		}
-		d := f.devices[id]
 		if len(blocks.Bytes()) > metricFrameBudget {
 			if !flush() {
 				return // dropped: stop, next barrier resets
 			}
 		}
-		f.encodeBlock(s, &blocks, &nBlocks, id, d, d.sig.t, reset,
+		f.encodeBlock(s, &blocks, &nBlocks, d.id, d, d.sig.t, reset,
 			deviceSignals, s.devKeep, d.sig.v[:])
 	}
 	flush()

@@ -431,7 +431,7 @@ func TestSubscriptionQuarantineSkipsDevice(t *testing.T) {
 	// Quarantine device 2 directly (the chaos tests exercise the panic
 	// path; here we only need the flag's effect on the push plane).
 	f.regMu.RLock()
-	d := f.devices[2]
+	d := f.lookup(2)
 	f.regMu.RUnlock()
 	d.quarantined.Store(true)
 	f.Tick(16)

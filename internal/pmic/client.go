@@ -26,9 +26,9 @@ import (
 //
 // Against a fleet endpoint (internal/fleet), one Client multiplexes
 // every device behind the connection: Device(id) returns a view whose
-// calls carry that device id in the frame header. The Client's own
-// methods address device 0, byte-identical on the wire to the
-// pre-fleet protocol.
+// calls carry that device id in the frame header. The Client embeds
+// the device-0 view, so its API methods address device 0,
+// byte-identical on the wire to the pre-fleet protocol.
 //
 // Resilience: the prototype's Bluetooth link drops and corrupts frames
 // routinely, so the client can retry. Each failed attempt is classified
@@ -39,6 +39,10 @@ import (
 // Retries times with exponential backoff; a dead transport is re-dialed
 // through the optional Dial hook.
 type Client struct {
+	// DeviceClient is the device-0 view (see Device), which supplies
+	// the Client's API methods.
+	DeviceClient
+
 	mu  sync.Mutex
 	rw  io.ReadWriter
 	sc  *bus.Scanner
@@ -118,9 +122,7 @@ type deadliner interface {
 
 var _ API = (*Client)(nil)
 
-// NewClient wraps a transport. Link-health counters report into the
-// process default registry (a no-op unless a CLI installed one);
-// SetObs rebinds them.
+// init binds the client to a transport, at construction and on redial.
 func (c *Client) init(rw io.ReadWriter) *Client {
 	c.rw = rw
 	c.sc = bus.NewScanner(rw)
@@ -128,9 +130,12 @@ func (c *Client) init(rw io.ReadWriter) *Client {
 	return c
 }
 
-// NewClient wraps a transport.
+// NewClient wraps a transport. Link-health counters report into the
+// process default registry (a no-op unless a CLI installed one);
+// SetObs rebinds them.
 func NewClient(rw io.ReadWriter) *Client {
 	c := &Client{om: newClientMetrics(obs.Default())}
+	c.DeviceClient = c.Device(0)
 	return c.init(rw)
 }
 
@@ -513,56 +518,6 @@ func (d DeviceClient) BatteryCount() (int, error) {
 	}
 	return n, nil
 }
-
-// The Client's own methods address device 0, preserving the pre-fleet
-// single-device API (and its v1 wire image) unchanged.
-
-// Ping implements API.
-func (c *Client) Ping() error { return c.Device(0).Ping() }
-
-// Discharge implements API.
-func (c *Client) Discharge(ratios []float64) error { return c.Device(0).Discharge(ratios) }
-
-// Charge implements API.
-func (c *Client) Charge(ratios []float64) error { return c.Device(0).Charge(ratios) }
-
-// ChargeOneFromAnother implements API.
-func (c *Client) ChargeOneFromAnother(x, y int, w, t float64) error {
-	return c.Device(0).ChargeOneFromAnother(x, y, w, t)
-}
-
-// QueryBatteryStatus implements API.
-func (c *Client) QueryBatteryStatus() ([]BatteryStatus, error) {
-	return c.QueryBatteryStatusInto(nil)
-}
-
-// QueryBatteryStatusInto implements API.
-func (c *Client) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error) {
-	return c.Device(0).QueryBatteryStatusInto(dst)
-}
-
-// SetChargeProfile implements API.
-func (c *Client) SetChargeProfile(batt int, profile string) error {
-	return c.Device(0).SetChargeProfile(batt, profile)
-}
-
-// Ratios fetches device 0's latched ratio registers.
-func (c *Client) Ratios() (dis, chg []float64, err error) { return c.Device(0).Ratios() }
-
-// Metrics fetches device 0's registry rendering.
-func (c *Client) Metrics() (string, error) { return c.Device(0).Metrics() }
-
-// SeriesNames lists device 0's recorded series.
-func (c *Client) SeriesNames() ([]string, error) { return c.Device(0).SeriesNames() }
-
-// Series fetches one of device 0's recorded series.
-func (c *Client) Series(name string) (ts.Window, error) { return c.Device(0).Series(name) }
-
-// TraceEvents fetches device 0's trace ring.
-func (c *Client) TraceEvents() ([]obs.Event, error) { return c.Device(0).TraceEvents() }
-
-// BatteryCount implements API.
-func (c *Client) BatteryCount() (int, error) { return c.Device(0).BatteryCount() }
 
 // FleetInfo is the fleet endpoint's aggregate self-description, as
 // reported by a FleetStat query.

@@ -47,10 +47,6 @@ type (
 	Pack = battery.Pack
 	// Controller is the SDB microcontroller firmware emulation.
 	Controller = pmic.Controller
-	// ControllerAPI is the four-call control surface (Charge,
-	// Discharge, ChargeOneFromAnother, QueryBatteryStatus + helpers);
-	// both the in-process controller and the bus client implement it.
-	ControllerAPI = pmic.API
 	// BatteryStatus is the per-battery record QueryBatteryStatus
 	// returns.
 	BatteryStatus = pmic.BatteryStatus
@@ -60,14 +56,10 @@ type (
 	RuntimeOptions = core.Options
 	// DischargePolicy computes discharge power ratios.
 	DischargePolicy = core.DischargePolicy
-	// ChargePolicy computes charge power ratios.
-	ChargePolicy = core.ChargePolicy
 	// Metrics is the CCB/RBL metric snapshot.
 	Metrics = core.Metrics
 	// Trace is a power-draw time series driving the emulator.
 	Trace = workload.Trace
-	// EmulatorConfig configures an emulation run.
-	EmulatorConfig = emulator.Config
 	// EmulatorResult summarizes an emulation run.
 	EmulatorResult = emulator.Result
 )
@@ -85,8 +77,6 @@ type (
 	// Reserve preserves one cell for an anticipated high-power
 	// workload.
 	Reserve = core.Reserve
-	// Proportional is the traditional parallel-pack baseline.
-	Proportional = core.Proportional
 	// FixedRatios always returns one vector (the hardcoded-firmware
 	// strawman).
 	FixedRatios = core.FixedRatios
@@ -120,10 +110,6 @@ var (
 	ConstantTrace = workload.Constant
 	// SquareTrace returns a two-level square-wave trace.
 	SquareTrace = workload.Square
-	// ChargeTrace returns a plugged-in trace (external supply + load).
-	ChargeTrace = workload.ChargeSession
-	// ReadTraceCSV parses a trace from the CSV exchange format.
-	ReadTraceCSV = workload.ReadCSV
 )
 
 // CellLibrary returns the 15 modeled cells (paper Section 4.3).
