@@ -31,7 +31,11 @@
 #     guarantees (byte-identical store files at any shard count, fresh
 #     alert state for a re-added device) under -race, the shared alert
 #     engine's tests under -race, an alert-grammar fuzz burst, a push-decoder fuzz
-#     burst, and a real `sdbctl serve` + `sdbtop -once` smoke over TCP.
+#     burst, and two real servers over TCP: a `sdbctl serve -fleet 32`
+#     + `sdbtop -once` smoke, then a plain one-device `sdbctl serve`
+#     with -store, -checkpoint and -rules (sdbtop sees one device,
+#     metrics reach its firmware, SIGTERM drains it to a final
+#     checkpoint that `fleet restore` reads back).
 #   - coverage ratchet: per-package floors in COVERAGE.ratchet.
 #   - exact counts: the figures and fleet-full benchmark workloads must
 #     check correct and reproduce PERF_COUNTS.json exactly.
@@ -157,7 +161,29 @@ trap - EXIT
 cat sdbtop.lane.txt
 grep -q 'fleet: 32 devices' sdbtop.lane.txt
 grep -q 'top 15 by soc' sdbtop.lane.txt
-rm -f rules.lane.txt sdbtop.lane.txt sdbctl.lane sdbtop.lane
+# A plain `sdbctl serve` is a one-device fleet on the same server path:
+# it records, checkpoints and runs rules like -fleet N, sdbtop sees its
+# one device, metrics reach the device's instrumented firmware, SIGTERM
+# drains it (exit 0, final checkpoint written), and `fleet restore`
+# reads one device back from the checkpoint.
+rm -f one.lane.ckpt one.lane.sdbstor
+./sdbctl.lane serve -addr 127.0.0.1:7392 -store one.lane.sdbstor -checkpoint one.lane.ckpt -rules rules.lane.txt > serve.lane.txt 2>&1 &
+SDBCTL_PID=$!
+trap 'kill "$SDBCTL_PID" 2>/dev/null || true' EXIT
+sleep 2
+./sdbtop.lane -addr 127.0.0.1:7392 -once -every 2s > sdbtop.lane.txt
+./sdbctl.lane -addr 127.0.0.1:7392 metrics > metrics.lane.txt
+kill -TERM "$SDBCTL_PID"
+wait "$SDBCTL_PID"
+trap - EXIT
+cat sdbtop.lane.txt serve.lane.txt
+grep -q 'fleet: 1 devices' sdbtop.lane.txt
+grep -q 'sdb_pmic_steps_total' metrics.lane.txt
+grep -q 'drained; final checkpoint at one.lane.ckpt' serve.lane.txt
+./sdbctl.lane fleet restore one.lane.ckpt > restore.lane.txt
+cat restore.lane.txt
+grep -q '^devices: *1$' restore.lane.txt
+rm -f rules.lane.txt sdbtop.lane.txt serve.lane.txt metrics.lane.txt restore.lane.txt one.lane.ckpt one.lane.sdbstor sdbctl.lane sdbtop.lane
 
 # Coverage ratchet lane: a package below its COVERAGE.ratchet floor,
 # or an enforced package missing from the output, fails.

@@ -1,10 +1,14 @@
 // Command sdbctl talks the SDB control protocol to a microcontroller
 // over TCP — the command-line equivalent of the SDB Runtime's bus
-// client. It can also host a demo firmware instance to talk to.
+// client. `sdbctl serve` hosts emulated firmware to talk to: one
+// device built from -cells by default, or a fleet of them with -fleet
+// N. Both are the same fleet server, so checkpoints, telemetry
+// recording, alert rules and the graceful drain work either way.
 //
 // Usage:
 //
 //	sdbctl serve -addr :7070 -cells QuickCharge-2000,EnergyMax-4000 -load 2 -watchdog 300
+//	sdbctl serve -addr :7070 -checkpoint one.ckpt -store one.sdbstor -rules rules.txt
 //	sdbctl -addr localhost:7070 status
 //	sdbctl -addr localhost:7070 ratios
 //	sdbctl -addr localhost:7070 discharge 0.7,0.3
@@ -21,10 +25,11 @@
 //	sdbctl -addr localhost:7070 series sdb_pmic_steps_total
 //	sdbctl -addr localhost:7070 watch -every 2s -count 10 -rules alerts.txt
 //
-// Fleet endpoints (sdbctl serve -fleet N) host many devices behind one
-// address. Every per-device command above takes -dev to pick the
-// target (default 0, the id legacy frames land on), and the fleet
-// command group queries the fleet itself:
+// Every endpoint is a fleet: plain `sdbctl serve` hosts device 0 alone,
+// `sdbctl serve -fleet N` hosts N devices behind one address. Every
+// per-device command above takes -dev to pick the target (default 0,
+// the id legacy frames land on), and the fleet command group queries
+// the fleet itself:
 //
 //	sdbctl serve -fleet 1000 -shards 8 -addr :7070
 //	sdbctl serve -fleet 1000 -checkpoint fleet.ckpt -every 10
@@ -36,7 +41,7 @@
 //	sdbctl -addr localhost:7070 fleet snapshot
 //	sdbctl fleet restore fleet.ckpt
 //
-// With -checkpoint the fleet server writes a durable snapshot of every
+// With -checkpoint the server writes a durable snapshot of every
 // device's state to the path every -every ticks, restores from it at
 // startup when it exists, and drains gracefully on SIGINT/SIGTERM —
 // refusing new commands with the retryable draining status, finishing
@@ -66,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -105,7 +111,7 @@ func main() {
 		return
 	}
 	addr := flag.String("addr", "localhost:7070", "controller address")
-	dev := flag.Uint("dev", 0, "target device id on a fleet endpoint (0 = legacy single device)")
+	dev := flag.Uint("dev", 0, "target device id (0 = the device legacy version-1 frames reach)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt round-trip timeout")
 	retries := flag.Int("retries", 2, "retry attempts after a retryable failure")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per retry)")
@@ -637,7 +643,7 @@ func scrapedSeries(fams []obs.Family) map[string]float64 {
 }
 
 // fleetRestore validates a local checkpoint file and summarizes what a
-// `serve -fleet -checkpoint` restart would load from it. It needs no
+// `serve -checkpoint` restart would load from it. It needs no
 // live endpoint: the point is to vet a checkpoint (after a crash, or
 // before shipping one to another host) without starting a fleet.
 func fleetRestore(args []string) {
@@ -671,186 +677,116 @@ func fleetRestore(args []string) {
 	}
 }
 
-// serve hosts a demo controller: a system under a constant load whose
-// firmware answers the protocol on a TCP listener, stepping simulated
-// time at wall-clock rate scaled by -speed. With -fleet N it instead
-// hosts N emulated devices behind the same address, multiplexed by
-// device id in the frame header.
+// serve hosts emulated devices behind one TCP listener, multiplexed by
+// device id in the frame header (version-1 frames land on device 0). A
+// wall-clock ticker advances every device -speed one-second steps per
+// wall second until its -dur trace drains, then the server keeps
+// serving the final state. Without -fleet it hosts one device built
+// from -cells, instrumented on the server's registry; with -fleet N it
+// hosts N uninstrumented devices (see fleetServer). Either way the same
+// fleet server runs: -checkpoint, -store, -rules and the graceful drain
+// work for one device as for many.
 func serve(argv []string) {
+	var o serveOptions
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", ":7070", "listen address")
-	cells := fs.String("cells", "QuickCharge-2000,EnergyMax-4000", "library cells")
-	loadW := fs.Float64("load", 2.0, "constant system load in watts")
-	speed := fs.Float64("speed", 60, "simulated seconds per wall second")
-	watchdog := fs.Float64("watchdog", 0, "revert to uniform ratios after this many simulated seconds of command silence (0 disables)")
-	fleetN := fs.Int("fleet", 0, "host this many emulated devices behind one endpoint (0 = single demo controller)")
-	shards := fs.Int("shards", 4, "fleet: worker shards driving the devices")
-	batch := fs.Int("batch", 64, "fleet: steps per device per scheduling slice")
-	durS := fs.Float64("dur", 86400, "fleet: per-device trace length in simulated seconds")
-	ckpt := fs.String("checkpoint", "", "fleet: durable checkpoint journal path (a full snapshot first, then a delta appended every -every ticks; restored at startup when present)")
-	every := fs.Int("every", 10, "fleet: ticks between automatic checkpoints")
-	storePath := fs.String("store", "", "fleet: record per-device telemetry into this paged store (.sdbstor), created or appended")
-	recEvery := fs.Int("record-every", 1, "fleet: ticks between telemetry recordings (with -store)")
-	rulesPath := fs.String("rules", "", "fleet: alert rule file (ts DSL over soc/health/steps/temp_c/energy_j), evaluated per device at every tick barrier")
+	fs.StringVar(&o.addr, "addr", ":7070", "listen address")
+	fs.StringVar(&o.cells, "cells", "QuickCharge-2000,EnergyMax-4000", "library cells of the one device served without -fleet")
+	fs.Float64Var(&o.loadW, "load", 2.0, "constant system load in watts")
+	fs.Float64Var(&o.speed, "speed", 60, "simulated seconds per wall second, a whole number (1 s steps per tick)")
+	fs.Float64Var(&o.watchdog, "watchdog", 0, "without -fleet: revert to uniform ratios after this many simulated seconds of command silence (0 disables)")
+	fs.IntVar(&o.n, "fleet", 0, "host this many emulated devices behind one endpoint (0 = one instrumented device built from -cells)")
+	fs.IntVar(&o.shards, "shards", 4, "worker shards driving the devices")
+	fs.IntVar(&o.batch, "batch", 64, "steps per device per scheduling slice")
+	fs.Float64Var(&o.durS, "dur", 86400, "per-device trace length in simulated seconds")
+	fs.StringVar(&o.ckpt, "checkpoint", "", "durable checkpoint journal path (a full snapshot first, then a delta appended every -every ticks; restored at startup when present)")
+	fs.IntVar(&o.every, "every", 10, "ticks between automatic checkpoints")
+	fs.StringVar(&o.storePath, "store", "", "record per-device telemetry into this paged store (.sdbstor), created or appended")
+	fs.IntVar(&o.recEvery, "record-every", 1, "ticks between telemetry recordings (with -store)")
+	rulesPath := fs.String("rules", "", "alert rule file (ts DSL over soc/health/steps/temp_c/energy_j), evaluated per device at every tick barrier")
 	if err := fs.Parse(argv); err != nil {
 		os.Exit(2)
 	}
-	var rules []ts.Rule
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "sdbctl: serve: "+format+"\n", args...)
+		fs.Usage()
+		os.Exit(2)
+	}
+	// A tick is int(speed) one-second steps while the recorder stamps
+	// its samples speed seconds apart: a fractional speed would stall
+	// (0 steps) or drift from the devices' clock.
+	if !(o.speed >= 1 && o.speed <= math.MaxInt32 && o.speed == math.Trunc(o.speed)) {
+		usage("-speed %g: must be a whole number of simulated seconds from 1 to %d", o.speed, math.MaxInt32)
+	}
+	if !(o.durS > 0 && o.durS <= math.MaxFloat64) {
+		usage("-dur %g: the trace length must be finite and positive", o.durS)
+	}
 	if *rulesPath != "" {
 		src, err := os.ReadFile(*rulesPath)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rules, err = ts.ParseRules(string(src))
+		o.rules, err = ts.ParseRules(string(src))
 		if err != nil {
 			fatalf("rules %s: %v", *rulesPath, err)
 		}
-		if err := fleet.ValidateRules(rules); err != nil {
+		if err := fleet.ValidateRules(o.rules); err != nil {
 			fatalf("rules %s: %v", *rulesPath, err)
 		}
 	}
-	if *fleetN > 0 {
-		serveFleet(*addr, *fleetN, *shards, *batch, *loadW, *speed, *durS, *ckpt, *every, *storePath, *recEvery, rules)
-		return
-	}
-	if rules != nil {
-		fatalf("-rules needs a fleet server (-fleet N)")
-	}
-
-	// Install the process registry before building the stack so every
-	// layer's constructor binds its metrics to it; `sdbctl metrics`
-	// against this server then sees firmware, runtime, and policy
-	// observables.
-	obs.SetDefault(obs.NewRegistry())
-
-	sys, err := sdb.NewSystem(sdb.SystemConfig{Cells: strings.Split(*cells, ",")})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if *watchdog > 0 {
-		sys.Controller.SetWatchdog(*watchdog)
-	}
-	// Step-timing histogram (the serve loop is its own tiny emulator)
-	// plus a recorder sampling every tick: remote `sdbctl metrics` gets
-	// p50/p99 lines and `sdbctl series`/`watch` get real time series
-	// over CmdSeries.
-	stepHist := obs.Default().Histogram("sdb_pmic_step_seconds",
-		[]float64{1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2})
-	rec := ts.NewRecorder(obs.Default(), ts.Config{StepS: *speed})
-	sys.Controller.SetRecorder(rec)
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("sdbctl: serving %d-cell firmware on %s (load %.2f W, %gx time)\n",
-		sys.Pack.N(), ln.Addr(), *loadW, *speed)
-
-	go func() {
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		var simT float64
-		for range tick.C {
-			// Policy tick first, as the emulator orders it: the runtime
-			// recomputes and pushes ratios, then the firmware enforces
-			// them for the next simulated interval.
-			rec.Sample(simT)
-			sys.Runtime.NoteTime(simT)
-			if _, err := sys.Runtime.Update(*loadW, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "sdbctl: policy update: %v\n", err)
-			}
-			t0 := time.Now()
-			if _, err := sys.Controller.Step(*loadW, 0, *speed); err != nil {
-				fmt.Fprintf(os.Stderr, "sdbctl: step: %v\n", err)
-			}
-			stepHist.Observe(time.Since(t0).Seconds())
-			simT += *speed
-		}
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		go func() {
-			defer conn.Close()
-			if err := sys.Controller.Serve(conn); err != nil {
-				fmt.Fprintf(os.Stderr, "sdbctl: serve: %v\n", err)
-			}
-		}()
-	}
+	serveFleet(o)
 }
 
-// serveFleet hosts n emulated devices behind one listener. Each device
-// gets its own firmware, pack, and (every third id) policy runtime;
-// initial charge and load vary by id so the fleet is heterogeneous.
-// Device 0 doubles as the management device: it carries the recorder,
-// so `sdbctl series`/`watch` against the endpoint read fleet-level
-// observables. The devices themselves are uninstrumented (see
-// fleetServer), so per-device `metrics` scrapes answer empty and every
-// device steps on its shard's batch engine. A wall-clock ticker
-// advances every device -speed simulated seconds per second until its
-// trace drains.
+// serveOptions are serve's settings, one field per flag.
+type serveOptions struct {
+	addr, cells                  string
+	n, shards, batch             int
+	loadW, speed, watchdog, durS float64
+	ckpt, storePath              string
+	every, recEvery              int
+	rules                        []ts.Rule
+}
+
+// serveFleet runs the server: it opens the fleet (openFleet), then
+// ticks it once per wall second and serves every accepted connection
+// with fleet.Fleet.Serve.
 //
-// With ckpt set the server checkpoints every `every` ticks, restores
-// from an existing checkpoint at startup (the device builder doubles
-// as the fleet's Provision hook), and drains gracefully on
+// With o.ckpt set the server checkpoints every o.every ticks, restores
+// from an existing checkpoint at startup, and drains gracefully on
 // SIGINT/SIGTERM: in-flight tick finished, final checkpoint written,
 // then exit.
 //
-// With storePath set every device's SoC and step count stream into a
-// paged telemetry store at each tick barrier (thinned by recEvery),
+// With o.storePath set every device's SoC and step count stream into a
+// paged telemetry store at each tick barrier (thinned by o.recEvery),
 // synced to disk every few ticks and closed cleanly on drain; query it
 // live or after the fact with `sdbtrace query -in <store>`.
-func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, ckpt string, every int, storePath string, recEvery int, rules []ts.Rule) {
-	if n > 0xFFFF {
-		fatalf("-fleet %d exceeds the 16-bit device id space", n)
+func serveFleet(o serveOptions) {
+	if o.n > 0xFFFF {
+		fatalf("-fleet %d exceeds the 16-bit device id space", o.n)
 	}
 	var tstore *store.Store
-	if storePath != "" {
-		st, err := store.OpenOrCreate(storePath, store.Options{})
+	if o.storePath != "" {
+		st, err := store.OpenOrCreate(o.storePath, store.Options{})
 		if err != nil {
 			fatalf("store: %v", err)
 		}
 		tstore = st
 	}
-	srv := newFleetServer(loadW, speed, durS)
-	fcfg := fleet.Config{
-		Shards: shards, Batch: batch, Obs: srv.reg,
-		Checkpoint: ckpt, CheckpointEvery: every, Provision: srv.provision,
-		Record: tstore, RecordEvery: recEvery, Rules: rules,
+	srv := o.newServer()
+	f, restored, err := openFleet(o, srv, tstore)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	var f *fleet.Fleet
-	if ckpt != "" {
-		if _, err := os.Stat(ckpt); err == nil {
-			restored, err := fleet.RestoreFile(ckpt, fcfg)
-			if err != nil {
-				fatalf("restore %s: %v", ckpt, err)
-			}
-			f = restored
-			st := f.Stat()
-			fmt.Printf("sdbctl: restored %d devices (%d steps, %d quarantined) from %s\n",
-				st.Devices, st.Steps, st.Quarantined, ckpt)
-		}
+	if restored {
+		st := f.Stat()
+		fmt.Printf("sdbctl: restored %d devices (%d steps, %d quarantined) from %s\n",
+			st.Devices, st.Steps, st.Quarantined, o.ckpt)
 	}
-	if f == nil {
-		f = fleet.New(fcfg)
-		for i := 0; i < n; i++ {
-			id := uint16(i)
-			cfg, err := srv.provision(id)
-			if err != nil {
-				fatalf("device %d: %v", id, err)
-			}
-			if err := f.Add(id, cfg); err != nil {
-				fatalf("device %d: %v", id, err)
-			}
-		}
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Printf("sdbctl: serving fleet of %d devices on %s (%d shards, batch %d, %gx time)\n",
-		f.Len(), ln.Addr(), shards, batch, speed)
+		f.Len(), ln.Addr(), o.shards, o.batch, o.speed)
 
 	// Graceful drain on SIGINT/SIGTERM: stop admitting commands, finish
 	// the in-flight tick, write the final checkpoint (when configured),
@@ -868,8 +804,8 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 			fmt.Fprintf(os.Stderr, "sdbctl: drain: %v\n", err)
 			os.Exit(1)
 		}
-		if ckpt != "" {
-			fmt.Fprintf(os.Stderr, "sdbctl: drained; final checkpoint at %s\n", ckpt)
+		if o.ckpt != "" {
+			fmt.Fprintf(os.Stderr, "sdbctl: drained; final checkpoint at %s\n", o.ckpt)
 		}
 		if tstore != nil {
 			if err := f.RecordErr(); err != nil {
@@ -879,7 +815,7 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 				fmt.Fprintf(os.Stderr, "sdbctl: store: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "sdbctl: telemetry stored at %s\n", storePath)
+			fmt.Fprintf(os.Stderr, "sdbctl: telemetry stored at %s\n", o.storePath)
 		}
 		os.Exit(0)
 	}()
@@ -891,7 +827,7 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 		ticks := 0
 		for range tick.C {
 			srv.rec.Sample(simT)
-			if f.Tick(int(speed)) == 0 {
+			if f.Tick(int(o.speed)) == 0 {
 				fmt.Fprintln(os.Stderr, "sdbctl: fleet traces drained; serving final state")
 				if tstore != nil {
 					if err := tstore.Sync(); err != nil {
@@ -900,7 +836,7 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 				}
 				return
 			}
-			simT += speed
+			simT += o.speed
 			ticks++
 			// Telemetry durability rides the checkpoint cadence: recorded
 			// pages are committed in batches, not per tick.
@@ -925,22 +861,66 @@ func serveFleet(addr string, n, shards, batch int, loadW, speed, durS float64, c
 	}
 }
 
+// openFleet builds the served fleet on srv's registry, with srv's
+// provisioner as the fleet's Provision hook: restored from o.ckpt when
+// that file exists, otherwise provisioned fresh (ids 0..o.n-1, or
+// device 0 alone when o.n is 0). A restored device is therefore rebuilt
+// exactly as it was first built.
+func openFleet(o serveOptions, srv *fleetServer, tstore *store.Store) (f *fleet.Fleet, restored bool, err error) {
+	fcfg := fleet.Config{
+		Shards: o.shards, Batch: o.batch, Obs: srv.reg,
+		Checkpoint: o.ckpt, CheckpointEvery: o.every, Provision: srv.provision,
+		Record: tstore, RecordEvery: o.recEvery, Rules: o.rules,
+	}
+	if o.ckpt != "" {
+		if _, err := os.Stat(o.ckpt); err == nil {
+			f, err := fleet.RestoreFile(o.ckpt, fcfg)
+			if err != nil {
+				return nil, false, fmt.Errorf("restore %s: %w", o.ckpt, err)
+			}
+			return f, true, nil
+		}
+	}
+	f = fleet.New(fcfg)
+	for i := 0; i < max(o.n, 1); i++ {
+		id := uint16(i)
+		cfg, err := srv.provision(id)
+		if err == nil {
+			err = f.Add(id, cfg)
+		}
+		if err != nil {
+			f.Close()
+			return nil, false, fmt.Errorf("device %d: %w", id, err)
+		}
+	}
+	return f, false, nil
+}
+
 // fleetLoadLevels is how many distinct loads a served fleet draws:
 // device id's load is level id%fleetLoadLevels.
 const fleetLoadLevels = 7
 
-// fleetServer is what a fleet server provisions its devices from.
+// fleetServer is what a server provisions its devices from.
 type fleetServer struct {
-	// reg is the fleet's own registry (fleet.Config.Obs), sampled by
-	// rec. It is not the process default, so no device binds to it: the
-	// devices stay uninstrumented, which is what lets every shard step
-	// them on its struct-of-arrays batch engine.
+	// reg is the server's own registry (fleet.Config.Obs), sampled by
+	// rec. It is not the process default, so only a device built to
+	// report into it does: -fleet devices stay uninstrumented, which is
+	// what lets every shard step them on its struct-of-arrays batch
+	// engine.
 	reg *obs.Registry
 	// rec is device 0's recorder over reg.
 	rec *ts.Recorder
 	// traces are the constant loads, one per level, built once and
 	// shared read-only by every device.
 	traces [fleetLoadLevels]*workload.Trace
+
+	// cells is set on a one-device server (serve without -fleet):
+	// device 0 is then these library cells at full charge under the
+	// load trace one, with the watchdog armed, and its firmware,
+	// runtime and emulator all report into reg.
+	cells    []string
+	one      *workload.Trace
+	watchdog float64
 }
 
 func newFleetServer(loadW, speed, durS float64) *fleetServer {
@@ -953,9 +933,40 @@ func newFleetServer(loadW, speed, durS float64) *fleetServer {
 	return s
 }
 
+// newServer builds the provisioner o asks for: the fleet's with -fleet
+// N, else the one-device server's.
+func (o serveOptions) newServer() *fleetServer {
+	if o.n > 0 {
+		return newFleetServer(o.loadW, o.speed, o.durS)
+	}
+	reg := obs.NewRegistry()
+	return &fleetServer{
+		reg: reg, rec: ts.NewRecorder(reg, ts.Config{StepS: o.speed}),
+		cells: strings.Split(o.cells, ","), watchdog: o.watchdog,
+		one: workload.Constant("load", o.loadW, o.durS, 1),
+	}
+}
+
 // provision builds device id; it doubles as the fleet's Provision hook,
 // so a restored device is rebuilt exactly as it was first built.
 func (s *fleetServer) provision(id uint16) (emulator.Config, error) {
+	if s.cells != nil {
+		if id != 0 {
+			return emulator.Config{}, fmt.Errorf("a one-device server hosts device 0 only")
+		}
+		sys, err := sdb.NewSystem(sdb.SystemConfig{Cells: s.cells, Runtime: core.Options{Obs: s.reg}})
+		if err != nil {
+			return emulator.Config{}, err
+		}
+		if s.watchdog > 0 {
+			sys.Controller.SetWatchdog(s.watchdog)
+		}
+		sys.Controller.SetRecorder(s.rec)
+		return emulator.Config{
+			Controller: sys.Controller, Runtime: sys.Runtime, Trace: s.one,
+			PolicyEveryS: 60, Obs: s.reg,
+		}, nil
+	}
 	soc := 0.4 + 0.6*float64(id%50)/50
 	st, err := emulator.NewStack(soc, core.Options{},
 		battery.MustByName("QuickCharge-2000"),

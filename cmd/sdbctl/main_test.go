@@ -3,20 +3,26 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"sdb"
 	"sdb/internal/battery/batch"
+	"sdb/internal/bus"
+	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/fleet"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
+	"sdb/internal/pmic"
 )
 
 // TestServeFleetDevicesRunBatched provisions devices exactly as
@@ -78,6 +84,131 @@ func TestServeFleetRecorderSeesFleetMetrics(t *testing.T) {
 	}
 	if !fleetSeen {
 		t.Errorf("recorder holds no sdb_fleet_* series: %v", names)
+	}
+}
+
+// TestServeOneDevice opens the server plain `sdbctl serve` runs (no
+// -fleet: one device from -cells) and drives it as the serve loop does:
+// a version-1 client reaches device 0, whose firmware, runtime and
+// emulator report into the server's registry next to the fleet's own
+// families; -watchdog reaches the firmware; series lists the recorder's
+// names; and a checkpoint restores through the provision hook to the
+// same fleet stats and, run out, the same device result.
+func TestServeOneDevice(t *testing.T) {
+	o := serveOptions{
+		cells: "QuickCharge-2000,EnergyMax-4000", loadW: 2, speed: 60,
+		watchdog: 10, durS: 600, shards: 4, batch: 64,
+		ckpt: filepath.Join(t.TempDir(), "one.ckpt"), every: 3, recEvery: 1,
+	}
+	srv := o.newServer()
+	f, restored, err := openFleet(o, srv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if restored || f.Len() != 1 {
+		t.Fatalf("fresh open: restored %v, %d devices; want a new one-device fleet", restored, f.Len())
+	}
+	if obs.Default() != nil {
+		t.Error("opening the one-device server installed a process default registry")
+	}
+	var simT float64
+	for tick := 0; tick < 3; tick++ {
+		srv.rec.Sample(simT)
+		f.Tick(int(o.speed))
+		simT += o.speed
+	}
+	srv.rec.Sample(simT)
+
+	a, b := net.Pipe()
+	go f.Serve(a)
+	defer b.Close()
+	c := pmic.NewClient(b)
+	c.Timeout = 5 * time.Second
+	if err := c.Ping(); err != nil {
+		t.Fatalf("v1 ping: %v", err)
+	}
+	sts, err := c.QueryBatteryStatus()
+	if err != nil {
+		t.Fatalf("v1 status: %v", err)
+	}
+	if len(sts) != 2 || sts[0].Name != "QuickCharge-2000" || sts[1].Name != "EnergyMax-4000" || !(sts[0].SoC < 1) {
+		t.Errorf("device 0 status %+v: want the -cells pack, discharged from full", sts)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sdb_pmic_steps_total 180", "sdb_emulator_step_seconds", "sdb_core_policy_decisions_total", "sdb_fleet_"} {
+		if !strings.Contains(text, name) {
+			t.Errorf("metrics lack %q:\n%s", name, text)
+		}
+	}
+	if fires := f.Controller(0).WatchdogFires(); fires == 0 {
+		t.Error("-watchdog 10 never fired over 180 silent-between-ticks seconds")
+	}
+	// The listing is the recorder's sorted names, as many as fit one
+	// frame; a name past the cut still fetches.
+	names, err := c.SeriesNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := srv.rec.Names(); len(names) == 0 || len(names) > len(want) || !slices.Equal(names, want[:len(names)]) {
+		t.Errorf("series lists %v, the recorder holds %v", names, want)
+	}
+	if win, err := c.Series("sdb_pmic_steps_total"); err != nil || len(win.Values) == 0 || win.Values[len(win.Values)-1] != 180 {
+		t.Errorf("series sdb_pmic_steps_total: %+v, %v; want a window ending at 180 steps", win, err)
+	}
+
+	// every: 3, so the third tick's barrier wrote the checkpoint.
+	g, restored, err := openFleet(o, o.newServer(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	stat := func(f *fleet.Fleet) fleet.Stat {
+		st := f.Stat()
+		st.DeviceStepsPerSec, st.CmdP99Seconds = 0, 0 // wall-clock readings
+		return st
+	}
+	if !restored || stat(g) != stat(f) {
+		t.Fatalf("restored %v with %+v, want %+v", restored, stat(g), stat(f))
+	}
+	f.RunToCompletion(int(o.speed))
+	g.RunToCompletion(int(o.speed))
+	want, err := f.Result(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.Result(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("restored device 0 ran out to a different result")
+	}
+}
+
+// TestServeRejectsBadSpeedAndDur: a tick is int(-speed) one-second
+// steps while the recorder stamps samples -speed seconds apart, so a
+// fractional -speed would stall every device (0 steps a tick) or skew
+// the recorder's clock; -dur must be a finite, positive trace length.
+// Each is a usage error, exit status 2 before the server listens.
+func TestServeRejectsBadSpeedAndDur(t *testing.T) {
+	runChildMain()
+	for _, args := range []string{
+		"-speed 0.5", "-fleet 2 -speed 0.5", "-speed 90.5", "-speed 0", "-speed -60",
+		"-speed NaN", "-speed +Inf", "-dur 0", "-dur -600", "-dur NaN", "-fleet 2 -dur +Inf",
+	} {
+		out, err := runSdbctl(t, "TestServeRejectsBadSpeedAndDur", "serve -addr 127.0.0.1:0 "+args)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("serve %s: got %v, want exit status 2\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "sdbctl: serve: -") || strings.Contains(string(out), "serving") {
+			t.Errorf("serve %s: want a usage error before serving, got\n%s", args, out)
+		}
 	}
 }
 
@@ -190,19 +321,18 @@ func runSdbctl(t *testing.T, test, args string) ([]byte, error) {
 	return cmd.CombinedOutput()
 }
 
-// serveController builds an instrumented controller as `sdbctl serve`
-// does — its own registry installed while the stack is built, plus the
-// sdb_pmic_step_seconds histogram — steps it `steps` times (each step
-// observes a fixed 2 µs so the histogram is deterministic), then serves
-// it idle on a loopback listener closed at cleanup. It returns the
-// listen address.
+// serveController builds a controller whose firmware and runtime
+// report into their own registry, adds a step histogram that observes a
+// fixed 2 µs per step (so the histogram is deterministic), steps it
+// `steps` times, then serves it idle through serveConn on a loopback
+// listener closed at cleanup. It returns the listen address.
 func serveController(t *testing.T, steps int) string {
 	t.Helper()
-	prev := obs.Default()
 	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-	sys, err := sdb.NewSystem(sdb.SystemConfig{Cells: []string{"QuickCharge-2000", "EnergyMax-4000"}})
-	obs.SetDefault(prev)
+	sys, err := sdb.NewSystem(sdb.SystemConfig{
+		Cells:   []string{"QuickCharge-2000", "EnergyMax-4000"},
+		Runtime: core.Options{Obs: reg},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +357,22 @@ func serveController(t *testing.T, steps int) string {
 			}
 			go func() {
 				defer conn.Close()
-				sys.Controller.Serve(conn)
+				serveConn(sys.Controller, conn)
 			}()
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// serveConn answers request frames read off rw with ctrl.Dispatch until
+// the transport fails: the bare firmware command loop, with no fleet in
+// front of it.
+func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
+	sc := bus.NewScanner(rw)
+	for {
+		req, err := sc.ReadFrame()
+		if err != nil || bus.WriteFrame(rw, ctrl.Dispatch(req)) != nil {
+			return
+		}
+	}
 }

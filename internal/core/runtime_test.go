@@ -2,13 +2,28 @@ package core
 
 import (
 	"errors"
+	"io"
 	"math"
 	"net"
 	"testing"
 
 	"sdb/internal/battery"
+	"sdb/internal/bus"
 	"sdb/internal/pmic"
 )
+
+// serveConn answers request frames read off rw with ctrl.Dispatch until
+// the transport fails: the bare firmware command loop a server runs
+// per connection.
+func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
+	sc := bus.NewScanner(rw)
+	for {
+		req, err := sc.ReadFrame()
+		if err != nil || bus.WriteFrame(rw, ctrl.Dispatch(req)) != nil {
+			return
+		}
+	}
+}
 
 // newStack builds a controller + runtime pair over the in-process API.
 func newStack(t *testing.T, soc float64, opts Options) (*pmic.Controller, *Runtime) {
@@ -161,7 +176,7 @@ func TestRuntimeOverBusTransport(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer p1.Close()
 	defer p2.Close()
-	go func() { _ = ctrl.Serve(p1) }()
+	go serveConn(ctrl, p1)
 
 	rt, err := NewRuntime(pmic.NewClient(p2), Options{})
 	if err != nil {

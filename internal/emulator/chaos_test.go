@@ -21,11 +21,25 @@ import (
 	"time"
 
 	"sdb/internal/battery"
+	"sdb/internal/bus"
 	"sdb/internal/core"
 	"sdb/internal/faults"
 	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
+
+// serveConn answers request frames read off rw with ctrl.Dispatch until
+// the transport fails: the bare firmware command loop a server runs
+// per connection.
+func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
+	sc := bus.NewScanner(rw)
+	for {
+		req, err := sc.ReadFrame()
+		if err != nil || bus.WriteFrame(rw, ctrl.Dispatch(req)) != nil {
+			return
+		}
+	}
+}
 
 // chaosSeed is the run's seed: SDB_CHAOS_SEED overrides the default so
 // a logged failure replays exactly.
@@ -93,7 +107,7 @@ func TestChaosSoakFullDay(t *testing.T) {
 	// Transport: controller served over a buffered pipe, client behind
 	// a seeded fault injector.
 	serverEnd, clientEnd := faults.Pipe()
-	go func() { _ = ctrl.Serve(serverEnd) }()
+	go serveConn(ctrl, serverEnd)
 
 	// Roughly 3 calls per policy tick plus retries; cut the link once
 	// mid-day to force a redial.
@@ -117,7 +131,7 @@ func TestChaosSoakFullDay(t *testing.T) {
 	cl.Dial = func() (io.ReadWriter, error) {
 		dials++
 		sEnd, cEnd := faults.Pipe()
-		go func() { _ = ctrl.Serve(sEnd) }()
+		go serveConn(ctrl, sEnd)
 		// The replacement link carries the same fault rates (derived
 		// seed) but no further disconnects.
 		cfg := linkCfg
@@ -229,7 +243,7 @@ func TestChaosDisabledByteIdentical(t *testing.T) {
 		var schedule *faults.Schedule
 		if wired {
 			serverEnd, clientEnd := faults.Pipe()
-			go func() { _ = ctrl.Serve(serverEnd) }()
+			go serveConn(ctrl, serverEnd)
 			link := faults.NewLink(clientEnd, faults.LinkConfig{Seed: 99})
 			cl := pmic.NewClient(link)
 			cl.Timeout = 5 * time.Second

@@ -419,7 +419,8 @@ type Stack struct {
 
 // NewStack builds a pack from cell parameters (all cells at the given
 // initial state of charge), a default-configured controller, and a
-// runtime with the given options.
+// runtime with the given options. opts.Obs instruments the controller
+// as well as the runtime, so the stack reports into one registry.
 func NewStack(initialSoC float64, opts core.Options, cellParams ...battery.Params) (*Stack, error) {
 	if len(cellParams) == 0 {
 		return nil, errors.New("emulator: stack needs at least one cell")
@@ -437,7 +438,9 @@ func NewStack(initialSoC float64, opts core.Options, cellParams ...battery.Param
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := pmic.NewController(pmic.DefaultConfig(pack))
+	pcfg := pmic.DefaultConfig(pack)
+	pcfg.Obs = opts.Obs
+	ctrl, err := pmic.NewController(pcfg)
 	if err != nil {
 		return nil, err
 	}

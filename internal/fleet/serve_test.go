@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -118,20 +119,42 @@ func TestServeFleetInfo(t *testing.T) {
 	}
 }
 
-// TestSingleDeviceServerRejectsFleetInfo: a plain controller endpoint
-// answers fleet queries with StatusBadCmd — clients can probe what
-// they connected to.
-func TestSingleDeviceServerRejectsFleetInfo(t *testing.T) {
-	cfg := deviceConfig(t, 1, 60)
-	srv, cli := net.Pipe()
-	go cfg.Controller.Serve(srv)
-	defer cli.Close()
-	c := pmic.NewClient(cli)
-	c.Timeout = 5 * time.Second
-	_, _, err := c.FleetDevices()
-	var se *pmic.StatusError
-	if !errors.As(err, &se) || se.Status != pmic.StatusBadCmd {
-		t.Fatalf("FleetDevices against single-device server: %v, want StatusBadCmd", err)
+// TestServeStopsCleanlyOnClose: when the transport dies mid-session,
+// from either end, Serve returns nil and leaves no goroutine behind —
+// the connection's push subscription included.
+func TestServeStopsCleanlyOnClose(t *testing.T) {
+	for _, local := range []bool{false, true} {
+		f := New(Config{Shards: 1, Obs: obs.NewRegistry()})
+		if err := f.Add(0, deviceConfig(t, 0, 60)); err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		srv, cli := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- f.Serve(srv) }()
+		c := pmic.NewClient(cli)
+		c.Timeout = 5 * time.Second
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Subscribe(pmic.SubscriptionSpec{Fleet: true, Signals: pmic.SubSigMetrics}); err != nil {
+			t.Fatal(err)
+		}
+		if local {
+			srv.Close()
+		}
+		cli.Close()
+		if err := <-done; err != nil {
+			t.Errorf("local close %v: Serve returned %v, want nil", local, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("local close %v: %d goroutines after Serve returned, %d before it started", local, n, before)
+		}
+		f.Close()
 	}
 }
 

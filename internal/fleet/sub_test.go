@@ -540,22 +540,10 @@ func TestSubscribeErrors(t *testing.T) {
 		t.Fatalf("oversized device count -> %#02x, want BadArgs", st)
 	}
 
-	// A single-device controller endpoint has no subscription plane.
-	cfg := deviceConfig(t, 9, 60)
-	srv3, cli3 := net.Pipe()
-	go cfg.Controller.Serve(srv3)
-	defer cli3.Close()
-	c3 := pmic.NewClient(cli3)
-	c3.Timeout = 5 * time.Second
-	_, err := c3.Subscribe(pmic.SubscriptionSpec{Fleet: true})
-	var se *pmic.StatusError
-	if !errors.As(err, &se) || se.Status != pmic.StatusBadCmd {
-		t.Fatalf("subscribe on single-device server: %v, want StatusBadCmd", err)
-	}
-
 	// Draining fleets refuse new subscriptions.
 	f.draining.Store(true)
-	_, err = c.Subscribe(pmic.SubscriptionSpec{Fleet: true})
+	_, err := c.Subscribe(pmic.SubscriptionSpec{Fleet: true})
+	var se *pmic.StatusError
 	if !errors.As(err, &se) || se.Status != pmic.StatusDraining {
 		t.Fatalf("subscribe while draining: %v, want StatusDraining", err)
 	}

@@ -122,7 +122,7 @@ func TestClientSeqWrapSkipsZero(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 
 	cl := NewClient(b)
 	cl.seq = 254 // two calls from the wrap point
@@ -167,7 +167,7 @@ func TestClientRetriesLostFrames(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 
 	lossy := &lossyConn{Conn: b, drop: 2}
 	cl := NewClient(lossy)
@@ -200,7 +200,7 @@ func TestClientFailsFastOnBadArgs(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 
 	cl := NewClient(b)
 	cl.Timeout = time.Second
@@ -230,7 +230,7 @@ func TestClientReconnectsViaDial(t *testing.T) {
 
 	newConn := func() (io.ReadWriter, net.Conn) {
 		a, b := net.Pipe()
-		go func() { _ = ctrl.Serve(a) }()
+		go serveConn(ctrl, a)
 		return b, b
 	}
 	rw1, c1 := newConn()

@@ -2,9 +2,6 @@ package pmic
 
 import (
 	"errors"
-	"fmt"
-	"io"
-	"net"
 	"strings"
 
 	"sdb/internal/bus"
@@ -38,7 +35,7 @@ const (
 	// CmdFleetInfo queries a fleet endpoint about the fleet itself
 	// rather than any one device: mode FleetList returns registered
 	// device ids (lowest first, as many as fit one frame), FleetStat
-	// the aggregate counters. A single-device controller answers
+	// the aggregate counters. A controller's own Dispatch answers
 	// StatusBadCmd — it has no fleet.
 	CmdFleetInfo = 0x0C
 	// CmdSubscribe opens a push subscription on a fleet endpoint: the
@@ -47,8 +44,8 @@ const (
 	// sim-time cadence, and optional metric-name globs; the response
 	// carries the subscription id. From then on the server pushes
 	// CmdPush frames on the same connection from its tick barrier.
-	// CmdUnsubscribe tears the subscription down by id. A single-device
-	// controller answers StatusBadCmd — push needs a fleet barrier.
+	// CmdUnsubscribe tears the subscription down by id. A controller's
+	// own Dispatch answers StatusBadCmd — push needs a fleet barrier.
 	CmdSubscribe   = 0x0D
 	CmdUnsubscribe = 0x0E
 	// CmdPush is the server-push frame family. Push frames are
@@ -158,35 +155,11 @@ func statusErr(err error) byte {
 	}
 }
 
-// Serve runs the firmware's command loop on one connection, reading
-// request frames and writing responses until the transport closes. A
-// real microcontroller runs exactly this loop on its serial interrupt;
-// like real firmware it survives line noise — the resynchronizing
-// scanner drops corrupted bytes and re-locks on the next frame, so a
-// noisy link degrades throughput, never the session.
-func (c *Controller) Serve(rw io.ReadWriter) error {
-	sc := bus.NewScanner(rw)
-	for {
-		req, err := sc.ReadFrame()
-		switch {
-		case err == nil:
-		case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF),
-			errors.Is(err, io.ErrClosedPipe), errors.Is(err, net.ErrClosed):
-			return nil
-		default:
-			return fmt.Errorf("pmic: serve: %w", err)
-		}
-		resp := c.Dispatch(req)
-		if err := bus.WriteFrame(rw, resp); err != nil {
-			return fmt.Errorf("pmic: serve write: %w", err)
-		}
-	}
-}
-
-// Dispatch executes one request frame and builds the response. It is
-// exported for multiplexing endpoints (internal/fleet) that route
-// frames from one connection to many controllers; the response echoes
-// the request's sequence number and device id.
+// Dispatch executes one request frame and builds the response, which
+// echoes the request's sequence number and device id. The controller
+// runs no frame loop of its own: a server (internal/fleet) reads each
+// frame off a connection and routes it to the addressed controller's
+// Dispatch.
 func (c *Controller) Dispatch(req bus.Frame) bus.Frame {
 	var w bus.Writer
 	switch req.Cmd {

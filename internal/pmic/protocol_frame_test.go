@@ -230,7 +230,7 @@ func TestServeResyncAfterNoise(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 
 	good, err := bus.Encode(bus.Frame{Cmd: CmdPing, Seq: 42})
 	if err != nil {

@@ -34,7 +34,7 @@ func startServedObs(t *testing.T, reg *obs.Registry) (*Controller, *Client) {
 		t.Fatal(err)
 	}
 	a, b := net.Pipe()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()

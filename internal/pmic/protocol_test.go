@@ -1,6 +1,7 @@
 package pmic
 
 import (
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -11,15 +12,26 @@ import (
 	"sdb/internal/bus"
 )
 
+// serveConn answers request frames read off rw with ctrl.Dispatch until
+// the transport fails: the bare firmware command loop a server runs
+// per connection, with no fleet routing in front of it.
+func serveConn(ctrl *Controller, rw io.ReadWriter) {
+	sc := bus.NewScanner(rw)
+	for {
+		req, err := sc.ReadFrame()
+		if err != nil || bus.WriteFrame(rw, ctrl.Dispatch(req)) != nil {
+			return
+		}
+	}
+}
+
 // startServed spins up a controller served over a net.Pipe and returns
 // a connected client. Cleanup tears both down.
 func startServed(t *testing.T, soc float64) (*Controller, *Client) {
 	t.Helper()
 	ctrl := newTestController(t, soc)
 	a, b := net.Pipe()
-	go func() {
-		_ = ctrl.Serve(a)
-	}()
+	go serveConn(ctrl, a)
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()
@@ -168,7 +180,7 @@ func TestServeSurvivesUnknownCommand(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 
 	// Send a garbage command directly; the firmware must answer with
 	// StatusBadCmd and keep serving.
@@ -194,7 +206,7 @@ func TestServeSurvivesMalformedPayload(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go func() { _ = ctrl.Serve(a) }()
+	go serveConn(ctrl, a)
 
 	// SetDischarge claiming 5 ratios but carrying none.
 	var w bus.Writer
@@ -269,7 +281,7 @@ func BenchmarkMicrocontrollerRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	p1, p2 := net.Pipe()
-	go func() { _ = ctrl.Serve(p1) }()
+	go serveConn(ctrl, p1)
 	defer p1.Close()
 	defer p2.Close()
 	cl := NewClient(p2)
