@@ -720,6 +720,9 @@ func serve(argv []string) {
 	if !(o.durS > 0 && o.durS <= math.MaxFloat64) {
 		usage("-dur %g: the trace length must be finite and positive", o.durS)
 	}
+	if o.shards < 1 {
+		usage("-shards %d: must be at least 1", o.shards)
+	}
 	if *rulesPath != "" {
 		src, err := os.ReadFile(*rulesPath)
 		if err != nil {
@@ -786,7 +789,7 @@ func serveFleet(o serveOptions) {
 		fatalf("%v", err)
 	}
 	fmt.Printf("sdbctl: serving fleet of %d devices on %s (%d shards, batch %d, %gx time)\n",
-		f.Len(), ln.Addr(), o.shards, o.batch, o.speed)
+		f.Len(), ln.Addr(), f.Stat().Shards, o.batch, o.speed)
 
 	// Graceful drain on SIGINT/SIGTERM: stop admitting commands, finish
 	// the in-flight tick, write the final checkpoint (when configured),
@@ -865,10 +868,11 @@ func serveFleet(o serveOptions) {
 // provisioner as the fleet's Provision hook: restored from o.ckpt when
 // that file exists, otherwise provisioned fresh (ids 0..o.n-1, or
 // device 0 alone when o.n is 0). A restored device is therefore rebuilt
-// exactly as it was first built.
+// exactly as it was first built. The pool has at most one shard per
+// device: a shard with no device only idles and exports empty series.
 func openFleet(o serveOptions, srv *fleetServer, tstore *store.Store) (f *fleet.Fleet, restored bool, err error) {
 	fcfg := fleet.Config{
-		Shards: o.shards, Batch: o.batch, Obs: srv.reg,
+		Shards: min(o.shards, max(o.n, 1)), Batch: o.batch, Obs: srv.reg,
 		Checkpoint: o.ckpt, CheckpointEvery: o.every, Provision: srv.provision,
 		Record: tstore, RecordEvery: o.recEvery, Rules: o.rules,
 	}
@@ -948,7 +952,10 @@ func (o serveOptions) newServer() *fleetServer {
 }
 
 // provision builds device id; it doubles as the fleet's Provision hook,
-// so a restored device is rebuilt exactly as it was first built.
+// so a restored device is rebuilt exactly as it was first built. No
+// device records a per-step series (emulator.NoSeries): nothing reads
+// a served device's Result, the recorder and the store hold its
+// history, and its memory stays flat however long it runs.
 func (s *fleetServer) provision(id uint16) (emulator.Config, error) {
 	if s.cells != nil {
 		if id != 0 {
@@ -964,7 +971,7 @@ func (s *fleetServer) provision(id uint16) (emulator.Config, error) {
 		sys.Controller.SetRecorder(s.rec)
 		return emulator.Config{
 			Controller: sys.Controller, Runtime: sys.Runtime, Trace: s.one,
-			PolicyEveryS: 60, Obs: s.reg,
+			PolicyEveryS: 60, RecordEveryS: emulator.NoSeries, Obs: s.reg,
 		}, nil
 	}
 	soc := 0.4 + 0.6*float64(id%50)/50
@@ -978,6 +985,7 @@ func (s *fleetServer) provision(id uint16) (emulator.Config, error) {
 		Controller:   st.Controller,
 		Trace:        s.traces[id%fleetLoadLevels],
 		PolicyEveryS: 60,
+		RecordEveryS: emulator.NoSeries,
 	}
 	if id%3 == 0 {
 		cfg.Runtime = st.Runtime

@@ -3,12 +3,14 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -189,16 +191,120 @@ func TestServeOneDevice(t *testing.T) {
 	}
 }
 
+// TestServeSizesPoolToDevices: serve runs at most one shard per
+// device, so a plain serve's pool is one shard. It then exports no idle
+// shard's batch histogram, and `fleet stat` reports one device across
+// one shard. Larger fleets keep -shards.
+func TestServeSizesPoolToDevices(t *testing.T) {
+	for _, tc := range []struct{ n, shards int }{{0, 1}, {2, 2}, {9, 4}} {
+		o := serveOptions{
+			cells: "QuickCharge-2000,EnergyMax-4000", loadW: 2, speed: 60,
+			durS: 600, n: tc.n, shards: 4, batch: 64,
+		}
+		srv := o.newServer()
+		f, _, err := openFleet(o, srv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Tick(60)
+		text := srv.reg.Text()
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("sdb_fleet_shard%d_batch_seconds", i)
+			if strings.Contains(text, name) != (i < tc.shards) {
+				t.Errorf("-fleet %d -shards 4: exports %s: %v, want %d shard(s)", tc.n, name, !(i < tc.shards), tc.shards)
+			}
+		}
+		a, b := net.Pipe()
+		go f.Serve(a)
+		c := pmic.NewClient(b)
+		c.Timeout = 5 * time.Second
+		out := captureStdout(t, func() { fleetCmd(c, []string{"stat"}) })
+		if want := fmt.Sprintf("devices:          %d across %d shard(s)\n", max(tc.n, 1), tc.shards); !strings.Contains(out, want) {
+			t.Errorf("-fleet %d -shards 4: fleet stat printed\n%s\nwant %q", tc.n, out, want)
+		}
+		b.Close()
+		f.Close()
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	fn()
+	w.Close()
+	return string(<-done)
+}
+
+// TestServedDeviceHeapFlat: serve provisions every device with
+// emulator.NoSeries, so the heap a device holds does not grow with the
+// steps it runs. Run to the end of a trace 60 times longer, it may
+// hold up to 256 KB more, which allows for the collector's noise; a
+// per-step series would hold 56 B a step (35,400 steps: 1.98 MB).
+func TestServedDeviceHeapFlat(t *testing.T) {
+	for _, n := range []int{0, 2} {
+		held := func(durS float64) int64 {
+			o := serveOptions{
+				cells: "QuickCharge-2000,EnergyMax-4000", loadW: 2, speed: 60,
+				durS: durS, n: n, shards: 1, batch: 64,
+			}
+			cfg, err := o.newServer().provision(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			m, err := emulator.NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.EnableBatch(batch.New())
+			for !m.Done() {
+				if _, err := m.StepBatch(64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			res, err := m.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := res.Series; len(s.T)+len(s.DeliveredW)+len(s.SoC[0]) != 0 {
+				t.Errorf("-fleet %d: served device recorded %d samples", n, len(s.DeliveredW))
+			}
+			return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		}
+		if short, long := held(600), held(36000); long > short+256<<10 {
+			t.Errorf("-fleet %d: a served device holds %d B after 600 steps but %d B after 36,000", n, short, long)
+		}
+	}
+}
+
 // TestServeRejectsBadSpeedAndDur: a tick is int(-speed) one-second
 // steps while the recorder stamps samples -speed seconds apart, so a
 // fractional -speed would stall every device (0 steps a tick) or skew
-// the recorder's clock; -dur must be a finite, positive trace length.
+// the recorder's clock; -dur must be a finite, positive trace length;
+// and the pool needs at least one shard.
 // Each is a usage error, exit status 2 before the server listens.
 func TestServeRejectsBadSpeedAndDur(t *testing.T) {
 	runChildMain()
 	for _, args := range []string{
 		"-speed 0.5", "-fleet 2 -speed 0.5", "-speed 90.5", "-speed 0", "-speed -60",
 		"-speed NaN", "-speed +Inf", "-dur 0", "-dur -600", "-dur NaN", "-fleet 2 -dur +Inf",
+		"-shards 0", "-fleet 2 -shards -1",
 	} {
 		out, err := runSdbctl(t, "TestServeRejectsBadSpeedAndDur", "serve -addr 127.0.0.1:0 "+args)
 		var exit *exec.ExitError

@@ -37,7 +37,10 @@ type Config struct {
 	// StopWhenDrained ends the run at the first brownout (daily
 	// battery-life experiments measure time to empty).
 	StopWhenDrained bool
-	// RecordEveryS throttles series recording. Default: every step.
+	// RecordEveryS throttles series recording: a sample every
+	// RecordEveryS seconds of trace, rounded to whole steps. Zero (the
+	// default) or anything up to one step records every step; NoSeries
+	// (any negative value) records none, leaving Result.Series empty.
 	RecordEveryS float64
 	// DirectiveFn, when set, is consulted at every policy step with
 	// the current simulation time and may adjust runtime directives or
@@ -60,7 +63,16 @@ type Config struct {
 	Recorder *ts.Recorder
 }
 
-// Series holds the recorded waveforms.
+// NoSeries is the RecordEveryS that records no series: the run keeps
+// its energy totals and drain times but allocates and stores no
+// per-step waveform, so its memory does not grow with the trace.
+const NoSeries = -1
+
+// Series holds the recorded waveforms, one element per recorded step.
+// T and LoadW are views of columns the trace owns (see
+// workload.Trace.Columns) and may be shared with other runs over the
+// same trace; every column is read-only. Appending to a column
+// reallocates it, so a caller may build on a copy of the header.
 type Series struct {
 	T            []float64
 	LoadW        []float64
@@ -72,6 +84,8 @@ type Series struct {
 
 // Result summarizes a run.
 type Result struct {
+	// Series is the recording as of Finish: capped views that a machine
+	// stepping on does not change.
 	Series *Series
 	// DrainedAtS is when the pack first failed to meet the load
 	// (negative if it never did).
@@ -112,8 +126,13 @@ type Machine struct {
 	cells []*battery.Cell
 	n     int
 
-	recordEvery int
+	recordEvery int // 0 records no series
 	policyEvery int
+	// series is the recording. Its T and LoadW stay nil: sample j was
+	// at tcol[j] under load lcol[j], the trace's columns at the
+	// recording stride, so Step records neither and view shows them.
+	series     *Series
+	tcol, lcol []float64
 
 	reg         *obs.Registry
 	stepHist    *obs.Histogram
@@ -148,10 +167,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.PolicyEveryS <= 0 {
 		cfg.PolicyEveryS = 60
 	}
-	m := &Machine{cfg: cfg, dt: cfg.Trace.DT}
+	m := &Machine{cfg: cfg, dt: cfg.Trace.DT, steps: cfg.Trace.Len()}
 	m.recordEvery = 1
-	if cfg.RecordEveryS > m.dt {
-		m.recordEvery = int(math.Round(cfg.RecordEveryS / m.dt))
+	if cfg.RecordEveryS < 0 {
+		m.recordEvery = 0
+	} else if cfg.RecordEveryS > m.dt {
+		// A cadence past the trace records one sample, at step 0.
+		m.recordEvery = int(min(math.Round(cfg.RecordEveryS/m.dt), float64(m.steps)))
 	}
 	// Policy ticks are derived from integer step counts, not an
 	// accumulated float time: t >= nextPolicy with t = k*dt drifts on
@@ -166,7 +188,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	// Hot-loop hoists: the pack topology is fixed for the run, so
 	// resolve the cell slice once instead of Pack().Cell(i) per cell
 	// per step.
-	m.steps = cfg.Trace.Len()
 	m.cells = cfg.Controller.Pack().Cells()
 	m.n = len(m.cells)
 
@@ -183,23 +204,24 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if m.reg != nil {
 		m.startE = packStoredJ(m.cells)
 	}
-	// Step k records when k%recordEvery == 0, so a full run writes
-	// exactly ceil(steps/recordEvery) samples per column.
-	samples := (m.steps + m.recordEvery - 1) / m.recordEvery
 	m.res = &Result{
 		DrainedAtS:     -1,
 		CellDrainedAtS: make([]float64, m.n),
-		Series: &Series{
-			T:            make([]float64, 0, samples),
-			LoadW:        make([]float64, 0, samples),
-			DeliveredW:   make([]float64, 0, samples),
-			CircuitLossW: make([]float64, 0, samples),
-			BatteryLossW: make([]float64, 0, samples),
-			SoC:          make([][]float64, m.n),
-		},
 	}
-	for i := range m.res.Series.SoC {
-		m.res.Series.SoC[i] = make([]float64, 0, samples)
+	m.series = &Series{SoC: make([][]float64, m.n)}
+	if m.recordEvery > 0 {
+		// Step k records when k%recordEvery == 0, so a full run writes
+		// exactly ceil(steps/recordEvery) samples per column, as long
+		// as the trace's columns.
+		m.tcol, m.lcol = cfg.Trace.Columns(m.recordEvery)
+		samples := len(m.tcol)
+		s := m.series
+		s.DeliveredW = make([]float64, 0, samples)
+		s.CircuitLossW = make([]float64, 0, samples)
+		s.BatteryLossW = make([]float64, 0, samples)
+		for i := range s.SoC {
+			s.SoC[i] = make([]float64, 0, samples)
+		}
 	}
 	for i := range m.res.CellDrainedAtS {
 		m.res.CellDrainedAtS[i] = -1
@@ -313,10 +335,8 @@ func (m *Machine) Step() (bool, error) {
 		}
 	}
 
-	if k%m.recordEvery == 0 {
-		s := res.Series
-		s.T = append(s.T, t)
-		s.LoadW = append(s.LoadW, loadW)
+	if m.recordEvery > 0 && k%m.recordEvery == 0 {
+		s := m.series
 		s.DeliveredW = append(s.DeliveredW, rep.DeliveredW)
 		s.CircuitLossW = append(s.CircuitLossW, rep.CircuitLossW)
 		s.BatteryLossW = append(s.BatteryLossW, rep.BatteryLossW)
@@ -360,6 +380,7 @@ func (m *Machine) StepBatch(max int) (int, error) {
 // (deliberate: a fleet can snapshot a device mid-trace).
 func (m *Machine) Finish() (*Result, error) {
 	res := m.res
+	res.Series = m.view()
 	sts, err := m.cfg.Controller.QueryBatteryStatus()
 	if err != nil {
 		return nil, err
@@ -381,6 +402,15 @@ func (m *Machine) Finish() (*Result, error) {
 	// end-of-run residual gauge land in the recording.
 	m.cfg.Recorder.Sample(res.ElapsedS)
 	return res, nil
+}
+
+// view returns the recording so far as capped prefix views of the
+// machine's columns and of the trace's time and load columns.
+func (m *Machine) view() *Series {
+	s := seriesView(m.series)
+	n := len(m.series.DeliveredW)
+	s.T, s.LoadW = prefix(m.tcol[:n]), prefix(m.lcol[:n])
+	return s
 }
 
 // Run executes the emulation to completion: Machine setup, every step,

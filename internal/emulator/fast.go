@@ -109,10 +109,8 @@ func (m *Machine) runFastSegment(n int) int {
 			}
 		}
 
-		if k%m.recordEvery == 0 {
-			s := res.Series
-			s.T = append(s.T, t)
-			s.LoadW = append(s.LoadW, loadW)
+		if m.recordEvery > 0 && k%m.recordEvery == 0 {
+			s := m.series
 			s.DeliveredW = append(s.DeliveredW, out.DeliveredW)
 			s.CircuitLossW = append(s.CircuitLossW, out.CircuitLossW)
 			s.BatteryLossW = append(s.BatteryLossW, out.BatteryLossW)

@@ -433,3 +433,41 @@ func TestDrainWritesFinalCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsDifferentTrace: a Provision hook that rebuilds a
+// device over a trace differing from the checkpointed one in a single
+// load sample must fail the restore with the emulator's
+// *TraceMismatchError, naming the device, instead of resuming it over
+// the wrong load.
+func TestRestoreRejectsDifferentTrace(t *testing.T) {
+	const durS = 600
+	f := New(Config{Shards: 2, Obs: obs.NewRegistry()})
+	for i := uint16(1); i <= 4; i++ {
+		if err := f.Add(i, deviceConfig(t, i, durS)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		f.Tick(64)
+	}
+	var buf bytes.Buffer
+	if err := f.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	g, err := Restore(&buf, Config{Shards: 2, Obs: obs.NewRegistry(), Provision: func(id uint16) (emulator.Config, error) {
+		cfg := deviceConfig(t, id, durS)
+		if id == 3 {
+			cfg.Trace.Load[200] *= 1.5
+		}
+		return cfg, nil
+	}})
+	var mis *emulator.TraceMismatchError
+	if err == nil {
+		g.Close()
+	}
+	if !errors.As(err, &mis) || mis.Column != "LoadW" || mis.Index != 200 || !strings.Contains(err.Error(), "device 3") {
+		t.Fatalf("Restore = %v, want device 3's LoadW[200] mismatch", err)
+	}
+}

@@ -10,17 +10,34 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Trace is a uniformly sampled power-draw time series. Load is the
 // system power draw in watts; External is the available external
 // supply power in watts (zero while unplugged). External may be nil
 // when the scenario never plugs in.
+//
+// A trace is written only while it is built (the generators, Scale,
+// Resample and ReadCSV fill their result before returning it) and is
+// immutable once an emulation holds it: machines share a trace across
+// goroutines, and the columns Columns derives from it are computed
+// once and never refreshed. A Trace must not be copied after first
+// use.
 type Trace struct {
 	Name     string
 	DT       float64 // sample period, seconds
 	Load     []float64
 	External []float64
+
+	colMu sync.Mutex
+	cols  []strideCols // built by Columns, one per stride asked for
+}
+
+// strideCols are the time and load columns of one recording stride.
+type strideCols struct {
+	stride  int
+	t, load []float64
 }
 
 // Validate checks structural invariants.
@@ -82,6 +99,36 @@ func (tr *Trace) Sample(k int) (loadW, externalW float64) {
 		externalW = tr.External[k]
 	}
 	return loadW, externalW
+}
+
+// Columns returns the time and load of every stride-th sample, the
+// columns an emulation recording every stride steps would write:
+// t[j] = float64(j*stride)*DT and load[j] = Load[j*stride], each
+// ceil(Len()/stride) long. At stride 1 load is Load itself. The
+// columns are built on the first call for a stride and shared by every
+// later caller, so they are read-only; the trace frees them with
+// itself. Safe for concurrent use. stride must be at least 1.
+func (tr *Trace) Columns(stride int) (t, load []float64) {
+	tr.colMu.Lock()
+	defer tr.colMu.Unlock()
+	for _, c := range tr.cols {
+		if c.stride == stride {
+			return c.t, c.load
+		}
+	}
+	n := (len(tr.Load) + stride - 1) / stride
+	c := strideCols{stride: stride, t: make([]float64, n), load: tr.Load[:n:n]}
+	if stride > 1 {
+		c.load = make([]float64, n)
+		for j := range c.load {
+			c.load[j] = tr.Load[j*stride]
+		}
+	}
+	for j := range c.t {
+		c.t[j] = float64(j*stride) * tr.DT
+	}
+	tr.cols = append(tr.cols, c)
+	return c.t, c.load
 }
 
 // EnergyJ integrates the load over the trace.

@@ -441,3 +441,25 @@ func TestResampleValidation(t *testing.T) {
 		t.Error("collapsing resample accepted")
 	}
 }
+
+// TestTraceColumns: Columns(stride) holds the time and load of every
+// stride-th sample, the last stride partial; stride 1's load column is
+// Load itself, and a second call returns the same arrays.
+func TestTraceColumns(t *testing.T) {
+	tr := Square("sq", 1, 3, 10, 0.5, 100, 0.25) // 400 samples
+	ts, load := tr.Columns(7)
+	if len(ts) != 58 || len(load) != 58 { // 400 = 57*7 + 1
+		t.Fatalf("stride 7: %d/%d samples, want 58", len(ts), len(load))
+	}
+	for j := range ts {
+		if ts[j] != float64(j*7)*tr.DT || load[j] != tr.Load[j*7] {
+			t.Fatalf("stride 7 sample %d: (%g, %g), want (%g, %g)", j, ts[j], load[j], float64(j*7)*tr.DT, tr.Load[j*7])
+		}
+	}
+	if again, _ := tr.Columns(7); &again[0] != &ts[0] {
+		t.Error("second Columns(7) rebuilt the time column")
+	}
+	if _, load1 := tr.Columns(1); len(load1) != tr.Len() || cap(load1) != tr.Len() || &load1[0] != &tr.Load[0] {
+		t.Error("stride 1's load column is not a capped view of Load")
+	}
+}
