@@ -18,7 +18,7 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/emulator"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 	"sdb/internal/sim"
 	"sdb/internal/workload"
 )
@@ -106,7 +106,7 @@ func BenchmarkEmulatorDay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctrl, err := pmic.NewController(pmic.DefaultConfig(pack))
+	ctrl, err := firmware.NewController(firmware.DefaultConfig(pack))
 	if err != nil {
 		b.Fatal(err)
 	}

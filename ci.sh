@@ -2,7 +2,8 @@
 # CI gate. Lanes, in order (each lane's comment below says what it
 # holds):
 #
-#   - build, vet, tier-1 tests, and the same suite under -race; fuzz
+#   - build, vet, the wire split (internal/pmic links no firmware or
+#     cell physics), tier-1 tests, and the same suite under -race; fuzz
 #     seed corpora run as ordinary tests in both passes, and the
 #     1000-device fleet byte-identity soak runs in both (see
 #     internal/fleet/soak_size_race_test.go).
@@ -50,6 +51,13 @@ set -eux
 
 go build ./...
 go vet ./...
+# Wire split: the protocol package is the codec, client and
+# subscriptions only, so an operator's client links none of the
+# firmware or the cell physics.
+if go list -deps ./internal/pmic | grep -E '^sdb/internal/(firmware|battery|battery/batch|circuit|fuelgauge)$'; then
+  echo "ci: internal/pmic depends on the firmware or the cell physics" >&2
+  exit 1
+fi
 go test ./...
 # The concurrent experiment engine (internal/sim.Runner and the
 # in-driver sweeps) and the fleet must stay race-clean.
@@ -73,7 +81,8 @@ go test -cpu 1,2 -run 'TestForEach|TestFannedOutDriversMatchDigests|TestRunnerDe
 # failure replays with SDB_CHAOS_SEED=<seed from the log>. Then a
 # short live fuzz burst of the firmware's command dispatch: any
 # command byte and payload against a stepped controller must get a
-# well-formed reply and leave the controller steppable.
+# well-formed reply and leave the controller steppable. The target
+# sits in internal/pmic's external tests, next to the codec it feeds.
 go test -race -short -run 'Chaos' -v ./internal/emulator/
 go test -race -run 'FleetChaos' -v ./internal/fleet/
 go test -fuzz 'FuzzDispatch' -fuzztime 5s -run '^$' ./internal/pmic/

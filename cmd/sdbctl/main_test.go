@@ -21,6 +21,7 @@ import (
 	"sdb/internal/bus"
 	"sdb/internal/core"
 	"sdb/internal/emulator"
+	"sdb/internal/firmware"
 	"sdb/internal/fleet"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
@@ -168,7 +169,7 @@ func TestServeOneDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	stat := func(f *fleet.Fleet) fleet.Stat {
+	stat := func(f *fleet.Fleet) pmic.FleetInfo {
 		st := f.Stat()
 		st.DeviceStepsPerSec, st.CmdP99Seconds = 0, 0 // wall-clock readings
 		return st
@@ -188,6 +189,39 @@ func TestServeOneDevice(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("restored device 0 ran out to a different result")
+	}
+}
+
+// TestServeSeriesListsEveryName: `sdbctl series` against a plain serve
+// prints every name device 0's recorder holds, in order, however many
+// frames the listing takes.
+func TestServeSeriesListsEveryName(t *testing.T) {
+	o := serveOptions{
+		cells: "QuickCharge-2000,EnergyMax-4000", loadW: 2, speed: 60,
+		durS: 600, shards: 4, batch: 64,
+	}
+	srv := o.newServer()
+	f, _, err := openFleet(o, srv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv.rec.Sample(0)
+	f.Tick(int(o.speed))
+	srv.rec.Sample(o.speed)
+
+	a, b := net.Pipe()
+	go f.Serve(a)
+	defer b.Close()
+	c := pmic.NewClient(b)
+	c.Timeout = 5 * time.Second
+	out := captureStdout(t, func() { series(c.DeviceClient, nil) })
+	want := srv.rec.Names()
+	if got := strings.Fields(out); !slices.Equal(got, want) {
+		t.Errorf("series printed %d names, the recorder holds %d:\n%s", len(got), len(want), out)
+	}
+	if len(want) < 100 {
+		t.Errorf("the recorder holds %d names: too few to need more than one frame", len(want))
 	}
 }
 
@@ -473,7 +507,7 @@ func serveController(t *testing.T, steps int) string {
 // serveConn answers request frames read off rw with ctrl.Dispatch until
 // the transport fails: the bare firmware command loop, with no fleet in
 // front of it.
-func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
+func serveConn(ctrl *firmware.Controller, rw io.ReadWriter) {
 	sc := bus.NewScanner(rw)
 	for {
 		req, err := sc.ReadFrame()

@@ -35,7 +35,7 @@ import (
 type model struct {
 	devs   map[uint16]map[string]float64
 	fleet  map[string]float64
-	alerts []pmic.PushAlertTransition
+	alerts []pmic.AlertTransition
 	frames uint64
 	drops  uint64
 }
@@ -160,13 +160,6 @@ func (m *model) render(w *strings.Builder, addr, sortKey string, topN int, alert
 		fmt.Fprintf(w, " t=%-9.1f dev=%-5d %-12s %s->%s (value %g, threshold %g)\n",
 			a.TimeS, a.Device, a.Rule, a.From, a.To, a.Value, a.Threshold)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fatalf(format string, args ...any) {

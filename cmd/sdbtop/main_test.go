@@ -39,7 +39,7 @@ func TestModelMergesDeltaPushes(t *testing.T) {
 	m.apply(&pmic.Push{Kind: pmic.PushMetrics, Dropped: 3, Devices: []pmic.PushDevice{
 		push(1, "soc", 0.4),
 	}})
-	m.apply(&pmic.Push{Kind: pmic.PushAlert, Alerts: []pmic.PushAlertTransition{
+	m.apply(&pmic.Push{Kind: pmic.PushAlert, Alerts: []pmic.AlertTransition{
 		{Device: 1, TimeS: 128, Rule: "lowsoc", From: ts.StateInactive, To: ts.StateFiring, Value: 0.4, Threshold: 0.62},
 	}})
 

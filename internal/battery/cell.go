@@ -154,14 +154,6 @@ func (p Params) VolumetricDensityWhPerL(swell bool) float64 {
 	return d
 }
 
-// GravimetricDensityWhPerKg returns energy density in Wh/kg.
-func (p Params) GravimetricDensityWhPerKg() float64 {
-	if p.MassKg <= 0 {
-		return 0
-	}
-	return p.EnergyWh() / p.MassKg
-}
-
 // Cell is a stateful cell instance built from Params. Cells are not
 // safe for concurrent use; the emulator steps them from one goroutine.
 type Cell struct {

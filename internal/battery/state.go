@@ -61,7 +61,7 @@ func (c *Cell) ImportState(s CellState) {
 
 // stepsTotal counts cell integration steps across the process for
 // drivers that step cells directly (cyclers, thermal sweeps) rather
-// than through a pmic.Controller. Drivers accumulate locally and call
+// than through a firmware.Controller. Drivers accumulate locally and call
 // AddSteps once per run, so the hot integration loop carries no atomic.
 var stepsTotal atomic.Int64
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdb/internal/battery"
+	"sdb/internal/firmware"
 	"sdb/internal/pmic"
 )
 
@@ -178,9 +179,9 @@ func TestPlanEndToEnd(t *testing.T) {
 	b := battery.MustNew(hd)
 	a.SetSoC(0.15)
 	b.SetSoC(0.15)
-	cfg := pmic.DefaultConfig(battery.MustNewPack(a, b))
+	cfg := firmware.DefaultConfig(battery.MustNewPack(a, b))
 	cfg.Charger.MaxCurrentA = 15
-	ctrl, err := pmic.NewController(cfg)
+	ctrl, err := firmware.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,14 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/bus"
+	"sdb/internal/firmware"
 	"sdb/internal/pmic"
 )
 
 // serveConn answers request frames read off rw with ctrl.Dispatch until
 // the transport fails: the bare firmware command loop a server runs
 // per connection.
-func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
+func serveConn(ctrl *firmware.Controller, rw io.ReadWriter) {
 	sc := bus.NewScanner(rw)
 	for {
 		req, err := sc.ReadFrame()
@@ -26,13 +27,13 @@ func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
 }
 
 // newStack builds a controller + runtime pair over the in-process API.
-func newStack(t *testing.T, soc float64, opts Options) (*pmic.Controller, *Runtime) {
+func newStack(t *testing.T, soc float64, opts Options) (*firmware.Controller, *Runtime) {
 	t.Helper()
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	a.SetSoC(soc)
 	b.SetSoC(soc)
-	ctrl, err := pmic.NewController(pmic.DefaultConfig(battery.MustNewPack(a, b)))
+	ctrl, err := firmware.NewController(firmware.DefaultConfig(battery.MustNewPack(a, b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestRuntimeOverBusTransport(t *testing.T) {
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	a.SetSoC(0.8)
 	b.SetSoC(0.8)
-	ctrl, err := pmic.NewController(pmic.DefaultConfig(battery.MustNewPack(a, b)))
+	ctrl, err := firmware.NewController(firmware.DefaultConfig(battery.MustNewPack(a, b)))
 	if err != nil {
 		t.Fatal(err)
 	}

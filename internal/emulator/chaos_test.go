@@ -24,6 +24,7 @@ import (
 	"sdb/internal/bus"
 	"sdb/internal/core"
 	"sdb/internal/faults"
+	"sdb/internal/firmware"
 	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
@@ -31,7 +32,7 @@ import (
 // serveConn answers request frames read off rw with ctrl.Dispatch until
 // the transport fails: the bare firmware command loop a server runs
 // per connection.
-func serveConn(ctrl *pmic.Controller, rw io.ReadWriter) {
+func serveConn(ctrl *firmware.Controller, rw io.ReadWriter) {
 	sc := bus.NewScanner(rw)
 	for {
 		req, err := sc.ReadFrame()
@@ -72,14 +73,14 @@ func cellsRCStoredJ(pack *battery.Pack) float64 {
 	return sum
 }
 
-func newChaosController(t *testing.T, watchdogS float64) (*battery.Pack, *pmic.Controller) {
+func newChaosController(t *testing.T, watchdogS float64) (*battery.Pack, *firmware.Controller) {
 	t.Helper()
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	pack := battery.MustNewPack(a, b)
-	cfg := pmic.DefaultConfig(pack)
+	cfg := firmware.DefaultConfig(pack)
 	cfg.WatchdogS = watchdogS
-	ctrl, err := pmic.NewController(cfg)
+	ctrl, err := firmware.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

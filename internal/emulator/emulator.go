@@ -16,16 +16,16 @@ import (
 	"sdb/internal/battery/batch"
 	"sdb/internal/core"
 	"sdb/internal/faults"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
-	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
 
 // Config describes one emulation run.
 type Config struct {
 	// Controller is the firmware under test.
-	Controller *pmic.Controller
+	Controller *firmware.Controller
 	// Runtime is the policy stack; nil runs firmware-only with its
 	// latched ratios (the "hardcoded" configuration of Section 7).
 	Runtime *core.Runtime
@@ -322,7 +322,7 @@ func (m *Machine) Step() (bool, error) {
 			res.CellDrainedAtS[i] = t
 		}
 	}
-	if rep.Faults&pmic.FaultBrownout != 0 {
+	if rep.Faults&firmware.FaultBrownout != 0 {
 		res.BrownoutSteps++
 		if res.DrainedAtS < 0 {
 			res.DrainedAtS = t
@@ -443,7 +443,7 @@ func packStoredJ(cells []*battery.Cell) float64 {
 // Stack bundles a freshly wired controller + runtime for scenario code.
 type Stack struct {
 	Pack       *battery.Pack
-	Controller *pmic.Controller
+	Controller *firmware.Controller
 	Runtime    *core.Runtime
 }
 
@@ -468,9 +468,9 @@ func NewStack(initialSoC float64, opts core.Options, cellParams ...battery.Param
 	if err != nil {
 		return nil, err
 	}
-	pcfg := pmic.DefaultConfig(pack)
+	pcfg := firmware.DefaultConfig(pack)
 	pcfg.Obs = opts.Obs
-	ctrl, err := pmic.NewController(pcfg)
+	ctrl, err := firmware.NewController(pcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import "sdb/internal/battery/batch"
 // provably free of policy work and faults, and on battery power or on
 // an external supply that covers the load, and drives those through
 // the firmware's struct-of-arrays fast segment
-// (pmic.BeginFast/FastStepSupplied/EndFast). Any step that fails an
+// (firmware.BeginFast/FastStepSupplied/EndFast). Any step that fails an
 // eligibility check runs through the ordinary Step — the scalar path
 // remains the reference, and the fast path must be bit-identical to
 // it (the fleet identity soak enforces this).

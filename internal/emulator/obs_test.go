@@ -14,8 +14,8 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/core"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
-	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
 
@@ -26,9 +26,9 @@ func obsStack(t *testing.T, trace *workload.Trace, reg *obs.Registry) (Config, *
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	pack := battery.MustNewPack(a, b)
-	pcfg := pmic.DefaultConfig(pack)
+	pcfg := firmware.DefaultConfig(pack)
 	pcfg.Obs = reg
-	ctrl, err := pmic.NewController(pcfg)
+	ctrl, err := firmware.NewController(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

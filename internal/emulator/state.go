@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"sdb/internal/core"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 )
 
 // MachineState is the complete mutable state of a Machine mid-run:
@@ -38,7 +38,7 @@ type MachineState struct {
 	Series         *Series
 
 	// Stack beneath the machine.
-	Controller pmic.ControllerState
+	Controller firmware.ControllerState
 	// Runtime is nil when the machine runs firmware-only.
 	Runtime *core.State
 	// HasFaults mirrors whether a fault schedule was attached;

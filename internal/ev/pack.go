@@ -4,8 +4,8 @@ import (
 	"sdb/internal/battery"
 	"sdb/internal/circuit"
 	"sdb/internal/core"
+	"sdb/internal/firmware"
 	"sdb/internal/fuelgauge"
-	"sdb/internal/pmic"
 )
 
 // EnergyPackParams models the main traction pack: 96 CoO2 groups in
@@ -83,7 +83,7 @@ func PowerPackParams() battery.Params {
 // index 1 the power buffer.
 type Stack struct {
 	Pack       *battery.Pack
-	Controller *pmic.Controller
+	Controller *firmware.Controller
 	Runtime    *core.Runtime
 }
 
@@ -117,7 +117,7 @@ func NewStack(initialSoC float64, opts core.Options) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := pmic.DefaultConfig(pack)
+	cfg := firmware.DefaultConfig(pack)
 	// The default power-path loss model is calibrated for mobile
 	// wattages; an EV inverter-scale path has a higher floor but a
 	// per-watt slope four orders of magnitude smaller.
@@ -136,7 +136,7 @@ func NewStack(initialSoC float64, opts core.Options) (*Stack, error) {
 		circuit.ChargeProfile{Name: "regen", CRate: 4.0, TrickleCRate: 0.5, ThresholdSoC: 0.97, CVVoltage: 4.20 * 100},
 		circuit.ChargeProfile{Name: "traction", CRate: 0.06, TrickleCRate: 0.03, ThresholdSoC: 0.9, CVVoltage: 4.20 * 96})
 	cfg.Gauge = fuelgauge.DefaultConfig()
-	ctrl, err := pmic.NewController(cfg)
+	ctrl, err := firmware.NewController(cfg)
 	if err != nil {
 		return nil, err
 	}

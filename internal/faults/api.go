@@ -59,8 +59,8 @@ func (f *FlakyAPI) Stats() APIStats {
 	return f.stats
 }
 
-// inject decides (under the lock) whether this call fails.
-func (f *FlakyAPI) inject() bool {
+// injectLocked decides (under the lock) whether this call fails.
+func (f *FlakyAPI) injectLocked() bool {
 	f.stats.Calls++
 	if f.cfg.ErrorRate > 0 && f.rng.Float64() < f.cfg.ErrorRate {
 		f.stats.InjectedErrors++
@@ -69,68 +69,60 @@ func (f *FlakyAPI) inject() bool {
 	return false
 }
 
+// inject returns ErrInjected when this call fails.
+func (f *FlakyAPI) inject() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.injectLocked() {
+		return ErrInjected
+	}
+	return nil
+}
+
 // Ping implements pmic.API.
 func (f *FlakyAPI) Ping() error {
-	f.mu.Lock()
-	bad := f.inject()
-	f.mu.Unlock()
-	if bad {
-		return ErrInjected
+	if err := f.inject(); err != nil {
+		return err
 	}
 	return f.api.Ping()
 }
 
 // Charge implements pmic.API.
 func (f *FlakyAPI) Charge(ratios []float64) error {
-	f.mu.Lock()
-	bad := f.inject()
-	f.mu.Unlock()
-	if bad {
-		return ErrInjected
+	if err := f.inject(); err != nil {
+		return err
 	}
 	return f.api.Charge(ratios)
 }
 
 // Discharge implements pmic.API.
 func (f *FlakyAPI) Discharge(ratios []float64) error {
-	f.mu.Lock()
-	bad := f.inject()
-	f.mu.Unlock()
-	if bad {
-		return ErrInjected
+	if err := f.inject(); err != nil {
+		return err
 	}
 	return f.api.Discharge(ratios)
 }
 
 // ChargeOneFromAnother implements pmic.API.
 func (f *FlakyAPI) ChargeOneFromAnother(x, y int, w, t float64) error {
-	f.mu.Lock()
-	bad := f.inject()
-	f.mu.Unlock()
-	if bad {
-		return ErrInjected
+	if err := f.inject(); err != nil {
+		return err
 	}
 	return f.api.ChargeOneFromAnother(x, y, w, t)
 }
 
 // SetChargeProfile implements pmic.API.
 func (f *FlakyAPI) SetChargeProfile(batt int, profile string) error {
-	f.mu.Lock()
-	bad := f.inject()
-	f.mu.Unlock()
-	if bad {
-		return ErrInjected
+	if err := f.inject(); err != nil {
+		return err
 	}
 	return f.api.SetChargeProfile(batt, profile)
 }
 
 // BatteryCount implements pmic.API.
 func (f *FlakyAPI) BatteryCount() (int, error) {
-	f.mu.Lock()
-	bad := f.inject()
-	f.mu.Unlock()
-	if bad {
-		return 0, ErrInjected
+	if err := f.inject(); err != nil {
+		return 0, err
 	}
 	return f.api.BatteryCount()
 }
@@ -147,7 +139,7 @@ func (f *FlakyAPI) QueryBatteryStatus() ([]pmic.BatteryStatus, error) {
 // aliased: the caller may overwrite dst before the next replay.
 func (f *FlakyAPI) QueryBatteryStatusInto(dst []pmic.BatteryStatus) ([]pmic.BatteryStatus, error) {
 	f.mu.Lock()
-	bad := f.inject()
+	bad := f.injectLocked()
 	stale := !bad && f.last != nil &&
 		f.cfg.StaleRate > 0 && f.rng.Float64() < f.cfg.StaleRate
 	if stale {

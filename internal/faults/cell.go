@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 )
 
 // CellFaultKind names a cell-level hardware fault.
@@ -86,7 +86,7 @@ func NewSchedule(events ...CellEvent) *Schedule {
 // Apply fires every not-yet-fired event with AtS <= tS against ctrl.
 // The first event error stops the sweep and is returned; that event
 // counts as fired (retrying a bad index would fail forever).
-func (s *Schedule) Apply(tS float64, ctrl *pmic.Controller) error {
+func (s *Schedule) Apply(tS float64, ctrl *firmware.Controller) error {
 	for s.next < len(s.events) && s.events[s.next].AtS <= tS {
 		ev := s.events[s.next]
 		s.next++

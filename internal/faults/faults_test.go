@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sdb/internal/battery"
+	"sdb/internal/firmware"
 	"sdb/internal/pmic"
 )
 
@@ -206,14 +207,14 @@ func TestLinkDisconnectAndRestore(t *testing.T) {
 
 // --- FlakyAPI ---
 
-func newTestController(t *testing.T, soc float64) *pmic.Controller {
+func newTestController(t *testing.T, soc float64) *firmware.Controller {
 	t.Helper()
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	a.SetSoC(soc)
 	b.SetSoC(soc)
 	pack := battery.MustNewPack(a, b)
-	ctrl, err := pmic.NewController(pmic.DefaultConfig(pack))
+	ctrl, err := firmware.NewController(firmware.DefaultConfig(pack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestScheduleBadEventSurfacesOnce(t *testing.T) {
 		CellEvent{AtS: 10, Cell: 99, Kind: FaultOpenCircuit},
 		CellEvent{AtS: 20, Cell: 0, Kind: FaultOpenCircuit},
 	)
-	if err := sch.Apply(100, ctrl); !errors.Is(err, pmic.ErrBadIndex) {
+	if err := sch.Apply(100, ctrl); !errors.Is(err, firmware.ErrBadIndex) {
 		t.Fatalf("bad-index event returned %v", err)
 	}
 	// The bad event is consumed; the next sweep fires the rest.

@@ -1,17 +1,20 @@
-// Package pmic emulates the SDB microcontroller firmware (Section 3.2,
-// Figure 4(c)): the mechanism half of the SDB split. The controller
-// owns the discharge path, one synchronous reversible buck channel per
-// battery, the per-battery fuel gauges, and a small register file of
-// charge/discharge ratios and charge-profile selections. It enforces
-// whatever ratios the OS last set; all policy lives above it in the
-// SDB Runtime (internal/core), mirroring the paper's
-// mechanism-in-hardware / policy-in-OS design.
+// Package firmware emulates the SDB microcontroller firmware (Section
+// 3.2, Figure 4(c)): the mechanism half of the SDB split. The
+// controller owns the discharge path, one synchronous reversible buck
+// channel per battery, the per-battery fuel gauges, and a small
+// register file of charge/discharge ratios and charge-profile
+// selections. It enforces whatever ratios the OS last set; all policy
+// lives above it in the SDB Runtime (internal/core), mirroring the
+// paper's mechanism-in-hardware / policy-in-OS design.
 //
 // The controller exposes the same four operations the paper's API
 // defines — Charge, Discharge, ChargeOneFromAnother, and
-// QueryBatteryStatus — both as direct method calls and over the bus
-// protocol (protocol.go, client.go).
-package pmic
+// QueryBatteryStatus — both as direct method calls (it implements
+// pmic.API) and over the bus protocol: Dispatch executes one request
+// frame. The bytes of every frame belong to internal/pmic; this
+// package keeps the command semantics. Its metric families and trace
+// scope keep the device's name, sdb_pmic_* and "pmic".
+package firmware
 
 import (
 	"errors"
@@ -27,6 +30,7 @@ import (
 	"sdb/internal/fuelgauge"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
+	"sdb/internal/pmic"
 )
 
 // totalSteps counts firmware enforcement steps across every controller
@@ -36,62 +40,6 @@ var totalSteps atomic.Int64
 
 // TotalSteps returns the process-wide count of Controller.Step calls.
 func TotalSteps() int64 { return totalSteps.Load() }
-
-// BatteryStatus is the per-battery record QueryBatteryStatus returns:
-// the paper names state of charge, terminal voltage, and cycle count;
-// the firmware also reports the capability numbers policies need.
-type BatteryStatus struct {
-	Index            int
-	Name             string
-	Chem             string
-	SoC              float64
-	TerminalV        float64
-	CycleCount       float64
-	WearRatio        float64
-	RatedCycles      float64
-	CapacityFraction float64
-	CapacityCoulombs float64
-	DCIR             float64
-	DCIRSlope        float64
-	MaxDischargeW    float64
-	MaxChargeW       float64
-	MaxChargeA       float64
-	EnergyRemainingJ float64
-	TemperatureC     float64
-	Bendable         bool
-	// Faulted marks a cell the firmware has isolated (open circuit or
-	// protection trip). Policies above must not route power through it;
-	// the runtime masks faulted cells out of ratio vectors.
-	Faulted bool
-}
-
-// API is the operation set the SDB Runtime needs from the controller.
-// Both the in-process Controller and the bus Client implement it, so a
-// policy stack can run against local hardware or a remote
-// microcontroller unchanged.
-type API interface {
-	// Ping verifies the control link.
-	Ping() error
-	// Charge sets the charging power ratios (must sum to 1).
-	Charge(ratios []float64) error
-	// Discharge sets the discharging power ratios (must sum to 1).
-	Discharge(ratios []float64) error
-	// ChargeOneFromAnother charges battery y from battery x with power
-	// w (watts) for t seconds.
-	ChargeOneFromAnother(x, y int, w, t float64) error
-	// QueryBatteryStatus reports per-battery state.
-	QueryBatteryStatus() ([]BatteryStatus, error)
-	// QueryBatteryStatusInto is QueryBatteryStatus writing into dst's
-	// storage: it returns dst[:0] extended by one record per battery,
-	// growing it only when its capacity is short. A tick loop that
-	// hands back the previous result queries without allocating.
-	QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error)
-	// SetChargeProfile selects a stored charging profile for one
-	// battery.
-	SetChargeProfile(batt int, profile string) error
-	// BatteryCount returns the number of batteries in the pack.
-	BatteryCount() (int, error)
-}
 
 // Fault flags reported by Step.
 type Fault int
@@ -308,7 +256,7 @@ func newCtrlMetrics(reg *obs.Registry, n int) ctrlMetrics {
 // NewController builds the firmware around a pack.
 func NewController(cfg Config) (*Controller, error) {
 	if cfg.Pack == nil {
-		return nil, errors.New("pmic: config needs a pack")
+		return nil, errors.New("firmware: config needs a pack")
 	}
 	n := cfg.Pack.N()
 	dpath, err := circuit.NewDischargePath(cfg.DischargePath)
@@ -316,7 +264,7 @@ func NewController(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	if len(cfg.Profiles) == 0 {
-		return nil, errors.New("pmic: config needs at least one charge profile")
+		return nil, errors.New("firmware: config needs at least one charge profile")
 	}
 	for _, p := range cfg.Profiles {
 		if err := p.Validate(); err != nil {
@@ -328,7 +276,7 @@ func NewController(cfg Config) (*Controller, error) {
 	profiles := append([]circuit.ChargeProfile(nil), cfg.Profiles...)
 	def, ok := findProfile(profiles, cfg.DefaultProfile)
 	if !ok {
-		return nil, fmt.Errorf("pmic: default profile %q not in profile table", cfg.DefaultProfile)
+		return nil, fmt.Errorf("firmware: default profile %q not in profile table", cfg.DefaultProfile)
 	}
 
 	c := &Controller{
@@ -385,13 +333,13 @@ func uniform(n int) []float64 {
 	return r
 }
 
-// Ping implements API.
+// Ping implements pmic.API.
 func (c *Controller) Ping() error { return nil }
 
-// BatteryCount implements API.
+// BatteryCount implements pmic.API.
 func (c *Controller) BatteryCount() (int, error) { return c.pack.N(), nil }
 
-// Discharge implements API: it latches new discharge ratios.
+// Discharge implements pmic.API: it latches new discharge ratios.
 func (c *Controller) Discharge(ratios []float64) error {
 	if err := c.checkRatios(ratios); err != nil {
 		return err
@@ -407,7 +355,7 @@ func (c *Controller) Discharge(ratios []float64) error {
 	return nil
 }
 
-// Charge implements API: it latches new charge ratios.
+// Charge implements pmic.API: it latches new charge ratios.
 func (c *Controller) Charge(ratios []float64) error {
 	if err := c.checkRatios(ratios); err != nil {
 		return err
@@ -425,29 +373,29 @@ func (c *Controller) Charge(ratios []float64) error {
 
 func (c *Controller) checkRatios(ratios []float64) error {
 	if len(ratios) != c.pack.N() {
-		return fmt.Errorf("pmic: got %d ratios for %d batteries", len(ratios), c.pack.N())
+		return fmt.Errorf("firmware: got %d ratios for %d batteries", len(ratios), c.pack.N())
 	}
 	return circuit.ValidateRatios(ratios)
 }
 
 // ErrBadIndex marks battery-index range errors; the protocol layer
 // maps it to StatusBadIndex so remote callers can classify rejections.
-var ErrBadIndex = errors.New("pmic: battery index out of range")
+var ErrBadIndex = errors.New("firmware: battery index out of range")
 
-// ChargeOneFromAnother implements API.
+// ChargeOneFromAnother implements pmic.API.
 func (c *Controller) ChargeOneFromAnother(x, y int, w, t float64) error {
 	n := c.pack.N()
 	switch {
 	case x < 0 || x >= n || y < 0 || y >= n:
 		return fmt.Errorf("%w (x=%d y=%d n=%d)", ErrBadIndex, x, y, n)
 	case x == y:
-		return errors.New("pmic: cannot charge a battery from itself")
+		return errors.New("firmware: cannot charge a battery from itself")
 	case !(w > 0) || math.IsInf(w, 0):
 		// A NaN power would pass a plain w <= 0 check and index the
 		// charger's efficiency curve at NaN on the next step.
-		return fmt.Errorf("pmic: transfer power %g must be positive and finite", w)
+		return fmt.Errorf("firmware: transfer power %g must be positive and finite", w)
 	case !(t > 0) || math.IsInf(t, 0):
-		return fmt.Errorf("pmic: transfer duration %g must be positive and finite", t)
+		return fmt.Errorf("firmware: transfer duration %g must be positive and finite", t)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -475,12 +423,17 @@ func (c *Controller) TransferActive() bool {
 // reports Faulted with zero power capability. This is the firmware
 // hook the fault-injection layer and cell-protection logic drive.
 func (c *Controller) SetCellOpen(i int, open bool) error {
+	return c.withCell(i, func() { c.open[i] = open })
+}
+
+// withCell runs fn under the firmware lock if i indexes a cell.
+func (c *Controller) withCell(i int, fn func()) error {
 	if i < 0 || i >= c.pack.N() {
 		return fmt.Errorf("%w (%d of %d)", ErrBadIndex, i, c.pack.N())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.open[i] = open
+	fn()
 	return nil
 }
 
@@ -498,25 +451,13 @@ func (c *Controller) CellOpen(i int) bool {
 // retain of its current capacity. Entry point for the fault-injection
 // layer; takes the firmware lock so it cannot race Step or status reads.
 func (c *Controller) InjectCapacityFade(i int, retain float64) error {
-	if i < 0 || i >= c.pack.N() {
-		return fmt.Errorf("%w (%d of %d)", ErrBadIndex, i, c.pack.N())
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cells[i].InjectCapacityFade(retain)
-	return nil
+	return c.withCell(i, func() { c.cells[i].InjectCapacityFade(retain) })
 }
 
 // InjectGaugeDrift shifts cell i's fuel-gauge SoC estimate by bias.
 // Entry point for the fault-injection layer.
 func (c *Controller) InjectGaugeDrift(i int, bias float64) error {
-	if i < 0 || i >= c.pack.N() {
-		return fmt.Errorf("%w (%d of %d)", ErrBadIndex, i, c.pack.N())
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gauges[i].InjectDrift(bias)
-	return nil
+	return c.withCell(i, func() { c.gauges[i].InjectDrift(bias) })
 }
 
 // SetWatchdog rearms (or, with 0, disarms) the command watchdog.
@@ -535,7 +476,7 @@ func (c *Controller) WatchdogFires() int64 {
 	return c.watchdogFires
 }
 
-// SetChargeProfile implements API.
+// SetChargeProfile implements pmic.API.
 func (c *Controller) SetChargeProfile(batt int, profile string) error {
 	if batt < 0 || batt >= c.pack.N() {
 		return fmt.Errorf("%w (%d of %d)", ErrBadIndex, batt, c.pack.N())
@@ -544,14 +485,14 @@ func (c *Controller) SetChargeProfile(batt int, profile string) error {
 	defer c.mu.Unlock()
 	p, ok := findProfile(c.profiles, profile)
 	if !ok {
-		return fmt.Errorf("pmic: unknown charge profile %q", profile)
+		return fmt.Errorf("firmware: unknown charge profile %q", profile)
 	}
 	// A CV ceiling below the cell's mid-charge open-circuit potential
 	// could never charge the cell meaningfully: almost certainly a
 	// profile meant for a different pack voltage (e.g. a single-cell
 	// 4.2 V profile selected for a 350 V traction pack).
 	if floor := c.pack.Cell(batt).Params().OCV.At(0.2); p.CVVoltage > 0 && p.CVVoltage < floor {
-		return fmt.Errorf("pmic: profile %q CV ceiling %.3g V below battery %d's 20%%-charge potential %.3g V",
+		return fmt.Errorf("firmware: profile %q CV ceiling %.3g V below battery %d's 20%%-charge potential %.3g V",
 			profile, p.CVVoltage, batt, floor)
 	}
 	c.profileSel[batt] = profile
@@ -559,13 +500,13 @@ func (c *Controller) SetChargeProfile(batt int, profile string) error {
 	return nil
 }
 
-// QueryBatteryStatus implements API.
-func (c *Controller) QueryBatteryStatus() ([]BatteryStatus, error) {
+// QueryBatteryStatus implements pmic.API.
+func (c *Controller) QueryBatteryStatus() ([]pmic.BatteryStatus, error) {
 	return c.QueryBatteryStatusInto(nil)
 }
 
-// QueryBatteryStatusInto implements API.
-func (c *Controller) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error) {
+// QueryBatteryStatusInto implements pmic.API.
+func (c *Controller) QueryBatteryStatusInto(dst []pmic.BatteryStatus) ([]pmic.BatteryStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.om.statusQueries.Inc()
@@ -585,7 +526,7 @@ func (c *Controller) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatu
 			s.CycleCount = float64(g.CycleCount())
 			s.EnergyRemainingJ *= ratio
 		}
-		out[i] = BatteryStatus{
+		out[i] = pmic.BatteryStatus{
 			Index:            i,
 			Name:             s.Name,
 			Chem:             s.Chem.Short(),
@@ -635,10 +576,10 @@ func (c *Controller) Step(loadW, externalW, dt float64) (StepReport, error) {
 	// One comparison pair each rejects NaN (every comparison with NaN is
 	// false) and ±Inf, as Trace.Validate does for its samples.
 	if !(dt > 0 && dt <= math.MaxFloat64) {
-		return StepReport{}, fmt.Errorf("pmic: step dt %g must be positive and finite", dt)
+		return StepReport{}, fmt.Errorf("firmware: step dt %g must be positive and finite", dt)
 	}
 	if !(loadW >= 0 && loadW <= math.MaxFloat64) || !(externalW >= 0 && externalW <= math.MaxFloat64) {
-		return StepReport{}, fmt.Errorf("pmic: load (%g) and supply (%g) must be finite and non-negative", loadW, externalW)
+		return StepReport{}, fmt.Errorf("firmware: load (%g) and supply (%g) must be finite and non-negative", loadW, externalW)
 	}
 	c.steps.Add(1)
 	totalSteps.Add(1)
@@ -924,11 +865,6 @@ func (c *Controller) feedGauges(rep *StepReport, dt float64) {
 // emulator).
 func (c *Controller) Gauge(i int) *fuelgauge.Gauge { return c.gauges[i] }
 
-// Obs returns the registry this controller reports into (nil when
-// uninstrumented). The protocol layer serves it over CmdMetrics and
-// CmdTrace so a remote runtime can scrape firmware-side observables.
-func (c *Controller) Obs() *obs.Registry { return c.om.reg }
-
 // SetRecorder attaches a time-series recorder for CmdSeries to serve.
 // Call before traffic; a nil recorder (the default) answers SeriesList
 // with zero series and SeriesGet with a bad-index status.
@@ -960,4 +896,4 @@ func (c *Controller) totalCellLoss() float64 {
 	return sum
 }
 
-var _ API = (*Controller)(nil)
+var _ pmic.API = (*Controller)(nil)

@@ -1,4 +1,4 @@
-package pmic
+package firmware
 
 import (
 	"errors"
@@ -69,7 +69,7 @@ func (c *Controller) AttachFast(eng *batch.Engine) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.om.reg != nil {
-		return errors.New("pmic: fast stepping requires an uninstrumented controller")
+		return errors.New("firmware: fast stepping requires an uninstrumented controller")
 	}
 	pk, err := eng.Checkout(c.cells)
 	if err != nil {

@@ -1,4 +1,4 @@
-package pmic
+package firmware
 
 import (
 	"fmt"
@@ -89,17 +89,17 @@ func (c *Controller) ImportState(st ControllerState) error {
 		"profile selections": len(st.ProfileSel), "open flags": len(st.Open),
 	} {
 		if l != n {
-			return fmt.Errorf("pmic: import: %d %s for %d batteries", l, what, n)
+			return fmt.Errorf("firmware: import: %d %s for %d batteries", l, what, n)
 		}
 	}
 	for _, name := range st.ProfileSel {
 		if _, ok := findProfile(c.profiles, name); !ok {
-			return fmt.Errorf("pmic: import: profile %q not in profile table", name)
+			return fmt.Errorf("firmware: import: profile %q not in profile table", name)
 		}
 	}
 	if x := st.Transfer; x != nil {
 		if x.From < 0 || x.From >= n || x.To < 0 || x.To >= n {
-			return fmt.Errorf("pmic: import: transfer %d->%d out of range", x.From, x.To)
+			return fmt.Errorf("firmware: import: transfer %d->%d out of range", x.From, x.To)
 		}
 	}
 	c.mu.Lock()

@@ -15,26 +15,8 @@ import (
 	"sdb/internal/pmic"
 )
 
-// AlertTransition is one fleet alert edge: a rule firing or resolving
-// on one device at barrier sim time TimeS.
-type AlertTransition struct {
-	TimeS     float64
-	Device    uint16
-	Rule      string
-	From, To  ts.AlertState
-	Value     float64
-	Threshold float64
-}
-
-// String renders the transition in the fleet's canonical log form —
-// the line format the determinism criterion compares byte-for-byte.
-func (tr AlertTransition) String() string {
-	return fmt.Sprintf("t=%.6f dev=%d rule=%s %s->%s value=%g threshold=%g",
-		tr.TimeS, tr.Device, tr.Rule, tr.From, tr.To, tr.Value, tr.Threshold)
-}
-
 // FormatAlertTransitions renders a transition log one line per edge.
-func FormatAlertTransitions(trs []AlertTransition) string {
+func FormatAlertTransitions(trs []pmic.AlertTransition) string {
 	var sb strings.Builder
 	for _, tr := range trs {
 		sb.WriteString(tr.String())
@@ -82,7 +64,7 @@ type alertEngine struct {
 	rules  []ts.Rule
 	sigIdx []int        // rule -> deviceSignals index (-1: never matches)
 	in     []ts.Reading // one device's readings, reused
-	log    []AlertTransition
+	log    []pmic.AlertTransition
 
 	// Barrier rollups, recomputed every evaluation.
 	firing      []int
@@ -154,7 +136,7 @@ func metricName(s string) string {
 // run regardless of sharding. A removed device's alert state goes with
 // it, so a firing alert on it resolves by omission (matching how its
 // series vanish from pushes).
-func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
+func (e *alertEngine) evalBarrier(f *Fleet) []pmic.AlertTransition {
 	start := len(e.log)
 	clear(e.firing)
 	e.skipped = 0
@@ -202,7 +184,7 @@ func (e *alertEngine) evalBarrier(f *Fleet) []AlertTransition {
 // edges even without an alert subscription.
 func (e *alertEngine) transition(dev uint16, t float64, ed ts.Edge) {
 	ru := &e.rules[ed.Rule]
-	e.log = append(e.log, AlertTransition{
+	e.log = append(e.log, pmic.AlertTransition{
 		TimeS: t, Device: dev, Rule: ru.Name,
 		From: ed.From, To: ed.To, Value: ed.Value, Threshold: ru.Threshold,
 	})
@@ -238,13 +220,13 @@ func (e *alertEngine) recordRollups(f *Fleet, maxT float64) {
 // evaluation order. The log is the run's deterministic record: two
 // runs of the same seeded fleet produce byte-identical
 // FormatAlertTransitions output.
-func (f *Fleet) AlertTransitions() []AlertTransition {
+func (f *Fleet) AlertTransitions() []pmic.AlertTransition {
 	f.tickMu.Lock()
 	defer f.tickMu.Unlock()
 	if f.alerts == nil {
 		return nil
 	}
-	out := make([]AlertTransition, len(f.alerts.log))
+	out := make([]pmic.AlertTransition, len(f.alerts.log))
 	copy(out, f.alerts.log)
 	return out
 }

@@ -43,7 +43,7 @@ func alertRules(t *testing.T) []ts.Rule {
 
 // alertRun builds a fleet over the standard test devices, runs it to
 // completion, and returns the transition log.
-func alertRun(t *testing.T, shards, nDev int) []AlertTransition {
+func alertRun(t *testing.T, shards, nDev int) []pmic.AlertTransition {
 	t.Helper()
 	f := New(Config{Shards: shards, Batch: 32, Obs: obs.NewRegistry(), Rules: alertRules(t)})
 	defer f.Close()
@@ -132,7 +132,7 @@ func TestFleetAlertsPushedAndRecorded(t *testing.T) {
 	// 60-step ticks keep every barrier (including the 600 s trace end)
 	// on one recording grid, so the full-range store query below stays
 	// gap-free.
-	var got []pmic.PushAlertTransition
+	var got []pmic.AlertTransition
 	for f.Tick(60) > 0 {
 		for _, p := range readPushes(t, c, 100*time.Millisecond) {
 			if p.Kind != pmic.PushAlert {
@@ -283,7 +283,7 @@ func TestValidateRules(t *testing.T) {
 // TestAlertTransitionString pins the canonical log line format — the
 // byte-identity contract depends on it staying stable.
 func TestAlertTransitionString(t *testing.T) {
-	tr := AlertTransition{
+	tr := pmic.AlertTransition{
 		TimeS: 120.5, Device: 7, Rule: "lowsoc",
 		From: ts.StateInactive, To: ts.StateFiring,
 		Value: 0.25, Threshold: 0.62,

@@ -1,5 +1,5 @@
 // Package fleet hosts many emulated SDB devices behind one protocol
-// endpoint. Each device is a full stack — pmic.Controller firmware, an
+// endpoint. Each device is a full stack — a firmware.Controller, an
 // optional core.Runtime policy loop, and an emulator.Machine stepping
 // a workload trace — registered under a 16-bit device id. A fixed pool
 // of worker shards drives the machines in batched ticks (one goroutine
@@ -33,6 +33,7 @@ import (
 	"sdb/internal/bus"
 	"sdb/internal/emulator"
 	"sdb/internal/faults"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
 	"sdb/internal/obs/ts/store"
@@ -143,7 +144,7 @@ type device struct {
 	id    uint16
 	shard int
 	m     *emulator.Machine
-	ctrl  *pmic.Controller
+	ctrl  *firmware.Controller
 
 	// err and res are written by the owning shard / driver goroutine;
 	// reads outside a tick are ordered by the barrier.
@@ -424,7 +425,7 @@ func (f *Fleet) IDs() []uint16 {
 
 // Controller returns a device's firmware for direct in-process access
 // (nil if the id is unknown).
-func (f *Fleet) Controller(id uint16) *pmic.Controller {
+func (f *Fleet) Controller(id uint16) *firmware.Controller {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
 	if d := f.lookup(id); d != nil {
@@ -639,7 +640,7 @@ func (f *Fleet) Tick(steps int) int {
 	// evaluation over the shard-collected samples, recording, then the
 	// push fan-out (encode-and-enqueue only; a slow subscriber costs
 	// drops, never barrier time).
-	var trans []AlertTransition
+	var trans []pmic.AlertTransition
 	if f.alerts != nil && req.sig {
 		trans = f.alerts.evalBarrier(f)
 		mark = f.phase(phaseAlerts, mark)
@@ -858,33 +859,13 @@ func (f *Fleet) Quarantined() []uint16 {
 	return ids
 }
 
-// Stat is the fleet's aggregate self-description, the payload of a
-// FleetStat protocol query.
-type Stat struct {
-	Devices int
-	Shards  int
-	Steps   uint64
-	Churn   uint64
-	// DeviceStepsPerSec is aggregate devices x steps per wall second
-	// spent ticking (zero before the first tick).
-	DeviceStepsPerSec float64
-	// CmdP99Seconds is the server-side 99th-percentile command latency,
-	// an upper bound read from bucketed histograms (zero before any
-	// command).
-	CmdP99Seconds float64
-	// Quarantined counts devices currently parked by shard supervision.
-	Quarantined int
-	// Draining reports whether the fleet is running down toward close.
-	Draining bool
-}
-
 // Stat snapshots the aggregate counters.
-func (f *Fleet) Stat() Stat {
+func (f *Fleet) Stat() pmic.FleetInfo {
 	p99 := f.om.cmd.Quantile(0.99)
 	if math.IsNaN(p99) { // empty or unregistered histogram
 		p99 = 0
 	}
-	return Stat{
+	return pmic.FleetInfo{
 		Devices:           f.Len(),
 		Shards:            len(f.shards),
 		Steps:             f.steps.Load(),
@@ -978,101 +959,45 @@ func (f *Fleet) dispatch(req bus.Frame) bus.Frame {
 		return f.fleetInfo(req)
 	}
 	if f.draining.Load() {
-		return statusFrame(req, pmic.StatusDraining)
+		return pmic.Reply(req, pmic.StatusDraining)
 	}
 	f.regMu.RLock()
 	d := f.lookup(req.Device)
 	f.regMu.RUnlock()
 	if d == nil {
-		return statusFrame(req, pmic.StatusNoDevice)
+		return pmic.Reply(req, pmic.StatusNoDevice)
 	}
 	if d.quarantined.Load() {
-		return statusFrame(req, pmic.StatusQuarantined)
+		return pmic.Reply(req, pmic.StatusQuarantined)
 	}
 	return d.ctrl.Dispatch(req)
 }
 
-// statusFrame builds a bare status-only response to req.
-func statusFrame(req bus.Frame, status byte) bus.Frame {
-	var w bus.Writer
-	w.U8(status)
-	return bus.Frame{Cmd: req.Cmd | pmic.RespFlag, Seq: req.Seq, Device: req.Device, Payload: w.Bytes()}
-}
-
-// fleetInfo answers CmdFleetInfo: mode FleetList returns device ids
-// lowest-first (as many as fit one frame, after the total count), mode
-// FleetStat the aggregate counters.
+// fleetInfo answers CmdFleetInfo: the device ids, the aggregate
+// counters, the live subscriptions, or a checkpoint write.
 func (f *Fleet) fleetInfo(req bus.Frame) bus.Frame {
-	var w bus.Writer
-	r := bus.NewReader(req.Payload)
-	mode := r.U8()
+	mode, ok := pmic.FleetInfoMode(req.Payload)
 	switch {
-	case r.Err() != nil:
-		w.U8(pmic.StatusBadArgs)
+	case !ok:
 	case mode == pmic.FleetList:
-		ids := f.IDs()
-		w.U8(pmic.StatusOK)
-		w.UVarint(uint64(len(ids)))
-		// Bound the list to one frame: ids are 2 bytes each; leave
-		// headroom for status + the two varint counts.
-		n := min(len(ids), (bus.MaxPayload-24)/2)
-		w.UVarint(uint64(n))
-		for _, id := range ids[:n] {
-			w.U16(id)
-		}
+		return pmic.FleetListReply(req, f.IDs())
 	case mode == pmic.FleetStat:
-		st := f.Stat()
-		w.U8(pmic.StatusOK)
-		w.UVarint(uint64(st.Devices))
-		w.UVarint(uint64(st.Shards))
-		w.UVarint(st.Steps)
-		w.UVarint(st.Churn)
-		w.F64(st.DeviceStepsPerSec)
-		w.F64(st.CmdP99Seconds)
-		// Appended after the original fixed fields: old clients stop
-		// reading before these, new clients read them only when present,
-		// so both directions of the version skew decode cleanly.
-		w.UVarint(uint64(st.Quarantined))
-		if st.Draining {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
+		return pmic.FleetStatReply(req, f.Stat())
 	case mode == pmic.FleetSubs:
-		subs := f.SubStats()
-		w.U8(pmic.StatusOK)
-		w.UVarint(uint64(len(subs)))
-		for _, s := range subs {
-			w.UVarint(s.ID)
-			w.U8(s.Signals)
-			if s.FleetWide {
-				w.U8(1)
-			} else {
-				w.U8(0)
-			}
-			w.UVarint(uint64(s.Devices))
-			w.UVarint(s.Pushed)
-			w.UVarint(s.Dropped)
-		}
+		return pmic.FleetSubsReply(req, f.SubStats())
 	case mode == pmic.FleetSnapshot:
 		// Write a checkpoint to the server's configured path and report
 		// where it landed. The write itself waits for the tick barrier
 		// (WriteCheckpoint takes tickMu), so the snapshot is consistent.
 		if f.cfg.Checkpoint == "" {
-			w.U8(pmic.StatusBadArgs)
 			break
 		}
 		size, err := f.WriteCheckpoint(f.cfg.Checkpoint)
 		if err != nil {
 			f.om.ckptErrs.Inc()
-			w.U8(pmic.StatusInternal)
-			break
+			return pmic.Reply(req, pmic.StatusInternal)
 		}
-		w.U8(pmic.StatusOK)
-		w.Str(f.cfg.Checkpoint)
-		w.UVarint(uint64(size))
-	default:
-		w.U8(pmic.StatusBadArgs)
+		return pmic.FleetSnapshotReply(req, f.cfg.Checkpoint, size)
 	}
-	return bus.Frame{Cmd: req.Cmd | pmic.RespFlag, Seq: req.Seq, Device: req.Device, Payload: w.Bytes()}
+	return pmic.Reply(req, pmic.StatusBadArgs)
 }

@@ -11,10 +11,10 @@ import (
 	"sdb/internal/battery"
 	"sdb/internal/core"
 	"sdb/internal/emulator"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
 	"sdb/internal/obs/ts/store"
-	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
 
@@ -40,7 +40,7 @@ func recDevice(t *testing.T, id uint16) emulator.Config {
 
 // packSoC averages state of charge across a device's pack through the
 // firmware's own status query: the oracle for the recorded soc series.
-func packSoC(ctrl *pmic.Controller) (float64, error) {
+func packSoC(ctrl *firmware.Controller) (float64, error) {
 	sts, err := ctrl.QueryBatteryStatus()
 	if err != nil {
 		return 0, err

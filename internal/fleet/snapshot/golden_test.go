@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 )
 
 // The SHA-256 of the bytes TestJournalGolden writes. Both record
@@ -26,7 +26,7 @@ const (
 func TestJournalGolden(t *testing.T) {
 	journal, _ := buildJournal(t, journalStates(t, 20))
 	snap := sampleSnapshot(t)
-	snap.Devices[0].State.Controller.Transfer = &pmic.TransferState{From: 1, To: 0, PowerW: 0.5, RemainingS: 30}
+	snap.Devices[0].State.Controller.Transfer = &firmware.TransferState{From: 1, To: 0, PowerW: 0.5, RemainingS: 30}
 	var transfer bytes.Buffer
 	if err := Encode(&transfer, snap); err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/faults"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 )
 
 // Magic starts every checkpoint file.
@@ -964,7 +964,7 @@ func (c *codec) offset(from *int, s *emulator.Series, prev *emulator.MachineStat
 // controller walks the firmware of an n-cell pack: per-cell registers
 // and fuel gauges, the split and profile selection, open switches, any
 // transfer in flight, and the watchdog and step counters.
-func (c *codec) controller(ctl *pmic.ControllerState, n int) {
+func (c *codec) controller(ctl *firmware.ControllerState, n int) {
 	cs := cells(c, &ctl.Cells, n, "cell")
 	for i := range cs {
 		x := &cs[i]

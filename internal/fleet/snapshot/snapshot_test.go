@@ -14,7 +14,7 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/faults"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 	"sdb/internal/workload"
 )
 
@@ -272,7 +272,7 @@ func TestEncodeRefusesUndecodable(t *testing.T) {
 		ID: 1, Quarantined: true, QuarantineReason: "device-panic", State: sampleMachine(t, false, false),
 	}}}
 	ms := sampleMachine(t, false, false)
-	ms.Controller.Transfer = &pmic.TransferState{From: 0, To: 5, PowerW: 0.5, RemainingS: 30}
+	ms.Controller.Transfer = &firmware.TransferState{From: 0, To: 5, PowerW: 0.5, RemainingS: 30}
 	transfer := &Snapshot{Devices: []Device{{ID: 1, State: ms}}}
 	for _, tc := range []struct {
 		name string

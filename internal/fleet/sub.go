@@ -70,12 +70,6 @@ func (cw *connWriter) WriteFrame(fr bus.Frame) error {
 	return bus.WriteFrame(cw.w, fr)
 }
 
-// nameAnn is one pending dictionary announcement (metric id -> name).
-type nameAnn struct {
-	id   int
-	name string
-}
-
 // subDev is a subscription's per-device encoder state: the sim time of
 // the last metric push (cadence gate) and the bit patterns of the last
 // pushed values (XOR delta bases).
@@ -97,7 +91,6 @@ type subscription struct {
 	fleetWide bool
 	devs      map[uint16]bool
 	cadenceS  float64
-	globs     []string
 
 	conn *connWriter
 	q    chan bus.Frame
@@ -112,7 +105,7 @@ type subscription struct {
 	// Encoder state (hub-mutex-guarded, barrier-only).
 	names        map[string]int
 	nameList     []string
-	newNames     []nameAnn
+	newNames     []pmic.PushName
 	track        map[uint16]*subDev
 	lastTraceSeq uint64
 	needReset    bool
@@ -169,54 +162,36 @@ const maxSubs = 4096
 // subscribe handles one CmdSubscribe frame for a connection.
 func (f *Fleet) subscribe(req bus.Frame, cw *connWriter) bus.Frame {
 	if f.draining.Load() {
-		return statusFrame(req, pmic.StatusDraining)
+		return pmic.Reply(req, pmic.StatusDraining)
 	}
-	r := bus.NewReader(req.Payload)
-	scope := r.U8()
-	signals := r.U8() & (pmic.SubSigMetrics | pmic.SubSigTrace | pmic.SubSigAlerts)
-	cadence := r.F64()
+	spec, ok := pmic.DecodeSubscribe(req.Payload)
+	if !ok || spec.Signals == 0 {
+		return pmic.Reply(req, pmic.StatusBadArgs)
+	}
 	var devs map[uint16]bool
-	switch scope {
-	case pmic.SubScopeFleet:
-	case pmic.SubScopeDevices:
-		n := int(r.UVarint())
-		if n > r.Remaining()/2 {
-			return statusFrame(req, pmic.StatusBadArgs)
+	if !spec.Fleet {
+		devs = make(map[uint16]bool, len(spec.Devices))
+		for _, id := range spec.Devices {
+			devs[id] = true
 		}
-		devs = make(map[uint16]bool, n)
-		for i := 0; i < n; i++ {
-			devs[r.U16()] = true
-		}
-	default:
-		return statusFrame(req, pmic.StatusBadArgs)
 	}
-	nGlobs := int(r.UVarint())
-	var globs []string
-	for i := 0; i < nGlobs && r.Err() == nil; i++ {
-		globs = append(globs, r.Str())
-	}
-	if r.Err() != nil || signals == 0 {
-		return statusFrame(req, pmic.StatusBadArgs)
-	}
-
 	s := &subscription{
-		signals:   signals,
-		fleetWide: scope == pmic.SubScopeFleet,
+		signals:   spec.Signals,
+		fleetWide: spec.Fleet,
 		devs:      devs,
-		cadenceS:  cadence,
-		globs:     globs,
+		cadenceS:  spec.CadenceS,
 		conn:      cw,
 		q:         make(chan bus.Frame, f.subs.qCap),
 		names:     make(map[string]int),
 		track:     make(map[uint16]*subDev),
-		devKeep:   globKeep(globs, deviceSignals),
-		fleetKeep: globKeep(globs, fleetSignals),
+		devKeep:   globKeep(spec.Globs, deviceSignals),
+		fleetKeep: globKeep(spec.Globs, fleetSignals),
 	}
 	h := &f.subs
 	h.mu.Lock()
 	if len(h.subs) >= maxSubs {
 		h.mu.Unlock()
-		return statusFrame(req, pmic.StatusInternal)
+		return pmic.Reply(req, pmic.StatusInternal)
 	}
 	h.next++
 	s.id = h.next
@@ -224,32 +199,28 @@ func (f *Fleet) subscribe(req bus.Frame, cw *connWriter) bus.Frame {
 	h.subsG.Set(float64(len(h.subs)))
 	h.mu.Unlock()
 	go s.run()
-
-	var w bus.Writer
-	w.U8(pmic.StatusOK).UVarint(s.id)
-	return bus.Frame{Cmd: req.Cmd | pmic.RespFlag, Seq: req.Seq, Device: req.Device, Payload: w.Bytes()}
+	return pmic.SubscribeReply(req, s.id)
 }
 
 // unsubscribe handles one CmdUnsubscribe frame. Only the connection
 // that opened a subscription may close it.
 func (f *Fleet) unsubscribe(req bus.Frame, cw *connWriter) bus.Frame {
-	r := bus.NewReader(req.Payload)
-	id := r.UVarint()
-	if r.Err() != nil {
-		return statusFrame(req, pmic.StatusBadArgs)
+	id, ok := pmic.DecodeUnsubscribe(req.Payload)
+	if !ok {
+		return pmic.Reply(req, pmic.StatusBadArgs)
 	}
 	h := &f.subs
 	h.mu.Lock()
 	s := h.subs[id]
 	if s == nil || s.conn != cw {
 		h.mu.Unlock()
-		return statusFrame(req, pmic.StatusBadIndex)
+		return pmic.Reply(req, pmic.StatusBadIndex)
 	}
 	delete(h.subs, id)
 	close(s.q)
 	h.subsG.Set(float64(len(h.subs)))
 	h.mu.Unlock()
-	return statusFrame(req, pmic.StatusOK)
+	return pmic.Reply(req, pmic.StatusOK)
 }
 
 // dropConn tears down every subscription a closing connection owns.
@@ -300,7 +271,7 @@ func (h *subHub) enqueueLocked(s *subscription, fr bus.Frame) bool {
 // read-held (membership frozen, devices idle), trans are this
 // barrier's alert transitions, running is the barrier's still-running
 // device count. Everything here is encode-and-enqueue; nothing blocks.
-func (f *Fleet) publishLocked(trans []AlertTransition, running int) {
+func (f *Fleet) publishLocked(trans []pmic.AlertTransition, running int) {
 	h := &f.subs
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -334,10 +305,6 @@ func (f *Fleet) publishLocked(trans []AlertTransition, running int) {
 		}
 	}
 }
-
-// metricFrameBudget leaves header/dictionary headroom under the frame
-// payload cap when accumulating device blocks.
-const metricFrameBudget = bus.MaxPayload - 512
 
 // pushMetricsLocked encodes and enqueues one subscription's metric
 // frames for this barrier: the fleet rollup block first, then, in id
@@ -385,37 +352,22 @@ func (f *Fleet) pushMetricsLocked(s *subscription, maxT float64, running int) {
 		}
 		s.newNames = s.newNames[:0]
 		for id, name := range s.nameList {
-			s.newNames = append(s.newNames, nameAnn{id: id, name: name})
+			s.newNames = append(s.newNames, pmic.PushName{ID: id, Name: name})
 		}
 	}
 
-	var blocks bus.Writer
-	nBlocks := 0
+	// Every block of a reset barrier re-sends its values; only the
+	// first frame carries the flag.
+	var mp pmic.MetricsPush
 	first := true
 	flush := func() bool {
-		if nBlocks == 0 {
+		if mp.Blocks() == 0 {
 			return true
 		}
-		var w bus.Writer
-		w.U8(pmic.PushMetrics)
-		var flags byte
-		if reset && first {
-			flags |= pmic.PushFlagReset
-		}
+		fr := mp.Frame(s.id, reset && first, s.dropped.Load(), s.newNames)
 		first = false
-		w.U8(flags)
-		w.UVarint(s.id)
-		w.UVarint(s.dropped.Load())
-		w.UVarint(uint64(len(s.newNames)))
-		for _, ann := range s.newNames {
-			w.UVarint(uint64(ann.id)).Str(ann.name)
-		}
 		s.newNames = s.newNames[:0]
-		w.UVarint(uint64(nBlocks))
-		payload := append(w.Bytes(), blocks.Bytes()...)
-		blocks = bus.Writer{}
-		nBlocks = 0
-		ok := f.subs.enqueueLocked(s, bus.Frame{Cmd: pmic.CmdPush, Payload: payload})
+		ok := f.subs.enqueueLocked(s, fr)
 		if !ok {
 			s.needReset = true
 		}
@@ -431,26 +383,26 @@ func (f *Fleet) pushMetricsLocked(s *subscription, maxT float64, running int) {
 		float64(len(f.byID)), float64(running), float64(f.steps.Load()),
 		f.om.rate.Value(), float64(f.quarCount.Load()), firing,
 	}
-	f.encodeBlock(s, &blocks, &nBlocks, pmic.PushFleetDevice, nil, maxT, reset,
+	f.encodeBlock(s, &mp, pmic.PushFleetDevice, nil, maxT, reset,
 		fleetSignals, s.fleetKeep, fleetVals[:])
 	for _, d := range f.byID {
 		if !d.live() || !s.wants(d.id) {
 			continue
 		}
-		if len(blocks.Bytes()) > metricFrameBudget {
+		if mp.Full() {
 			if !flush() {
 				return // dropped: stop, next barrier resets
 			}
 		}
-		f.encodeBlock(s, &blocks, &nBlocks, d.id, d, d.sig.t, reset,
+		f.encodeBlock(s, &mp, d.id, d, d.sig.t, reset,
 			deviceSignals, s.devKeep, d.sig.v[:])
 	}
 	flush()
 }
 
 // encodeBlock appends one device's changed values to the pending
-// block writer, honoring the cadence gate and the glob filter.
-func (f *Fleet) encodeBlock(s *subscription, blocks *bus.Writer, nBlocks *int,
+// frame, honoring the cadence gate and the glob filter.
+func (f *Fleet) encodeBlock(s *subscription, mp *pmic.MetricsPush,
 	dev uint16, d *device, t float64, reset bool, sigNames []string, keep []bool, vals []float64) {
 	td := s.track[dev]
 	if td == nil {
@@ -479,7 +431,7 @@ func (f *Fleet) encodeBlock(s *subscription, blocks *bus.Writer, nBlocks *int,
 			id = len(s.nameList)
 			s.names[name] = id
 			s.nameList = append(s.nameList, name)
-			s.newNames = append(s.newNames, nameAnn{id: id, name: name})
+			s.newNames = append(s.newNames, pmic.PushName{ID: id, Name: name})
 		}
 		for len(td.bits) <= id {
 			td.bits = append(td.bits, 0)
@@ -498,12 +450,8 @@ func (f *Fleet) encodeBlock(s *subscription, blocks *bus.Writer, nBlocks *int,
 		td.lastPushT = t
 		return
 	}
-	blocks.U16(dev).F64(t).UVarint(uint64(n))
-	for i := 0; i < n; i++ {
-		blocks.UVarint(uint64(idsBuf[i])).UVarint(deltaBuf[i])
-	}
+	mp.Block(dev, t, idsBuf[:n], deltaBuf[:n])
 	td.lastPushT = t
-	*nBlocks++
 }
 
 // pushTraceLocked pushes fleet-scope trace events newer than the
@@ -521,22 +469,8 @@ func (f *Fleet) pushTraceLocked(s *subscription, evs []obs.Event) {
 	}
 	s.lastTraceSeq = evs[len(evs)-1].Seq
 	for len(evs) > 0 {
-		budget := bus.MaxPayload - 64
-		n := 0
-		for n < len(evs) && budget-pmic.EncodedEventLen(evs[n]) >= 0 {
-			budget -= pmic.EncodedEventLen(evs[n])
-			n++
-		}
-		if n == 0 {
-			n = 1 // oversize single event: let the frame cap reject it
-		}
-		var w bus.Writer
-		w.U8(pmic.PushTrace).UVarint(s.id).UVarint(s.dropped.Load())
-		w.U16(uint16(n))
-		for _, ev := range evs[:n] {
-			pmic.EncodeEvent(&w, ev)
-		}
-		if !f.subs.enqueueLocked(s, bus.Frame{Cmd: pmic.CmdPush, Payload: w.Bytes()}) {
+		fr, n := pmic.TracePush(s.id, s.dropped.Load(), evs)
+		if !f.subs.enqueueLocked(s, fr) {
 			return
 		}
 		evs = evs[n:]
@@ -545,7 +479,7 @@ func (f *Fleet) pushTraceLocked(s *subscription, evs []obs.Event) {
 
 // pushAlertsLocked pushes this barrier's alert transitions that fall
 // inside the subscription's device scope, chunked to frames.
-func (f *Fleet) pushAlertsLocked(s *subscription, trans []AlertTransition) {
+func (f *Fleet) pushAlertsLocked(s *subscription, trans []pmic.AlertTransition) {
 	sel := trans
 	if !s.fleetWide {
 		sel = nil
@@ -556,24 +490,8 @@ func (f *Fleet) pushAlertsLocked(s *subscription, trans []AlertTransition) {
 		}
 	}
 	for len(sel) > 0 {
-		budget := bus.MaxPayload - 64
-		n := 0
-		for n < len(sel) && budget-(30+len(sel[n].Rule)) >= 0 {
-			budget -= 30 + len(sel[n].Rule)
-			n++
-		}
-		if n == 0 {
-			n = 1
-		}
-		var w bus.Writer
-		w.U8(pmic.PushAlert).UVarint(s.id).UVarint(s.dropped.Load())
-		w.UVarint(uint64(n))
-		for _, tr := range sel[:n] {
-			w.U16(tr.Device).F64(tr.TimeS).Str(tr.Rule)
-			w.U8(byte(tr.From)).U8(byte(tr.To))
-			w.F64(tr.Value).F64(tr.Threshold)
-		}
-		if !f.subs.enqueueLocked(s, bus.Frame{Cmd: pmic.CmdPush, Payload: w.Bytes()}) {
+		fr, n := pmic.AlertPush(s.id, s.dropped.Load(), sel)
+		if !f.subs.enqueueLocked(s, fr) {
 			return
 		}
 		sel = sel[n:]
@@ -589,14 +507,8 @@ func (f *Fleet) SubStats() []pmic.SubStat {
 	defer h.mu.Unlock()
 	out := make([]pmic.SubStat, 0, len(h.subs))
 	for _, s := range h.subs {
-		out = append(out, pmic.SubStat{
-			ID:        s.id,
-			Signals:   s.signals,
-			FleetWide: s.fleetWide,
-			Devices:   len(s.devs),
-			Pushed:    s.pushed.Load(),
-			Dropped:   s.dropped.Load(),
-		})
+		out = append(out, pmic.SubStat{ID: s.id, Signals: s.signals, FleetWide: s.fleetWide,
+			Devices: len(s.devs), Pushed: s.pushed.Load(), Dropped: s.dropped.Load()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -99,14 +99,14 @@ func TestAlertPushDeviceScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.RunToCompletion(64)
-	var got []pmic.PushAlertTransition
+	var got []pmic.AlertTransition
 	for _, p := range readPushes(t, c, 300*time.Millisecond) {
 		if p.Kind != pmic.PushAlert {
 			t.Fatalf("alert-only sub got kind %d", p.Kind)
 		}
 		got = append(got, p.Alerts...)
 	}
-	var want []AlertTransition
+	var want []pmic.AlertTransition
 	for _, tr := range f.AlertTransitions() {
 		if tr.Device == 2 {
 			want = append(want, tr)

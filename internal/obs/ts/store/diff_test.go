@@ -17,9 +17,9 @@ import (
 	"sdb/internal/core"
 	"sdb/internal/emulator"
 	"sdb/internal/faults"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
-	"sdb/internal/pmic"
 	"sdb/internal/workload"
 )
 
@@ -37,9 +37,9 @@ func faultyDay(t *testing.T, sink ts.Sink) (*emulator.Result, *ts.Recorder) {
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	pack := battery.MustNewPack(a, b)
-	pcfg := pmic.DefaultConfig(pack)
+	pcfg := firmware.DefaultConfig(pack)
 	pcfg.Obs = reg
-	ctrl, err := pmic.NewController(pcfg)
+	ctrl, err := firmware.NewController(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
 	"sdb/internal/bus"
 	"sdb/internal/obs"
-	"sdb/internal/obs/ts"
 )
 
 // Client speaks the SDB control protocol to a remote controller over
@@ -69,12 +66,6 @@ type Client struct {
 	// connection. Without it a dead transport fails the call.
 	Dial func() (io.ReadWriter, error)
 
-	// MaxStale bounds how many mismatched (stale or forged) response
-	// frames one attempt will discard before giving up; a peer spraying
-	// garbage must not pin the client in the drain loop forever.
-	// Zero means the default of 64.
-	MaxStale int
-
 	// Push-subscription decode state (see subscribe.go): per-sub name
 	// dictionaries and per-device delta bases, plus pushes that arrived
 	// interleaved with request/response traffic, buffered for the next
@@ -86,8 +77,8 @@ type Client struct {
 	om clientMetrics
 }
 
-// clientMetrics bundles the bus client's observables. NewClient wires
-// them to the process default registry; SetObs rebinds them.
+// clientMetrics bundles the bus client's observables, which NewClient
+// wires to the process default registry.
 type clientMetrics struct {
 	retries     *obs.Counter
 	redials     *obs.Counter
@@ -106,15 +97,6 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 	}
 }
 
-// SetObs points the client's link-health counters at reg (nil detaches
-// them). The scanner's resync counters are re-attached across redials.
-func (c *Client) SetObs(reg *obs.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.om = newClientMetrics(reg)
-	c.sc.Instrument(c.om.junkBytes, c.om.rejects)
-}
-
 // deadliner is the optional transport capability Timeout needs.
 type deadliner interface {
 	SetDeadline(time.Time) error
@@ -131,8 +113,7 @@ func (c *Client) init(rw io.ReadWriter) *Client {
 }
 
 // NewClient wraps a transport. Link-health counters report into the
-// process default registry (a no-op unless a CLI installed one);
-// SetObs rebinds them.
+// process default registry (a no-op unless a CLI installed one).
 func NewClient(rw io.ReadWriter) *Client {
 	c := &Client{om: newClientMetrics(obs.Default())}
 	c.DeviceClient = c.Device(0)
@@ -146,25 +127,18 @@ type StatusError struct {
 	Status byte
 }
 
+// statusText names each rejection status.
+var statusText = map[byte]string{
+	StatusBadArgs: "bad arguments", StatusBadIndex: "bad battery index",
+	StatusInternal: "internal controller error", StatusBadCmd: "unknown command",
+	StatusNoDevice: "no such device", StatusDraining: "fleet draining",
+	StatusQuarantined: "device quarantined",
+}
+
 // Error implements error.
 func (e *StatusError) Error() string {
-	var what string
-	switch e.Status {
-	case StatusBadArgs:
-		what = "bad arguments"
-	case StatusBadIndex:
-		what = "bad battery index"
-	case StatusInternal:
-		what = "internal controller error"
-	case StatusBadCmd:
-		what = "unknown command"
-	case StatusNoDevice:
-		what = "no such device"
-	case StatusDraining:
-		what = "fleet draining"
-	case StatusQuarantined:
-		what = "device quarantined"
-	default:
+	what, ok := statusText[e.Status]
+	if !ok {
 		what = fmt.Sprintf("status %#02x", e.Status)
 	}
 	return fmt.Sprintf("pmic: command %#02x rejected: %s", e.Cmd, what)
@@ -184,8 +158,13 @@ func statusToError(cmd byte, status byte) error {
 	return &StatusError{Cmd: cmd, Status: status}
 }
 
+// maxStale bounds how many mismatched (stale or forged) response
+// frames one read will discard before giving up: a peer spraying
+// garbage must not pin the client in the drain loop forever.
+const maxStale = 64
+
 // ErrStaleFlood reports an attempt drowned by mismatched response
-// frames (more than MaxStale in a row). Retryable: the flood usually
+// frames (more than maxStale in a row). Retryable: the flood usually
 // comes from responses to earlier timed-out requests draining through.
 var ErrStaleFlood = errors.New("pmic: too many mismatched responses")
 
@@ -284,10 +263,6 @@ func (c *Client) attempt(dev uint16, cmd byte, payload []byte) (*bus.Reader, err
 	if err := bus.WriteFrame(c.rw, bus.Frame{Cmd: cmd, Seq: seq, Device: dev, Payload: payload}); err != nil {
 		return nil, fmt.Errorf("pmic: client write: %w", err)
 	}
-	maxStale := c.MaxStale
-	if maxStale <= 0 {
-		maxStale = 64
-	}
 	for drained := 0; drained <= maxStale; {
 		resp, err := c.sc.ReadFrame()
 		if err != nil {
@@ -317,232 +292,47 @@ func (c *Client) attempt(dev uint16, cmd byte, payload []byte) (*bus.Reader, err
 	return nil, ErrStaleFlood
 }
 
-// Ping implements API.
-func (d DeviceClient) Ping() error {
-	_, err := d.c.call(d.dev, CmdPing, nil)
-	return err
-}
-
-func ratioPayload(ratios []float64) []byte {
-	var w bus.Writer
-	w.U8(byte(len(ratios)))
-	for _, r := range ratios {
-		w.F64(r)
-	}
-	return w.Bytes()
-}
-
-// Discharge implements API.
-func (d DeviceClient) Discharge(ratios []float64) error {
-	_, err := d.c.call(d.dev, CmdSetDischg, ratioPayload(ratios))
-	return err
-}
-
-// Charge implements API.
-func (d DeviceClient) Charge(ratios []float64) error {
-	_, err := d.c.call(d.dev, CmdSetCharge, ratioPayload(ratios))
-	return err
-}
-
-// ChargeOneFromAnother implements API.
-func (d DeviceClient) ChargeOneFromAnother(x, y int, w, t float64) error {
-	var p bus.Writer
-	p.U8(byte(x)).U8(byte(y)).F64(w).F64(t)
-	_, err := d.c.call(d.dev, CmdTransfer, p.Bytes())
-	return err
-}
-
-// QueryBatteryStatus implements API.
-func (d DeviceClient) QueryBatteryStatus() ([]BatteryStatus, error) {
-	return d.QueryBatteryStatusInto(nil)
-}
-
-// QueryBatteryStatusInto implements API.
-func (d DeviceClient) QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error) {
-	r, err := d.c.call(d.dev, CmdQueryStatus, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.U8())
-	out := slices.Grow(dst[:0], n)
-	for i := 0; i < n; i++ {
-		out = append(out, decodeStatus(r))
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pmic: malformed status response: %w", err)
-	}
-	return out, nil
-}
-
-// SetChargeProfile implements API.
-func (d DeviceClient) SetChargeProfile(batt int, profile string) error {
-	var p bus.Writer
-	p.U8(byte(batt)).Str(profile)
-	_, err := d.c.call(d.dev, CmdSetProfile, p.Bytes())
-	return err
-}
-
-// Ratios fetches the firmware's latched discharge and charge ratio
-// registers.
-func (d DeviceClient) Ratios() (dis, chg []float64, err error) {
-	r, err := d.c.call(d.dev, CmdGetRatios, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := int(r.U8())
-	dis = make([]float64, n)
-	chg = make([]float64, n)
-	for i := range dis {
-		dis[i] = r.F64()
-	}
-	for i := range chg {
-		chg[i] = r.F64()
-	}
-	if err := r.Err(); err != nil {
-		return nil, nil, fmt.Errorf("pmic: malformed ratios response: %w", err)
-	}
-	return dis, chg, nil
-}
-
-// Metrics fetches the remote controller's registry rendered in the
-// text exposition format. Registries too big for one frame are paged
-// across several requests by whole families and reassembled here, so
-// the result is always the complete exposition. (A trailing
-// "# truncated" comment can only appear in the degenerate case of a
-// single family outgrowing a frame.)
-func (d DeviceClient) Metrics() (string, error) {
-	var sb strings.Builder
-	var cursor uint64
-	for {
-		var w bus.Writer
-		w.UVarint(cursor)
-		r, err := d.c.call(d.dev, CmdMetrics, w.Bytes())
-		if err != nil {
-			return "", err
-		}
-		next := r.UVarint()
-		sb.WriteString(r.Str())
-		if err := r.Err(); err != nil {
-			return "", fmt.Errorf("pmic: malformed metrics response: %w", err)
-		}
-		if next == 0 {
-			return sb.String(), nil
-		}
-		if next <= cursor {
-			return "", fmt.Errorf("pmic: metrics page cursor went backwards (%d after %d)", next, cursor)
-		}
-		cursor = next
-	}
-}
-
-// SeriesNames lists the series the remote controller's recorder holds
-// (empty when recording is off). The firmware sends as many sorted
-// names as fit one frame.
-func (d DeviceClient) SeriesNames() ([]string, error) {
-	var w bus.Writer
-	w.U8(SeriesList)
-	r, err := d.c.call(d.dev, CmdSeries, w.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.U16())
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.Str())
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pmic: malformed series list response: %w", err)
-	}
-	return out, nil
-}
-
-// Series fetches one recorded series from the remote controller. The
-// firmware keeps only the newest samples that fit one frame, advancing
-// the window's FirstT past anything dropped; Total still counts every
-// sample ever recorded.
-func (d DeviceClient) Series(name string) (ts.Window, error) {
-	var w bus.Writer
-	w.U8(SeriesGet).Str(name)
-	r, err := d.c.call(d.dev, CmdSeries, w.Bytes())
-	if err != nil {
-		return ts.Window{}, err
-	}
-	win := ts.Window{
-		Name:   r.Str(),
-		Kind:   ts.Kind(r.U8()),
-		StepS:  r.F64(),
-		FirstT: r.F64(),
-		Total:  r.UVarint(),
-	}
-	n := r.UVarint()
-	if n > uint64(r.Remaining())/8 {
-		return ts.Window{}, fmt.Errorf("pmic: malformed series response: count %d exceeds payload", n)
-	}
-	win.Values = make([]float64, n)
-	for i := range win.Values {
-		win.Values[i] = r.F64()
-	}
-	if err := r.Err(); err != nil {
-		return ts.Window{}, fmt.Errorf("pmic: malformed series response: %w", err)
-	}
-	return win, nil
-}
-
-// TraceEvents fetches the remote controller's trace ring, oldest
-// first. The firmware keeps only the newest events that fit one frame.
-func (d DeviceClient) TraceEvents() ([]obs.Event, error) {
-	r, err := d.c.call(d.dev, CmdTrace, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.U16())
-	out := make([]obs.Event, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, DecodeEvent(r))
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pmic: malformed trace response: %w", err)
-	}
-	return out, nil
-}
-
-// BatteryCount implements API.
-func (d DeviceClient) BatteryCount() (int, error) {
-	r, err := d.c.call(d.dev, CmdBattCount, nil)
-	if err != nil {
-		return 0, err
-	}
-	n := int(r.U8())
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// FleetInfo is the fleet endpoint's aggregate self-description, as
-// reported by a FleetStat query.
+// FleetInfo is the fleet endpoint's aggregate self-description: the
+// fleet's Stat and the payload of a FleetStat query.
 type FleetInfo struct {
 	Devices int // registered devices
 	Shards  int // worker shards driving them
 	Steps   uint64
 	Churn   uint64 // devices ever added + removed
-
-	// DeviceStepsPerSec is the aggregate emulation rate over the
-	// server's lifetime (devices x steps / wall seconds); zero until the
-	// fleet has stepped.
+	// DeviceStepsPerSec is devices x steps per wall second spent
+	// ticking; zero until the fleet has stepped.
 	DeviceStepsPerSec float64
-
-	// CmdP99Seconds is the 99th-percentile protocol command latency
-	// observed server-side, from bucketed histograms (an upper-bound
-	// estimate); zero until commands have been served.
+	// CmdP99Seconds is the server-side 99th-percentile command latency,
+	// an upper bound read from bucketed histograms; zero until commands
+	// have been served.
 	CmdP99Seconds float64
-
 	// Quarantined counts devices parked by shard supervision, and
-	// Draining reports a fleet running down toward close. Both are
-	// zero-valued against a pre-quarantine server, whose stat response
-	// ends before these fields.
+	// Draining reports a fleet running down toward close. A
+	// pre-quarantine server's answer ends before both: they read zero.
 	Quarantined int
 	Draining    bool
+}
+
+// FleetInfoMode decodes a CmdFleetInfo request: its mode byte.
+func FleetInfoMode(p []byte) (byte, bool) {
+	if len(p) == 0 {
+		return 0, false
+	}
+	return p[0], true
+}
+
+// FleetListReply encodes the answer to a FleetList: the registry size,
+// then as many of the ids (lowest first) as fit one frame.
+func FleetListReply(req bus.Frame, ids []uint16) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK).UVarint(uint64(len(ids)))
+	// Ids are 2 bytes each; leave headroom for status + the two varints.
+	n := min(len(ids), (bus.MaxPayload-24)/2)
+	w.UVarint(uint64(n))
+	for _, id := range ids[:n] {
+		w.U16(id)
+	}
+	return reply(req, w.Bytes())
 }
 
 // FleetDevices lists the device ids registered on a fleet endpoint,
@@ -550,53 +340,61 @@ type FleetInfo struct {
 // full registry size, so len(ids) < total means the list was cut.
 // A plain single-device server answers StatusBadCmd.
 func (c *Client) FleetDevices() (ids []uint16, total int, err error) {
+	err = c.get(CmdFleetInfo, []byte{FleetList}, "fleet list", func(r *bus.Reader) error {
+		total = int(r.UVarint())
+		n := int(r.UVarint())
+		if n > r.Remaining()/2 {
+			return fmt.Errorf("pmic: malformed fleet list response: count %d exceeds payload", n)
+		}
+		ids = make([]uint16, n)
+		for i := range ids {
+			ids[i] = r.U16()
+		}
+		return nil
+	})
+	return ids, total, err
+}
+
+// FleetStatReply encodes the answer to a FleetStat. The quarantine and
+// draining fields ride after the original six: old clients stop
+// reading before them, new clients read them only when present, so
+// both directions of the version skew decode cleanly.
+func FleetStatReply(req bus.Frame, fi FleetInfo) bus.Frame {
 	var w bus.Writer
-	w.U8(FleetList)
-	r, err := c.call(0, CmdFleetInfo, w.Bytes())
-	if err != nil {
-		return nil, 0, err
+	w.U8(StatusOK)
+	w.UVarint(uint64(fi.Devices)).UVarint(uint64(fi.Shards)).UVarint(fi.Steps).UVarint(fi.Churn)
+	w.F64(fi.DeviceStepsPerSec).F64(fi.CmdP99Seconds)
+	w.UVarint(uint64(fi.Quarantined)).U8(boolByte(fi.Draining))
+	return reply(req, w.Bytes())
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
 	}
-	total = int(r.UVarint())
-	n := int(r.UVarint())
-	if n > r.Remaining()/2 {
-		return nil, 0, fmt.Errorf("pmic: malformed fleet list response: count %d exceeds payload", n)
-	}
-	ids = make([]uint16, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, r.U16())
-	}
-	if err := r.Err(); err != nil {
-		return nil, 0, fmt.Errorf("pmic: malformed fleet list response: %w", err)
-	}
-	return ids, total, nil
+	return 0
 }
 
 // FleetStat fetches the fleet endpoint's aggregate counters.
-func (c *Client) FleetStat() (FleetInfo, error) {
+func (c *Client) FleetStat() (fi FleetInfo, err error) {
+	err = c.get(CmdFleetInfo, []byte{FleetStat}, "fleet stat", func(r *bus.Reader) error {
+		fi = FleetInfo{Devices: int(r.UVarint()), Shards: int(r.UVarint()), Steps: r.UVarint(),
+			Churn: r.UVarint(), DeviceStepsPerSec: r.F64(), CmdP99Seconds: r.F64()}
+		if r.Err() == nil && r.Remaining() > 0 {
+			fi.Quarantined = int(r.UVarint())
+			fi.Draining = r.U8() != 0
+		}
+		return nil
+	})
+	return fi, err
+}
+
+// FleetSnapshotReply encodes the answer to a FleetSnapshot: where the
+// checkpoint landed and its encoded size.
+func FleetSnapshotReply(req bus.Frame, path string, size int64) bus.Frame {
 	var w bus.Writer
-	w.U8(FleetStat)
-	r, err := c.call(0, CmdFleetInfo, w.Bytes())
-	if err != nil {
-		return FleetInfo{}, err
-	}
-	fi := FleetInfo{
-		Devices:           int(r.UVarint()),
-		Shards:            int(r.UVarint()),
-		Steps:             r.UVarint(),
-		Churn:             r.UVarint(),
-		DeviceStepsPerSec: r.F64(),
-		CmdP99Seconds:     r.F64(),
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Quarantine/drain fields, appended by crash-safe fleet servers;
-		// their absence (an older server) leaves the zero values.
-		fi.Quarantined = int(r.UVarint())
-		fi.Draining = r.U8() != 0
-	}
-	if err := r.Err(); err != nil {
-		return FleetInfo{}, fmt.Errorf("pmic: malformed fleet stat response: %w", err)
-	}
-	return fi, nil
+	w.U8(StatusOK).Str(path).UVarint(uint64(size))
+	return reply(req, w.Bytes())
 }
 
 // FleetSnapshot asks the fleet endpoint to write a checkpoint to its
@@ -604,16 +402,9 @@ func (c *Client) FleetStat() (FleetInfo, error) {
 // fleet without a configured checkpoint path answers StatusBadArgs; a
 // plain single-device server answers StatusBadCmd.
 func (c *Client) FleetSnapshot() (path string, size int64, err error) {
-	var w bus.Writer
-	w.U8(FleetSnapshot)
-	r, err := c.call(0, CmdFleetInfo, w.Bytes())
-	if err != nil {
-		return "", 0, err
-	}
-	path = r.Str()
-	size = int64(r.UVarint())
-	if err := r.Err(); err != nil {
-		return "", 0, fmt.Errorf("pmic: malformed fleet snapshot response: %w", err)
-	}
-	return path, size, nil
+	err = c.get(CmdFleetInfo, []byte{FleetSnapshot}, "fleet snapshot", func(r *bus.Reader) error {
+		path, size = r.Str(), int64(r.UVarint())
+		return nil
+	})
+	return path, size, err
 }

@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 // Resilience tests for the bus client: retryable-vs-fatal error
 // classification over every protocol status byte, bounded stale-frame
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sdb/internal/bus"
+	"sdb/internal/pmic"
 )
 
 // TestStatusToErrorAllCodes walks every defined protocol status byte
@@ -25,22 +26,22 @@ func TestStatusToErrorAllCodes(t *testing.T) {
 		retryable bool
 		contains  string
 	}{
-		{StatusBadArgs, false, "bad arguments"},
-		{StatusBadIndex, false, "bad battery index"},
-		{StatusInternal, true, "internal controller error"},
-		{StatusBadCmd, false, "unknown command"},
-		{StatusNoDevice, false, "no such device"},
-		{StatusDraining, true, "fleet draining"},
-		{StatusQuarantined, false, "device quarantined"},
+		{pmic.StatusBadArgs, false, "bad arguments"},
+		{pmic.StatusBadIndex, false, "bad battery index"},
+		{pmic.StatusInternal, true, "internal controller error"},
+		{pmic.StatusBadCmd, false, "unknown command"},
+		{pmic.StatusNoDevice, false, "no such device"},
+		{pmic.StatusDraining, true, "fleet draining"},
+		{pmic.StatusQuarantined, false, "device quarantined"},
 		{0x7E, false, "status 0x7e"},
 	}
 	for _, tc := range cases {
-		err := statusToError(CmdSetDischg, tc.status)
-		var se *StatusError
+		err := pmic.StatusToError(pmic.CmdSetDischg, tc.status)
+		var se *pmic.StatusError
 		if !errors.As(err, &se) {
 			t.Fatalf("status %#x: error %T is not a *StatusError", tc.status, err)
 		}
-		if se.Status != tc.status || se.Cmd != CmdSetDischg {
+		if se.Status != tc.status || se.Cmd != pmic.CmdSetDischg {
 			t.Errorf("status %#x: decoded as %+v", tc.status, se)
 		}
 		if se.Retryable() != tc.retryable {
@@ -50,7 +51,7 @@ func TestStatusToErrorAllCodes(t *testing.T) {
 			t.Errorf("status %#x: message %q missing %q", tc.status, msg, tc.contains)
 		}
 	}
-	if err := statusToError(CmdPing, StatusOK); err == nil {
+	if err := pmic.StatusToError(pmic.CmdPing, pmic.StatusOK); err == nil {
 		// StatusOK never reaches statusToError in practice, but the
 		// mapping must still be total and non-nil to stay fail-safe.
 		t.Error("statusToError(StatusOK) = nil")
@@ -88,7 +89,7 @@ func (f *floodConn) Read(p []byte) (int, error) {
 	f.mu.Lock()
 	f.served++
 	f.mu.Unlock()
-	raw, err := bus.Encode(bus.Frame{Cmd: CmdPing | RespFlag, Seq: 0, Payload: []byte{StatusOK}})
+	raw, err := bus.Encode(bus.Frame{Cmd: pmic.CmdPing | pmic.RespFlag, Seq: 0, Payload: []byte{pmic.StatusOK}})
 	if err != nil {
 		return 0, err
 	}
@@ -100,14 +101,13 @@ func (f *floodConn) Read(p []byte) (int, error) {
 // cost one bounded attempt, not an infinite spin.
 func TestClientDrainLoopBounded(t *testing.T) {
 	fc := &floodConn{}
-	cl := NewClient(fc)
-	cl.MaxStale = 16
+	cl := pmic.NewClient(fc)
 
 	done := make(chan error, 1)
 	go func() { done <- cl.Ping() }()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrStaleFlood) {
+		if !errors.Is(err, pmic.ErrStaleFlood) {
 			t.Fatalf("flooded call returned %v, want ErrStaleFlood", err)
 		}
 	case <-time.After(5 * time.Second):
@@ -124,14 +124,14 @@ func TestClientSeqWrapSkipsZero(t *testing.T) {
 	defer b.Close()
 	go serveConn(ctrl, a)
 
-	cl := NewClient(b)
-	cl.seq = 254 // two calls from the wrap point
+	cl := pmic.NewClient(b)
+	*pmic.ClientSeq(cl) = 254 // two calls from the wrap point
 	seen := map[byte]bool{}
 	for i := 0; i < 4; i++ {
 		if err := cl.Ping(); err != nil {
 			t.Fatalf("ping %d across seq wrap: %v", i, err)
 		}
-		seen[cl.seq] = true
+		seen[*pmic.ClientSeq(cl)] = true
 	}
 	if seen[0] {
 		t.Error("client issued reserved sequence number 0")
@@ -170,7 +170,7 @@ func TestClientRetriesLostFrames(t *testing.T) {
 	go serveConn(ctrl, a)
 
 	lossy := &lossyConn{Conn: b, drop: 2}
-	cl := NewClient(lossy)
+	cl := pmic.NewClient(lossy)
 	cl.Timeout = 50 * time.Millisecond
 	cl.Retries = 3
 	cl.Backoff = time.Millisecond
@@ -202,7 +202,7 @@ func TestClientFailsFastOnBadArgs(t *testing.T) {
 	defer b.Close()
 	go serveConn(ctrl, a)
 
-	cl := NewClient(b)
+	cl := pmic.NewClient(b)
 	cl.Timeout = time.Second
 	cl.Retries = 5
 	cl.Backoff = 100 * time.Millisecond
@@ -212,8 +212,8 @@ func TestClientFailsFastOnBadArgs(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad-args push accepted")
 	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != StatusBadArgs {
+	var se *pmic.StatusError
+	if !errors.As(err, &se) || se.Status != pmic.StatusBadArgs {
 		t.Fatalf("err = %v, want StatusBadArgs StatusError", err)
 	}
 	// Five retries at >=100ms backoff would take >3s; fail-fast returns
@@ -234,7 +234,7 @@ func TestClientReconnectsViaDial(t *testing.T) {
 		return b, b
 	}
 	rw1, c1 := newConn()
-	cl := NewClient(rw1)
+	cl := pmic.NewClient(rw1)
 	cl.Timeout = time.Second
 	cl.Retries = 2
 	cl.Dial = func() (io.ReadWriter, error) {
@@ -272,13 +272,13 @@ func TestClientRetriesThroughDraining(t *testing.T) {
 			if err != nil {
 				return
 			}
-			status := byte(StatusOK)
+			status := byte(pmic.StatusOK)
 			if drains > 0 {
 				drains--
-				status = StatusDraining
+				status = pmic.StatusDraining
 			}
 			wire, err := bus.Encode(bus.Frame{
-				Cmd: req.Cmd | RespFlag, Seq: req.Seq, Device: req.Device,
+				Cmd: req.Cmd | pmic.RespFlag, Seq: req.Seq, Device: req.Device,
 				Payload: []byte{status},
 			})
 			if err != nil {
@@ -290,7 +290,7 @@ func TestClientRetriesThroughDraining(t *testing.T) {
 		}
 	}()
 
-	cl := NewClient(b)
+	cl := pmic.NewClient(b)
 	cl.Timeout = time.Second
 	cl.Retries = 3
 	cl.Backoff = time.Millisecond
@@ -310,19 +310,19 @@ func TestClientRetriesThroughDraining(t *testing.T) {
 				return
 			}
 			wire, _ := bus.Encode(bus.Frame{
-				Cmd: req.Cmd | RespFlag, Seq: req.Seq, Device: req.Device,
-				Payload: []byte{StatusDraining},
+				Cmd: req.Cmd | pmic.RespFlag, Seq: req.Seq, Device: req.Device,
+				Payload: []byte{pmic.StatusDraining},
 			})
 			if _, err := c.Write(wire); err != nil {
 				return
 			}
 		}
 	}()
-	cl2 := NewClient(d)
+	cl2 := pmic.NewClient(d)
 	cl2.Timeout = time.Second
 	err := cl2.Ping()
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != StatusDraining {
+	var se *pmic.StatusError
+	if !errors.As(err, &se) || se.Status != pmic.StatusDraining {
 		t.Fatalf("no-retry ping against draining endpoint: %v, want StatusDraining", err)
 	}
 	if !se.Retryable() {

@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 import (
 	"math"
@@ -6,18 +6,19 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/circuit"
+	"sdb/internal/firmware"
 )
 
 // newTestController builds a 2-cell controller: fast-charge + high
 // density, both at the given state of charge.
-func newTestController(t *testing.T, soc float64) *Controller {
+func newTestController(t *testing.T, soc float64) *firmware.Controller {
 	t.Helper()
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
 	a.SetSoC(soc)
 	b.SetSoC(soc)
 	pack := battery.MustNewPack(a, b)
-	c, err := NewController(DefaultConfig(pack))
+	c, err := firmware.NewController(firmware.DefaultConfig(pack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,18 +26,18 @@ func newTestController(t *testing.T, soc float64) *Controller {
 }
 
 func TestNewControllerValidation(t *testing.T) {
-	if _, err := NewController(Config{}); err == nil {
+	if _, err := firmware.NewController(firmware.Config{}); err == nil {
 		t.Error("nil pack accepted")
 	}
 	pack := battery.MustNewPack(battery.MustNew(battery.MustByName("Watch-200")))
-	cfg := DefaultConfig(pack)
+	cfg := firmware.DefaultConfig(pack)
 	cfg.Profiles = nil
-	if _, err := NewController(cfg); err == nil {
+	if _, err := firmware.NewController(cfg); err == nil {
 		t.Error("empty profile table accepted")
 	}
-	cfg = DefaultConfig(pack)
+	cfg = firmware.DefaultConfig(pack)
 	cfg.DefaultProfile = "bogus"
-	if _, err := NewController(cfg); err == nil {
+	if _, err := firmware.NewController(cfg); err == nil {
 		t.Error("unknown default profile accepted")
 	}
 }
@@ -126,7 +127,7 @@ func TestDischargeDeliversLoad(t *testing.T) {
 	if rep.CircuitLossW <= 0 {
 		t.Error("no circuit loss on discharge")
 	}
-	if rep.Faults != FaultNone {
+	if rep.Faults != firmware.FaultNone {
 		t.Errorf("unexpected faults %b", rep.Faults)
 	}
 }
@@ -166,7 +167,7 @@ func TestRedistributionWhenOneCellEmpty(t *testing.T) {
 	if math.Abs(rep.DeliveredW-2.0) > 0.05 {
 		t.Errorf("delivered %g W; healthy cell did not absorb the slack", rep.DeliveredW)
 	}
-	if rep.Faults&FaultBrownout != 0 {
+	if rep.Faults&firmware.FaultBrownout != 0 {
 		t.Error("brownout fault despite sufficient healthy capacity")
 	}
 }
@@ -177,7 +178,7 @@ func TestBrownoutFaultWhenPackExhausted(t *testing.T) {
 	c.Pack().Cell(1).SetSoC(0)
 	rep, err := c.Step(2.0, 0, 1)
 	mustNoErr(t, err)
-	if rep.Faults&FaultBrownout == 0 {
+	if rep.Faults&firmware.FaultBrownout == 0 {
 		t.Error("no brownout fault from an exhausted pack")
 	}
 	if rep.DeliveredW > 0.01 {
@@ -324,7 +325,7 @@ func TestTransferAbortsWhenSourceEmpties(t *testing.T) {
 	for k := 0; k < 600 && !aborted; k++ {
 		rep, err := c.Step(0, 0, 1)
 		mustNoErr(t, err)
-		aborted = rep.Faults&FaultTransferAborted != 0
+		aborted = rep.Faults&firmware.FaultTransferAborted != 0
 	}
 	if !aborted {
 		t.Error("transfer from a drained cell never aborted")
@@ -402,17 +403,17 @@ func TestCVTaperNearFull(t *testing.T) {
 	// Build a CC-only profile (no trickle phase) so the CV ceiling is
 	// the only thing limiting near-full charging, then compare with
 	// and without it.
-	mk := func(cv float64) *Controller {
+	mk := func(cv float64) *firmware.Controller {
 		a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 		b := battery.MustNew(battery.MustByName("Standard-2000"))
 		a.SetSoC(0.96)
 		b.SetSoC(0.96)
-		cfg := DefaultConfig(battery.MustNewPack(a, b))
+		cfg := firmware.DefaultConfig(battery.MustNewPack(a, b))
 		cfg.Profiles = []circuit.ChargeProfile{{
 			Name: "ccv", CRate: 0.7, TrickleCRate: 0.7, ThresholdSoC: 1.0, CVVoltage: cv,
 		}}
 		cfg.DefaultProfile = "ccv"
-		c, err := NewController(cfg)
+		c, err := firmware.NewController(cfg)
 		mustNoErr(t, err)
 		return c
 	}
@@ -456,10 +457,10 @@ func TestCVCeilingHoldsTerminalVoltage(t *testing.T) {
 func TestGaugeReportedState(t *testing.T) {
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
-	cfg := DefaultConfig(battery.MustNewPack(a, b))
+	cfg := firmware.DefaultConfig(battery.MustNewPack(a, b))
 	cfg.ReportGaugeState = true
 	cfg.Gauge.GainError = 0.01 // force a visible estimation error
-	c, err := NewController(cfg)
+	c, err := firmware.NewController(cfg)
 	mustNoErr(t, err)
 	for k := 0; k < 3600; k++ {
 		_, err := c.Step(2.0, 0, 1)
@@ -493,10 +494,10 @@ func TestSetChargeProfileRejectsWrongVoltageScale(t *testing.T) {
 	p := battery.MustByName("EnergyMax-4000")
 	p.Name = "traction"
 	p.OCV = p.OCV.Scale(96)
-	cfg := DefaultConfig(battery.MustNewPack(battery.MustNew(p)))
+	cfg := firmware.DefaultConfig(battery.MustNewPack(battery.MustNew(p)))
 	cfg.Profiles = append(cfg.Profiles,
 		circuit.ChargeProfile{Name: "traction", CRate: 0.06, TrickleCRate: 0.03, ThresholdSoC: 0.9, CVVoltage: 4.2 * 96})
-	c, err := NewController(cfg)
+	c, err := firmware.NewController(cfg)
 	mustNoErr(t, err)
 	if err := c.SetChargeProfile(0, "standard"); err == nil {
 		t.Error("single-cell CV profile accepted for a 350 V pack")
@@ -509,11 +510,11 @@ func TestSetChargeProfileRejectsWrongVoltageScale(t *testing.T) {
 func TestProfileTableLastNameWinsAndIsCopied(t *testing.T) {
 	// Two entries share a name: the last one, whose CV ceiling sits
 	// below any cell's 20%-charge potential, must be the one resolved.
-	cfg := DefaultConfig(battery.MustNewPack(battery.MustNew(battery.MustByName("Standard-2000"))))
+	cfg := firmware.DefaultConfig(battery.MustNewPack(battery.MustNew(battery.MustByName("Standard-2000"))))
 	cfg.Profiles = append(cfg.Profiles,
 		circuit.ChargeProfile{Name: "dup", CRate: 0.5, TrickleCRate: 0.1, ThresholdSoC: 0.8, CVVoltage: 4.2},
 		circuit.ChargeProfile{Name: "dup", CRate: 0.5, TrickleCRate: 0.1, ThresholdSoC: 0.8, CVVoltage: 1.0})
-	c, err := NewController(cfg)
+	c, err := firmware.NewController(cfg)
 	mustNoErr(t, err)
 	if err := c.SetChargeProfile(0, "dup"); err == nil {
 		t.Error("first of two same-named profiles won")

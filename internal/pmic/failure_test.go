@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 import (
 	"math/rand"
@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"sdb/internal/battery"
+	"sdb/internal/firmware"
+	"sdb/internal/pmic"
 )
 
 // flakyConn corrupts a fraction of written bytes — a noisy Bluetooth
@@ -44,7 +46,7 @@ func TestNoisyLinkNeverSilentlyCorrupts(t *testing.T) {
 	go serveConn(ctrl, a)
 
 	noisy := &flakyConn{Conn: b, rng: rand.New(rand.NewSource(99)), rate: 0.02}
-	cl := NewClient(noisy)
+	cl := pmic.NewClient(noisy)
 	// Corrupted requests are dropped by the firmware's resync, so the
 	// response may never come: bound each round trip.
 	cl.Timeout = 200 * time.Millisecond
@@ -75,7 +77,7 @@ func TestNoisyLinkNeverSilentlyCorrupts(t *testing.T) {
 // zero-allocation regression tests.
 
 func BenchmarkQueryBatteryStatusDirect(b *testing.B) {
-	ctrl, err := NewController(DefaultConfig(benchPack(b)))
+	ctrl, err := firmware.NewController(firmware.DefaultConfig(benchPack(b)))
 	if err != nil {
 		b.Fatal(err)
 	}

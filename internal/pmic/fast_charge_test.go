@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 import (
 	"bytes"
@@ -9,6 +9,8 @@ import (
 	"sdb/internal/battery"
 	"sdb/internal/battery/batch"
 	"sdb/internal/circuit"
+	"sdb/internal/firmware"
+	"sdb/internal/pmic"
 )
 
 // chargeStep is one enforcement interval of a charge differential
@@ -21,12 +23,12 @@ type chargeStep struct{ loadW, extW float64 }
 type chargeCase struct {
 	name     string
 	socs     []float64
-	setup    func(c *Controller) error
+	setup    func(c *firmware.Controller) error
 	segments []chargeSegment
 }
 
 type chargeSegment struct {
-	before func(c *Controller) error
+	before func(c *firmware.Controller) error
 	steps  []chargeStep
 	// fastLen is the fast segment length; the scalar twin steps the
 	// same intervals one Step at a time.
@@ -54,7 +56,7 @@ func testProfiles() []circuit.ChargeProfile {
 	}
 }
 
-func newChargeTwin(t *testing.T, socs []float64) *Controller {
+func newChargeTwin(t *testing.T, socs []float64) *firmware.Controller {
 	t.Helper()
 	names := []string{"QuickCharge-2000", "Standard-2000", "EnergyMax-4000"}
 	var cells []*battery.Cell
@@ -63,9 +65,9 @@ func newChargeTwin(t *testing.T, socs []float64) *Controller {
 		c.SetSoC(soc)
 		cells = append(cells, c)
 	}
-	cfg := DefaultConfig(battery.MustNewPack(cells...))
+	cfg := firmware.DefaultConfig(battery.MustNewPack(cells...))
 	cfg.Profiles = append(cfg.Profiles, testProfiles()...)
-	c, err := NewController(cfg)
+	c, err := firmware.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func gobOf(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-func sameOut(a, b FastStepOut) bool {
+func sameOut(a, b firmware.FastStepOut) bool {
 	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	return eq(a.DeliveredW, b.DeliveredW) && eq(a.CircuitLossW, b.CircuitLossW) &&
 		eq(a.BatteryLossW, b.BatteryLossW) && eq(a.ChargedW, b.ChargedW) && a.Brownout == b.Brownout
@@ -109,7 +111,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			// the profile, limits each cell's charge power.
 			name:  "budget-limited",
 			socs:  []float64{0.4, 0.5, 0.3},
-			setup: func(c *Controller) error { return c.Charge([]float64{0.6, 0.3, 0.1}) },
+			setup: func(c *firmware.Controller) error { return c.Charge([]float64{0.6, 0.3, 0.1}) },
 			segments: []chargeSegment{
 				{steps: repeat(400, chargeStep{1, 2.5}), fastLen: 64},
 			},
@@ -119,7 +121,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			// request would still move charge: Full must gate it.
 			name: "full-at-start",
 			socs: []float64{1, 1 - 5e-10, 0.5},
-			setup: func(c *Controller) error {
+			setup: func(c *firmware.Controller) error {
 				for i := 0; i < 3; i++ {
 					if err := c.SetChargeProfile(i, "high-cv"); err != nil {
 						return err
@@ -134,7 +136,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 		{
 			name:  "zero-charge-ratio",
 			socs:  []float64{0.3, 0.3},
-			setup: func(c *Controller) error { return c.Charge([]float64{1, 0}) },
+			setup: func(c *firmware.Controller) error { return c.Charge([]float64{1, 0}) },
 			segments: []chargeSegment{
 				{steps: repeat(300, chargeStep{2, 15}), fastLen: 33},
 			},
@@ -153,7 +155,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			// below it and tapers into it.
 			name: "realized-zero",
 			socs: []float64{0.97, 0.3},
-			setup: func(c *Controller) error {
+			setup: func(c *firmware.Controller) error {
 				if err := c.SetChargeProfile(0, "low-cv"); err != nil {
 					return err
 				}
@@ -168,7 +170,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			// ratios to the uniform split inside a segment.
 			name: "watchdog-mid-segment",
 			socs: []float64{0.3, 0.6},
-			setup: func(c *Controller) error {
+			setup: func(c *firmware.Controller) error {
 				c.SetWatchdog(250)
 				return c.Charge([]float64{0.9, 0.1})
 			},
@@ -185,7 +187,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			segments: []chargeSegment{
 				{steps: repeat(150, chargeStep{2, 20}), fastLen: 50},
 				{
-					before: func(c *Controller) error {
+					before: func(c *firmware.Controller) error {
 						if err := c.SetChargeProfile(0, "fast"); err != nil {
 							return err
 						}
@@ -208,7 +210,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 					fastLen: 45,
 				},
 				{
-					before:  func(c *Controller) error { return c.SetChargeProfile(0, "standard") },
+					before:  func(c *firmware.Controller) error { return c.SetChargeProfile(0, "standard") },
 					steps:   repeat(100, chargeStep{0, 12}),
 					fastLen: 100,
 				},
@@ -221,7 +223,7 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			if err := fast.AttachFast(batch.New()); err != nil {
 				t.Fatal(err)
 			}
-			both := func(f func(c *Controller) error) {
+			both := func(f func(c *firmware.Controller) error) {
 				t.Helper()
 				if f == nil {
 					return
@@ -239,19 +241,19 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 				both(seg.before)
 				for done := 0; done < len(seg.steps); {
 					n := min(seg.fastLen, len(seg.steps)-done)
-					want := make([]FastStepOut, n)
+					want := make([]firmware.FastStepOut, n)
 					for j := range want {
 						s := seg.steps[done+j]
 						rep, err := ref.Step(s.loadW, s.extW, dt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want[j] = FastStepOut{
+						want[j] = firmware.FastStepOut{
 							DeliveredW:   rep.DeliveredW,
 							CircuitLossW: rep.CircuitLossW,
 							BatteryLossW: rep.BatteryLossW,
 							ChargedW:     rep.ChargedW,
-							Brownout:     rep.Faults&FaultBrownout != 0,
+							Brownout:     rep.Faults&firmware.FaultBrownout != 0,
 						}
 					}
 					if !fast.BeginFast() {
@@ -295,7 +297,7 @@ func TestQueryBatteryStatusIntoNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]BatteryStatus, 1, 4)
+	buf := make([]pmic.BatteryStatus, 1, 4)
 	buf[0].Name = "stale"
 	got, err := c.QueryBatteryStatusInto(buf)
 	if err != nil {

@@ -1,10 +1,11 @@
-package pmic
+package pmic_test
 
 import (
 	"testing"
 
 	"sdb/internal/battery"
 	"sdb/internal/battery/batch"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
 )
 
@@ -29,7 +30,7 @@ func TestFastSegmentMatchesStep(t *testing.T) {
 		t.Fatal("FastLanes does not report the attached engine")
 	}
 
-	both := func(f func(c *Controller) error) {
+	both := func(f func(c *firmware.Controller) error) {
 		t.Helper()
 		if err := f(ref); err != nil {
 			t.Fatal(err)
@@ -38,22 +39,22 @@ func TestFastSegmentMatchesStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	both(func(c *Controller) error { return c.Discharge([]float64{0.7, 0.3}) })
-	both(func(c *Controller) error { c.SetWatchdog(45); return nil })
+	both(func(c *firmware.Controller) error { return c.Discharge([]float64{0.7, 0.3}) })
+	both(func(c *firmware.Controller) error { c.SetWatchdog(45); return nil })
 
 	const dt, steps, segment = 1.0, 70, 16 // 70 % 16 != 0: partial tail
 	for _, loadW := range []float64{0, 3, 18, 500} {
-		var refOuts []FastStepOut
+		var refOuts []firmware.FastStepOut
 		for k := 0; k < steps; k++ {
 			rep, err := ref.Step(loadW, 0, dt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refOuts = append(refOuts, FastStepOut{
+			refOuts = append(refOuts, firmware.FastStepOut{
 				DeliveredW:   rep.DeliveredW,
 				CircuitLossW: rep.CircuitLossW,
 				BatteryLossW: rep.BatteryLossW,
-				Brownout:     rep.Faults&FaultBrownout != 0,
+				Brownout:     rep.Faults&firmware.FaultBrownout != 0,
 			})
 		}
 		for done := 0; done < steps; {
@@ -106,9 +107,9 @@ func TestFastSegmentMatchesStep(t *testing.T) {
 func TestFastPathRefusals(t *testing.T) {
 	a := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	b := battery.MustNew(battery.MustByName("Standard-2000"))
-	cfg := DefaultConfig(battery.MustNewPack(a, b))
+	cfg := firmware.DefaultConfig(battery.MustNewPack(a, b))
 	cfg.Obs = obs.NewRegistry()
-	instrumented, err := NewController(cfg)
+	instrumented, err := firmware.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

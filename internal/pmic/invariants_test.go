@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdb/internal/battery"
+	"sdb/internal/firmware"
 )
 
 // TestStepEnergyConservationRandomSequence drives the controller with
@@ -22,7 +23,7 @@ func TestStepEnergyConservationRandomSequence(t *testing.T) {
 		b := battery.MustNew(battery.MustByName("Standard-3000"))
 		a.SetSoC(0.6)
 		b.SetSoC(0.6)
-		ctrl, err := NewController(DefaultConfig(battery.MustNewPack(a, b)))
+		ctrl, err := firmware.NewController(firmware.DefaultConfig(battery.MustNewPack(a, b)))
 		if err != nil {
 			t.Fatal(err)
 		}

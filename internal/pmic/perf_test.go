@@ -1,23 +1,24 @@
-package pmic
+package pmic_test
 
 import (
 	"testing"
 
 	"sdb/internal/battery"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
 )
 
 // benchController wires a two-cell controller the way the emulator
 // experiments do.
-func benchController(tb testing.TB) *Controller {
+func benchController(tb testing.TB) *firmware.Controller {
 	tb.Helper()
 	return benchControllerObs(tb, nil)
 }
 
 // benchControllerObs is benchController with a metrics registry
 // attached (nil = uninstrumented).
-func benchControllerObs(tb testing.TB, reg *obs.Registry) *Controller {
+func benchControllerObs(tb testing.TB, reg *obs.Registry) *firmware.Controller {
 	tb.Helper()
 	cells := []*battery.Cell{
 		battery.MustNew(battery.MustByName("Standard-2000")),
@@ -27,9 +28,9 @@ func benchControllerObs(tb testing.TB, reg *obs.Registry) *Controller {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := DefaultConfig(pack)
+	cfg := firmware.DefaultConfig(pack)
 	cfg.Obs = reg
-	ctrl, err := NewController(cfg)
+	ctrl, err := firmware.NewController(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -91,10 +92,10 @@ func TestStepNoAllocsWithObs(t *testing.T) {
 	modes := []struct {
 		name        string
 		loadW, extW float64
-		prep        func(*Controller)
+		prep        func(*firmware.Controller)
 	}{
 		{"discharge", 3.0, 0, nil},
-		{"charge", 1.0, 12.0, func(c *Controller) {
+		{"charge", 1.0, 12.0, func(c *firmware.Controller) {
 			for _, cell := range c.Pack().Cells() {
 				cell.SetSoC(0.5)
 			}

@@ -1,7 +1,20 @@
+// Package pmic is the SDB control protocol: the serial-bus command
+// interface between the OS runtime and the microcontroller firmware
+// (Section 3.2), and between an operator and a fleet of emulated
+// devices. It owns every payload layout. Each command's request
+// encoder and decoder and its reply encoder and decoder sit side by
+// side, so the firmware (internal/firmware), the fleet server
+// (internal/fleet) and the client here share one codec and no other
+// package reads or writes protocol bytes.
+//
+// The package needs none of the cell physics: API and BatteryStatus
+// are the operation set and record the runtime programs against, and
+// Client implements API over any stream transport.
 package pmic
 
 import (
-	"errors"
+	"fmt"
+	"slices"
 	"strings"
 
 	"sdb/internal/bus"
@@ -29,8 +42,10 @@ const (
 	CmdTrace   = 0x0A
 	// CmdSeries queries the controller's attached time-series recorder:
 	// mode SeriesList returns the recorded series names, SeriesGet one
-	// series' newest samples. Like CmdTrace, responses are bounded to
-	// one frame by dropping the oldest data first.
+	// series' newest samples. A list request holding only the mode byte
+	// gets as many names as fit one frame; one with a UVarint cursor
+	// after the mode is paged like CmdMetrics. SeriesGet keeps the
+	// newest samples that fit one frame, as CmdTrace keeps events.
 	CmdSeries = 0x0B
 	// CmdFleetInfo queries a fleet endpoint about the fleet itself
 	// rather than any one device: mode FleetList returns registered
@@ -143,150 +158,336 @@ const (
 	StatusQuarantined = 0x07
 )
 
-// statusErr converts a controller error into a protocol status code.
-func statusErr(err error) byte {
-	switch {
-	case err == nil:
-		return StatusOK
-	case errors.Is(err, ErrBadIndex):
-		return StatusBadIndex
-	default:
-		return StatusBadArgs
+// BatteryStatus is the per-battery record QueryBatteryStatus returns:
+// the paper names state of charge, terminal voltage, and cycle count;
+// the firmware also reports the capability numbers policies need.
+type BatteryStatus struct {
+	Index            int
+	Name             string
+	Chem             string
+	SoC              float64
+	TerminalV        float64
+	CycleCount       float64
+	WearRatio        float64
+	RatedCycles      float64
+	CapacityFraction float64
+	CapacityCoulombs float64
+	DCIR             float64
+	DCIRSlope        float64
+	MaxDischargeW    float64
+	MaxChargeW       float64
+	MaxChargeA       float64
+	EnergyRemainingJ float64
+	TemperatureC     float64
+	Bendable         bool
+	// Faulted marks a cell the firmware has isolated (open circuit or
+	// protection trip). Policies above must not route power through it;
+	// the runtime masks faulted cells out of ratio vectors.
+	Faulted bool
+}
+
+// API is the operation set the SDB Runtime needs from the controller.
+// Both the in-process Controller and the bus Client implement it, so a
+// policy stack can run against local hardware or a remote
+// microcontroller unchanged.
+type API interface {
+	// Ping verifies the control link.
+	Ping() error
+	// Charge sets the charging power ratios (must sum to 1).
+	Charge(ratios []float64) error
+	// Discharge sets the discharging power ratios (must sum to 1).
+	Discharge(ratios []float64) error
+	// ChargeOneFromAnother charges battery y from battery x with power
+	// w (watts) for t seconds.
+	ChargeOneFromAnother(x, y int, w, t float64) error
+	// QueryBatteryStatus reports per-battery state.
+	QueryBatteryStatus() ([]BatteryStatus, error)
+	// QueryBatteryStatusInto is QueryBatteryStatus writing into dst's
+	// storage: it returns dst[:0] extended by one record per battery,
+	// growing it only when its capacity is short. A tick loop that
+	// hands back the previous result queries without allocating.
+	QueryBatteryStatusInto(dst []BatteryStatus) ([]BatteryStatus, error)
+	// SetChargeProfile selects a stored charging profile for one
+	// battery.
+	SetChargeProfile(batt int, profile string) error
+	// BatteryCount returns the number of batteries in the pack.
+	BatteryCount() (int, error)
+}
+
+// Reply builds a status-only response to req: the answer to a command
+// that returns nothing, and every rejection.
+func Reply(req bus.Frame, status byte) bus.Frame { return reply(req, []byte{status}) }
+
+// reply wraps a payload in the response frame to req, which echoes its
+// sequence number and device id.
+func reply(req bus.Frame, p []byte) bus.Frame {
+	return bus.Frame{Cmd: req.Cmd | RespFlag, Seq: req.Seq, Device: req.Device, Payload: p}
+}
+
+// Ping implements API.
+func (d DeviceClient) Ping() error { return d.get(CmdPing, nil, "", nil) }
+
+// CmdSetDischg and CmdSetCharge carry a count and that many ratios.
+func ratioPayload(ratios []float64) []byte {
+	var w bus.Writer
+	w.U8(byte(len(ratios)))
+	for _, r := range ratios {
+		w.F64(r)
+	}
+	return w.Bytes()
+}
+
+// DecodeRatios decodes a CmdSetDischg or CmdSetCharge request.
+func DecodeRatios(p []byte) ([]float64, bool) {
+	r := bus.NewReader(p)
+	ratios := make([]float64, int(r.U8()))
+	for i := range ratios {
+		ratios[i] = r.F64()
+	}
+	return ratios, r.Err() == nil
+}
+
+// Discharge implements API.
+func (d DeviceClient) Discharge(ratios []float64) error {
+	return d.get(CmdSetDischg, ratioPayload(ratios), "", nil)
+}
+
+// Charge implements API.
+func (d DeviceClient) Charge(ratios []float64) error {
+	return d.get(CmdSetCharge, ratioPayload(ratios), "", nil)
+}
+
+// ChargeOneFromAnother implements API.
+func (d DeviceClient) ChargeOneFromAnother(x, y int, w, t float64) error {
+	var p bus.Writer
+	p.U8(byte(x)).U8(byte(y)).F64(w).F64(t)
+	return d.get(CmdTransfer, p.Bytes(), "", nil)
+}
+
+// DecodeTransfer decodes a CmdTransfer request: source and sink
+// battery, power in watts and duration in seconds.
+func DecodeTransfer(p []byte) (x, y int, w, secs float64, ok bool) {
+	r := bus.NewReader(p)
+	x, y, w, secs = int(r.U8()), int(r.U8()), r.F64(), r.F64()
+	return x, y, w, secs, r.Err() == nil
+}
+
+// SetChargeProfile implements API.
+func (d DeviceClient) SetChargeProfile(batt int, profile string) error {
+	var p bus.Writer
+	p.U8(byte(batt)).Str(profile)
+	return d.get(CmdSetProfile, p.Bytes(), "", nil)
+}
+
+// DecodeProfile decodes a CmdSetProfile request.
+func DecodeProfile(p []byte) (batt int, name string, ok bool) {
+	r := bus.NewReader(p)
+	batt, name = int(r.U8()), r.Str()
+	return batt, name, r.Err() == nil
+}
+
+// StatusReply encodes the answer to CmdQueryStatus.
+func StatusReply(req bus.Frame, sts []BatteryStatus) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK).U8(byte(len(sts)))
+	for _, s := range sts {
+		encodeStatus(&w, s)
+	}
+	return reply(req, w.Bytes())
+}
+
+// QueryBatteryStatus implements API.
+func (d DeviceClient) QueryBatteryStatus() ([]BatteryStatus, error) {
+	return d.QueryBatteryStatusInto(nil)
+}
+
+// QueryBatteryStatusInto implements API.
+func (d DeviceClient) QueryBatteryStatusInto(dst []BatteryStatus) (out []BatteryStatus, err error) {
+	err = d.get(CmdQueryStatus, nil, "status", func(r *bus.Reader) error {
+		n := int(r.U8())
+		out = slices.Grow(dst[:0], n)
+		for i := 0; i < n; i++ {
+			out = append(out, decodeStatus(r))
+		}
+		return nil
+	})
+	return out, err
+}
+
+// encodeStatus marshals one BatteryStatus record.
+func encodeStatus(w *bus.Writer, s BatteryStatus) {
+	w.U8(byte(s.Index)).Str(s.Name).Str(s.Chem)
+	w.F64(s.SoC).F64(s.TerminalV).F64(s.CycleCount).F64(s.WearRatio)
+	w.F64(s.RatedCycles).F64(s.CapacityFraction).F64(s.CapacityCoulombs)
+	w.F64(s.DCIR).F64(s.DCIRSlope)
+	w.F64(s.MaxDischargeW).F64(s.MaxChargeW).F64(s.MaxChargeA)
+	w.F64(s.EnergyRemainingJ).F64(s.TemperatureC)
+	var flags byte
+	if s.Bendable {
+		flags |= 1
+	}
+	if s.Faulted {
+		flags |= 2
+	}
+	w.U8(flags)
+}
+
+// decodeStatus unmarshals one BatteryStatus record.
+func decodeStatus(r *bus.Reader) BatteryStatus {
+	s := BatteryStatus{
+		Index: int(r.U8()),
+		Name:  r.Str(),
+		Chem:  r.Str(),
+	}
+	s.SoC = r.F64()
+	s.TerminalV = r.F64()
+	s.CycleCount = r.F64()
+	s.WearRatio = r.F64()
+	s.RatedCycles = r.F64()
+	s.CapacityFraction = r.F64()
+	s.CapacityCoulombs = r.F64()
+	s.DCIR = r.F64()
+	s.DCIRSlope = r.F64()
+	s.MaxDischargeW = r.F64()
+	s.MaxChargeW = r.F64()
+	s.MaxChargeA = r.F64()
+	s.EnergyRemainingJ = r.F64()
+	s.TemperatureC = r.F64()
+	flags := r.U8()
+	s.Bendable = flags&1 != 0
+	s.Faulted = flags&2 != 0
+	return s
+}
+
+// BattCountReply encodes the answer to CmdBattCount.
+func BattCountReply(req bus.Frame, n int) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK).U8(byte(n))
+	return reply(req, w.Bytes())
+}
+
+// BatteryCount implements API.
+func (d DeviceClient) BatteryCount() (n int, err error) {
+	err = d.get(CmdBattCount, nil, "battery count", func(r *bus.Reader) error {
+		n = int(r.U8())
+		return nil
+	})
+	return n, err
+}
+
+// RatiosReply encodes the answer to CmdGetRatios: the count, then the
+// discharge and the charge registers.
+func RatiosReply(req bus.Frame, dis, chg []float64) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK).U8(byte(len(dis)))
+	for _, r := range dis {
+		w.F64(r)
+	}
+	for _, r := range chg {
+		w.F64(r)
+	}
+	return reply(req, w.Bytes())
+}
+
+// Ratios fetches the firmware's latched discharge and charge ratio
+// registers.
+func (d DeviceClient) Ratios() (dis, chg []float64, err error) {
+	err = d.get(CmdGetRatios, nil, "ratios", func(r *bus.Reader) error {
+		n := int(r.U8())
+		dis, chg = make([]float64, n), make([]float64, n)
+		for i := range dis {
+			dis[i] = r.F64()
+		}
+		for i := range chg {
+			chg[i] = r.F64()
+		}
+		return nil
+	})
+	return dis, chg, err
+}
+
+// DecodeCursor decodes the paging cursor of a CmdMetrics request, or
+// of a CmdSeries list request after its mode byte. An empty payload is
+// the legacy single-frame form (paged false).
+func DecodeCursor(p []byte) (cursor int, paged, ok bool) {
+	if len(p) == 0 {
+		return 0, false, true
+	}
+	r := bus.NewReader(p)
+	c := r.UVarint()
+	return int(c), true, r.Err() == nil
+}
+
+// MetricsReply encodes the answer to CmdMetrics from reg. The legacy
+// answer is the exposition cut at a whole family (truncateExposition);
+// a paged one holds the next cursor (0 = done), then the whole families
+// from index start that fit (metricsPage). A nil reg, an uninstrumented
+// controller, answers with no metrics: a normal state, not an error.
+func MetricsReply(req bus.Frame, reg *obs.Registry, start int, paged bool) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK)
+	if paged {
+		chunk, next := metricsPage(reg.Snapshot(), start, bus.MaxPayload-16)
+		w.UVarint(uint64(next)).Str(chunk)
+	} else {
+		w.Str(truncateExposition(reg.Text(), bus.MaxPayload-3))
+	}
+	return reply(req, w.Bytes())
+}
+
+// Metrics fetches the remote controller's registry rendered in the
+// text exposition format. Registries too big for one frame are paged
+// across several requests by whole families and reassembled here, so
+// the result is always the complete exposition. (A trailing
+// "# truncated" comment can only appear in the degenerate case of a
+// single family outgrowing a frame.)
+func (d DeviceClient) Metrics() (string, error) {
+	var sb strings.Builder
+	err := d.pages(CmdMetrics, nil, "metrics", func(r *bus.Reader) {
+		sb.WriteString(r.Str())
+	})
+	return sb.String(), err
+}
+
+// pages fetches a paged listing: each request carries prefix and a
+// UVarint cursor, each answer the next cursor (0 = done) ahead of a
+// chunk that read consumes. A cursor that does not advance is an error.
+func (d DeviceClient) pages(cmd byte, prefix []byte, what string, read func(*bus.Reader)) error {
+	var cursor, next uint64
+	for {
+		var w bus.Writer
+		w.UVarint(cursor)
+		err := d.get(cmd, append(prefix, w.Bytes()...), what, func(r *bus.Reader) error {
+			next = r.UVarint()
+			read(r)
+			return nil
+		})
+		switch {
+		case err != nil:
+			return err
+		case next == 0:
+			return nil
+		case next <= cursor:
+			return fmt.Errorf("pmic: %s page cursor went backwards (%d after %d)", what, next, cursor)
+		}
+		cursor = next
 	}
 }
 
-// Dispatch executes one request frame and builds the response, which
-// echoes the request's sequence number and device id. The controller
-// runs no frame loop of its own: a server (internal/fleet) reads each
-// frame off a connection and routes it to the addressed controller's
-// Dispatch.
-func (c *Controller) Dispatch(req bus.Frame) bus.Frame {
-	var w bus.Writer
-	switch req.Cmd {
-	case CmdPing:
-		w.U8(StatusOK)
-
-	case CmdSetDischg, CmdSetCharge:
-		r := bus.NewReader(req.Payload)
-		n := int(r.U8())
-		ratios := make([]float64, n)
-		for i := range ratios {
-			ratios[i] = r.F64()
-		}
-		if r.Err() != nil {
-			w.U8(StatusBadArgs)
-			break
-		}
-		var err error
-		if req.Cmd == CmdSetDischg {
-			err = c.Discharge(ratios)
-		} else {
-			err = c.Charge(ratios)
-		}
-		w.U8(statusErr(err))
-
-	case CmdTransfer:
-		r := bus.NewReader(req.Payload)
-		x := int(r.U8())
-		y := int(r.U8())
-		pw := r.F64()
-		secs := r.F64()
-		if r.Err() != nil {
-			w.U8(StatusBadArgs)
-			break
-		}
-		w.U8(statusErr(c.ChargeOneFromAnother(x, y, pw, secs)))
-
-	case CmdQueryStatus:
-		sts, err := c.QueryBatteryStatus()
-		if err != nil {
-			w.U8(StatusInternal)
-			break
-		}
-		w.U8(StatusOK).U8(byte(len(sts)))
-		for _, s := range sts {
-			encodeStatus(&w, s)
-		}
-
-	case CmdSetProfile:
-		r := bus.NewReader(req.Payload)
-		batt := int(r.U8())
-		name := r.Str()
-		if r.Err() != nil {
-			w.U8(StatusBadArgs)
-			break
-		}
-		w.U8(statusErr(c.SetChargeProfile(batt, name)))
-
-	case CmdBattCount:
-		n, _ := c.BatteryCount()
-		w.U8(StatusOK).U8(byte(n))
-
-	case CmdGetRatios:
-		dis, chg := c.Ratios()
-		w.U8(StatusOK).U8(byte(len(dis)))
-		for _, r := range dis {
-			w.F64(r)
-		}
-		for _, r := range chg {
-			w.F64(r)
-		}
-
-	case CmdMetrics:
-		// An uninstrumented controller answers OK with an empty body:
-		// "no metrics" is a normal state, not a protocol error. An
-		// empty request is the legacy single-frame form — a whole-family
-		// prefix of the exposition, cut marked — so pre-cursor clients
-		// keep working. A UVarint family cursor instead pages the full
-		// registry: the response carries the next cursor (0 = done)
-		// before the chunk.
-		if len(req.Payload) == 0 {
-			w.U8(StatusOK).Str(truncateExposition(c.om.reg.Text(), bus.MaxPayload-3))
-			break
-		}
-		r := bus.NewReader(req.Payload)
-		start := r.UVarint()
-		if r.Err() != nil {
-			w.U8(StatusBadArgs)
-			break
-		}
-		chunk, next := metricsPage(c.om.reg.Snapshot(), int(start), bus.MaxPayload-16)
-		w.U8(StatusOK).UVarint(uint64(next)).Str(chunk)
-
-	case CmdTrace:
-		events := c.om.tracer.Events()
-		encodeTrace(&w, events, bus.MaxPayload-3)
-
-	case CmdSeries:
-		r := bus.NewReader(req.Payload)
-		mode := r.U8()
-		switch {
-		case r.Err() != nil:
-			w.U8(StatusBadArgs)
-		case mode == SeriesList:
-			// Like CmdMetrics, a controller without a recorder answers OK
-			// with zero series: recording off is a normal state.
-			encodeSeriesList(&w, c.Recorder().Names(), bus.MaxPayload)
-		case mode == SeriesGet:
-			name := r.Str()
-			if r.Err() != nil {
-				w.U8(StatusBadArgs)
-				break
-			}
-			win, ok := c.Recorder().Get(name)
-			if !ok {
-				w.U8(StatusBadIndex)
-				break
-			}
-			encodeSeriesWindow(&w, win, bus.MaxPayload)
-		default:
-			w.U8(StatusBadArgs)
-		}
-
-	default:
-		w.U8(StatusBadCmd)
+// get runs one call and hands its OK answer to read (nil ignores the
+// answer). A reader left failed is a malformed answer to what.
+func (d DeviceClient) get(cmd byte, payload []byte, what string, read func(*bus.Reader) error) error {
+	r, err := d.c.call(d.dev, cmd, payload)
+	if err != nil || read == nil {
+		return err
 	}
-	return bus.Frame{Cmd: req.Cmd | RespFlag, Seq: req.Seq, Device: req.Device, Payload: w.Bytes()}
+	if err := read(r); err != nil {
+		return err
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("pmic: malformed %s response: %w", what, err)
+	}
+	return nil
 }
 
 // truncateExposition bounds an exposition text to max bytes without
@@ -345,15 +546,15 @@ func metricsPage(fams []obs.Family, start, budget int) (string, int) {
 	return sb.String(), i
 }
 
-// EncodedEventLen is the wire size of one trace event: fixed fields
+// encodedEventLen is the wire size of one trace event: fixed fields
 // (seq, time, cell, v1, v2) plus three length-prefixed strings. Shared
 // by the CmdTrace response and the fleet's PushTrace frames.
-func EncodedEventLen(ev obs.Event) int {
+func encodedEventLen(ev obs.Event) int {
 	return 8 + 8 + 2 + 8 + 8 + (2 + len(ev.Scope)) + (2 + len(ev.Kind)) + (2 + len(ev.Detail))
 }
 
-// EncodeEvent marshals one trace event in the CmdTrace wire layout.
-func EncodeEvent(w *bus.Writer, ev obs.Event) {
+// encodeEvent marshals one trace event in the CmdTrace wire layout.
+func encodeEvent(w *bus.Writer, ev obs.Event) {
 	cell := uint16(0xFFFF)
 	if ev.Cell >= 0 {
 		cell = uint16(ev.Cell)
@@ -362,8 +563,8 @@ func EncodeEvent(w *bus.Writer, ev obs.Event) {
 	w.U16(cell).F64(ev.V1).F64(ev.V2).Str(ev.Detail)
 }
 
-// DecodeEvent unmarshals one trace event; check r.Err() after.
-func DecodeEvent(r *bus.Reader) obs.Event {
+// decodeEvent unmarshals one trace event; check r.Err() after.
+func decodeEvent(r *bus.Reader) obs.Event {
 	var ev obs.Event
 	ev.Seq = r.U64()
 	ev.TimeS = r.F64()
@@ -380,108 +581,167 @@ func DecodeEvent(r *bus.Reader) obs.Event {
 	return ev
 }
 
-// encodeTrace writes status, a count, and as many of the newest events
-// as fit in budget bytes, oldest-first so the client prints them in
-// chronological order.
-func encodeTrace(w *bus.Writer, events []obs.Event, budget int) {
-	budget -= 2 // count field
+// TraceReply encodes the answer to CmdTrace: a count and as many of
+// the newest events as fit one frame, oldest first so the client
+// prints them in chronological order.
+func TraceReply(req bus.Frame, events []obs.Event) bus.Frame {
+	budget := bus.MaxPayload - 3 - 2 // status, count
 	start := len(events)
-	for start > 0 && budget-EncodedEventLen(events[start-1]) >= 0 {
-		budget -= EncodedEventLen(events[start-1])
+	for start > 0 && budget-encodedEventLen(events[start-1]) >= 0 {
+		budget -= encodedEventLen(events[start-1])
 		start--
 	}
 	events = events[start:]
+	var w bus.Writer
 	w.U8(StatusOK).U16(uint16(len(events)))
 	for _, ev := range events {
-		EncodeEvent(w, ev)
+		encodeEvent(&w, ev)
 	}
+	return reply(req, w.Bytes())
 }
 
-// encodeSeriesList writes status, a count, and as many series names as
-// fit in budget bytes (names arrive sorted; the alphabetical tail is
-// dropped first and the count reflects only what is sent).
-func encodeSeriesList(w *bus.Writer, names []string, budget int) {
-	budget -= 1 + 2 // status + count
+// TraceEvents fetches the remote controller's trace ring, oldest
+// first. The firmware keeps only the newest events that fit one frame.
+func (d DeviceClient) TraceEvents() (out []obs.Event, err error) {
+	err = d.get(CmdTrace, nil, "trace", func(r *bus.Reader) error {
+		out = decodeEvents(r, int(r.U16()))
+		return nil
+	})
+	return out, err
+}
+
+// decodeEvents reads n events, stopping at the first decode error.
+func decodeEvents(r *bus.Reader, n int) []obs.Event {
+	var out []obs.Event
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, decodeEvent(r))
+	}
+	return out
+}
+
+// SeriesRequest is a decoded CmdSeries request: the series a SeriesGet
+// names, or where a SeriesList resumes (Paged is false for the legacy
+// request, the mode byte alone).
+type SeriesRequest struct {
+	Mode   byte
+	Name   string
+	Cursor int
+	Paged  bool
+}
+
+// DecodeSeriesRequest decodes a CmdSeries request; ok is false for a
+// malformed one, whatever its mode.
+func DecodeSeriesRequest(p []byte) (SeriesRequest, bool) {
+	if len(p) == 0 {
+		return SeriesRequest{}, false
+	}
+	q := SeriesRequest{Mode: p[0]}
+	switch q.Mode {
+	case SeriesList:
+		var ok bool
+		q.Cursor, q.Paged, ok = DecodeCursor(p[1:])
+		return q, ok
+	case SeriesGet:
+		r := bus.NewReader(p[1:])
+		q.Name = r.Str()
+		return q, r.Err() == nil
+	}
+	return q, false
+}
+
+// SeriesListReply encodes the answer to a SeriesList: a count and as
+// many of the sorted names from index start as fit one frame. A paged
+// answer puts the next cursor (0 = done) first and always advances;
+// the legacy one (start 0) drops the alphabetical tail.
+func SeriesListReply(req bus.Frame, names []string, start int, paged bool) bus.Frame {
+	if start < 0 || start > len(names) {
+		start = len(names)
+	}
+	names = names[start:]
+	budget := bus.MaxPayload - 1 - 2 // status, count
+	if paged {
+		budget -= 10 + 3 // cursor, spare
+	}
 	n := 0
 	for _, name := range names {
-		cost := 2 + len(name)
-		if budget-cost < 0 {
+		if budget -= 2 + len(name); budget < 0 {
 			break
 		}
-		budget -= cost
 		n++
 	}
-	w.U8(StatusOK).U16(uint16(n))
+	var w bus.Writer
+	w.U8(StatusOK)
+	if paged {
+		n = max(n, min(len(names), 1))
+		next := 0
+		if n < len(names) {
+			next = start + n
+		}
+		w.UVarint(uint64(next))
+	}
+	w.U16(uint16(n))
 	for _, name := range names[:n] {
 		w.Str(name)
 	}
+	return reply(req, w.Bytes())
 }
 
-// encodeSeriesWindow writes one series with as many of the NEWEST
-// samples as fit in budget bytes, mirroring CmdTrace's
-// keep-the-recent-past policy: FirstT advances past the dropped
+// SeriesNames lists the series the remote controller's recorder holds
+// (empty when recording is off), fetched a frame at a time.
+func (d DeviceClient) SeriesNames() ([]string, error) {
+	out := []string{}
+	err := d.pages(CmdSeries, []byte{SeriesList}, "series list", func(r *bus.Reader) {
+		for n := int(r.U16()); n > 0 && r.Err() == nil; n-- {
+			out = append(out, r.Str())
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SeriesReply encodes the answer to a SeriesGet: one series with as
+// many of its NEWEST samples as fit one frame, mirroring CmdTrace's
+// keep-the-recent-past policy. FirstT advances past the dropped
 // samples so the transmitted window still places every value on the
 // sim clock, and Total still counts everything ever recorded.
-func encodeSeriesWindow(w *bus.Writer, win ts.Window, budget int) {
+func SeriesReply(req bus.Frame, win ts.Window) bus.Frame {
 	// Fixed cost: status, name, kind, stepS, firstT, and a worst-case
 	// 10 bytes for each of the two varints.
 	fixed := 1 + (2 + len(win.Name)) + 1 + 8 + 8 + 10 + 10
-	keep := (budget - fixed) / 8
-	if keep < 0 {
-		keep = 0
-	}
+	keep := max((bus.MaxPayload-fixed)/8, 0)
 	if drop := len(win.Values) - keep; drop > 0 {
 		win.Values = win.Values[drop:]
 		win.FirstT += float64(drop) * win.StepS
 	}
+	var w bus.Writer
 	w.U8(StatusOK).Str(win.Name).U8(byte(win.Kind)).F64(win.StepS).F64(win.FirstT)
 	w.UVarint(win.Total).UVarint(uint64(len(win.Values)))
 	for _, v := range win.Values {
 		w.F64(v)
 	}
+	return reply(req, w.Bytes())
 }
 
-// encodeStatus marshals one BatteryStatus record.
-func encodeStatus(w *bus.Writer, s BatteryStatus) {
-	w.U8(byte(s.Index)).Str(s.Name).Str(s.Chem)
-	w.F64(s.SoC).F64(s.TerminalV).F64(s.CycleCount).F64(s.WearRatio)
-	w.F64(s.RatedCycles).F64(s.CapacityFraction).F64(s.CapacityCoulombs)
-	w.F64(s.DCIR).F64(s.DCIRSlope)
-	w.F64(s.MaxDischargeW).F64(s.MaxChargeW).F64(s.MaxChargeA)
-	w.F64(s.EnergyRemainingJ).F64(s.TemperatureC)
-	var flags byte
-	if s.Bendable {
-		flags |= 1
-	}
-	if s.Faulted {
-		flags |= 2
-	}
-	w.U8(flags)
-}
-
-// decodeStatus unmarshals one BatteryStatus record.
-func decodeStatus(r *bus.Reader) BatteryStatus {
-	s := BatteryStatus{
-		Index: int(r.U8()),
-		Name:  r.Str(),
-		Chem:  r.Str(),
-	}
-	s.SoC = r.F64()
-	s.TerminalV = r.F64()
-	s.CycleCount = r.F64()
-	s.WearRatio = r.F64()
-	s.RatedCycles = r.F64()
-	s.CapacityFraction = r.F64()
-	s.CapacityCoulombs = r.F64()
-	s.DCIR = r.F64()
-	s.DCIRSlope = r.F64()
-	s.MaxDischargeW = r.F64()
-	s.MaxChargeW = r.F64()
-	s.MaxChargeA = r.F64()
-	s.EnergyRemainingJ = r.F64()
-	s.TemperatureC = r.F64()
-	flags := r.U8()
-	s.Bendable = flags&1 != 0
-	s.Faulted = flags&2 != 0
-	return s
+// Series fetches one recorded series from the remote controller. The
+// firmware keeps only the newest samples that fit one frame, advancing
+// the window's FirstT past anything dropped; Total still counts every
+// sample ever recorded.
+func (d DeviceClient) Series(name string) (win ts.Window, err error) {
+	var w bus.Writer
+	w.U8(SeriesGet).Str(name)
+	err = d.get(CmdSeries, w.Bytes(), "series", func(r *bus.Reader) error {
+		win = ts.Window{Name: r.Str(), Kind: ts.Kind(r.U8()), StepS: r.F64(), FirstT: r.F64(), Total: r.UVarint()}
+		n := r.UVarint()
+		if n > uint64(r.Remaining())/8 {
+			return fmt.Errorf("pmic: malformed series response: count %d exceeds payload", n)
+		}
+		win.Values = make([]float64, n)
+		for i := range win.Values {
+			win.Values[i] = r.F64()
+		}
+		return nil
+	})
+	return win, err
 }

@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 // Frame-level protocol tests: every command's encoding round-trips
 // through dispatch, truncated frames and payloads are rejected
@@ -13,15 +13,17 @@ import (
 	"time"
 
 	"sdb/internal/bus"
+	"sdb/internal/firmware"
+	"sdb/internal/pmic"
 )
 
 // dispatchFrame runs one request frame through the firmware dispatcher
 // and returns the response payload reader after checking the envelope.
-func dispatchFrame(t *testing.T, c *Controller, req bus.Frame) *bus.Reader {
+func dispatchFrame(t *testing.T, c *firmware.Controller, req bus.Frame) *bus.Reader {
 	t.Helper()
 	resp := c.Dispatch(req)
-	if resp.Cmd != req.Cmd|RespFlag {
-		t.Fatalf("response cmd = %#x, want %#x", resp.Cmd, req.Cmd|RespFlag)
+	if resp.Cmd != req.Cmd|pmic.RespFlag {
+		t.Fatalf("response cmd = %#x, want %#x", resp.Cmd, req.Cmd|pmic.RespFlag)
 	}
 	if resp.Seq != req.Seq {
 		t.Fatalf("response seq = %d, want %d", resp.Seq, req.Seq)
@@ -43,17 +45,17 @@ func ratiosPayload(ratios ...float64) []byte {
 func TestDispatchRoundTrip(t *testing.T) {
 	c := newTestController(t, 0.8)
 
-	r := dispatchFrame(t, c, bus.Frame{Cmd: CmdPing, Seq: 1})
-	if st := r.U8(); st != StatusOK || r.Err() != nil {
+	r := dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdPing, Seq: 1})
+	if st := r.U8(); st != pmic.StatusOK || r.Err() != nil {
 		t.Errorf("ping status = %d, err %v", st, r.Err())
 	}
 
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdSetDischg, Seq: 2, Payload: ratiosPayload(0.25, 0.75)})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdSetDischg, Seq: 2, Payload: ratiosPayload(0.25, 0.75)})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Errorf("set discharge status = %d", st)
 	}
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdSetCharge, Seq: 3, Payload: ratiosPayload(0.9, 0.1)})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdSetCharge, Seq: 3, Payload: ratiosPayload(0.9, 0.1)})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Errorf("set charge status = %d", st)
 	}
 	dis, chg := c.Ratios()
@@ -61,8 +63,8 @@ func TestDispatchRoundTrip(t *testing.T) {
 		t.Errorf("ratios = %v / %v after frame commands", dis, chg)
 	}
 
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdGetRatios, Seq: 4})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdGetRatios, Seq: 4})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Fatalf("get ratios status = %d", st)
 	}
 	if n := int(r.U8()); n != 2 {
@@ -81,23 +83,23 @@ func TestDispatchRoundTrip(t *testing.T) {
 
 	var xw bus.Writer
 	xw.U8(1).U8(0).F64(2).F64(60)
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdTransfer, Seq: 5, Payload: xw.Bytes()})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdTransfer, Seq: 5, Payload: xw.Bytes()})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Errorf("transfer status = %d", st)
 	}
 	if !c.TransferActive() {
 		t.Error("transfer command did not start a transfer")
 	}
 
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdQueryStatus, Seq: 6})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdQueryStatus, Seq: 6})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Fatalf("query status = %d", st)
 	}
 	if n := int(r.U8()); n != 2 {
 		t.Fatalf("query status n = %d", n)
 	}
 	for i := 0; i < 2; i++ {
-		s := decodeStatus(r)
+		s := pmic.DecodeStatus(r)
 		if s.Index != i {
 			t.Errorf("status %d index = %d", i, s.Index)
 		}
@@ -114,13 +116,13 @@ func TestDispatchRoundTrip(t *testing.T) {
 
 	var pw bus.Writer
 	pw.U8(0).Str("gentle")
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdSetProfile, Seq: 7, Payload: pw.Bytes()})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdSetProfile, Seq: 7, Payload: pw.Bytes()})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Errorf("set profile status = %d", st)
 	}
 
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdBattCount, Seq: 8})
-	if st := r.U8(); st != StatusOK {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdBattCount, Seq: 8})
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Fatalf("batt count status = %d", st)
 	}
 	if n := int(r.U8()); n != 2 {
@@ -128,8 +130,8 @@ func TestDispatchRoundTrip(t *testing.T) {
 	}
 
 	r = dispatchFrame(t, c, bus.Frame{Cmd: 0x7F, Seq: 9})
-	if st := r.U8(); st != StatusBadCmd {
-		t.Errorf("unknown cmd status = %d, want %d", st, StatusBadCmd)
+	if st := r.U8(); st != pmic.StatusBadCmd {
+		t.Errorf("unknown cmd status = %d, want %d", st, pmic.StatusBadCmd)
 	}
 }
 
@@ -147,16 +149,16 @@ func TestDispatchTruncatedPayloads(t *testing.T) {
 		cmd  byte
 		full []byte
 	}{
-		{"set-dischg", CmdSetDischg, ratiosPayload(0.5, 0.5)},
-		{"set-charge", CmdSetCharge, ratiosPayload(0.5, 0.5)},
-		{"transfer", CmdTransfer, xw.Bytes()},
-		{"set-profile", CmdSetProfile, pw.Bytes()},
+		{"set-dischg", pmic.CmdSetDischg, ratiosPayload(0.5, 0.5)},
+		{"set-charge", pmic.CmdSetCharge, ratiosPayload(0.5, 0.5)},
+		{"transfer", pmic.CmdTransfer, xw.Bytes()},
+		{"set-profile", pmic.CmdSetProfile, pw.Bytes()},
 	}
 	for _, tc := range cases {
 		for cut := 0; cut < len(tc.full); cut++ {
 			r := dispatchFrame(t, c, bus.Frame{Cmd: tc.cmd, Payload: tc.full[:cut]})
-			if st := r.U8(); st != StatusBadArgs {
-				t.Errorf("%s truncated at %d: status = %d, want %d", tc.name, cut, st, StatusBadArgs)
+			if st := r.U8(); st != pmic.StatusBadArgs {
+				t.Errorf("%s truncated at %d: status = %d, want %d", tc.name, cut, st, pmic.StatusBadArgs)
 			}
 		}
 	}
@@ -164,15 +166,15 @@ func TestDispatchTruncatedPayloads(t *testing.T) {
 	// not over-read.
 	var w bus.Writer
 	w.U8(200).F64(0.5)
-	r := dispatchFrame(t, c, bus.Frame{Cmd: CmdSetDischg, Payload: w.Bytes()})
-	if st := r.U8(); st != StatusBadArgs {
+	r := dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdSetDischg, Payload: w.Bytes()})
+	if st := r.U8(); st != pmic.StatusBadArgs {
 		t.Errorf("overlong ratio count: status = %d", st)
 	}
 	// A profile name length running past the payload end likewise.
 	var w2 bus.Writer
 	w2.U8(0).U16(500)
-	r = dispatchFrame(t, c, bus.Frame{Cmd: CmdSetProfile, Payload: w2.Bytes()})
-	if st := r.U8(); st != StatusBadArgs {
+	r = dispatchFrame(t, c, bus.Frame{Cmd: pmic.CmdSetProfile, Payload: w2.Bytes()})
+	if st := r.U8(); st != pmic.StatusBadArgs {
 		t.Errorf("overlong profile name: status = %d", st)
 	}
 }
@@ -180,7 +182,7 @@ func TestDispatchTruncatedPayloads(t *testing.T) {
 // TestReadFrameTruncated decodes every strict prefix of a valid wire
 // frame; each must fail with an io error, never succeed or panic.
 func TestReadFrameTruncated(t *testing.T) {
-	full, err := bus.Encode(bus.Frame{Cmd: CmdSetDischg, Seq: 7, Payload: ratiosPayload(0.3, 0.7)})
+	full, err := bus.Encode(bus.Frame{Cmd: pmic.CmdSetDischg, Seq: 7, Payload: ratiosPayload(0.3, 0.7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestReadFrameTruncated(t *testing.T) {
 // decoder may reject the frame or resynchronize past it, but it must
 // never deliver a frame with corrupted content and a nil error.
 func TestReadFrameCorrupted(t *testing.T) {
-	orig := bus.Frame{Cmd: CmdSetCharge, Seq: 9, Payload: ratiosPayload(0.6, 0.4)}
+	orig := bus.Frame{Cmd: pmic.CmdSetCharge, Seq: 9, Payload: ratiosPayload(0.6, 0.4)}
 	full, err := bus.Encode(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -232,11 +234,11 @@ func TestServeResyncAfterNoise(t *testing.T) {
 	defer b.Close()
 	go serveConn(ctrl, a)
 
-	good, err := bus.Encode(bus.Frame{Cmd: CmdPing, Seq: 42})
+	good, err := bus.Encode(bus.Frame{Cmd: pmic.CmdPing, Seq: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := bus.Encode(bus.Frame{Cmd: CmdBattCount, Seq: 1})
+	bad, err := bus.Encode(bus.Frame{Cmd: pmic.CmdBattCount, Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +256,10 @@ func TestServeResyncAfterNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Cmd != CmdPing|RespFlag || resp.Seq != 42 {
+	if resp.Cmd != pmic.CmdPing|pmic.RespFlag || resp.Seq != 42 {
 		t.Fatalf("resync response = %+v, want ping reply seq 42", resp)
 	}
-	if st := bus.NewReader(resp.Payload).U8(); st != StatusOK {
+	if st := bus.NewReader(resp.Payload).U8(); st != pmic.StatusOK {
 		t.Fatalf("resync ping status = %d", st)
 	}
 }

@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 // Wire-protocol tests for the observability commands: CmdMetrics and
 // CmdTrace round trips over a served pipe, the single-frame truncation
@@ -12,12 +12,14 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/bus"
+	"sdb/internal/firmware"
 	"sdb/internal/obs"
+	"sdb/internal/pmic"
 )
 
 // startServedObs spins up a controller bound to reg (nil = off) served
 // over a net.Pipe and returns a connected client.
-func startServedObs(t *testing.T, reg *obs.Registry) (*Controller, *Client) {
+func startServedObs(t *testing.T, reg *obs.Registry) (*firmware.Controller, *pmic.Client) {
 	t.Helper()
 	cells := []*battery.Cell{
 		battery.MustNew(battery.MustByName("QuickCharge-2000")),
@@ -27,9 +29,9 @@ func startServedObs(t *testing.T, reg *obs.Registry) (*Controller, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(pack)
+	cfg := firmware.DefaultConfig(pack)
 	cfg.Obs = reg
-	ctrl, err := NewController(cfg)
+	ctrl, err := firmware.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func startServedObs(t *testing.T, reg *obs.Registry) (*Controller, *Client) {
 		a.Close()
 		b.Close()
 	})
-	return ctrl, NewClient(b)
+	return ctrl, pmic.NewClient(b)
 }
 
 // TestClientMetricsRoundTrip: what the firmware measured must come
@@ -148,9 +150,9 @@ func TestClientMetricsPagedAcrossFrames(t *testing.T) {
 func TestMetricsLegacyRequestStillOneFrame(t *testing.T) {
 	reg := bigTestRegistry(t)
 	ctrl, _ := startServedObs(t, reg)
-	resp := ctrl.Dispatch(bus.Frame{Cmd: CmdMetrics, Seq: 9})
+	resp := ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdMetrics, Seq: 9})
 	r := bus.NewReader(resp.Payload)
-	if st := r.U8(); st != StatusOK {
+	if st := r.U8(); st != pmic.StatusOK {
 		t.Fatalf("status = %d", st)
 	}
 	text := r.Str()
@@ -177,7 +179,7 @@ func TestMetricsPage(t *testing.T) {
 	var joined strings.Builder
 	cursor, pages := 0, 0
 	for {
-		chunk, next := metricsPage(fams, cursor, bus.MaxPayload-16)
+		chunk, next := pmic.MetricsPage(fams, cursor, bus.MaxPayload-16)
 		joined.WriteString(chunk)
 		pages++
 		if next == 0 {
@@ -195,12 +197,12 @@ func TestMetricsPage(t *testing.T) {
 		t.Error("joined pages differ from registry text")
 	}
 	// Out-of-range cursor: empty final page, done.
-	if chunk, next := metricsPage(fams, len(fams)+5, 100); chunk != "" || next != 0 {
+	if chunk, next := pmic.MetricsPage(fams, len(fams)+5, 100); chunk != "" || next != 0 {
 		t.Errorf("out-of-range cursor = (%q, %d), want empty done page", chunk, next)
 	}
 	// A single family bigger than the budget is cut marked but the
 	// cursor still moves past it.
-	chunk, next := metricsPage(fams, 0, 10)
+	chunk, next := pmic.MetricsPage(fams, 0, 10)
 	if next != 1 {
 		t.Errorf("oversized family cursor = %d, want 1", next)
 	}
@@ -222,18 +224,18 @@ func TestTruncateExposition(t *testing.T) {
 			"sdb_h_seconds_count 5\n"
 		marker = "# truncated\n"
 	)
-	if got := truncateExposition(famA+famB, 1000); got != famA+famB {
+	if got := pmic.TruncateExposition(famA+famB, 1000); got != famA+famB {
 		t.Errorf("under-budget text modified: %q", got)
 	}
 	// Budget lands inside famB: only famA survives.
-	got := truncateExposition(famA+famB, len(famA)+len(marker)+10)
+	got := pmic.TruncateExposition(famA+famB, len(famA)+len(marker)+10)
 	if got != famA+marker {
 		t.Errorf("mid-family cut = %q", got)
 	}
 	// Budget lands inside the histogram's bucket lines: a line-boundary
 	// cut would emit a histogram without +Inf/sum/count; the family cut
 	// must drop the whole histogram instead.
-	got = truncateExposition(famA+hist+famB, len(famA)+len(hist)-5)
+	got = pmic.TruncateExposition(famA+hist+famB, len(famA)+len(hist)-5)
 	if got != famA+marker {
 		t.Errorf("mid-histogram cut = %q", got)
 	}
@@ -241,7 +243,7 @@ func TestTruncateExposition(t *testing.T) {
 		t.Errorf("mid-histogram cut does not parse: %v", err)
 	}
 	// Even the first family over budget: marker only.
-	if got := truncateExposition(famA+famB, 5); got != marker {
+	if got := pmic.TruncateExposition(famA+famB, 5); got != marker {
 		t.Errorf("nothing-fits case = %q", got)
 	}
 }

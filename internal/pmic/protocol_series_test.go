@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 // Wire-protocol tests for CmdSeries: list/get round trips over a
 // served pipe, the newest-window one-frame truncation, and the
@@ -7,11 +7,13 @@ package pmic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sdb/internal/bus"
 	"sdb/internal/obs"
 	"sdb/internal/obs/ts"
+	"sdb/internal/pmic"
 )
 
 // TestClientSeriesRoundTrip: a recorded series comes back over the
@@ -101,7 +103,8 @@ func TestClientSeriesKeepsNewestWindow(t *testing.T) {
 }
 
 // TestClientSeriesListTruncates: more names than fit one frame come
-// back as a prefix of the sorted list, count matching.
+// back from a legacy list request (the mode byte alone) as a prefix of
+// the sorted list, count matching; SeriesNames pages through them all.
 func TestClientSeriesListTruncates(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctrl, cl := startServedObs(t, reg)
@@ -112,9 +115,17 @@ func TestClientSeriesListTruncates(t *testing.T) {
 	ctrl.SetRecorder(rec)
 	rec.Sample(0)
 
-	names, err := cl.SeriesNames()
-	if err != nil {
-		t.Fatal(err)
+	resp := ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 1, Payload: []byte{pmic.SeriesList}})
+	r := bus.NewReader(resp.Payload)
+	if st := r.U8(); st != pmic.StatusOK {
+		t.Fatalf("legacy list status %#x", st)
+	}
+	var names []string
+	for n := int(r.U16()); n > 0; n-- {
+		names = append(names, r.Str())
+	}
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("legacy list malformed: %v, %d bytes left", r.Err(), r.Remaining())
 	}
 	if len(names) == 0 || len(names) >= 200 {
 		t.Fatalf("got %d names, want a proper prefix of 200", len(names))
@@ -128,6 +139,14 @@ func TestClientSeriesListTruncates(t *testing.T) {
 	}
 	if wire > bus.MaxPayload-3 {
 		t.Errorf("names need %d bytes, over budget", wire)
+	}
+
+	all, err := cl.SeriesNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rec.Names(); !slices.Equal(all, want) || len(all) < 200 {
+		t.Fatalf("SeriesNames returned %d names, the recorder holds %d", len(all), len(want))
 	}
 }
 
@@ -156,26 +175,26 @@ func TestSeriesBadRequests(t *testing.T) {
 	ctrl.SetRecorder(rec)
 	rec.Sample(0)
 
-	resp := ctrl.Dispatch(bus.Frame{Cmd: CmdSeries, Seq: 1})
-	if resp.Payload[0] != StatusBadArgs {
+	resp := ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 1})
+	if resp.Payload[0] != pmic.StatusBadArgs {
 		t.Errorf("empty payload status = %#02x, want BadArgs", resp.Payload[0])
 	}
 	var w bus.Writer
 	w.U8(7)
-	resp = ctrl.Dispatch(bus.Frame{Cmd: CmdSeries, Seq: 2, Payload: w.Bytes()})
-	if resp.Payload[0] != StatusBadArgs {
+	resp = ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 2, Payload: w.Bytes()})
+	if resp.Payload[0] != pmic.StatusBadArgs {
 		t.Errorf("unknown mode status = %#02x, want BadArgs", resp.Payload[0])
 	}
 	w = bus.Writer{}
-	w.U8(SeriesGet).Str("not_a_series")
-	resp = ctrl.Dispatch(bus.Frame{Cmd: CmdSeries, Seq: 3, Payload: w.Bytes()})
-	if resp.Payload[0] != StatusBadIndex {
+	w.U8(pmic.SeriesGet).Str("not_a_series")
+	resp = ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 3, Payload: w.Bytes()})
+	if resp.Payload[0] != pmic.StatusBadIndex {
 		t.Errorf("unknown series status = %#02x, want BadIndex", resp.Payload[0])
 	}
 	w = bus.Writer{}
-	w.U8(SeriesGet) // missing name
-	resp = ctrl.Dispatch(bus.Frame{Cmd: CmdSeries, Seq: 4, Payload: w.Bytes()})
-	if resp.Payload[0] != StatusBadArgs {
+	w.U8(pmic.SeriesGet) // missing name
+	resp = ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 4, Payload: w.Bytes()})
+	if resp.Payload[0] != pmic.StatusBadArgs {
 		t.Errorf("missing name status = %#02x, want BadArgs", resp.Payload[0])
 	}
 }

@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 import (
 	"io"
@@ -10,12 +10,14 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/bus"
+	"sdb/internal/firmware"
+	"sdb/internal/pmic"
 )
 
 // serveConn answers request frames read off rw with ctrl.Dispatch until
 // the transport fails: the bare firmware command loop a server runs
 // per connection, with no fleet routing in front of it.
-func serveConn(ctrl *Controller, rw io.ReadWriter) {
+func serveConn(ctrl *firmware.Controller, rw io.ReadWriter) {
 	sc := bus.NewScanner(rw)
 	for {
 		req, err := sc.ReadFrame()
@@ -27,7 +29,7 @@ func serveConn(ctrl *Controller, rw io.ReadWriter) {
 
 // startServed spins up a controller served over a net.Pipe and returns
 // a connected client. Cleanup tears both down.
-func startServed(t *testing.T, soc float64) (*Controller, *Client) {
+func startServed(t *testing.T, soc float64) (*firmware.Controller, *pmic.Client) {
 	t.Helper()
 	ctrl := newTestController(t, soc)
 	a, b := net.Pipe()
@@ -36,7 +38,7 @@ func startServed(t *testing.T, soc float64) (*Controller, *Client) {
 		a.Close()
 		b.Close()
 	})
-	return ctrl, NewClient(b)
+	return ctrl, pmic.NewClient(b)
 }
 
 func TestClientPing(t *testing.T) {
@@ -137,10 +139,7 @@ func TestClientSetProfileReachesFirmware(t *testing.T) {
 	if err := cl.SetChargeProfile(1, "fast"); err != nil {
 		t.Fatal(err)
 	}
-	ctrl.mu.Lock()
-	got := ctrl.profileSel[1]
-	ctrl.mu.Unlock()
-	if got != "fast" {
+	if got := ctrl.ExportState().ProfileSel[1]; got != "fast" {
 		t.Errorf("firmware profile = %q", got)
 	}
 }
@@ -191,11 +190,11 @@ func TestServeSurvivesUnknownCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Payload[0] != StatusBadCmd {
+	if resp.Payload[0] != pmic.StatusBadCmd {
 		t.Errorf("status = %#02x, want BadCmd", resp.Payload[0])
 	}
 	// Still alive?
-	cl := NewClient(b)
+	cl := pmic.NewClient(b)
 	if err := cl.Ping(); err != nil {
 		t.Errorf("server dead after unknown command: %v", err)
 	}
@@ -211,17 +210,17 @@ func TestServeSurvivesMalformedPayload(t *testing.T) {
 	// SetDischarge claiming 5 ratios but carrying none.
 	var w bus.Writer
 	w.U8(5)
-	if err := bus.WriteFrame(b, bus.Frame{Cmd: CmdSetDischg, Seq: 9, Payload: w.Bytes()}); err != nil {
+	if err := bus.WriteFrame(b, bus.Frame{Cmd: pmic.CmdSetDischg, Seq: 9, Payload: w.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := bus.ReadFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Payload[0] != StatusBadArgs {
+	if resp.Payload[0] != pmic.StatusBadArgs {
 		t.Errorf("status = %#02x, want BadArgs", resp.Payload[0])
 	}
-	cl := NewClient(b)
+	cl := pmic.NewClient(b)
 	if err := cl.Ping(); err != nil {
 		t.Errorf("server dead after malformed payload: %v", err)
 	}
@@ -231,7 +230,7 @@ func TestClientAgainstClosedTransport(t *testing.T) {
 	a, b := net.Pipe()
 	a.Close()
 	b.Close()
-	cl := NewClient(b)
+	cl := pmic.NewClient(b)
 	err := cl.Ping()
 	if err == nil {
 		t.Fatal("ping over closed pipe succeeded")
@@ -268,15 +267,15 @@ func TestPolicySwapWithoutFirmwareChange(t *testing.T) {
 }
 
 func TestControllerImplementsAPI(t *testing.T) {
-	var _ API = newTestController(t, 1)
-	var _ API = (*Client)(nil)
+	var _ pmic.API = newTestController(t, 1)
+	var _ pmic.API = (*pmic.Client)(nil)
 }
 
 func BenchmarkMicrocontrollerRoundTrip(b *testing.B) {
 	cell1 := battery.MustNew(battery.MustByName("QuickCharge-2000"))
 	cell2 := battery.MustNew(battery.MustByName("Standard-2000"))
 	pack := battery.MustNewPack(cell1, cell2)
-	ctrl, err := NewController(DefaultConfig(pack))
+	ctrl, err := firmware.NewController(firmware.DefaultConfig(pack))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func BenchmarkMicrocontrollerRoundTrip(b *testing.B) {
 	go serveConn(ctrl, p1)
 	defer p1.Close()
 	defer p2.Close()
-	cl := NewClient(p2)
+	cl := pmic.NewClient(p2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.QueryBatteryStatus(); err != nil {

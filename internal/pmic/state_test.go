@@ -1,7 +1,8 @@
-package pmic
+package pmic_test
 
 import (
 	"reflect"
+	"sdb/internal/firmware"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // ratios, a non-default profile, an in-flight transfer, and some
 // simulated time — so the export carries every field with a
 // non-zero value.
-func richController(t *testing.T) *Controller {
+func richController(t *testing.T) *firmware.Controller {
 	t.Helper()
 	c := newTestController(t, 0.8)
 	if err := c.Discharge([]float64{0.7, 0.3}); err != nil {
@@ -75,20 +76,20 @@ func TestControllerImportRejectsMismatches(t *testing.T) {
 	good := richController(t).ExportState()
 	cases := []struct {
 		name     string
-		mutate   func(st *ControllerState)
+		mutate   func(st *firmware.ControllerState)
 		contains string
 	}{
-		{"cells length", func(st *ControllerState) { st.Cells = st.Cells[:1] }, "cells"},
-		{"gauges length", func(st *ControllerState) { st.Gauges = st.Gauges[:1] }, "gauges"},
-		{"discharge ratios length", func(st *ControllerState) { st.DischargeRatios = nil }, "discharge ratios"},
-		{"charge ratios length", func(st *ControllerState) { st.ChargeRatios = nil }, "charge ratios"},
-		{"profile selections length", func(st *ControllerState) { st.ProfileSel = st.ProfileSel[:1] }, "profile selections"},
-		{"open flags length", func(st *ControllerState) { st.Open = st.Open[:1] }, "open flags"},
-		{"unknown profile", func(st *ControllerState) {
+		{"cells length", func(st *firmware.ControllerState) { st.Cells = st.Cells[:1] }, "cells"},
+		{"gauges length", func(st *firmware.ControllerState) { st.Gauges = st.Gauges[:1] }, "gauges"},
+		{"discharge ratios length", func(st *firmware.ControllerState) { st.DischargeRatios = nil }, "discharge ratios"},
+		{"charge ratios length", func(st *firmware.ControllerState) { st.ChargeRatios = nil }, "charge ratios"},
+		{"profile selections length", func(st *firmware.ControllerState) { st.ProfileSel = st.ProfileSel[:1] }, "profile selections"},
+		{"open flags length", func(st *firmware.ControllerState) { st.Open = st.Open[:1] }, "open flags"},
+		{"unknown profile", func(st *firmware.ControllerState) {
 			st.ProfileSel = []string{"standard", "warp-speed"}
 		}, "not in profile table"},
-		{"transfer out of range", func(st *ControllerState) {
-			st.Transfer = &TransferState{From: 0, To: 9, PowerW: 1, RemainingS: 10}
+		{"transfer out of range", func(st *firmware.ControllerState) {
+			st.Transfer = &firmware.TransferState{From: 0, To: 9, PowerW: 1, RemainingS: 10}
 		}, "out of range"},
 	}
 	for _, tc := range cases {

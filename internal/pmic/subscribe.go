@@ -43,8 +43,10 @@ type PushDevice struct {
 	Values []PushSample
 }
 
-// PushAlertTransition is one fleet alert edge inside a push.
-type PushAlertTransition struct {
+// AlertTransition is one fleet alert edge: a rule firing or resolving
+// on one device at barrier sim time TimeS. The fleet logs it and
+// pushes it in PushAlert frames.
+type AlertTransition struct {
 	Device    uint16
 	TimeS     float64
 	Rule      string
@@ -53,15 +55,22 @@ type PushAlertTransition struct {
 	Threshold float64
 }
 
+// String renders the transition in the fleet's canonical log form —
+// the line format the determinism criterion compares byte-for-byte.
+func (tr AlertTransition) String() string {
+	return fmt.Sprintf("t=%.6f dev=%d rule=%s %s->%s value=%g threshold=%g",
+		tr.TimeS, tr.Device, tr.Rule, tr.From, tr.To, tr.Value, tr.Threshold)
+}
+
 // Push is one decoded server-push frame.
 type Push struct {
 	Kind    byte // PushMetrics, PushTrace, or PushAlert
 	SubID   uint64
 	Reset   bool // PushMetrics only: delta bases were re-zeroed
 	Dropped uint64
-	Devices []PushDevice          // PushMetrics
-	Events  []obs.Event           // PushTrace
-	Alerts  []PushAlertTransition // PushAlert
+	Devices []PushDevice      // PushMetrics
+	Events  []obs.Event       // PushTrace
+	Alerts  []AlertTransition // PushAlert
 }
 
 // subDecodeState is the per-subscription decoder state: the name
@@ -89,14 +98,9 @@ func (c *Client) Subscribe(spec SubscriptionSpec) (uint64, error) {
 	}
 	var w bus.Writer
 	if spec.Fleet {
-		w.U8(SubScopeFleet)
+		w.U8(SubScopeFleet).U8(sig).F64(spec.CadenceS)
 	} else {
-		w.U8(SubScopeDevices)
-	}
-	w.U8(sig)
-	w.F64(spec.CadenceS)
-	if !spec.Fleet {
-		w.UVarint(uint64(len(spec.Devices)))
+		w.U8(SubScopeDevices).U8(sig).F64(spec.CadenceS).UVarint(uint64(len(spec.Devices)))
 		for _, id := range spec.Devices {
 			w.U16(id)
 		}
@@ -113,20 +117,57 @@ func (c *Client) Subscribe(spec SubscriptionSpec) (uint64, error) {
 		c.subs = make(map[uint64]*subDecodeState)
 	}
 	c.mu.Unlock()
-	r, err := c.call(0, CmdSubscribe, w.Bytes())
+	var id uint64
+	err := c.get(CmdSubscribe, w.Bytes(), "subscribe", func(r *bus.Reader) error {
+		id = r.UVarint()
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	id := r.UVarint()
-	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("pmic: malformed subscribe response: %w", err)
-	}
 	c.mu.Lock()
-	if _, ok := c.subs[id]; !ok {
-		c.subs[id] = &subDecodeState{bits: make(map[uint16][]uint64)}
-	}
+	c.subState(id)
 	c.mu.Unlock()
 	return id, nil
+}
+
+// DecodeSubscribe decodes a CmdSubscribe request. Unknown signal bits
+// are dropped; a zero signal set is left for the server to refuse.
+func DecodeSubscribe(p []byte) (SubscriptionSpec, bool) {
+	r := bus.NewReader(p)
+	scope := r.U8()
+	spec := SubscriptionSpec{
+		Fleet:    scope == SubScopeFleet,
+		Signals:  r.U8() & (SubSigMetrics | SubSigTrace | SubSigAlerts),
+		CadenceS: r.F64(),
+	}
+	switch scope {
+	case SubScopeFleet:
+	case SubScopeDevices:
+		n := int(r.UVarint())
+		if n > r.Remaining()/2 {
+			return spec, false
+		}
+		spec.Devices = make([]uint16, n)
+		for i := range spec.Devices {
+			spec.Devices[i] = r.U16()
+		}
+	default:
+		return spec, false
+	}
+	nGlobs := int(r.UVarint())
+	for i := 0; i < nGlobs && r.Err() == nil; i++ {
+		spec.Globs = append(spec.Globs, r.Str())
+	}
+	return spec, r.Err() == nil
+}
+
+// SubscribeReply encodes the answer to CmdSubscribe: the new
+// subscription's id.
+func SubscribeReply(req bus.Frame, id uint64) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK).UVarint(id)
+	return reply(req, w.Bytes())
 }
 
 // Unsubscribe tears down a subscription by id. Pushes already in
@@ -134,13 +175,20 @@ func (c *Client) Subscribe(spec SubscriptionSpec) (uint64, error) {
 func (c *Client) Unsubscribe(id uint64) error {
 	var w bus.Writer
 	w.UVarint(id)
-	_, err := c.call(0, CmdUnsubscribe, w.Bytes())
+	err := c.get(CmdUnsubscribe, w.Bytes(), "", nil)
 	if err == nil {
 		c.mu.Lock()
 		delete(c.subs, id)
 		c.mu.Unlock()
 	}
 	return err
+}
+
+// DecodeUnsubscribe decodes a CmdUnsubscribe request: the id.
+func DecodeUnsubscribe(p []byte) (uint64, bool) {
+	r := bus.NewReader(p)
+	id := r.UVarint()
+	return id, r.Err() == nil
 }
 
 // ReadPush returns the next server push: a buffered one if a
@@ -169,10 +217,6 @@ func (c *Client) ReadPush(timeout time.Duration) (*Push, error) {
 			defer d.SetDeadline(time.Time{})
 		}
 	}
-	maxStale := c.MaxStale
-	if maxStale <= 0 {
-		maxStale = 64
-	}
 	for drained := 0; drained <= maxStale; {
 		fr, err := c.sc.ReadFrame()
 		if err != nil {
@@ -185,11 +229,7 @@ func (c *Client) ReadPush(timeout time.Duration) (*Push, error) {
 			drained++
 			continue
 		}
-		p, err := c.decodePush(fr)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		return c.decodePush(fr)
 	}
 	return nil, ErrStaleFlood
 }
@@ -222,17 +262,114 @@ func (c *Client) subState(id uint64) *subDecodeState {
 	return st
 }
 
+// PushName announces one PushMetrics dictionary entry: the metric id
+// a subscription's later frames use for Name.
+type PushName struct {
+	ID   int
+	Name string
+}
+
+// MetricsPush assembles one PushMetrics frame: device blocks first,
+// then Frame puts the header ahead of them.
+type MetricsPush struct {
+	blocks bus.Writer
+	n      int
+}
+
+// Block appends one device's values at sim time t: each as its metric
+// id and the XOR of its float64 bits against the previous push
+// (deltas[i] goes with ids[i]).
+func (m *MetricsPush) Block(dev uint16, t float64, ids []int, deltas []uint64) {
+	m.blocks.U16(dev).F64(t).UVarint(uint64(len(ids)))
+	for i, id := range ids {
+		m.blocks.UVarint(uint64(id)).UVarint(deltas[i])
+	}
+	m.n++
+}
+
+// Blocks is the number of blocks appended since the last Frame.
+func (m *MetricsPush) Blocks() int { return m.n }
+
+// Full reports whether the blocks have spent the frame's budget, which
+// keeps headroom for the header and dictionary: send the frame before
+// appending another block.
+func (m *MetricsPush) Full() bool { return len(m.blocks.Bytes()) > bus.MaxPayload-512 }
+
+// Frame encodes the PushMetrics frame of subscription sub: flags
+// (PushFlagReset when reset), the subscription's dropped-frame count,
+// the dictionary announcements, then the blocks. It empties m.
+func (m *MetricsPush) Frame(sub uint64, reset bool, dropped uint64, names []PushName) bus.Frame {
+	var w bus.Writer
+	w.U8(PushMetrics)
+	var flags byte
+	if reset {
+		flags |= PushFlagReset
+	}
+	w.U8(flags).UVarint(sub).UVarint(dropped).UVarint(uint64(len(names)))
+	for _, ann := range names {
+		w.UVarint(uint64(ann.ID)).Str(ann.Name)
+	}
+	w.UVarint(uint64(m.n))
+	payload := append(w.Bytes(), m.blocks.Bytes()...)
+	*m = MetricsPush{}
+	return bus.Frame{Cmd: CmdPush, Payload: payload}
+}
+
+// pushBudget is a push frame's payload budget for its records, under
+// the cap by more than its header.
+const pushBudget = bus.MaxPayload - 64
+
+// TracePush encodes the PushTrace frame of subscription sub holding
+// the leading events that fit one frame, and returns how many it took:
+// at least one, so an oversize event reaches the frame cap, which
+// rejects it.
+func TracePush(sub, dropped uint64, evs []obs.Event) (bus.Frame, int) {
+	budget, n := pushBudget, 0
+	for n < len(evs) && budget-encodedEventLen(evs[n]) >= 0 {
+		budget -= encodedEventLen(evs[n])
+		n++
+	}
+	n = max(n, 1)
+	var w bus.Writer
+	w.U8(PushTrace).UVarint(sub).UVarint(dropped).U16(uint16(n))
+	for _, ev := range evs[:n] {
+		encodeEvent(&w, ev)
+	}
+	return bus.Frame{Cmd: CmdPush, Payload: w.Bytes()}, n
+}
+
+// AlertPush encodes the PushAlert frame of subscription sub holding
+// the leading transitions that fit one frame, and returns how many it
+// took (at least one).
+func AlertPush(sub, dropped uint64, trs []AlertTransition) (bus.Frame, int) {
+	// Each: device, time, rule (2 + its length), from, to, value, threshold.
+	const fixed = 2 + 8 + 2 + 1 + 1 + 8 + 8
+	budget, n := pushBudget, 0
+	for n < len(trs) && budget-(fixed+len(trs[n].Rule)) >= 0 {
+		budget -= fixed + len(trs[n].Rule)
+		n++
+	}
+	n = max(n, 1)
+	var w bus.Writer
+	w.U8(PushAlert).UVarint(sub).UVarint(dropped).UVarint(uint64(n))
+	for _, tr := range trs[:n] {
+		w.U16(tr.Device).F64(tr.TimeS).Str(tr.Rule)
+		w.U8(byte(tr.From)).U8(byte(tr.To))
+		w.F64(tr.Value).F64(tr.Threshold)
+	}
+	return bus.Frame{Cmd: CmdPush, Payload: w.Bytes()}, n
+}
+
 // decodePush decodes one CmdPush frame. Called with c.mu held.
 func (c *Client) decodePush(fr bus.Frame) (*Push, error) {
 	r := bus.NewReader(fr.Payload)
-	kind := r.U8()
-	p := &Push{Kind: kind}
-	switch kind {
+	p := &Push{Kind: r.U8()}
+	if p.Kind == PushMetrics {
+		p.Reset = r.U8()&PushFlagReset != 0
+	}
+	p.SubID, p.Dropped = r.UVarint(), r.UVarint()
+	switch p.Kind {
 	case PushMetrics:
-		flags := r.U8()
-		p.SubID = r.UVarint()
-		p.Dropped = r.UVarint()
-		p.Reset = flags&PushFlagReset != 0
 		st := c.subState(p.SubID)
 		if p.Reset {
 			for dev := range st.bits {
@@ -260,11 +397,9 @@ func (c *Client) decodePush(fr bus.Frame) (*Push, error) {
 		}
 		nDev := int(r.UVarint())
 		for i := 0; i < nDev && r.Err() == nil; i++ {
-			dev := r.U16()
-			t := r.F64()
+			pd := PushDevice{Device: r.U16(), TimeS: r.F64()}
 			nVals := int(r.UVarint())
-			pd := PushDevice{Device: dev, TimeS: t}
-			base := st.bits[dev]
+			base := st.bits[pd.Device]
 			for j := 0; j < nVals && r.Err() == nil; j++ {
 				id := r.UVarint()
 				delta := r.UVarint()
@@ -280,33 +415,18 @@ func (c *Client) decodePush(fr bus.Frame) (*Push, error) {
 					Value: math.Float64frombits(base[id]),
 				})
 			}
-			st.bits[dev] = base
+			st.bits[pd.Device] = base
 			p.Devices = append(p.Devices, pd)
 		}
 	case PushTrace:
-		p.SubID = r.UVarint()
-		p.Dropped = r.UVarint()
-		n := int(r.U16())
-		for i := 0; i < n && r.Err() == nil; i++ {
-			p.Events = append(p.Events, DecodeEvent(r))
-		}
+		p.Events = decodeEvents(r, int(r.U16()))
 	case PushAlert:
-		p.SubID = r.UVarint()
-		p.Dropped = r.UVarint()
-		n := int(r.UVarint())
-		for i := 0; i < n && r.Err() == nil; i++ {
-			p.Alerts = append(p.Alerts, PushAlertTransition{
-				Device:    r.U16(),
-				TimeS:     r.F64(),
-				Rule:      r.Str(),
-				From:      ts.AlertState(r.U8()),
-				To:        ts.AlertState(r.U8()),
-				Value:     r.F64(),
-				Threshold: r.F64(),
-			})
+		for n := r.UVarint(); n > 0 && r.Err() == nil; n-- {
+			p.Alerts = append(p.Alerts, AlertTransition{Device: r.U16(), TimeS: r.F64(), Rule: r.Str(),
+				From: ts.AlertState(r.U8()), To: ts.AlertState(r.U8()), Value: r.F64(), Threshold: r.F64()})
 		}
 	default:
-		return nil, fmt.Errorf("pmic: unknown push kind %#02x", kind)
+		return nil, fmt.Errorf("pmic: unknown push kind %#02x", p.Kind)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("pmic: malformed push frame: %w", err)
@@ -327,29 +447,27 @@ type SubStat struct {
 	Dropped   uint64
 }
 
+// FleetSubsReply encodes the answer to a FleetSubs: a count, then
+// each subscription's id, signals, scope, device count and counters.
+func FleetSubsReply(req bus.Frame, subs []SubStat) bus.Frame {
+	var w bus.Writer
+	w.U8(StatusOK).UVarint(uint64(len(subs)))
+	for _, s := range subs {
+		w.UVarint(s.ID).U8(s.Signals).U8(boolByte(s.FleetWide))
+		w.UVarint(uint64(s.Devices)).UVarint(s.Pushed).UVarint(s.Dropped)
+	}
+	return reply(req, w.Bytes())
+}
+
 // FleetSubs lists the fleet endpoint's live push subscriptions. A
 // plain single-device server answers StatusBadCmd.
-func (c *Client) FleetSubs() ([]SubStat, error) {
-	var w bus.Writer
-	w.U8(FleetSubs)
-	r, err := c.call(0, CmdFleetInfo, w.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.UVarint())
-	out := make([]SubStat, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, SubStat{
-			ID:        r.UVarint(),
-			Signals:   r.U8(),
-			FleetWide: r.U8() != 0,
-			Devices:   int(r.UVarint()),
-			Pushed:    r.UVarint(),
-			Dropped:   r.UVarint(),
-		})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pmic: malformed fleet subs response: %w", err)
-	}
-	return out, nil
+func (c *Client) FleetSubs() (out []SubStat, err error) {
+	err = c.get(CmdFleetInfo, []byte{FleetSubs}, "fleet subs", func(r *bus.Reader) error {
+		for n := r.UVarint(); n > 0 && r.Err() == nil; n-- {
+			out = append(out, SubStat{ID: r.UVarint(), Signals: r.U8(), FleetWide: r.U8() != 0,
+				Devices: int(r.UVarint()), Pushed: r.UVarint(), Dropped: r.UVarint()})
+		}
+		return nil
+	})
+	return out, err
 }

@@ -308,7 +308,7 @@ func TestReadPushAlertAndTraceDecode(t *testing.T) {
 	ev := obs.Event{TimeS: 60, Scope: "fleet", Kind: "alert.fire", Detail: "lowsoc"}
 	var ft bus.Writer
 	ft.U8(PushTrace).UVarint(2).UVarint(0).U16(1)
-	EncodeEvent(&ft, ev)
+	encodeEvent(&ft, ev)
 
 	wait := srv.push(pushFrame(fa.Bytes()), pushFrame(ft.Bytes()))
 
@@ -372,10 +372,10 @@ func TestReadPushErrors(t *testing.T) {
 	wait()
 
 	// A flood of stale non-push frames must not spin forever. ReadPush
-	// tolerates exactly MaxStale+1 (65) stale frames before bailing, so
+	// tolerates exactly maxStale+1 (65) stale frames before bailing, so
 	// send exactly that many — the synchronous pipe means every written
 	// frame must be consumed.
-	stale := make([]bus.Frame, 65)
+	stale := make([]bus.Frame, maxStale+1)
 	for i := range stale {
 		stale[i] = bus.Frame{Cmd: CmdPing | RespFlag, Seq: 9, Payload: []byte{StatusOK}}
 	}

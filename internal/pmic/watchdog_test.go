@@ -1,4 +1,4 @@
-package pmic
+package pmic_test
 
 // Tests for the firmware-side safety net: the command watchdog that
 // reverts to safe uniform ratios when the runtime goes silent, and
@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"sdb/internal/bus"
+	"sdb/internal/firmware"
+	"sdb/internal/pmic"
 )
 
 // TestWatchdogRevertsToUniform: skewed ratios plus runtime silence must
@@ -134,7 +136,7 @@ func TestOpenCellIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Faults&FaultTransferAborted == 0 {
+	if rep.Faults&firmware.FaultTransferAborted == 0 {
 		t.Error("transfer from an open cell did not abort")
 	}
 
@@ -164,8 +166,8 @@ func TestFaultedStatusOverTheWire(t *testing.T) {
 	}
 	for _, s := range sts {
 		var w bus.Writer
-		encodeStatus(&w, s)
-		got := decodeStatus(bus.NewReader(w.Bytes()))
+		pmic.EncodeStatus(&w, s)
+		got := pmic.DecodeStatus(bus.NewReader(w.Bytes()))
 		if got.Faulted != s.Faulted || got.Bendable != s.Bendable {
 			t.Errorf("cell %d flags lost in transit: %+v vs %+v", s.Index, got, s)
 		}

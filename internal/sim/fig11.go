@@ -7,7 +7,7 @@ import (
 	"sdb/internal/battery"
 	"sdb/internal/circuit"
 	"sdb/internal/core"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 )
 
 // The Section 5.1 charging study compares three ways to meet an
@@ -43,13 +43,13 @@ func fig11Pack(cells []string, soc float64) (*battery.Pack, error) {
 // fig11Controller wires a controller with tablet-scale charger
 // channels (the default 2.5 A full scale is phone-sized) and a boost
 // profile that lets fast-charge cells use their full 3C rating.
-func fig11Controller(pack *battery.Pack) (*pmic.Controller, error) {
-	cfg := pmic.DefaultConfig(pack)
+func fig11Controller(pack *battery.Pack) (*firmware.Controller, error) {
+	cfg := firmware.DefaultConfig(pack)
 	cfg.Charger.MaxCurrentA = 15
 	cfg.Charger.DACSteps = 4096
 	cfg.Profiles = append(cfg.Profiles,
 		circuit.ChargeProfile{Name: "boost", CRate: 3.0, TrickleCRate: 0.3, ThresholdSoC: 0.8})
-	return pmic.NewController(cfg)
+	return firmware.NewController(cfg)
 }
 
 // Figure11a reproduces Figure 11(a): pack energy density versus the

@@ -6,7 +6,7 @@ import (
 
 	"sdb/internal/battery"
 	"sdb/internal/core"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 	"sdb/internal/workload"
 )
 
@@ -28,14 +28,14 @@ func fig14Pack() (*battery.Pack, error) {
 	return battery.NewPack(a, b)
 }
 
-func fig14Controller() (*pmic.Controller, error) {
+func fig14Controller() (*firmware.Controller, error) {
 	pack, err := fig14Pack()
 	if err != nil {
 		return nil, err
 	}
-	cfg := pmic.DefaultConfig(pack)
+	cfg := firmware.DefaultConfig(pack)
 	cfg.Charger.MaxCurrentA = 10 // tablet-scale channels
-	return pmic.NewController(cfg)
+	return firmware.NewController(cfg)
 }
 
 // runFig14SDB measures battery life (hours to brownout) drawing from
@@ -64,7 +64,7 @@ func runFig14SDB(w workload.TwoInOneWorkload) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if rep.Faults&pmic.FaultBrownout != 0 {
+		if rep.Faults&firmware.FaultBrownout != 0 {
 			return tS / 3600, nil
 		}
 	}
@@ -100,7 +100,7 @@ func runFig14ChargeThrough(w workload.TwoInOneWorkload) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if rep.Faults&pmic.FaultBrownout != 0 {
+		if rep.Faults&firmware.FaultBrownout != 0 {
 			return tS / 3600, nil
 		}
 	}

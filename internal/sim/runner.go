@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"sdb/internal/battery"
-	"sdb/internal/pmic"
+	"sdb/internal/firmware"
 )
 
 // Runner executes experiments concurrently on a bounded worker pool.
@@ -149,7 +149,7 @@ func (r *Runner) Run(ctx context.Context, exps []Experiment) *BatchResult {
 	// through the PMIC, while rig and battery-direct drivers (cycler
 	// protocols, aging sweeps) step cells bare and publish bulk counts to
 	// the battery package. Summing both deltas covers every experiment.
-	totalSteps := func() int64 { return pmic.TotalSteps() + battery.TotalSteps() }
+	totalSteps := func() int64 { return firmware.TotalSteps() + battery.TotalSteps() }
 	start := time.Now()
 	stepsBefore := totalSteps()
 	jobs := make(chan int)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -190,13 +189,4 @@ func samples(durationS, dt float64) int {
 		return 0
 	}
 	return int(math.Round(durationS / dt))
-}
-
-// MustValidate panics if the trace is invalid; generator output is
-// validated in tests, so scenario code can use this at setup time.
-func (tr *Trace) MustValidate() *Trace {
-	if err := tr.Validate(); err != nil {
-		panic(fmt.Sprintf("workload: %v", err))
-	}
-	return tr
 }

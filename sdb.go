@@ -8,7 +8,8 @@
 //
 //   - internal/battery: Thevenin cell models + the 15-cell library
 //   - internal/circuit: discharge/charge power-path hardware models
-//   - internal/pmic:    microcontroller firmware (mechanism)
+//   - internal/firmware: microcontroller firmware (mechanism)
+//   - internal/pmic:    the control protocol between runtime and firmware
 //   - internal/core:    the SDB Runtime and policies (policy)
 //   - internal/emulator: the multi-battery emulator
 //   - internal/sim:     one driver per paper table/figure
@@ -31,6 +32,7 @@ import (
 	"sdb/internal/battery"
 	"sdb/internal/core"
 	"sdb/internal/emulator"
+	"sdb/internal/firmware"
 	"sdb/internal/obs/ts"
 	"sdb/internal/pmic"
 	"sdb/internal/sim"
@@ -46,7 +48,7 @@ type (
 	// Pack is an ordered set of heterogeneous cells.
 	Pack = battery.Pack
 	// Controller is the SDB microcontroller firmware emulation.
-	Controller = pmic.Controller
+	Controller = firmware.Controller
 	// BatteryStatus is the per-battery record QueryBatteryStatus
 	// returns.
 	BatteryStatus = pmic.BatteryStatus
