@@ -32,11 +32,14 @@
 #     guarantees (byte-identical store files at any shard count, fresh
 #     alert state for a re-added device) under -race, the shared alert
 #     engine's tests under -race, an alert-grammar fuzz burst, a push-decoder fuzz
-#     burst, and two real servers over TCP: a `sdbctl serve -fleet 32`
-#     + `sdbtop -once` smoke, then a plain one-device `sdbctl serve`
-#     with -store, -checkpoint and -rules (sdbtop sees one device,
-#     metrics reach its firmware, SIGTERM drains it to a final
-#     checkpoint that `fleet restore` reads back).
+#     burst, a fuzz burst of the requests a fleet endpoint answers
+#     itself, and three real servers over TCP: a `sdbctl serve -fleet
+#     32` + `sdbtop -once` smoke, a `sdbctl serve -fleet 2100` whose
+#     `fleet list` and `fleet broadcast ping` page past one frame, then
+#     a plain one-device `sdbctl serve` with -store, -checkpoint and
+#     -rules (sdbtop sees one device, metrics reach its firmware,
+#     SIGTERM drains it to a final checkpoint that `fleet restore` reads
+#     back).
 #   - coverage ratchet: per-package floors in COVERAGE.ratchet.
 #   - exact counts: the figures and fleet-full benchmark workloads must
 #     check correct and reproduce PERF_COUNTS.json exactly.
@@ -142,8 +145,11 @@ go test -fuzz 'FuzzStore' -fuzztime 5s -run '^$' ./internal/obs/ts/store/
 # folded rule names). Then the one alert engine the recorder, the fleet
 # and `sdbctl watch` share — its window rule, bounded history and
 # zero-allocation evaluation — a live fuzz burst on the alert rule
-# grammar on top of its committed seed corpus, and one on the client's
-# push-frame decoder (no panic, dictionary growth bounded by the frame).
+# grammar on top of its committed seed corpus, one on the client's
+# push-frame decoder (no panic, dictionary growth bounded by the frame),
+# and one on the fleet endpoint's own requests (fleet info with any
+# cursor, subscribe, unsubscribe: one frame back, the connection still
+# answering).
 go test -race -run 'TestSlowSubscriberNeverStallsBarrier|TestSubscribe|TestSubscription|TestPushResetAfterDrop|TestLegacyClientIgnoresPushes|TestTracePushDelivery|TestUnsubscribeForeignConn|TestFleetAlert' -v ./internal/fleet/
 # The registry is one id-sorted slice and every barrier walk follows it:
 # the same seeded fleet must write a byte-identical store file at 1, 2
@@ -153,6 +159,7 @@ go test -race -run 'TestFleetRecordingBytesDeterministic|TestFleetReaddStartsFre
 go test -race -run 'TestEngine|TestDerivedSignals' -v ./internal/obs/ts/
 go test -fuzz 'FuzzParseRules' -fuzztime 5s -run '^$' ./internal/obs/ts/
 go test -fuzz 'FuzzPushDecode' -fuzztime 5s -run '^$' ./internal/pmic/
+go test -fuzz 'FuzzFleetRequest' -fuzztime 5s -run '^$' ./internal/fleet/
 # End-to-end CLI smoke: a real fleet server with alert rules, a real
 # sdbtop one-shot dashboard over TCP. The grep asserts the dashboard
 # assembled the fleet rollup and the device table from push frames.
@@ -171,6 +178,21 @@ trap - EXIT
 cat sdbtop.lane.txt
 grep -q 'fleet: 32 devices' sdbtop.lane.txt
 grep -q 'top 15 by soc' sdbtop.lane.txt
+# More devices than one list frame holds (2,036 ids at 2 bytes each):
+# `fleet list` pages through every id, and `fleet broadcast` reaches
+# every device.
+./sdbctl.lane serve -addr 127.0.0.1:7393 -fleet 2100 -shards 4 > /dev/null 2>&1 &
+SDBCTL_PID=$!
+trap 'kill "$SDBCTL_PID" 2>/dev/null || true' EXIT
+sleep 2
+./sdbctl.lane -addr 127.0.0.1:7393 fleet list > list.lane.txt
+./sdbctl.lane -addr 127.0.0.1:7393 fleet broadcast ping > broadcast.lane.txt
+kill "$SDBCTL_PID" || true
+trap - EXIT
+tail -n 1 list.lane.txt
+cat broadcast.lane.txt
+tail -n 1 list.lane.txt | grep -qx '2100 device(s)'
+grep -qx 'broadcast ping: 2100 ok, 0 failed' broadcast.lane.txt
 # A plain `sdbctl serve` is a one-device fleet on the same server path:
 # it records, checkpoints and runs rules like -fleet N, sdbtop sees its
 # one device, metrics reach the device's instrumented firmware, SIGTERM
@@ -193,7 +215,7 @@ grep -q 'drained; final checkpoint at one.lane.ckpt' serve.lane.txt
 ./sdbctl.lane fleet restore one.lane.ckpt > restore.lane.txt
 cat restore.lane.txt
 grep -q '^devices: *1$' restore.lane.txt
-rm -f rules.lane.txt sdbtop.lane.txt serve.lane.txt metrics.lane.txt restore.lane.txt one.lane.ckpt one.lane.sdbstor sdbctl.lane sdbtop.lane
+rm -f rules.lane.txt sdbtop.lane.txt list.lane.txt broadcast.lane.txt serve.lane.txt metrics.lane.txt restore.lane.txt one.lane.ckpt one.lane.sdbstor sdbctl.lane sdbtop.lane
 
 # Coverage ratchet lane: a package below its COVERAGE.ratchet floor,
 # or an enforced package missing from the output, fails.

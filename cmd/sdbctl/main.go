@@ -226,15 +226,12 @@ func fleetCmd(cl *pmic.Client, args []string) {
 	}
 	switch args[0] {
 	case "list":
-		ids, total, err := cl.FleetDevices()
+		ids, err := cl.FleetDevices()
 		must(err)
 		for _, id := range ids {
 			fmt.Println(id)
 		}
-		if total > len(ids) {
-			fmt.Printf("... and %d more (listing truncated to one frame)\n", total-len(ids))
-		}
-		fmt.Printf("%d device(s)\n", total)
+		fmt.Printf("%d device(s)\n", len(ids))
 	case "stat":
 		st, err := cl.FleetStat()
 		must(err)
@@ -301,7 +298,7 @@ func fleetCmd(cl *pmic.Client, args []string) {
 		default:
 			fatalf("fleet broadcast: unknown command %q", args[1])
 		}
-		ids, total, err := cl.FleetDevices()
+		ids, err := cl.FleetDevices()
 		must(err)
 		failed := 0
 		for _, id := range ids {
@@ -310,11 +307,7 @@ func fleetCmd(cl *pmic.Client, args []string) {
 				fmt.Fprintf(os.Stderr, "sdbctl: device %d: %v\n", id, err)
 			}
 		}
-		fmt.Printf("broadcast %s: %d ok, %d failed", args[1], len(ids)-failed, failed)
-		if total > len(ids) {
-			fmt.Printf(", %d unreachable (listing truncated)", total-len(ids))
-		}
-		fmt.Println()
+		fmt.Printf("broadcast %s: %d ok, %d failed\n", args[1], len(ids)-failed, failed)
 		if failed > 0 {
 			os.Exit(1)
 		}

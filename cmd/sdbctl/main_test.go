@@ -150,13 +150,13 @@ func TestServeOneDevice(t *testing.T) {
 	if fires := f.Controller(0).WatchdogFires(); fires == 0 {
 		t.Error("-watchdog 10 never fired over 180 silent-between-ticks seconds")
 	}
-	// The listing is the recorder's sorted names, as many as fit one
-	// frame; a name past the cut still fetches.
+	// The listing is every one of the recorder's sorted names, however
+	// many frames it takes.
 	names, err := c.SeriesNames()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := srv.rec.Names(); len(names) == 0 || len(names) > len(want) || !slices.Equal(names, want[:len(names)]) {
+	if want := srv.rec.Names(); len(names) == 0 || !slices.Equal(names, want) {
 		t.Errorf("series lists %v, the recorder holds %v", names, want)
 	}
 	if win, err := c.Series("sdb_pmic_steps_total"); err != nil || len(win.Values) == 0 || win.Values[len(win.Values)-1] != 180 {
@@ -222,6 +222,42 @@ func TestServeSeriesListsEveryName(t *testing.T) {
 	}
 	if len(want) < 100 {
 		t.Errorf("the recorder holds %d names: too few to need more than one frame", len(want))
+	}
+}
+
+// TestServeFleetListsEveryDevice: against `serve -fleet 2100`, more
+// ids than one frame holds, `fleet list` prints every id and `fleet
+// broadcast ping` reaches every device.
+func TestServeFleetListsEveryDevice(t *testing.T) {
+	const n = 2100
+	o := serveOptions{
+		cells: "QuickCharge-2000,EnergyMax-4000", loadW: 2, speed: 60,
+		durS: 60, n: n, shards: 2, batch: 64,
+	}
+	f, _, err := openFleet(o, o.newServer(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a, b := net.Pipe()
+	go f.Serve(a)
+	defer b.Close()
+	c := pmic.NewClient(b)
+	c.Timeout = 5 * time.Second
+
+	out := captureStdout(t, func() { fleetCmd(c, []string{"list"}) })
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != n+1 || lines[n] != fmt.Sprintf("%d device(s)", n) {
+		t.Fatalf("fleet list printed %d lines ending %q, want %d ids and the count", len(lines), lines[len(lines)-1], n)
+	}
+	for i, line := range lines[:n] {
+		if line != fmt.Sprint(i) {
+			t.Fatalf("fleet list line %d = %q, want %d", i, line, i)
+		}
+	}
+	out = captureStdout(t, func() { fleetCmd(c, []string{"broadcast", "ping"}) })
+	if want := fmt.Sprintf("broadcast ping: %d ok, 0 failed\n", n); out != want {
+		t.Errorf("fleet broadcast ping printed %q, want %q", out, want)
 	}
 }
 

@@ -69,11 +69,11 @@ func (c *Controller) Dispatch(req bus.Frame) bus.Frame {
 		return pmic.RatiosReply(req, dis, chg)
 
 	case pmic.CmdMetrics:
-		cursor, paged, ok := pmic.DecodeCursor(req.Payload)
+		cursor, ok := pmic.DecodeCursor(req.Payload)
 		if !ok {
 			return pmic.Reply(req, pmic.StatusBadArgs)
 		}
-		return pmic.MetricsReply(req, c.om.reg, cursor, paged)
+		return pmic.MetricsReply(req, c.om.reg, cursor)
 
 	case pmic.CmdTrace:
 		return pmic.TraceReply(req, c.om.tracer.Events())
@@ -92,7 +92,7 @@ func (c *Controller) Dispatch(req bus.Frame) bus.Frame {
 			}
 			return pmic.SeriesReply(req, win)
 		}
-		return pmic.SeriesListReply(req, c.Recorder().Names(), q.Cursor, q.Paged)
+		return pmic.SeriesListReply(req, c.Recorder().Names(), q.Cursor)
 	}
 	return pmic.Reply(req, pmic.StatusBadCmd)
 }

@@ -110,10 +110,10 @@ func TestDispatchCommands(t *testing.T) {
 func TestDispatchObservability(t *testing.T) {
 	// Uninstrumented: no metrics, no trace, no series, all answered OK.
 	c := newDispatchController(t, nil)
-	if st, r := send(t, c, pmic.CmdMetrics, nil); st != pmic.StatusOK || r.Str() != "" {
+	if st, r := send(t, c, pmic.CmdMetrics, func(w *bus.Writer) { w.UVarint(0) }); st != pmic.StatusOK || r.UVarint() != 0 || r.Str() != "" {
 		t.Errorf("uninstrumented CmdMetrics: status %#x", st)
 	}
-	if st, r := send(t, c, pmic.CmdSeries, func(w *bus.Writer) { w.U8(pmic.SeriesList) }); st != pmic.StatusOK || r.U16() != 0 {
+	if st, r := send(t, c, pmic.CmdSeries, func(w *bus.Writer) { w.U8(pmic.SeriesList).UVarint(0) }); st != pmic.StatusOK || r.UVarint() != 0 || r.U16() != 0 {
 		t.Errorf("recorder-off SeriesList: status %#x", st)
 	}
 
@@ -129,8 +129,8 @@ func TestDispatchObservability(t *testing.T) {
 		rec.Sample(float64(i+1) * 60)
 	}
 
-	if st, r := send(t, c, pmic.CmdMetrics, nil); st != pmic.StatusOK || !strings.Contains(r.Str(), "sdb_pmic_steps_total 4") {
-		t.Errorf("legacy CmdMetrics: status %#x", st)
+	if st, _ := send(t, c, pmic.CmdMetrics, nil); st != pmic.StatusBadArgs {
+		t.Errorf("CmdMetrics without a cursor: status %#x", st)
 	}
 	st, r := send(t, c, pmic.CmdMetrics, func(w *bus.Writer) { w.UVarint(0) })
 	if next, chunk := r.UVarint(), r.Str(); st != pmic.StatusOK || next != 0 || !strings.Contains(chunk, "sdb_pmic_steps_total 4") {
@@ -144,8 +144,8 @@ func TestDispatchObservability(t *testing.T) {
 	}
 
 	names := rec.Names()
-	if st, r := send(t, c, pmic.CmdSeries, func(w *bus.Writer) { w.U8(pmic.SeriesList) }); st != pmic.StatusOK || int(r.U16()) != len(names) {
-		t.Errorf("legacy SeriesList: status %#x", st)
+	if st, _ := send(t, c, pmic.CmdSeries, func(w *bus.Writer) { w.U8(pmic.SeriesList) }); st != pmic.StatusBadArgs {
+		t.Errorf("SeriesList without a cursor: status %#x", st)
 	}
 	st, r = send(t, c, pmic.CmdSeries, func(w *bus.Writer) { w.U8(pmic.SeriesList).UVarint(1) })
 	if next, n := r.UVarint(), int(r.U16()); st != pmic.StatusOK || next != 0 || n != len(names)-1 || r.Str() != names[1] {

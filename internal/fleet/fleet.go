@@ -413,12 +413,20 @@ func (f *Fleet) Len() int {
 }
 
 // IDs returns the registered device ids, lowest first.
-func (f *Fleet) IDs() []uint16 {
+func (f *Fleet) IDs() []uint16 { return f.idsFrom(0) }
+
+// idsFrom returns the registered ids from cursor on, lowest first: the
+// tail of the id-ordered registry, found by binary search.
+func (f *Fleet) idsFrom(cursor uint64) []uint16 {
 	f.regMu.RLock()
 	defer f.regMu.RUnlock()
-	ids := make([]uint16, len(f.byID))
-	for i, d := range f.byID {
-		ids[i] = d.id
+	i := len(f.byID)
+	if cursor <= 0xFFFF {
+		i, _ = f.find(uint16(cursor))
+	}
+	ids := make([]uint16, len(f.byID)-i)
+	for j, d := range f.byID[i:] {
+		ids[j] = d.id
 	}
 	return ids
 }
@@ -973,18 +981,19 @@ func (f *Fleet) dispatch(req bus.Frame) bus.Frame {
 	return d.ctrl.Dispatch(req)
 }
 
-// fleetInfo answers CmdFleetInfo: the device ids, the aggregate
-// counters, the live subscriptions, or a checkpoint write.
+// fleetInfo answers CmdFleetInfo: a page of the device ids or of the
+// live subscriptions from the request's cursor on, the aggregate
+// counters, or a checkpoint write.
 func (f *Fleet) fleetInfo(req bus.Frame) bus.Frame {
-	mode, ok := pmic.FleetInfoMode(req.Payload)
+	mode, cursor, ok := pmic.DecodeFleetInfo(req.Payload)
 	switch {
 	case !ok:
 	case mode == pmic.FleetList:
-		return pmic.FleetListReply(req, f.IDs())
+		return pmic.FleetListReply(req, f.idsFrom(cursor))
 	case mode == pmic.FleetStat:
 		return pmic.FleetStatReply(req, f.Stat())
 	case mode == pmic.FleetSubs:
-		return pmic.FleetSubsReply(req, f.SubStats())
+		return pmic.FleetSubsReply(req, f.subStatsFrom(cursor))
 	case mode == pmic.FleetSnapshot:
 		// Write a checkpoint to the server's configured path and report
 		// where it landed. The write itself waits for the tick barrier

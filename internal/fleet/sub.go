@@ -501,7 +501,11 @@ func (f *Fleet) pushAlertsLocked(s *subscription, trans []pmic.AlertTransition) 
 // SubStats snapshots the live subscriptions (lowest id first) — the
 // server-side ground truth for drop accounting, also served over the
 // wire as the FleetSubs info mode.
-func (f *Fleet) SubStats() []pmic.SubStat {
+func (f *Fleet) SubStats() []pmic.SubStat { return f.subStatsFrom(0) }
+
+// subStatsFrom snapshots the live subscriptions from id cursor on,
+// lowest first, found by binary search in the sorted ids.
+func (f *Fleet) subStatsFrom(cursor uint64) []pmic.SubStat {
 	h := &f.subs
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -511,7 +515,7 @@ func (f *Fleet) SubStats() []pmic.SubStat {
 			Devices: len(s.devs), Pushed: s.pushed.Load(), Dropped: s.dropped.Load()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out[sort.Search(len(out), func(i int) bool { return out[i].ID >= cursor }):]
 }
 
 // globKeep evaluates a glob list against a fixed signal namespace:

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -614,5 +615,32 @@ func TestTracePushDelivery(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("alert.fire trace event never pushed")
+	}
+}
+
+// TestFleetSubsListsEveryEntry: one connection opens maxSubs
+// subscriptions, many frames' worth of FleetSubs entries. FleetSubs
+// returns every one in id order, and the same connection, with every
+// subscription on it, keeps answering — an answer that outgrew a frame
+// used to fail to encode and end the connection.
+func TestFleetSubsListsEveryEntry(t *testing.T) {
+	f, c := subFleet(t, Config{Shards: 1}, 300, 1)
+	for i := 0; i < maxSubs; i++ {
+		if _, err := c.Subscribe(pmic.SubscriptionSpec{Fleet: true, Signals: pmic.SubSigAlerts}); err != nil {
+			t.Fatalf("subscription %d: %v", i, err)
+		}
+	}
+	subs, err := c.FleetSubs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != maxSubs || !reflect.DeepEqual(subs, f.SubStats()) {
+		t.Fatalf("FleetSubs listed %d entries, the server holds %d", len(subs), len(f.SubStats()))
+	}
+	if err := c.Device(1).Ping(); err != nil {
+		t.Fatalf("ping after listing: %v", err)
+	}
+	if n := len(f.SubStats()); n != maxSubs {
+		t.Fatalf("%d subscriptions left after listing, want %d", n, maxSubs)
 	}
 }

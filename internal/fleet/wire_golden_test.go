@@ -186,9 +186,9 @@ func TestWireGolden(t *testing.T) {
 	log.add("metrics-legacy", a.call(0, pmic.CmdMetrics, nil))
 	log.add("metrics-page0", a.call(0, pmic.CmdMetrics, payload(func(w *bus.Writer) { w.UVarint(0) })))
 	log.add("metrics-page3", a.call(0, pmic.CmdMetrics, payload(func(w *bus.Writer) { w.UVarint(3) })))
-	log.add("metrics-dev1", a.call(1, pmic.CmdMetrics, nil))
+	log.add("metrics-dev1", a.call(1, pmic.CmdMetrics, payload(func(w *bus.Writer) { w.UVarint(0) })))
 	log.add("trace", a.call(0, pmic.CmdTrace, nil))
-	log.add("series-list", a.call(0, pmic.CmdSeries, []byte{pmic.SeriesList}))
+	log.add("series-list", a.call(0, pmic.CmdSeries, []byte{pmic.SeriesList, 0}))
 	log.add("series-get", a.call(0, pmic.CmdSeries, payload(func(w *bus.Writer) {
 		w.U8(pmic.SeriesGet).Str("sdb_pmic_steps_total")
 	})))
@@ -198,9 +198,9 @@ func TestWireGolden(t *testing.T) {
 	log.add("series-badmode", a.call(0, pmic.CmdSeries, []byte{9}))
 	log.add("badcmd", a.call(0, 0x30, nil))
 	log.add("nodevice", a.call(9, pmic.CmdPing, nil))
-	log.add("fleet-list", a.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetList}))
+	log.add("fleet-list", a.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetList, 0}))
 	log.add("fleet-stat", a.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetStat}))
-	log.add("fleet-subs-none", a.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSubs}))
+	log.add("fleet-subs-none", a.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSubs, 0}))
 	log.add("fleet-snapshot", a.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSnapshot}))
 	log.add("fleet-badmode", a.call(0, pmic.CmdFleetInfo, []byte{9}))
 	log.add("fleet-empty", a.call(0, pmic.CmdFleetInfo, nil))
@@ -240,11 +240,11 @@ func TestWireGolden(t *testing.T) {
 
 	// pushed reads the subscriber's server-side push count.
 	pushed := func(name string) uint64 {
-		fr := cmd.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSubs})
+		fr := cmd.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSubs, 0})
 		log.add(name, fr)
 		r := bus.NewReader(fr.Payload)
 		r.U8()
-		if r.UVarint() != 1 {
+		if r.UVarint() != 0 || r.U16() != 1 {
 			t.Fatalf("%s: want one subscription", name)
 		}
 		r.UVarint()
@@ -293,7 +293,7 @@ func TestWireGolden(t *testing.T) {
 	if kinds["metrics-reset"] == 0 || kinds["metrics"] < 2 || kinds["trace"] == 0 || kinds["alert"] == 0 || kinds["other"] != 0 {
 		t.Fatalf("push kinds %v: want reset and delta metrics, trace and alert frames", kinds)
 	}
-	log.add("fleet-subs-one", cmd.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSubs}))
+	log.add("fleet-subs-one", cmd.call(0, pmic.CmdFleetInfo, []byte{pmic.FleetSubs, 0}))
 	log.add("unsubscribe-other-conn", cmd.call(0, pmic.CmdUnsubscribe, payload(func(w *bus.Writer) { w.UVarint(1) })))
 	log.add("unsubscribe-own", sub.call(0, pmic.CmdUnsubscribe, payload(func(w *bus.Writer) { w.UVarint(1) })))
 

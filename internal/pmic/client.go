@@ -313,46 +313,47 @@ type FleetInfo struct {
 	Draining    bool
 }
 
-// FleetInfoMode decodes a CmdFleetInfo request: its mode byte.
-func FleetInfoMode(p []byte) (byte, bool) {
+// DecodeFleetInfo decodes a CmdFleetInfo request: its mode byte and,
+// for the list modes FleetList and FleetSubs, the cursor that must
+// follow it.
+func DecodeFleetInfo(p []byte) (mode byte, cursor uint64, ok bool) {
 	if len(p) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return p[0], true
+	if p[0] == FleetList || p[0] == FleetSubs {
+		cursor, ok = DecodeCursor(p[1:])
+		return p[0], cursor, ok
+	}
+	return p[0], 0, true
 }
 
-// FleetListReply encodes the answer to a FleetList: the registry size,
-// then as many of the ids (lowest first) as fit one frame.
+// FleetListReply encodes one page of the answer to a FleetList. ids
+// are the registered ids from the request's cursor on, lowest first;
+// the page holds the next cursor (the id the next page starts at),
+// then a count and as many of the ids as fit one frame.
 func FleetListReply(req bus.Frame, ids []uint16) bus.Frame {
+	lo, hi, next := fitPage(0, len(ids), func(int) int { return 2 }, func(i int) uint64 { return uint64(ids[i]) })
 	var w bus.Writer
-	w.U8(StatusOK).UVarint(uint64(len(ids)))
-	// Ids are 2 bytes each; leave headroom for status + the two varints.
-	n := min(len(ids), (bus.MaxPayload-24)/2)
-	w.UVarint(uint64(n))
-	for _, id := range ids[:n] {
+	w.U8(StatusOK).UVarint(next).U16(uint16(hi - lo))
+	for _, id := range ids[lo:hi] {
 		w.U16(id)
 	}
 	return reply(req, w.Bytes())
 }
 
-// FleetDevices lists the device ids registered on a fleet endpoint,
-// lowest first. The server sends as many as fit one frame; Total is the
-// full registry size, so len(ids) < total means the list was cut.
-// A plain single-device server answers StatusBadCmd.
-func (c *Client) FleetDevices() (ids []uint16, total int, err error) {
-	err = c.get(CmdFleetInfo, []byte{FleetList}, "fleet list", func(r *bus.Reader) error {
-		total = int(r.UVarint())
-		n := int(r.UVarint())
-		if n > r.Remaining()/2 {
-			return fmt.Errorf("pmic: malformed fleet list response: count %d exceeds payload", n)
-		}
-		ids = make([]uint16, n)
-		for i := range ids {
-			ids[i] = r.U16()
-		}
-		return nil
+// FleetDevices lists every device id registered on a fleet endpoint,
+// lowest first, fetched a frame at a time. A device added or removed
+// while the pages are read appears in them or not, but no other id
+// repeats or goes missing.
+func (c *Client) FleetDevices() ([]uint16, error) {
+	ids := []uint16{}
+	err := c.list(CmdFleetInfo, []byte{FleetList}, "fleet list", func(r *bus.Reader) {
+		ids = append(ids, r.U16())
 	})
-	return ids, total, err
+	if err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // FleetStatReply encodes the answer to a FleetStat. The quarantine and

@@ -8,6 +8,7 @@ package pmic
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,24 +29,25 @@ func TestFleetRepliesRoundTrip(t *testing.T) {
 		{ID: 4, Signals: SubSigAlerts, Devices: 3, Pushed: 1},
 	}
 	cl := startFakeFleet(t, func(req bus.Frame) []byte {
-		mode, ok := FleetInfoMode(req.Payload)
+		mode, cursor, ok := DecodeFleetInfo(req.Payload)
 		switch {
 		case !ok:
-			t.Errorf("request %+v carries no mode", req)
+			t.Errorf("request %+v carries no mode or cursor", req)
 		case mode == FleetList:
-			return FleetListReply(req, ids).Payload
+			i := sort.Search(len(ids), func(i int) bool { return uint64(ids[i]) >= cursor })
+			return FleetListReply(req, ids[i:]).Payload
 		case mode == FleetStat:
 			return FleetStatReply(req, fi).Payload
 		case mode == FleetSubs:
-			return FleetSubsReply(req, subs).Payload
+			i := sort.Search(len(subs), func(i int) bool { return subs[i].ID >= cursor })
+			return FleetSubsReply(req, subs[i:]).Payload
 		case mode == FleetSnapshot:
 			return FleetSnapshotReply(req, "fleet.ckpt", 72586120).Payload
 		}
 		return Reply(req, StatusBadArgs).Payload
 	})
-	got, total, err := cl.FleetDevices()
-	if err != nil || total != len(ids) || !reflect.DeepEqual(got, ids[:len(got)]) || len(got) != (bus.MaxPayload-24)/2 {
-		t.Errorf("FleetDevices: %d of %d ids, %v; want the first %d of %d", len(got), total, err, (bus.MaxPayload-24)/2, len(ids))
+	if got, err := cl.FleetDevices(); err != nil || !reflect.DeepEqual(got, ids) {
+		t.Errorf("FleetDevices: %d ids, %v; want all %d", len(got), err, len(ids))
 	}
 	if st, err := cl.FleetStat(); err != nil || st != fi {
 		t.Errorf("FleetStat = %+v, %v; want %+v", st, err, fi)
@@ -56,19 +58,20 @@ func TestFleetRepliesRoundTrip(t *testing.T) {
 	if path, size, err := cl.FleetSnapshot(); err != nil || path != "fleet.ckpt" || size != 72586120 {
 		t.Errorf("FleetSnapshot = %q, %d, %v", path, size, err)
 	}
-	if _, ok := FleetInfoMode(nil); ok {
-		t.Error("an empty fleet-info request decoded")
+	for _, p := range [][]byte{nil, {FleetList}, {FleetSubs}, {FleetSubs, 0x80}} {
+		if _, _, ok := DecodeFleetInfo(p); ok {
+			t.Errorf("fleet-info request %x without its mode or cursor decoded", p)
+		}
 	}
 
-	// A count no payload could carry is a malformed answer, not an
-	// allocation sized by the peer's claim.
+	// A count the payload does not carry is a malformed answer.
 	cl = startFakeFleet(t, func(bus.Frame) []byte {
 		var w bus.Writer
-		w.U8(StatusOK).UVarint(1 << 62)
+		w.U8(StatusOK).UVarint(0).U16(0xFFFF)
 		return w.Bytes()
 	})
 	if _, err := cl.FleetSubs(); err == nil || !strings.Contains(err.Error(), "malformed fleet subs") {
-		t.Errorf("FleetSubs claiming 2^62 subscriptions returned %v", err)
+		t.Errorf("FleetSubs claiming 65535 entries it does not carry returned %v", err)
 	}
 }
 
@@ -217,8 +220,8 @@ func TestSeriesNamesRejectsBackwardCursor(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	cl := startFakeFleet(t, func(req bus.Frame) []byte {
 		q, ok := DecodeSeriesRequest(req.Payload)
-		if !ok || !q.Paged {
-			t.Errorf("SeriesNames sent %x, want a paged list request", req.Payload)
+		if !ok || q.Mode != SeriesList {
+			t.Errorf("SeriesNames sent %x, want a list request", req.Payload)
 		}
 		// Pages of two names; the second page points back at the first.
 		var w bus.Writer
@@ -248,8 +251,8 @@ func TestSeriesListReplyCursors(t *testing.T) {
 		return next, got
 	}
 	var all []string
-	for cursor, pages := 0, 0; ; pages++ {
-		next, got := read(SeriesListReply(bus.Frame{}, names, cursor, true))
+	for cursor, pages := uint64(0), 0; ; pages++ {
+		next, got := read(SeriesListReply(bus.Frame{}, names, cursor))
 		all = append(all, got...)
 		if next == 0 {
 			if pages == 0 {
@@ -257,13 +260,13 @@ func TestSeriesListReplyCursors(t *testing.T) {
 			}
 			break
 		}
-		cursor = int(next)
+		cursor = next
 	}
 	if !reflect.DeepEqual(all, names) {
 		t.Errorf("pages reassemble %d names, want %d", len(all), len(names))
 	}
-	for _, start := range []int{-1, len(names), len(names) + 5} {
-		if next, got := read(SeriesListReply(bus.Frame{}, names, start, true)); next != 0 || len(got) != 0 {
+	for _, start := range []uint64{uint64(len(names)), uint64(len(names)) + 5, math.MaxUint64} {
+		if next, got := read(SeriesListReply(bus.Frame{}, names, start)); next != 0 || len(got) != 0 {
 			t.Errorf("cursor %d: next %d, %d names; want an empty last page", start, next, len(got))
 		}
 	}

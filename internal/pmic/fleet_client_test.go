@@ -3,6 +3,7 @@ package pmic
 import (
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,37 +42,47 @@ func startFakeFleet(t *testing.T, reply func(req bus.Frame) []byte) *Client {
 
 func TestFleetDevicesDecodes(t *testing.T) {
 	cl := startFakeFleet(t, func(req bus.Frame) []byte {
-		if req.Cmd != CmdFleetInfo || len(req.Payload) != 1 || req.Payload[0] != FleetList {
+		if req.Cmd != CmdFleetInfo || len(req.Payload) != 2 || req.Payload[0] != FleetList || req.Payload[1] != 0 {
 			t.Errorf("unexpected request %+v", req)
 		}
 		var w bus.Writer
-		w.U8(StatusOK).UVarint(3).UVarint(3).U16(2).U16(4).U16(9)
+		w.U8(StatusOK).UVarint(0).U16(3).U16(2).U16(4).U16(9)
 		return w.Bytes()
 	})
-	ids, total, err := cl.FleetDevices()
+	ids, err := cl.FleetDevices()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 3 || len(ids) != 3 || ids[0] != 2 || ids[1] != 4 || ids[2] != 9 {
-		t.Fatalf("FleetDevices() = %v (total %d)", ids, total)
+	if len(ids) != 3 || ids[0] != 2 || ids[1] != 4 || ids[2] != 9 {
+		t.Fatalf("FleetDevices() = %v", ids)
 	}
 }
 
-// TestFleetDevicesTruncatedList: the server may list fewer ids than
-// the registry holds (one-frame bound); the client must surface both
-// numbers rather than conflate them.
+// TestFleetDevicesTruncatedList: a page cut short of the registry
+// names the cursor to resume at; the client sends it back unchanged
+// and returns every page's ids, not just the first frame's.
 func TestFleetDevicesTruncatedList(t *testing.T) {
-	cl := startFakeFleet(t, func(bus.Frame) []byte {
+	var cursors []uint64
+	cl := startFakeFleet(t, func(req bus.Frame) []byte {
+		_, cursor, ok := DecodeFleetInfo(req.Payload)
+		if !ok {
+			t.Errorf("request %x carries no cursor", req.Payload)
+		}
+		cursors = append(cursors, cursor)
 		var w bus.Writer
-		w.U8(StatusOK).UVarint(5000).UVarint(2).U16(0).U16(1)
+		if cursor == 0 {
+			w.U8(StatusOK).UVarint(700).U16(2).U16(0).U16(1)
+		} else {
+			w.U8(StatusOK).UVarint(0).U16(1).U16(4999)
+		}
 		return w.Bytes()
 	})
-	ids, total, err := cl.FleetDevices()
+	ids, err := cl.FleetDevices()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 5000 || len(ids) != 2 {
-		t.Fatalf("truncated list: ids %v, total %d", ids, total)
+	if !reflect.DeepEqual(ids, []uint16{0, 1, 4999}) || !reflect.DeepEqual(cursors, []uint64{0, 700}) {
+		t.Fatalf("paged list: ids %v over cursors %v", ids, cursors)
 	}
 }
 
@@ -80,10 +91,10 @@ func TestFleetDevicesTruncatedList(t *testing.T) {
 func TestFleetDevicesMalformed(t *testing.T) {
 	cl := startFakeFleet(t, func(bus.Frame) []byte {
 		var w bus.Writer
-		w.U8(StatusOK).UVarint(9).UVarint(9).U16(1) // claims 9 ids, carries 1
+		w.U8(StatusOK).UVarint(0).U16(9).U16(1) // claims 9 ids, carries 1
 		return w.Bytes()
 	})
-	if _, _, err := cl.FleetDevices(); err == nil ||
+	if _, err := cl.FleetDevices(); err == nil ||
 		!strings.Contains(err.Error(), "malformed fleet list") {
 		t.Fatalf("malformed list accepted: %v", err)
 	}

@@ -34,24 +34,26 @@ const (
 	CmdBattCount   = 0x07
 	CmdGetRatios   = 0x08
 	// CmdMetrics fetches the controller-side registry rendered in the
-	// text exposition format; CmdTrace fetches the trace ring. Both
-	// bound their responses to one frame: metrics truncate at the last
-	// whole line (marked "# truncated"), traces keep the newest events
-	// that fit.
+	// text exposition format, a page of whole families at a time: the
+	// request is a UVarint cursor, the answer the next cursor (0 once
+	// done) and the families from the cursor on that fit one frame (see
+	// fitPage). CmdTrace fetches the trace ring, bounded to the newest
+	// events that fit one frame.
 	CmdMetrics = 0x09
 	CmdTrace   = 0x0A
 	// CmdSeries queries the controller's attached time-series recorder:
-	// mode SeriesList returns the recorded series names, SeriesGet one
-	// series' newest samples. A list request holding only the mode byte
-	// gets as many names as fit one frame; one with a UVarint cursor
-	// after the mode is paged like CmdMetrics. SeriesGet keeps the
-	// newest samples that fit one frame, as CmdTrace keeps events.
+	// mode SeriesList returns the recorded series names, paged like
+	// CmdMetrics with the cursor after the mode byte; SeriesGet returns
+	// one series' newest samples that fit one frame, as CmdTrace keeps
+	// events.
 	CmdSeries = 0x0B
 	// CmdFleetInfo queries a fleet endpoint about the fleet itself
-	// rather than any one device: mode FleetList returns registered
-	// device ids (lowest first, as many as fit one frame), FleetStat
-	// the aggregate counters. A controller's own Dispatch answers
-	// StatusBadCmd — it has no fleet.
+	// rather than any one device: mode FleetList pages through the
+	// registered device ids and FleetSubs through the live push
+	// subscriptions (lowest id first, the cursor after the mode byte
+	// being the id to resume at), FleetStat returns the aggregate
+	// counters and FleetSnapshot writes a checkpoint. A controller's own
+	// Dispatch answers StatusBadCmd — it has no fleet.
 	CmdFleetInfo = 0x0C
 	// CmdSubscribe opens a push subscription on a fleet endpoint: the
 	// request names a signal set (metrics, trace events, alert
@@ -406,41 +408,91 @@ func (d DeviceClient) Ratios() (dis, chg []float64, err error) {
 	return dis, chg, err
 }
 
-// DecodeCursor decodes the paging cursor of a CmdMetrics request, or
-// of a CmdSeries list request after its mode byte. An empty payload is
-// the legacy single-frame form (paged false).
-func DecodeCursor(p []byte) (cursor int, paged, ok bool) {
-	if len(p) == 0 {
-		return 0, false, true
+// Every list reply — CmdMetrics families, SeriesList names, FleetList
+// ids and FleetSubs entries — pages the same way. The request carries
+// a UVarint cursor (after the mode byte, where the command has one);
+// the answer is the status, the next cursor (0 once the list is done),
+// a 16-bit count (a byte length for the exposition text) and the items
+// from the cursor on that fit one frame. The cursor is opaque to the
+// client, which echoes it: list indexes for families and names, the id
+// to resume at for device ids and subscriptions, so churn between
+// pages neither repeats nor hides an entry. A list request without its
+// cursor is malformed (StatusBadArgs), so a client expecting the whole
+// list in one frame fails loudly instead of misreading a page.
+
+// pageBudget is the room one list page leaves for its items: a frame
+// less the status, a worst-case next cursor, the 16-bit count and three
+// spare bytes.
+const pageBudget = bus.MaxPayload - 16
+
+// fitPage is the page fitter every list reply calls. For a list of n
+// items resumed at index start, item i encoding to size(i) bytes, it
+// picks the items [lo, hi) of one page: whole items only, as many as
+// fit pageBudget, and at least one while any remain, so the cursor
+// always advances. An item too big for a frame by itself is left out
+// (lo == hi == start+1) rather than sent in a frame over
+// bus.MaxPayload. next is the following page's cursor, key(hi), or 0
+// once the page reaches the end of the list.
+func fitPage(start, n int, size func(int) int, key func(int) uint64) (lo, hi int, next uint64) {
+	budget := pageBudget
+	for hi = start; hi < n; hi++ {
+		s := size(hi)
+		if s > budget {
+			break
+		}
+		budget -= s
 	}
-	r := bus.NewReader(p)
-	c := r.UVarint()
-	return int(c), true, r.Err() == nil
+	lo = start
+	if hi == start && hi < n {
+		lo, hi = start+1, start+1
+	}
+	if hi < n {
+		next = key(hi)
+	}
+	return lo, hi, next
 }
 
-// MetricsReply encodes the answer to CmdMetrics from reg. The legacy
-// answer is the exposition cut at a whole family (truncateExposition);
-// a paged one holds the next cursor (0 = done), then the whole families
-// from index start that fit (metricsPage). A nil reg, an uninstrumented
-// controller, answers with no metrics: a normal state, not an error.
-func MetricsReply(req bus.Frame, reg *obs.Registry, start int, paged bool) bus.Frame {
-	var w bus.Writer
-	w.U8(StatusOK)
-	if paged {
-		chunk, next := metricsPage(reg.Snapshot(), start, bus.MaxPayload-16)
-		w.UVarint(uint64(next)).Str(chunk)
-	} else {
-		w.Str(truncateExposition(reg.Text(), bus.MaxPayload-3))
+// indexKey is the cursor of a list paged by index.
+func indexKey(i int) uint64 { return uint64(i) }
+
+// DecodeCursor decodes the paging cursor of a list request: all of a
+// CmdMetrics payload, or what follows the mode byte of a SeriesList,
+// FleetList or FleetSubs request. ok is false when it is missing.
+func DecodeCursor(p []byte) (uint64, bool) {
+	r := bus.NewReader(p)
+	c := r.UVarint()
+	return c, r.Err() == nil
+}
+
+// MetricsReply encodes one page of the answer to CmdMetrics from reg:
+// the next cursor, then the exposition text of the whole families from
+// index cursor on that fit one frame. A family too big for a frame by
+// itself reads as a "# truncated" comment in its place. A nil reg, an
+// uninstrumented controller, answers with no metrics: a normal state,
+// not an error.
+func MetricsReply(req bus.Frame, reg *obs.Registry, cursor uint64) bus.Frame {
+	fams := reg.Snapshot()
+	texts := make([]string, len(fams))
+	for i, f := range fams {
+		texts[i] = f.Text()
 	}
+	start := int(min(cursor, uint64(len(texts))))
+	lo, hi, next := fitPage(start, len(texts), func(i int) int { return len(texts[i]) }, indexKey)
+	chunk := strings.Join(texts[lo:hi], "")
+	if lo > start {
+		chunk = "# truncated\n"
+	}
+	var w bus.Writer
+	w.U8(StatusOK).UVarint(next).Str(chunk)
 	return reply(req, w.Bytes())
 }
 
 // Metrics fetches the remote controller's registry rendered in the
 // text exposition format. Registries too big for one frame are paged
 // across several requests by whole families and reassembled here, so
-// the result is always the complete exposition. (A trailing
-// "# truncated" comment can only appear in the degenerate case of a
-// single family outgrowing a frame.)
+// the result is always the complete exposition. (A "# truncated"
+// comment can only appear in the degenerate case of a single family
+// outgrowing a frame.)
 func (d DeviceClient) Metrics() (string, error) {
 	var sb strings.Builder
 	err := d.pages(CmdMetrics, nil, "metrics", func(r *bus.Reader) {
@@ -451,7 +503,8 @@ func (d DeviceClient) Metrics() (string, error) {
 
 // pages fetches a paged listing: each request carries prefix and a
 // UVarint cursor, each answer the next cursor (0 = done) ahead of a
-// chunk that read consumes. A cursor that does not advance is an error.
+// chunk that read consumes. The cursor is the server's to choose; one
+// that does not advance is an error.
 func (d DeviceClient) pages(cmd byte, prefix []byte, what string, read func(*bus.Reader)) error {
 	var cursor, next uint64
 	for {
@@ -474,6 +527,16 @@ func (d DeviceClient) pages(cmd byte, prefix []byte, what string, read func(*bus
 	}
 }
 
+// list fetches a paged list whose pages hold a 16-bit count ahead of
+// the items, handing item a reader positioned at each one in turn.
+func (d DeviceClient) list(cmd byte, prefix []byte, what string, item func(*bus.Reader)) error {
+	return d.pages(cmd, prefix, what, func(r *bus.Reader) {
+		for n := r.U16(); n > 0 && r.Err() == nil; n-- {
+			item(r)
+		}
+	})
+}
+
 // get runs one call and hands its OK answer to read (nil ignores the
 // answer). A reader left failed is a malformed answer to what.
 func (d DeviceClient) get(cmd byte, payload []byte, what string, read func(*bus.Reader) error) error {
@@ -488,62 +551,6 @@ func (d DeviceClient) get(cmd byte, payload []byte, what string, read func(*bus.
 		return fmt.Errorf("pmic: malformed %s response: %w", what, err)
 	}
 	return nil
-}
-
-// truncateExposition bounds an exposition text to max bytes without
-// splitting a family; a cut is marked with a trailing comment the
-// parser ignores. Line boundaries are not enough: a histogram family
-// is only valid with its +Inf bucket, sum, and count lines, so the
-// cut keeps whole families only.
-func truncateExposition(text string, max int) string {
-	const marker = "# truncated\n"
-	if len(text) <= max {
-		return text
-	}
-	budget := max - len(marker)
-	end := 0
-	for end < len(text) {
-		i := strings.Index(text[end:], "\n# TYPE ")
-		famEnd := len(text)
-		if i >= 0 {
-			famEnd = end + i + 1
-		}
-		if famEnd > budget {
-			break
-		}
-		end = famEnd
-	}
-	return text[:end] + marker
-}
-
-// metricsPage renders whole families of a sorted snapshot starting at
-// index start into at most budget bytes and returns the next cursor —
-// the index of the first family that did not fit, or 0 once the last
-// family has been emitted. It always advances: a single family bigger
-// than a frame (not reachable with the registry's bounded histograms)
-// is cut marked rather than looping the client forever.
-func metricsPage(fams []obs.Family, start, budget int) (string, int) {
-	if start < 0 || start > len(fams) {
-		start = len(fams)
-	}
-	var sb strings.Builder
-	i := start
-	for i < len(fams) {
-		t := fams[i].Text()
-		if len(t) > budget-sb.Len() {
-			if sb.Len() == 0 {
-				sb.WriteString(truncateExposition(t, budget))
-				i++
-			}
-			break
-		}
-		sb.WriteString(t)
-		i++
-	}
-	if i >= len(fams) {
-		i = 0
-	}
-	return sb.String(), i
 }
 
 // encodedEventLen is the wire size of one trace event: fixed fields
@@ -620,13 +627,11 @@ func decodeEvents(r *bus.Reader, n int) []obs.Event {
 }
 
 // SeriesRequest is a decoded CmdSeries request: the series a SeriesGet
-// names, or where a SeriesList resumes (Paged is false for the legacy
-// request, the mode byte alone).
+// names, or the cursor a SeriesList resumes at.
 type SeriesRequest struct {
 	Mode   byte
 	Name   string
-	Cursor int
-	Paged  bool
+	Cursor uint64
 }
 
 // DecodeSeriesRequest decodes a CmdSeries request; ok is false for a
@@ -639,7 +644,7 @@ func DecodeSeriesRequest(p []byte) (SeriesRequest, bool) {
 	switch q.Mode {
 	case SeriesList:
 		var ok bool
-		q.Cursor, q.Paged, ok = DecodeCursor(p[1:])
+		q.Cursor, ok = DecodeCursor(p[1:])
 		return q, ok
 	case SeriesGet:
 		r := bus.NewReader(p[1:])
@@ -649,38 +654,15 @@ func DecodeSeriesRequest(p []byte) (SeriesRequest, bool) {
 	return q, false
 }
 
-// SeriesListReply encodes the answer to a SeriesList: a count and as
-// many of the sorted names from index start as fit one frame. A paged
-// answer puts the next cursor (0 = done) first and always advances;
-// the legacy one (start 0) drops the alphabetical tail.
-func SeriesListReply(req bus.Frame, names []string, start int, paged bool) bus.Frame {
-	if start < 0 || start > len(names) {
-		start = len(names)
-	}
-	names = names[start:]
-	budget := bus.MaxPayload - 1 - 2 // status, count
-	if paged {
-		budget -= 10 + 3 // cursor, spare
-	}
-	n := 0
-	for _, name := range names {
-		if budget -= 2 + len(name); budget < 0 {
-			break
-		}
-		n++
-	}
+// SeriesListReply encodes one page of the answer to a SeriesList: the
+// next cursor, then a count and the sorted names from index cursor on
+// that fit one frame.
+func SeriesListReply(req bus.Frame, names []string, cursor uint64) bus.Frame {
+	start := int(min(cursor, uint64(len(names))))
+	lo, hi, next := fitPage(start, len(names), func(i int) int { return 2 + len(names[i]) }, indexKey)
 	var w bus.Writer
-	w.U8(StatusOK)
-	if paged {
-		n = max(n, min(len(names), 1))
-		next := 0
-		if n < len(names) {
-			next = start + n
-		}
-		w.UVarint(uint64(next))
-	}
-	w.U16(uint16(n))
-	for _, name := range names[:n] {
+	w.U8(StatusOK).UVarint(next).U16(uint16(hi - lo))
+	for _, name := range names[lo:hi] {
 		w.Str(name)
 	}
 	return reply(req, w.Bytes())
@@ -690,10 +672,8 @@ func SeriesListReply(req bus.Frame, names []string, start int, paged bool) bus.F
 // (empty when recording is off), fetched a frame at a time.
 func (d DeviceClient) SeriesNames() ([]string, error) {
 	out := []string{}
-	err := d.pages(CmdSeries, []byte{SeriesList}, "series list", func(r *bus.Reader) {
-		for n := int(r.U16()); n > 0 && r.Err() == nil; n-- {
-			out = append(out, r.Str())
-		}
+	err := d.list(CmdSeries, []byte{SeriesList}, "series list", func(r *bus.Reader) {
+		out = append(out, r.Str())
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,8 @@
 package pmic_test
 
 // Wire-protocol tests for the observability commands: CmdMetrics and
-// CmdTrace round trips over a served pipe, the single-frame truncation
-// rules on both, and the uninstrumented-controller answers.
+// CmdTrace round trips over a served pipe, metrics paging and the
+// trace's one-frame bound, and the uninstrumented-controller answers.
 
 import (
 	"fmt"
@@ -144,30 +144,35 @@ func TestClientMetricsPagedAcrossFrames(t *testing.T) {
 	}
 }
 
-// TestMetricsLegacyRequestStillOneFrame: an empty-payload request — a
-// pre-cursor client — gets the old single-frame form: a whole-family
-// prefix, marked, still parseable.
+// TestMetricsLegacyRequestStillOneFrame: an empty-payload request —
+// a pre-cursor client — is refused with StatusBadArgs in one frame
+// rather than answered with a single-frame prefix it would misread.
 func TestMetricsLegacyRequestStillOneFrame(t *testing.T) {
 	reg := bigTestRegistry(t)
 	ctrl, _ := startServedObs(t, reg)
 	resp := ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdMetrics, Seq: 9})
-	r := bus.NewReader(resp.Payload)
+	if len(resp.Payload) != 1 || resp.Payload[0] != pmic.StatusBadArgs {
+		t.Fatalf("cursor-less metrics request answered %x, want StatusBadArgs alone", resp.Payload)
+	}
+}
+
+// metricsPage fetches one CmdMetrics page of reg through the server
+// encoder and checks it fits one frame.
+func metricsPage(t *testing.T, reg *obs.Registry, cursor uint64) (chunk string, next uint64) {
+	t.Helper()
+	fr := pmic.MetricsReply(bus.Frame{}, reg, cursor)
+	if len(fr.Payload) > bus.MaxPayload {
+		t.Fatalf("page at %d: %d bytes, over the %d cap", cursor, len(fr.Payload), bus.MaxPayload)
+	}
+	r := bus.NewReader(fr.Payload)
 	if st := r.U8(); st != pmic.StatusOK {
-		t.Fatalf("status = %d", st)
+		t.Fatalf("page at %d: status %#x", cursor, st)
 	}
-	text := r.Str()
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
+	next, chunk = r.UVarint(), r.Str()
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("page at %d malformed: %v, %d bytes left", cursor, r.Err(), r.Remaining())
 	}
-	if len(text) > bus.MaxPayload-3 {
-		t.Errorf("legacy response %d bytes exceeds the one-frame budget", len(text))
-	}
-	if !strings.HasSuffix(text, "# truncated\n") {
-		t.Errorf("legacy response missing marker; ends %q", text[len(text)-30:])
-	}
-	if _, err := obs.ParseText(text); err != nil {
-		t.Errorf("legacy truncated exposition does not parse: %v", err)
-	}
+	return chunk, next
 }
 
 // TestMetricsPage unit-tests the cursor walk: chunks join to the full
@@ -175,11 +180,11 @@ func TestMetricsLegacyRequestStillOneFrame(t *testing.T) {
 // advances instead of looping.
 func TestMetricsPage(t *testing.T) {
 	reg := bigTestRegistry(t)
-	fams := reg.Snapshot()
 	var joined strings.Builder
-	cursor, pages := 0, 0
+	var cursor uint64
+	pages := 0
 	for {
-		chunk, next := pmic.MetricsPage(fams, cursor, bus.MaxPayload-16)
+		chunk, next := metricsPage(t, reg, cursor)
 		joined.WriteString(chunk)
 		pages++
 		if next == 0 {
@@ -197,54 +202,47 @@ func TestMetricsPage(t *testing.T) {
 		t.Error("joined pages differ from registry text")
 	}
 	// Out-of-range cursor: empty final page, done.
-	if chunk, next := pmic.MetricsPage(fams, len(fams)+5, 100); chunk != "" || next != 0 {
+	if chunk, next := metricsPage(t, reg, uint64(len(reg.Snapshot())+5)); chunk != "" || next != 0 {
 		t.Errorf("out-of-range cursor = (%q, %d), want empty done page", chunk, next)
 	}
-	// A single family bigger than the budget is cut marked but the
-	// cursor still moves past it.
-	chunk, next := pmic.MetricsPage(fams, 0, 10)
-	if next != 1 {
-		t.Errorf("oversized family cursor = %d, want 1", next)
+	// A single family bigger than a frame is marked in its place and
+	// the cursor still moves past it.
+	big := obs.NewRegistry()
+	big.Counter("sdb_a_total").Inc()
+	big.Counter("sdb_b_" + strings.Repeat("x", bus.MaxPayload) + "_total").Inc()
+	big.Counter("sdb_c_total").Inc()
+	if chunk, next := metricsPage(t, big, 1); chunk != "# truncated\n" || next != 2 {
+		t.Errorf("oversized family page = (%q, %d), want the marker and cursor 2", chunk, next)
 	}
-	if !strings.HasSuffix(chunk, "# truncated\n") {
-		t.Errorf("oversized family chunk missing marker: %q", chunk)
+	if chunk, next := metricsPage(t, big, 0); !strings.HasPrefix(chunk, "# TYPE sdb_a_total") || next != 1 {
+		t.Errorf("page before the oversized family = (%q, %d), want sdb_a_total alone and cursor 1", chunk, next)
 	}
 }
 
-// TestTruncateExposition unit-tests the cut rule directly: the cut
-// keeps whole families, never part of one.
+// TestTruncateExposition: a page ends at a whole family, never inside
+// one, so every page parses on its own — a line-boundary cut would
+// emit a histogram without its +Inf bucket, sum and count.
 func TestTruncateExposition(t *testing.T) {
-	const (
-		famA = "# TYPE sdb_a_total counter\nsdb_a_total 1\n"
-		famB = "# TYPE sdb_b_total counter\nsdb_b_total 2\n"
-		hist = "# TYPE sdb_h_seconds histogram\n" +
-			"sdb_h_seconds_bucket{le=\"0.001\"} 3\n" +
-			"sdb_h_seconds_bucket{le=\"+Inf\"} 5\n" +
-			"sdb_h_seconds_sum 0.25\n" +
-			"sdb_h_seconds_count 5\n"
-		marker = "# truncated\n"
-	)
-	if got := pmic.TruncateExposition(famA+famB, 1000); got != famA+famB {
-		t.Errorf("under-budget text modified: %q", got)
-	}
-	// Budget lands inside famB: only famA survives.
-	got := pmic.TruncateExposition(famA+famB, len(famA)+len(marker)+10)
-	if got != famA+marker {
-		t.Errorf("mid-family cut = %q", got)
-	}
-	// Budget lands inside the histogram's bucket lines: a line-boundary
-	// cut would emit a histogram without +Inf/sum/count; the family cut
-	// must drop the whole histogram instead.
-	got = pmic.TruncateExposition(famA+hist+famB, len(famA)+len(hist)-5)
-	if got != famA+marker {
-		t.Errorf("mid-histogram cut = %q", got)
-	}
-	if _, err := obs.ParseText(got); err != nil {
-		t.Errorf("mid-histogram cut does not parse: %v", err)
-	}
-	// Even the first family over budget: marker only.
-	if got := pmic.TruncateExposition(famA+famB, 5); got != marker {
-		t.Errorf("nothing-fits case = %q", got)
+	reg := bigTestRegistry(t)
+	var cursor uint64
+	for {
+		chunk, next := metricsPage(t, reg, cursor)
+		fams, err := obs.ParseText(chunk)
+		if err != nil {
+			t.Fatalf("page at %d does not parse: %v", cursor, err)
+		}
+		if !strings.HasPrefix(chunk, "# TYPE ") || strings.Count(chunk, "# TYPE ") != len(fams) {
+			t.Fatalf("page at %d holds part of a family", cursor)
+		}
+		for _, f := range fams {
+			if f.Kind == obs.KindHistogram && !strings.Contains(chunk, f.Name+"_count ") {
+				t.Fatalf("page at %d cuts histogram %s short", cursor, f.Name)
+			}
+		}
+		if next == 0 {
+			break
+		}
+		cursor = next
 	}
 }
 

@@ -103,8 +103,9 @@ func TestClientSeriesKeepsNewestWindow(t *testing.T) {
 }
 
 // TestClientSeriesListTruncates: more names than fit one frame come
-// back from a legacy list request (the mode byte alone) as a prefix of
-// the sorted list, count matching; SeriesNames pages through them all.
+// back a page at a time — the first page a prefix of the sorted list,
+// count matching — and SeriesNames pages through them all. A list
+// request without its cursor (the mode byte alone) is refused.
 func TestClientSeriesListTruncates(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctrl, cl := startServedObs(t, reg)
@@ -116,29 +117,32 @@ func TestClientSeriesListTruncates(t *testing.T) {
 	rec.Sample(0)
 
 	resp := ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 1, Payload: []byte{pmic.SeriesList}})
+	if len(resp.Payload) != 1 || resp.Payload[0] != pmic.StatusBadArgs {
+		t.Fatalf("cursor-less list answered %x, want StatusBadArgs alone", resp.Payload)
+	}
+	resp = ctrl.Dispatch(bus.Frame{Cmd: pmic.CmdSeries, Seq: 2, Payload: []byte{pmic.SeriesList, 0}})
 	r := bus.NewReader(resp.Payload)
 	if st := r.U8(); st != pmic.StatusOK {
-		t.Fatalf("legacy list status %#x", st)
+		t.Fatalf("first page status %#x", st)
 	}
+	next := r.UVarint()
 	var names []string
 	for n := int(r.U16()); n > 0; n-- {
 		names = append(names, r.Str())
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("legacy list malformed: %v, %d bytes left", r.Err(), r.Remaining())
+		t.Fatalf("first page malformed: %v, %d bytes left", r.Err(), r.Remaining())
 	}
-	if len(names) == 0 || len(names) >= 200 {
-		t.Fatalf("got %d names, want a proper prefix of 200", len(names))
+	if len(names) == 0 || len(names) >= 200 || next != uint64(len(names)) {
+		t.Fatalf("got %d names and cursor %d, want a proper prefix of 200 and its length", len(names), next)
 	}
-	var wire int
+	if len(resp.Payload) > bus.MaxPayload {
+		t.Errorf("first page holds %d bytes, over the frame cap", len(resp.Payload))
+	}
 	for i, n := range names {
-		wire += 2 + len(n)
 		if i > 0 && names[i-1] >= n {
 			t.Fatal("list not sorted")
 		}
-	}
-	if wire > bus.MaxPayload-3 {
-		t.Errorf("names need %d bytes, over budget", wire)
 	}
 
 	all, err := cl.SeriesNames()

@@ -447,27 +447,42 @@ type SubStat struct {
 	Dropped   uint64
 }
 
-// FleetSubsReply encodes the answer to a FleetSubs: a count, then
-// each subscription's id, signals, scope, device count and counters.
+// putSubStat encodes one FleetSubs entry: the subscription's id,
+// signals, scope, device count and counters.
+func putSubStat(w *bus.Writer, s SubStat) {
+	w.UVarint(s.ID).U8(s.Signals).U8(boolByte(s.FleetWide))
+	w.UVarint(uint64(s.Devices)).UVarint(s.Pushed).UVarint(s.Dropped)
+}
+
+// FleetSubsReply encodes one page of the answer to a FleetSubs. subs
+// are the live subscriptions from the request's cursor on, lowest id
+// first; the page holds the next cursor (the id the next page starts
+// at), then a count and as many entries as fit one frame.
 func FleetSubsReply(req bus.Frame, subs []SubStat) bus.Frame {
+	size := func(i int) int {
+		var e bus.Writer
+		putSubStat(&e, subs[i])
+		return len(e.Bytes())
+	}
+	lo, hi, next := fitPage(0, len(subs), size, func(i int) uint64 { return subs[i].ID })
 	var w bus.Writer
-	w.U8(StatusOK).UVarint(uint64(len(subs)))
-	for _, s := range subs {
-		w.UVarint(s.ID).U8(s.Signals).U8(boolByte(s.FleetWide))
-		w.UVarint(uint64(s.Devices)).UVarint(s.Pushed).UVarint(s.Dropped)
+	w.U8(StatusOK).UVarint(next).U16(uint16(hi - lo))
+	for _, s := range subs[lo:hi] {
+		putSubStat(&w, s)
 	}
 	return reply(req, w.Bytes())
 }
 
-// FleetSubs lists the fleet endpoint's live push subscriptions. A
-// plain single-device server answers StatusBadCmd.
-func (c *Client) FleetSubs() (out []SubStat, err error) {
-	err = c.get(CmdFleetInfo, []byte{FleetSubs}, "fleet subs", func(r *bus.Reader) error {
-		for n := r.UVarint(); n > 0 && r.Err() == nil; n-- {
-			out = append(out, SubStat{ID: r.UVarint(), Signals: r.U8(), FleetWide: r.U8() != 0,
-				Devices: int(r.UVarint()), Pushed: r.UVarint(), Dropped: r.UVarint()})
-		}
-		return nil
+// FleetSubs lists every live push subscription of the fleet endpoint,
+// fetched a frame at a time.
+func (c *Client) FleetSubs() ([]SubStat, error) {
+	var out []SubStat
+	err := c.list(CmdFleetInfo, []byte{FleetSubs}, "fleet subs", func(r *bus.Reader) {
+		out = append(out, SubStat{ID: r.UVarint(), Signals: r.U8(), FleetWide: r.U8() != 0,
+			Devices: int(r.UVarint()), Pushed: r.UVarint(), Dropped: r.UVarint()})
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

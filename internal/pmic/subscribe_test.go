@@ -94,7 +94,7 @@ func okSubscribe(id uint64) func(req bus.Frame) []byte {
 		case CmdUnsubscribe:
 			w.U8(StatusOK)
 		default:
-			w.U8(StatusOK).UVarint(0)
+			w.U8(StatusOK).UVarint(0).U16(0)
 		}
 		return w.Bytes()
 	}
@@ -420,7 +420,7 @@ func TestPushBufferedDuringCall(t *testing.T) {
 		}
 		// Interleave: the push goes out before this response does.
 		_ = bus.WriteFrame(srv.conn, pushFrame(f1.Bytes()))
-		w.U8(StatusOK).UVarint(0)
+		w.U8(StatusOK).UVarint(0).U16(0)
 		return w.Bytes()
 	})
 	srv = s
@@ -448,10 +448,10 @@ func TestFleetSubsDecodes(t *testing.T) {
 		var w bus.Writer
 		w.U8(StatusOK)
 		if malformed {
-			w.UVarint(5).UVarint(1) // claims 5 entries, carries half of one
+			w.UVarint(0).U16(5).UVarint(1) // claims 5 entries, carries half of one
 			return w.Bytes()
 		}
-		w.UVarint(2)
+		w.UVarint(0).U16(2)
 		w.UVarint(1).U8(SubSigMetrics).U8(1).UVarint(0).UVarint(100).UVarint(3)
 		w.UVarint(2).U8(SubSigAlerts).U8(0).UVarint(4).UVarint(7).UVarint(0)
 		return w.Bytes()

@@ -12,13 +12,12 @@ import (
 	"sdb/internal/workload"
 )
 
-// AblationSplit compares current-split strategies on a heterogeneous
+// ablationSplit compares current-split strategies on a heterogeneous
 // pack over a fixed mixed workload (DESIGN.md Section 5): the naive
 // 50/50 split, the traditional parallel-pack inverse-resistance split,
 // and the two RBL variants.
-func AblationSplit() (*Table, error) { return ablationSplit(context.Background()) }
-
-// ablationSplit runs the four policies' emulations in parallel.
+//
+// It runs the four policies' emulations in parallel.
 func ablationSplit(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-split",
@@ -63,13 +62,12 @@ func ablationSplit(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// AblationDirective sweeps the discharging directive parameter from 0
+// ablationDirective sweeps the discharging directive parameter from 0
 // (pure CCB) to 1 (pure RBL) on a pack with asymmetric wear and
 // reports where each extreme pays: losses during the run versus wear
 // balance after it.
-func AblationDirective() (*Table, error) { return ablationDirective(context.Background()) }
-
-// ablationDirective runs the five directives' packs in parallel.
+//
+// It runs the five directives' packs in parallel.
 func ablationDirective(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-directive",
@@ -141,12 +139,11 @@ func preAge(c *battery.Cell, n int) {
 	battery.AddSteps(steps)
 }
 
-// SpiceRipple reruns the Section 3.2.1 LTSPICE-style validation: the
+// spiceRipple reruns the Section 3.2.1 LTSPICE-style validation: the
 // weighted round-robin switch feeding a smoothing capacitor, across
 // duty settings and capacitor sizes, reporting output ripple.
-func SpiceRipple() (*Table, error) { return spiceRipple(context.Background()) }
-
-// spiceRipple runs the six (duty, capacitor) transients in parallel.
+//
+// It runs the six (duty, capacitor) transients in parallel.
 func spiceRipple(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "spice-ripple",

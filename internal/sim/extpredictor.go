@@ -9,16 +9,15 @@ import (
 	"sdb/internal/predictor"
 )
 
-// ExtPredictor is the extension experiment for the paper's Section 8
+// extPredictor is the extension experiment for the paper's Section 8
 // direction (tying personal assistants to SDB): instead of hardcoding
 // "preserve the Li-ion for the 9 am run" (Figure 13's policy 2), the
 // OS learns the user's daily pattern from past traces and configures
 // the reserve policy automatically. The learned policy should land
 // within reach of the hand-configured one and clearly beat the
 // schedule-blind loss minimizer.
-func ExtPredictor() (*Table, error) { return extPredictor(context.Background()) }
-
-// extPredictor trains the profile, then emulates the three policies'
+//
+// It trains the profile, then emulates the three policies'
 // days in parallel.
 func extPredictor(ctx context.Context) (*Table, error) {
 	// Train on a week of observed days.

@@ -10,14 +10,13 @@ import (
 	"sdb/internal/workload"
 )
 
-// ExtQuad exercises the paper's full Figure 3 configuration — four
+// extQuad exercises the paper's full Figure 3 configuration — four
 // heterogeneous batteries under one controller — to show the policies
 // generalize past the two-cell scenarios: a fast-charge cell, a
 // high-density cell, a LiFePO4 power cell, and a standard cell share a
 // bursty tablet load under three split strategies.
-func ExtQuad() (*Table, error) { return extQuad(context.Background()) }
-
-// extQuad runs the three policies' emulations in parallel.
+//
+// It runs the three policies' emulations in parallel.
 func extQuad(ctx context.Context) (*Table, error) {
 	cells := []string{"QuickCharge-2000", "EnergyMax-4000", "PowerTool-1500", "Standard-2000"}
 	policies := []core.DischargePolicy{

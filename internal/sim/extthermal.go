@@ -6,15 +6,14 @@ import (
 	"sdb/internal/battery"
 )
 
-// ExtThermal is the thermal extension experiment: the same
+// extThermal is the thermal extension experiment: the same
 // fast-charging cell is cycled at three ambient temperatures, showing
 // the two effects the thermal model adds — hot cycling ages the cell
 // faster (electrolyte decomposition above the aging knee), and very
 // hot cells hit thermal protection, which throttles the realized
 // charge rate (longer charge times).
-func ExtThermal() (*Table, error) { return extThermal(context.Background()) }
-
-// extThermal cycles the three ambients' cells in parallel.
+//
+// It cycles the three ambients' cells in parallel.
 func extThermal(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ext-thermal",

@@ -9,16 +9,15 @@ import (
 	"sdb/internal/workload"
 )
 
-// ExtYear simulates a year of daily phone use — five light weekdays
+// extYear simulates a year of daily phone use — five light weekdays
 // and two heavy weekend days per week, recharged every night — under
 // three charging regimes, measuring what Section 3.3 calls the
 // long-term tension: charging speed against the pack's capacity after
 // 365 days. The schedule-aware regime picks the firmware charge
 // profile per night the way the paper's OS would: fast only when the
 // pack actually ended the day low, gentle otherwise.
-func ExtYear() (*Table, error) { return extYear(context.Background()) }
-
-// extYear simulates the three charging regimes' years in parallel.
+//
+// It simulates the three charging regimes' years in parallel.
 func extYear(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ext-year",

@@ -112,13 +112,12 @@ func RunFig13(policyName string, policy core.DischargePolicy, includeRun bool) (
 	return out, nil
 }
 
-// Figure13 reproduces Figure 13: the hourly loss profile and depletion
+// figure13 reproduces Figure 13: the hourly loss profile and depletion
 // times for the two extreme parameter settings — Policy 1 minimizes
 // instantaneous losses (RBL), Policy 2 preserves the efficient Li-ion
 // cell for the anticipated run (Reserve).
-func Figure13() (*Table, error) { return figure13(context.Background()) }
-
-// figure13 emulates the two policies' days in parallel.
+//
+// It emulates the two policies' days in parallel.
 func figure13(ctx context.Context) (*Table, error) {
 	days := []struct {
 		name   string

@@ -155,11 +155,9 @@ func runFig14(ctx context.Context) ([]Fig14Row, error) {
 	return rows, nil
 }
 
-// Figure14 reproduces Figure 14: battery-life improvement from
+// figure14 reproduces Figure 14: battery-life improvement from
 // drawing power simultaneously from the internal and external
 // batteries instead of charging one from the other.
-func Figure14() (*Table, error) { return figure14(context.Background()) }
-
 func figure14(ctx context.Context) (*Table, error) {
 	rows, err := runFig14(ctx)
 	if err != nil {

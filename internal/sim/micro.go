@@ -43,15 +43,11 @@ func Figure1a() (*Table, error) {
 // endurance run (the paper shows 600 cycles).
 const DefaultFigure1bCycles = 600
 
-// Figure1b reproduces Figure 1(b): capacity retention after N cycles
+// figure1b reproduces Figure 1(b): capacity retention after N cycles
 // at three charging currents on a Type 2 cell.
-func Figure1b(cycles int) (*Table, error) {
-	return figure1b(context.Background(), cycles)
-}
-
-// figure1b runs the three charging-current endurance sweeps in
-// parallel; each sweep cycles its own cell, so the runs are
-// independent.
+//
+// It runs the three charging-current endurance sweeps in parallel;
+// each sweep cycles its own cell, so the runs are independent.
 func figure1b(ctx context.Context, cycles int) (*Table, error) {
 	t := &Table{
 		ID:      "figure-1b",
@@ -87,11 +83,10 @@ func figure1b(ctx context.Context, cycles int) (*Table, error) {
 	return t, nil
 }
 
-// Figure1c reproduces Figure 1(c): internal heat loss versus discharge
+// figure1c reproduces Figure 1(c): internal heat loss versus discharge
 // C rate for Types 2, 3, and 4.
-func Figure1c() (*Table, error) { return figure1c(context.Background()) }
-
-// figure1c sweeps the three chemistries in parallel.
+//
+// It sweeps the three chemistries in parallel.
 func figure1c(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "figure-1c",

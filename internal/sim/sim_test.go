@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestFigure1bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("endurance run")
 	}
-	tab, err := Figure1b(DefaultFigure1bCycles)
+	tab, err := figure1b(context.Background(), DefaultFigure1bCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFigure1bShape(t *testing.T) {
 }
 
 func TestFigure1cShape(t *testing.T) {
-	tab, err := Figure1c()
+	tab, err := figure1c(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestFigure14Shape(t *testing.T) {
 }
 
 func TestAblationSplitShape(t *testing.T) {
-	tab, err := AblationSplit()
+	tab, err := ablationSplit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestAblationDirectiveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cycle emulation")
 	}
-	tab, err := AblationDirective()
+	tab, err := ablationDirective(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestAblationDirectiveShape(t *testing.T) {
 }
 
 func TestSpiceRippleShape(t *testing.T) {
-	tab, err := SpiceRipple()
+	tab, err := spiceRipple(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestExtPredictorShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daylong emulations")
 	}
-	tab, err := ExtPredictor()
+	tab, err := extPredictor(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +511,7 @@ func TestExtThermalShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("endurance run")
 	}
-	tab, err := ExtThermal()
+	tab, err := extThermal(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +579,7 @@ func TestExtEVShape(t *testing.T) {
 }
 
 func TestSpiceBuckShape(t *testing.T) {
-	tab, err := SpiceBuck()
+	tab, err := spiceBuck(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +605,7 @@ func TestExtYearShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("year-long emulation")
 	}
-	tab, err := ExtYear()
+	tab, err := extYear(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +626,7 @@ func TestExtYearShape(t *testing.T) {
 }
 
 func TestExtQuadShape(t *testing.T) {
-	tab, err := ExtQuad()
+	tab, err := extQuad(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sdb/internal/spice"
 )
 
-// SpiceBuck validates the Section 3.2.2 charging-circuit claim the
+// spiceBuck validates the Section 3.2.2 charging-circuit claim the
 // paper leaves "beyond the scope": a synchronous buck regulator can be
 // driven in reverse so current flows from its (low-voltage) output
 // back into its (high-voltage) input — the mechanism that lets SDB
@@ -17,9 +17,8 @@ import (
 // point and reports the mean battery current: positive charges the
 // battery (buck mode), negative discharges it into the input (reverse
 // buck mode).
-func SpiceBuck() (*Table, error) { return spiceBuck(context.Background()) }
-
-// spiceBuck runs the five duties' transients in parallel.
+//
+// It runs the five duties' transients in parallel.
 func spiceBuck(ctx context.Context) (*Table, error) {
 	const (
 		vin   = 9.0
