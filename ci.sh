@@ -8,8 +8,9 @@
 #     1000-device fleet byte-identity soak runs in both (see
 #     internal/fleet/soak_size_race_test.go).
 #   - sdbperf: vet and toy-scale tests of the nested benchmark module.
-#   - sim determinism: the experiment fan-out and the fanned-out
-#     drivers' committed table digests at one core and at two.
+#   - sim determinism: the experiment fan-out, every experiment's
+#     committed table digest and the generated EXPERIMENTS.md at one
+#     core and at two.
 #   - chaos: emulator and fleet chaos soaks under -race, seeds logged,
 #     and a fuzz burst of the firmware's command dispatch.
 #   - bench smoke: every Go benchmark once, so benchmark code cannot rot.
@@ -32,10 +33,11 @@
 #     guarantees (byte-identical store files at any shard count, fresh
 #     alert state for a re-added device) under -race, the shared alert
 #     engine's tests under -race, an alert-grammar fuzz burst, a push-decoder fuzz
-#     burst, a fuzz burst of the requests a fleet endpoint answers
-#     itself, and three real servers over TCP: a `sdbctl serve -fleet
-#     32` + `sdbtop -once` smoke, a `sdbctl serve -fleet 2100` whose
-#     `fleet list` and `fleet broadcast ping` page past one frame, then
+#     burst, a fuzz burst of the client's reply decoders, a fuzz burst of
+#     the requests a fleet endpoint answers itself, and three real
+#     servers over TCP: a `sdbctl serve -fleet 32` + `sdbtop -once`
+#     smoke, a `sdbctl serve -fleet 2100` whose `fleet list` and
+#     `fleet broadcast ping` page past one frame, then
 #     a plain one-device `sdbctl serve` with -store, -checkpoint and
 #     -rules (sdbtop sees one device, metrics reach its firmware,
 #     SIGTERM drains it to a final checkpoint that `fleet restore` reads
@@ -74,9 +76,10 @@ go -C sdbperf test ./...
 # Sim determinism lane: forEach starts every sweep point at once, so
 # the Go scheduler, not a worker pool, decides how points share the
 # cores. At GOMAXPROCS 1 and 2 every point must still start, the
-# lowest-index error must still win, and the drivers fanned out through
-# forEach must render the table digests sdbperf/figures.sha256 pins.
-go test -cpu 1,2 -run 'TestForEach|TestFannedOutDriversMatchDigests|TestRunnerDeterministicAcrossPoolSizes' -v ./internal/sim/
+# lowest-index error must still win, every registry experiment must
+# render the table digest sdbperf/figures.sha256 pins, and the run must
+# generate the committed EXPERIMENTS.md byte for byte.
+go test -cpu 1,2 -run 'TestForEach|TestExperimentsMatchDigests|TestExperimentsDocument|TestRunnerDeterministicAcrossPoolSizes' -v ./internal/sim/
 
 # Chaos lane: the full stack (runtime over the wire protocol over a
 # seeded faulty link, cell faults striking mid-run) and the fleet chaos
@@ -147,9 +150,10 @@ go test -fuzz 'FuzzStore' -fuzztime 5s -run '^$' ./internal/obs/ts/store/
 # zero-allocation evaluation — a live fuzz burst on the alert rule
 # grammar on top of its committed seed corpus, one on the client's
 # push-frame decoder (no panic, dictionary growth bounded by the frame),
-# and one on the fleet endpoint's own requests (fleet info with any
-# cursor, subscribe, unsubscribe: one frame back, the connection still
-# answering).
+# one on the client's reply decoders (a value or an error, never a panic
+# or room for more items than the reply holds), and one on the fleet
+# endpoint's own requests (fleet info with any cursor, subscribe,
+# unsubscribe: one frame back, the connection still answering).
 go test -race -run 'TestSlowSubscriberNeverStallsBarrier|TestSubscribe|TestSubscription|TestPushResetAfterDrop|TestLegacyClientIgnoresPushes|TestTracePushDelivery|TestUnsubscribeForeignConn|TestFleetAlert' -v ./internal/fleet/
 # The registry is one id-sorted slice and every barrier walk follows it:
 # the same seeded fleet must write a byte-identical store file at 1, 2
@@ -159,6 +163,7 @@ go test -race -run 'TestFleetRecordingBytesDeterministic|TestFleetReaddStartsFre
 go test -race -run 'TestEngine|TestDerivedSignals' -v ./internal/obs/ts/
 go test -fuzz 'FuzzParseRules' -fuzztime 5s -run '^$' ./internal/obs/ts/
 go test -fuzz 'FuzzPushDecode' -fuzztime 5s -run '^$' ./internal/pmic/
+go test -fuzz 'FuzzClientReplies' -fuzztime 5s -run '^$' ./internal/pmic/
 go test -fuzz 'FuzzFleetRequest' -fuzztime 5s -run '^$' ./internal/fleet/
 # End-to-end CLI smoke: a real fleet server with alert rules, a real
 # sdbtop one-shot dashboard over TCP. The grep asserts the dashboard

@@ -307,6 +307,9 @@ func (d DeviceClient) QueryBatteryStatus() ([]BatteryStatus, error) {
 func (d DeviceClient) QueryBatteryStatusInto(dst []BatteryStatus) (out []BatteryStatus, err error) {
 	err = d.get(CmdQueryStatus, nil, "status", func(r *bus.Reader) error {
 		n := int(r.U8())
+		if n*statusMinLen > r.Remaining() {
+			return fmt.Errorf("pmic: malformed status response: count %d exceeds payload", n)
+		}
 		out = slices.Grow(dst[:0], n)
 		for i := 0; i < n; i++ {
 			out = append(out, decodeStatus(r))
@@ -315,6 +318,10 @@ func (d DeviceClient) QueryBatteryStatusInto(dst []BatteryStatus) (out []Battery
 	})
 	return out, err
 }
+
+// statusMinLen is the wire size of a BatteryStatus record with empty
+// names: the index, two string lengths, fourteen float64s and the flags.
+const statusMinLen = 1 + 2 + 2 + 14*8 + 1
 
 // encodeStatus marshals one BatteryStatus record.
 func encodeStatus(w *bus.Writer, s BatteryStatus) {
@@ -396,6 +403,9 @@ func RatiosReply(req bus.Frame, dis, chg []float64) bus.Frame {
 func (d DeviceClient) Ratios() (dis, chg []float64, err error) {
 	err = d.get(CmdGetRatios, nil, "ratios", func(r *bus.Reader) error {
 		n := int(r.U8())
+		if 16*n > r.Remaining() {
+			return fmt.Errorf("pmic: malformed ratios response: count %d exceeds payload", n)
+		}
 		dis, chg = make([]float64, n), make([]float64, n)
 		for i := range dis {
 			dis[i] = r.F64()

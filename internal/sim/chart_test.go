@@ -91,11 +91,7 @@ func TestChartConstantSeries(t *testing.T) {
 }
 
 func TestChartOnRealFigure(t *testing.T) {
-	tab, err := Figure6a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DefaultChart().Render(tab, nil)
+	out, err := DefaultChart().Render(sharedTable(t, "figure-6a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

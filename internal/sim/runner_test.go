@@ -3,11 +3,8 @@ package sim
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,34 +14,20 @@ import (
 )
 
 // TestRunnerGoldenAgainstSerial is the golden-output regression test:
-// the parallel runner's rendered tables must be byte-identical to
-// calling each driver directly, one after another.
+// the shared run's tables must be byte-identical to calling each fast
+// driver directly, one after another.
 func TestRunnerGoldenAgainstSerial(t *testing.T) {
-	subset := Fast()
-
-	var golden bytes.Buffer
-	for _, e := range subset {
-		tab, err := e.Run(context.Background())
+	for _, j := range registryRun().Jobs {
+		if j.Experiment.Slow() {
+			continue
+		}
+		tab, err := j.Experiment.Run(context.Background())
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			t.Fatalf("%s: %v", j.Experiment.ID, err)
 		}
-		if err := tab.Fprint(&golden); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(rendered(tab), rendered(j.Table)) {
+			t.Errorf("%s: the runner's table differs from the serial run's", j.Experiment.ID)
 		}
-	}
-
-	r := &Runner{Workers: 4}
-	batch := r.Run(context.Background(), subset)
-	if err := batch.FirstErr(); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := batch.Fprint(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden.Bytes(), got.Bytes()) {
-		t.Fatalf("parallel output differs from serial output:\nserial %d bytes, parallel %d bytes",
-			golden.Len(), got.Len())
 	}
 }
 
@@ -297,49 +280,5 @@ func TestForEachRetainsNothing(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// fannedOut lists the drivers whose independent runs go through
-// forEach instead of a serial loop.
-var fannedOut = []string{
-	"ext-thermal", "ext-quad", "spice-buck", "ablation-split",
-	"ablation-directive", "spice-ripple",
-}
-
-// TestFannedOutDriversMatchDigests: each fanned-out driver renders
-// the table digest the repository benchmark pins in
-// sdbperf/figures.sha256, whatever the core count. ci.sh runs it
-// under -cpu 1,2, so one core and two render the same bytes.
-func TestFannedOutDriversMatchDigests(t *testing.T) {
-	text, err := os.ReadFile("../../sdbperf/figures.sha256")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(string(text), "\n") {
-		if f := strings.Fields(line); len(f) == 2 {
-			want[f[1]] = f[0]
-		}
-	}
-	for _, id := range fannedOut {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		if e.Slow() && testing.Short() {
-			continue
-		}
-		tab, err := e.Run(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		h := sha256.New()
-		if err := tab.Fprint(h); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want[id] {
-			t.Errorf("%s: table digest %s, want %s", id, got, want[id])
-		}
 	}
 }
