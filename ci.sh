@@ -3,7 +3,8 @@
 # holds):
 #
 #   - build, vet, the wire split (internal/pmic links no firmware or
-#     cell physics), tier-1 tests, and the same suite under -race; fuzz
+#     cell physics), the one cell kernel (internal/battery/batch
+#     imports no math), tier-1 tests, and the same suite under -race; fuzz
 #     seed corpora run as ordinary tests in both passes, and the
 #     1000-device fleet byte-identity soak runs in both (see
 #     internal/fleet/soak_size_race_test.go).
@@ -14,10 +15,11 @@
 #   - chaos: emulator and fleet chaos soaks under -race, seeds logged,
 #     and a fuzz burst of the firmware's command dispatch.
 #   - bench smoke: every Go benchmark once, so benchmark code cannot rot.
-#   - batch equivalence: struct-of-arrays vs scalar bit-identity (the
-#     sim drivers' batched runs against emulator.Run and the firmware's
-#     surplus-charging fast steps against Step included), the exact
-#     fast OCV inversion against its 60-round bisection, the
+#   - batch equivalence: the firmware and emulator fast segments
+#     against Step (surplus charging and the sim drivers' batched runs
+#     against emulator.Run included), batch lanes against cells stepped
+#     through the one kernel, the exact fast OCV inversion against its
+#     60-round bisection, the
 #     zero-allocation batch step, status query and policy tick, an
 #     inversion fuzz burst, and a fuzz burst of the in-place policies
 #     against their allocating reference.
@@ -63,6 +65,13 @@ if go list -deps ./internal/pmic | grep -E '^sdb/internal/(firmware|battery|batt
   echo "ci: internal/pmic depends on the firmware or the cell physics" >&2
   exit 1
 fi
+# One cell kernel: the batch engine holds lanes of state and steps
+# them through internal/battery's own arithmetic, so it imports no
+# math package.
+if go list -f '{{join .Imports "\n"}}' ./internal/battery/batch | grep -xE 'math(/.*)?'; then
+  echo "ci: internal/battery/batch does cell arithmetic; it belongs in internal/battery" >&2
+  exit 1
+fi
 go test ./...
 # The concurrent experiment engine (internal/sim.Runner and the
 # in-driver sweeps) and the fleet must stay race-clean.
@@ -98,11 +107,14 @@ go test -fuzz 'FuzzDispatch' -fuzztime 5s -run '^$' ./internal/pmic/
 # contract their tests exercise, cannot silently rot.
 go test -short -run '^$' -bench . -benchtime=1x ./...
 
-# Batch-equivalence lane: scalar vs struct-of-arrays bit-identity
-# (differential + fuzz seeds + emulator byte-identity, the firmware's
-# surplus-charging fast steps against Step and the emulator's admission
-# of them, and every internal/sim driver shape stepped through the
-# batch kernel against emulator.Run) and the fast OCV inversion's
+# Batch-equivalence lane: the firmware and emulator fast segments
+# against Step (emulator byte-identity across batch sizes, the
+# firmware's surplus-charging fast steps and the emulator's admission of
+# them, and every internal/sim driver shape stepped through the batch
+# engine against emulator.Run), batch lanes against cells through the
+# one kernel (differential + fuzz seeds: Checkout, the Sync pair and the
+# per-lane calls must hand the kernel the state a cell holds), and the
+# fast OCV inversion's
 # bit-exactness against the 60-round bisection it replaces, under
 # -race; then the zero-alloc assertions (batch step, OCV inversion,
 # status query into a reused slice, policy tick) without -race so

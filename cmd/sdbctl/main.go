@@ -902,7 +902,7 @@ type fleetServer struct {
 	// reg is the server's own registry (fleet.Config.Obs), sampled by
 	// rec. It is not the process default, so only a device built to
 	// report into it does: -fleet devices stay uninstrumented, which is
-	// what lets every shard step them on its struct-of-arrays batch
+	// what lets every shard step them on its batch
 	// engine.
 	reg *obs.Registry
 	// rec is device 0's recorder over reg.

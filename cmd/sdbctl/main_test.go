@@ -30,7 +30,7 @@ import (
 
 // TestServeFleetDevicesRunBatched provisions devices exactly as
 // `sdbctl serve -fleet N` does and requires every one of them to take
-// the struct-of-arrays batch engine: the fleet server's registry must
+// the batch engine: the fleet server's registry must
 // not instrument its devices, which would leave them on the scalar path.
 // The ids cover device 0 (the recorder), runtime devices (id%3 == 0)
 // and every load level.

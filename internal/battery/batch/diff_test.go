@@ -118,13 +118,20 @@ func runDifferential(t *testing.T, par battery.Params, seed int64, steps int) {
 		}
 		i := scheduleCurrent(rng, cell.Capacity())
 		var want, got battery.StepResult
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			// Power-mode step through the same quadratic.
 			pw := i * cell.TerminalVoltage(i)
 			want = cell.StepPower(pw, dt)
 			ocv, dcir, derate := eng.Entry(pk, 0)
 			got = eng.StepPowerAt(pk, 0, ocv, dcir, derate, pw, dt)
-		} else {
+		case 1:
+			// Current-mode step on the caller's entry quantities, as the
+			// firmware's fast segment drives it.
+			want = cell.StepCurrent(i, dt)
+			ocv, dcir, derate := eng.Entry(pk, 0)
+			got = eng.StepCurrentAt(pk, 0, ocv, dcir, derate, i, dt)
+		default:
 			want = cell.StepCurrent(i, dt)
 			got = eng.StepCurrent(pk, 0, i, dt)
 		}
@@ -168,14 +175,16 @@ func TestBatchCapabilityEquivalence(t *testing.T) {
 				{"EnergyRemainingLowerBoundJ", cell.EnergyRemainingLowerBoundJ(), eng.EnergyRemainingLowerBoundJ(pk, 0)},
 				{"TerminalVoltage", cell.TerminalVoltage(1.25), eng.TerminalVoltage(pk, 0, 1.25)},
 				{"SoC", cell.SoC(), eng.SoC(pk, 0)},
+				{"Capacity", cell.Capacity(), eng.Capacity(pk, 0)},
+				{"TotalLoss", cell.TotalLoss(), eng.TotalLoss(pk, 0)},
 			}
 			for _, c := range checks {
 				if math.Float64bits(c.want) != math.Float64bits(c.got) {
 					t.Fatalf("%s: %s diverged at k=%d: scalar %v batch %v", par.Name, c.name, k, c.want, c.got)
 				}
 			}
-			if cell.Empty() != eng.Empty(pk, 0) {
-				t.Fatalf("%s: Empty diverged at k=%d", par.Name, k)
+			if cell.Empty() != eng.Empty(pk, 0) || cell.Full() != eng.Full(pk, 0) {
+				t.Fatalf("%s: Empty or Full diverged at k=%d", par.Name, k)
 			}
 		}
 	}
@@ -197,8 +206,8 @@ func TestBatchStepCurrentBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Len(); got != len(cells) {
-		t.Fatalf("Len = %d, want %d", got, len(cells))
+	if got := eng.Len(); got != len(cells) || pk.N() != len(cells) || eng.All() != pk {
+		t.Fatalf("Len = %d, pack %+v, All %+v; want %d lanes in one pack", got, pk, eng.All(), len(cells))
 	}
 	// Model dedupe: 24 cells over 15 library models share tables.
 	if len(eng.models) != len(lib) {
@@ -256,7 +265,7 @@ func TestBatchCheckoutRejectsNonDense(t *testing.T) {
 }
 
 // TestBatchStepNoAllocs asserts the bulk kernel allocates nothing per
-// step — the zero-per-step-allocation contract of the SoA engine.
+// step — the zero-per-step-allocation contract of the batch engine.
 func TestBatchStepNoAllocs(t *testing.T) {
 	lib := battery.Library()
 	var cells []*battery.Cell

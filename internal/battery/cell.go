@@ -3,7 +3,6 @@ package battery
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Params describes a cell model: Thevenin electrical parameters,
@@ -154,36 +153,12 @@ func (p Params) VolumetricDensityWhPerL(swell bool) float64 {
 	return d
 }
 
-// Cell is a stateful cell instance built from Params. Cells are not
+// Cell is a stateful cell instance built from Params: the parameters
+// plus one CellState, stepped through CellState's kernel. Cells are not
 // safe for concurrent use; the emulator steps them from one goroutine.
 type Cell struct {
 	p Params
-
-	soc      float64 // state of charge in [0,1] of current capacity
-	vrc      float64 // volts across the RC pair (positive during discharge)
-	capacity float64 // current effective capacity, coulombs
-	r0Mult   float64 // DCIR growth multiplier (>= 1)
-
-	tempC    float64 // cell temperature (thermal model)
-	ambientC float64
-	// Temperature bookkeeping for aging: time-weighted average over
-	// the current cycle window.
-	tempSum  float64
-	tempTime float64
-
-	cycles    float64 // completed charge cycles (80% cumulative rule)
-	cumCharge float64 // coulombs charged since last cycle increment
-
-	// Rate bookkeeping for the aging model: charge-weighted average
-	// C-rates within the current cycle window.
-	chgRateSum float64 // sum of (C-rate * coulombs) while charging
-	chgCharge  float64
-	disRateSum float64
-	disCharge  float64
-
-	totalIn   float64 // coulombs charged, lifetime
-	totalOut  float64 // coulombs discharged, lifetime
-	totalLoss float64 // joules dissipated internally, lifetime
+	s CellState
 }
 
 // New builds a cell at 100% state of charge.
@@ -191,14 +166,7 @@ func New(p Params) (*Cell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cell{
-		p:        p,
-		soc:      1,
-		capacity: p.CapacityCoulombs(),
-		r0Mult:   1,
-		tempC:    AmbientC,
-		ambientC: AmbientC,
-	}, nil
+	return &Cell{p: p, s: freshState(&p)}, nil
 }
 
 // MustNew is New, panicking on invalid parameters. For tests and the
@@ -219,148 +187,100 @@ func (c *Cell) Name() string { return c.p.Name }
 
 // SoC returns the state of charge in [0,1] relative to the current
 // (possibly faded) capacity.
-func (c *Cell) SoC() float64 { return c.soc }
+func (c *Cell) SoC() float64 { return c.s.SoC }
 
 // SetSoC forces the state of charge; values are clamped to [0,1]. The
 // RC pair voltage is reset. Intended for scenario setup.
 func (c *Cell) SetSoC(soc float64) {
-	c.soc = clamp01(soc)
-	c.vrc = 0
+	c.s.SoC = clamp01(soc)
+	c.s.VRC = 0
 }
 
 // Capacity returns the current effective capacity in coulombs.
-func (c *Cell) Capacity() float64 { return c.capacity }
+func (c *Cell) Capacity() float64 { return c.s.Capacity }
 
 // DesignCapacity returns the as-built capacity in coulombs.
 func (c *Cell) DesignCapacity() float64 { return c.p.CapacityCoulombs() }
 
 // CapacityFraction returns current capacity over design capacity — the
 // paper's longevity score divided by 100.
-func (c *Cell) CapacityFraction() float64 { return c.capacity / c.p.CapacityCoulombs() }
+func (c *Cell) CapacityFraction() float64 { return c.s.Capacity / c.p.CapacityCoulombs() }
 
 // OCV returns the open circuit potential at the current state of charge.
-func (c *Cell) OCV() float64 { return c.p.OCV.At(c.soc) }
+func (c *Cell) OCV() float64 { return c.p.OCV.At(c.s.SoC) }
 
 // DCIR returns the internal resistance at the current state of charge,
 // including aging growth and the temperature coefficient.
-func (c *Cell) DCIR() float64 { return c.p.DCIR.At(c.soc) * c.r0Mult * c.tempRFactor() }
-
-// tempRFactor is the temperature multiplier on resistance.
-func (c *Cell) tempRFactor() float64 {
-	if c.p.ThermalMassJPerK <= 0 || c.p.TempCoeffRPerK == 0 {
-		return 1
-	}
-	f := 1 + c.p.TempCoeffRPerK*(c.tempC-AmbientC)
-	switch {
-	case f < 0.6:
-		return 0.6
-	case f > 1.6:
-		return 1.6
-	}
-	return f
+func (c *Cell) DCIR() float64 {
+	return c.p.DCIR.At(c.s.SoC) * c.s.R0Mult * tempRFactor(&c.p, c.s.TempC)
 }
 
 // Temperature returns the cell temperature in Celsius (ambient when
 // the thermal model is disabled).
-func (c *Cell) Temperature() float64 { return c.tempC }
+func (c *Cell) Temperature() float64 { return c.s.TempC }
 
 // SetAmbient changes the ambient temperature the cell relaxes toward.
-func (c *Cell) SetAmbient(tC float64) { c.ambientC = tC }
-
-// thermalDerate scales current capability as temperature approaches
-// the protection limit: 1 below MaxTempC-5, 0 at MaxTempC.
-func (c *Cell) thermalDerate() float64 {
-	if c.p.ThermalMassJPerK <= 0 || c.p.MaxTempC <= 0 {
-		return 1
-	}
-	const band = 5.0
-	head := c.p.MaxTempC - c.tempC
-	switch {
-	case head >= band:
-		return 1
-	case head <= 0:
-		return 0
-	}
-	return head / band
-}
+func (c *Cell) SetAmbient(tC float64) { c.s.AmbientC = tC }
 
 // DCIRSlope returns the derivative of the DCIR-vs-SoC curve at the
 // current state of charge (the paper's delta_i), including aging growth.
-func (c *Cell) DCIRSlope() float64 { return c.p.DCIR.Slope(c.soc) * c.r0Mult }
+func (c *Cell) DCIRSlope() float64 { return c.p.DCIR.Slope(c.s.SoC) * c.s.R0Mult }
 
 // RCVoltage returns the voltage currently across the RC pair.
-func (c *Cell) RCVoltage() float64 { return c.vrc }
+func (c *Cell) RCVoltage() float64 { return c.s.VRC }
 
 // CycleCount returns completed charge cycles per the paper's 80%
 // cumulative-charge rule.
-func (c *Cell) CycleCount() float64 { return c.cycles }
+func (c *Cell) CycleCount() float64 { return c.s.Cycles }
 
 // WearRatio returns lambda_i = cycles / RatedCycles.
-func (c *Cell) WearRatio() float64 { return c.cycles / c.p.RatedCycles }
+func (c *Cell) WearRatio() float64 { return c.s.Cycles / c.p.RatedCycles }
 
 // TotalLoss returns lifetime joules dissipated inside the cell.
-func (c *Cell) TotalLoss() float64 { return c.totalLoss }
+func (c *Cell) TotalLoss() float64 { return c.s.TotalLoss }
 
 // TotalThroughput returns lifetime coulombs in and out.
-func (c *Cell) TotalThroughput() (in, out float64) { return c.totalIn, c.totalOut }
+func (c *Cell) TotalThroughput() (in, out float64) { return c.s.TotalIn, c.s.TotalOut }
 
 // Empty reports whether the cell cannot supply meaningful discharge
 // current (SoC at the bottom clamp).
-func (c *Cell) Empty() bool { return c.soc <= 1e-9 }
+func (c *Cell) Empty() bool { return c.s.SoC <= 1e-9 }
 
 // Full reports whether the cell is at 100% state of charge.
-func (c *Cell) Full() bool { return c.soc >= 1-1e-9 }
+func (c *Cell) Full() bool { return c.s.SoC >= 1-1e-9 }
 
 // TerminalVoltage returns the terminal voltage if current i (positive
 // discharge) flowed right now.
 func (c *Cell) TerminalVoltage(i float64) float64 {
-	return c.OCV() - c.vrc - i*c.DCIR()
+	return c.OCV() - c.s.VRC - i*c.DCIR()
 }
 
 // MaxDischargeCurrent returns the discharge current limit in amperes:
 // the C-rate limit against current capacity, derated near the thermal
 // protection limit.
 func (c *Cell) MaxDischargeCurrent() float64 {
-	return c.p.MaxDischargeC * c.capacity / 3600 * c.thermalDerate()
+	return c.p.MaxDischargeC * c.s.Capacity / 3600 * thermalDerate(&c.p, c.s.TempC)
 }
 
 // MaxChargeCurrent returns the charge current limit in amperes,
 // thermally derated like MaxDischargeCurrent.
 func (c *Cell) MaxChargeCurrent() float64 {
-	return c.p.MaxChargeC * c.capacity / 3600 * c.thermalDerate()
+	return c.p.MaxChargeC * c.s.Capacity / 3600 * thermalDerate(&c.p, c.s.TempC)
 }
 
 // MaxDischargePower returns the largest terminal power the cell can
 // deliver right now, limited both by the rated current and by the
 // physics peak (OCV-Vrc)^2 / (4*R0).
 func (c *Cell) MaxDischargePower() float64 {
-	return c.maxDischargePowerAt(c.OCV(), c.DCIR())
-}
-
-// maxDischargePowerAt is MaxDischargePower given the OCV and DCIR at
-// the current state (curve lookups are pure, so a caller that already
-// holds them passes them in instead of looking them up again).
-func (c *Cell) maxDischargePowerAt(ocv, r float64) float64 {
-	if c.Empty() {
-		return 0
-	}
-	v := ocv - c.vrc
-	if v <= 0 {
-		return 0
-	}
-	peak := v * v / (4 * r)
-	iMax := c.MaxDischargeCurrent()
-	rated := (v - iMax*r) * iMax
-	if rated < 0 {
-		return peak
-	}
-	return math.Min(peak, rated)
+	ocv, r, derate := c.s.Entry(&c.p)
+	return c.s.MaxDischargePowerAt(&c.p, ocv, r, derate)
 }
 
 // MaxChargePower returns the largest terminal power the cell may accept
 // right now under its rated charge current.
 func (c *Cell) MaxChargePower() float64 {
-	return c.maxChargePowerAt(c.OCV(), c.DCIR())
+	ocv, r, _ := c.s.Entry(&c.p)
+	return c.maxChargePowerAt(ocv, r)
 }
 
 // maxChargePowerAt is MaxChargePower given the OCV and DCIR at the
@@ -370,47 +290,18 @@ func (c *Cell) maxChargePowerAt(ocv, r float64) float64 {
 		return 0
 	}
 	j := c.MaxChargeCurrent()
-	v := ocv - c.vrc + j*r
+	v := ocv - c.s.VRC + j*r
 	return v * j
 }
 
 // EnergyRemainingJ estimates the chemical energy recoverable from the
 // current state of charge down to empty, ignoring resistive losses
 // (integral of OCV over remaining charge).
-func (c *Cell) EnergyRemainingJ() float64 {
-	const steps = 50
-	if c.soc <= 0 {
-		return 0
-	}
-	// Curve.At's dense-or-reference branch, taken once for all 50
-	// points instead of once per point.
-	var sum float64
-	if d := c.p.OCV.dense; d != nil {
-		for i := 0; i < steps; i++ {
-			sum += d.at(c.soc * (float64(i) + 0.5) / steps)
-		}
-	} else {
-		for i := 0; i < steps; i++ {
-			sum += c.p.OCV.refAt(c.soc * (float64(i) + 0.5) / steps)
-		}
-	}
-	return sum / steps * c.soc * c.capacity
-}
+func (c *Cell) EnergyRemainingJ() float64 { return c.s.EnergyRemainingJ(&c.p) }
 
 // EnergyRemainingLowerBoundJ returns a cheap O(1) lower bound on
-// EnergyRemainingJ: the OCV curve's floor times the remaining charge.
-// Every OCV sample the integral averages is at least the curve minimum
-// (linear interpolation cannot undershoot its endpoints), so the bound
-// holds exactly; the (1-1e-9) margin absorbs floating-point rounding in
-// the integral's summation. The firmware's discharge loop uses it to
-// skip the 50-point integral whenever the energy cap provably cannot
-// bind — everywhere except the bottom few percent of charge.
-func (c *Cell) EnergyRemainingLowerBoundJ() float64 {
-	if c.soc <= 0 {
-		return 0
-	}
-	return (1 - 1e-9) * c.p.OCV.Min() * c.soc * c.capacity
-}
+// EnergyRemainingJ (see CellState.EnergyRemainingLowerBoundJ).
+func (c *Cell) EnergyRemainingLowerBoundJ() float64 { return c.s.EnergyRemainingLowerBoundJ(&c.p) }
 
 // StepResult reports what happened during one integration step.
 type StepResult struct {
@@ -438,43 +329,9 @@ type StepResult struct {
 // to rate limits and to what the state of charge allows; the realized
 // values are reported in the result.
 func (c *Cell) StepCurrent(i, dt float64) StepResult {
-	if dt <= 0 {
-		return StepResult{TerminalV: c.TerminalVoltage(0)}
-	}
 	var res StepResult
-	c.stepAt(i, dt, c.OCV(), c.DCIR(), &res)
+	c.s.StepCurrent(&c.p, i, dt, &res)
 	return res
-}
-
-// stepAt is StepCurrent given the OCV and DCIR at the current state,
-// writing the outcome into res. The clamp chain and integrate all read
-// the state the step starts from, so one lookup serves the whole step:
-// the values are the same bits as looking them up at each use.
-func (c *Cell) stepAt(i, dt, ocv, r float64, res *StepResult) {
-	switch {
-	case i > 0: // discharge
-		if max := c.MaxDischargeCurrent(); i > max {
-			i, res.Clamped = max, true
-		}
-		// Do not let the step overshoot empty.
-		if avail := c.soc * c.capacity; i*dt > avail {
-			i, res.Clamped = avail/dt, true
-		}
-		// Physics: terminal voltage must stay positive.
-		if v := ocv - c.vrc; i*r >= v {
-			i, res.Clamped = math.Max(0, v/(2*r)), true
-		}
-	case i < 0: // charge
-		j := -i
-		if max := c.MaxChargeCurrent(); j > max {
-			j, res.Clamped = max, true
-		}
-		if room := (1 - c.soc) * c.capacity; j*dt > room {
-			j, res.Clamped = room/dt, true
-		}
-		i = -j
-	}
-	c.integrate(i, dt, ocv, r, res)
 }
 
 // StepPower integrates the cell for dt seconds at the requested
@@ -482,140 +339,13 @@ func (c *Cell) stepAt(i, dt, ocv, r float64, res *StepResult) {
 // quadratic for the required current. Requests beyond the deliverable
 // peak are clamped.
 func (c *Cell) StepPower(p, dt float64) StepResult {
-	if dt <= 0 || p == 0 {
+	if dt <= 0 {
 		return c.StepCurrent(0, dt)
 	}
-	ocv, r := c.OCV(), c.DCIR()
-	v := ocv - c.vrc
-	var i float64
-	if p > 0 {
-		// (v - i r) i = p  =>  r i^2 - v i + p = 0, take the small root.
-		disc := v*v - 4*r*p
-		if disc < 0 {
-			i = v / (2 * r) // peak power point
-		} else {
-			i = (v - math.Sqrt(disc)) / (2 * r)
-		}
-	} else {
-		// Charging with |p| into the terminals:
-		// (v + j r) j = |p|  =>  r j^2 + v j - |p| = 0.
-		q := -p
-		j := (-v + math.Sqrt(v*v+4*r*q)) / (2 * r)
-		i = -j
-	}
 	var res StepResult
-	c.stepAt(i, dt, ocv, r, &res)
+	ocv, r, derate := c.s.Entry(&c.p)
+	c.s.StepPowerAt(&c.p, ocv, r, derate, p, dt, &res)
 	return res
-}
-
-// integrate advances state at realized current i for dt seconds, given
-// the OCV and DCIR r0 at the state the step starts from, and records
-// the step in res.
-func (c *Cell) integrate(i, dt, ocv, r0 float64, res *StepResult) {
-	vterm := ocv - c.vrc - i*r0
-
-	// RC pair: dVrc/dt = (i - Vrc/Rc) / Cp. Backward Euler keeps the
-	// update stable for any dt; with Cp == 0 the pair settles
-	// instantly to i*Rc.
-	rc, cp := c.p.ConcentrationR, c.p.PlateC
-	var heatRC float64
-	if rc > 0 {
-		if cp > 0 {
-			tau := rc * cp
-			c.vrc = (c.vrc + dt/tau*i*rc) / (1 + dt/tau)
-		} else {
-			c.vrc = i * rc
-		}
-		heatRC = c.vrc * c.vrc / rc
-	}
-
-	heat := i*i*r0 + heatRC
-	moved := i * dt
-	c.soc = clamp01(c.soc - moved/c.capacity)
-	c.totalLoss += heat * dt
-
-	// Self-discharge: a slow leak proportional to stored charge. It is
-	// modeled only while the cell rests — under any meaningful current
-	// the leak is orders of magnitude below the flow, and applying it
-	// during charging would make "full" unreachable.
-	if c.p.SelfDischargePerMonth > 0 && c.soc > 0 && math.Abs(i) < c.capacity/3600*1e-3 {
-		const month = 30 * 24 * 3600.0
-		leak := c.soc * c.p.SelfDischargePerMonth * dt / month
-		c.soc = clamp01(c.soc - leak)
-		c.totalLoss += leak * c.capacity * c.p.OCV.At(c.soc)
-	}
-
-	// Thermal integration (backward Euler on the lumped RC thermal
-	// model) and cycle-window temperature bookkeeping.
-	if c.p.ThermalMassJPerK > 0 {
-		tau := c.p.ThermalMassJPerK * c.p.ThermalResKPerW
-		c.tempC = (c.tempC + dt/tau*(c.ambientC+heat*c.p.ThermalResKPerW)) / (1 + dt/tau)
-		c.tempSum += c.tempC * dt
-		c.tempTime += dt
-	}
-
-	if i >= 0 {
-		c.totalOut += moved
-		c.disRateSum += cRate(i, c.capacity) * moved
-		c.disCharge += moved
-	} else {
-		in := -moved
-		c.totalIn += in
-		c.cumCharge += in
-		c.chgRateSum += cRate(-i, c.capacity) * in
-		c.chgCharge += in
-		if c.cumCharge >= 0.8*c.capacity {
-			c.completeCycle()
-			res.CycleCompleted = true
-		}
-	}
-
-	res.Current = i
-	res.TerminalV = vterm
-	res.PowerW = vterm * i
-	res.HeatW = heat
-	res.ChargeMoved = moved
-}
-
-// completeCycle applies one cycle's worth of aging using the
-// charge-weighted average rates observed in the window, then resets the
-// window accumulators. Calibrated against Figure 1(b): fade grows
-// superlinearly with charge rate.
-func (c *Cell) completeCycle() {
-	c.cycles++
-	c.cumCharge = 0
-
-	fade := 0.0
-	if c.p.FadePerCycle > 0 {
-		chgRate := c.p.FadeRefC
-		if c.chgCharge > 0 {
-			chgRate = c.chgRateSum / c.chgCharge
-		}
-		fade = c.p.FadePerCycle * math.Pow(chgRate/c.p.FadeRefC, c.p.FadeExponent)
-		if c.p.DischargeFadeWeight > 0 && c.disCharge > 0 {
-			disRate := c.disRateSum / c.disCharge
-			fade += c.p.DischargeFadeWeight * c.p.FadePerCycle *
-				math.Pow(disRate/c.p.FadeRefC, c.p.FadeExponent)
-		}
-		// Hot cycles age faster (electrolyte decomposition).
-		if c.p.AgingTempFactorPerK > 0 && c.tempTime > 0 {
-			avgT := c.tempSum / c.tempTime
-			if over := avgT - c.p.AgingTempThresholdC; over > 0 {
-				fade *= 1 + c.p.AgingTempFactorPerK*over
-			}
-		}
-	}
-	c.tempSum, c.tempTime = 0, 0
-	if fade > 0 {
-		// State of charge is relative to capacity; preserve absolute
-		// charge across the capacity change.
-		abs := c.soc * c.capacity
-		c.capacity *= 1 - math.Min(fade, 0.5)
-		c.soc = clamp01(abs / c.capacity)
-	}
-	c.r0Mult *= 1 + c.p.ResGrowthPerCycle
-	c.chgRateSum, c.chgCharge = 0, 0
-	c.disRateSum, c.disCharge = 0, 0
 }
 
 // Status is a point-in-time snapshot of externally visible cell state,
@@ -645,23 +375,23 @@ type Status struct {
 // MaxDischargePower and MaxChargePower: the lookups are pure functions
 // of unchanged state, so the values are the same bits.
 func (c *Cell) Snapshot() Status {
-	ocv, r := c.OCV(), c.DCIR()
+	ocv, r, derate := c.s.Entry(&c.p)
 	return Status{
 		Name:             c.p.Name,
 		Chem:             c.p.Chem,
-		SoC:              c.soc,
-		TerminalV:        ocv - c.vrc - 0*r,
+		SoC:              c.s.SoC,
+		TerminalV:        ocv - c.s.VRC - 0*r,
 		OCV:              ocv,
 		DCIR:             r,
-		CapacityCoulombs: c.capacity,
+		CapacityCoulombs: c.s.Capacity,
 		CapacityFraction: c.CapacityFraction(),
-		CycleCount:       c.cycles,
+		CycleCount:       c.s.Cycles,
 		WearRatio:        c.WearRatio(),
 		RatedCycles:      c.p.RatedCycles,
-		MaxDischargeW:    c.maxDischargePowerAt(ocv, r),
+		MaxDischargeW:    c.s.MaxDischargePowerAt(&c.p, ocv, r, derate),
 		MaxChargeW:       c.maxChargePowerAt(ocv, r),
 		EnergyRemainingJ: c.EnergyRemainingJ(),
-		TemperatureC:     c.tempC,
+		TemperatureC:     c.s.TempC,
 		Bendable:         c.p.Chem.Bendable(),
 	}
 }
@@ -673,13 +403,13 @@ func (c *Cell) Snapshot() Status {
 // charge rises when capacity shrinks, exactly as in completeCycle.
 // Capacity never drops below 1% of design so the model stays solvable.
 func (c *Cell) InjectCapacityFade(retain float64) {
-	abs := c.soc * c.capacity
-	nc := c.capacity * clamp01(retain)
+	abs := c.s.SoC * c.s.Capacity
+	nc := c.s.Capacity * clamp01(retain)
 	if min := 0.01 * c.p.CapacityCoulombs(); nc < min {
 		nc = min
 	}
-	c.capacity = nc
-	c.soc = clamp01(abs / c.capacity)
+	c.s.Capacity = nc
+	c.s.SoC = clamp01(abs / c.s.Capacity)
 }
 
 // Clone returns an independent copy of the cell including aging state.
@@ -690,27 +420,4 @@ func (c *Cell) Clone() *Cell {
 
 // Reset returns the cell to fresh, fully charged state at ambient
 // temperature, erasing aging.
-func (c *Cell) Reset() {
-	*c = Cell{
-		p: c.p, soc: 1, capacity: c.p.CapacityCoulombs(), r0Mult: 1,
-		tempC: AmbientC, ambientC: AmbientC,
-	}
-}
-
-// cRate converts a current against a capacity in coulombs to a C-rate.
-func cRate(i, capacityCoulombs float64) float64 {
-	if capacityCoulombs <= 0 {
-		return 0
-	}
-	return i / (capacityCoulombs / 3600)
-}
-
-func clamp01(x float64) float64 {
-	switch {
-	case x < 0:
-		return 0
-	case x > 1:
-		return 1
-	}
-	return x
-}
+func (c *Cell) Reset() { c.s = freshState(&c.p) }

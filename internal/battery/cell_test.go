@@ -508,21 +508,21 @@ func BenchmarkCellStepPower(b *testing.B) {
 func TestSnapshotMatchesAccessors(t *testing.T) {
 	dense := testParams()
 	ref := dense
-	ref.OCV = Curve{xs: dense.OCV.xs, ys: dense.OCV.ys}
-	ref.DCIR = Curve{xs: dense.DCIR.xs, ys: dense.DCIR.ys}
+	ref.OCV = MustCurve(dense.OCV.xs, dense.OCV.ys)
+	ref.DCIR = MustCurve(dense.DCIR.xs, dense.DCIR.ys)
 	if !dense.OCV.IsDense() || ref.OCV.IsDense() || ref.DCIR.IsDense() {
 		t.Fatal("test needs one dense and one reference cell")
 	}
 	perPoint := func(c *Cell) float64 {
 		const steps = 50
-		if c.soc <= 0 {
+		if c.s.SoC <= 0 {
 			return 0
 		}
 		var sum float64
 		for i := 0; i < steps; i++ {
-			sum += c.p.OCV.At(c.soc * (float64(i) + 0.5) / steps)
+			sum += c.p.OCV.At(c.s.SoC * (float64(i) + 0.5) / steps)
 		}
-		return sum / steps * c.soc * c.capacity
+		return sum / steps * c.s.SoC * c.s.Capacity
 	}
 	bits := math.Float64bits
 	for _, p := range []Params{dense, ref} {
@@ -531,8 +531,8 @@ func TestSnapshotMatchesAccessors(t *testing.T) {
 			c.SetSoC(soc)
 			c.StepCurrent(2, 30) // polarize and warm the cell
 			c.SetSoC(soc)
-			c.vrc = 0.02
-			c.r0Mult = 1.3
+			c.s.VRC = 0.02
+			c.s.R0Mult = 1.3
 			s := c.Snapshot()
 			for _, f := range []struct {
 				name      string

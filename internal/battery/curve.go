@@ -30,6 +30,9 @@ import (
 type Curve struct {
 	xs []float64
 	ys []float64
+	// min is the smallest of ys, cached at construction: the firmware
+	// reads it every step through EnergyRemainingLowerBoundJ.
+	min float64
 	// dense, when non-nil, is the uniform-grid acceleration table. It
 	// is immutable after construction, so sharing it across copies of
 	// the Curve value (and across goroutines) is safe.
@@ -181,8 +184,11 @@ func NewCurve(xs, ys []float64) (Curve, error) {
 			return Curve{}, fmt.Errorf("battery: curve x values not strictly increasing at index %d", i)
 		}
 	}
-	c := Curve{xs: append([]float64(nil), xs...), ys: append([]float64(nil), ys...)}
-	return c, nil
+	return Curve{
+		xs:  append([]float64(nil), xs...),
+		ys:  append([]float64(nil), ys...),
+		min: minOf(ys),
+	}, nil
 }
 
 // MustCurve is like NewCurve but panics on invalid input. It is
@@ -391,6 +397,7 @@ func (c Curve) clone() Curve {
 	return Curve{
 		xs:    append([]float64(nil), c.xs...),
 		ys:    append([]float64(nil), c.ys...),
+		min:   c.min,
 		dense: c.dense,
 	}
 }
@@ -403,6 +410,7 @@ func (c Curve) Scale(k float64) Curve {
 	for i, y := range c.ys {
 		out.ys[i] = y * k
 	}
+	out.min = minOf(out.ys)
 	if c.dense != nil {
 		d := &denseTable{
 			ys:      make([]float64, len(c.dense.ys)),
@@ -420,13 +428,15 @@ func (c Curve) Scale(k float64) Curve {
 	return out
 }
 
-// Min returns the minimum sampled y value.
-func (c Curve) Min() float64 {
-	if c.IsZero() {
+// Min returns the minimum sampled y value (0 for the zero curve).
+func (c Curve) Min() float64 { return c.min }
+
+func minOf(ys []float64) float64 {
+	if len(ys) == 0 {
 		return 0
 	}
-	m := c.ys[0]
-	for _, y := range c.ys[1:] {
+	m := ys[0]
+	for _, y := range ys[1:] {
 		if y < m {
 			m = y
 		}

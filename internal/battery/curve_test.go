@@ -95,10 +95,22 @@ func TestCurveScale(t *testing.T) {
 	}
 }
 
+// TestCurveMinMax also scales the curve: Min is cached when a curve is
+// built, so Scale must recompute it from the scaled values, and a
+// negative factor swaps min and max, on reference and dense curves.
 func TestCurveMinMax(t *testing.T) {
 	c := MustCurve([]float64{0, 1, 2}, []float64{5, 1, 3})
 	if c.Min() != 1 || c.Max() != 5 {
 		t.Errorf("Min/Max = %g/%g, want 1/5", c.Min(), c.Max())
+	}
+	for _, c := range []Curve{c, c.MustDense(8)} {
+		for _, tc := range []struct{ k, min, max float64 }{{2, 2, 10}, {-2, -10, -2}, {0, 0, 0}} {
+			s := c.Scale(tc.k)
+			if s.Min() != tc.min || s.Max() != tc.max {
+				t.Errorf("dense=%v Scale(%g): Min/Max = %g/%g, want %g/%g",
+					c.IsDense(), tc.k, s.Min(), s.Max(), tc.min, tc.max)
+			}
+		}
 	}
 }
 

@@ -140,3 +140,30 @@ func TestPropChargeConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestPropEnergyLowerBound: EnergyRemainingLowerBoundJ is a bound on
+// EnergyRemainingJ, which the firmware relies on to skip the 50-point
+// integral. Every library cell, over a state-of-charge sweep, on its
+// dense curves and on reference curves over the same knots, fresh and
+// after an abrupt capacity fade.
+func TestPropEnergyLowerBound(t *testing.T) {
+	for _, dense := range Library() {
+		ref := dense
+		ref.OCV = MustCurve(dense.OCV.Points())
+		ref.DCIR = MustCurve(dense.DCIR.Points())
+		for _, p := range []Params{dense, ref} {
+			for _, retain := range []float64{1, 0.6, 0} {
+				c := MustNew(p)
+				c.InjectCapacityFade(retain)
+				for k := 0; k <= 200; k++ {
+					c.SetSoC(float64(k) / 200)
+					lb, e := c.EnergyRemainingLowerBoundJ(), c.EnergyRemainingJ()
+					if lb > e || lb < 0 {
+						t.Fatalf("%s dense=%v retain=%v soc=%v: lower bound %v J, energy %v J",
+							p.Name, p.OCV.IsDense(), retain, c.SoC(), lb, e)
+					}
+				}
+			}
+		}
+	}
+}

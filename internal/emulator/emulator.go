@@ -148,7 +148,7 @@ type Machine struct {
 	done bool // trace exhausted or brownout-stopped
 
 	// batchEng, when non-nil, routes StepBatch through the
-	// struct-of-arrays fast path (see fast.go). Set by EnableBatch.
+	// batch fast path (see fast.go). Set by EnableBatch.
 	batchEng *batch.Engine
 }
 

@@ -8,13 +8,13 @@ import "sdb/internal/battery/batch"
 // fast path instead carves the batch into segments of steps that are
 // provably free of policy work and faults, and on battery power or on
 // an external supply that covers the load, and drives those through
-// the firmware's struct-of-arrays fast segment
+// the firmware's batch fast segment
 // (firmware.BeginFast/FastStepSupplied/EndFast). Any step that fails an
 // eligibility check runs through the ordinary Step — the scalar path
 // remains the reference, and the fast path must be bit-identical to
 // it (the fleet identity soak enforces this).
 
-// EnableBatch checks this machine's cells out into a struct-of-arrays
+// EnableBatch checks this machine's cells out into a batch
 // engine (typically shared by every device on a fleet shard) and routes
 // StepBatch through the batched kernel. It returns false, leaving the
 // machine on the scalar path, if the run is instrumented (an obs

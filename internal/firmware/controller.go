@@ -185,7 +185,7 @@ type Controller struct {
 	// boundaries, outside the hot loop); it only answers queries.
 	rec *ts.Recorder
 
-	// Fast-segment state (see fast.go): the struct-of-arrays engine the
+	// Fast-segment state (see fast.go): the batch engine the
 	// cells are checked out into, this pack's lane window, the
 	// per-segment memoized realized discharge ratios, and per-step
 	// curve-entry scratch. All nil/zero until AttachFast.
@@ -676,9 +676,6 @@ func (c *Controller) stepDischarging(loadW, dt float64, rep *StepReport) {
 	}
 	rep.CircuitLossW = lossW
 
-	// Redistribute demand exceeding a cell's capability to the others
-	// (a real regulator saturates a channel's duty and the control
-	// loop shifts the slack elsewhere). Up to three rounds.
 	caps := c.caps
 	for i := 0; i < n; i++ {
 		cell := cells[i]
@@ -703,27 +700,7 @@ func (c *Controller) stepDischarging(loadW, dt float64, rep *StepReport) {
 			}
 		}
 	}
-	for round := 0; round < 3; round++ {
-		var excess float64
-		var headroom float64
-		for i := 0; i < n; i++ {
-			if perCell[i] > caps[i] {
-				excess += perCell[i] - caps[i]
-				perCell[i] = caps[i]
-			} else {
-				headroom += caps[i] - perCell[i]
-			}
-		}
-		if excess <= 1e-12 || headroom <= 1e-12 {
-			break
-		}
-		scale := math.Min(1, excess/headroom)
-		for i := 0; i < n; i++ {
-			if perCell[i] < caps[i] {
-				perCell[i] += (caps[i] - perCell[i]) * scale
-			}
-		}
-	}
+	redistribute(perCell, caps)
 
 	var realized float64
 	for i := 0; i < n; i++ {
@@ -738,12 +715,7 @@ func (c *Controller) stepDischarging(loadW, dt float64, rep *StepReport) {
 		rep.PerCellA[i] += res.Current
 		realized += res.PowerW
 	}
-	// A small one-step dip (a cell hitting empty mid-interval before
-	// the ratios shift) is absorbed by the output capacitor; only a
-	// substantial shortfall is a brownout.
-	const brownoutTolerance = 0.05
-	want := loadW + lossW
-	if realized < want*(1-brownoutTolerance)-1e-9 {
+	if brownout(realized, loadW+lossW) {
 		rep.Faults |= FaultBrownout
 	}
 	// Loss comes off the top; the load gets the rest.
@@ -780,36 +752,11 @@ func (c *Controller) stepCharging(loadW, externalW, dt float64, rep *StepReport)
 			rep.PerCellA[i] += res.Current
 			continue
 		}
-		prof := c.profileByIdx[i]
-		rate := prof.RateAt(cell.SoC())       // C
-		maxA := rate * cell.Capacity() / 3600 // amperes
-		// CV phase: taper the current so the cell terminal voltage
-		// never exceeds the profile's constant-voltage ceiling.
-		if prof.CVVoltage > 0 {
-			if r := cell.DCIR(); r > 0 {
-				cvA := (prof.CVVoltage - cell.TerminalVoltage(0)) / r
-				if cvA < 0 {
-					cvA = 0
-				}
-				if cvA < maxA {
-					maxA = cvA
-				}
-			}
-		}
-		setA := math.Min(maxA, c.chargers[i].MaxCurrent())
-		actualA, err := c.chargers[i].RealizedCurrent(setA)
-		if err != nil || actualA <= 0 {
+		wantW, eff, ok := c.chargeSetPoint(i, budget, cell.SoC(), cell.Capacity(), cell.TerminalVoltage(0), cell.DCIR())
+		if !ok {
 			res := cell.StepCurrent(0, dt)
 			rep.PerCellA[i] += res.Current
 			continue
-		}
-		// Power needed at the cell terminals for actualA.
-		vterm := cell.TerminalVoltage(-actualA)
-		wantW := vterm * actualA
-		eff := c.chargers[i].Efficiency(actualA)
-		// The budget is measured at the charger input.
-		if wantW/eff > budget {
-			wantW = budget * eff
 		}
 		res := cell.StepPower(-wantW, dt)
 		rep.PerCellW[i] += res.PowerW
@@ -817,6 +764,81 @@ func (c *Controller) stepCharging(loadW, externalW, dt float64, rep *StepReport)
 		rep.ChargedW += -res.PowerW
 		rep.CircuitLossW += -res.PowerW * (1/eff - 1)
 	}
+}
+
+// redistribute shifts demand exceeding a cell's capability to the
+// cells with headroom, in place (a real regulator saturates a channel's
+// duty and the control loop shifts the slack elsewhere). Up to three
+// rounds.
+func redistribute(perCell, caps []float64) {
+	n := len(perCell)
+	for round := 0; round < 3; round++ {
+		var excess float64
+		var headroom float64
+		for i := 0; i < n; i++ {
+			if perCell[i] > caps[i] {
+				excess += perCell[i] - caps[i]
+				perCell[i] = caps[i]
+			} else {
+				headroom += caps[i] - perCell[i]
+			}
+		}
+		if excess <= 1e-12 || headroom <= 1e-12 {
+			break
+		}
+		scale := math.Min(1, excess/headroom)
+		for i := 0; i < n; i++ {
+			if perCell[i] < caps[i] {
+				perCell[i] += (caps[i] - perCell[i]) * scale
+			}
+		}
+	}
+}
+
+// brownout reports whether the cells' realized power falls
+// substantially short of the wanted power. A small one-step dip (a
+// cell hitting empty mid-interval before the ratios shift) is absorbed
+// by the output capacitor.
+func brownout(realized, want float64) bool {
+	const tolerance = 0.05
+	return realized < want*(1-tolerance)-1e-9
+}
+
+// chargeSetPoint returns the terminal power cell i absorbs this step
+// from a charge budget (watts at the charger input), and the charger's
+// efficiency at that current. soc and capacity are the cell's; vOpen
+// is its terminal voltage at zero current and dcir its resistance. ok
+// is false when the charger realizes no current, and the cell only
+// relaxes.
+func (c *Controller) chargeSetPoint(i int, budget, soc, capacity, vOpen, dcir float64) (wantW, eff float64, ok bool) {
+	prof := c.profileByIdx[i]
+	rate := prof.RateAt(soc)       // C
+	maxA := rate * capacity / 3600 // amperes
+	// CV phase: taper the current so the cell terminal voltage never
+	// exceeds the profile's constant-voltage ceiling.
+	if prof.CVVoltage > 0 && dcir > 0 {
+		cvA := (prof.CVVoltage - vOpen) / dcir
+		if cvA < 0 {
+			cvA = 0
+		}
+		if cvA < maxA {
+			maxA = cvA
+		}
+	}
+	setA := math.Min(maxA, c.chargers[i].MaxCurrent())
+	actualA, err := c.chargers[i].RealizedCurrent(setA)
+	if err != nil || actualA <= 0 {
+		return 0, 0, false
+	}
+	// Power needed at the cell terminals for actualA.
+	cur := -actualA
+	wantW = (vOpen - cur*dcir) * actualA
+	eff = c.chargers[i].Efficiency(actualA)
+	// The budget is measured at the charger input.
+	if wantW/eff > budget {
+		wantW = budget * eff
+	}
+	return wantW, eff, true
 }
 
 // stepTransfer advances any active battery-to-battery transfer.

@@ -12,13 +12,13 @@ import (
 // the load (surplus charging). A caller (the emulator's batch stepper)
 // brackets a run of steps with BeginFast/EndFast; in between, FastStep
 // and FastStepSupplied advance the firmware one enforcement interval
-// through the struct-of-arrays engine instead of the scalar cells.
+// through the batch engine's lanes instead of the scalar cells.
 //
 // Bit-identity contract: a fast segment must leave the controller and
 // its cells in exactly the state the same sequence of
-// Step(loadW, externalW, dt) calls would have produced. fastStep is
-// therefore a transcription of Step's discharge path and of
-// stepCharging's surplus path, with three verified-safe deviations:
+// Step(loadW, externalW, dt) calls would have produced. fastStep
+// follows Step's discharge path and stepCharging's surplus path, with
+// three verified-safe deviations:
 //
 //   - OCV/DCIR/derate are looked up once per cell per step and shared
 //     between the capability query, the integration, and the gauge
@@ -35,12 +35,14 @@ import (
 //   - Step counters are published once per segment (EndFast) instead of
 //     per step. StepCount/TotalSteps lag by at most one segment.
 //
-// Everything else — watchdog arithmetic, redistribution rounds,
-// brownout detection, the CC rate and CV taper, the charger's realized
-// current and efficiency, gauge feeding — runs the same code or a
-// per-step transcription of it. Deficit steps (0 < externalW < loadW),
-// transfers and open cells stay on the scalar Step (see BeginFast and
-// the emulator's fastRunLen).
+// The redistribution rounds (redistribute), brownout detection
+// (brownout) and the charge set point (chargeSetPoint: the CC rate and
+// CV taper, the charger's realized current and efficiency) are the
+// helpers Step calls, and the cell arithmetic is battery.CellState's
+// kernel, the code the scalar cells step through; the watchdog and
+// gauge feeding are per-step transcriptions. Deficit steps
+// (0 < externalW < loadW), transfers and open cells stay on the scalar
+// Step (see BeginFast and the emulator's fastRunLen).
 //
 // The fast path requires an uninstrumented controller (nil obs
 // registry): with a registry attached, Step's metric and trace calls
@@ -60,10 +62,10 @@ type FastStepOut struct {
 	Brownout bool
 }
 
-// AttachFast checks the controller's cells out into a struct-of-arrays
-// engine, enabling BeginFast segments. The engine is typically shared
-// by every device on a fleet shard so their lanes pack into contiguous
-// arrays. Fails if the controller is instrumented (see package comment)
+// AttachFast checks the controller's cells out into a batch engine,
+// enabling BeginFast segments. The engine is typically shared by every
+// device on a fleet shard so their lanes pack into one contiguous
+// array. Fails if the controller is instrumented (see package comment)
 // or any cell lacks dense curves.
 func (c *Controller) AttachFast(eng *batch.Engine) error {
 	c.mu.Lock()
@@ -214,27 +216,7 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 				}
 			}
 		}
-		for round := 0; round < 3; round++ {
-			var excess float64
-			var headroom float64
-			for i := 0; i < n; i++ {
-				if perCell[i] > caps[i] {
-					excess += perCell[i] - caps[i]
-					perCell[i] = caps[i]
-				} else {
-					headroom += caps[i] - perCell[i]
-				}
-			}
-			if excess <= 1e-12 || headroom <= 1e-12 {
-				break
-			}
-			scale := math.Min(1, excess/headroom)
-			for i := 0; i < n; i++ {
-				if perCell[i] < caps[i] {
-					perCell[i] += (caps[i] - perCell[i]) * scale
-				}
-			}
-		}
+		redistribute(perCell, caps)
 
 		var realized float64
 		for i := 0; i < n; i++ {
@@ -242,11 +224,7 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 			currents[i] = res.Current
 			realized += res.PowerW
 		}
-		const brownoutTolerance = 0.05
-		want := loadW + lossW
-		if realized < want*(1-brownoutTolerance)-1e-9 {
-			out.Brownout = true
-		}
+		out.Brownout = brownout(realized, loadW+lossW)
 		out.DeliveredW = math.Max(0, realized-lossW)
 	}
 
@@ -273,9 +251,9 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 	return out
 }
 
-// fastSurplus transcribes stepCharging's surplus path (externalW >=
-// loadW) onto the step-entry cache: the supply serves the load and the
-// rest charges the cells per the charge ratios, profiles, and charger
+// fastSurplus is stepCharging's surplus path (externalW >= loadW) on
+// the step-entry cache: the supply serves the load and the rest
+// charges the cells per the charge ratios, profiles, and charger
 // efficiency. Every cell is stepped, so the caller's post-step refresh
 // of the entry cache and heat sum applies as on battery power.
 func (c *Controller) fastSurplus(out *FastStepOut, loadW, externalW, dt float64) {
@@ -294,32 +272,12 @@ func (c *Controller) fastSurplus(out *FastStepOut, loadW, externalW, dt float64)
 			currents[i] = 0 + res.Current
 			continue
 		}
-		prof := c.profileByIdx[i]
-		rate := prof.RateAt(eng.SoC(pk, i))       // C
-		maxA := rate * eng.Capacity(pk, i) / 3600 // amperes
-		if prof.CVVoltage > 0 {
-			if r := dcirs[i]; r > 0 {
-				cvA := (prof.CVVoltage - eng.TerminalVoltageAt(pk, i, ocvs[i], r, 0)) / r
-				if cvA < 0 {
-					cvA = 0
-				}
-				if cvA < maxA {
-					maxA = cvA
-				}
-			}
-		}
-		setA := math.Min(maxA, c.chargers[i].MaxCurrent())
-		actualA, err := c.chargers[i].RealizedCurrent(setA)
-		if err != nil || actualA <= 0 {
+		vOpen := eng.TerminalVoltageAt(pk, i, ocvs[i], dcirs[i], 0)
+		wantW, eff, ok := c.chargeSetPoint(i, budget, eng.SoC(pk, i), eng.Capacity(pk, i), vOpen, dcirs[i])
+		if !ok {
 			res := eng.StepCurrentAt(pk, i, ocvs[i], dcirs[i], derates[i], 0, dt)
 			currents[i] = 0 + res.Current
 			continue
-		}
-		vterm := eng.TerminalVoltageAt(pk, i, ocvs[i], dcirs[i], -actualA)
-		wantW := vterm * actualA
-		eff := c.chargers[i].Efficiency(actualA)
-		if wantW/eff > budget {
-			wantW = budget * eff
 		}
 		res := eng.StepPowerAt(pk, i, ocvs[i], dcirs[i], derates[i], -wantW, dt)
 		currents[i] = 0 + res.Current

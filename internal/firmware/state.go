@@ -78,7 +78,7 @@ func (c *Controller) ExportState() ControllerState {
 
 // ImportState overwrites the firmware's mutable state with a snapshot
 // taken by ExportState on an identically configured controller (same
-// pack size, same profile table). On the struct-of-arrays backend the
+// pack size, same profile table). On the batch backend the
 // scalar cells written here are authoritative: the next fast segment's
 // BeginFast syncs them into the engine lanes.
 func (c *Controller) ImportState(st ControllerState) error {

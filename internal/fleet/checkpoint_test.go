@@ -43,7 +43,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		}
 		want[i] = res
 	}
-	// Every shard steps on the SoA batch engine; the subtest names it.
+	// Every shard steps on the batch engine; the subtest names it.
 	t.Run("soa", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "fleet.ckpt")
 		f := New(Config{Shards: 4, Batch: 37, Obs: obs.NewRegistry()})

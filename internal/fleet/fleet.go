@@ -213,9 +213,9 @@ type shard struct {
 	// by the shard goroutine. At shardRestartAfter the supervisor
 	// recycles the goroutine (see superviseShard).
 	panics int
-	// eng is the shard's struct-of-arrays engine: every batched device
+	// eng is the shard's batch engine: every batched device
 	// on the shard has its cell lanes in this one engine, so a tick
-	// sweeps contiguous arrays. Lanes are append-only — removing a
+	// sweeps one contiguous array. Lanes are append-only — removing a
 	// device strands its lanes until the fleet is rebuilt, a deliberate
 	// trade for stable lane offsets.
 	eng *batch.Engine

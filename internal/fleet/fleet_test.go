@@ -83,7 +83,7 @@ func TestFleetSoakByteIdentical(t *testing.T) {
 }
 
 // TestFleetBackends pins the two stepping paths inside one fleet:
-// every shard has a struct-of-arrays engine with every eligible device
+// every shard has a batch engine with every eligible device
 // checked out into its lanes, an ineligible device (an instrumented
 // one) steps through the scalar fallback on the same shard, and every
 // device finishes deeply equal to its solo run.

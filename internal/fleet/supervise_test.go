@@ -30,7 +30,7 @@ func panicDeviceConfig(t testing.TB, id uint16, durS, atS float64) emulator.Conf
 // neighbors — finishes byte-identical to its solo run.
 func TestQuarantineIsolatesPoisonDevice(t *testing.T) {
 	const durS = 600
-	// Every shard steps on the SoA batch engine; the subtest names it.
+	// Every shard steps on the batch engine; the subtest names it.
 	t.Run("soa", func(t *testing.T) {
 		reg := obs.NewRegistry()
 		f := New(Config{Shards: 2, Batch: 37, Obs: reg})

@@ -82,20 +82,14 @@ func writeVec(sb *strings.Builder, label string, v []float64) {
 // sequence number and takes ownership of the record's slices (callers
 // build a fresh record per decision). Nil-safe.
 type AuditLog struct {
-	mu      sync.Mutex
-	ring    []AuditRecord
-	start   int
-	n       int
-	seq     int64
-	dropped int64
+	mu   sync.Mutex
+	ring ring[AuditRecord]
+	seq  int64
 }
 
 // NewAuditLog returns a log holding up to cap records (minimum 1).
 func NewAuditLog(cap int) *AuditLog {
-	if cap < 1 {
-		cap = 1
-	}
-	return &AuditLog{ring: make([]AuditRecord, cap)}
+	return &AuditLog{ring: newRing[AuditRecord](cap)}
 }
 
 // Add appends one record, stamping Seq.
@@ -106,17 +100,7 @@ func (l *AuditLog) Add(rec AuditRecord) {
 	l.mu.Lock()
 	l.seq++
 	rec.Seq = l.seq
-	if l.n == len(l.ring) {
-		l.ring[l.start] = rec
-		l.start++
-		if l.start == len(l.ring) {
-			l.start = 0
-		}
-		l.dropped++
-	} else {
-		l.ring[(l.start+l.n)%len(l.ring)] = rec
-		l.n++
-	}
+	l.ring.push(rec)
 	l.mu.Unlock()
 }
 
@@ -127,11 +111,7 @@ func (l *AuditLog) Records() []AuditRecord {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AuditRecord, l.n)
-	for i := 0; i < l.n; i++ {
-		out[i] = l.ring[(l.start+i)%len(l.ring)]
-	}
-	return out
+	return l.ring.snapshot()
 }
 
 // Dropped reports how many records the ring overwrote.
@@ -141,5 +121,5 @@ func (l *AuditLog) Dropped() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return int64(l.ring.dropped)
 }

@@ -56,20 +56,14 @@ func (e Event) String() string {
 // event is overwritten (Dropped counts how many were lost). A nil
 // *Tracer is a no-op.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Event
-	start   int // index of the oldest live event
-	n       int // live events
-	seq     uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring ring[Event]
+	seq  uint64
 }
 
 // NewTracer returns a tracer holding up to cap events (minimum 1).
 func NewTracer(cap int) *Tracer {
-	if cap < 1 {
-		cap = 1
-	}
-	return &Tracer{ring: make([]Event, cap)}
+	return &Tracer{ring: newRing[Event](cap)}
 }
 
 // Emit appends one event, stamping its sequence number.
@@ -80,17 +74,7 @@ func (t *Tracer) Emit(ev Event) {
 	t.mu.Lock()
 	t.seq++
 	ev.Seq = t.seq
-	if t.n == len(t.ring) {
-		t.ring[t.start] = ev
-		t.start++
-		if t.start == len(t.ring) {
-			t.start = 0
-		}
-		t.dropped++
-	} else {
-		t.ring[(t.start+t.n)%len(t.ring)] = ev
-		t.n++
-	}
+	t.ring.push(ev)
 	t.mu.Unlock()
 }
 
@@ -111,11 +95,7 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.ring[(t.start+i)%len(t.ring)]
-	}
-	return out
+	return t.ring.snapshot()
 }
 
 // Dropped reports how many events the ring overwrote.
@@ -125,7 +105,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.dropped
 }
 
 // Len reports the number of live events.
@@ -135,7 +115,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.ring.n
 }
 
 // Cap reports the ring capacity.
@@ -143,5 +123,5 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.ring)
+	return len(t.ring.buf)
 }

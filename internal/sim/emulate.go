@@ -7,7 +7,7 @@ import (
 	"sdb/internal/emulator"
 )
 
-// emulate is emulator.Run on the struct-of-arrays kernel: the same
+// emulate is emulator.Run on the batch engine: the same
 // Machine, with a private batch engine attached, stepped to completion
 // through StepBatch. The batched path is bit-identical to the scalar
 // Step loop Run executes — Run stays the reference, and
