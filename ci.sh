@@ -20,9 +20,10 @@
 #     against emulator.Run included), batch lanes against cells stepped
 #     through the one kernel, the exact fast OCV inversion against its
 #     60-round bisection, the
-#     zero-allocation batch step, status query and policy tick, an
-#     inversion fuzz burst, and a fuzz burst of the in-place policies
-#     against their allocating reference.
+#     zero-allocation batch step, fast segment, emulator batch, status
+#     query and policy tick, a fuzz burst of fast segments against
+#     Step, an inversion fuzz burst, and a fuzz burst of the in-place
+#     policies against their allocating reference.
 #   - crash chaos: kill points, restore byte-identity, quarantine,
 #     shard restart, drain, the checkpoint byte goldens and the
 #     encoder's refusal of undecodable states, and a checkpoint-decoder
@@ -112,17 +113,19 @@ go test -short -run '^$' -bench . -benchtime=1x ./...
 # firmware's surplus-charging fast steps and the emulator's admission of
 # them, and every internal/sim driver shape stepped through the batch
 # engine against emulator.Run), batch lanes against cells through the
-# one kernel (differential + fuzz seeds: Checkout, the Sync pair and the
-# per-lane calls must hand the kernel the state a cell holds), and the
-# fast OCV inversion's
+# one kernel (differential + fuzz seeds: Checkout, the Sync pair and
+# the lanes Lanes hands out must give the kernel the state a cell
+# holds, at any lane offset), and the fast OCV inversion's
 # bit-exactness against the 60-round bisection it replaces, under
-# -race; then the zero-alloc assertions (batch step, OCV inversion,
-# status query into a reused slice, policy tick) without -race so
-# AllocsPerRun is exact; then short live fuzz bursts of the inversion
-# on arbitrary tables and of the in-place policies against their
+# -race; then the zero-alloc assertions (batch step, fast segment and
+# emulator batch, OCV inversion, status query into a reused slice,
+# policy tick) without -race so AllocsPerRun is exact; then short live
+# fuzz bursts of fast segments against Step, of the inversion on
+# arbitrary tables and of the in-place policies against their
 # allocating reference, on top of their seeds.
-go test -race -run 'Batch|FastPath|FastRunLen|TestFastStepSuppliedMatchesStep|TestDriversMatchScalarRun|TestInvertOCVExact|TestBisectBracketExact' -v ./internal/battery/batch/ ./internal/emulator/ ./internal/pmic/ ./internal/sim/ ./internal/fuelgauge/ ./internal/battery/
-go test -run 'TestBatchStepNoAllocs|TestInvertOCVNoAllocs|TestQueryBatteryStatusIntoNoAllocs|TestUpdateNoAllocs' -v ./internal/battery/batch/ ./internal/fuelgauge/ ./internal/pmic/ ./internal/core/
+go test -race -run 'Batch|FastPath|FastRunLen|TestFastStepSuppliedMatchesStep|FuzzFastSegment|TestDriversMatchScalarRun|TestInvertOCVExact|TestBisectBracketExact' -v ./internal/battery/batch/ ./internal/emulator/ ./internal/pmic/ ./internal/sim/ ./internal/fuelgauge/ ./internal/battery/
+go test -run 'TestBatchStepNoAllocs|TestFastSegmentNoAllocs|TestInvertOCVNoAllocs|TestQueryBatteryStatusIntoNoAllocs|TestUpdateNoAllocs' -v ./internal/battery/batch/ ./internal/emulator/ ./internal/fuelgauge/ ./internal/pmic/ ./internal/core/
+go test -fuzz 'FuzzFastSegment' -fuzztime 5s -run '^$' ./internal/pmic/
 go test -fuzz 'FuzzInvertOCV' -fuzztime 5s -run '^$' ./internal/fuelgauge/
 go test -fuzz 'FuzzPolicies' -fuzztime 5s -run '^$' ./internal/core/
 

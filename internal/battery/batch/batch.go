@@ -5,9 +5,10 @@
 // stepping thousands of packs walks one array instead of chasing a
 // pointer per cell.
 //
-// The engine holds state only. Every step, lookup and capability query
-// runs battery.CellState's own kernel, the code battery.Cell steps
-// through, so lanes and cells agree bit for bit by construction; the
+// The engine holds state only: Lanes hands out a pack's params and
+// CellState lanes, and the caller steps them in place through
+// battery.CellState's own kernel, the code battery.Cell steps through,
+// so lanes and cells agree bit for bit by construction; the
 // differential tests in this package hold them to it.
 //
 // State moves between the two representations with Checkout (cells →
@@ -120,12 +121,6 @@ func (e *Engine) model(par battery.Params) (*battery.Params, error) {
 	return m, nil
 }
 
-// lane returns lane i of the pack and its model's parameters.
-func (e *Engine) lane(p Pack, i int) (*battery.Params, *battery.CellState) {
-	l := p.off + i
-	return e.params[l], &e.lanes[l]
-}
-
 // SyncIn refreshes a pack's lanes from its cells — call at the start
 // of a batch segment, after any window in which the scalar structs
 // were authoritative (commands, fault injection, scenario setup).
@@ -144,89 +139,15 @@ func (e *Engine) SyncOut(p Pack, cells []*battery.Cell) {
 	}
 }
 
-// State snapshots lane i as a battery.CellState (the same form
-// Cell.ExportState returns), for inspection and differential tests.
-func (e *Engine) State(p Pack, i int) battery.CellState { return e.lanes[p.off+i] }
-
-// SoC returns lane i's state of charge.
-func (e *Engine) SoC(p Pack, i int) float64 { return e.lanes[p.off+i].SoC }
-
-// Empty mirrors Cell.Empty for lane i.
-func (e *Engine) Empty(p Pack, i int) bool { return e.lanes[p.off+i].SoC <= 1e-9 }
-
-// Full mirrors Cell.Full for lane i.
-func (e *Engine) Full(p Pack, i int) bool { return e.lanes[p.off+i].SoC >= 1-1e-9 }
-
-// Capacity returns lane i's current effective capacity in coulombs.
-func (e *Engine) Capacity(p Pack, i int) float64 { return e.lanes[p.off+i].Capacity }
-
-// TotalLoss returns lane i's lifetime internal dissipation in joules.
-func (e *Engine) TotalLoss(p Pack, i int) float64 { return e.lanes[p.off+i].TotalLoss }
-
-// Entry returns lane i's step-entry quantities (battery.CellState.Entry):
-// OCV, effective DCIR and thermal derate at the lane's current state.
-// One Entry serves every capability query and the step at that state.
-func (e *Engine) Entry(p Pack, i int) (ocv, dcir, derate float64) {
-	m, s := e.lane(p, i)
-	return s.Entry(m)
-}
-
-// TerminalVoltage mirrors Cell.TerminalVoltage for lane i with fresh
-// lookups at the lane's current state.
-func (e *Engine) TerminalVoltage(p Pack, i int, cur float64) float64 {
-	ocv, dcir, _ := e.Entry(p, i)
-	return e.TerminalVoltageAt(p, i, ocv, dcir, cur)
-}
-
-// TerminalVoltageAt mirrors Cell.TerminalVoltage given the step-entry
-// quantities from Entry at the lane's current state.
-func (e *Engine) TerminalVoltageAt(p Pack, i int, ocv, dcir, cur float64) float64 {
-	return ocv - e.lanes[p.off+i].VRC - cur*dcir
-}
-
-// MaxDischargePowerAt mirrors Cell.MaxDischargePower given the
-// step-entry quantities from Entry.
-func (e *Engine) MaxDischargePowerAt(p Pack, i int, ocv, dcir, derate float64) float64 {
-	m, s := e.lane(p, i)
-	return s.MaxDischargePowerAt(m, ocv, dcir, derate)
-}
-
-// EnergyRemainingLowerBoundJ mirrors Cell.EnergyRemainingLowerBoundJ.
-func (e *Engine) EnergyRemainingLowerBoundJ(p Pack, i int) float64 {
-	m, s := e.lane(p, i)
-	return s.EnergyRemainingLowerBoundJ(m)
-}
-
-// EnergyRemainingJ mirrors Cell.EnergyRemainingJ.
-func (e *Engine) EnergyRemainingJ(p Pack, i int) float64 {
-	m, s := e.lane(p, i)
-	return s.EnergyRemainingJ(m)
-}
-
-// StepCurrent mirrors Cell.StepCurrent for lane i of the pack.
-func (e *Engine) StepCurrent(p Pack, i int, cur, dt float64) battery.StepResult {
-	var res battery.StepResult
-	m, s := e.lane(p, i)
-	s.StepCurrent(m, cur, dt, &res)
-	return res
-}
-
-// StepPowerAt mirrors Cell.StepPower for lane i given the step-entry
-// quantities from Entry. dt must be positive.
-func (e *Engine) StepPowerAt(p Pack, i int, ocv, dcir, derate, pw, dt float64) battery.StepResult {
-	var res battery.StepResult
-	m, s := e.lane(p, i)
-	s.StepPowerAt(m, ocv, dcir, derate, pw, dt, &res)
-	return res
-}
-
-// StepCurrentAt mirrors Cell.StepCurrent for lane i given the
-// step-entry quantities from Entry. dt must be positive.
-func (e *Engine) StepCurrentAt(p Pack, i int, ocv, dcir, derate, cur, dt float64) battery.StepResult {
-	var res battery.StepResult
-	m, s := e.lane(p, i)
-	s.StepAt(m, ocv, dcir, derate, cur, dt, &res)
-	return res
+// Lanes returns the pack's interned parameters and lanes, in pack
+// order, as sub-slices of the engine's storage capped at the pack's
+// end: a caller steps lane i in place with battery.CellState's methods
+// and params[i]. The slices alias the engine only until the next
+// Checkout, whose appends may move the backing arrays, so fetch them
+// per batch segment rather than holding them across one.
+func (e *Engine) Lanes(p Pack) ([]*battery.Params, []battery.CellState) {
+	end := p.off + p.n
+	return e.params[p.off:end:end], e.lanes[p.off:end:end]
 }
 
 // StepCurrentBatch advances every lane of the pack by one integration
@@ -236,7 +157,7 @@ func (e *Engine) StepCurrentAt(p Pack, i int, ocv, dcir, derate, cur, dt float64
 // currents must both have length p.N(). Results are bit-identical to
 // calling Cell.StepCurrent on each cell in order.
 func (e *Engine) StepCurrentBatch(dst []battery.StepResult, p Pack, currents []float64, dt float64) {
-	params, lanes := e.params[p.off:p.off+p.n], e.lanes[p.off:p.off+p.n]
+	params, lanes := e.Lanes(p)
 	for i := range lanes {
 		dst[i] = battery.StepResult{}
 		lanes[i].StepCurrent(params[i], currents[i], dt, &dst[i])

@@ -98,6 +98,8 @@ func runDifferential(t *testing.T, par battery.Params, seed int64, steps int) {
 	if err != nil {
 		t.Fatalf("Checkout: %v", err)
 	}
+	params, lanes := eng.Lanes(pk)
+	p, lane := params[0], &lanes[0]
 
 	dt := 1.0
 	for k := 0; k < steps; k++ {
@@ -112,7 +114,8 @@ func runDifferential(t *testing.T, par battery.Params, seed int64, steps int) {
 			// Zero- and negative-dt edge: both paths must no-op alike.
 			for _, edgeDT := range []float64{0, -3} {
 				w := cell.StepCurrent(1, edgeDT)
-				g := eng.StepCurrent(pk, 0, 1, edgeDT)
+				var g battery.StepResult
+				lane.StepCurrent(p, 1, edgeDT, &g)
 				resultBitsEqual(t, "edge-dt", w, g)
 			}
 		}
@@ -123,20 +126,20 @@ func runDifferential(t *testing.T, par battery.Params, seed int64, steps int) {
 			// Power-mode step through the same quadratic.
 			pw := i * cell.TerminalVoltage(i)
 			want = cell.StepPower(pw, dt)
-			ocv, dcir, derate := eng.Entry(pk, 0)
-			got = eng.StepPowerAt(pk, 0, ocv, dcir, derate, pw, dt)
+			ocv, dcir, derate := lane.Entry(p)
+			lane.StepPowerAt(p, ocv, dcir, derate, pw, dt, &got)
 		case 1:
 			// Current-mode step on the caller's entry quantities, as the
 			// firmware's fast segment drives it.
 			want = cell.StepCurrent(i, dt)
-			ocv, dcir, derate := eng.Entry(pk, 0)
-			got = eng.StepCurrentAt(pk, 0, ocv, dcir, derate, i, dt)
+			ocv, dcir, derate := lane.Entry(p)
+			lane.StepAt(p, ocv, dcir, derate, i, dt, &got)
 		default:
 			want = cell.StepCurrent(i, dt)
-			got = eng.StepCurrent(pk, 0, i, dt)
+			lane.StepCurrent(p, i, dt, &got)
 		}
 		resultBitsEqual(t, par.Name, want, got)
-		stateBitsEqual(t, par.Name, cell.ExportState(), eng.State(pk, 0))
+		stateBitsEqual(t, par.Name, cell.ExportState(), *lane)
 	}
 }
 
@@ -161,29 +164,33 @@ func TestBatchCapabilityEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		params, lanes := eng.Lanes(pk)
+		p, lane := params[0], &lanes[0]
 		rng := rand.New(rand.NewSource(7))
 		for k := 0; k < 400; k++ {
 			cell.StepCurrent(scheduleCurrent(rng, cell.Capacity()), 1)
 			eng.SyncIn(pk, []*battery.Cell{cell})
-			ocv, dcir, derate := eng.Entry(pk, 0)
+			ocv, dcir, derate := lane.Entry(p)
 			checks := []struct {
 				name      string
 				want, got float64
 			}{
-				{"MaxDischargePower", cell.MaxDischargePower(), eng.MaxDischargePowerAt(pk, 0, ocv, dcir, derate)},
-				{"EnergyRemainingJ", cell.EnergyRemainingJ(), eng.EnergyRemainingJ(pk, 0)},
-				{"EnergyRemainingLowerBoundJ", cell.EnergyRemainingLowerBoundJ(), eng.EnergyRemainingLowerBoundJ(pk, 0)},
-				{"TerminalVoltage", cell.TerminalVoltage(1.25), eng.TerminalVoltage(pk, 0, 1.25)},
-				{"SoC", cell.SoC(), eng.SoC(pk, 0)},
-				{"Capacity", cell.Capacity(), eng.Capacity(pk, 0)},
-				{"TotalLoss", cell.TotalLoss(), eng.TotalLoss(pk, 0)},
+				{"MaxDischargePower", cell.MaxDischargePower(), lane.MaxDischargePowerAt(p, ocv, dcir, derate)},
+				{"EnergyRemainingJ", cell.EnergyRemainingJ(), lane.EnergyRemainingJ(p)},
+				{"EnergyRemainingLowerBoundJ", cell.EnergyRemainingLowerBoundJ(), lane.EnergyRemainingLowerBoundJ(p)},
+				// The firmware's gauge feed: Cell's expression on the
+				// lane's entry quantities.
+				{"TerminalVoltage", cell.TerminalVoltage(1.25), ocv - lane.VRC - 1.25*dcir},
+				{"SoC", cell.SoC(), lane.SoC},
+				{"Capacity", cell.Capacity(), lane.Capacity},
+				{"TotalLoss", cell.TotalLoss(), lane.TotalLoss},
 			}
 			for _, c := range checks {
 				if math.Float64bits(c.want) != math.Float64bits(c.got) {
 					t.Fatalf("%s: %s diverged at k=%d: scalar %v batch %v", par.Name, c.name, k, c.want, c.got)
 				}
 			}
-			if cell.Empty() != eng.Empty(pk, 0) || cell.Full() != eng.Full(pk, 0) {
+			if cell.Empty() != lane.Empty() || cell.Full() != lane.Full() {
 				t.Fatalf("%s: Empty or Full diverged at k=%d", par.Name, k)
 			}
 		}
@@ -214,6 +221,7 @@ func TestBatchStepCurrentBatch(t *testing.T) {
 		t.Fatalf("models = %d, want %d (one per library entry)", len(eng.models), len(lib))
 	}
 
+	_, lanes := eng.Lanes(pk)
 	currents := make([]float64, len(cells))
 	results := make([]battery.StepResult, len(cells))
 	for k := 0; k < 500; k++ {
@@ -228,7 +236,7 @@ func TestBatchStepCurrentBatch(t *testing.T) {
 		for i, c := range cells {
 			want := c.StepCurrent(currents[i], dt)
 			resultBitsEqual(t, c.Name(), want, results[i])
-			stateBitsEqual(t, c.Name(), c.ExportState(), eng.State(pk, i))
+			stateBitsEqual(t, c.Name(), c.ExportState(), lanes[i])
 		}
 	}
 }
@@ -243,13 +251,53 @@ func TestBatchSyncRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	params, lanes := eng.Lanes(pk)
 	for k := 0; k < 100; k++ {
-		eng.StepCurrent(pk, 0, 0.8, 1)
+		var res battery.StepResult
+		lanes[0].StepCurrent(params[0], 0.8, 1, &res)
 	}
 	eng.SyncOut(pk, []*battery.Cell{b})
-	stateBitsEqual(t, "sync", b.ExportState(), eng.State(pk, 0))
+	stateBitsEqual(t, "sync", b.ExportState(), lanes[0])
 	if math.Float64bits(a.ExportState().SoC) == math.Float64bits(b.ExportState().SoC) {
 		t.Fatal("engine stepping leaked into the checked-out cell before SyncOut")
+	}
+}
+
+// TestBatchLanesAddressThePack: Lanes hands out exactly one pack's
+// params and lanes, at its offset in a multi-pack engine and capped at
+// its end, so an append through one pack's slice cannot overwrite the
+// next pack's lanes.
+func TestBatchLanesAddressThePack(t *testing.T) {
+	lib := battery.Library()
+	a := []*battery.Cell{battery.MustNew(lib[0]), battery.MustNew(lib[1])}
+	b := []*battery.Cell{battery.MustNew(lib[2])}
+	b[0].SetSoC(0.4)
+	eng := New()
+	pa, err := eng.Checkout(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := eng.Checkout(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, lanes := eng.Lanes(pb)
+	if len(params) != 1 || cap(params) != 1 || len(lanes) != 1 || cap(lanes) != 1 {
+		t.Fatalf("Lanes(pb): %d/%d params, %d/%d lanes; want 1/1 each", len(params), cap(params), len(lanes), cap(lanes))
+	}
+	if params[0].Name != lib[2].Name {
+		t.Fatalf("Lanes(pb) params are %q, want %q", params[0].Name, lib[2].Name)
+	}
+	stateBitsEqual(t, "pack b", b[0].ExportState(), lanes[0])
+	pa2, la := eng.Lanes(pa)
+	if len(la) != 2 || cap(la) != 2 || pa2[1].Name != lib[1].Name {
+		t.Fatalf("Lanes(pa): %d/%d lanes, second model %q", len(la), cap(la), pa2[1].Name)
+	}
+	_ = append(la, battery.CellState{})
+	_ = append(pa2, nil)
+	stateBitsEqual(t, "pack b after an append to pack a", b[0].ExportState(), lanes[0])
+	if params, _ := eng.Lanes(pb); params[0] == nil {
+		t.Fatal("an append to pack a's params overwrote pack b's")
 	}
 }
 
@@ -288,10 +336,13 @@ func TestBatchStepNoAllocs(t *testing.T) {
 		t.Fatalf("StepCurrentBatch allocates %.1f objects per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		ocv, dcir, derate := eng.Entry(pk, 0)
-		eng.StepPowerAt(pk, 0, ocv, dcir, derate, 1.5, 1)
-		eng.MaxDischargePowerAt(pk, 0, ocv, dcir, derate)
-		eng.EnergyRemainingLowerBoundJ(pk, 0)
+		params, lanes := eng.Lanes(pk)
+		p, lane := params[0], &lanes[0]
+		var res battery.StepResult
+		ocv, dcir, derate := lane.Entry(p)
+		lane.StepPowerAt(p, ocv, dcir, derate, 1.5, 1, &res)
+		lane.MaxDischargePowerAt(p, ocv, dcir, derate)
+		lane.EnergyRemainingLowerBoundJ(p)
 	}); avg != 0 {
 		t.Fatalf("per-lane kernels allocate %.1f objects per call, want 0", avg)
 	}
@@ -322,13 +373,15 @@ func FuzzBatchDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		params, lanes := eng.Lanes(pk)
 		rng := rand.New(rand.NewSource(seed))
 		for k := 0; k < 50; k++ {
 			i := amp * (rng.Float64()*2 - 1)
 			want := cell.StepCurrent(i, dt)
-			got := eng.StepCurrent(pk, 0, i, dt)
+			var got battery.StepResult
+			lanes[0].StepCurrent(params[0], i, dt, &got)
 			resultBitsEqual(t, par.Name, want, got)
-			stateBitsEqual(t, par.Name, cell.ExportState(), eng.State(pk, 0))
+			stateBitsEqual(t, par.Name, cell.ExportState(), lanes[0])
 		}
 	})
 }

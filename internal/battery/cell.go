@@ -244,10 +244,10 @@ func (c *Cell) TotalThroughput() (in, out float64) { return c.s.TotalIn, c.s.Tot
 
 // Empty reports whether the cell cannot supply meaningful discharge
 // current (SoC at the bottom clamp).
-func (c *Cell) Empty() bool { return c.s.SoC <= 1e-9 }
+func (c *Cell) Empty() bool { return c.s.Empty() }
 
 // Full reports whether the cell is at 100% state of charge.
-func (c *Cell) Full() bool { return c.s.SoC >= 1-1e-9 }
+func (c *Cell) Full() bool { return c.s.Full() }
 
 // TerminalVoltage returns the terminal voltage if current i (positive
 // discharge) flowed right now.

@@ -46,6 +46,13 @@ func freshState(p *Params) CellState {
 	return CellState{SoC: 1, Capacity: p.CapacityCoulombs(), R0Mult: 1, TempC: AmbientC, AmbientC: AmbientC}
 }
 
+// Empty reports whether s cannot supply meaningful discharge current
+// (SoC at the bottom clamp).
+func (s *CellState) Empty() bool { return s.SoC <= 1e-9 }
+
+// Full reports whether s is at 100% state of charge.
+func (s *CellState) Full() bool { return s.SoC >= 1-1e-9 }
+
 // Entry returns the step-entry quantities at s: the open circuit
 // potential, the effective DCIR (aging growth and temperature
 // coefficient included) and the thermal derating factor. They are
@@ -104,7 +111,7 @@ func thermalDerate(p *Params, tempC float64) float64 {
 // current's power or the physics peak (OCV-Vrc)^2 / (4*R0), whichever
 // is lower.
 func (s *CellState) MaxDischargePowerAt(p *Params, ocv, dcir, derate float64) float64 {
-	if s.SoC <= 1e-9 {
+	if s.Empty() {
 		return 0
 	}
 	v := ocv - s.VRC

@@ -74,7 +74,10 @@ func (m *Machine) fastRunLen(limit int) int {
 func (m *Machine) runFastSegment(n int) int {
 	cfg, res := &m.cfg, m.res
 	ctrl := cfg.Controller
+	// The segment's lanes, read in place for the drained test and the
+	// recorded SoC; valid until EndFast below.
 	eng, pk := ctrl.FastLanes()
+	_, lanes := eng.Lanes(pk)
 	ran := 0
 	for ran < n {
 		k := m.k
@@ -91,8 +94,8 @@ func (m *Machine) runFastSegment(n int) int {
 		res.ChargedJ += out.ChargedW * m.dt
 		res.ElapsedS = t + m.dt
 
-		for i := 0; i < m.n; i++ {
-			if res.CellDrainedAtS[i] < 0 && eng.Empty(pk, i) {
+		for i := range lanes {
+			if res.CellDrainedAtS[i] < 0 && lanes[i].Empty() {
 				res.CellDrainedAtS[i] = t
 			}
 		}
@@ -114,8 +117,8 @@ func (m *Machine) runFastSegment(n int) int {
 			s.DeliveredW = append(s.DeliveredW, out.DeliveredW)
 			s.CircuitLossW = append(s.CircuitLossW, out.CircuitLossW)
 			s.BatteryLossW = append(s.BatteryLossW, out.BatteryLossW)
-			for i := 0; i < m.n; i++ {
-				s.SoC[i] = append(s.SoC[i], eng.SoC(pk, i))
+			for i := range lanes {
+				s.SoC[i] = append(s.SoC[i], lanes[i].SoC)
 			}
 		}
 

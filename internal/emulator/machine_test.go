@@ -1,10 +1,14 @@
 package emulator
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"sdb/internal/core"
+	"sdb/internal/firmware"
 	"sdb/internal/workload"
 )
 
@@ -153,5 +157,43 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 	if _, err := NewMachine(Config{Controller: st.Controller}); err == nil {
 		t.Error("missing trace accepted")
+	}
+}
+
+// TestNewMachineRefusesBadTrace: a trace is validated once and its
+// result shared, so every machine built on a trace with a NaN sample
+// or a NaN DT is refused with the same error, also when the machines
+// are built concurrently (ci.sh runs this under -race).
+func TestNewMachineRefusesBadTrace(t *testing.T) {
+	nanLoad := workload.Constant("nan-load", 2, 600, 1)
+	nanLoad.Load[300] = math.NaN()
+	nanDT := &workload.Trace{Name: "nan-dt", DT: math.NaN(), Load: []float64{1, 2, 3}}
+	for _, tr := range []*workload.Trace{nanLoad, nanDT} {
+		const workers, each = 4, 8
+		ctrls := make([]*firmware.Controller, workers*each)
+		for i := range ctrls {
+			ctrls[i] = twoCellStack(t, 1, core.Options{}).Controller
+		}
+		errs := make([]error, len(ctrls))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := w * each; j < (w+1)*each; j++ {
+					_, errs[j] = NewMachine(Config{Controller: ctrls[j], Trace: tr})
+				}
+			}(w)
+		}
+		wg.Wait()
+		want := tr.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted the trace", tr.Name)
+		}
+		for i, err := range errs {
+			if err == nil || errors.Unwrap(err) != want || err.Error() != "emulator: "+want.Error() {
+				t.Fatalf("%s: machine %d: err %v, want the trace's memoized %v", tr.Name, i, err, want)
+			}
+		}
 	}
 }

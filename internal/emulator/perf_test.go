@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdb/internal/battery"
+	"sdb/internal/battery/batch"
 	"sdb/internal/core"
 	"sdb/internal/workload"
 )
@@ -139,5 +140,123 @@ func BenchmarkEmulatorStep(b *testing.B) {
 		if _, err := Run(Config{Controller: st.Controller, Trace: tr, RecordEveryS: 60}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Layer benchmarks of the batched stepping path. They time the bodies
+// of the sdbperf layer ledger's pmic.faststep and emulator.stepbatch
+// rows on the same device (ledgerStack), so `go test -bench -count N`
+// gives those rows a spread; ns/step is the ledger's figure.
+const (
+	benchSegment = 64   // steps per fast segment and per StepBatch call
+	benchRefill  = 1024 // steps between charge refills, so a pack never drains
+)
+
+// ledgerStack is the fleet's device hardware: a QuickCharge-2000 +
+// Standard-2000 pack at 80% behind default firmware, with its policy
+// runtime.
+func ledgerStack(tb testing.TB) *Stack {
+	tb.Helper()
+	st, err := NewStack(0.8, core.Options{},
+		battery.MustByName("QuickCharge-2000"),
+		battery.MustByName("Standard-2000"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// fastSegment runs one benchSegment-step fast segment at 2 W on
+// battery power.
+func fastSegment(tb testing.TB, st *Stack) {
+	if !st.Controller.BeginFast() {
+		tb.Fatal("controller refused a fast segment")
+	}
+	for k := 0; k < benchSegment; k++ {
+		st.Controller.FastStep(2, 1)
+	}
+	st.Controller.EndFast(benchSegment)
+}
+
+// BenchmarkFastStep times fast segments of the firmware alone:
+// BeginFast, 64 FastSteps, EndFast.
+func BenchmarkFastStep(b *testing.B) {
+	st := ledgerStack(b)
+	if err := st.Controller.AttachFast(batch.New()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(benchRefill/benchSegment) == 0 {
+			for _, c := range st.Pack.Cells() {
+				c.SetSoC(0.8)
+			}
+		}
+		fastSegment(b, st)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchSegment), "ns/step")
+}
+
+// batchMachine is a firmware-only ledger device on a constant 2 W,
+// 4-hour trace, stepping through the batched fast path.
+func batchMachine(tb testing.TB, tr *workload.Trace) *Machine {
+	tb.Helper()
+	m, err := NewMachine(Config{Controller: ledgerStack(tb).Controller, Trace: tr, RecordEveryS: 60})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !m.EnableBatch(batch.New()) {
+		tb.Fatal("machine refused the batch engine")
+	}
+	return m
+}
+
+// BenchmarkMachineStepBatch times Machine.StepBatch(64) on the fast
+// path, as a fleet shard steps a device. A machine whose trace ends is
+// replaced with the timer stopped.
+func BenchmarkMachineStepBatch(b *testing.B) {
+	tr := workload.Constant("ledger", 2, 4*3600, 1)
+	m := batchMachine(b, tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Done() {
+			b.StopTimer()
+			m = batchMachine(b, tr)
+			b.StartTimer()
+		}
+		if _, err := m.StepBatch(benchSegment); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchSegment), "ns/step")
+}
+
+// TestFastSegmentNoAllocs pins the zero-allocation contract of the
+// batched stepping path: a 64-step fast segment of the firmware, and a
+// 64-step StepBatch of a machine on the fast path (recording included),
+// touch no heap.
+func TestFastSegmentNoAllocs(t *testing.T) {
+	st := ledgerStack(t)
+	if err := st.Controller.AttachFast(batch.New()); err != nil {
+		t.Fatal(err)
+	}
+	fastSegment(t, st) // warm up
+	if avg := testing.AllocsPerRun(50, func() { fastSegment(t, st) }); avg != 0 {
+		t.Errorf("a %d-step fast segment allocates %.1f objects, want 0", benchSegment, avg)
+	}
+
+	m := batchMachine(t, workload.Constant("allocs", 2, 4*3600, 1))
+	step := func() {
+		if n, err := m.StepBatch(benchSegment); err != nil || n != benchSegment {
+			t.Fatalf("StepBatch ran %d steps, err %v", n, err)
+		}
+	}
+	// Warm up past the first recorded samples, whose series appends
+	// grow their backing arrays.
+	step()
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Errorf("StepBatch(%d) on the fast path allocates %.1f objects, want 0", benchSegment, avg)
 	}
 }

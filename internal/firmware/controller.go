@@ -186,15 +186,16 @@ type Controller struct {
 	rec *ts.Recorder
 
 	// Fast-segment state (see fast.go): the batch engine the
-	// cells are checked out into, this pack's lane window, the
-	// per-segment memoized realized discharge ratios, and per-step
-	// curve-entry scratch. All nil/zero until AttachFast.
+	// cells are checked out into, this pack's lane window, the open
+	// segment's params and lanes (nil outside BeginFast..EndFast), the
+	// per-segment memoized realized discharge ratios, and the per-lane
+	// step-entry cache. All nil/zero until AttachFast.
 	fastEng      *batch.Engine
 	fastPk       batch.Pack
+	fastParams   []*battery.Params
+	fastLanes    []battery.CellState
 	fastRealized []float64
-	fastOCV      []float64
-	fastDCIR     []float64
-	fastDerate   []float64
+	fastEntry    []laneEntry
 	fastHeat     float64
 	fastSplitErr error
 }

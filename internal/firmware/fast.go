@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"sdb/internal/battery"
 	"sdb/internal/battery/batch"
 )
 
@@ -12,7 +13,11 @@ import (
 // the load (surplus charging). A caller (the emulator's batch stepper)
 // brackets a run of steps with BeginFast/EndFast; in between, FastStep
 // and FastStepSupplied advance the firmware one enforcement interval
-// through the batch engine's lanes instead of the scalar cells.
+// on the batch engine's lanes instead of the scalar cells: BeginFast
+// fetches the pack's params and CellState lanes (batch.Engine.Lanes)
+// and each step runs battery.CellState's kernel on them in place.
+// EndFast drops the slices: a Checkout on the shared engine (a device
+// added to the shard between ticks) may move their backing arrays.
 //
 // Bit-identity contract: a fast segment must leave the controller and
 // its cells in exactly the state the same sequence of
@@ -51,7 +56,8 @@ import (
 
 // FastStepOut is the slimmed step report of the fast path: exactly the
 // fields the emulator consumes between steps. Per-cell arrays stay
-// internal; lane state is read through FastLanes.
+// internal; lane state is read through FastLanes' engine and pack
+// (batch.Engine.Lanes) inside a segment.
 type FastStepOut struct {
 	DeliveredW   float64
 	CircuitLossW float64
@@ -80,15 +86,13 @@ func (c *Controller) AttachFast(eng *batch.Engine) error {
 	n := len(c.cells)
 	c.fastEng, c.fastPk = eng, pk
 	c.fastRealized = make([]float64, n)
-	c.fastOCV = make([]float64, n)
-	c.fastDCIR = make([]float64, n)
-	c.fastDerate = make([]float64, n)
+	c.fastEntry = make([]laneEntry, n)
 	return nil
 }
 
 // FastLanes returns the attached engine and this controller's pack
-// within it, for lane reads (SoC, Empty) between fast steps. The
-// engine is nil if AttachFast has not succeeded.
+// within it, for lane reads (SoC, Empty) between the fast steps of an
+// open segment. The engine is nil if AttachFast has not succeeded.
 func (c *Controller) FastLanes() (*batch.Engine, batch.Pack) {
 	return c.fastEng, c.fastPk
 }
@@ -117,17 +121,30 @@ func (c *Controller) BeginFast() bool {
 		}
 	}
 	c.fastEng.SyncIn(c.fastPk, c.cells)
+	c.fastParams, c.fastLanes = c.fastEng.Lanes(c.fastPk)
 	c.fastSplitErr = c.dpath.RealizedRatiosInto(c.fastRealized, c.dischargeRatios)
 	// Prime the per-lane step-entry cache and the pack heat sum; both
 	// stay valid across steps because nothing else can touch lane state
 	// while the mutex is held.
-	heat := 0.0
-	for i := range c.cells {
-		c.fastOCV[i], c.fastDCIR[i], c.fastDerate[i] = c.fastEng.Entry(c.fastPk, i)
-		heat += c.fastEng.TotalLoss(c.fastPk, i)
-	}
-	c.fastHeat = heat
+	c.fastHeat = c.fastEntries()
 	return true
+}
+
+// laneEntry is one lane's step-entry quantities (CellState.Entry).
+type laneEntry struct{ ocv, dcir, derate float64 }
+
+// fastEntries refreshes the step-entry cache at the lanes' current
+// state and returns the pack heat sum.
+func (c *Controller) fastEntries() (heat float64) {
+	lanes := c.fastLanes
+	n := len(lanes)
+	params, entries := c.fastParams[:n], c.fastEntry[:n]
+	for i := range lanes {
+		heat += lanes[i].TotalLoss
+		e := &entries[i]
+		e.ocv, e.dcir, e.derate = lanes[i].Entry(params[i])
+	}
+	return heat
 }
 
 // FastStep advances one enforcement interval on battery power (the
@@ -148,8 +165,11 @@ func (c *Controller) FastStepSupplied(loadW, externalW, dt float64) FastStepOut 
 
 // fastStep is the one body behind FastStep and FastStepSupplied.
 func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
-	eng, pk := c.fastEng, c.fastPk
-	n := len(c.cells)
+	// Every per-cell slice is resliced to the lane count once, so the
+	// loops below index them without bounds checks.
+	lanes := c.fastLanes
+	n := len(lanes)
+	params, entries, currents := c.fastParams[:n], c.fastEntry[:n], c.stepA[:n]
 	c.simTimeS += dt
 
 	// Watchdog, transcribed from Step: revert to the uniform safe split
@@ -172,14 +192,15 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 	heatBefore := c.fastHeat
 	stepped := true
 
-	currents := c.stepA
 	switch {
 	case externalW > 0:
 		c.fastSurplus(&out, loadW, externalW, dt)
 	case loadW == 0:
 		// Idle: every cell relaxes at zero current.
-		for i := 0; i < n; i++ {
-			res := eng.StepCurrentAt(pk, i, c.fastOCV[i], c.fastDCIR[i], c.fastDerate[i], 0, dt)
+		for i := range lanes {
+			var res battery.StepResult
+			e := &entries[i]
+			lanes[i].StepAt(params[i], e.ocv, e.dcir, e.derate, 0, dt, &res)
 			currents[i] = res.Current
 		}
 	case c.fastSplitErr != nil:
@@ -189,7 +210,7 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 		// valid as-is.
 		out.Brownout = true
 		stepped = false
-		for i := 0; i < n; i++ {
+		for i := range currents {
 			currents[i] = 0
 		}
 	default:
@@ -205,13 +226,13 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 		// comes from the cached step-entry values (the scalar path's
 		// fresh lookups at the same unchanged state return the same
 		// bits).
-		perCell, caps := c.split, c.caps
-		ocvs, dcirs, derates := c.fastOCV, c.fastDCIR, c.fastDerate
-		for i := 0; i < n; i++ {
-			perCell[i] = c.fastRealized[i] * total
-			caps[i] = eng.MaxDischargePowerAt(pk, i, ocvs[i], dcirs[i], derates[i])
-			if 0.9*eng.EnergyRemainingLowerBoundJ(pk, i)/dt < caps[i] {
-				if eCap := 0.9 * eng.EnergyRemainingJ(pk, i) / dt; eCap < caps[i] {
+		perCell, caps, realizedRatios := c.split[:n], c.caps[:n], c.fastRealized[:n]
+		for i := range lanes {
+			s, p, e := &lanes[i], params[i], &entries[i]
+			perCell[i] = realizedRatios[i] * total
+			caps[i] = s.MaxDischargePowerAt(p, e.ocv, e.dcir, e.derate)
+			if 0.9*s.EnergyRemainingLowerBoundJ(p)/dt < caps[i] {
+				if eCap := 0.9 * s.EnergyRemainingJ(p) / dt; eCap < caps[i] {
 					caps[i] = eCap
 				}
 			}
@@ -219,8 +240,10 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 		redistribute(perCell, caps)
 
 		var realized float64
-		for i := 0; i < n; i++ {
-			res := eng.StepPowerAt(pk, i, ocvs[i], dcirs[i], derates[i], perCell[i], dt)
+		for i := range lanes {
+			var res battery.StepResult
+			e := &entries[i]
+			lanes[i].StepPowerAt(params[i], e.ocv, e.dcir, e.derate, perCell[i], dt, &res)
 			currents[i] = res.Current
 			realized += res.PowerW
 		}
@@ -230,21 +253,20 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 
 	heatAfter := heatBefore
 	if stepped {
-		// One pass: re-sum the pack heat and refresh the entry cache at
-		// the post-step state. The refreshed values feed the gauges
-		// below and are the next step's entries.
-		heatAfter = 0.0
-		for i := 0; i < n; i++ {
-			heatAfter += eng.TotalLoss(pk, i)
-			c.fastOCV[i], c.fastDCIR[i], c.fastDerate[i] = eng.Entry(pk, i)
-		}
+		// Re-sum the pack heat and refresh the entry cache at the
+		// post-step state. The refreshed values feed the gauges below
+		// and are the next step's entries.
+		heatAfter = c.fastEntries()
 	}
 	c.fastHeat = heatAfter
 	out.BatteryLossW = (heatAfter - heatBefore) / dt
 
-	// Gauges run the real estimator code against post-step lane state.
-	for i, g := range c.gauges {
-		g.Observe(currents[i], eng.TerminalVoltageAt(pk, i, c.fastOCV[i], c.fastDCIR[i], currents[i]), dt)
+	// Gauges run the real estimator code against post-step lane state,
+	// fed the terminal voltage at the step's current (Cell's
+	// TerminalVoltage expression on the refreshed entry).
+	for i, g := range c.gauges[:n] {
+		e := &entries[i]
+		g.Observe(currents[i], e.ocv-lanes[i].VRC-currents[i]*e.dcir, dt)
 	}
 
 	c.lastBrownout = out.Brownout
@@ -257,29 +279,32 @@ func (c *Controller) fastStep(loadW, externalW, dt float64) FastStepOut {
 // efficiency. Every cell is stepped, so the caller's post-step refresh
 // of the entry cache and heat sum applies as on battery power.
 func (c *Controller) fastSurplus(out *FastStepOut, loadW, externalW, dt float64) {
-	eng, pk := c.fastEng, c.fastPk
-	ocvs, dcirs, derates := c.fastOCV, c.fastDCIR, c.fastDerate
-	currents := c.stepA
+	lanes := c.fastLanes
+	n := len(lanes)
+	params, entries := c.fastParams[:n], c.fastEntry[:n]
+	currents, ratios := c.stepA[:n], c.chargeRatios[:n]
 	avail := externalW - loadW
 	out.DeliveredW = loadW
 	// Step accumulates each current into a cleared per-cell slot, so
 	// the currents below are written as 0 + current: that keeps its
 	// folding of a -0 current (a vanishing charge request) to +0.
-	for i := range c.cells {
-		budget := c.chargeRatios[i] * avail
-		if budget <= 0 || eng.Full(pk, i) {
-			res := eng.StepCurrentAt(pk, i, ocvs[i], dcirs[i], derates[i], 0, dt)
+	for i := range lanes {
+		s, p, e := &lanes[i], params[i], &entries[i]
+		var res battery.StepResult
+		budget := ratios[i] * avail
+		if budget <= 0 || s.Full() {
+			s.StepAt(p, e.ocv, e.dcir, e.derate, 0, dt, &res)
 			currents[i] = 0 + res.Current
 			continue
 		}
-		vOpen := eng.TerminalVoltageAt(pk, i, ocvs[i], dcirs[i], 0)
-		wantW, eff, ok := c.chargeSetPoint(i, budget, eng.SoC(pk, i), eng.Capacity(pk, i), vOpen, dcirs[i])
+		vOpen := e.ocv - s.VRC - 0*e.dcir
+		wantW, eff, ok := c.chargeSetPoint(i, budget, s.SoC, s.Capacity, vOpen, e.dcir)
 		if !ok {
-			res := eng.StepCurrentAt(pk, i, ocvs[i], dcirs[i], derates[i], 0, dt)
+			s.StepAt(p, e.ocv, e.dcir, e.derate, 0, dt, &res)
 			currents[i] = 0 + res.Current
 			continue
 		}
-		res := eng.StepPowerAt(pk, i, ocvs[i], dcirs[i], derates[i], -wantW, dt)
+		s.StepPowerAt(p, e.ocv, e.dcir, e.derate, -wantW, dt, &res)
 		currents[i] = 0 + res.Current
 		out.ChargedW += -res.PowerW
 		out.CircuitLossW += -res.PowerW * (1/eff - 1)
@@ -291,6 +316,7 @@ func (c *Controller) fastSurplus(out *FastStepOut, loadW, externalW, dt float64)
 // is released.
 func (c *Controller) EndFast(k int) {
 	c.fastEng.SyncOut(c.fastPk, c.cells)
+	c.fastParams, c.fastLanes = nil, nil
 	if k > 0 {
 		c.steps.Add(int64(k))
 		totalSteps.Add(int64(k))

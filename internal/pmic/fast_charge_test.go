@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sdb/internal/battery"
@@ -287,6 +288,140 @@ func TestFastStepSuppliedMatchesStep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzBytes hands a fuzz input out a byte at a time, zeros once it is
+// spent.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// unit returns a value in [0, 1] from the next two bytes.
+func (b *fuzzBytes) unit() float64 {
+	return float64(uint16(b.next())<<8|uint16(b.next())) / 65535
+}
+
+// ratios returns n ratios summing to one from n weight bytes (a zero
+// weight is a zero ratio; all zero is the uniform split).
+func (b *fuzzBytes) ratios(n int) []float64 {
+	r := make([]float64, n)
+	var sum float64
+	for i := range r {
+		r[i] = float64(b.next())
+		sum += r[i]
+	}
+	for i := range r {
+		if sum == 0 {
+			r[i] = 1 / float64(n)
+		} else {
+			r[i] /= sum
+		}
+	}
+	return r
+}
+
+// FuzzFastSegment holds fuzzed fast segments to Step. A pack of two or
+// three cells at fuzzed charge is stepped through segments of 1–64
+// steps, each with a load of zero or more, an external supply of zero
+// or at least the load, and a dt in (0, 10]; between segments come
+// discharge and charge ratio writes and watchdog settings short enough
+// to expire mid-segment. The fast controller's pack sits behind another
+// device's pack in a shared engine, so its lanes start at a nonzero
+// offset. After every EndFast each step's FastStepOut and the
+// controller's ExportState must equal a twin stepped through Step, bit
+// for bit.
+func FuzzFastSegment(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		b := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		in := fuzzBytes(script)
+		n := 2 + int(in.next()%2)
+		socs := make([]float64, n)
+		for i := range socs {
+			socs[i] = 0.02 + 0.98*in.unit()
+		}
+		ref, fast := newChargeTwin(t, socs), newChargeTwin(t, socs)
+		eng := batch.New()
+		if err := newChargeTwin(t, []float64{0.5, 0.7}).AttachFast(eng); err != nil {
+			t.Fatal(err)
+		}
+		if err := fast.AttachFast(eng); err != nil {
+			t.Fatal(err)
+		}
+		type step struct{ loadW, extW, dt float64 }
+		for seg := 0; seg < 8 && len(in) > 0; seg++ {
+			switch in.next() % 4 {
+			case 1:
+				r := in.ratios(n)
+				if a, b := ref.Discharge(r), fast.Discharge(r); (a == nil) != (b == nil) {
+					t.Fatalf("Discharge(%v): scalar %v, fast %v", r, a, b)
+				}
+			case 2:
+				r := in.ratios(n)
+				if a, b := ref.Charge(r), fast.Charge(r); (a == nil) != (b == nil) {
+					t.Fatalf("Charge(%v): scalar %v, fast %v", r, a, b)
+				}
+			case 3:
+				w := float64(in.next() % 40)
+				ref.SetWatchdog(w)
+				fast.SetWatchdog(w)
+			}
+			steps := make([]step, 1+int(in.next()%64))
+			want := make([]firmware.FastStepOut, len(steps))
+			for k := range steps {
+				s := &steps[k]
+				switch in.next() % 4 {
+				case 1:
+					s.loadW = 5 * in.unit()
+				case 2:
+					s.loadW = 40 * in.unit()
+				case 3:
+					s.loadW = 400 * in.unit() // overload: caps, redistribution, brownout
+				}
+				switch in.next() % 3 {
+				case 1:
+					s.extW = s.loadW
+				case 2:
+					s.extW = s.loadW + 40*in.unit()
+				}
+				s.dt = 10 * (1 + float64(uint16(in.next())<<8|uint16(in.next()))) / 65536
+				rep, err := ref.Step(s.loadW, s.extW, s.dt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[k] = firmware.FastStepOut{
+					DeliveredW:   rep.DeliveredW,
+					CircuitLossW: rep.CircuitLossW,
+					BatteryLossW: rep.BatteryLossW,
+					ChargedW:     rep.ChargedW,
+					Brownout:     rep.Faults&firmware.FaultBrownout != 0,
+				}
+			}
+			if !fast.BeginFast() {
+				t.Fatal("BeginFast refused a clean controller")
+			}
+			for k, s := range steps {
+				if got := fast.FastStepSupplied(s.loadW, s.extW, s.dt); !sameOut(got, want[k]) {
+					fast.EndFast(k)
+					t.Fatalf("segment %d step %d (%+v): fast %+v != scalar %+v", seg, k, s, got, want[k])
+				}
+			}
+			fast.EndFast(len(steps))
+			if !bytes.Equal(gobOf(t, fast.ExportState()), gobOf(t, ref.ExportState())) {
+				t.Fatalf("segment %d: ExportState differs after EndFast", seg)
+			}
+		}
+	})
 }
 
 // TestQueryBatteryStatusIntoNoAllocs pins the allocation-free status

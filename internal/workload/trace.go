@@ -21,17 +21,19 @@ import (
 // A trace is written only while it is built (the generators, Scale,
 // Resample and ReadCSV fill their result before returning it) and is
 // immutable once an emulation holds it: machines share a trace across
-// goroutines, and the columns Columns derives from it are computed
-// once and never refreshed. A Trace must not be copied after first
-// use.
+// goroutines, and the Validate result and the columns Columns derives
+// from it are computed once and never refreshed. A Trace must not be
+// copied after first use.
 type Trace struct {
 	Name     string
 	DT       float64 // sample period, seconds
 	Load     []float64
 	External []float64
 
-	colMu sync.Mutex
-	cols  []strideCols // built by Columns, one per stride asked for
+	mu       sync.Mutex   // guards the memos below
+	checked  bool         // Validate has run; checkErr is its result
+	checkErr error        // memoized Validate result
+	cols     []strideCols // built by Columns, one per stride asked for
 }
 
 // strideCols are the time and load columns of one recording stride.
@@ -40,8 +42,20 @@ type strideCols struct {
 	t, load []float64
 }
 
-// Validate checks structural invariants.
+// Validate checks structural invariants. The first call scans the
+// samples and memoizes the result, error included, for every later
+// call: fleet machines built on one shared trace check it once, not
+// once each. Safe for concurrent use.
 func (tr *Trace) Validate() error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if !tr.checked {
+		tr.checkErr, tr.checked = tr.validate(), true
+	}
+	return tr.checkErr
+}
+
+func (tr *Trace) validate() error {
 	switch {
 	case tr.Name == "":
 		return errors.New("workload: trace needs a name")
@@ -109,8 +123,8 @@ func (tr *Trace) Sample(k int) (loadW, externalW float64) {
 // later caller, so they are read-only; the trace frees them with
 // itself. Safe for concurrent use. stride must be at least 1.
 func (tr *Trace) Columns(stride int) (t, load []float64) {
-	tr.colMu.Lock()
-	defer tr.colMu.Unlock()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	for _, c := range tr.cols {
 		if c.stride == stride {
 			return c.t, c.load

@@ -46,6 +46,10 @@ func TestTraceValidate(t *testing.T) {
 	if err := tr.Validate(); err == nil || err.Error() != "workload: trace x: bad load sample 1: -Inf" {
 		t.Errorf("error = %v", err)
 	}
+	// The result is memoized: a later call returns the same error value.
+	if a, b := tr.Validate(), tr.Validate(); a != b {
+		t.Errorf("second Validate returned a fresh error %p, first %p", b, a)
+	}
 }
 
 func TestConstantTrace(t *testing.T) {
