@@ -136,9 +136,9 @@ go test -fuzz 'FuzzPolicies' -fuzztime 5s -run '^$' ./internal/core/
 # the uninterrupted run; then the supervision suite — seeded device
 # panics quarantining exactly the poison device while shard neighbors
 # keep stepping, shard-restart escalation, and drain semantics — under
-# the race detector; then the checkpoint bytes pinned (a parent-written
-# base record, and SHA-256 goldens of a journal and of a transfer in
-# flight), the encoder refusing every state the decoder would reject,
+# the race detector; then the checkpoint bytes pinned (SHA-256 goldens
+# of a journal and of a transfer in flight, and a version-1 base record
+# refused with ErrVersion), the encoder refusing every state the decoder would reject,
 # and a short live fuzz burst on the checkpoint decoder (base records,
 # journals, torn tails) on top of its seeds.
 go test -run 'TestCrashRestoreByteIdentical|TestCrashTornDeltaRestore' -v ./internal/fleet/

@@ -873,7 +873,7 @@ func openFleet(o serveOptions, srv *fleetServer, tstore *store.Store) (f *fleet.
 		if _, err := os.Stat(o.ckpt); err == nil {
 			f, err := fleet.RestoreFile(o.ckpt, fcfg)
 			if err != nil {
-				return nil, false, fmt.Errorf("restore %s: %w", o.ckpt, err)
+				return nil, false, fmt.Errorf("restore %s: %w (start with the build and flags that wrote it, or remove the file to start afresh)", o.ckpt, err)
 			}
 			return f, true, nil
 		}

@@ -321,7 +321,7 @@ func captureStdout(t *testing.T, fn func()) string {
 // emulator.NoSeries, so the heap a device holds does not grow with the
 // steps it runs. Run to the end of a trace 60 times longer, it may
 // hold up to 256 KB more, which allows for the collector's noise; a
-// per-step series would hold 56 B a step (35,400 steps: 1.98 MB).
+// per-step series would hold 40 B a step (35,400 steps: 1.42 MB).
 func TestServedDeviceHeapFlat(t *testing.T) {
 	for _, n := range []int{0, 2} {
 		held := func(durS float64) int64 {
@@ -352,7 +352,7 @@ func TestServedDeviceHeapFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := res.Series; len(s.T)+len(s.DeliveredW)+len(s.SoC[0]) != 0 {
+			if s := res.Series; s.Len() != 0 {
 				t.Errorf("-fleet %d: served device recorded %d samples", n, len(s.DeliveredW))
 			}
 			return int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -361,6 +361,46 @@ func TestServedDeviceHeapFlat(t *testing.T) {
 			t.Errorf("-fleet %d: a served device holds %d B after 600 steps but %d B after 36,000", n, short, long)
 		}
 	}
+}
+
+// TestServeRefusesRestartOverDifferentTrace: a plain serve's checkpoint
+// written under -load 2 -dur 600 restores only over that trace.
+// Restarting with -load 3, or with -dur 1200, exits non-zero before
+// serving and names the trace mismatch and the way out; the same flags
+// restore.
+func TestServeRefusesRestartOverDifferentTrace(t *testing.T) {
+	runChildMain()
+	o := serveOptions{
+		cells: "QuickCharge-2000,EnergyMax-4000", loadW: 2, speed: 60,
+		durS: 600, shards: 4, batch: 64,
+		ckpt: filepath.Join(t.TempDir(), "p.ckpt"), every: 3, recEvery: 1,
+	}
+	f, _, err := openFleet(o, o.newServer(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 3; tick++ {
+		f.Tick(int(o.speed)) // every: 3, so the third tick writes the checkpoint
+	}
+	f.Close()
+	for _, args := range []string{"-load 3 -dur 600", "-load 2 -dur 1200"} {
+		out, err := runSdbctl(t, "TestServeRefusesRestartOverDifferentTrace",
+			"serve -addr 127.0.0.1:0 -checkpoint "+o.ckpt+" "+args)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("restart with %s: got %v, want a non-zero exit\n%s", args, err, out)
+		}
+		for _, want := range []string{"trace mismatch", "device 0", "remove the file"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("restart with %s: output lacks %q:\n%s", args, want, out)
+			}
+		}
+	}
+	g, restored, err := openFleet(o, o.newServer(), nil)
+	if err != nil || !restored {
+		t.Fatalf("restart with the same flags: restored %v, %v", restored, err)
+	}
+	g.Close()
 }
 
 // TestServeRejectsBadSpeedAndDur: a tick is int(-speed) one-second

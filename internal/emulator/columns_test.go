@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -48,10 +47,11 @@ func randomTrace(name string, n int, dt, maxW float64) *workload.Trace {
 	return tr
 }
 
-// TestSeriesColumnsMatchRecording: the time and load columns a Result
-// views are what a recording step saw, bit for bit: sample j is step
-// k = j*stride at t = float64(k)*dt under load Trace.Load[k], for every
-// recorded step and no other. Covered at strides 1, 7 and 60, with a
+// TestSeriesColumnsMatchRecording: sample j of a recording at stride s
+// is what step k = j*s recorded, for every recorded step and no other,
+// so its time float64(k)*dt and load Trace.Load[k] are the trace's: each
+// column holds ceil(steps/s) samples, capped, equal to the stride-1
+// recording's every s-th sample. Covered at strides 1, 7 and 60, with a
 // partial last stride, with StopWhenDrained, on both backends.
 func TestSeriesColumnsMatchRecording(t *testing.T) {
 	const dt = 0.37
@@ -72,13 +72,17 @@ func TestSeriesColumnsMatchRecording(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := randomTrace(tc.name, tc.steps, dt, tc.maxW)
+			run := func(stride int, fast bool) *Result {
+				st := twoCellStack(t, tc.soc, core.Options{})
+				return runBackend(t, Config{
+					Controller: st.Controller, Trace: tr, PolicyEveryS: 60,
+					RecordEveryS: float64(stride) * dt, StopWhenDrained: tc.drained,
+				}, fast)
+			}
+			every := run(1, false).Series
 			var results [2]*Result
 			for i, fast := range []bool{false, true} {
-				st := twoCellStack(t, tc.soc, core.Options{})
-				res := runBackend(t, Config{
-					Controller: st.Controller, Trace: tr, PolicyEveryS: 60,
-					RecordEveryS: float64(tc.stride) * dt, StopWhenDrained: tc.drained,
-				}, fast)
+				res := run(tc.stride, fast)
 				results[i] = res
 				if tc.drained != (res.Steps < tc.steps) {
 					t.Fatalf("fast=%v: ran %d of %d steps, drained case %v", fast, res.Steps, tc.steps, tc.drained)
@@ -91,19 +95,17 @@ func TestSeriesColumnsMatchRecording(t *testing.T) {
 				}
 				want := (recorded + tc.stride - 1) / tc.stride
 				s := res.Series
-				if len(s.T) != want || len(s.LoadW) != want || len(s.DeliveredW) != want {
-					t.Fatalf("fast=%v: %d/%d/%d samples, want %d", fast, len(s.T), len(s.LoadW), len(s.DeliveredW), want)
+				if s.Len() != want || every.Len() != recorded {
+					t.Fatalf("fast=%v: %d samples at stride %d and %d at stride 1, want %d and %d",
+						fast, s.Len(), tc.stride, every.Len(), want, recorded)
 				}
-				if cap(s.T) != len(s.T) || cap(s.LoadW) != len(s.LoadW) {
-					t.Fatalf("fast=%v: columns not capped: cap %d/%d for %d samples", fast, cap(s.T), cap(s.LoadW), want)
+				if cap(s.DeliveredW) != want || cap(s.SoC[1]) != want {
+					t.Fatalf("fast=%v: columns not capped: cap %d/%d for %d samples", fast, cap(s.DeliveredW), cap(s.SoC[1]), want)
 				}
-				for j := range s.T {
+				for j := range want {
 					k := j * tc.stride
-					if math.Float64bits(s.T[j]) != math.Float64bits(float64(k)*dt) {
-						t.Fatalf("fast=%v: T[%d] = %v, step %d ran at %v", fast, j, s.T[j], k, float64(k)*dt)
-					}
-					if math.Float64bits(s.LoadW[j]) != math.Float64bits(tr.Load[k]) {
-						t.Fatalf("fast=%v: LoadW[%d] = %v, step %d drew %v", fast, j, s.LoadW[j], k, tr.Load[k])
+					if s.DeliveredW[j] != every.DeliveredW[k] || s.SoC[0][j] != every.SoC[0][k] {
+						t.Fatalf("fast=%v: sample %d is not what step %d recorded", fast, j, k)
 					}
 				}
 			}
@@ -114,46 +116,59 @@ func TestSeriesColumnsMatchRecording(t *testing.T) {
 	}
 }
 
-// TestSeriesColumnsAppendReallocates: the columns are capped views of
-// arrays the trace shares with every run over it, so appending to a
-// finished Result's T or LoadW must reallocate, leaving the trace and
-// another machine's series unchanged.
+// TestSeriesColumnsAppendReallocates: a Result's columns are capped
+// views of the arrays its machine keeps appending to, so appending to a
+// mid-trace Result's column must reallocate, leaving the samples the
+// machine records afterwards as an untouched twin's.
 func TestSeriesColumnsAppendReallocates(t *testing.T) {
 	tr := randomTrace("shared", 600, 1, 3)
-	load := append([]float64(nil), tr.Load...)
-	run := func() *Result {
+	run := func(edit func(*Series)) *Result {
 		st := twoCellStack(t, 0.8, core.Options{})
-		res, err := Run(Config{Controller: st.Controller, Trace: tr})
+		m, err := NewMachine(Config{Controller: st.Controller, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.StepBatch(250); err != nil {
+			t.Fatal(err)
+		}
+		mid, err := m.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(mid.Series)
+		for !m.Done() {
+			if _, err := m.StepBatch(100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := m.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
-	wantT := append([]float64(nil), b.Series.T...)
-	ts := append(a.Series.T, -1)
-	ls := append(a.Series.LoadW, -1)
-	if &ts[0] == &a.Series.T[0] || &ls[0] == &a.Series.LoadW[0] {
-		t.Fatal("append to a finished column wrote in place")
-	}
-	if !reflect.DeepEqual(tr.Load, load) {
-		t.Fatal("appending to LoadW changed the trace's load")
-	}
-	if !reflect.DeepEqual(b.Series.T, wantT) || !reflect.DeepEqual(b.Series.LoadW, load) {
-		t.Fatal("appending to one Result's columns changed another's")
-	}
-	if cols, _ := tr.Columns(1); !reflect.DeepEqual(cols, wantT) {
-		t.Fatal("appending to T changed the trace's time column")
+	want := run(func(*Series) {})
+	got := run(func(s *Series) {
+		for _, col := range append([][]float64{s.DeliveredW, s.CircuitLossW, s.BatteryLossW}, s.SoC...) {
+			if grown := append(col, -1); &grown[0] == &col[0] {
+				t.Fatal("append to a finished column wrote in place")
+			}
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("appending to a mid-trace Result's columns changed the machine's recording")
 	}
 }
 
-// TestMachinesShareTraceConcurrently: eight goroutines build and run
-// machines on one trace at two strides, so the trace derives its
-// columns under contention (run it under -race); every run at a stride
-// matches the first.
+// TestMachinesShareTraceConcurrently: eight goroutines build, run and
+// export machines on one trace at two strides, so the trace hashes
+// itself under contention (run it under -race); every run at a stride
+// matches the first, and the two strides' states carry different
+// hashes.
 func TestMachinesShareTraceConcurrently(t *testing.T) {
 	tr := randomTrace("concurrent", 900, 1, 3)
 	results := make([]*Result, 8)
+	hashes := make([]uint64, 8)
 	var wg sync.WaitGroup
 	for g := range results {
 		wg.Add(1)
@@ -165,7 +180,14 @@ func TestMachinesShareTraceConcurrently(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			results[g], err = Run(Config{Controller: st.Controller, Trace: tr, RecordEveryS: float64(1 + 6*(g%2))})
+			m, err := NewMachine(Config{Controller: st.Controller, Trace: tr, RecordEveryS: float64(1 + 6*(g%2))})
+			if err == nil {
+				_, err = m.StepBatch(tr.Len())
+			}
+			if err == nil {
+				hashes[g] = m.ExportState().TraceHash
+				results[g], err = m.Finish()
+			}
 			if err != nil {
 				t.Error(err)
 			}
@@ -176,13 +198,16 @@ func TestMachinesShareTraceConcurrently(t *testing.T) {
 		if res == nil {
 			t.FailNow()
 		}
-		if !reflect.DeepEqual(res, results[g%2]) {
+		if !reflect.DeepEqual(res, results[g%2]) || hashes[g] != hashes[g%2] {
 			t.Errorf("run %d differs from run %d over the same trace and stride", g, g%2)
 		}
 	}
-	if len(results[0].Series.T) != 900 || len(results[1].Series.T) != 129 {
+	if hashes[0] == hashes[1] {
+		t.Error("strides 1 and 7 export the same trace hash")
+	}
+	if results[0].Series.Len() != 900 || results[1].Series.Len() != 129 {
 		t.Errorf("samples: %d at stride 1, %d at stride 7; want 900 and 129",
-			len(results[0].Series.T), len(results[1].Series.T))
+			results[0].Series.Len(), results[1].Series.Len())
 	}
 }
 
@@ -193,12 +218,11 @@ const columnBytes = 9728
 // TestNewMachineAllocatesFiveColumns pins the per-machine series cost
 // of a 1,200-step, two-cell, stride-1 run: NewMachine allocates the
 // delivered, circuit-loss, battery-loss and two SoC columns (5 arrays,
-// 48 KB), not the time and load columns, which view the trace's
-// (7 arrays would be 67.2 KB). Fixed overhead stays under one column.
+// 48 KB), not time and load columns, which are the trace's (7 arrays
+// would be 67.2 KB). Fixed overhead stays under one column.
 func TestNewMachineAllocatesFiveColumns(t *testing.T) {
 	st := twoCellStack(t, 0.8, core.Options{})
 	cfg := Config{Controller: st.Controller, Trace: constantTrace("pin", 2, 1, 1200)}
-	cfg.Trace.Columns(1) // the trace's columns are built once, not per machine
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -229,8 +253,8 @@ func TestNoSeriesRecordsNothing(t *testing.T) {
 		t.Fatal("no-series run differs between backends")
 	}
 	s := scalar.Series
-	if len(s.SoC) != 2 || !sameLengths(s) || len(s.T)+len(s.SoC[0]) != 0 {
-		t.Fatalf("no-series run recorded %d samples over %d SoC columns", len(s.T), len(s.SoC))
+	if len(s.SoC) != 2 || s.Len() != 0 {
+		t.Fatalf("no-series run recorded %d samples over %d SoC columns", s.Len(), len(s.SoC))
 	}
 	scalar.Series, want.Series = nil, nil
 	if !reflect.DeepEqual(scalar, want) {
@@ -251,25 +275,25 @@ func TestNoSeriesRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestImportRejectsDifferentTrace: a snapshot whose recorded load
-// differs from the importing machine's trace in one sample, or whose
-// time column is longer than the trace records, is refused with a
-// *TraceMismatchError naming the column and sample.
+// TestImportRejectsDifferentTrace: at every recording cadence, a state
+// is refused with a *TraceMismatchError when the importing machine's
+// trace differs in one load sample (recorded or not), in its supply or
+// its DT, or when the machine records at another stride, even one that
+// holds as many samples at the state's cursor; so is a state whose
+// sample count does not match its cursor. Over the donor's own trace and
+// cadence the import resumes the run byte-identically.
 func TestImportRejectsDifferentTrace(t *testing.T) {
 	tr := randomTrace("donor", 600, 1, 3)
-	st := twoCellStack(t, 0.8, core.Options{})
-	donor, err := NewMachine(Config{Controller: st.Controller, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
+	edited := func(edit func(*workload.Trace)) *workload.Trace {
+		other := &workload.Trace{Name: "other", DT: tr.DT, Load: slices.Clone(tr.Load)}
+		edit(other)
+		return other
 	}
-	if _, err := donor.StepBatch(300); err != nil {
-		t.Fatal(err)
-	}
-	snap := donor.ExportState()
-
-	other := &workload.Trace{Name: "other", DT: 1, Load: append([]float64(nil), tr.Load...)}
-	other.Load[123] += 0.25
-	fresh := func(tr *workload.Trace, every float64) *Machine {
+	load123 := edited(func(o *workload.Trace) { o.Load[123] += 0.25 })
+	supplied := edited(func(o *workload.Trace) { o.External = make([]float64, o.Len()) })
+	supply := edited(func(o *workload.Trace) { o.External = make([]float64, o.Len()); o.External[450] = 1 })
+	halfDT := edited(func(o *workload.Trace) { o.DT = 0.5 })
+	machine := func(tr *workload.Trace, every float64) *Machine {
 		st := twoCellStack(t, 0.8, core.Options{})
 		m, err := NewMachine(Config{Controller: st.Controller, Trace: tr, RecordEveryS: every})
 		if err != nil {
@@ -277,30 +301,72 @@ func TestImportRejectsDifferentTrace(t *testing.T) {
 		}
 		return m
 	}
-	cases := []struct {
-		name   string
-		m      *Machine
-		column string
-		index  int
-	}{
-		{"one load sample", fresh(other, 0), "LoadW", 123},
-		{"cadence", fresh(tr, 2), "T", 1},
-		{"no series", fresh(tr, NoSeries), "T", 0},
-	}
-	for _, tc := range cases {
-		var mis *TraceMismatchError
-		if err := tc.m.ImportState(snap); !errors.As(err, &mis) || mis.Column != tc.column || mis.Index != tc.index {
-			t.Errorf("%s: ImportState = %v, want a mismatch in %s[%d]", tc.name, err, tc.column, tc.index)
+	finish := func(m *Machine) *Result {
+		for !m.Done() {
+			if _, err := m.StepBatch(100); err != nil {
+				t.Fatal(err)
+			}
 		}
+		res, err := m.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if m := fresh(tr, 0); m.ImportState(snap) != nil {
-		t.Fatal("import over the donor's own trace failed")
+	for _, cadence := range []struct {
+		name  string
+		every float64
+	}{{"every step", 0}, {"stride 60", 60}, {"no series", NoSeries}} {
+		donor := machine(tr, cadence.every)
+		if _, err := donor.StepBatch(300); err != nil {
+			t.Fatal(err)
+		}
+		snap := donor.ExportState()
+		short := snap
+		if n := snap.Series.Len(); n > 0 {
+			short.Series = &Series{
+				DeliveredW: snap.Series.DeliveredW[:n-1], CircuitLossW: snap.Series.CircuitLossW[:n-1],
+				BatteryLossW: snap.Series.BatteryLossW[:n-1], SoC: [][]float64{snap.Series.SoC[0][:n-1], snap.Series.SoC[1][:n-1]},
+			}
+		}
+		// At cursor 300, strides 60 and 61 both hold 5 samples.
+		other := map[float64]float64{0: 2, 60: 61, NoSeries: 0}[cadence.every]
+		cases := []struct {
+			name    string
+			m       *Machine
+			snap    MachineState
+			samples bool // refused on its sample count, not its hash
+		}{
+			{"load sample 123", machine(load123, cadence.every), snap, false},
+			{"supply present", machine(supplied, cadence.every), snap, false},
+			{"supply sample 450", machine(supply, cadence.every), snap, false},
+			{"dt", machine(halfDT, cadence.every), snap, false},
+			{"cadence", machine(tr, other), snap, false},
+			{"sample count", machine(tr, cadence.every), short, true},
+		}
+		for _, tc := range cases {
+			if tc.samples && snap.Series.Len() == 0 {
+				continue // no sample to drop
+			}
+			var mis *TraceMismatchError
+			err := tc.m.ImportState(tc.snap)
+			if !errors.As(err, &mis) || (mis.Hash == mis.WantHash) != tc.samples {
+				t.Errorf("%s, %s: ImportState = %v, want a trace mismatch", cadence.name, tc.name, err)
+			}
+		}
+		m := machine(tr, cadence.every)
+		if err := m.ImportState(snap); err != nil {
+			t.Fatalf("%s: import over the donor's own trace: %v", cadence.name, err)
+		}
+		if got, want := finish(m), finish(donor); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the imported run finished differently from the donor", cadence.name)
+		}
 	}
 }
 
 // TestFinishMidTraceSeriesHolds: a Result taken mid-trace keeps the
-// series it had: every column as long as the time column, and none of
-// them changed by the steps the machine runs afterwards.
+// series it had: every column as long as the others, and none of them
+// changed by the steps the machine runs afterwards.
 func TestFinishMidTraceSeriesHolds(t *testing.T) {
 	st := twoCellStack(t, 0.8, core.Options{})
 	m, err := NewMachine(Config{Controller: st.Controller, Trace: randomTrace("mid", 600, 1, 3)})
@@ -316,8 +382,8 @@ func TestFinishMidTraceSeriesHolds(t *testing.T) {
 	}
 	s := res.Series
 	held := Series{
-		T: slices.Clone(s.T), LoadW: slices.Clone(s.LoadW), DeliveredW: slices.Clone(s.DeliveredW),
-		CircuitLossW: slices.Clone(s.CircuitLossW), BatteryLossW: slices.Clone(s.BatteryLossW),
+		DeliveredW: slices.Clone(s.DeliveredW), CircuitLossW: slices.Clone(s.CircuitLossW),
+		BatteryLossW: slices.Clone(s.BatteryLossW),
 	}
 	for _, soc := range s.SoC {
 		held.SoC = append(held.SoC, slices.Clone(soc))
@@ -325,8 +391,7 @@ func TestFinishMidTraceSeriesHolds(t *testing.T) {
 	if _, err := m.StepBatch(100); err != nil {
 		t.Fatal(err)
 	}
-	if len(held.T) != 250 || !sameLengths(&held) || !reflect.DeepEqual(*res.Series, held) {
-		t.Fatalf("mid-trace series: %d samples, equal lengths %v, unchanged %v",
-			len(held.T), sameLengths(&held), reflect.DeepEqual(*res.Series, held))
+	if held.Len() != 250 || !reflect.DeepEqual(*res.Series, held) {
+		t.Fatalf("mid-trace series: %d samples, unchanged %v", held.Len(), reflect.DeepEqual(*res.Series, held))
 	}
 }

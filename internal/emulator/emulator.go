@@ -69,13 +69,12 @@ type Config struct {
 const NoSeries = -1
 
 // Series holds the recorded waveforms, one element per recorded step.
-// T and LoadW are views of columns the trace owns (see
-// workload.Trace.Columns) and may be shared with other runs over the
-// same trace; every column is read-only. Appending to a column
-// reallocates it, so a caller may build on a copy of the header.
+// Time and load are not recorded: they are the trace's. At a recording
+// stride of s steps, sample j was taken at step j*s, at time
+// float64(j*s)*DT under load Load[j*s]. Every column is read-only;
+// appending to one reallocates it, so a caller may build on a copy of
+// the header.
 type Series struct {
-	T            []float64
-	LoadW        []float64
 	DeliveredW   []float64
 	CircuitLossW []float64
 	BatteryLossW []float64
@@ -128,11 +127,7 @@ type Machine struct {
 
 	recordEvery int // 0 records no series
 	policyEvery int
-	// series is the recording. Its T and LoadW stay nil: sample j was
-	// at tcol[j] under load lcol[j], the trace's columns at the
-	// recording stride, so Step records neither and view shows them.
-	series     *Series
-	tcol, lcol []float64
+	series      *Series
 
 	reg         *obs.Registry
 	stepHist    *obs.Histogram
@@ -211,10 +206,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.series = &Series{SoC: make([][]float64, m.n)}
 	if m.recordEvery > 0 {
 		// Step k records when k%recordEvery == 0, so a full run writes
-		// exactly ceil(steps/recordEvery) samples per column, as long
-		// as the trace's columns.
-		m.tcol, m.lcol = cfg.Trace.Columns(m.recordEvery)
-		samples := len(m.tcol)
+		// exactly ceil(steps/recordEvery) samples per column.
+		samples := m.samplesAt(m.steps)
 		s := m.series
 		s.DeliveredW = make([]float64, 0, samples)
 		s.CircuitLossW = make([]float64, 0, samples)
@@ -380,7 +373,7 @@ func (m *Machine) StepBatch(max int) (int, error) {
 // (deliberate: a fleet can snapshot a device mid-trace).
 func (m *Machine) Finish() (*Result, error) {
 	res := m.res
-	res.Series = m.view()
+	res.Series = seriesView(m.series)
 	sts, err := m.cfg.Controller.QueryBatteryStatus()
 	if err != nil {
 		return nil, err
@@ -404,13 +397,13 @@ func (m *Machine) Finish() (*Result, error) {
 	return res, nil
 }
 
-// view returns the recording so far as capped prefix views of the
-// machine's columns and of the trace's time and load columns.
-func (m *Machine) view() *Series {
-	s := seriesView(m.series)
-	n := len(m.series.DeliveredW)
-	s.T, s.LoadW = prefix(m.tcol[:n]), prefix(m.lcol[:n])
-	return s
+// samplesAt returns how many samples the machine records in its first
+// k steps: ceil(k/recordEvery), none without a series.
+func (m *Machine) samplesAt(k int) int {
+	if m.recordEvery == 0 {
+		return 0
+	}
+	return (k + m.recordEvery - 1) / m.recordEvery
 }
 
 // Run executes the emulation to completion: Machine setup, every step,

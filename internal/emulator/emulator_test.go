@@ -83,8 +83,8 @@ func TestRunRecordsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := res.Series
-	if len(s.T) != 100 || len(s.LoadW) != 100 || len(s.SoC[0]) != 100 {
-		t.Fatalf("series lengths: t=%d load=%d soc=%d", len(s.T), len(s.LoadW), len(s.SoC[0]))
+	if s.Len() != 100 {
+		t.Fatalf("series lengths: delivered=%d soc=%d", len(s.DeliveredW), len(s.SoC[0]))
 	}
 	if s.SoC[0][0] < s.SoC[0][99] {
 		t.Error("SoC series not decreasing under discharge")
@@ -110,8 +110,7 @@ func TestRunRecordThrottling(t *testing.T) {
 		}
 		s := res.Series
 		cols := map[string][]float64{
-			"T": s.T, "LoadW": s.LoadW, "DeliveredW": s.DeliveredW,
-			"CircuitLossW": s.CircuitLossW, "BatteryLossW": s.BatteryLossW,
+			"DeliveredW": s.DeliveredW, "CircuitLossW": s.CircuitLossW, "BatteryLossW": s.BatteryLossW,
 		}
 		for i, soc := range s.SoC {
 			cols[fmt.Sprintf("SoC[%d]", i)] = soc

@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"math"
 
 	"sdb/internal/core"
 	"sdb/internal/firmware"
@@ -36,6 +35,10 @@ type MachineState struct {
 	ElapsedS       float64
 	CellDrainedAtS []float64
 	Series         *Series
+	// TraceHash is workload.Trace.Hash of the trace the machine runs,
+	// at its recording stride: the series' time and load are the
+	// trace's, so a state is only valid over that trace and stride.
+	TraceHash uint64
 
 	// Stack beneath the machine.
 	Controller firmware.ControllerState
@@ -51,11 +54,10 @@ type MachineState struct {
 // ExportState snapshots the machine. The machine may keep stepping
 // after the export without disturbing the snapshot. The recorded
 // series are not copied: the snapshot holds capped prefix views of the
-// machine's append-only series arrays and of the trace's time and load
-// columns, which stepping only extends past the view's length (or
-// reallocates when full), so a held snapshot never changes. The
-// snapshot must be treated as read-only. Must not be called
-// concurrently with Step/StepBatch.
+// machine's append-only series arrays, which stepping only extends
+// past the view's length (or reallocates when full), so a held
+// snapshot never changes. The snapshot must be treated as read-only.
+// Must not be called concurrently with Step/StepBatch.
 func (m *Machine) ExportState() MachineState {
 	res := m.res
 	st := MachineState{
@@ -72,7 +74,8 @@ func (m *Machine) ExportState() MachineState {
 		DrainedAtS:     res.DrainedAtS,
 		ElapsedS:       res.ElapsedS,
 		CellDrainedAtS: append([]float64(nil), res.CellDrainedAtS...),
-		Series:         m.view(),
+		Series:         seriesView(m.series),
+		TraceHash:      m.cfg.Trace.Hash(m.recordEvery),
 		Controller:     m.cfg.Controller.ExportState(),
 	}
 	if m.cfg.Runtime != nil {
@@ -91,15 +94,19 @@ func (m *Machine) ExportState() MachineState {
 // from an identically configured one (same trace, pack, profile table,
 // runtime presence, fault schedule). The machine must not have stepped:
 // importing refills the series arrays in place, and snapshots exported
-// earlier from this machine share those arrays. The snapshot's time and
-// load columns must equal, bit for bit, the ones this machine's trace
-// and recording cadence determine (a *TraceMismatchError otherwise);
-// the machine keeps viewing the trace's columns, not the snapshot's.
+// earlier from this machine share those arrays. The snapshot must have
+// been taken over this machine's trace at its recording stride, and
+// hold the samples that stride records in st.K steps; a
+// *TraceMismatchError refuses it otherwise.
 func (m *Machine) ImportState(st MachineState) error {
-	switch {
-	case m.k != 0 || len(m.series.DeliveredW) != 0:
+	if m.k != 0 || len(m.series.DeliveredW) != 0 {
 		return fmt.Errorf("emulator: import: target already stepped (cursor %d, %d samples); import needs a fresh machine",
 			m.k, len(m.series.DeliveredW))
+	}
+	if want := m.cfg.Trace.Hash(m.recordEvery); st.TraceHash != want {
+		return &TraceMismatchError{Hash: st.TraceHash, WantHash: want}
+	}
+	switch {
 	case st.K < 0 || st.K > m.steps:
 		return fmt.Errorf("emulator: import: step cursor %d outside trace of %d steps", st.K, m.steps)
 	case len(st.CellDrainedAtS) != m.n:
@@ -108,20 +115,17 @@ func (m *Machine) ImportState(st MachineState) error {
 		return fmt.Errorf("emulator: import: nil series")
 	case len(st.Series.SoC) != m.n:
 		return fmt.Errorf("emulator: import: %d SoC series for %d cells", len(st.Series.SoC), m.n)
-	case !sameLengths(st.Series):
+	case st.Series.Len() < 0:
 		return fmt.Errorf("emulator: import: series columns differ in length")
+	case st.Series.Len() != m.samplesAt(st.K):
+		return &TraceMismatchError{Hash: st.TraceHash, WantHash: st.TraceHash,
+			K: st.K, Samples: st.Series.Len(), WantSamples: m.samplesAt(st.K)}
 	case (st.Runtime != nil) != (m.cfg.Runtime != nil):
 		return fmt.Errorf("emulator: import: runtime presence mismatch (snapshot %v, config %v)",
 			st.Runtime != nil, m.cfg.Runtime != nil)
 	case st.HasFaults != (m.cfg.Faults != nil):
 		return fmt.Errorf("emulator: import: fault schedule presence mismatch (snapshot %v, config %v)",
 			st.HasFaults, m.cfg.Faults != nil)
-	}
-	if err := matchColumn("T", st.Series.T, m.tcol); err != nil {
-		return err
-	}
-	if err := matchColumn("LoadW", st.Series.LoadW, m.lcol); err != nil {
-		return err
 	}
 	if err := m.cfg.Controller.ImportState(st.Controller); err != nil {
 		return err
@@ -151,8 +155,7 @@ func (m *Machine) ImportState(st MachineState) error {
 	res.ElapsedS = st.ElapsedS
 	copy(res.CellDrainedAtS, st.CellDrainedAtS)
 	// Refill the preallocated series in place so the remainder of the
-	// run appends without growing past NewMachine's sizing; the time and
-	// load columns stay views of the trace's.
+	// run appends without growing past NewMachine's sizing.
 	s := m.series
 	s.DeliveredW = append(s.DeliveredW[:0], st.Series.DeliveredW...)
 	s.CircuitLossW = append(s.CircuitLossW[:0], st.Series.CircuitLossW...)
@@ -163,51 +166,38 @@ func (m *Machine) ImportState(st MachineState) error {
 	return nil
 }
 
-// TraceMismatchError is ImportState's refusal of a snapshot whose
-// recorded time or load column is not the one the importing machine's
-// trace and recording cadence determine: the snapshot was taken over a
-// different trace or cadence, and resuming it would splice two runs.
+// TraceMismatchError is ImportState's refusal of a snapshot taken over
+// a different trace or recording stride than the importing machine's:
+// resuming it would splice two runs. Either the trace hashes differ, or
+// they agree but the snapshot holds the wrong number of samples for its
+// step cursor.
 type TraceMismatchError struct {
-	Column  string // "T" or "LoadW"
-	Index   int    // the first sample that differs
-	Got     float64
-	Want    float64 // NaN when Index is past the trace's Samples
-	Samples int     // the trace's column length at the machine's cadence
+	Hash, WantHash       uint64 // the snapshot's and the machine's workload.Trace.Hash
+	K                    int    // the snapshot's step cursor
+	Samples, WantSamples int    // the snapshot's series samples, and the K steps' at the machine's stride
 }
 
 func (e *TraceMismatchError) Error() string {
-	if e.Index >= e.Samples {
-		return fmt.Sprintf("emulator: import: snapshot series %s[%d] = %g, but the trace records %d samples",
-			e.Column, e.Index, e.Got, e.Samples)
+	if e.Hash != e.WantHash {
+		return fmt.Sprintf("emulator: import: trace mismatch: the snapshot was taken over trace hash %016x, this machine's trace and recording stride hash to %016x",
+			e.Hash, e.WantHash)
 	}
-	return fmt.Sprintf("emulator: import: snapshot series %s[%d] = %g, the trace's is %g",
-		e.Column, e.Index, e.Got, e.Want)
+	return fmt.Sprintf("emulator: import: trace mismatch: the snapshot holds %d series samples after %d steps, this machine's recording stride records %d",
+		e.Samples, e.K, e.WantSamples)
 }
 
-// matchColumn checks a snapshot column against the prefix of the
-// trace's column it must equal bit for bit.
-func matchColumn(name string, got, trace []float64) error {
-	for j, v := range got {
-		if j >= len(trace) {
-			return &TraceMismatchError{Column: name, Index: j, Got: v, Want: math.NaN(), Samples: len(trace)}
-		}
-		if math.Float64bits(v) != math.Float64bits(trace[j]) {
-			return &TraceMismatchError{Column: name, Index: j, Got: v, Want: trace[j], Samples: len(trace)}
-		}
+// Len returns the number of samples every column of s holds, or -1
+// when their lengths differ.
+func (s *Series) Len() int {
+	n := len(s.DeliveredW)
+	ok := len(s.CircuitLossW) == n && len(s.BatteryLossW) == n
+	for _, vs := range s.SoC {
+		ok = ok && len(vs) == n
 	}
-	return nil
-}
-
-// sameLengths reports whether every column of s holds as many samples
-// as its time column.
-func sameLengths(s *Series) bool {
-	n := len(s.T)
-	for _, vs := range append([][]float64{s.LoadW, s.DeliveredW, s.CircuitLossW, s.BatteryLossW}, s.SoC...) {
-		if len(vs) != n {
-			return false
-		}
+	if !ok {
+		return -1
 	}
-	return true
+	return n
 }
 
 // seriesView returns a Series of capped prefix views of s's arrays:
@@ -217,8 +207,6 @@ func seriesView(s *Series) *Series {
 		return nil
 	}
 	out := &Series{
-		T:            prefix(s.T),
-		LoadW:        prefix(s.LoadW),
 		DeliveredW:   prefix(s.DeliveredW),
 		CircuitLossW: prefix(s.CircuitLossW),
 		BatteryLossW: prefix(s.BatteryLossW),

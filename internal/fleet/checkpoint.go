@@ -132,7 +132,7 @@ func (f *Fleet) adoptLocked(fi os.FileInfo, snap *snapshot.Snapshot, devs []*dev
 	f.journal = fi
 	for i, d := range devs {
 		if st := snap.Devices[i].State; st != nil {
-			d.ckptLen = len(st.Series.T)
+			d.ckptLen = len(st.Series.DeliveredW)
 		}
 	}
 }

@@ -434,40 +434,82 @@ func TestDrainWritesFinalCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsDifferentTrace: a Provision hook that rebuilds a
-// device over a trace differing from the checkpointed one in a single
-// load sample must fail the restore with the emulator's
-// *TraceMismatchError, naming the device, instead of resuming it over
-// the wrong load.
+// TestRestoreRejectsDifferentTrace: at every recording cadence, a
+// Provision hook that rebuilds device 3 over a trace differing from the
+// checkpointed one (one load sample, recorded or not; the supply; DT),
+// or at another cadence holding as many samples at the cursor, must
+// fail the restore with the emulator's *TraceMismatchError, naming the
+// device, instead of resuming it over the wrong load. Over the same
+// traces and cadence every device runs out as it would alone.
 func TestRestoreRejectsDifferentTrace(t *testing.T) {
 	const durS = 600
-	f := New(Config{Shards: 2, Obs: obs.NewRegistry()})
-	for i := uint16(1); i <= 4; i++ {
-		if err := f.Add(i, deviceConfig(t, i, durS)); err != nil {
+	for _, cadence := range []struct {
+		name         string
+		every, other float64 // at cursor 320, strides 60 and 61 both hold 6 samples
+	}{{"every step", 0, 2}, {"stride 60", 60, 61}, {"no series", emulator.NoSeries, 0}} {
+		config := func(id uint16) emulator.Config {
+			cfg := deviceConfig(t, id, durS)
+			cfg.RecordEveryS = cadence.every
+			return cfg
+		}
+		f := New(Config{Shards: 2, Obs: obs.NewRegistry()})
+		for i := uint16(1); i <= 4; i++ {
+			if err := f.Add(i, config(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			f.Tick(64)
+		}
+		var buf bytes.Buffer
+		if err := f.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 5; i++ {
-		f.Tick(64)
-	}
-	var buf bytes.Buffer
-	if err := f.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		f.Close()
 
-	g, err := Restore(&buf, Config{Shards: 2, Obs: obs.NewRegistry(), Provision: func(id uint16) (emulator.Config, error) {
-		cfg := deviceConfig(t, id, durS)
-		if id == 3 {
-			cfg.Trace.Load[200] *= 1.5
+		for _, edit := range []struct {
+			name string
+			fn   func(*emulator.Config)
+		}{
+			{"load sample 200", func(cfg *emulator.Config) { cfg.Trace.Load[200] *= 1.5 }},
+			{"supply", func(cfg *emulator.Config) {
+				cfg.Trace.External = make([]float64, cfg.Trace.Len())
+				cfg.Trace.External[450] = 0.5
+			}},
+			{"dt", func(cfg *emulator.Config) { cfg.Trace.DT = 2 }},
+			{"cadence", func(cfg *emulator.Config) { cfg.RecordEveryS = cadence.other }},
+		} {
+			g, err := Restore(bytes.NewReader(buf.Bytes()), Config{Shards: 2, Obs: obs.NewRegistry(), Provision: func(id uint16) (emulator.Config, error) {
+				cfg := config(id)
+				if id == 3 {
+					edit.fn(&cfg)
+				}
+				return cfg, nil
+			}})
+			var mis *emulator.TraceMismatchError
+			if err == nil {
+				g.Close()
+			}
+			if !errors.As(err, &mis) || !strings.Contains(err.Error(), "device 3") {
+				t.Errorf("%s, %s: Restore = %v, want device 3's trace mismatch", cadence.name, edit.name, err)
+			}
 		}
-		return cfg, nil
-	}})
-	var mis *emulator.TraceMismatchError
-	if err == nil {
+
+		g, err := Restore(bytes.NewReader(buf.Bytes()), Config{Shards: 2, Obs: obs.NewRegistry(),
+			Provision: func(id uint16) (emulator.Config, error) { return config(id), nil }})
+		if err != nil {
+			t.Fatalf("%s: restore over the same traces: %v", cadence.name, err)
+		}
+		g.RunToCompletion(64)
+		for i := uint16(1); i <= 4; i++ {
+			want, err := emulator.Run(config(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := g.Result(i); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: device %d after restore: %v, or a result that differs from its solo run", cadence.name, i, err)
+			}
+		}
 		g.Close()
-	}
-	if !errors.As(err, &mis) || mis.Column != "LoadW" || mis.Index != 200 || !strings.Contains(err.Error(), "device 3") {
-		t.Fatalf("Restore = %v, want device 3's LoadW[200] mismatch", err)
 	}
 }

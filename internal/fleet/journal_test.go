@@ -224,7 +224,7 @@ func TestCrashTornDeltaRestore(t *testing.T) {
 	}
 
 	data := readFile(t, path)
-	if n := bytes.Count(data, []byte(snapshot.Magic+"\x02")); n != 2 {
+	if n := bytes.Count(data, []byte(snapshot.Magic+string(rune(snapshot.DeltaVersion)))); n != 2 {
 		t.Fatalf("checkpoint holds %d delta records, want the tick-4 one and the torn tick-6 one", n)
 	}
 	snap, err := snapshot.Decode(data)

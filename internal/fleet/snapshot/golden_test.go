@@ -12,17 +12,17 @@ import (
 // The SHA-256 of the bytes TestJournalGolden writes. Both record
 // versions are fixed formats: a change to either hash is a change to
 // the bytes on disk, which journals written by older builds (and older
-// readers of new journals) would see.
+// readers of new journals) would see, so it comes with new Version and
+// DeltaVersion bytes.
 const (
-	journalGoldenSHA256  = "394a04c27a8be2ed61cf7b47cf0452413d843883668591dd986ab1ec8ab3f20b"
-	transferGoldenSHA256 = "fb6de7e9dc7d9f1b45749a7dc9aec750d089f0287337e9d2c3e38c9bcc5221b3"
+	journalGoldenSHA256  = "9e343e4d925563d91e27bec9edc6f6ba71613f6d9708894945b086f29920cc86"
+	transferGoldenSHA256 = "acfb6cdae5159f4e57834005b1077d6679f3c0b313ccf23f64866a8cf057072f"
 )
 
-// TestJournalGolden pins the writer's bytes on the paths
-// TestDecodeParentFile does not reach: a base plus three delta records
-// covering an add, a removal, a re-added id, a quarantine and an errored
-// idle device, and a full record whose first device has a transfer in
-// flight.
+// TestJournalGolden pins the writer's bytes: a base plus three delta
+// records covering an add, a removal, a re-added id, a quarantine and an
+// errored idle device, and a full record of sampleSnapshot whose first
+// device has a transfer in flight.
 func TestJournalGolden(t *testing.T) {
 	journal, _ := buildJournal(t, journalStates(t, 20))
 	snap := sampleSnapshot(t)

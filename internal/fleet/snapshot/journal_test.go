@@ -96,7 +96,7 @@ func offsets(prev, next *Snapshot, readded ...uint16) []int {
 	lens := map[uint16]int{}
 	for _, dev := range prev.Devices {
 		if dev.State != nil {
-			lens[dev.ID] = len(dev.State.Series.T)
+			lens[dev.ID] = len(dev.State.Series.DeliveredW)
 		}
 	}
 	for _, id := range readded {
@@ -215,14 +215,14 @@ func TestJournalRejectsEveryFlip(t *testing.T) {
 		mut := bytes.Clone(data)
 		mut[i] ^= 0xA5
 		_, err := Decode(mut)
-		if i == len(Magic) && err != nil && strings.Contains(err.Error(), "unsupported version") {
+		if i == len(Magic) && errors.Is(err, ErrVersion) {
 			continue
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("byte %d flipped: %v, want ErrCorrupt", i, err)
 		}
 	}
-	for _, tail := range []string{"\x00", "SDBSNAP\x01", "XDBSNAP\x02", "SDBSNAP\x02" + strings.Repeat("\xff", 10)} {
+	for _, tail := range []string{"\x00", "SDBSNAP\x03", "SDBSNAP\x02", "X" + deltaTag[1:], deltaTag + strings.Repeat("\xff", 10)} {
 		if _, err := Decode(append(bytes.Clone(data), tail...)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("trailing %q: %v, want ErrCorrupt", tail, err)
 		}
@@ -247,10 +247,10 @@ func TestWriteDeltaErrors(t *testing.T) {
 	s := journalStates(t, 30)[1]
 	ragged := *s.Devices[0].State
 	series := *ragged.Series
-	series.LoadW = series.LoadW[:len(series.LoadW)-1]
+	series.BatteryLossW = series.BatteryLossW[:len(series.BatteryLossW)-1]
 	ragged.Series = &series
 	past := make([]int, len(s.Devices))
-	past[0] = len(s.Devices[0].State.Series.T) + 1
+	past[0] = len(s.Devices[0].State.Series.DeliveredW) + 1
 	for _, tc := range []struct {
 		name string
 		s    *Snapshot
@@ -303,28 +303,18 @@ func TestJournalOffsetMustContinue(t *testing.T) {
 	}
 }
 
-// TestDecodeParentFile: a checkpoint written before journals existed
-// (testdata/v1.sdbsnap, the full encoding of sampleSnapshot) still
-// decodes, and today's encoder writes exactly its bytes.
+// TestDecodeParentFile: a checkpoint written before the machine block
+// carried the trace hash (testdata/v1.sdbsnap, a version-1 base record
+// of sampleSnapshot, whose series held the trace's time and load
+// columns) is refused with ErrVersion, not read as today's format or
+// reported corrupt.
 func TestDecodeParentFile(t *testing.T) {
 	old, err := os.ReadFile("testdata/v1.sdbsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sampleSnapshot(t)
-	got, err := Decode(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parent-written checkpoint decodes to a different snapshot")
-	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), old) {
-		t.Fatal("Encode output differs from the parent-written file")
+	if _, err := Decode(old); !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 checkpoint: %v, want ErrVersion", err)
 	}
 }
 
@@ -340,7 +330,7 @@ func TestWriteDeltaWorkerCountInvariant(t *testing.T) {
 	from := make([]int, len(s.Devices))
 	for i, dev := range s.Devices {
 		if dev.State != nil && i%3 != 0 {
-			from[i] = len(dev.State.Series.T)
+			from[i] = len(dev.State.Series.DeliveredW)
 		}
 	}
 	var want []byte

@@ -6,7 +6,7 @@
 // in encoding/binary):
 //
 //	magic      "SDBSNAP"           7 bytes
-//	version    u8                  currently 1
+//	version    u8                  currently 3 (Version)
 //	fleetSteps uvarint             device-steps executed fleet-wide
 //	ndev       uvarint
 //	device × ndev:
@@ -18,14 +18,14 @@
 //	crc        u16                 CRC-16/CCITT-FALSE over all prior bytes
 //
 // The machine block nests the full emulator.MachineState: step cursor,
-// result accumulators, recorded series (f64 arrays XOR-delta encoded
-// like the telemetry store's data pages — consecutive samples share
-// high bits so the varints stay short and decode bit-exactly),
-// firmware registers and cell states, fuel-gauge estimators, optional
-// runtime health-ladder state, and the fault-schedule position. A
-// quarantined device carries no machine block: its stepping goroutine
-// died mid-step, its firmware mutex may be held forever, and its state
-// is by definition suspect.
+// result accumulators, the trace hash, recorded series (f64 arrays
+// XOR-delta encoded like the telemetry store's data pages — consecutive
+// samples share high bits so the varints stay short and decode
+// bit-exactly), firmware registers and cell states, fuel-gauge
+// estimators, optional runtime health-ladder state, and the
+// fault-schedule position. A quarantined device carries no machine
+// block: its stepping goroutine died mid-step, its firmware mutex may
+// be held forever, and its state is by definition suspect.
 //
 // Strings use uvarint length + bytes, bounded by MaxStrLen. The CRC
 // trailer reuses the bus frame polynomial, so one checksum
@@ -36,7 +36,7 @@
 // of the same fleet:
 //
 //	magic      "SDBSNAP"           7 bytes
-//	version    u8                  2 (DeltaVersion)
+//	version    u8                  4 (DeltaVersion)
 //	bodyLen    u64
 //	hdrCRC     u16                 CRC-16 over the 16 header bytes above
 //	body       bodyLen bytes       a full record's body, except that each
@@ -52,6 +52,12 @@
 // the header that starts like one, or a valid header whose record runs
 // past the end of the file — and decoding ignores such a torn tail.
 // Anything else that fails to parse is ErrCorrupt.
+//
+// Versions 1 and 2 were the base and delta records of the format before
+// the machine block carried the trace hash, when every series held the
+// trace's time and load columns too. A file that starts with either, or
+// with any other version, is refused with ErrVersion: restore it with
+// the build that wrote it.
 package snapshot
 
 import (
@@ -78,10 +84,10 @@ import (
 const Magic = "SDBSNAP"
 
 // Version is the format of a full (base) record.
-const Version = 1
+const Version = 3
 
 // DeltaVersion is the version byte of a delta record.
-const DeltaVersion = 2
+const DeltaVersion = 4
 
 // deltaTag starts every delta record: magic and version.
 const deltaTag = Magic + string(rune(DeltaVersion))
@@ -101,6 +107,10 @@ const MaxCells = 256
 
 // ErrCorrupt wraps every structural decode failure.
 var ErrCorrupt = errors.New("snapshot: corrupt")
+
+// ErrVersion wraps the refusal of a file whose base record has a
+// version this build does not read.
+var ErrVersion = errors.New("snapshot: unsupported version")
 
 // Device is one fleet device's entry in a snapshot.
 type Device struct {
@@ -389,7 +399,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	case DeltaVersion:
 		return nil, fmt.Errorf("%w: journal starts with a delta record", ErrCorrupt)
 	default:
-		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
+		return nil, fmt.Errorf("%w %d (want %d)", ErrVersion, v, Version)
 	}
 	// The base record has no length field: its body ends where parsing
 	// it ends, and its CRC follows.
@@ -833,22 +843,6 @@ func list[T any](c *codec, s *[]T, per int, what string) []T {
 	return *s
 }
 
-// seriesLen returns the length every array of s shares, or -1 when
-// their lengths differ or s does not hold n SoC arrays.
-func seriesLen(s *emulator.Series, n int) int {
-	l, ok := len(s.T), len(s.SoC) == n
-	for _, vs := range [...][]float64{s.LoadW, s.DeliveredW, s.CircuitLossW, s.BatteryLossW} {
-		ok = ok && len(vs) == l
-	}
-	for _, vs := range s.SoC {
-		ok = ok && len(vs) == l
-	}
-	if !ok {
-		return -1
-	}
-	return l
-}
-
 // device walks one device entry: id, flags, the quarantine reason and
 // error message when flagged, and the machine block when it has state.
 // A quarantined device carries no state.
@@ -888,10 +882,10 @@ func (c *codec) device(dev *Device) error {
 }
 
 // machine walks a machine block: step cursor, result accumulators, the
-// per-cell drain times, the recorded series, the firmware, the optional
-// runtime and the fault-schedule position. In a delta block a series
-// offset precedes the series; decoding, prev is the device's state in
-// the record before (nil if it had none).
+// per-cell drain times, the trace hash, the recorded series, the
+// firmware, the optional runtime and the fault-schedule position. In a
+// delta block a series offset precedes the series; decoding, prev is
+// the device's state in the record before (nil if it had none).
 func (c *codec) machine(m, prev *emulator.MachineState) {
 	nonneg(c, &m.K, "step cursor")
 	c.boolean(&m.Done, "done")
@@ -910,6 +904,7 @@ func (c *codec) machine(m, prev *emulator.MachineState) {
 		c.fail("cell count %d exceeds %d", n, MaxCells)
 	}
 	c.f64s(&m.CellDrainedAtS, n, "cell drain time")
+	c.fixed(&m.TraceHash, 8, "trace hash")
 	if c.err != nil {
 		return
 	}
@@ -923,8 +918,6 @@ func (c *codec) machine(m, prev *emulator.MachineState) {
 		c.offset(&from, s, prev, n)
 	}
 	soc := cells(c, &s.SoC, n, "series SoC")
-	c.series(&s.T, from, "series T")
-	c.series(&s.LoadW, from, "series LoadW")
 	c.series(&s.DeliveredW, from, "series DeliveredW")
 	c.series(&s.CircuitLossW, from, "series CircuitLossW")
 	c.series(&s.BatteryLossW, from, "series BatteryLossW")
@@ -945,7 +938,7 @@ func (c *codec) machine(m, prev *emulator.MachineState) {
 // series the journal already holds, at most all of them. Decoding, a
 // nonzero offset must continue prev, whose series become s's base.
 func (c *codec) offset(from *int, s *emulator.Series, prev *emulator.MachineState, n int) {
-	if l := seriesLen(s, n); c.dir != decoding && l < 0 {
+	if l := s.Len(); c.dir != decoding && l < 0 {
 		c.fail("series arrays differ in length")
 	} else if c.dir != decoding && (*from < 0 || *from > l) {
 		c.fail("series offset %d outside %d samples", *from, l)
@@ -954,7 +947,7 @@ func (c *codec) offset(from *int, s *emulator.Series, prev *emulator.MachineStat
 	if c.uvarint(&u, "series offset"); c.dir != decoding || c.err != nil || u == 0 {
 		return
 	}
-	if prev == nil || u > math.MaxInt || seriesLen(prev.Series, n) != int(u) {
+	if prev == nil || u > math.MaxInt || len(prev.Series.SoC) != n || prev.Series.Len() != int(u) {
 		c.fail("series offset %d does not continue the previous record", u)
 		return
 	}

@@ -340,7 +340,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
-	f.Add([]byte("SDBSNAP\x01\x00\xff\xff"))
+	f.Add([]byte("SDBSNAP\x03\x00\xff\xff"))
 	trunc := bytes.Clone(buf.Bytes()[:buf.Len()/2])
 	f.Add(trunc)
 	// Journals: base plus deltas, one torn inside its last record, and

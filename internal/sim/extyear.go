@@ -81,7 +81,7 @@ func runYear(profileFn func(packFrac float64) string) (retention, ccb, chargeMin
 		}
 		if _, err := emulate(emulator.Config{
 			Controller: st.Controller, Runtime: st.Runtime, Trace: day,
-			PolicyEveryS: 600,
+			PolicyEveryS: 600, RecordEveryS: emulator.NoSeries,
 		}); err != nil {
 			return 0, 0, 0, err
 		}
@@ -102,7 +102,7 @@ func runYear(profileFn func(packFrac float64) string) (retention, ccb, chargeMin
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		chargeSeconds += chargeDuration(res)
+		chargeSeconds += chargeDuration(res, night.DT)
 	}
 	var capNow, capDesign float64
 	for i := 0; i < st.Pack.N(); i++ {
@@ -117,9 +117,10 @@ func runYear(profileFn func(packFrac float64) string) (retention, ccb, chargeMin
 }
 
 // chargeDuration estimates when 95% of the night's charge delta had
-// arrived, from the recorded per-cell SoC series.
-func chargeDuration(res *emulator.Result) float64 {
-	n := len(res.Series.T)
+// arrived, from the per-cell SoC series recorded at every step of a
+// trace dt seconds apart (sample k is at float64(k)*dt).
+func chargeDuration(res *emulator.Result, dt float64) float64 {
+	n := res.Series.Len()
 	if n == 0 {
 		return 0
 	}
@@ -137,8 +138,8 @@ func chargeDuration(res *emulator.Result) float64 {
 	target := start + 0.95*(end-start)
 	for k := 0; k < n; k++ {
 		if sumAt(k) >= target {
-			return res.Series.T[k]
+			return float64(k) * dt
 		}
 	}
-	return res.Series.T[n-1]
+	return float64(n-1) * dt
 }

@@ -90,13 +90,15 @@ func RunFig13(policyName string, policy core.DischargePolicy, includeRun bool) (
 		HourlyLoadJ: make([]float64, 24),
 		HourlyLossJ: make([]float64, 24),
 	}
+	// Every step is recorded: sample i is step i, at float64(i)*DT
+	// under load Load[i].
 	s := res.Series
-	for i, tS := range s.T {
-		h := int(tS / 3600)
+	for i := range s.DeliveredW {
+		h := int(float64(i) * tr.DT / 3600)
 		if h >= 24 {
 			break
 		}
-		out.HourlyLoadJ[h] += s.LoadW[i] * tr.DT
+		out.HourlyLoadJ[h] += tr.Load[i] * tr.DT
 		out.HourlyLossJ[h] += (s.CircuitLossW[i] + s.BatteryLossW[i]) * tr.DT
 	}
 	out.TotalLossJ = res.CircuitLossJ + res.BatteryLossJ

@@ -21,25 +21,20 @@ import (
 // A trace is written only while it is built (the generators, Scale,
 // Resample and ReadCSV fill their result before returning it) and is
 // immutable once an emulation holds it: machines share a trace across
-// goroutines, and the Validate result and the columns Columns derives
-// from it are computed once and never refreshed. A Trace must not be
-// copied after first use.
+// goroutines, and the Validate result and the hash Hash derives from
+// it are computed once and never refreshed. A Trace must not be copied
+// after first use.
 type Trace struct {
 	Name     string
 	DT       float64 // sample period, seconds
 	Load     []float64
 	External []float64
 
-	mu       sync.Mutex   // guards the memos below
-	checked  bool         // Validate has run; checkErr is its result
-	checkErr error        // memoized Validate result
-	cols     []strideCols // built by Columns, one per stride asked for
-}
-
-// strideCols are the time and load columns of one recording stride.
-type strideCols struct {
-	stride  int
-	t, load []float64
+	mu       sync.Mutex // guards the memos below
+	checked  bool       // Validate has run; checkErr is its result
+	checkErr error      // memoized Validate result
+	hashed   bool       // Hash has run; hash is its state before the stride
+	hash     uint64
 }
 
 // Validate checks structural invariants. The first call scans the
@@ -115,34 +110,40 @@ func (tr *Trace) Sample(k int) (loadW, externalW float64) {
 	return loadW, externalW
 }
 
-// Columns returns the time and load of every stride-th sample, the
-// columns an emulation recording every stride steps would write:
-// t[j] = float64(j*stride)*DT and load[j] = Load[j*stride], each
-// ceil(Len()/stride) long. At stride 1 load is Load itself. The
-// columns are built on the first call for a stride and shared by every
-// later caller, so they are read-only; the trace frees them with
-// itself. Safe for concurrent use. stride must be at least 1.
-func (tr *Trace) Columns(stride int) (t, load []float64) {
+// Hash returns a 64-bit FNV-1a hash of everything an emulation draws
+// from the trace, followed by a recording stride: DT, the Load and
+// External sample counts (External's is 0 when it is absent), every
+// Load and External sample bit for bit, then stride. A checkpoint
+// carries it so that a restore over a different trace or stride is
+// refused. The trace's part is computed on the first call and shared
+// by every later one, whatever the stride. Safe for concurrent use.
+func (tr *Trace) Hash(stride int) uint64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for _, c := range tr.cols {
-		if c.stride == stride {
-			return c.t, c.load
+	if !tr.hashed {
+		h := fnvMix(fnvMix(fnvOffset, math.Float64bits(tr.DT)), uint64(len(tr.Load)))
+		h = fnvMix(h, uint64(len(tr.External)))
+		for _, samples := range [2][]float64{tr.Load, tr.External} {
+			for _, w := range samples {
+				h = fnvMix(h, math.Float64bits(w))
+			}
 		}
+		tr.hash, tr.hashed = h, true
 	}
-	n := (len(tr.Load) + stride - 1) / stride
-	c := strideCols{stride: stride, t: make([]float64, n), load: tr.Load[:n:n]}
-	if stride > 1 {
-		c.load = make([]float64, n)
-		for j := range c.load {
-			c.load[j] = tr.Load[j*stride]
-		}
+	return fnvMix(tr.hash, uint64(stride))
+}
+
+// fnvOffset is FNV-1a's 64-bit offset basis.
+const fnvOffset = 14695981039346656037
+
+// fnvMix feeds the eight little-endian bytes of v through FNV-1a.
+func fnvMix(h, v uint64) uint64 {
+	for range 8 {
+		h ^= v & 0xff
+		h *= 1099511628211 // the 64-bit FNV prime
+		v >>= 8
 	}
-	for j := range c.t {
-		c.t[j] = float64(j*stride) * tr.DT
-	}
-	tr.cols = append(tr.cols, c)
-	return c.t, c.load
+	return h
 }
 
 // EnergyJ integrates the load over the trace.

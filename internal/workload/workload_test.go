@@ -446,24 +446,38 @@ func TestResampleValidation(t *testing.T) {
 	}
 }
 
-// TestTraceColumns: Columns(stride) holds the time and load of every
-// stride-th sample, the last stride partial; stride 1's load column is
-// Load itself, and a second call returns the same arrays.
-func TestTraceColumns(t *testing.T) {
-	tr := Square("sq", 1, 3, 10, 0.5, 100, 0.25) // 400 samples
-	ts, load := tr.Columns(7)
-	if len(ts) != 58 || len(load) != 58 { // 400 = 57*7 + 1
-		t.Fatalf("stride 7: %d/%d samples, want 58", len(ts), len(load))
-	}
-	for j := range ts {
-		if ts[j] != float64(j*7)*tr.DT || load[j] != tr.Load[j*7] {
-			t.Fatalf("stride 7 sample %d: (%g, %g), want (%g, %g)", j, ts[j], load[j], float64(j*7)*tr.DT, tr.Load[j*7])
+// TestTraceHash: Hash(stride) is a function of DT, Load, External and
+// the stride alone: an equal trace built apart hashes alike, and a
+// change to any one of them, External's presence included, changes the
+// hash.
+func TestTraceHash(t *testing.T) {
+	build := func(edit func(*Trace)) *Trace {
+		tr := Square("sq", 1, 3, 10, 0.5, 100, 0.25) // 400 samples
+		tr.External = make([]float64, tr.Len())
+		tr.External[17] = 2
+		if edit != nil {
+			edit(tr)
 		}
+		return tr
 	}
-	if again, _ := tr.Columns(7); &again[0] != &ts[0] {
-		t.Error("second Columns(7) rebuilt the time column")
+	base := build(nil)
+	want := base.Hash(7)
+	if got := base.Hash(7); got != want {
+		t.Fatalf("second Hash(7) = %#x, first %#x", got, want)
 	}
-	if _, load1 := tr.Columns(1); len(load1) != tr.Len() || cap(load1) != tr.Len() || &load1[0] != &tr.Load[0] {
-		t.Error("stride 1's load column is not a capped view of Load")
+	if got := build(func(tr *Trace) { tr.Name = "renamed" }).Hash(7); got != want {
+		t.Errorf("an equal trace under another name hashes to %#x, want %#x", got, want)
+	}
+	for name, h := range map[string]uint64{
+		"stride":            base.Hash(1),
+		"one load sample":   build(func(tr *Trace) { tr.Load[399] = math.Nextafter(tr.Load[399], 10) }).Hash(7),
+		"one supply sample": build(func(tr *Trace) { tr.External[17] = 2.5 }).Hash(7),
+		"supply presence":   build(func(tr *Trace) { tr.External = nil }).Hash(7),
+		"dt":                build(func(tr *Trace) { tr.DT = 0.5 }).Hash(7),
+		"length":            build(func(tr *Trace) { tr.Load, tr.External = tr.Load[:399], tr.External[:399] }).Hash(7),
+	} {
+		if h == want {
+			t.Errorf("changing the %s left the hash at %#x", name, h)
+		}
 	}
 }
