@@ -1,9 +1,9 @@
 // Package batch is the batched execution engine for the cell model: the
 // state of many packs lives in one contiguous slice of
 // battery.CellState lanes, and each cell model's parameters are
-// interned once and shared by every lane that uses that model, so
-// stepping thousands of packs walks one array instead of chasing a
-// pointer per cell.
+// interned once and shared by every lane and every checked-out cell of
+// that model, so stepping thousands of packs walks one array and a
+// fleet holds one copy of each model per engine.
 //
 // The engine holds state only: Lanes hands out a pack's params and
 // CellState lanes, and the caller steps them in place through
@@ -27,23 +27,6 @@ import (
 	"sdb/internal/battery"
 )
 
-// modelKey identifies a model for interning: dense-table identity plus
-// every parameter the kernel reads. Two cells built from the same
-// library entry share dense tables by pointer, so they collapse to one
-// model.
-type modelKey struct {
-	ocv, dcir                       *float64
-	concR, plateC                   float64
-	maxChgC, maxDisC                float64
-	selfDis                         float64
-	thMass, thRes                   float64
-	tempCoeff                       float64
-	maxTempC                        float64
-	fadePerCycle, fadeRefC, fadeExp float64
-	disFadeWeight, resGrowth        float64
-	agingThresh, agingFactor        float64
-}
-
 // Pack addresses a contiguous lane range inside an Engine: the cells
 // of one battery pack, in pack order.
 type Pack struct {
@@ -59,14 +42,14 @@ func (p Pack) N() int { return p.n }
 // holds its model's interned parameters, never its cell, so idle lanes
 // pin no cells.
 type Engine struct {
-	models map[modelKey]*battery.Params
+	models map[battery.Key]*battery.Params
 	params []*battery.Params // interned model per lane
 	lanes  []battery.CellState
 }
 
 // New builds an empty engine.
 func New() *Engine {
-	return &Engine{models: make(map[modelKey]*battery.Params)}
+	return &Engine{models: make(map[battery.Key]*battery.Params)}
 }
 
 // Len returns the number of lanes (cells) checked out so far.
@@ -76,49 +59,34 @@ func (e *Engine) Len() int { return len(e.lanes) }
 // bulk kernels use to advance the whole population in one call.
 func (e *Engine) All() Pack { return Pack{off: 0, n: len(e.lanes)} }
 
-// Checkout registers a pack's cells: each cell's model is resolved
-// (interned against every model already registered) and its state is
-// copied into fresh lanes. The cells themselves are not retained; use
+// Checkout registers a pack's cells: each cell's model is interned by
+// its battery.Key against every model already registered, the cell is
+// rebound to the interned copy (Cell.Share), and its state is copied
+// into fresh lanes. Cells of one model thus hold one copy of its
+// parameters per engine; the cells themselves are not retained, so use
 // SyncIn/SyncOut to move state between representations afterward.
-// Cells must carry dense OCV and DCIR curves: models are interned by
-// dense-table identity, so a reference-only curve is rejected.
+// Cells must carry dense OCV and DCIR curves, the form the fast path
+// is built for; a pack with a reference-only curve is rejected whole.
 func (e *Engine) Checkout(cells []*battery.Cell) (Pack, error) {
+	for _, c := range cells {
+		if m := c.Model(); !m.OCV.IsDense() || !m.DCIR.IsDense() {
+			return Pack{}, fmt.Errorf("batch: cell %q needs dense OCV and DCIR curves", m.Name)
+		}
+	}
 	p := Pack{off: len(e.lanes), n: len(cells)}
 	for _, c := range cells {
-		m, err := e.model(c.Params())
-		if err != nil {
-			return Pack{}, err
+		m := c.Model()
+		k := m.Key()
+		if shared, ok := e.models[k]; ok {
+			c.Share(shared)
+			m = shared
+		} else {
+			e.models[k] = m
 		}
 		e.params = append(e.params, m)
 		e.lanes = append(e.lanes, c.ExportState())
 	}
 	return p, nil
-}
-
-func (e *Engine) model(par battery.Params) (*battery.Params, error) {
-	oys, _, _, _ := par.OCV.DenseTable()
-	dys, _, _, _ := par.DCIR.DenseTable()
-	if oys == nil || dys == nil {
-		return nil, fmt.Errorf("batch: cell %q needs dense OCV and DCIR curves", par.Name)
-	}
-	k := modelKey{
-		ocv: &oys[0], dcir: &dys[0],
-		concR: par.ConcentrationR, plateC: par.PlateC,
-		maxChgC: par.MaxChargeC, maxDisC: par.MaxDischargeC,
-		selfDis: par.SelfDischargePerMonth,
-		thMass:  par.ThermalMassJPerK, thRes: par.ThermalResKPerW,
-		tempCoeff: par.TempCoeffRPerK, maxTempC: par.MaxTempC,
-		fadePerCycle: par.FadePerCycle, fadeRefC: par.FadeRefC, fadeExp: par.FadeExponent,
-		disFadeWeight: par.DischargeFadeWeight, resGrowth: par.ResGrowthPerCycle,
-		agingThresh: par.AgingTempThresholdC, agingFactor: par.AgingTempFactorPerK,
-	}
-	if m, ok := e.models[k]; ok {
-		return m, nil
-	}
-	m := new(battery.Params)
-	*m = par
-	e.models[k] = m
-	return m, nil
 }
 
 // SyncIn refreshes a pack's lanes from its cells — call at the start

@@ -3,6 +3,7 @@ package battery
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Params describes a cell model: Thevenin electrical parameters,
@@ -11,6 +12,11 @@ import (
 // potential OCV(SoC) in series with the internal resistance DCIR(SoC)
 // and a parallel RC pair (concentration resistance and plate
 // capacitance).
+//
+// A cell's Params are immutable once New has copied them, so cells of
+// one model may share one copy: batch.Engine.Checkout rebinds every
+// cell it checks out to its engine's copy of the cell's model (see
+// Key and Cell.Share).
 type Params struct {
 	Name string
 	Chem Chemistry
@@ -119,6 +125,59 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Key identifies a cell model for sharing: two Params with one Key
+// hold the same bits in every field. Floats are compared by their bit
+// patterns and each curve by the identity of its sample arrays and
+// dense table, never by a deep compare, so a Key costs a few dozen
+// words to build whatever the curves hold. Params taken from one
+// library entry, or built around one Curve value, share those arrays
+// and so share a Key; equal curves built apart do not, which costs only
+// a second copy of the model.
+type Key struct {
+	name      string
+	chem      Chemistry
+	ocv, dcir curveKey
+	nums      [23]uint64
+}
+
+// curveKey is a Curve's identity: its fields, with each slice as its
+// first element's address and its length.
+type curveKey struct {
+	xs, ys *float64
+	nx, ny int
+	min    uint64
+	dense  *denseTable
+}
+
+func (c *Curve) key() curveKey {
+	k := curveKey{nx: len(c.xs), ny: len(c.ys), min: math.Float64bits(c.min), dense: c.dense}
+	if len(c.xs) > 0 {
+		k.xs = &c.xs[0]
+	}
+	if len(c.ys) > 0 {
+		k.ys = &c.ys[0]
+	}
+	return k
+}
+
+// Key returns p's model key, over every field of p.
+func (p *Params) Key() Key {
+	b := math.Float64bits
+	return Key{
+		name: p.Name, chem: p.Chem,
+		ocv: p.OCV.key(), dcir: p.DCIR.key(),
+		nums: [...]uint64{
+			b(p.CapacityAh), b(p.ConcentrationR), b(p.PlateC),
+			b(p.MaxChargeC), b(p.MaxDischargeC),
+			b(p.RatedCycles), b(p.FadePerCycle), b(p.FadeRefC), b(p.FadeExponent),
+			b(p.DischargeFadeWeight), b(p.ResGrowthPerCycle), b(p.SelfDischargePerMonth),
+			b(p.ThermalMassJPerK), b(p.ThermalResKPerW), b(p.TempCoeffRPerK),
+			b(p.AgingTempThresholdC), b(p.AgingTempFactorPerK), b(p.MaxTempC),
+			b(p.VolumeL), b(p.MassKg), b(p.CostPerWh), b(p.BendRadiusMM), b(p.SwellDensityLoss),
+		},
+	}
+}
+
 // AmbientC is the default ambient temperature.
 const AmbientC = 25.0
 
@@ -153,20 +212,28 @@ func (p Params) VolumetricDensityWhPerL(swell bool) float64 {
 	return d
 }
 
-// Cell is a stateful cell instance built from Params: the parameters
-// plus one CellState, stepped through CellState's kernel. Cells are not
-// safe for concurrent use; the emulator steps them from one goroutine.
+// Cell is a stateful cell instance built from Params: its model's
+// parameters, by pointer and possibly shared with other cells of the
+// model, plus one CellState, stepped through CellState's kernel. Cells
+// are not safe for concurrent use; the emulator steps them from one
+// goroutine.
 type Cell struct {
-	p Params
+	p *Params
 	s CellState
+	// _ pads a Cell to 192 B, three cache lines. The allocator places
+	// 192 B objects on line boundaries, so cells stepped in parallel by
+	// different goroutines never write one line; at 144 B, neighbouring
+	// cells did, and parallel sweeps of private cells slowed.
+	_ [48]byte
 }
 
-// New builds a cell at 100% state of charge.
+// New builds a cell at 100% state of charge. The cell keeps its own
+// copy of p until Share points it at an equal model's.
 func New(p Params) (*Cell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cell{p: p, s: freshState(&p)}, nil
+	return &Cell{p: &p, s: freshState(&p)}, nil
 }
 
 // MustNew is New, panicking on invalid parameters. For tests and the
@@ -180,7 +247,23 @@ func MustNew(p Params) *Cell {
 }
 
 // Params returns a copy of the cell's parameters.
-func (c *Cell) Params() Params { return c.p }
+func (c *Cell) Params() Params { return *c.p }
+
+// Model returns the cell's parameters without copying them. They may
+// be shared with other cells of the same model, so callers read them
+// and never write through the pointer.
+func (c *Cell) Model() *Params { return c.p }
+
+// Share points the cell at m, another copy of the cell's own model, so
+// that every cell of one model can hold a single copy of its
+// parameters. It panics unless m has the cell's Key: sharing changes
+// no bit of what the cell computes.
+func (c *Cell) Share(m *Params) {
+	if m != c.p && m.Key() != c.p.Key() {
+		panic(fmt.Sprintf("battery: cell %q cannot share the parameters of another model %q", c.p.Name, m.Name))
+	}
+	c.p = m
+}
 
 // Name returns the cell's model name.
 func (c *Cell) Name() string { return c.p.Name }
@@ -212,7 +295,7 @@ func (c *Cell) OCV() float64 { return c.p.OCV.At(c.s.SoC) }
 // DCIR returns the internal resistance at the current state of charge,
 // including aging growth and the temperature coefficient.
 func (c *Cell) DCIR() float64 {
-	return c.p.DCIR.At(c.s.SoC) * c.s.R0Mult * tempRFactor(&c.p, c.s.TempC)
+	return c.p.DCIR.At(c.s.SoC) * c.s.R0Mult * tempRFactor(c.p, c.s.TempC)
 }
 
 // Temperature returns the cell temperature in Celsius (ambient when
@@ -255,36 +338,24 @@ func (c *Cell) TerminalVoltage(i float64) float64 {
 	return c.OCV() - c.s.VRC - i*c.DCIR()
 }
 
-// MaxDischargeCurrent returns the discharge current limit in amperes:
-// the C-rate limit against current capacity, derated near the thermal
+// MaxChargeCurrent returns the charge current limit in amperes: the
+// C-rate limit against current capacity, derated near the thermal
 // protection limit.
-func (c *Cell) MaxDischargeCurrent() float64 {
-	return c.p.MaxDischargeC * c.s.Capacity / 3600 * thermalDerate(&c.p, c.s.TempC)
-}
-
-// MaxChargeCurrent returns the charge current limit in amperes,
-// thermally derated like MaxDischargeCurrent.
 func (c *Cell) MaxChargeCurrent() float64 {
-	return c.p.MaxChargeC * c.s.Capacity / 3600 * thermalDerate(&c.p, c.s.TempC)
+	return c.p.MaxChargeC * c.s.Capacity / 3600 * thermalDerate(c.p, c.s.TempC)
 }
 
 // MaxDischargePower returns the largest terminal power the cell can
 // deliver right now, limited both by the rated current and by the
 // physics peak (OCV-Vrc)^2 / (4*R0).
 func (c *Cell) MaxDischargePower() float64 {
-	ocv, r, derate := c.s.Entry(&c.p)
-	return c.s.MaxDischargePowerAt(&c.p, ocv, r, derate)
+	ocv, r, derate := c.s.Entry(c.p)
+	return c.s.MaxDischargePowerAt(c.p, ocv, r, derate)
 }
 
-// MaxChargePower returns the largest terminal power the cell may accept
-// right now under its rated charge current.
-func (c *Cell) MaxChargePower() float64 {
-	ocv, r, _ := c.s.Entry(&c.p)
-	return c.maxChargePowerAt(ocv, r)
-}
-
-// maxChargePowerAt is MaxChargePower given the OCV and DCIR at the
-// current state.
+// maxChargePowerAt returns the largest terminal power the cell may
+// accept right now under its rated charge current, given the OCV and
+// DCIR at the current state.
 func (c *Cell) maxChargePowerAt(ocv, r float64) float64 {
 	if c.Full() {
 		return 0
@@ -297,11 +368,11 @@ func (c *Cell) maxChargePowerAt(ocv, r float64) float64 {
 // EnergyRemainingJ estimates the chemical energy recoverable from the
 // current state of charge down to empty, ignoring resistive losses
 // (integral of OCV over remaining charge).
-func (c *Cell) EnergyRemainingJ() float64 { return c.s.EnergyRemainingJ(&c.p) }
+func (c *Cell) EnergyRemainingJ() float64 { return c.s.EnergyRemainingJ(c.p) }
 
 // EnergyRemainingLowerBoundJ returns a cheap O(1) lower bound on
 // EnergyRemainingJ (see CellState.EnergyRemainingLowerBoundJ).
-func (c *Cell) EnergyRemainingLowerBoundJ() float64 { return c.s.EnergyRemainingLowerBoundJ(&c.p) }
+func (c *Cell) EnergyRemainingLowerBoundJ() float64 { return c.s.EnergyRemainingLowerBoundJ(c.p) }
 
 // StepResult reports what happened during one integration step.
 type StepResult struct {
@@ -330,7 +401,7 @@ type StepResult struct {
 // values are reported in the result.
 func (c *Cell) StepCurrent(i, dt float64) StepResult {
 	var res StepResult
-	c.s.StepCurrent(&c.p, i, dt, &res)
+	c.s.StepCurrent(c.p, i, dt, &res)
 	return res
 }
 
@@ -343,8 +414,8 @@ func (c *Cell) StepPower(p, dt float64) StepResult {
 		return c.StepCurrent(0, dt)
 	}
 	var res StepResult
-	ocv, r, derate := c.s.Entry(&c.p)
-	c.s.StepPowerAt(&c.p, ocv, r, derate, p, dt, &res)
+	ocv, r, derate := c.s.Entry(c.p)
+	c.s.StepPowerAt(c.p, ocv, r, derate, p, dt, &res)
 	return res
 }
 
@@ -372,10 +443,10 @@ type Status struct {
 // Snapshot returns the current externally visible state. It looks OCV
 // and DCIR up once and derives the terminal voltage and both power
 // capabilities from them with the expressions of TerminalVoltage(0),
-// MaxDischargePower and MaxChargePower: the lookups are pure functions
+// MaxDischargePower and maxChargePowerAt: the lookups are pure functions
 // of unchanged state, so the values are the same bits.
 func (c *Cell) Snapshot() Status {
-	ocv, r, derate := c.s.Entry(&c.p)
+	ocv, r, derate := c.s.Entry(c.p)
 	return Status{
 		Name:             c.p.Name,
 		Chem:             c.p.Chem,
@@ -388,7 +459,7 @@ func (c *Cell) Snapshot() Status {
 		CycleCount:       c.s.Cycles,
 		WearRatio:        c.WearRatio(),
 		RatedCycles:      c.p.RatedCycles,
-		MaxDischargeW:    c.s.MaxDischargePowerAt(&c.p, ocv, r, derate),
+		MaxDischargeW:    c.s.MaxDischargePowerAt(c.p, ocv, r, derate),
 		MaxChargeW:       c.maxChargePowerAt(ocv, r),
 		EnergyRemainingJ: c.EnergyRemainingJ(),
 		TemperatureC:     c.s.TempC,
@@ -420,4 +491,4 @@ func (c *Cell) Clone() *Cell {
 
 // Reset returns the cell to fresh, fully charged state at ambient
 // temperature, erasing aging.
-func (c *Cell) Reset() { c.s = freshState(&c.p) }
+func (c *Cell) Reset() { c.s = freshState(c.p) }

@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// maxDischargeCurrent is the discharge counterpart of MaxChargeCurrent:
+// the C-rate limit against current capacity, thermally derated.
+func (c *Cell) maxDischargeCurrent() float64 {
+	return c.p.MaxDischargeC * c.s.Capacity / 3600 * thermalDerate(c.p, c.s.TempC)
+}
+
+// maxChargePower is Snapshot's MaxChargeW from fresh lookups.
+func (c *Cell) maxChargePower() float64 {
+	ocv, r, _ := c.s.Entry(c.p)
+	return c.maxChargePowerAt(ocv, r)
+}
+
 // testParams returns a 2 Ah Type 2 cell for unit tests.
 func testParams() Params {
 	return makeParams("test-2000", ChemType2, 2.0, 0.1)
@@ -151,7 +163,7 @@ func TestStepPowerClampsBeyondPeak(t *testing.T) {
 	if !res.Clamped {
 		t.Error("1 MW request was not clamped")
 	}
-	if res.PowerW > c.Params().NominalVoltage()*c.MaxDischargeCurrent()+1 {
+	if res.PowerW > c.Params().NominalVoltage()*c.maxDischargeCurrent()+1 {
 		t.Errorf("clamped power %g exceeds physical limit", res.PowerW)
 	}
 }
@@ -376,7 +388,7 @@ func TestMaxPowerZeroAtBounds(t *testing.T) {
 		t.Error("empty cell reports nonzero discharge power")
 	}
 	c.SetSoC(1)
-	if c.MaxChargePower() != 0 {
+	if c.maxChargePower() != 0 {
 		t.Error("full cell reports nonzero charge power")
 	}
 }
@@ -542,7 +554,7 @@ func TestSnapshotMatchesAccessors(t *testing.T) {
 				{"OCV", s.OCV, c.OCV()},
 				{"DCIR", s.DCIR, c.DCIR()},
 				{"MaxDischargeW", s.MaxDischargeW, c.MaxDischargePower()},
-				{"MaxChargeW", s.MaxChargeW, c.MaxChargePower()},
+				{"MaxChargeW", s.MaxChargeW, c.maxChargePower()},
 				{"EnergyRemainingJ", s.EnergyRemainingJ, perPoint(c)},
 			} {
 				if bits(f.got) != bits(f.want) {

@@ -89,26 +89,6 @@ func (p *Pack) MaxDischargePower() float64 {
 	return sum
 }
 
-// AllEmpty reports whether every cell is drained.
-func (p *Pack) AllEmpty() bool {
-	for _, c := range p.cells {
-		if !c.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// AllFull reports whether every cell is at 100%.
-func (p *Pack) AllFull() bool {
-	for _, c := range p.cells {
-		if !c.Full() {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone deep-copies the pack, cells included.
 func (p *Pack) Clone() *Pack {
 	cells := make([]*Cell, len(p.cells))

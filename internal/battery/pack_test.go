@@ -71,21 +71,6 @@ func TestPackEnergyAndPowerAggregates(t *testing.T) {
 	}
 }
 
-func TestPackEmptyFull(t *testing.T) {
-	p := twoCellPack(t)
-	if !p.AllFull() || p.AllEmpty() {
-		t.Error("fresh pack should be AllFull")
-	}
-	p.Cell(0).SetSoC(0)
-	if p.AllEmpty() || p.AllFull() {
-		t.Error("half-drained pack misreported")
-	}
-	p.Cell(1).SetSoC(0)
-	if !p.AllEmpty() {
-		t.Error("drained pack not AllEmpty")
-	}
-}
-
 func TestPackCCBBalanced(t *testing.T) {
 	p := twoCellPack(t)
 	if got := p.CCB(); got != 1 {
@@ -122,7 +107,7 @@ func TestPackReset(t *testing.T) {
 	p.Cell(0).SetSoC(0.2)
 	cycleCell(p.Cell(1), 1.0, 2)
 	p.Reset()
-	if !p.AllFull() || p.Cell(1).CycleCount() != 0 {
+	if !p.Cell(0).Full() || !p.Cell(1).Full() || p.Cell(1).CycleCount() != 0 {
 		t.Error("Reset did not restore the pack")
 	}
 }

@@ -117,7 +117,7 @@ func TestThermalDerateNearLimit(t *testing.T) {
 	p.ThermalResKPerW = 60 // heat up fast and far
 	c := MustNew(p)
 	c.SetSoC(0.9)
-	full := c.MaxDischargeCurrent()
+	full := c.maxDischargeCurrent()
 	for k := 0; k < 7200 && c.Temperature() < p.MaxTempC-1; k++ {
 		c.StepCurrent(3.0, 1)
 		if c.SoC() < 0.3 {
@@ -127,8 +127,8 @@ func TestThermalDerateNearLimit(t *testing.T) {
 	if c.Temperature() < p.MaxTempC-5 {
 		t.Fatalf("cell only reached %g C; cannot exercise derating", c.Temperature())
 	}
-	if c.MaxDischargeCurrent() >= full*0.9 {
-		t.Errorf("no derating near the limit: %g vs cold %g A", c.MaxDischargeCurrent(), full)
+	if c.maxDischargeCurrent() >= full*0.9 {
+		t.Errorf("no derating near the limit: %g vs cold %g A", c.maxDischargeCurrent(), full)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestThermalModelDisabledByDefaultParams(t *testing.T) {
 	if c.Temperature() != AmbientC {
 		t.Errorf("disabled thermal model still heated to %g C", c.Temperature())
 	}
-	if c.MaxDischargeCurrent() != p.MaxDischargeC*c.Capacity()/3600 {
+	if c.maxDischargeCurrent() != p.MaxDischargeC*c.Capacity()/3600 {
 		t.Error("disabled thermal model derated current")
 	}
 }

@@ -166,7 +166,7 @@ func TestChargerConfigValidation(t *testing.T) {
 	}
 }
 
-// Every controller builds its chargers from DefaultChargerConfig, so
+// Every controller builds its charger from DefaultChargerConfig, so
 // the dense efficiency table must be built once and shared, not
 // resampled per call.
 func TestDefaultChargerConfigSharesDenseTable(t *testing.T) {

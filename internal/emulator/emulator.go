@@ -428,7 +428,7 @@ func packStoredJ(cells []*battery.Cell) float64 {
 	var sum float64
 	for _, c := range cells {
 		v := c.RCVoltage()
-		sum += c.EnergyRemainingJ() + 0.5*c.Params().PlateC*v*v
+		sum += c.EnergyRemainingJ() + 0.5*c.Model().PlateC*v*v
 	}
 	return sum
 }

@@ -134,11 +134,13 @@ func DefaultConfig(pack *battery.Pack) Config {
 type Controller struct {
 	mu sync.Mutex
 
-	pack     *battery.Pack
-	cells    []*battery.Cell // pack.Cells(), hoisted once — the step loop must not re-fetch per cell
-	gauges   []*fuelgauge.Gauge
-	dpath    *circuit.DischargePath
-	chargers []*circuit.Charger
+	pack   *battery.Pack
+	cells  []*battery.Cell // pack.Cells(), hoisted once — the step loop must not re-fetch per cell
+	gauges []*fuelgauge.Gauge
+	dpath  *circuit.DischargePath
+	// charger models every cell's charge channel: the channels are
+	// identical and the model is stateless, so one serves them all.
+	charger *circuit.Charger
 	// profiles is the validated profile table, fixed at construction
 	// and resolved by name with findProfile: a table holds a handful of
 	// entries, so a scan is as fast as a map and costs no allocation.
@@ -146,12 +148,10 @@ type Controller struct {
 
 	dischargeRatios []float64
 	chargeRatios    []float64
-	profileSel      []string
-	// profileByIdx mirrors profileSel with the resolved profiles so the
-	// per-step charging path avoids a name lookup per cell.
-	profileByIdx []circuit.ChargeProfile
-	xfer         *transfer
-	reportGauge  bool
+	// profileSel is each cell's selected charge profile, as an index
+	// into profiles.
+	profileSel []int
+	xfer       *transfer
 
 	// open marks cells isolated by an open-circuit fault: excluded from
 	// discharge splits, charging, and transfers until cleared.
@@ -172,13 +172,19 @@ type Controller struct {
 
 	steps atomic.Int64
 
-	// Measurement plane (nil metrics are no-ops; see internal/obs).
-	// simTimeS accumulates stepped time so trace events carry the
-	// firmware's notion of simulated time; lastBrownout edge-triggers
-	// the brownout trace event so a long drain cannot flood the ring.
-	om           ctrlMetrics
+	// Measurement plane (nil metrics are no-ops; see internal/obs),
+	// fixed at construction: an uninstrumented controller points at
+	// the shared all-nil noMetrics. simTimeS accumulates stepped time
+	// so trace events carry the firmware's notion of simulated time;
+	// lastBrownout edge-triggers the brownout trace event so a long
+	// drain cannot flood the ring.
+	om           *ctrlMetrics
 	simTimeS     float64
 	lastBrownout bool
+	// reportGauge is Config.ReportGaugeState. It sits beside
+	// lastBrownout so the two flags share one word, which keeps the
+	// controller in the 512 B size class.
+	reportGauge bool
 
 	// rec is the optional time-series recorder served over CmdSeries.
 	// The controller never samples it (scraping happens on policy-tick
@@ -222,11 +228,17 @@ type ctrlMetrics struct {
 	cellSoC       []*obs.Gauge // per-cell state of charge at last query
 }
 
-// newCtrlMetrics registers the firmware metric family. With a nil
-// registry every constructor returns nil and the whole bundle is a
-// no-op.
-func newCtrlMetrics(reg *obs.Registry, n int) ctrlMetrics {
-	m := ctrlMetrics{
+// noMetrics is the bundle of every uninstrumented controller: all nil,
+// so every operation on it is a no-op, and never written.
+var noMetrics ctrlMetrics
+
+// newCtrlMetrics registers the firmware metric family. A nil registry
+// gets the shared no-op bundle.
+func newCtrlMetrics(reg *obs.Registry, n int) *ctrlMetrics {
+	if reg == nil {
+		return &noMetrics
+	}
+	m := &ctrlMetrics{
 		reg:           reg,
 		tracer:        reg.Tracer(),
 		steps:         reg.Counter("sdb_pmic_steps_total"),
@@ -240,16 +252,14 @@ func newCtrlMetrics(reg *obs.Registry, n int) ctrlMetrics {
 		circuitLossJ:  reg.FCounter("sdb_pmic_circuit_loss_joules_total"),
 		batteryLossJ:  reg.FCounter("sdb_pmic_battery_loss_joules_total"),
 		chargedJ:      reg.FCounter("sdb_pmic_charged_joules_total"),
+		disRatio:      make([]*obs.Gauge, n),
+		chgRatio:      make([]*obs.Gauge, n),
+		cellSoC:       make([]*obs.Gauge, n),
 	}
-	if reg != nil {
-		m.disRatio = make([]*obs.Gauge, n)
-		m.chgRatio = make([]*obs.Gauge, n)
-		m.cellSoC = make([]*obs.Gauge, n)
-		for i := 0; i < n; i++ {
-			m.disRatio[i] = reg.Gauge(fmt.Sprintf("sdb_pmic_cell%d_discharge_ratio", i))
-			m.chgRatio[i] = reg.Gauge(fmt.Sprintf("sdb_pmic_cell%d_charge_ratio", i))
-			m.cellSoC[i] = reg.Gauge(fmt.Sprintf("sdb_pmic_cell%d_soc", i))
-		}
+	for i := 0; i < n; i++ {
+		m.disRatio[i] = reg.Gauge(fmt.Sprintf("sdb_pmic_cell%d_discharge_ratio", i))
+		m.chgRatio[i] = reg.Gauge(fmt.Sprintf("sdb_pmic_cell%d_charge_ratio", i))
+		m.cellSoC[i] = reg.Gauge(fmt.Sprintf("sdb_pmic_cell%d_soc", i))
 	}
 	return m
 }
@@ -279,16 +289,20 @@ func NewController(cfg Config) (*Controller, error) {
 	if !ok {
 		return nil, fmt.Errorf("firmware: default profile %q not in profile table", cfg.DefaultProfile)
 	}
+	charger, err := circuit.NewCharger(cfg.Charger)
+	if err != nil {
+		return nil, err
+	}
 
 	c := &Controller{
 		pack:            cfg.Pack,
 		cells:           cfg.Pack.Cells(),
 		dpath:           dpath,
+		charger:         charger,
 		profiles:        profiles,
 		dischargeRatios: uniform(n),
 		chargeRatios:    uniform(n),
-		profileSel:      make([]string, n),
-		profileByIdx:    make([]circuit.ChargeProfile, n),
+		profileSel:      make([]int, n),
 		reportGauge:     cfg.ReportGaugeState,
 		open:            make([]bool, n),
 		watchdogS:       cfg.WatchdogS,
@@ -299,31 +313,26 @@ func NewController(cfg Config) (*Controller, error) {
 		om:              newCtrlMetrics(cfg.Obs.Or(obs.Default()), n),
 	}
 	for i := 0; i < n; i++ {
-		ch, err := circuit.NewCharger(cfg.Charger)
-		if err != nil {
-			return nil, err
-		}
-		c.chargers = append(c.chargers, ch)
 		g, err := fuelgauge.New(cfg.Pack.Cell(i), cfg.Gauge)
 		if err != nil {
 			return nil, err
 		}
 		c.gauges = append(c.gauges, g)
-		c.profileSel[i] = cfg.DefaultProfile
-		c.profileByIdx[i] = def
+		c.profileSel[i] = def
 	}
 	return c, nil
 }
 
-// findProfile resolves a profile name. It scans from the end, so when a
-// table repeats a name the last entry wins.
-func findProfile(profiles []circuit.ChargeProfile, name string) (circuit.ChargeProfile, bool) {
+// findProfile resolves a profile name to its index in the table. It
+// scans from the end, so when a table repeats a name the last entry
+// wins.
+func findProfile(profiles []circuit.ChargeProfile, name string) (int, bool) {
 	for i := len(profiles) - 1; i >= 0; i-- {
 		if profiles[i].Name == name {
-			return profiles[i], true
+			return i, true
 		}
 	}
-	return circuit.ChargeProfile{}, false
+	return 0, false
 }
 
 func uniform(n int) []float64 {
@@ -484,20 +493,20 @@ func (c *Controller) SetChargeProfile(batt int, profile string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := findProfile(c.profiles, profile)
+	sel, ok := findProfile(c.profiles, profile)
 	if !ok {
 		return fmt.Errorf("firmware: unknown charge profile %q", profile)
 	}
+	p := &c.profiles[sel]
 	// A CV ceiling below the cell's mid-charge open-circuit potential
 	// could never charge the cell meaningfully: almost certainly a
 	// profile meant for a different pack voltage (e.g. a single-cell
 	// 4.2 V profile selected for a 350 V traction pack).
-	if floor := c.pack.Cell(batt).Params().OCV.At(0.2); p.CVVoltage > 0 && p.CVVoltage < floor {
+	if floor := c.pack.Cell(batt).Model().OCV.At(0.2); p.CVVoltage > 0 && p.CVVoltage < floor {
 		return fmt.Errorf("firmware: profile %q CV ceiling %.3g V below battery %d's 20%%-charge potential %.3g V",
 			profile, p.CVVoltage, batt, floor)
 	}
-	c.profileSel[batt] = profile
-	c.profileByIdx[batt] = p
+	c.profileSel[batt] = sel
 	return nil
 }
 
@@ -812,7 +821,7 @@ func brownout(realized, want float64) bool {
 // is false when the charger realizes no current, and the cell only
 // relaxes.
 func (c *Controller) chargeSetPoint(i int, budget, soc, capacity, vOpen, dcir float64) (wantW, eff float64, ok bool) {
-	prof := c.profileByIdx[i]
+	prof := &c.profiles[c.profileSel[i]]
 	rate := prof.RateAt(soc)       // C
 	maxA := rate * capacity / 3600 // amperes
 	// CV phase: taper the current so the cell terminal voltage never
@@ -826,15 +835,15 @@ func (c *Controller) chargeSetPoint(i int, budget, soc, capacity, vOpen, dcir fl
 			maxA = cvA
 		}
 	}
-	setA := math.Min(maxA, c.chargers[i].MaxCurrent())
-	actualA, err := c.chargers[i].RealizedCurrent(setA)
+	setA := math.Min(maxA, c.charger.MaxCurrent())
+	actualA, err := c.charger.RealizedCurrent(setA)
 	if err != nil || actualA <= 0 {
 		return 0, 0, false
 	}
 	// Power needed at the cell terminals for actualA.
 	cur := -actualA
 	wantW = (vOpen - cur*dcir) * actualA
-	eff = c.chargers[i].Efficiency(actualA)
+	eff = c.charger.Efficiency(actualA)
 	// The budget is measured at the charger input.
 	if wantW/eff > budget {
 		wantW = budget * eff
@@ -860,7 +869,7 @@ func (c *Controller) stepTransfer(dt float64, rep *StepReport) {
 	// Both channels convert: source regulator in reverse buck, sink in
 	// buck (Section 3.2.2).
 	iGuess := drawW / dst.TerminalVoltage(0)
-	eff := circuit.TransferEfficiency(c.chargers[x.from], c.chargers[x.to], iGuess)
+	eff := circuit.TransferEfficiency(c.charger, c.charger, iGuess)
 	out := src.StepPower(drawW, step)
 	in := dst.StepPower(-out.PowerW*eff, step)
 	rep.PerCellW[x.from] += out.PowerW

@@ -10,7 +10,7 @@ import (
 // Controller state export/import: the checkpoint face of the firmware.
 // A ControllerState carries every register and estimator a restore
 // needs to resume stepping byte-identically; hardware models (discharge
-// path, chargers, profile table) are configuration, rebuilt by the
+// path, charger, profile table) are configuration, rebuilt by the
 // provisioner, and only the *selections* into them are carried.
 
 // TransferState is the snapshot of an in-flight battery-to-battery
@@ -55,7 +55,7 @@ func (c *Controller) ExportState() ControllerState {
 		Gauges:          make([]fuelgauge.State, n),
 		DischargeRatios: append([]float64(nil), c.dischargeRatios...),
 		ChargeRatios:    append([]float64(nil), c.chargeRatios...),
-		ProfileSel:      append([]string(nil), c.profileSel...),
+		ProfileSel:      make([]string, n),
 		Open:            append([]bool(nil), c.open...),
 		SinceCmdS:       c.sinceCmdS,
 		WatchdogFires:   c.watchdogFires,
@@ -66,6 +66,7 @@ func (c *Controller) ExportState() ControllerState {
 	for i := 0; i < n; i++ {
 		st.Cells[i] = c.cells[i].ExportState()
 		st.Gauges[i] = c.gauges[i].ExportState()
+		st.ProfileSel[i] = c.profiles[c.profileSel[i]].Name
 	}
 	if c.xfer != nil {
 		st.Transfer = &TransferState{
@@ -110,9 +111,8 @@ func (c *Controller) ImportState(st ControllerState) error {
 	}
 	copy(c.dischargeRatios, st.DischargeRatios)
 	copy(c.chargeRatios, st.ChargeRatios)
-	copy(c.profileSel, st.ProfileSel)
 	for i, name := range st.ProfileSel {
-		c.profileByIdx[i], _ = findProfile(c.profiles, name)
+		c.profileSel[i], _ = findProfile(c.profiles, name)
 	}
 	copy(c.open, st.Open)
 	c.xfer = nil

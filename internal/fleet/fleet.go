@@ -161,8 +161,9 @@ type device struct {
 	qreason     string
 
 	// rec is the device's (soc, steps) recording grid, touched only
-	// from the tick barrier; its series names are built on first use.
-	rec recGrid
+	// from the tick barrier and built at its first record, so a fleet
+	// that records nothing holds none.
+	rec *recGrid
 
 	// ckptLen is the device's series length in the checkpoint journal's
 	// last record, where its next delta record starts. Guarded by tickMu.
@@ -716,9 +717,11 @@ func (f *Fleet) recordLocked() {
 			f.recordFail(d.id, errors.New("no battery status sample at the barrier"))
 			return
 		}
-		if d.rec.names == nil {
-			d.rec.names = []string{fmt.Sprintf("sdb_fleet_dev%d_soc", d.id), fmt.Sprintf("sdb_fleet_dev%d_steps", d.id)}
-			d.rec.kinds = deviceRecKinds
+		if d.rec == nil {
+			d.rec = &recGrid{
+				names: []string{fmt.Sprintf("sdb_fleet_dev%d_soc", d.id), fmt.Sprintf("sdb_fleet_dev%d_steps", d.id)},
+				kinds: deviceRecKinds,
+			}
 		}
 		vals := [2]float64{d.sig.v[sigSoC], d.sig.v[sigSteps]}
 		if err := d.rec.record(f.cfg.Record, t, vals[:]); err != nil {
@@ -744,8 +747,9 @@ type recGrid struct {
 	parked []float64 // parked sample's values; nil until the first
 }
 
-// due reports whether a sample at sim time t advances the grid.
-func (g *recGrid) due(t float64) bool { return t > g.lastT && t > 0 }
+// due reports whether a sample at sim time t advances the grid. A grid
+// not built yet (nil) is due at any positive time.
+func (g *recGrid) due(t float64) bool { return t > 0 && (g == nil || t > g.lastT) }
 
 // record appends vals (parallel to names) at sim time t, first
 // flushing a parked sample once the step is known. It stops at the

@@ -40,14 +40,12 @@ func DefaultConfig() Config {
 	return Config{GainError: 0.003, OffsetA: 0.001, RestThresholdA: 0.01, RestSettleS: 60}
 }
 
-// Gauge tracks one cell.
+// Gauge tracks one cell. Rest correction reads the cell's OCV table
+// through Cell.Model, which copies no parameters, so the gauge keeps no
+// copy of the table.
 type Gauge struct {
 	cell *battery.Cell
-	// ocv caches the cell's OCV table: rest correction runs every step
-	// once the cell settles, and fetching the curve through Params()
-	// would copy the whole parameter struct each time.
-	ocv battery.Curve
-	cfg Config
+	cfg  Config
 
 	estSoC    float64
 	estCapC   float64 // estimated capacity, coulombs
@@ -73,7 +71,6 @@ func New(cell *battery.Cell, cfg Config) (*Gauge, error) {
 	}
 	return &Gauge{
 		cell:    cell,
-		ocv:     cell.Params().OCV,
 		cfg:     cfg,
 		estSoC:  cell.SoC(),
 		estCapC: cell.Capacity(),
@@ -117,7 +114,7 @@ func (g *Gauge) Observe(i, v, dt float64) {
 // ocvCorrect snaps the SoC estimate toward the inverse OCV lookup of
 // the rest voltage, trimming coulomb-counting drift.
 func (g *Gauge) ocvCorrect(vrest float64) {
-	soc, ok := InvertOCV(g.ocv, vrest)
+	soc, ok := InvertOCV(g.cell.Model().OCV, vrest)
 	if !ok {
 		return
 	}
@@ -136,25 +133,6 @@ func (g *Gauge) Error() float64 { return math.Abs(g.estSoC - g.cell.SoC()) }
 // CycleCount returns the gauge's cycle counter (the OS-visible value).
 func (g *Gauge) CycleCount() int { return g.cycles }
 
-// LastCurrent returns the last sensed current (amperes, positive
-// discharge).
-func (g *Gauge) LastCurrent() float64 { return g.lastI }
-
-// LastVoltage returns the last observed terminal voltage.
-func (g *Gauge) LastVoltage() float64 { return g.lastV }
-
-// Recalibrate learns a new capacity estimate, as gauges do when a full
-// charge completes: the host tells the gauge the cell just went from
-// empty to full and how many coulombs went in.
-func (g *Gauge) Recalibrate(coulombsIn float64) error {
-	if coulombsIn <= 0 {
-		return fmt.Errorf("fuelgauge: recalibrate with %g coulombs", coulombsIn)
-	}
-	g.estCapC = coulombsIn
-	g.estSoC = 1
-	return nil
-}
-
 // InjectDrift shifts the SoC estimate by bias (clamped to [0,1] after
 // the shift), modeling accumulated coulomb-counting error or a sense
 // glitch. The underlying cell is untouched — only the estimate lies.
@@ -167,8 +145,8 @@ func (g *Gauge) InjectDrift(bias float64) {
 func (g *Gauge) EstimatedCapacity() float64 { return g.estCapC }
 
 // State is a gauge's complete mutable state: everything a checkpoint
-// must carry to freeze the estimator mid-run. The cell binding, OCV
-// cache, and measurement config are derived from configuration and are
+// must carry to freeze the estimator mid-run. The cell binding and
+// measurement config are derived from configuration and are
 // reconstructed, not checkpointed.
 type State struct {
 	EstSoC    float64

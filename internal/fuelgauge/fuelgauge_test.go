@@ -117,19 +117,6 @@ func TestGaugeCycleCounting(t *testing.T) {
 	}
 }
 
-func TestRecalibrate(t *testing.T) {
-	_, g := newGauge(t, DefaultConfig())
-	if err := g.Recalibrate(5000); err != nil {
-		t.Fatal(err)
-	}
-	if g.EstimatedCapacity() != 5000 || g.SoC() != 1 {
-		t.Error("recalibrate did not update capacity and SoC")
-	}
-	if err := g.Recalibrate(-1); err == nil {
-		t.Error("negative recalibration accepted")
-	}
-}
-
 func TestObserveZeroDtNoOp(t *testing.T) {
 	_, g := newGauge(t, Config{})
 	before := g.SoC()
@@ -142,8 +129,8 @@ func TestObserveZeroDtNoOp(t *testing.T) {
 func TestLastReadings(t *testing.T) {
 	_, g := newGauge(t, Config{})
 	g.Observe(1.5, 3.65, 1)
-	if g.LastCurrent() != 1.5 || g.LastVoltage() != 3.65 {
-		t.Errorf("last readings = %g A, %g V", g.LastCurrent(), g.LastVoltage())
+	if st := g.ExportState(); st.LastI != 1.5 || st.LastV != 3.65 {
+		t.Errorf("last readings = %g A, %g V", st.LastI, st.LastV)
 	}
 }
 
